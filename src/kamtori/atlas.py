@@ -325,15 +325,12 @@ def coupled_divisor_floor(kmax: int, dim: int, lam: complex,
 
 
 def sweep_continuation(fam, omega, path, K0, mu0, good_set: GoodSetParams | None = None,
-                       tol: float = 1e-11, max_iter: int = 20, rho: float = 0.1,
-                       on_obstruction: str = "halt") -> SweepResult:
+                       tol: float = 1e-11, max_iter: int = 20, rho: float = 0.1) -> SweepResult:
     """Walk the epsilon path, solving at each point seeded by the previous
     solution.  With good-set params the cohomology floor is coupled to the
     set inequality, so DivisorTooSmall fires exactly when the path enters an
     excluded ball; the sweep records the obstructing mode and halts (detours
     are the caller's business via `detour_path`)."""
-    if on_obstruction not in ("halt",):
-        raise ValueError("only the 'halt' obstruction policy is built in")
     K, mu = K0, mu0
     steps = []
     sols = []

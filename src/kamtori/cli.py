@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .atlas import (classify_grid, excluded_balls, grid_table, render_svg,
                     sweep_continuation, sweep_table)
-from .config import load_config, parse_complex
+from .config import load_config
 from .diophantine import in_good_set, scan_trace
 from .errors import (ConfigError, DivisorTooSmall, KamtoriError, NoConvergence,
                      NonDegeneracyFailure)
@@ -45,8 +45,12 @@ EXIT_CONFIG = 64
 def _atomic_write(path, text: str):
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kamtori-")
+    # mkstemp creates the file 0600; give it the mode open() would
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as fp:
+            os.fchmod(fp.fileno(), 0o666 & ~umask)
             fp.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -89,10 +93,9 @@ def _solver_start(cfg):
 
 def cmd_solve(run: _Run):
     cfg = run.cfg
-    sec = cfg.section("solve")
-    if "eps" not in sec:
+    eps = cfg.section("solve")["eps"]
+    if eps is None:
         raise ConfigError("missing key 'eps'", "[solve]")
-    eps = parse_complex(sec["eps"], "[solve].eps")
     K0, mu0 = _solver_start(cfg)
     sol = run_newton(cfg.family, K0, mu0, cfg.omega, eps, tol=cfg.tol,
                      max_iter=cfg.max_iter, rho=cfg.rho, delta0=cfg.delta0,
@@ -124,8 +127,7 @@ def _expand_from_config(run: _Run, order: int, eps0: complex):
 def cmd_lindstedt(run: _Run):
     cfg = run.cfg
     sec = cfg.section("lindstedt")
-    order = int(sec.get("order", "4"))
-    eps0 = parse_complex(sec.get("eps0", "0"), "[lindstedt].eps0")
+    order, eps0 = sec["order"], sec["eps0"]
     jet = _expand_from_config(run, order, eps0)
     buf = io.StringIO()
     dump_jet(jet, buf)
@@ -141,8 +143,7 @@ def cmd_lindstedt(run: _Run):
 def cmd_double(run: _Run):
     cfg = run.cfg
     sec = cfg.section("double")
-    order = int(sec.get("order", "1"))
-    rounds = int(sec.get("rounds", "2"))
+    order, rounds = sec["order"], sec["rounds"]
     jet = _expand_from_config(run, order, 0.0)
     for _ in range(rounds):
         jet = lindstedt_double(cfg.family, jet, cfg.omega,
@@ -163,23 +164,16 @@ def cmd_atlas(run: _Run):
     if cfg.good_set is None:
         raise ConfigError("atlas needs a [goodset] section", "[goodset]")
     sec = cfg.section("atlas")
-    plane = sec.get("plane", "lambda")
-    bounds = tuple(float(t) for t in sec.get("bounds", "0.7 1.3 -0.3 0.3").split())
-    if len(bounds) != 4:
-        raise ConfigError("bounds needs 4 numbers", "[atlas].bounds")
-    resolution = tuple(int(t) for t in sec.get("resolution", "200 200").split())
-    ball_kmax = int(sec.get("ball_kmax", "512"))
-    rho_band = float(sec.get("rho_band", "0.05"))
-    radius_scale = float(sec.get("radius_scale", "1.0"))
+    plane, bounds, rho_band = sec["plane"], sec["bounds"], sec["rho_band"]
 
-    grid = classify_grid(plane, bounds, resolution, cfg.good_set, cfg.omega,
+    grid = classify_grid(plane, bounds, sec["resolution"], cfg.good_set, cfg.omega,
                          fam=cfg.family, k_scan=cfg.k_scan)
     buf = io.StringIO()
     grid_table(grid, buf)
     run.emit("cells.txt", buf.getvalue())
 
-    balls = excluded_balls(cfg.good_set, cfg.omega, ball_kmax, rho_band,
-                           radius_scale=radius_scale,
+    balls = excluded_balls(cfg.good_set, cfg.omega, sec["ball_kmax"], rho_band,
+                           radius_scale=sec["radius_scale"],
                            fam=cfg.family if plane == "epsilon" else None,
                            plane=plane)
     rows = [f"# balls plane={plane} rho_band={rho_band:.17g}",
@@ -204,12 +198,9 @@ def cmd_atlas(run: _Run):
 def cmd_sweep(run: _Run):
     cfg = run.cfg
     sec = cfg.section("sweep")
-    start = parse_complex(sec.get("start", "0.01"), "[sweep].start")
-    end = parse_complex(sec.get("end", "0.1"), "[sweep].end")
-    steps = int(sec.get("steps", "10"))
-    if "direction" in sec and sec["direction"].strip():
-        u = parse_complex(sec["direction"], "[sweep].direction")
-        u = u / abs(u)
+    start, end, steps = sec["start"], sec["end"], sec["steps"]
+    if sec["direction"] is not None:
+        u = sec["direction"] / abs(sec["direction"])
         end = start + u * abs(end - start)
     path = start + (end - start) * np.linspace(0.0, 1.0, steps)
     K0, mu0 = _solver_start(cfg)

@@ -18,17 +18,52 @@ from .maps import DissipativeStandardMap
 
 _SILVER_MEAN = np.sqrt(2.0) - 1.0
 
+
+def _complex(text: str) -> complex:
+    """One real number, or the real and imaginary parts."""
+    toks = text.split()
+    if len(toks) not in (1, 2):
+        raise ValueError(f"expected 1 or 2 numbers, got {len(toks)}")
+    return complex(*(float(t) for t in toks))
+
+
+def _numbers(cast, count: int):
+    def parse(text: str) -> tuple:
+        vals = tuple(cast(t) for t in text.split())
+        if len(vals) != count:
+            raise ValueError(f"expected {count} numbers, got {len(vals)}")
+        return vals
+    return parse
+
+
+def _choice(*names):
+    def parse(text: str) -> str:
+        if text not in names:
+            raise ValueError(f"expected one of {', '.join(names)}")
+        return text
+    return parse
+
+
+# command sections: key -> (parser, value when the key is absent or empty)
+_COMMAND_KEYS = {
+    "solve": {"eps": (_complex, None)},
+    "lindstedt": {"order": (int, 4), "eps0": (_complex, 0j)},
+    "double": {"order": (int, 1), "rounds": (int, 2)},
+    "atlas": {"plane": (_choice("lambda", "epsilon"), "lambda"),
+              "bounds": (_numbers(float, 4), (0.7, 1.3, -0.3, 0.3)),
+              "resolution": (_numbers(int, 2), (200, 200)),
+              "ball_kmax": (int, 512), "rho_band": (float, 0.05),
+              "radius_scale": (float, 1.0)},
+    "sweep": {"start": (_complex, complex(0.01)), "end": (_complex, complex(0.1)),
+              "steps": (int, 10), "direction": (_complex, None)},
+}
+
 _SCHEMA = {
     "family": {"name", "kappa", "alpha", "a"},
     "frequency": {"omega", "tau"},
     "solver": {"tol", "max_iter", "rho", "delta0", "kmax", "divisor_floor"},
     "goodset": {"A", "N", "r0", "kscan"},
-    "solve": {"eps"},
-    "lindstedt": {"order", "eps0"},
-    "double": {"order", "rounds"},
-    "atlas": {"plane", "bounds", "resolution", "ball_kmax", "rho_band",
-              "radius_scale"},
-    "sweep": {"start", "end", "steps", "direction"},
+    **{sec: set(keys) for sec, keys in _COMMAND_KEYS.items()},
 }
 
 
@@ -45,22 +80,10 @@ class RunConfig:
     divisor_floor: float = 1e-12
     good_set: GoodSetParams | None = None
     k_scan: int = 4096
-    sections: dict = field(default_factory=dict)   # raw command sections
+    sections: dict = field(default_factory=dict)   # typed command values
 
     def section(self, name: str) -> dict:
-        return self.sections.get(name, {})
-
-
-def _parse_complex(text: str, where: str) -> complex:
-    toks = text.split()
-    try:
-        if len(toks) == 1:
-            return complex(float(toks[0]))
-        if len(toks) == 2:
-            return complex(float(toks[0]), float(toks[1]))
-    except ValueError:
-        pass
-    raise ConfigError(f"cannot parse complex value {text!r}", where)
+        return self.sections[name]
 
 
 def _parse_omega(text: str, where: str) -> np.ndarray:
@@ -114,8 +137,8 @@ def load_config(path) -> RunConfig:
             return default
         try:
             return cast(raw)
-        except (ValueError, TypeError):
-            raise ConfigError(f"cannot parse value {raw!r}", where)
+        except (ValueError, TypeError) as err:
+            raise ConfigError(f"cannot parse value {raw!r} ({err})", where)
 
     if not parser.has_section("family"):
         raise ConfigError("missing section [family]", str(path))
@@ -151,11 +174,7 @@ def load_config(path) -> RunConfig:
         )
         cfg.k_scan = get("goodset", "kscan", int, default=cfg.k_scan)
 
-    for sec in ("solve", "lindstedt", "double", "atlas", "sweep"):
-        if parser.has_section(sec):
-            cfg.sections[sec] = dict(parser[sec])
+    for sec, keys in _COMMAND_KEYS.items():
+        cfg.sections[sec] = {key: get(sec, key, cast, default)
+                             for key, (cast, default) in keys.items()}
     return cfg
-
-
-def parse_complex(text: str, where: str = "value") -> complex:
-    return _parse_complex(text, where)

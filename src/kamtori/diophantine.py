@@ -143,9 +143,6 @@ class Frequency:
     def dim(self) -> int:
         return int(self.omega.size)
 
-    def rescan(self, k_scan: int) -> "Frequency":
-        return Frequency.build(self.omega, self.tau, k_scan)
-
 
 @dataclass(frozen=True)
 class GoodSetParams:

@@ -5,9 +5,6 @@ may be scalar, vector or matrix valued.  The analytic norm is the weighted-l1
 majorant  sum_k |c_k| e^{2 pi rho |k|_1},  an upper bound for the supremum of
 the function on the strip |Im theta_j| <= rho; all norm-based bounds in the
 package are stated for this majorant.
-
-Grid transforms go through FFTs for complex128 data and through direct DFT
-matrices otherwise (numpy's FFT does not support extended precision).
 """
 
 from __future__ import annotations
@@ -308,11 +305,7 @@ def to_grid(series: FourierSeries, n: int) -> np.ndarray:
     lo = n // 2 - kmax
     buf[(slice(lo, lo + 2 * kmax + 1),) * d] = series.coeffs
     buf = np.fft.ifftshift(buf, axes=tuple(range(d)))
-    if buf.dtype == np.complex128:
-        values = np.fft.ifftn(buf, axes=tuple(range(d))) * (n ** d)
-    else:
-        values = _dft_apply(buf, n, d, sign=+1)
-    return values
+    return np.fft.ifftn(buf, axes=tuple(range(d))) * (n ** d)
 
 
 def from_grid(values: np.ndarray, dim: int, kmax: int, **flags) -> FourierSeries:
@@ -324,29 +317,11 @@ def from_grid(values: np.ndarray, dim: int, kmax: int, **flags) -> FourierSeries
     n = values.shape[0]
     if n < 2 * kmax + 1:
         raise ValueError(f"grid size {n} below Nyquist bound {2 * kmax + 1} for kmax={kmax}")
-    if values.dtype == np.complex128 or values.dtype == np.float64:
-        chat = np.fft.fftn(values.astype(np.complex128), axes=tuple(range(dim))) / (n ** dim)
-    else:
-        chat = _dft_apply(values, n, dim, sign=-1) / (n ** dim)
+    chat = np.fft.fftn(values.astype(np.complex128), axes=tuple(range(dim))) / (n ** dim)
     chat = np.fft.fftshift(chat, axes=tuple(range(dim)))
     lo = n // 2 - kmax
     coeffs = np.ascontiguousarray(chat[(slice(lo, lo + 2 * kmax + 1),) * dim])
     return FourierSeries(dim, kmax, coeffs, **flags)
-
-
-def _dft_apply(values, n, dim, sign):
-    # direct DFT path for extended-precision data; O(n^2) per axis.
-    # phases need a long-double pi and exact j*k mod n, or the extra
-    # mantissa bits are lost before the transform starts
-    ld_pi = np.arctan2(np.longdouble(0.0), np.longdouble(-1.0))
-    j = np.arange(n)
-    frac = (np.outer(j, j) % n).astype(np.longdouble) / np.longdouble(n)
-    ang = sign * 2.0 * ld_pi * frac
-    mat = (np.cos(ang) + 1j * np.sin(ang)).astype(np.complex256)
-    out = values
-    for axis in range(dim):
-        out = np.moveaxis(np.tensordot(mat, np.moveaxis(out, axis, 0), axes=(1, 0)), 0, axis)
-    return out
 
 
 def product(a: FourierSeries, b: FourierSeries, kmax: int | None = None) -> FourierSeries:

@@ -14,6 +14,11 @@ Two engines are provided:
   jet whose residual vanishes through order N to one vanishing through
   2N + 1, leaving the already-exact lower orders unchanged.
 
+Both engines use the reduced-system core of `newton`: the frame built from
+jets (the pointwise Newton frame for `lindstedt_expand`, the frame jets for
+`lindstedt_double`), the checked averaged block of the base torus, and
+`solve_reduced` once per order on the right-hand side of that order.
+
 Coefficients are normalized so that in the base frame the angle component of
 every order has zero average; normalized jets are unique, which is what makes
 the two engines agree coefficientwise.
@@ -26,14 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .cohomology import DEFAULT_DIVISOR_FLOOR, solve_twisted
+from .cohomology import DEFAULT_DIVISOR_FLOOR
 from .embedding import TorusEmbedding
-from .errors import NonDegeneracyFailure
 from .fourier import FourierSeries, dump_series, from_grid, load_series, to_grid
-from .newton import _grid_size, _mean, _Workspace, DEFAULT_DET_RTOL
+from .newton import (DEFAULT_DET_RTOL, _grid_size, _mean, build_frame,
+                     checked_block, newton_frame, solve_reduced)
 
-MAX_ORDER_DOUBLE = 16      # double precision cap; extended unlocks 32
-MAX_ORDER_EXTENDED = 32
+MAX_ORDER_DOUBLE = 16      # order cap of the complex128 jets
 
 
 @dataclass(frozen=True)
@@ -160,66 +164,33 @@ def lindstedt_expand(fam, K_base: TorusEmbedding, mu_base, omega, eps0, N: int,
             f"order {N} beyond the double-precision cap {MAX_ORDER_DOUBLE}")
     d = K_base.dim
     mu_base = np.atleast_1d(np.asarray(mu_base, dtype=complex))
-    ws = _Workspace(fam, K_base, mu_base, omega, eps0)
-    base_res = from_grid(ws.E, d, ws.kmax).analytic_norm(0.0)
+    fr = newton_frame(fam, K_base, mu_base, omega, eps0)
+    kmax, n = fr.kmax, fr.n
+    base_res = from_grid(fr.E[0], d, kmax).analytic_norm(0.0)
     if base_res > base_tol:
         raise ValueError(
             f"base residual {base_res:.3e} exceeds {base_tol:.1e}; "
             "the expansion needs an exact solution at eps0")
+    core = checked_block(fr, divisor_floor, det_rtol)
 
-    block, Bb = _block_of(ws, divisor_floor, det_rtol)
-    Bb_grid = to_grid(Bb.phi, ws.n)
-    lam0 = ws.lam
-    A1g = ws.A[..., :d, :]
-
-    n = ws.n
-    kmax = ws.kmax
     K_coeffs = [K_base.periodic]
-    mu_coeffs = [mu_base]
-    x_jet = np.zeros((N + 1,) + ws.X.shape, dtype=complex)
-    x_jet[0] = ws.X
+    x0 = K_base.lift_grid(n)
+    x_jet = np.zeros((N + 1,) + x0.shape, dtype=complex)
+    x_jet[0] = x0
     mu_jet = np.zeros((N + 1, d), dtype=complex)
     mu_jet[0] = mu_base
 
     for j in range(1, N + 1):
         G = fam.jet_apply(x_jet[: j + 1], mu_jet[: j + 1], eps0)[j]
-        Et = (ws.beta @ (-G)[..., None])[..., 0]
-        E1, E2 = Et[..., :d], Et[..., d:]
-
-        Ba = solve_twisted(from_grid(E2, d, kmax).remove_average(), lam0, omega,
-                           divisor_floor=divisor_floor)
-        Ba_grid = to_grid(Ba.phi, n)
-        rhs = np.concatenate([
-            _mean(E1, d) - _mean((ws.S @ Ba_grid[..., None])[..., 0], d),
-            _mean(E2, d),
-        ])
-        sol = np.linalg.solve(block, rhs)
-        W2bar, mu_j = sol[:d], sol[d:]
-
-        W2 = Ba_grid + Bb_grid @ mu_j + W2bar
-        rhs1 = E1 - (ws.S @ W2[..., None])[..., 0] - A1g @ mu_j
-        W1 = to_grid(solve_twisted(from_grid(rhs1, d, kmax).remove_average(),
-                                   1.0, omega, divisor_floor=divisor_floor).phi, n)
-
-        Kj = from_grid((ws.M @ np.concatenate([W1, W2], axis=-1)[..., None])[..., 0],
+        Et = (fr.beta[0] @ (-G)[..., None])[..., 0]
+        W1, W2, mu_j, _ = solve_reduced(core, Et[..., :d], Et[..., d:])
+        Kj = from_grid((fr.M[0] @ np.concatenate([W1, W2], axis=-1)[..., None])[..., 0],
                        d, kmax)
         K_coeffs.append(Kj)
-        mu_coeffs.append(mu_j)
         x_jet[j] = to_grid(Kj, n)
         mu_jet[j] = mu_j
 
-    return EpsilonJet(complex(eps0), tuple(K_coeffs),
-                      np.array(mu_coeffs), fam.lambda_jet(eps0, N))
-
-
-def _block_of(ws, divisor_floor, det_rtol):
-    block, Bb, _, _ = ws.averaged_block(divisor_floor)
-    d = ws.d
-    scale = float(np.max(np.sum(np.abs(block), axis=1)))
-    det = np.linalg.det(block)
-    if not np.isfinite(scale) or abs(det) <= det_rtol * scale ** (2 * d):
-        raise NonDegeneracyFailure(det, scale)
-    return block, Bb
+    return EpsilonJet(complex(eps0), tuple(K_coeffs), mu_jet, fam.lambda_jet(eps0, N))
 
 
 # -- residual jet -------------------------------------------------------------
@@ -282,14 +253,6 @@ def _vector_jacobian(series: FourierSeries) -> FourierSeries:
     return FourierSeries(series.dim, series.kmax, np.stack(cols, axis=-1))
 
 
-def _shift_jet_grids(grids, dim, kmax, omega, n):
-    """Shift every order of a grid jet by omega (exact in coefficient space)."""
-    out = np.zeros_like(grids)
-    for j in range(grids.shape[0]):
-        out[j] = to_grid(from_grid(grids[j], dim, kmax).shift(omega), n)
-    return out
-
-
 def lindstedt_double(fam, jet: EpsilonJet, omega,
                      divisor_floor=DEFAULT_DIVISOR_FLOOR,
                      det_rtol=DEFAULT_DET_RTOL) -> EpsilonJet:
@@ -309,90 +272,36 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
     d, kmax = jet.dim, jet.kmax
     eps0 = jet.eps0
     n = _grid_size(kmax)
-    Jinv = fam.Jinv
 
     x = _lift_jet(jet, n, order=M_ord)
     mu = jets.pad(jet.mu_coeffs, M_ord)
     lam = fam.lambda_jet(eps0, M_ord)
-    lam0 = complex(lam[0])
-
-    # invariance defect jet
     E = fam.jet_apply(x, mu, eps0) - _shift_lift_jet(jet, omega, n, order=M_ord)
-
-    # frame jets
     dk = np.zeros((M_ord + 1,) + x.shape[1:-1] + (2 * d, d), dtype=complex)
-    dk[0] = to_grid(TorusEmbedding(jet.K_coeffs[0]).dk_series(), n)
+    dk[0] = TorusEmbedding(jet.K_coeffs[0]).dk_grid(n)
     for j in range(1, N + 1):
         dk[j] = to_grid(_vector_jacobian(jet.K_coeffs[j]), n)
-    dkT = np.swapaxes(dk, -1, -2)
-    gram = jets.matmul(dkT, dk)
-    Ng = jets.inv_matrix(gram)
-    Mg = np.concatenate([dk, jets.matmul(Jinv @ dk, Ng)], axis=-1)
-    Minv0 = np.linalg.inv(Mg[0])
-    Mshift = _shift_jet_grids(Mg, d, kmax, omega, n)
-    beta = jets.inv_matrix(Mshift)
-
-    Et = jets.matmul(beta, E[..., None])[..., 0]
-    Df = fam.jet_jacobian(x, mu, eps0)
-    At = jets.matmul(beta, fam.jet_d_mu(x, mu, eps0))
-    P = jets.matmul(dk, Ng)
-    gamma = jets.matmul(dkT, Jinv @ dk)
-    Pshift = _shift_jet_grids(P, d, kmax, omega, n)
-    Nshift = _shift_jet_grids(Ng, d, kmax, omega, n)
-    gshift = _shift_jet_grids(gamma, d, kmax, omega, n)
-    term1 = jets.matmul(jets.matmul(np.swapaxes(Pshift, -1, -2), Df), Jinv @ P)
-    NgN = jets.matmul(jets.matmul(np.swapaxes(Nshift, -1, -2), gshift), Nshift)
-    lam_bc = lam.reshape((M_ord + 1,) + (1,) * (NgN.ndim - 1))
-    S = term1 - jets.cauchy(lam_bc, NgN)
-
-    A1 = At[..., :d, :]
-    A2 = At[..., d:, :]
-
-    # averaged block of the (exact) order-0 torus
-    A2_series = from_grid(A2[0], d, kmax)
-    Bb = solve_twisted(-A2_series.remove_average(), lam0, omega,
-                       divisor_floor=divisor_floor)
-    Bb_grid = to_grid(Bb.phi, n)
-    block = np.zeros((2 * d, 2 * d), dtype=complex)
-    block[:d, :d] = _mean(S[0], d)
-    block[:d, d:] = _mean(S[0] @ Bb_grid, d) + _mean(A1[0], d)
-    block[d:, :d] = (lam0 - 1.0) * np.eye(d)
-    block[d:, d:] = _mean(A2[0], d)
-    scale = float(np.max(np.sum(np.abs(block), axis=1)))
-    det = np.linalg.det(block)
-    if not np.isfinite(scale) or abs(det) <= det_rtol * scale ** (2 * d):
-        raise NonDegeneracyFailure(det, scale)
+    fr = build_frame(fam.Jinv, lam, dk, E, fam.jet_jacobian(x, mu, eps0),
+                     fam.jet_d_mu(x, mu, eps0), omega, kmax)
+    # the averaged block of the (exact) order-0 torus serves every order
+    core = checked_block(fr, divisor_floor, det_rtol)
+    Minv0 = np.linalg.inv(fr.M[0])
+    S, A1, A2 = fr.S, fr.A[..., :d, :], fr.A[..., d:, :]
 
     W1 = np.zeros((M_ord + 1,) + x.shape[1:-1] + (d,), dtype=complex)
     W2 = np.zeros_like(W1)
     sigma = np.zeros((M_ord + 1, d), dtype=complex)
     K_new = []
-    mu_new = np.array(jets.pad(jet.mu_coeffs, M_ord))
+    mu_new = np.array(mu)
 
     for nn in range(M_ord + 1):
-        rhs1 = -Et[nn][..., :d]
-        rhs2 = -Et[nn][..., d:]
+        rhs1 = -fr.Et[nn][..., :d]
+        rhs2 = -fr.Et[nn][..., d:]
         for m in range(1, nn + 1):
             rhs2 = rhs2 - lam[m] * W2[nn - m] - (A2[m] @ sigma[nn - m][..., None])[..., 0]
             rhs1 = rhs1 - (S[m] @ W2[nn - m][..., None])[..., 0] \
                 - (A1[m] @ sigma[nn - m][..., None])[..., 0]
-
-        Ba = solve_twisted(from_grid(rhs2, d, kmax).remove_average(), lam0, omega,
-                           divisor_floor=divisor_floor)
-        Ba_grid = to_grid(Ba.phi, n)
-        rhs_avg = np.concatenate([
-            _mean(rhs1, d) - _mean((S[0] @ Ba_grid[..., None])[..., 0], d),
-            _mean(rhs2, d),
-        ])
-        sol = np.linalg.solve(block, rhs_avg)
-        W2bar, sig = sol[:d], sol[d:]
-        W2[nn] = Ba_grid + Bb_grid @ sig + W2bar
-        sigma[nn] = sig
-
-        r1 = rhs1 - (S[0] @ W2[nn][..., None])[..., 0] - (A1[0] @ sig[..., None])[..., 0]
-        W1sol = solve_twisted(from_grid(r1, d, kmax).remove_average(), 1.0, omega,
-                              divisor_floor=divisor_floor)
-        W1[nn] = to_grid(W1sol.phi, n)
+        W1[nn], W2[nn], sigma[nn], _ = solve_reduced(core, rhs1, rhs2)
 
         # normalization in the base frame: zero average angle displacement
         Kn_grid = to_grid(jet.K_coeffs[nn], n) if nn <= N else \
@@ -400,17 +309,16 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
         corr = np.zeros(x.shape[1:], dtype=complex)
         for m in range(1, nn + 1):
             Wm = np.concatenate([W1[nn - m], W2[nn - m]], axis=-1)
-            corr = corr + (Mg[m] @ Wm[..., None])[..., 0]
+            corr = corr + (fr.M[m] @ Wm[..., None])[..., 0]
         W1bar = -_avg_first_rows(Minv0, Kn_grid, d) - _avg_first_rows(Minv0, corr, d)
         W1[nn] = W1[nn] + W1bar
 
         Wn = np.concatenate([W1[nn], W2[nn]], axis=-1)
-        delta = (Mg[0] @ Wn[..., None])[..., 0] + corr
+        delta = (fr.M[0] @ Wn[..., None])[..., 0] + corr
         K_new.append(from_grid(Kn_grid + delta, d, kmax))
-        mu_new[nn] = mu_new[nn] + sig
+        mu_new[nn] = mu_new[nn] + sigma[nn]
 
-    return EpsilonJet(complex(eps0), tuple(K_new), mu_new,
-                      fam.lambda_jet(eps0, M_ord))
+    return EpsilonJet(complex(eps0), tuple(K_new), mu_new, lam)
 
 
 # -- jet files ----------------------------------------------------------------

@@ -37,7 +37,6 @@ class MapFamily:
     dim: int
     alpha: complex
     a: int
-    lift_safe: bool = True
 
     @property
     def J(self) -> np.ndarray:
@@ -80,8 +79,6 @@ def apply_map(fam: MapFamily, x, mu, eps):
     """Image point with the angle components reduced mod 1."""
     out = np.array(fam.apply(np.asarray(x, dtype=complex), mu, eps))
     d = fam.dim
-    out[..., :d] = out[..., :d] - np.round(np.real(out[..., :d])) + 0j \
-        if np.iscomplexobj(out) else np.mod(out[..., :d], 1.0)
     # complex angles reduce only their real part
     if np.iscomplexobj(out):
         re = np.mod(np.real(out[..., :d]), 1.0)
@@ -182,7 +179,8 @@ class DissipativeStandardMap(MapFamily):
         epsj = jets.variable(eps0, order)
         s, _ = jets.sincos(a)
         kick = self.kappa / (2 * np.pi) * jets.cauchy(_expand(epsj, s), s, order=order)
-        ynew = jets.cauchy(_expand(lamj, b), b, order=order) + _expand_vals(mu_jet, b) + kick
+        ynew = jets.cauchy(_expand(lamj, b), b, order=order) \
+            + _expand(np.asarray(mu_jet)[:, 0], b) + kick
         xnew = a + ynew
         return np.stack([xnew, ynew], axis=-1)
 
@@ -219,10 +217,3 @@ def _expand(coeff_jet, like):
     coeff_jet = np.asarray(coeff_jet, dtype=complex)
     return coeff_jet.reshape(coeff_jet.shape + (1,) * (like.ndim - 1))
 
-
-def _expand_vals(mu_jet, like):
-    """Broadcast a (N+1, d)->scalar drift jet against a grid jet (d = 1)."""
-    mu_jet = np.asarray(mu_jet, dtype=complex)
-    if mu_jet.ndim == 2:
-        mu_jet = mu_jet[:, 0]
-    return mu_jet.reshape(mu_jet.shape + (1,) * (like.ndim - 1))

@@ -7,6 +7,12 @@ on an adapted frame in which the linearized map is block triangular
 (automatic reducibility).  One step solves a lam-twisted and an untwisted
 difference equation plus a 2d x 2d averaged system for the drift correction,
 and converges quadratically from any sufficiently accurate initial pair.
+
+The reduced system is written once, over jets in eps whose order 0 is the
+Newton frame, and both Lindstedt engines use it: `build_frame` turns the jets
+of DK, E, Df and D_mu f (evaluated by the caller) into the frame data,
+`checked_block` gates the averaged 2d x 2d block of the order-0 torus, and
+`solve_reduced` solves one triangular system for (W1, W2, sigma).
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohomology import DEFAULT_DIVISOR_FLOOR, solve_twisted
+from . import jets
+from .cohomology import CohomologySolution, DEFAULT_DIVISOR_FLOOR, solve_twisted
 from .diophantine import GoodSetParams, lambda_in_good_set
 from .embedding import TorusEmbedding
 from .errors import (DivisorTooSmall, FrameSingular, NoConvergence,
@@ -43,11 +50,13 @@ def _mean(grid: np.ndarray, dim: int) -> np.ndarray:
     return np.mean(grid, axis=tuple(range(dim)))
 
 
-def _shift_grid(grid: np.ndarray, dim, kmax, omega, n) -> np.ndarray:
-    """Resample a grid-valued function composed with T_omega (exact for the
-    retained band; performed in coefficient space)."""
-    series = from_grid(grid, dim, kmax)
-    return to_grid(series.shift(omega), n)
+def _shift(grids: np.ndarray, dim, kmax, omega, n) -> np.ndarray:
+    """Compose every order of a grid jet with T_omega (exact for the retained
+    band; performed in coefficient space)."""
+    out = np.empty_like(grids)
+    for j in range(grids.shape[0]):
+        out[j] = to_grid(from_grid(grids[j], dim, kmax).shift(omega), n)
+    return out
 
 
 def invariance_residual(fam, K: TorusEmbedding, mu, omega, eps, n=None) -> FourierSeries:
@@ -56,15 +65,156 @@ def invariance_residual(fam, K: TorusEmbedding, mu, omega, eps, n=None) -> Fouri
     Computed on an oversampled grid with continuous angle lifts, then
     truncated to the embedding's cutoff.
     """
-    d = K.dim
     n = _grid_size(K.kmax, n)
-    FX = fam.apply(K.lift_grid(n), mu, eps)
-    KT = K.shifted_lift_grid(omega, n)
-    E = FX - KT
-    if not getattr(fam, "lift_safe", False):
-        # families that reduce angles mod 1 need per-point branch repair
-        E[..., :d] -= np.round(np.real(E[..., :d]))
-    return from_grid(E, d, K.kmax)
+    E = fam.apply(K.lift_grid(n), mu, eps) - K.shifted_lift_grid(omega, n)
+    return from_grid(E, K.dim, K.kmax)
+
+
+# -- the reduced system ---------------------------------------------------------
+
+def _frame_matrix(dk: np.ndarray, Jinv: np.ndarray):
+    """Jets of N = (DK^T DK)^-1 and of the frame M = [DK, J^-1 DK N], and the
+    worst conditioning of DK^T DK on the grid.
+
+    Raises FrameSingular when the order-0 Gram matrix is ill-conditioned; the
+    higher orders are solved with its inverse.
+    """
+    gram = jets.matmul(np.swapaxes(dk, -1, -2), dk)
+    cond = float(np.max(np.linalg.cond(gram[0])))
+    if not np.isfinite(cond) or cond > _FRAME_COND_LIMIT:
+        raise FrameSingular(
+            f"DK^T DK condition number {cond:.3e} exceeds {_FRAME_COND_LIMIT:.1e}"
+        )
+    N = jets.inv_matrix(gram)
+    return N, np.concatenate([dk, jets.matmul(Jinv @ dk, N)], axis=-1), cond
+
+
+@dataclass(frozen=True)
+class Frame:
+    """Jets, leading axis the order in eps, of the adapted frame on the grid."""
+
+    d: int
+    kmax: int
+    n: int
+    omega: np.ndarray
+    lam: np.ndarray       # (order+1,) conformal factor
+    E: np.ndarray         # (.., 2d) invariance defect
+    Df: np.ndarray        # (.., 2d, 2d)
+    M: np.ndarray         # (.., 2d, 2d) frame [DK, J^-1 DK N]
+    Mshift: np.ndarray    # M o T_omega
+    beta: np.ndarray      # (M o T_omega)^-1
+    N: np.ndarray         # (.., d, d) normalization (DK^T DK)^-1
+    S: np.ndarray         # (.., d, d) torsion
+    A: np.ndarray         # (.., 2d, d) frame-projected drift response
+    Et: np.ndarray        # (.., 2d) frame-projected defect beta E
+    cond: float           # worst conditioning of DK^T DK on the grid
+
+
+def build_frame(Jinv, lam, dk, E, Df, Dmu, omega, kmax: int) -> Frame:
+    """The adapted frame from the jets of the conformal factor lam, DK, the
+    defect E and the map derivatives Df, D_mu f, all sampled on one grid."""
+    n, d = dk.shape[1], dk.shape[-1]
+    N, M, cond = _frame_matrix(dk, Jinv)
+    Mshift = _shift(M, d, kmax, omega, n)
+    beta = jets.inv_matrix(Mshift)
+
+    P = jets.matmul(dk, N)
+    gamma = jets.matmul(np.swapaxes(dk, -1, -2) @ Jinv, dk)
+    Pshift = _shift(P, d, kmax, omega, n)
+    Nshift = _shift(N, d, kmax, omega, n)
+    gshift = _shift(gamma, d, kmax, omega, n)
+    # S = (P^T o T) Df J^-1 P - lam (N^T o T)(gamma o T)(N o T), associated
+    # from the left throughout
+    lam_bc = lam.reshape(lam.shape + (1,) * (Nshift.ndim - 1))
+    S = jets.matmul(jets.matmul(np.swapaxes(Pshift, -1, -2), Df) @ Jinv, P) \
+        - jets.matmul(jets.matmul(jets.cauchy(lam_bc, np.swapaxes(Nshift, -1, -2)),
+                                  gshift), Nshift)
+    return Frame(d=d, kmax=kmax, n=n, omega=omega, lam=lam, E=E, Df=Df, M=M,
+                 Mshift=Mshift, beta=beta, N=N, S=S, A=jets.matmul(beta, Dmu),
+                 Et=jets.matmul(beta, E[..., None])[..., 0], cond=cond)
+
+
+def newton_frame(fam, K, mu, omega, eps, n=None) -> Frame:
+    """The frame of (K, mu) at eps: the pointwise map evaluations enter as
+    order-0 jets."""
+    n = _grid_size(K.kmax, n)
+    X = K.lift_grid(n)
+    E = fam.apply(X, mu, eps) - K.shifted_lift_grid(omega, n)
+    lam = np.array([complex(fam.lambda_eps(eps))])
+    return build_frame(fam.Jinv, lam, K.dk_grid(n)[None], E[None],
+                       fam.jacobian(X, mu, eps)[None], fam.d_mu(X, mu, eps)[None],
+                       omega, K.kmax)
+
+
+@dataclass(frozen=True)
+class ReducedCore:
+    """A frame with its checked averaged block and drift response Bb."""
+
+    frame: Frame
+    block: np.ndarray          # (2d, 2d) averaged system
+    det: complex
+    Bb: CohomologySolution
+    Bb_grid: np.ndarray
+    divisor_floor: float | np.ndarray   # scalar or per-mode floor of every solve
+
+    def twist(self) -> float:
+        return float(np.linalg.norm(np.linalg.inv(self.block), 2))
+
+
+def checked_block(frame: Frame, divisor_floor=DEFAULT_DIVISOR_FLOOR,
+                  det_rtol=DEFAULT_DET_RTOL) -> ReducedCore:
+    """Assemble the 2d x 2d averaged block of the order-0 torus.
+
+    Solves the twisted drift response Bb first (which may raise
+    DivisorTooSmall) and raises NonDegeneracyFailure when
+    |det| <= det_rtol * scale^(2d), scale being the largest absolute row sum.
+    """
+    d, lam = frame.d, complex(frame.lam[0])
+    S, A1, A2 = frame.S[0], frame.A[0, ..., :d, :], frame.A[0, ..., d:, :]
+    Bb = solve_twisted(-from_grid(A2, d, frame.kmax).remove_average(), lam,
+                       frame.omega, divisor_floor=divisor_floor)
+    Bb_grid = to_grid(Bb.phi, frame.n)
+    block = np.zeros((2 * d, 2 * d), dtype=complex)
+    block[:d, :d] = _mean(S, d)
+    block[:d, d:] = _mean(S @ Bb_grid, d) + _mean(A1, d)
+    block[d:, :d] = (lam - 1.0) * np.eye(d)
+    block[d:, d:] = _mean(A2, d)
+    scale = float(np.max(np.sum(np.abs(block), axis=1)))
+    det = np.linalg.det(block)
+    if not np.isfinite(scale) or abs(det) <= det_rtol * scale ** (2 * d):
+        raise NonDegeneracyFailure(det, scale)
+    return ReducedCore(frame, block, complex(det), Bb, Bb_grid, divisor_floor)
+
+
+def solve_reduced(core: ReducedCore, rhs1: np.ndarray, rhs2: np.ndarray):
+    """Solve the triangular system of the order-0 frame,
+
+        (W1 - W1 o T) + S W2 + A1 sigma = rhs1,
+        (lam W2 - W2 o T) + A2 sigma = rhs2,
+
+    for grid corrections W1 (zero average), W2 and the drift sigma: a
+    lam-twisted solve, the averaged block for (avg W2, sigma), then an
+    untwisted solve.  Returns (W1, W2, sigma, largest divisor gain).
+    """
+    fr = core.frame
+    d, kmax, n, lam = fr.d, fr.kmax, fr.n, complex(fr.lam[0])
+    S, A1 = fr.S[0], fr.A[0, ..., :d, :]
+    Ba = solve_twisted(from_grid(rhs2, d, kmax).remove_average(), lam, fr.omega,
+                       divisor_floor=core.divisor_floor)
+    Ba_grid = to_grid(Ba.phi, n)
+    rhs_avg = np.concatenate([
+        _mean(rhs1, d) - _mean((S @ Ba_grid[..., None])[..., 0], d),
+        _mean(rhs2, d),
+    ])
+    sol = np.linalg.solve(core.block, rhs_avg)
+    W2bar, sigma = sol[:d], sol[d:]
+    W2 = Ba_grid + core.Bb_grid @ sigma + W2bar
+
+    r1 = rhs1 - (S @ W2[..., None])[..., 0] - A1 @ sigma
+    W1sol = solve_twisted(from_grid(r1, d, kmax).remove_average(), 1.0, fr.omega,
+                          divisor_floor=core.divisor_floor)
+    W1 = to_grid(W1sol.phi, n)
+    return W1, W2, sigma, max(Ba.max_divisor_gain, W1sol.max_divisor_gain)
 
 
 @dataclass(frozen=True)
@@ -80,111 +230,31 @@ class ReducibilityFrame:
     ratio: float                # R_norm / max(E_norm, tiny)
     cond: float                 # worst conditioning of DK^T DK on the grid
 
-    def a_blocks(self):
-        d = self.A_tilde.dim
-        A1 = FourierSeries(d, self.A_tilde.kmax, self.A_tilde.coeffs[..., :d, :])
-        A2 = FourierSeries(d, self.A_tilde.kmax, self.A_tilde.coeffs[..., d:, :])
-        return A1, A2
-
-
-class _Workspace:
-    """Grid-level frame data shared by the step and the frame diagnostics."""
-
-    def __init__(self, fam, K, mu, omega, eps, n=None):
-        d = K.dim
-        kmax = K.kmax
-        n = _grid_size(kmax, n)
-        lam = complex(fam.lambda_eps(eps))
-        Jinv = fam.Jinv
-
-        X = K.lift_grid(n)
-        FX = fam.apply(X, mu, eps)
-        KT = K.shifted_lift_grid(omega, n)
-        E = FX - KT
-        if not getattr(fam, "lift_safe", False):
-            E[..., :d] -= np.round(np.real(E[..., :d]))
-
-        alpha = K.dk_grid(n)                      # (..., 2d, d)
-        gram = np.swapaxes(alpha, -1, -2) @ alpha
-        cond = float(np.max(np.linalg.cond(gram)))
-        if not np.isfinite(cond) or cond > _FRAME_COND_LIMIT:
-            raise FrameSingular(
-                f"DK^T DK condition number {cond:.3e} exceeds {_FRAME_COND_LIMIT:.1e}"
-            )
-        Ngrid = np.linalg.inv(gram)
-        M = np.concatenate([alpha, Jinv @ alpha @ Ngrid], axis=-1)
-        Mshift = _shift_grid(M, d, kmax, omega, n)
-        beta = np.linalg.inv(Mshift)
-
-        P = alpha @ Ngrid
-        gamma = np.swapaxes(alpha, -1, -2) @ Jinv @ alpha
-        Pshift = _shift_grid(P, d, kmax, omega, n)
-        Nshift = _shift_grid(Ngrid, d, kmax, omega, n)
-        gshift = _shift_grid(gamma, d, kmax, omega, n)
-
-        Df = fam.jacobian(X, mu, eps)
-        S = np.swapaxes(Pshift, -1, -2) @ Df @ Jinv @ P \
-            - lam * np.swapaxes(Nshift, -1, -2) @ gshift @ Nshift
-        A = beta @ fam.d_mu(X, mu, eps)
-
-        self.fam, self.K, self.mu, self.omega, self.eps = fam, K, mu, omega, eps
-        self.d, self.kmax, self.n, self.lam = d, kmax, n, lam
-        self.X, self.E, self.alpha, self.Ngrid = X, E, alpha, Ngrid
-        self.M, self.Mshift, self.beta = M, Mshift, beta
-        self.P, self.S, self.A, self.Df = P, S, A, Df
-        self.cond = cond
-        self.Et = (beta @ E[..., None])[..., 0]
-
-    def frame(self) -> ReducibilityFrame:
-        d, kmax, n = self.d, self.kmax, self.n
-        tri = np.zeros(self.S.shape[:-2] + (2 * d, 2 * d), dtype=complex)
-        idx = np.arange(d)
-        tri[..., idx, idx] = 1.0
-        tri[..., idx + d, idx + d] = self.lam
-        tri[..., :d, d:] = self.S
-        R = self.Df @ self.M - self.Mshift @ tri
-        R_series = from_grid(R, d, kmax)
-        E_series = from_grid(self.E, d, kmax)
-        R_norm = R_series.analytic_norm(0.0)
-        E_norm = E_series.analytic_norm(0.0)
-        return ReducibilityFrame(
-            M_frame=from_grid(self.M, d, kmax),
-            N_norm=from_grid(self.Ngrid, d, kmax),
-            S_tors=from_grid(self.S, d, kmax),
-            A_tilde=from_grid(self.A, d, kmax),
-            beta=from_grid(self.beta, d, kmax),
-            residual_R=R_series,
-            R_norm=R_norm,
-            E_norm=E_norm,
-            ratio=R_norm / max(E_norm, 1e-300),
-            cond=self.cond,
-        )
-
-    def averaged_block(self, divisor_floor=DEFAULT_DIVISOR_FLOOR):
-        """Assemble the 2d x 2d averaged system matrix and the drift-response
-        solve it needs; returns (block, Bb_series, A1, A2 grids)."""
-        d, kmax = self.d, self.kmax
-        A1 = self.A[..., :d, :]
-        A2 = self.A[..., d:, :]
-        A2_series = from_grid(A2, d, kmax)
-        Bb = solve_twisted(-A2_series.remove_average(), self.lam, self.omega,
-                           divisor_floor=divisor_floor)
-        Bb_grid = to_grid(Bb.phi, self.n)
-        Sbar = _mean(self.S, d)
-        SBb_bar = _mean(self.S @ Bb_grid, d)
-        A1bar = _mean(A1, d)
-        A2bar = _mean(A2, d)
-        block = np.zeros((2 * d, 2 * d), dtype=complex)
-        block[:d, :d] = Sbar
-        block[:d, d:] = SBb_bar + A1bar
-        block[d:, :d] = (self.lam - 1.0) * np.eye(d)
-        block[d:, d:] = A2bar
-        return block, Bb, A1, A2
-
 
 def reducibility_frame(fam, K, mu, omega, eps, n=None) -> ReducibilityFrame:
     """Adapted frame with the reducibility defect R and its norm ratio to E."""
-    return _Workspace(fam, K, mu, omega, eps, n).frame()
+    fr = newton_frame(fam, K, mu, omega, eps, n)
+    d, kmax = fr.d, fr.kmax
+    tri = np.zeros(fr.S.shape[1:-2] + (2 * d, 2 * d), dtype=complex)
+    idx = np.arange(d)
+    tri[..., idx, idx] = 1.0
+    tri[..., idx + d, idx + d] = fr.lam[0]
+    tri[..., :d, d:] = fr.S[0]
+    R_series = from_grid(fr.Df[0] @ fr.M[0] - fr.Mshift[0] @ tri, d, kmax)
+    R_norm = R_series.analytic_norm(0.0)
+    E_norm = from_grid(fr.E[0], d, kmax).analytic_norm(0.0)
+    return ReducibilityFrame(
+        M_frame=from_grid(fr.M[0], d, kmax),
+        N_norm=from_grid(fr.N[0], d, kmax),
+        S_tors=from_grid(fr.S[0], d, kmax),
+        A_tilde=from_grid(fr.A[0], d, kmax),
+        beta=from_grid(fr.beta[0], d, kmax),
+        residual_R=R_series,
+        R_norm=R_norm,
+        E_norm=E_norm,
+        ratio=R_norm / max(E_norm, 1e-300),
+        cond=fr.cond,
+    )
 
 
 @dataclass(frozen=True)
@@ -201,52 +271,24 @@ class StepReport:
 def newton_step(fam, K, mu, omega, eps, divisor_floor=DEFAULT_DIVISOR_FLOOR,
                 det_rtol=DEFAULT_DET_RTOL, n=None):
     """One quadratic correction (K, mu) -> (K + M W, mu + sigma)."""
-    ws = _Workspace(fam, K, mu, omega, eps, n)
-    d, kmax, lam = ws.d, ws.kmax, ws.lam
-
-    block, Bb, A1g, A2g = ws.averaged_block(divisor_floor)
-    scale = float(np.max(np.sum(np.abs(block), axis=1)))
-    det = np.linalg.det(block)
-    if not np.isfinite(scale) or abs(det) <= det_rtol * scale ** (2 * d):
-        raise NonDegeneracyFailure(det, scale)
-    twist = float(np.linalg.norm(np.linalg.inv(block), 2))
-
-    E1 = ws.Et[..., :d]
-    E2 = ws.Et[..., d:]
-    E2_series = from_grid(E2, d, kmax)
-    Ba = solve_twisted(-E2_series.remove_average(), lam, omega,
-                       divisor_floor=divisor_floor)
-    Ba_grid = to_grid(Ba.phi, ws.n)
-
-    rhs = np.concatenate([
-        -_mean(ws.S @ Ba_grid[..., None], d)[..., 0] - _mean(E1, d),
-        -_mean(E2, d),
-    ])
-    sol = np.linalg.solve(block, rhs)
-    W2bar, sigma = sol[:d], sol[d:]
-
-    Bb_grid = to_grid(Bb.phi, ws.n)
-    W2 = Ba_grid + Bb_grid @ sigma + W2bar
-
-    rhs1 = -(ws.S @ W2[..., None])[..., 0] - E1 - A1g @ sigma
-    rhs1_series = from_grid(rhs1, d, kmax).remove_average()
-    W1sol = solve_twisted(rhs1_series, 1.0, omega, divisor_floor=divisor_floor)
-    W1 = to_grid(W1sol.phi, ws.n)
+    fr = newton_frame(fam, K, mu, omega, eps, n)
+    core = checked_block(fr, divisor_floor, det_rtol)
+    d, kmax = fr.d, fr.kmax
+    W1, W2, sigma, gain = solve_reduced(core, -fr.Et[0, ..., :d], -fr.Et[0, ..., d:])
 
     W = np.concatenate([W1, W2], axis=-1)
-    delta = from_grid((ws.M @ W[..., None])[..., 0], d, kmax)
+    delta = from_grid((fr.M[0] @ W[..., None])[..., 0], d, kmax)
     K2 = K.with_correction(delta)
     mu2 = np.atleast_1d(np.asarray(mu, dtype=complex)) + sigma
 
     report = StepReport(
         w_norm=from_grid(W, d, kmax).analytic_norm(0.0),
         sigma=sigma,
-        residual_before=from_grid(ws.E, d, kmax).analytic_norm(0.0),
-        twist=twist,
-        det=complex(det),
-        divisor_gain=max(Ba.max_divisor_gain, Bb.max_divisor_gain,
-                         W1sol.max_divisor_gain),
-        grid=ws.n,
+        residual_before=from_grid(fr.E[0], d, kmax).analytic_norm(0.0),
+        twist=core.twist(),
+        det=core.det,
+        divisor_gain=max(gain, core.Bb.max_divisor_gain),
+        grid=fr.n,
     )
     return K2, mu2, report
 
@@ -296,9 +338,8 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20, rho=0.1,
         trace.append((res, rho_n))
         if res <= tol:
             if not np.isfinite(twist):
-                block, _, _, _ = _Workspace(fam, K, mu, omega, eps).averaged_block(
-                    divisor_floor)
-                twist = float(np.linalg.norm(np.linalg.inv(block), 2))
+                twist = checked_block(newton_frame(fam, K, mu, omega, eps),
+                                      divisor_floor, det_rtol).twist()
             return KamSolution(
                 K=K, mu=mu, residual_norm=res, twist_constant=twist,
                 lagrangian_defect=lagrangian_defect(K, fam.J),
@@ -326,7 +367,8 @@ def normalize_embedding(K: TorusEmbedding, K_ref: TorusEmbedding,
 
     Solved per component by a damped secant iteration; |sigma| is of the
     order of the embedding distance.  Raises NormalizationDiverged if the
-    iteration leaves [-max_shift, max_shift].
+    iteration leaves [-max_shift, max_shift], and FrameSingular if the frame
+    of K_ref cannot be built.
     """
     d = K.dim
     kmax = max(K.kmax, K_ref.kmax)
@@ -334,12 +376,8 @@ def normalize_embedding(K: TorusEmbedding, K_ref: TorusEmbedding,
     K_ref = K_ref.pad_to(kmax)
     n = _grid_size(kmax)
 
-    alpha = K_ref.dk_grid(n)
-    gram = np.swapaxes(alpha, -1, -2) @ alpha
-    Ngrid = np.linalg.inv(gram)
-    Jinv = symplectic_matrix(d).T
-    M = np.concatenate([alpha, Jinv @ alpha @ Ngrid], axis=-1)
-    Minv = np.linalg.inv(M)
+    _, M, _ = _frame_matrix(K_ref.dk_grid(n)[None], symplectic_matrix(d).T)
+    Minv = np.linalg.inv(M[0])
     ref_lift = K_ref.lift_grid(n)
 
     def g(sigma):

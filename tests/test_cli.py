@@ -1,4 +1,5 @@
 import os
+import stat
 import textwrap
 
 import pytest
@@ -44,6 +45,15 @@ GOLDEN = textwrap.dedent("""\
     start = 0.01
     end = 0.1
     steps = 5
+    """)
+
+ATLAS = GOLDEN + textwrap.dedent("""
+    [atlas]
+    plane = lambda
+    bounds = 0.9 1.1 -0.1 0.1
+    resolution = 24 24
+    ball_kmax = 256
+    rho_band = 0.05
     """)
 
 
@@ -138,16 +148,8 @@ def test_sweep_resonance_exit_code(tmp_path):
 
 
 def test_atlas_command(tmp_path):
-    cfg = GOLDEN + textwrap.dedent("""
-        [atlas]
-        plane = lambda
-        bounds = 0.9 1.1 -0.1 0.1
-        resolution = 24 24
-        ball_kmax = 256
-        rho_band = 0.05
-        """)
     p = tmp_path / "atlas.cfg"
-    p.write_text(cfg)
+    p.write_text(ATLAS)
     out = str(tmp_path / "out")
     assert main(["atlas", "--config", str(p), "--out", out]) == 0
     for name in ("cells.txt", "balls.txt", "atlas.svg", "nu_trace.txt",
@@ -155,3 +157,29 @@ def test_atlas_command(tmp_path):
         assert os.path.exists(os.path.join(out, name))
     cells = open(os.path.join(out, "cells.txt")).read()
     assert "inside" in cells
+
+
+@pytest.mark.parametrize("command, old, new", [
+    ("lindstedt", "order = 3", "order = six"),
+    ("double", "rounds = 1", "rounds = two"),
+    ("sweep", "steps = 5", "steps = five"),
+    ("atlas", "plane = lambda", "plane = lamda"),
+    ("atlas", "resolution = 24 24", "resolution = 24"),
+], ids=["lindstedt-order", "double-rounds", "sweep-steps", "atlas-plane",
+        "atlas-resolution"])
+def test_bad_command_value_is_config_error(tmp_path, capsys, command, old, new):
+    p = tmp_path / "bad.cfg"
+    p.write_text(ATLAS.replace(old, new))
+    assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 64
+    assert f"[{command}].{old.split()[0]}" in capsys.readouterr().err
+
+
+def test_outputs_honor_umask(golden_cfg, tmp_path):
+    out = tmp_path / "out"
+    old = os.umask(0o022)
+    try:
+        assert main(["solve", "--config", golden_cfg, "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    for name in ("solution.txt", "newton_trace.txt", "manifest.txt"):
+        assert stat.S_IMODE(os.stat(out / name).st_mode) == 0o644

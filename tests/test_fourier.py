@@ -242,14 +242,6 @@ def test_matrix_product_grid(rng):
                                rtol=1e-12, atol=1e-13)
 
 
-def test_extended_precision_round_trip(rng):
-    c = (rng.standard_normal(17) + 1j * rng.standard_normal(17)).astype(np.complex256)
-    s = FourierSeries(1, 8, c)
-    back = from_grid(to_grid(s, 24), 1, 8)
-    assert back.coeffs.dtype == np.complex256
-    assert float(np.max(np.abs(back.coeffs - c))) <= 1e-16
-
-
 # -- structure helpers ------------------------------------------------------------
 
 def test_pad_truncate_round_trip(rng):

@@ -5,6 +5,7 @@ import pytest
 
 from kamtori import jets
 from kamtori.embedding import TorusEmbedding
+from kamtori.errors import FrameSingular
 from kamtori.fourier import FourierSeries, from_grid, theta_grid
 from kamtori.lindstedt import (EpsilonJet, dump_jet, jet_add,
                                jet_compose_with_family, jet_mul,
@@ -201,6 +202,19 @@ def test_doubling_residual_orders(fam, omega, base_torus, N):
     assert dbl.order == 2 * N + 1
     norms = residual_jet_norms(fam, dbl, omega)
     assert max(norms[: 2 * N + 2]) <= 1e-10
+
+
+def test_doubling_frame_singular_detected(fam, omega):
+    # the embedding of test_frame_singular_detected: 1 + u' vanishes at theta = 0
+    kmax = 8
+    c = np.zeros((2 * kmax + 1, 2), dtype=complex)
+    c[kmax + 1, 0] = -1.0 / (4j * np.pi)
+    c[kmax - 1, 0] = 1.0 / (4j * np.pi)
+    c[kmax, 1] = 0.6
+    jet = EpsilonJet(0j, (FourierSeries(1, kmax, c),), np.zeros((1, 1), dtype=complex),
+                     fam.lambda_jet(0.0, 0))
+    with pytest.raises(FrameSingular):
+        lindstedt_double(fam, jet, omega)
 
 
 def test_doubling_idempotent_on_exact_orders(fam, omega, base_torus):

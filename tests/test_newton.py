@@ -7,6 +7,7 @@ from kamtori.embedding import TorusEmbedding
 from kamtori.errors import (DivisorTooSmall, FrameSingular, NoConvergence,
                             NonDegeneracyFailure, NormalizationDiverged)
 from kamtori.fourier import FourierSeries
+from kamtori.lindstedt import lindstedt_expand
 from kamtori.maps import DissipativeStandardMap
 from kamtori.newton import (dump_solution, invariance_residual, lagrangian_defect,
                             load_solution, newton_step, normalize_embedding,
@@ -137,7 +138,11 @@ def test_step_linear_response(fam, omega, base_torus, rng):
     assert resid <= 50.0 * (1e-4) ** 2
 
 
-def test_nondegeneracy_failure_detected(omega, base_torus):
+@pytest.mark.parametrize("solve", [
+    lambda fam, K0, mu0, omega: newton_step(fam, K0, mu0, omega, 0.01),
+    lambda fam, K0, mu0, omega: lindstedt_expand(fam, K0, mu0, omega, 0.0, 2),
+], ids=["newton_step", "lindstedt_expand"])
+def test_nondegeneracy_failure_detected(omega, base_torus, solve):
     class NoDrift(DissipativeStandardMap):
         def d_mu(self, x, mu, eps):
             return np.zeros(np.asarray(x).shape[:-1] + (2, 1), dtype=complex)
@@ -145,7 +150,7 @@ def test_nondegeneracy_failure_detected(omega, base_torus):
     fam = NoDrift(kappa=0.5)
     K0, mu0 = base_torus
     with pytest.raises(NonDegeneracyFailure):
-        newton_step(fam, K0, mu0, omega, 0.01)
+        solve(fam, K0, mu0, omega)
 
 
 # -- full runs ---------------------------------------------------------------------
