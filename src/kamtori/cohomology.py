@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -26,7 +26,17 @@ _AVG_TWIST_TOL = 1e-12     # |lam - 1| below this selects the untwisted branch
 class CohomologySolution:
     phi: FourierSeries
     max_divisor_gain: float   # largest |lam - e^{2 pi i k.omega}|^{-1} used
-    residual: float           # l1 norm of lam*phi - phi o T_omega - eta at rho=0
+    eta: FourierSeries        # the right-hand side solved for
+    lam: complex
+    omega: np.ndarray
+
+    @cached_property
+    def residual(self) -> float:
+        """l1 norm of lam*phi - phi o T_omega - eta at rho=0, computed on
+        first read (the solvers never read it)."""
+        resid = self.lam * self.phi.coeffs - self.phi.shift(self.omega).coeffs \
+            - self.eta.coeffs
+        return float(FourierSeries(self.phi.dim, self.phi.kmax, resid).analytic_norm(0.0))
 
 
 def divisor_grid(dim: int, kmax: int, lam: complex, omega) -> np.ndarray:
@@ -84,12 +94,8 @@ def solve_twisted(eta: FourierSeries, lam: complex, omega,
 
     phi_coeffs = eta.coeffs * inv.reshape(inv.shape + (1,) * len(eta.value_shape))
     phi = FourierSeries(dim, kmax, phi_coeffs, zero_average=untwisted)
-
-    resid_coeffs = lam * phi.coeffs - phi.shift(omega).coeffs - eta.coeffs
-    residual = FourierSeries(dim, kmax, resid_coeffs).analytic_norm(0.0)
-
     gain = float(np.max(1.0 / absdiv[side])) if np.any(side) else 0.0
-    return CohomologySolution(phi, gain, float(residual))
+    return CohomologySolution(phi, gain, eta, lam, omega)
 
 
 # -- tame bound --------------------------------------------------------------

@@ -14,6 +14,7 @@ import numpy as np
 
 from .diophantine import GOLDEN_MEAN, GoodSetParams
 from .errors import ConfigError
+from .jets import MAX_ORDER_DOUBLE
 from .maps import DissipativeStandardMap
 
 _SILVER_MEAN = np.sqrt(2.0) - 1.0
@@ -25,6 +26,23 @@ def _complex(text: str) -> complex:
     if len(toks) not in (1, 2):
         raise ValueError(f"expected 1 or 2 numbers, got {len(toks)}")
     return complex(*(float(t) for t in toks))
+
+
+def _int_in(lo: int, hi: int | None = None):
+    def parse(text: str) -> int:
+        val = int(text)
+        if val < lo or (hi is not None and val > hi):
+            raise ValueError(f"expected an integer >= {lo}" if hi is None
+                             else f"expected an integer from {lo} to {hi}")
+        return val
+    return parse
+
+
+def _nonzero_complex(text: str) -> complex:
+    val = _complex(text)
+    if val == 0:
+        raise ValueError("expected a nonzero number")
+    return val
 
 
 def _numbers(cast, count: int):
@@ -44,18 +62,20 @@ def _choice(*names):
     return parse
 
 
-# command sections: key -> (parser, value when the key is absent or empty)
+# command sections: key -> (parser, value when the key is absent or empty);
+# each parser checks the value's type and range
+_JET_ORDER = _int_in(0, MAX_ORDER_DOUBLE)
 _COMMAND_KEYS = {
     "solve": {"eps": (_complex, None)},
-    "lindstedt": {"order": (int, 4), "eps0": (_complex, 0j)},
-    "double": {"order": (int, 1), "rounds": (int, 2)},
+    "lindstedt": {"order": (_JET_ORDER, 4), "eps0": (_complex, 0j)},
+    "double": {"order": (_JET_ORDER, 1), "rounds": (_int_in(0), 2)},
     "atlas": {"plane": (_choice("lambda", "epsilon"), "lambda"),
               "bounds": (_numbers(float, 4), (0.7, 1.3, -0.3, 0.3)),
               "resolution": (_numbers(int, 2), (200, 200)),
               "ball_kmax": (int, 512), "rho_band": (float, 0.05),
               "radius_scale": (float, 1.0)},
     "sweep": {"start": (_complex, complex(0.01)), "end": (_complex, complex(0.1)),
-              "steps": (int, 10), "direction": (_complex, None)},
+              "steps": (_int_in(1), 10), "direction": (_nonzero_complex, None)},
 }
 
 _SCHEMA = {
@@ -138,7 +158,7 @@ def load_config(path) -> RunConfig:
         try:
             return cast(raw)
         except (ValueError, TypeError) as err:
-            raise ConfigError(f"cannot parse value {raw!r} ({err})", where)
+            raise ConfigError(f"invalid value {raw!r} ({err})", where)
 
     if not parser.has_section("family"):
         raise ConfigError("missing section [family]", str(path))
@@ -177,4 +197,13 @@ def load_config(path) -> RunConfig:
     for sec, keys in _COMMAND_KEYS.items():
         cfg.sections[sec] = {key: get(sec, key, cast, default)
                              for key, (cast, default) in keys.items()}
+    # each doubling takes a jet of order N to order 2N + 1
+    order, rounds = cfg.sections["double"]["order"], cfg.sections["double"]["rounds"]
+    final = order
+    for done in range(1, rounds + 1):
+        final = 2 * final + 1
+        if final > MAX_ORDER_DOUBLE:
+            raise ConfigError(
+                f"doubling {done} of {rounds} from order {order} reaches order "
+                f"{final}, beyond the cap {MAX_ORDER_DOUBLE}", f"{path}[double].rounds")
     return cfg

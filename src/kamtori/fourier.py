@@ -10,6 +10,7 @@ package are stated for this majorant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -191,7 +192,6 @@ class FourierSeries:
         omega = np.atleast_1d(np.asarray(omega))
         out = self.coeffs
         real_shift = bool(np.isrealobj(omega)) or np.all(np.imag(omega) == 0)
-        out = out.copy()
         for j in range(self.dim):
             phase = np.exp(2j * np.pi * self.k_axis() * complex(omega[j]))
             shape = [1] * out.ndim
@@ -290,21 +290,29 @@ def theta_grid(dim: int, n: int) -> list[np.ndarray]:
     return list(np.meshgrid(*([axis] * dim), indexing="ij"))
 
 
+@lru_cache(maxsize=64)
+def _fft_index(dim: int, kmax: int, n: int) -> tuple:
+    """Index of the centered mode box |k_i| <= kmax in an n^d FFT array:
+    mode k sits at k mod n on each axis (read-only, shared by every call)."""
+    order = np.arange(-kmax, kmax + 1) % n
+    order.setflags(write=False)
+    return np.ix_(*[order] * dim)
+
+
 def to_grid(series: FourierSeries, n: int) -> np.ndarray:
     """Sample on the regular n^d grid theta_j = j/n.
 
-    Requires n >= 2*kmax+1 so every stored mode lands in its own bin.
+    Requires n >= 2*kmax+1 so every stored mode lands in its own bin: the
+    centered box is scattered straight into FFT order (mode k at index
+    k mod n on each axis) and inverse-transformed.
     """
     if n < 2 * series.kmax + 1:
         raise ValueError(
             f"grid size {n} below Nyquist bound {2 * series.kmax + 1} for kmax={series.kmax}"
         )
-    d, kmax = series.dim, series.kmax
-    vshape = series.value_shape
-    buf = np.zeros((n,) * d + vshape, dtype=series.coeffs.dtype)
-    lo = n // 2 - kmax
-    buf[(slice(lo, lo + 2 * kmax + 1),) * d] = series.coeffs
-    buf = np.fft.ifftshift(buf, axes=tuple(range(d)))
+    d = series.dim
+    buf = np.zeros((n,) * d + series.value_shape, dtype=series.coeffs.dtype)
+    buf[_fft_index(d, series.kmax, n)] = series.coeffs
     return np.fft.ifftn(buf, axes=tuple(range(d))) * (n ** d)
 
 
@@ -312,15 +320,17 @@ def from_grid(values: np.ndarray, dim: int, kmax: int, **flags) -> FourierSeries
     """Recover the centered coefficient box from regular grid samples.
 
     Exact for series whose modes all satisfy |k_i| <= kmax; otherwise the
-    out-of-band content aliases (callers oversample accordingly).
+    out-of-band content aliases (callers oversample accordingly).  The
+    2*kmax+1 kept modes per axis are gathered from FFT order (index k mod n)
+    and only they are scaled by n^-d; complex128 samples are transformed
+    without a copy.
     """
     n = values.shape[0]
     if n < 2 * kmax + 1:
         raise ValueError(f"grid size {n} below Nyquist bound {2 * kmax + 1} for kmax={kmax}")
-    chat = np.fft.fftn(values.astype(np.complex128), axes=tuple(range(dim))) / (n ** dim)
-    chat = np.fft.fftshift(chat, axes=tuple(range(dim)))
-    lo = n // 2 - kmax
-    coeffs = np.ascontiguousarray(chat[(slice(lo, lo + 2 * kmax + 1),) * dim])
+    chat = np.fft.fftn(np.asarray(values, dtype=np.complex128), axes=tuple(range(dim)))
+    coeffs = chat[_fft_index(dim, kmax, n)]
+    coeffs /= n ** dim
     return FourierSeries(dim, kmax, coeffs, **flags)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+MAX_ORDER_DOUBLE = 16      # order cap of the complex128 jets
 
 
 def zero_like(a, order=None):
@@ -35,6 +36,8 @@ def cauchy(a, b, order=None, prod=np.multiply):
     b = np.asarray(b)
     n = (min(a.shape[0], b.shape[0]) - 1) if order is None else order
     first = prod(a[0], b[0])
+    if n == 0 and first.dtype == np.complex128:
+        return first[None]
     out = np.zeros((n + 1,) + first.shape, dtype=np.result_type(first.dtype, np.complex128))
     out[0] = first
     for i in range(1, n + 1):

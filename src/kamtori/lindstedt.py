@@ -31,13 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
+from .jets import MAX_ORDER_DOUBLE
 from .cohomology import DEFAULT_DIVISOR_FLOOR
 from .embedding import TorusEmbedding
 from .fourier import FourierSeries, dump_series, from_grid, load_series, to_grid
 from .newton import (DEFAULT_DET_RTOL, _grid_size, _mean, build_frame,
                      checked_block, newton_frame, solve_reduced)
-
-MAX_ORDER_DOUBLE = 16      # order cap of the complex128 jets
 
 
 @dataclass(frozen=True)

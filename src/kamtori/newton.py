@@ -13,11 +13,21 @@ Newton frame, and both Lindstedt engines use it: `build_frame` turns the jets
 of DK, E, Df and D_mu f (evaluated by the caller) into the frame data,
 `checked_block` gates the averaged 2d x 2d block of the order-0 torus, and
 `solve_reduced` solves one triangular system for (W1, W2, sigma).
+
+Each Newton iteration evaluates the map once: `run_newton` samples
+X = K(theta), the defect E = f o K - K o T_omega and E's series on the grid,
+reads its residual from that series and hands the same evaluation to
+`newton_step`, whose frame, step report and (at convergence) twist reuse it.
+The frame conditioning gate on DK^T DK uses the closed form |g|/|g| for the
+1 x 1 Gram of d = 1 and `np.linalg.cond` for d > 1; both follow
+`np.linalg.cond`'s rules (0 and inf give inf, nan stays nan), and every
+non-finite or too large value raises FrameSingular.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +37,8 @@ from .diophantine import GoodSetParams, lambda_in_good_set
 from .embedding import TorusEmbedding
 from .errors import (DivisorTooSmall, FrameSingular, NoConvergence,
                      NonDegeneracyFailure, NormalizationDiverged)
-from .fourier import FourierSeries, dump_series, from_grid, load_series, to_grid
+from .fourier import (FourierSeries, dump_series, fast_grid_size, from_grid,
+                      load_series, to_grid)
 from .maps import symplectic_matrix
 
 DEFAULT_DET_RTOL = 1e-10
@@ -37,7 +48,6 @@ _FRAME_COND_LIMIT = 1e12
 
 
 def _grid_size(kmax: int, n=None) -> int:
-    from .fourier import fast_grid_size
     wanted = max(3 * kmax + 2, 16)
     if n is not None:
         if n < 2 * kmax + 1:
@@ -50,13 +60,47 @@ def _mean(grid: np.ndarray, dim: int) -> np.ndarray:
     return np.mean(grid, axis=tuple(range(dim)))
 
 
-def _shift(grids: np.ndarray, dim, kmax, omega, n) -> np.ndarray:
-    """Compose every order of a grid jet with T_omega (exact for the retained
-    band; performed in coefficient space)."""
-    out = np.empty_like(grids)
-    for j in range(grids.shape[0]):
-        out[j] = to_grid(from_grid(grids[j], dim, kmax).shift(omega), n)
+def _shift_packed(grids, dim, kmax, omega, n) -> list:
+    """Compose every order of each grid jet with T_omega (exact for the
+    retained band; performed in coefficient space).
+
+    The orders and values of all the jets are packed into the columns of one
+    grid array, shifted with one from_grid/to_grid pair; the batched
+    transforms act column by column, so every result equals the shift of its
+    jet alone.
+    """
+    lead = grids[0].shape[:dim + 1]
+    packed = np.concatenate([g.reshape(lead + (-1,)) for g in grids], axis=-1)
+    columns = np.moveaxis(packed, 0, dim)
+    shifted = np.moveaxis(to_grid(from_grid(columns, dim, kmax).shift(omega), n), dim, 0)
+    out, start = [], 0
+    for g in grids:
+        size = int(np.prod(g.shape[dim + 1:]))
+        out.append(np.ascontiguousarray(shifted[..., start:start + size]).reshape(g.shape))
+        start += size
     return out
+
+
+@dataclass(frozen=True)
+class _Defect:
+    """One evaluation of (K, mu) on the grid: the lift X = K(theta) and the
+    defect E = f_{mu,eps} o K - K o T_omega, with E's series at K's cutoff."""
+
+    X: np.ndarray
+    E: np.ndarray
+    dim: int
+    kmax: int
+
+    @cached_property
+    def series(self) -> FourierSeries:
+        return from_grid(self.E, self.dim, self.kmax)
+
+
+def _evaluate(fam, K: TorusEmbedding, mu, omega, eps, n=None) -> _Defect:
+    n = _grid_size(K.kmax, n)
+    X = K.lift_grid(n)
+    E = fam.apply(X, mu, eps) - K.shifted_lift_grid(omega, n)
+    return _Defect(X, E, K.dim, K.kmax)
 
 
 def invariance_residual(fam, K: TorusEmbedding, mu, omega, eps, n=None) -> FourierSeries:
@@ -65,12 +109,28 @@ def invariance_residual(fam, K: TorusEmbedding, mu, omega, eps, n=None) -> Fouri
     Computed on an oversampled grid with continuous angle lifts, then
     truncated to the embedding's cutoff.
     """
-    n = _grid_size(K.kmax, n)
-    E = fam.apply(K.lift_grid(n), mu, eps) - K.shifted_lift_grid(omega, n)
-    return from_grid(E, K.dim, K.kmax)
+    return _evaluate(fam, K, mu, omega, eps, n).series
 
 
 # -- the reduced system ---------------------------------------------------------
+
+def _gram_cond(gram: np.ndarray) -> np.ndarray:
+    """2-norm condition numbers of a stack of Gram matrices, by the rules of
+    np.linalg.cond (0 and inf give inf, nan stays nan).
+
+    A 1 x 1 Gram g has the closed form |g|/|g| (exactly 1.0 when g is finite
+    and nonzero), which spares the batched SVD for d = 1; a nan entry gives
+    nan there, where the SVD of np.linalg.cond may fail to converge instead.
+    """
+    if gram.shape[-1] > 1:
+        return np.linalg.cond(gram)
+    g = gram[..., 0, 0]
+    mag = np.abs(g)
+    with np.errstate(invalid="ignore"):
+        cond = mag / mag
+    cond[np.isnan(cond) & ~np.isnan(g)] = np.inf
+    return cond
+
 
 def _frame_matrix(dk: np.ndarray, Jinv: np.ndarray):
     """Jets of N = (DK^T DK)^-1 and of the frame M = [DK, J^-1 DK N], and the
@@ -80,7 +140,7 @@ def _frame_matrix(dk: np.ndarray, Jinv: np.ndarray):
     higher orders are solved with its inverse.
     """
     gram = jets.matmul(np.swapaxes(dk, -1, -2), dk)
-    cond = float(np.max(np.linalg.cond(gram[0])))
+    cond = float(np.max(_gram_cond(gram[0])))
     if not np.isfinite(cond) or cond > _FRAME_COND_LIMIT:
         raise FrameSingular(
             f"DK^T DK condition number {cond:.3e} exceeds {_FRAME_COND_LIMIT:.1e}"
@@ -115,14 +175,15 @@ def build_frame(Jinv, lam, dk, E, Df, Dmu, omega, kmax: int) -> Frame:
     defect E and the map derivatives Df, D_mu f, all sampled on one grid."""
     n, d = dk.shape[1], dk.shape[-1]
     N, M, cond = _frame_matrix(dk, Jinv)
-    Mshift = _shift(M, d, kmax, omega, n)
+    gamma = jets.matmul(np.swapaxes(dk, -1, -2) @ Jinv, dk)
+    # M, N and gamma composed with T_omega in one batched shift
+    Mshift, Nshift, gshift = _shift_packed((M, N, gamma), d, kmax, omega, n)
     beta = jets.inv_matrix(Mshift)
 
     P = jets.matmul(dk, N)
-    gamma = jets.matmul(np.swapaxes(dk, -1, -2) @ Jinv, dk)
-    Pshift = _shift(P, d, kmax, omega, n)
-    Nshift = _shift(N, d, kmax, omega, n)
-    gshift = _shift(gamma, d, kmax, omega, n)
+    # M o T = [DK o T, J^-1 (P o T)] and J^-1 is a signed permutation, so
+    # J (M o T)[..., d:] is P o T exactly
+    Pshift = Jinv.T @ Mshift[..., d:]
     # S = (P^T o T) Df J^-1 P - lam (N^T o T)(gamma o T)(N o T), associated
     # from the left throughout
     lam_bc = lam.reshape(lam.shape + (1,) * (Nshift.ndim - 1))
@@ -134,14 +195,14 @@ def build_frame(Jinv, lam, dk, E, Df, Dmu, omega, kmax: int) -> Frame:
                  Et=jets.matmul(beta, E[..., None])[..., 0], cond=cond)
 
 
-def newton_frame(fam, K, mu, omega, eps, n=None) -> Frame:
+def newton_frame(fam, K, mu, omega, eps, n=None, *, _defect: _Defect | None = None) -> Frame:
     """The frame of (K, mu) at eps: the pointwise map evaluations enter as
-    order-0 jets."""
-    n = _grid_size(K.kmax, n)
-    X = K.lift_grid(n)
-    E = fam.apply(X, mu, eps) - K.shifted_lift_grid(omega, n)
+    order-0 jets.  `_defect` is an evaluation of (K, mu) on the grid the
+    caller already holds; it fixes the grid, so n is then not used."""
+    ev = _evaluate(fam, K, mu, omega, eps, n) if _defect is None else _defect
+    X = ev.X
     lam = np.array([complex(fam.lambda_eps(eps))])
-    return build_frame(fam.Jinv, lam, K.dk_grid(n)[None], E[None],
+    return build_frame(fam.Jinv, lam, K.dk_grid(X.shape[0])[None], ev.E[None],
                        fam.jacobian(X, mu, eps)[None], fam.d_mu(X, mu, eps)[None],
                        omega, K.kmax)
 
@@ -269,9 +330,15 @@ class StepReport:
 
 
 def newton_step(fam, K, mu, omega, eps, divisor_floor=DEFAULT_DIVISOR_FLOOR,
-                det_rtol=DEFAULT_DET_RTOL, n=None):
-    """One quadratic correction (K, mu) -> (K + M W, mu + sigma)."""
-    fr = newton_frame(fam, K, mu, omega, eps, n)
+                det_rtol=DEFAULT_DET_RTOL, n=None, *, _defect: _Defect | None = None):
+    """One quadratic correction (K, mu) -> (K + M W, mu + sigma).
+
+    `_defect` is run_newton's evaluation of (K, mu), reused for the frame and
+    the report's residual instead of evaluating the map again; without it the
+    step evaluates (K, mu) on the grid of size n itself.
+    """
+    ev = _evaluate(fam, K, mu, omega, eps, n) if _defect is None else _defect
+    fr = newton_frame(fam, K, mu, omega, eps, _defect=ev)
     core = checked_block(fr, divisor_floor, det_rtol)
     d, kmax = fr.d, fr.kmax
     W1, W2, sigma, gain = solve_reduced(core, -fr.Et[0, ..., :d], -fr.Et[0, ..., d:])
@@ -284,7 +351,7 @@ def newton_step(fam, K, mu, omega, eps, divisor_floor=DEFAULT_DIVISOR_FLOOR,
     report = StepReport(
         w_norm=from_grid(W, d, kmax).analytic_norm(0.0),
         sigma=sigma,
-        residual_before=from_grid(fr.E[0], d, kmax).analytic_norm(0.0),
+        residual_before=ev.series.analytic_norm(0.0),
         twist=core.twist(),
         det=core.det,
         divisor_gain=max(gain, core.Bb.max_divisor_gain),
@@ -333,12 +400,12 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20, rho=0.1,
     trace = []
     twist = float("nan")
     for it in range(max_iter + 1):
-        E = invariance_residual(fam, K, mu, omega, eps)
-        res = E.analytic_norm(0.0)
+        ev = _evaluate(fam, K, mu, omega, eps)
+        res = ev.series.analytic_norm(0.0)
         trace.append((res, rho_n))
         if res <= tol:
             if not np.isfinite(twist):
-                twist = checked_block(newton_frame(fam, K, mu, omega, eps),
+                twist = checked_block(newton_frame(fam, K, mu, omega, eps, _defect=ev),
                                       divisor_floor, det_rtol).twist()
             return KamSolution(
                 K=K, mu=mu, residual_norm=res, twist_constant=twist,
@@ -351,7 +418,7 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20, rho=0.1,
             break
         K, mu, report = newton_step(fam, K, mu, omega, eps,
                                     divisor_floor=divisor_floor,
-                                    det_rtol=det_rtol)
+                                    det_rtol=det_rtol, _defect=ev)
         twist = report.twist
         rho_n = max(rho_n - delta0 / 2.0 ** (it + 1), 0.0)
         if K.periodic.tail_mass() > tail_threshold and K.kmax < kmax_cap:

@@ -80,11 +80,12 @@ def test_missing_omega_is_usage_error(tmp_path, capsys):
     assert "omega" in capsys.readouterr().err
 
 
-def test_unknown_key_rejected(tmp_path):
+def test_unknown_key_rejected(tmp_path, capsys):
     p = tmp_path / "bad.cfg"
-    p.write_text(GOLDEN + "\n[solver]\nwarp = 9\n")
+    p.write_text(GOLDEN.replace("[solver]\n", "[solver]\nwarp = 9\n"))
     code = main(["solve", "--config", str(p), "--out", str(tmp_path / "o")])
     assert code == 64
+    assert "'warp'" in capsys.readouterr().err
 
 
 def test_unknown_section_rejected(tmp_path):
@@ -172,6 +173,22 @@ def test_bad_command_value_is_config_error(tmp_path, capsys, command, old, new):
     p.write_text(ATLAS.replace(old, new))
     assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 64
     assert f"[{command}].{old.split()[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, old, new, key", [
+    ("lindstedt", "order = 3", "order = 17", "order"),
+    ("lindstedt", "order = 3", "order = -1", "order"),
+    ("double", "rounds = 1", "rounds = 4", "rounds"),
+    ("sweep", "steps = 5", "steps = 5\ndirection = 0", "direction"),
+    ("sweep", "steps = 5", "steps = 0", "steps"),
+], ids=["lindstedt-order-17", "lindstedt-order-negative", "double-rounds-4",
+        "sweep-direction-0", "sweep-steps-0"])
+def test_out_of_range_command_value_is_config_error(tmp_path, capsys, command, old,
+                                                    new, key):
+    p = tmp_path / "bad.cfg"
+    p.write_text(GOLDEN.replace(old, new))
+    assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 64
+    assert f"[{command}].{key}" in capsys.readouterr().err
 
 
 def test_outputs_honor_umask(golden_cfg, tmp_path):

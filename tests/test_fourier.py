@@ -205,6 +205,46 @@ def test_grid_round_trip_2d(rng):
     assert np.max(np.abs(back.coeffs - s.coeffs)) <= 1e-13 * np.max(np.abs(c))
 
 
+def _to_grid_fftshift(series, n):
+    """Reference: centered box placed at n//2 - kmax, then ifftshift."""
+    d, kmax = series.dim, series.kmax
+    buf = np.zeros((n,) * d + series.value_shape, dtype=series.coeffs.dtype)
+    lo = n // 2 - kmax
+    buf[(slice(lo, lo + 2 * kmax + 1),) * d] = series.coeffs
+    buf = np.fft.ifftshift(buf, axes=tuple(range(d)))
+    return np.fft.ifftn(buf, axes=tuple(range(d))) * (n ** d)
+
+
+def _from_grid_fftshift(values, dim, kmax):
+    """Reference: scale every mode, fftshift, cut the centered box."""
+    n = values.shape[0]
+    chat = np.fft.fftn(values.astype(np.complex128), axes=tuple(range(dim))) / (n ** dim)
+    chat = np.fft.fftshift(chat, axes=tuple(range(dim)))
+    lo = n // 2 - kmax
+    return np.ascontiguousarray(chat[(slice(lo, lo + 2 * kmax + 1),) * dim])
+
+
+@pytest.mark.parametrize("dim, n, value_shape", [
+    (1, 16, ()), (1, 17, ()), (1, 15, (2,)), (1, 24, (2, 2)),
+    (2, 8, ()), (2, 9, (2,)), (2, 10, (2, 1)),
+])
+def test_transforms_match_fftshift_formulation(rng, dim, n, value_shape):
+    # bit for bit, up to the Nyquist cutoff (n-1)//2 and below it
+    for kmax in ((n - 1) // 2, (n - 1) // 2 - 2):
+        shape = (2 * kmax + 1,) * dim + value_shape
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        s = FourierSeries(dim, kmax, c)
+        grid = to_grid(s, n)
+        ref = _to_grid_fftshift(s, n)
+        assert grid.tobytes() == ref.tobytes()
+        back = from_grid(grid, dim, kmax)
+        assert back.coeffs.flags["C_CONTIGUOUS"]
+        assert back.coeffs.tobytes() == _from_grid_fftshift(grid, dim, kmax).tobytes()
+        # real samples are promoted as before
+        real = from_grid(grid.real, dim, kmax).coeffs
+        assert real.tobytes() == _from_grid_fftshift(grid.real, dim, kmax).tobytes()
+
+
 def test_nyquist_violation_raises(rng):
     s = random_series(rng, kmax=16)
     with pytest.raises(ValueError):

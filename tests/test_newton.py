@@ -9,9 +9,9 @@ from kamtori.errors import (DivisorTooSmall, FrameSingular, NoConvergence,
 from kamtori.fourier import FourierSeries
 from kamtori.lindstedt import lindstedt_expand
 from kamtori.maps import DissipativeStandardMap
-from kamtori.newton import (dump_solution, invariance_residual, lagrangian_defect,
-                            load_solution, newton_step, normalize_embedding,
-                            reducibility_frame, run_newton)
+from kamtori.newton import (_gram_cond, dump_solution, invariance_residual,
+                            lagrangian_defect, load_solution, newton_step,
+                            normalize_embedding, reducibility_frame, run_newton)
 from kamtori.diophantine import GoodSetParams
 
 
@@ -92,6 +92,24 @@ def test_frame_singular_detected(fam, omega):
     K = TorusEmbedding(FourierSeries(1, kmax, c))
     with pytest.raises(FrameSingular):
         reducibility_frame(fam, K, np.array([0.0]), omega, 0.0)
+
+
+def test_closed_form_gram_cond_matches_numpy():
+    vals = np.array([1.0, 0.0, np.inf, -np.inf, 3 + 4j, 1e-320, 2e300j,
+                     complex(0, np.inf), -7.5])
+    ours = _gram_cond(vals.reshape(-1, 1, 1))
+    assert ours.tobytes() == np.linalg.cond(vals.reshape(-1, 1, 1)).tobytes()
+    # with a nan entry LAPACK's SVD may fail to converge; where it returns,
+    # nan stays nan
+    with_nan = np.array([2.0, np.nan, complex(np.inf, np.nan), 0.0]).reshape(-1, 1, 1)
+    ours = _gram_cond(with_nan)
+    for g, c in zip(with_nan, ours):
+        try:
+            want = np.linalg.cond(g[None])[0]
+        except np.linalg.LinAlgError:
+            want = np.nan
+        assert np.array_equal(c, want, equal_nan=True)
+    assert np.isnan(np.max(ours))
 
 
 # -- newton step -------------------------------------------------------------------
@@ -196,6 +214,43 @@ def test_no_convergence_carries_trace(fam, omega, base_torus):
     with pytest.raises(NoConvergence) as err:
         run_newton(fam, K0, mu0, omega, 0.05, tol=1e-30, max_iter=3)
     assert len(err.value.trace) == 4
+
+
+def test_run_evaluates_the_map_once_per_iteration(omega, base_torus):
+    class Counting(DissipativeStandardMap):
+        calls = [0]
+
+        def apply(self, x, mu, eps):
+            self.calls[0] += 1
+            return super().apply(x, mu, eps)
+
+    fam = Counting(kappa=0.5)
+    K0, mu0 = base_torus
+    sol = run_newton(fam, K0, mu0, omega, 0.05, tol=1e-12)
+    assert len(sol.trace) > 2
+    assert fam.calls[0] == len(sol.trace)
+
+
+def test_run_matches_hand_loop_of_steps(fam, omega):
+    # run_newton hands its evaluation to newton_step; a loop of plain steps,
+    # each evaluating on its own, must give the same iterates bit for bit
+    K0, mu0 = fam.unperturbed_torus(omega, 6)
+    eps, tail = 0.05, 1e-13
+    sol = run_newton(fam, K0, mu0, omega, eps, tol=1e-12, tail_threshold=tail)
+    K, mu = K0, np.atleast_1d(np.asarray(mu0, dtype=complex))
+    residuals = []
+    for _ in range(len(sol.trace) - 1):
+        residuals.append(invariance_residual(fam, K, mu, omega, eps).analytic_norm(0.0))
+        K, mu, rep = newton_step(fam, K, mu, omega, eps)
+        assert rep.residual_before == residuals[-1]
+        if K.periodic.tail_mass() > tail and K.kmax < 1024:
+            K = K.pad_to(min(2 * K.kmax, 1024))
+    residuals.append(invariance_residual(fam, K, mu, omega, eps).analytic_norm(0.0))
+    assert K.kmax > 6
+    assert residuals == [r for r, _ in sol.trace]
+    assert K.periodic.coeffs.tobytes() == sol.K.periodic.coeffs.tobytes()
+    assert mu.tobytes() == sol.mu.tobytes()
+    assert rep.twist == sol.twist_constant
 
 
 def test_tail_doubling_triggers(fam, omega):
