@@ -1,6 +1,7 @@
 """Geometry of the good parameter sets: excluded resonance balls, grid
-classification of the lambda- and epsilon-planes, excluded-measure scaling
-across annuli, tangential-accessibility cones, and continuation sweeps.
+classification of the lambda- and epsilon-planes, the exact excluded area
+(the union of the balls clipped to an annulus) and its scaling across annuli,
+tangential-accessibility cones, and continuation sweeps.
 
 The bad set near lam = 1 is covered by balls B_k centered at the resonances
 e^{2 pi i k.omega}; within the annulus rho < |lam - 1| < 2 rho the covering
@@ -181,66 +182,82 @@ class MeasureFit:
     counts: np.ndarray
     exponent: float
     union_bound: np.ndarray    # sum of ball areas per annulus
-    method: str
 
 
 def excluded_measure(rho: float, params: GoodSetParams, omega, k_max: int,
-                     radius_scale: float = DEFAULT_RADIUS_SCALE, levels: int = 3,
-                     mc_samples: int = 1_000_000, seed: int = 0) -> MeasureFit:
+                     radius_scale: float = DEFAULT_RADIUS_SCALE,
+                     levels: int = 3) -> MeasureFit:
     """Excluded area in the annuli rho/2^i < |lam-1| < rho/2^(i-1) and the
     log-log scaling exponent fitted across them.
 
-    Requires 2 tau > d so the ball areas are summable.  Disjoint ball unions
-    are summed exactly; overlapping ones fall back to seeded Monte Carlo.
+    Requires 2 tau > d so the ball areas are summable.  Each area is the
+    exact area of the union of the balls clipped to its annulus.
     """
     omega_v = np.atleast_1d(np.asarray(omega, dtype=float))
     if 2 * params.tau <= omega_v.size:
         raise ValueError("the measure estimate needs 2*tau > d")
-    rhos, areas, counts, bounds = [], [], [], []
-    method = "disjoint-sum"
-    rng = np.random.default_rng(seed)
-    for i in range(levels):
-        r = rho / 2.0 ** i
+    rhos = rho / 2.0 ** np.arange(levels)
+    areas, counts, bounds = [], [], []
+    for r in rhos:
         balls = excluded_balls(params, omega_v, k_max, r, radius_scale)
         counts.append(len(balls))
-        bound = float(np.pi * sum(b.radius ** 2 for b in balls))
-        bounds.append(bound)
-        if _pairwise_disjoint(balls):
-            area = bound
-        else:
-            method = "monte-carlo"
-            area = _mc_union_area(balls, r, mc_samples, rng)
-        rhos.append(r)
-        areas.append(area)
-    rhos = np.array(rhos)
+        bounds.append(float(np.pi * sum(b.radius ** 2 for b in balls)))
+        areas.append(_union_area(balls, r))
     areas = np.array(areas)
     if np.any(areas <= 0):
         raise KamtoriError(
             "an annulus carried no excluded balls; increase k_max or rho")
     exponent = float(np.polyfit(np.log(rhos), np.log(areas), 1)[0]) \
         if levels >= 2 else float("nan")
-    return MeasureFit(rhos, areas, np.array(counts), exponent,
-                      np.array(bounds), method)
+    return MeasureFit(rhos, areas, np.array(counts), exponent, np.array(bounds))
 
 
-def _pairwise_disjoint(balls) -> bool:
-    for i in range(len(balls)):
-        for j in range(i + 1, len(balls)):
-            if abs(balls[i].center - balls[j].center) <= balls[i].radius + balls[j].radius:
-                return False
-    return True
+def _union_area(balls, rho) -> float:
+    """Exact area of (union of the balls) & {rho < |z-1| < 2 rho}.
+
+    Green's theorem over the boundary of that region: the arcs of each ball's
+    circle outside every other ball and inside the annulus, and the arcs of
+    the outer (counter-clockwise) and inner (clockwise) annulus circle inside
+    some ball.  Each circle is cut at its crossings with all the others and a
+    sub-arc is kept when its midpoint is; a circle that crosses none is the
+    arc [0, 2 pi].  Angles are absolute, so an arc of radius R about c has a
+    rounding error of a few eps R (R + |c - 1|): about eps rho^2 on an
+    annulus circle, however small the ball that it cuts.
+    """
+    n = len(balls)
+    centers = np.array([b.center - 1.0 for b in balls] + [0.0, 0.0], dtype=complex)
+    radii = np.array([b.radius for b in balls] + [2.0 * rho, rho])
+    area = 0.0
+    for i, (ci, ri) in enumerate(zip(centers, radii)):
+        d = np.abs(centers - ci)
+        cross = (d < ri + radii) & (d > np.abs(ri - radii))
+        phi = np.angle(centers[cross] - ci)
+        half = _crossing_half_angle(ri, d[cross], radii[cross])
+        t = np.sort(np.remainder(np.concatenate([phi - half, phi + half]), 2 * np.pi))
+        if t.size == 0:
+            t = np.zeros(1)
+        t0, t1 = t, np.append(t[1:], t[0] + 2 * np.pi)
+        mid = ci + ri * np.exp(0.5j * (t0 + t1))
+        in_ball = np.abs(mid[:, None] - centers[None, :n]) < radii[None, :n]
+        if i < n:
+            in_ball[:, i] = False
+            keep = ~in_ball.any(axis=1) & (np.abs(mid) > rho) & (np.abs(mid) < 2 * rho)
+        else:
+            keep = in_ball.any(axis=1)
+        green = 0.5 * np.dot(keep, ri ** 2 * (t1 - t0)
+                             + ri * (ci.real * (np.sin(t1) - np.sin(t0))
+                                     - ci.imag * (np.cos(t1) - np.cos(t0))))
+        area += -green if i == n + 1 else green
+    return float(area)
 
 
-def _mc_union_area(balls, rho, samples, rng):
-    # uniform samples in the annulus rho < |z-1| < 2 rho around 1
-    rad = np.sqrt(rng.uniform(rho ** 2, (2 * rho) ** 2, samples))
-    ang = rng.uniform(0.0, 2 * np.pi, samples)
-    z = 1.0 + rad * np.exp(1j * ang)
-    hit = np.zeros(samples, dtype=bool)
-    for b in balls:
-        hit |= np.abs(z - b.center) < b.radius
-    annulus_area = np.pi * ((2 * rho) ** 2 - rho ** 2)
-    return float(np.mean(hit) * annulus_area)
+def _crossing_half_angle(r1, d, r2):
+    """Angle at the center of circle 1 between the line of centers (length d)
+    and a crossing with circle 2, its sine from Kahan's stable Heron formula
+    (full relative precision for a small ball on an annulus circle)."""
+    a, b, s = np.sort(np.broadcast_arrays(r1, d, r2), axis=0)[::-1]
+    quad = (a + (b + s)) * (s - (a - b)) * (s + (a - b)) * (a + (b - s))
+    return np.arctan2(np.sqrt(np.maximum(quad, 0.0)), r1 ** 2 + (d - r2) * (d + r2))
 
 
 # -- tangential accessibility -------------------------------------------------
@@ -386,18 +403,11 @@ def detour_path(eps1: complex, eps2: complex, balls, samples: int = 257,
     mid = 0.5 * (eps1 + eps2)
     normal = 1j * chord / dist
     for bulge in np.linspace(0.05, max_bulge, 160):
-        center = mid + bulge * dist * normal
-        pts = _arc(eps1, eps2, center, samples)
-        if not _path_blocked(pts, balls):
-            radius = abs(eps1 - center)
-            ang = _arc_angle(eps1, eps2, center)
-            return pts, radius * ang
-        center = mid - bulge * dist * normal
-        pts = _arc(eps1, eps2, center, samples)
-        if not _path_blocked(pts, balls):
-            radius = abs(eps1 - center)
-            ang = _arc_angle(eps1, eps2, center)
-            return pts, radius * ang
+        for side in (1, -1):
+            center = mid + side * bulge * dist * normal
+            pts = _arc(eps1, eps2, center, samples)
+            if not _path_blocked(pts, balls):
+                return pts, abs(eps1 - center) * _arc_angle(eps1, eps2, center)
     raise KamtoriError("no clearing arc found between the endpoints")
 
 
@@ -453,7 +463,7 @@ def sweep_table(result: SweepResult, fp) -> None:
                  f"{st.residual:.17g} {mu_re} {mu_im} {note}\n")
 
 
-def render_svg(balls, bounds, width: int = 640, extras=(), unit_circle: bool = False) -> str:
+def render_svg(balls, bounds, width: int = 640, unit_circle: bool = False) -> str:
     """Deterministic SVG of the excluded balls (black) inside the bounds."""
     re0, re1, im0, im1 = bounds
     height = int(round(width * (im1 - im0) / (re1 - re0)))
@@ -478,7 +488,5 @@ def render_svg(balls, bounds, width: int = 640, extras=(), unit_circle: bool = F
         parts.append(
             f'<circle cx="{sx(b.center.real):.2f}" cy="{sy(b.center.imag):.2f}" '
             f'r="{max(b.radius * scale, 0.75):.2f}" fill="black"/>')
-    for tag in extras:
-        parts.append(tag)
     parts.append("</svg>")
     return "\n".join(parts)

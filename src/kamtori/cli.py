@@ -124,17 +124,21 @@ def _expand_from_config(run: _Run, order: int, eps0: complex):
                             divisor_floor=cfg.divisor_floor)
 
 
-def cmd_lindstedt(run: _Run):
-    cfg = run.cfg
-    sec = cfg.section("lindstedt")
-    order, eps0 = sec["order"], sec["eps0"]
-    jet = _expand_from_config(run, order, eps0)
+def _emit_jet(run: _Run, jet):
+    """Write jet.txt and residual_orders.txt; return the residual norms."""
     buf = io.StringIO()
     dump_jet(jet, buf)
     run.emit("jet.txt", buf.getvalue())
-    norms = residual_jet_norms(cfg.family, jet, cfg.omega)
+    norms = residual_jet_norms(run.cfg.family, jet, run.cfg.omega)
     run.emit("residual_orders.txt", "# order residual_norm\n" + "\n".join(
         f"{j} {v:.17g}" for j, v in enumerate(norms)) + "\n")
+    return norms
+
+
+def cmd_lindstedt(run: _Run):
+    sec = run.cfg.section("lindstedt")
+    order, eps0 = sec["order"], sec["eps0"]
+    norms = _emit_jet(run, _expand_from_config(run, order, eps0))
     print(f"lindstedt order {order} at eps0={eps0}: "
           f"max residual through order {order}: {max(norms[:order + 1]):.3e}")
     return EXIT_OK
@@ -148,12 +152,7 @@ def cmd_double(run: _Run):
     for _ in range(rounds):
         jet = lindstedt_double(cfg.family, jet, cfg.omega,
                                divisor_floor=cfg.divisor_floor)
-    buf = io.StringIO()
-    dump_jet(jet, buf)
-    run.emit("jet.txt", buf.getvalue())
-    norms = residual_jet_norms(cfg.family, jet, cfg.omega)
-    run.emit("residual_orders.txt", "# order residual_norm\n" + "\n".join(
-        f"{j} {v:.17g}" for j, v in enumerate(norms)) + "\n")
+    norms = _emit_jet(run, jet)
     print(f"doubled {rounds}x from order {order}: final order {jet.order}, "
           f"max residual through order {jet.order}: {max(norms[:jet.order + 1]):.3e}")
     return EXIT_OK
@@ -188,8 +187,7 @@ def cmd_atlas(run: _Run):
     lines += [f"{int(row[0])} {row[1]:.17g} {row[2]:.17g}" for row in trace]
     run.emit("nu_trace.txt", "\n".join(lines) + "\n")
 
-    counts = {0: int(np.sum(grid.status == 0)), 1: int(np.sum(grid.status == 1)),
-              2: int(np.sum(grid.status == 2))}
+    counts = np.bincount(grid.status.ravel(), minlength=3)
     print(f"atlas {plane}: inside={counts[0]} excluded={counts[1]} "
           f"outside-r0={counts[2]}, {len(balls)} balls")
     return EXIT_OK

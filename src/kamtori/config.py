@@ -38,6 +38,13 @@ def _int_in(lo: int, hi: int | None = None):
     return parse
 
 
+def _positive(text: str) -> float:
+    val = float(text)
+    if not 0 < val < np.inf:
+        raise ValueError("expected a finite number > 0")
+    return val
+
+
 def _nonzero_complex(text: str) -> complex:
     val = _complex(text)
     if val == 0:
@@ -71,9 +78,9 @@ _COMMAND_KEYS = {
     "double": {"order": (_JET_ORDER, 1), "rounds": (_int_in(0), 2)},
     "atlas": {"plane": (_choice("lambda", "epsilon"), "lambda"),
               "bounds": (_numbers(float, 4), (0.7, 1.3, -0.3, 0.3)),
-              "resolution": (_numbers(int, 2), (200, 200)),
-              "ball_kmax": (int, 512), "rho_band": (float, 0.05),
-              "radius_scale": (float, 1.0)},
+              "resolution": (_numbers(_int_in(1), 2), (200, 200)),
+              "ball_kmax": (_int_in(1), 512), "rho_band": (_positive, 0.05),
+              "radius_scale": (_positive, 1.0)},
     "sweep": {"start": (_complex, complex(0.01)), "end": (_complex, complex(0.1)),
               "steps": (_int_in(1), 10), "direction": (_nonzero_complex, None)},
 }

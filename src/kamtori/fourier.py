@@ -110,10 +110,6 @@ class FourierSeries:
     def value_shape(self) -> tuple:
         return self.coeffs.shape[self.dim :]
 
-    @property
-    def mode_axes(self) -> tuple:
-        return tuple(range(self.dim))
-
     def k_axis(self) -> np.ndarray:
         return np.arange(-self.kmax, self.kmax + 1)
 

@@ -119,26 +119,17 @@ def jet_compose_with_family(fam, jet: EpsilonJet):
     return fam.jet_apply(x, jet.mu_coeffs, jet.eps0)
 
 
-def _lift_jet(jet: EpsilonJet, n: int, order=None) -> np.ndarray:
-    """Grid jet of the embedding lift; order 0 carries the identity part."""
+def _lift_jet(jet: EpsilonJet, n: int, order=None, omega=None) -> np.ndarray:
+    """Grid jet of the embedding lift, or of K o T_omega when omega is given;
+    order 0 carries the identity part."""
     order = jet.order if order is None else order
     base = TorusEmbedding(jet.K_coeffs[0])
-    x0 = base.lift_grid(n)
+    x0 = base.lift_grid(n) if omega is None else base.shifted_lift_grid(omega, n)
     out = np.zeros((order + 1,) + x0.shape, dtype=complex)
     out[0] = x0
     for j in range(1, min(order, jet.order) + 1):
-        out[j] = to_grid(jet.K_coeffs[j], n)
-    return out
-
-
-def _shift_lift_jet(jet: EpsilonJet, omega, n: int, order=None) -> np.ndarray:
-    order = jet.order if order is None else order
-    base = TorusEmbedding(jet.K_coeffs[0])
-    x0 = base.shifted_lift_grid(omega, n)
-    out = np.zeros((order + 1,) + x0.shape, dtype=complex)
-    out[0] = x0
-    for j in range(1, min(order, jet.order) + 1):
-        out[j] = to_grid(jet.K_coeffs[j].shift(omega), n)
+        coeffs = jet.K_coeffs[j] if omega is None else jet.K_coeffs[j].shift(omega)
+        out[j] = to_grid(coeffs, n)
     return out
 
 
@@ -206,7 +197,7 @@ def residual_jet(fam, jet: EpsilonJet, omega, through: int | None = None):
     x = _lift_jet(jet, n, order=M)
     mu = jets.pad(jet.mu_coeffs, M)
     G = fam.jet_apply(x, mu, jet.eps0)
-    shift = _shift_lift_jet(jet, omega, n, order=M)
+    shift = _lift_jet(jet, n, order=M, omega=omega)
     return [from_grid(G[j] - shift[j], jet.dim, jet.kmax) for j in range(M + 1)]
 
 
@@ -275,7 +266,7 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
     x = _lift_jet(jet, n, order=M_ord)
     mu = jets.pad(jet.mu_coeffs, M_ord)
     lam = fam.lambda_jet(eps0, M_ord)
-    E = fam.jet_apply(x, mu, eps0) - _shift_lift_jet(jet, omega, n, order=M_ord)
+    E = fam.jet_apply(x, mu, eps0) - _lift_jet(jet, n, order=M_ord, omega=omega)
     dk = np.zeros((M_ord + 1,) + x.shape[1:-1] + (2 * d, d), dtype=complex)
     dk[0] = TorusEmbedding(jet.K_coeffs[0]).dk_grid(n)
     for j in range(1, N + 1):

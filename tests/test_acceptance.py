@@ -222,7 +222,7 @@ def test_criterion_8_domain_geometry():
     ok = fit.exponent >= want - 0.5
     _report("criterion-8 domain-geometry", ok,
             f"fitted exponent {fit.exponent:.2f} >= {want - 0.5} "
-            f"(areas {fit.areas}, {fit.method})")
+            f"(areas {fit.areas})")
 
 
 def test_criterion_9_resonance_obstruction():

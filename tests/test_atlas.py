@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kamtori.atlas import (INSIDE, EXCLUDED, OUTSIDE_R0, ExclusionBall,
-                           circle_accessibility_fraction, classify_grid,
+                           _union_area, circle_accessibility_fraction, classify_grid,
                            coupled_divisor_floor, detour_path, excluded_balls,
                            excluded_measure, grid_table, render_svg,
                            sweep_continuation, sweep_table,
@@ -149,7 +149,94 @@ def test_measure_exponent_fit(params, omega):
 
 def test_measured_area_below_union_bound(params, omega):
     fit = excluded_measure(0.08, params, omega, 2048)
-    assert np.all(fit.areas <= fit.union_bound * 1.02)
+    assert np.all(fit.areas <= fit.union_bound * (1 + 1e-12))
+
+
+def _lens(r1, r2, d):
+    """Area of the intersection of two crossing discs, as two segments."""
+    a1 = np.arccos((d * d + r1 * r1 - r2 * r2) / (2 * d * r1))
+    a2 = np.arccos((d * d + r2 * r2 - r1 * r1) / (2 * d * r2))
+    return r1 * r1 * (a1 - np.sin(2 * a1) / 2) + r2 * r2 * (a2 - np.sin(2 * a2) / 2)
+
+
+# annulus 0.1 < |z-1| < 0.2: (center, radius) per ball, and the closed form
+_RHO = 0.1
+_UNION_CASES = {
+    "inside": ([(1.15, 0.02)], np.pi * 0.02 ** 2),
+    "lens": ([(1.15, 0.02), (1.15 + 0.025j, 0.015)],
+             np.pi * (0.02 ** 2 + 0.015 ** 2) - _lens(0.02, 0.015, 0.025)),
+    "inner-cut": ([(1 + 0.11j, 0.03)], np.pi * 0.03 ** 2 - _lens(0.03, _RHO, 0.11)),
+    "outer-cut": ([(1 - 0.19, 0.03)], _lens(0.03, 2 * _RHO, 0.19)),
+    "both-cut": ([(1.15, 0.07)], _lens(0.07, 2 * _RHO, 0.15) - _lens(0.07, _RHO, 0.15)),
+    "nested": ([(1.15, 0.03), (1.155 + 0.005j, 0.01)], np.pi * 0.03 ** 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNION_CASES))
+def test_union_area_closed_forms(case):
+    discs, want = _UNION_CASES[case]
+    balls = [ExclusionBall((1,), complex(c), r, "lambda") for c, r in discs]
+    assert _union_area(balls, _RHO) == pytest.approx(want, rel=1e-12, abs=0)
+    assert _union_area(balls[::-1], _RHO) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("outer", [True, False], ids=["outer", "inner"])
+def test_union_area_of_a_small_ball_on_an_annulus_circle(outer):
+    # a thin crossing triangle: the cosine rule's arccos is 1e-5 off here
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    rho, r = 0.08, 1e-5
+    R = 2 * rho if outer else rho
+    center = 1 + R * np.exp(0.7j)
+    d, big, small = mp.mpf(abs(center - 1)), mp.mpf(R), mp.mpf(r)
+    a1 = mp.acos((d * d + small * small - big * big) / (2 * d * small))
+    a2 = mp.acos((d * d + big * big - small * small) / (2 * d * big))
+    lens = small ** 2 * (a1 - mp.sin(2 * a1) / 2) + big ** 2 * (a2 - mp.sin(2 * a2) / 2)
+    want = float(lens if outer else mp.pi * small ** 2 - lens)
+    ball = ExclusionBall((1,), complex(center), r, "lambda")
+    assert _union_area([ball], rho) == pytest.approx(want, rel=1e-6, abs=0)
+
+
+def test_union_area_of_disjoint_balls_inside_is_their_sum(omega):
+    rho = 0.02
+    balls = excluded_balls(GoodSetParams(A=0.1, N=1, tau=1.0, r0=1.0), omega, 4096, rho)
+    c = np.array([b.center for b in balls]) - 1.0
+    r = np.array([b.radius for b in balls])
+    gap = np.abs(c[:, None] - c[None, :]) - r[:, None] - r[None, :]
+    np.fill_diagonal(gap, np.inf)
+    assert len(balls) > 10 and gap.min() > 0
+    assert np.all(np.abs(c) - r > rho) and np.all(np.abs(c) + r < 2 * rho)
+    assert _union_area(balls, rho) == pytest.approx(np.pi * np.sum(r ** 2),
+                                                    rel=1e-12, abs=0)
+
+
+def _mc_union_area(balls, rho, samples, rng):
+    """Monte Carlo estimate of the clipped union area and its standard error,
+    from uniform samples in the annulus rho < |z-1| < 2 rho."""
+    hits = 0
+    chunk = 500_000   # samples held in memory at once
+    for lo in range(0, samples, chunk):
+        m = min(chunk, samples - lo)
+        rad = np.sqrt(rng.uniform(rho ** 2, (2 * rho) ** 2, m))
+        ang = rng.uniform(0.0, 2 * np.pi, m)
+        z = np.sort(1.0 + rad * np.exp(1j * ang))   # by real part
+        hit = np.zeros(m, dtype=bool)
+        for b in balls:
+            a, e = np.searchsorted(z.real, [b.center.real - b.radius,
+                                            b.center.real + b.radius])
+            hit[a:e] |= np.abs(z[a:e] - b.center) < b.radius
+        hits += int(np.count_nonzero(hit))
+    annulus = np.pi * ((2 * rho) ** 2 - rho ** 2)
+    frac = hits / samples
+    return frac * annulus, annulus * np.sqrt(frac * (1 - frac) / samples)
+
+
+def test_union_area_agrees_with_monte_carlo(omega):
+    # the criterion-8 level-0 balls: 208 of them, many overlapping
+    rho = 0.08
+    balls = excluded_balls(GoodSetParams(A=0.1, N=1, tau=1.0, r0=1.0), omega, 4096, rho)
+    est, stderr = _mc_union_area(balls, rho, 4_000_000, np.random.default_rng(0))
+    assert abs(_union_area(balls, rho) - est) <= 4 * stderr
 
 
 # -- cones ---------------------------------------------------------------------------

@@ -181,12 +181,21 @@ def test_bad_command_value_is_config_error(tmp_path, capsys, command, old, new):
     ("double", "rounds = 1", "rounds = 4", "rounds"),
     ("sweep", "steps = 5", "steps = 5\ndirection = 0", "direction"),
     ("sweep", "steps = 5", "steps = 0", "steps"),
+    ("atlas", "resolution = 24 24", "resolution = 0 0", "resolution"),
+    ("atlas", "resolution = 24 24", "resolution = 24 0", "resolution"),
+    ("atlas", "ball_kmax = 256", "ball_kmax = -1", "ball_kmax"),
+    ("atlas", "ball_kmax = 256", "ball_kmax = 0", "ball_kmax"),
+    ("atlas", "rho_band = 0.05", "rho_band = 0", "rho_band"),
+    ("atlas", "rho_band = 0.05", "rho_band = inf", "rho_band"),
+    ("atlas", "rho_band = 0.05", "rho_band = 0.05\nradius_scale = -1", "radius_scale"),
 ], ids=["lindstedt-order-17", "lindstedt-order-negative", "double-rounds-4",
-        "sweep-direction-0", "sweep-steps-0"])
+        "sweep-direction-0", "sweep-steps-0", "atlas-resolution-0-0",
+        "atlas-resolution-24-0", "atlas-ball-kmax-negative", "atlas-ball-kmax-0",
+        "atlas-rho-band-0", "atlas-rho-band-inf", "atlas-radius-scale-negative"])
 def test_out_of_range_command_value_is_config_error(tmp_path, capsys, command, old,
                                                     new, key):
     p = tmp_path / "bad.cfg"
-    p.write_text(GOLDEN.replace(old, new))
+    p.write_text(ATLAS.replace(old, new))
     assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 64
     assert f"[{command}].{key}" in capsys.readouterr().err
 
