@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohomology import DEFAULT_DIVISOR_FLOOR
-from .diophantine import GoodSetParams, lambda_in_good_set, mode_ball
+from .diophantine import GoodSetParams, resonances
 from .errors import DivisorTooSmall, KamtoriError, NoConvergence, NonDegeneracyFailure
 from .newton import run_newton
 
@@ -35,14 +35,6 @@ class ExclusionBall:
         return abs(complex(z) - self.center) < self.radius
 
 
-def _resonance_points(omega, k_max):
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    ks = mode_ball(omega.size, k_max)
-    roots = np.exp(2j * np.pi * np.remainder(ks @ omega, 1.0))
-    knorm = np.sum(np.abs(ks), axis=1).astype(float)
-    return ks, roots, knorm
-
-
 def excluded_balls(params: GoodSetParams, omega, k_max: int, rho_band: float,
                    radius_scale: float = DEFAULT_RADIUS_SCALE,
                    fam=None, plane: str = "lambda") -> list[ExclusionBall]:
@@ -53,7 +45,7 @@ def excluded_balls(params: GoodSetParams, omega, k_max: int, rho_band: float,
     lam(eps) = root (polished by a Newton iteration on the family's lam) and
     the radii rescaled by |lam'| at the center.
     """
-    ks, roots, knorm = _resonance_points(omega, k_max)
+    ks, roots, knorm = resonances(omega, k_max)
     radius = radius_scale * rho_band ** (params.N + 1) * knorm ** (-params.tau) / params.A
     dist = np.abs(roots - 1.0)
     keep = (dist > rho_band - radius) & (dist < 2.0 * rho_band + radius)
@@ -104,6 +96,7 @@ def _polish_root(fam, eps, target, rounds: int = 4):
 # -- grid classification ------------------------------------------------------
 
 INSIDE, EXCLUDED, OUTSIDE_R0 = 0, 1, 2
+_CHUNK_BYTES = 4 << 20     # complex cells x modes distances per classify chunk
 
 
 @dataclass(frozen=True)
@@ -125,12 +118,12 @@ class AtlasGrid:
 
 
 def classify_grid(plane: str, bounds, resolution, params: GoodSetParams,
-                  omega, fam=None, k_scan: int = 2048,
-                  chunk: int = 1024) -> AtlasGrid:
+                  omega, fam=None, k_scan: int = 2048) -> AtlasGrid:
     """Per-cell membership of the good set, deterministic for fixed scan.
 
     plane="lambda" tests the cell center directly; plane="epsilon" maps it
-    through the family's lam(eps) and adds the |eps| <= r0 gate.
+    through the family's lam(eps) and adds the |eps| <= r0 gate.  Cells are
+    scanned in chunks whose cells x modes distance array fits _CHUNK_BYTES.
     """
     nx, ny = resolution
     re0, re1, im0, im1 = bounds
@@ -150,12 +143,13 @@ def classify_grid(plane: str, bounds, resolution, params: GoodSetParams,
         raise ValueError(f"unknown plane {plane!r}")
 
     omega_v = np.atleast_1d(np.asarray(omega, dtype=float))
-    ks, roots, knorm = _resonance_points(omega_v, k_scan)
+    ks, roots, knorm = resonances(omega_v, k_scan)
     weight = knorm ** (-params.tau)
 
     status = np.full(zz.shape, INSIDE, dtype=np.int8)
     witness = np.zeros(zz.shape + (omega_v.size,), dtype=np.int64)
     factor = np.abs(lam - 1.0) ** (params.N + 1)
+    chunk = max(1, _CHUNK_BYTES // (16 * roots.size))
     for lo in range(0, zz.size, chunk):
         sl = slice(lo, min(lo + chunk, zz.size))
         dist = np.abs(roots[None, :] - lam[sl, None])
@@ -294,7 +288,7 @@ def circle_accessibility_fraction(omega, sigma: float, A: float, m: int,
     """Fraction of unit-circle points whose tangential cone clears the
     resonance balls of radius |k|^{-sigma}/A (the sigma > m*d regime makes
     this fraction approach 1 as gamma grows)."""
-    ks, roots, knorm = _resonance_points(omega, k_max)
+    ks, roots, knorm = resonances(omega, k_max)
     balls = [ExclusionBall(tuple(int(c) for c in ks[i]), complex(roots[i]),
                            float(knorm[i] ** (-sigma) / A), "lambda")
              for i in range(len(ks))]

@@ -87,13 +87,12 @@ class _Run:
 
 
 def _solver_start(cfg):
-    K0, mu0 = cfg.family.unperturbed_torus(cfg.omega, cfg.kmax)
-    return K0, mu0
+    return cfg.family.unperturbed_torus(cfg.omega, cfg.kmax)
 
 
 def cmd_solve(run: _Run):
     cfg = run.cfg
-    eps = cfg.section("solve")["eps"]
+    eps = cfg.sections["solve"]["eps"]
     if eps is None:
         raise ConfigError("missing key 'eps'", "[solve]")
     K0, mu0 = _solver_start(cfg)
@@ -136,7 +135,7 @@ def _emit_jet(run: _Run, jet):
 
 
 def cmd_lindstedt(run: _Run):
-    sec = run.cfg.section("lindstedt")
+    sec = run.cfg.sections["lindstedt"]
     order, eps0 = sec["order"], sec["eps0"]
     norms = _emit_jet(run, _expand_from_config(run, order, eps0))
     print(f"lindstedt order {order} at eps0={eps0}: "
@@ -146,7 +145,7 @@ def cmd_lindstedt(run: _Run):
 
 def cmd_double(run: _Run):
     cfg = run.cfg
-    sec = cfg.section("double")
+    sec = cfg.sections["double"]
     order, rounds = sec["order"], sec["rounds"]
     jet = _expand_from_config(run, order, 0.0)
     for _ in range(rounds):
@@ -162,7 +161,7 @@ def cmd_atlas(run: _Run):
     cfg = run.cfg
     if cfg.good_set is None:
         raise ConfigError("atlas needs a [goodset] section", "[goodset]")
-    sec = cfg.section("atlas")
+    sec = cfg.sections["atlas"]
     plane, bounds, rho_band = sec["plane"], sec["bounds"], sec["rho_band"]
 
     grid = classify_grid(plane, bounds, sec["resolution"], cfg.good_set, cfg.omega,
@@ -195,7 +194,7 @@ def cmd_atlas(run: _Run):
 
 def cmd_sweep(run: _Run):
     cfg = run.cfg
-    sec = cfg.section("sweep")
+    sec = cfg.sections["sweep"]
     start, end, steps = sec["start"], sec["end"], sec["steps"]
     if sec["direction"] is not None:
         u = sec["direction"] / abs(sec["direction"])

@@ -1,14 +1,32 @@
 """Run configuration: flat INI-style key-value sections.
 
-Unknown sections or keys are rejected with a location diagnostic; the golden
-mean frequency is entered symbolically ("golden") and expanded to full double
-precision internally so the frequency is never truncated in decimal.
+Every value is parsed and range-checked once, from the key table `_KEYS`;
+an unknown section or key, a missing required key (*) or a bad value is a
+ConfigError naming `<file>[<section>].<key>`.  Every number must be finite:
+
+    [family]     name dissipative_standard; kappa; alpha != 0; a integer
+                 >= 1; so lam(eps) = 1 + alpha eps^a
+    [frequency]  omega* the family's d components (golden, silver, p/q or
+                 a number); tau > 0
+    [solver]     tol, rho, divisor_floor > 0; delta0 > 0 or unset;
+                 max_iter integer >= 0; kmax integer >= 1
+    [goodset]    A*, r0* > 0; N* integer >= 0; kscan integer >= 1
+    [solve]      eps complex (one number, or real and imaginary parts)
+    [lindstedt]  order 0..16; eps0 complex
+    [double]     order 0..16; rounds >= 0, within the order cap
+    [sweep]      start, end complex; steps >= 1; direction complex != 0
+    [atlas]      plane lambda | epsilon; bounds 4 numbers; resolution 2
+                 integers >= 1; ball_kmax >= 1; rho_band, radius_scale > 0
+
+[family] must be present; an absent [goodset] means no good set (its keys
+are required only when it is present); any other absent section takes its
+defaults.  Named means are expanded to full double precision.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +35,15 @@ from .errors import ConfigError
 from .jets import MAX_ORDER_DOUBLE
 from .maps import DissipativeStandardMap
 
-_SILVER_MEAN = np.sqrt(2.0) - 1.0
+_NAMED_FREQUENCIES = {"golden": GOLDEN_MEAN, "golden-mean": GOLDEN_MEAN,
+                      "silver": np.sqrt(2.0) - 1.0, "silver-mean": np.sqrt(2.0) - 1.0}
+
+
+def _finite(text: str) -> float:
+    val = float(text)
+    if not np.isfinite(val):
+        raise ValueError("expected a finite number")
+    return val
 
 
 def _complex(text: str) -> complex:
@@ -25,7 +51,7 @@ def _complex(text: str) -> complex:
     toks = text.split()
     if len(toks) not in (1, 2):
         raise ValueError(f"expected 1 or 2 numbers, got {len(toks)}")
-    return complex(*(float(t) for t in toks))
+    return complex(*(_finite(t) for t in toks))
 
 
 def _int_in(lo: int, hi: int | None = None):
@@ -45,18 +71,32 @@ def _positive(text: str) -> float:
     return val
 
 
-def _nonzero_complex(text: str) -> complex:
-    val = _complex(text)
-    if val == 0:
-        raise ValueError("expected a nonzero number")
-    return val
+def _nonzero(cast):
+    def parse(text: str):
+        val = cast(text)
+        if val == 0:
+            raise ValueError("expected a nonzero number")
+        return val
+    return parse
+
+
+def _frequency(text: str) -> float:
+    """One frequency component: a named mean, a ratio p/q or a number."""
+    if text.lower() in _NAMED_FREQUENCIES:
+        return _NAMED_FREQUENCIES[text.lower()]
+    if "/" not in text:
+        return _finite(text)
+    num, den = text.split("/")
+    if int(den) == 0:
+        raise ValueError("zero denominator")
+    return float(int(num)) / float(int(den))
 
 
 def _numbers(cast, count: int):
     def parse(text: str) -> tuple:
         vals = tuple(cast(t) for t in text.split())
         if len(vals) != count:
-            raise ValueError(f"expected {count} numbers, got {len(vals)}")
+            raise ValueError(f"expected {count} entries, got {len(vals)}")
         return vals
     return parse
 
@@ -69,28 +109,33 @@ def _choice(*names):
     return parse
 
 
-# command sections: key -> (parser, value when the key is absent or empty);
-# each parser checks the value's type and range
+_REQUIRED = object()   # default of a key that must be given
+
+# section -> key -> (parser, value when the key is absent or empty); each
+# parser checks the value's type and range and raises ValueError
 _JET_ORDER = _int_in(0, MAX_ORDER_DOUBLE)
-_COMMAND_KEYS = {
+_KEYS = {
+    "family": {"name": (_choice("dissipative_standard"), "dissipative_standard"),
+               "kappa": (_finite, 0.5), "alpha": (_nonzero(_finite), 1.0),
+               "a": (_int_in(1), 1)},
+    "frequency": {"omega": (_numbers(_frequency, DissipativeStandardMap.dim), _REQUIRED),
+                  "tau": (_positive, 1.0)},
+    # the keys of [solver] are the RunConfig fields they set
+    "solver": {"tol": (_positive, 1e-12), "max_iter": (_int_in(0), 20),
+               "rho": (_positive, 0.1), "delta0": (_positive, None),
+               "kmax": (_int_in(1), 64), "divisor_floor": (_positive, 1e-12)},
+    "goodset": {"A": (_positive, _REQUIRED), "N": (_int_in(0), _REQUIRED),
+                "r0": (_positive, _REQUIRED), "kscan": (_int_in(1), 4096)},
     "solve": {"eps": (_complex, None)},
     "lindstedt": {"order": (_JET_ORDER, 4), "eps0": (_complex, 0j)},
     "double": {"order": (_JET_ORDER, 1), "rounds": (_int_in(0), 2)},
     "atlas": {"plane": (_choice("lambda", "epsilon"), "lambda"),
-              "bounds": (_numbers(float, 4), (0.7, 1.3, -0.3, 0.3)),
+              "bounds": (_numbers(_finite, 4), (0.7, 1.3, -0.3, 0.3)),
               "resolution": (_numbers(_int_in(1), 2), (200, 200)),
               "ball_kmax": (_int_in(1), 512), "rho_band": (_positive, 0.05),
               "radius_scale": (_positive, 1.0)},
     "sweep": {"start": (_complex, complex(0.01)), "end": (_complex, complex(0.1)),
-              "steps": (_int_in(1), 10), "direction": (_nonzero_complex, None)},
-}
-
-_SCHEMA = {
-    "family": {"name", "kappa", "alpha", "a"},
-    "frequency": {"omega", "tau"},
-    "solver": {"tol", "max_iter", "rho", "delta0", "kmax", "divisor_floor"},
-    "goodset": {"A", "N", "r0", "kscan"},
-    **{sec: set(keys) for sec, keys in _COMMAND_KEYS.items()},
+              "steps": (_int_in(1), 10), "direction": (_nonzero(_complex), None)},
 }
 
 
@@ -99,41 +144,15 @@ class RunConfig:
     family: DissipativeStandardMap
     omega: np.ndarray
     tau: float
-    tol: float = 1e-12
-    max_iter: int = 20
-    rho: float = 0.1
-    delta0: float | None = None
-    kmax: int = 64
-    divisor_floor: float = 1e-12
-    good_set: GoodSetParams | None = None
-    k_scan: int = 4096
-    sections: dict = field(default_factory=dict)   # typed command values
-
-    def section(self, name: str) -> dict:
-        return self.sections[name]
-
-
-def _parse_omega(text: str, where: str) -> np.ndarray:
-    parts = text.split()
-    out = []
-    for p in parts:
-        low = p.lower()
-        if low in ("golden", "golden-mean"):
-            out.append(GOLDEN_MEAN)
-        elif low in ("silver", "silver-mean"):
-            out.append(_SILVER_MEAN)
-        else:
-            try:
-                if "/" in p:
-                    num, den = p.split("/")
-                    out.append(float(int(num)) / float(int(den)))
-                else:
-                    out.append(float(p))
-            except ValueError:
-                raise ConfigError(f"cannot parse frequency component {p!r}", where)
-    if not out:
-        raise ConfigError("frequency omega is empty", where)
-    return np.array(out)
+    tol: float
+    max_iter: int
+    rho: float
+    delta0: float | None
+    kmax: int
+    divisor_floor: float
+    good_set: GoodSetParams | None
+    k_scan: int | None           # [goodset].kscan; None without a good set
+    sections: dict               # section -> key -> typed value
 
 
 def load_config(path) -> RunConfig:
@@ -147,65 +166,31 @@ def load_config(path) -> RunConfig:
         raise ConfigError(str(err), str(path))
 
     for sec in parser.sections():
-        if sec not in _SCHEMA:
+        if sec not in _KEYS:
             raise ConfigError(f"unknown section [{sec}]", str(path))
         for key in parser[sec]:
-            if key not in {k.lower() for k in _SCHEMA[sec]}:
+            if key not in {k.lower() for k in _KEYS[sec]}:
                 raise ConfigError(f"unknown key {key!r}", f"{path}[{sec}]")
+    if not parser.has_section("family"):
+        raise ConfigError("missing section [family]", str(path))
 
-    def get(sec, key, cast, default=None, required=False):
+    def get(sec, key, cast, default):
         where = f"{path}[{sec}].{key}"
-        if not parser.has_option(sec, key):
-            if required:
-                raise ConfigError(f"missing required key {key!r}", where)
-            return default
-        raw = parser.get(sec, key).strip()
+        raw = parser.get(sec, key, fallback="").strip()
         if raw == "":
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required key {key!r}", where)
             return default
         try:
             return cast(raw)
-        except (ValueError, TypeError) as err:
+        except (ValueError, TypeError, OverflowError) as err:
             raise ConfigError(f"invalid value {raw!r} ({err})", where)
 
-    if not parser.has_section("family"):
-        raise ConfigError("missing section [family]", str(path))
-    name = get("family", "name", str, default="dissipative_standard")
-    if name != "dissipative_standard":
-        raise ConfigError(f"unknown family {name!r}", f"{path}[family].name")
-    fam = DissipativeStandardMap(
-        kappa=get("family", "kappa", float, default=0.5),
-        alpha=complex(get("family", "alpha", float, default=1.0)),
-        a=get("family", "a", int, default=1),
-    )
-
-    if not parser.has_section("frequency") or not parser.has_option("frequency", "omega"):
-        raise ConfigError("missing [frequency].omega", str(path))
-    omega = _parse_omega(parser.get("frequency", "omega"), f"{path}[frequency].omega")
-    tau = get("frequency", "tau", float, default=1.0)
-
-    cfg = RunConfig(family=fam, omega=omega, tau=tau)
-    if parser.has_section("solver"):
-        cfg.tol = get("solver", "tol", float, default=cfg.tol)
-        cfg.max_iter = get("solver", "max_iter", int, default=cfg.max_iter)
-        cfg.rho = get("solver", "rho", float, default=cfg.rho)
-        cfg.delta0 = get("solver", "delta0", float, default=None)
-        cfg.kmax = get("solver", "kmax", int, default=cfg.kmax)
-        cfg.divisor_floor = get("solver", "divisor_floor", float,
-                                default=cfg.divisor_floor)
-    if parser.has_section("goodset"):
-        cfg.good_set = GoodSetParams(
-            A=get("goodset", "A", float, required=True),
-            N=get("goodset", "N", int, required=True),
-            tau=tau,
-            r0=get("goodset", "r0", float, required=True),
-        )
-        cfg.k_scan = get("goodset", "kscan", int, default=cfg.k_scan)
-
-    for sec, keys in _COMMAND_KEYS.items():
-        cfg.sections[sec] = {key: get(sec, key, cast, default)
-                             for key, (cast, default) in keys.items()}
+    values = {sec: {key: get(sec, key, *spec) for key, spec in keys.items()}
+              for sec, keys in _KEYS.items()
+              if sec != "goodset" or parser.has_section(sec)}
     # each doubling takes a jet of order N to order 2N + 1
-    order, rounds = cfg.sections["double"]["order"], cfg.sections["double"]["rounds"]
+    order, rounds = values["double"]["order"], values["double"]["rounds"]
     final = order
     for done in range(1, rounds + 1):
         final = 2 * final + 1
@@ -213,4 +198,14 @@ def load_config(path) -> RunConfig:
             raise ConfigError(
                 f"doubling {done} of {rounds} from order {order} reaches order "
                 f"{final}, beyond the cap {MAX_ORDER_DOUBLE}", f"{path}[double].rounds")
-    return cfg
+
+    fam, freq = values["family"], values["frequency"]
+    good = values.get("goodset")
+    return RunConfig(
+        family=DissipativeStandardMap(kappa=fam["kappa"], alpha=complex(fam["alpha"]),
+                                      a=fam["a"]),
+        omega=np.array(freq["omega"]), tau=freq["tau"],
+        good_set=None if good is None else GoodSetParams(
+            A=good["A"], N=good["N"], tau=freq["tau"], r0=good["r0"]),
+        k_scan=None if good is None else good["kscan"],
+        sections=values, **values["solver"])

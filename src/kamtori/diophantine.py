@@ -41,11 +41,14 @@ def mode_ball(dim: int, k_scan: int) -> np.ndarray:
     return np.array(ks, dtype=int)
 
 
-def _phases(omega, ks) -> np.ndarray:
-    """e^{2 pi i k.omega} for all rows k, computed from k.omega mod 1."""
+def resonances(omega, k_scan: int):
+    """The resonance table over the mode ball 0 < |k|_1 <= k_scan: the modes
+    ks (from `mode_ball`), the phases e^{2 pi i k.omega} (computed from
+    k.omega mod 1) and the norms |k|_1 as floats."""
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    frac = np.remainder(ks @ omega, 1.0)
-    return np.exp(2j * np.pi * frac)
+    ks = mode_ball(omega.size, k_scan)
+    phases = np.exp(2j * np.pi * np.remainder(ks @ omega, 1.0))
+    return ks, phases, np.sum(np.abs(ks), axis=1).astype(float)
 
 
 @dataclass(frozen=True)
@@ -67,18 +70,12 @@ def nu_omega(omega, tau: float, k_scan: int) -> NuEstimate:
     if k_scan < 1:
         raise ValueError("k_scan must be >= 1")
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    if omega.size == 1:
-        # |e^{2 pi i k w} - 1| = 2 |sin(pi k w)|; conjugate modes match, scan k > 0
-        k = np.arange(1, k_scan + 1)
-        frac = np.remainder(k * float(omega[0]), 1.0)
-        divisors = 2.0 * np.abs(np.sin(np.pi * frac))
-        knorm = k.astype(float)
-        ks = k.reshape(-1, 1)
-    else:
-        ks = mode_ball(omega.size, k_scan)
-        divisors = np.abs(_phases(omega, ks) - 1.0)
-        knorm = np.sum(np.abs(ks), axis=1).astype(float)
-    return _reduce(ks, divisors, knorm, tau, k_scan)
+    if omega.size > 1:
+        return nu_lambda(1.0, omega, tau, k_scan)
+    # |e^{2 pi i k w} - 1| = 2 |sin(pi k w)|; conjugate modes match, scan k > 0
+    k = np.arange(1, k_scan + 1)
+    divisors = 2.0 * np.abs(np.sin(np.pi * np.remainder(k * float(omega[0]), 1.0)))
+    return _reduce(k.reshape(-1, 1), divisors, k.astype(float), tau, k_scan)
 
 
 def nu_lambda(lam: complex, omega, tau: float, k_scan: int) -> NuEstimate:
@@ -89,11 +86,8 @@ def nu_lambda(lam: complex, omega, tau: float, k_scan: int) -> NuEstimate:
     """
     if k_scan < 1:
         raise ValueError("k_scan must be >= 1")
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    ks = mode_ball(omega.size, k_scan)
-    divisors = np.abs(_phases(omega, ks) - complex(lam))
-    knorm = np.sum(np.abs(ks), axis=1).astype(float)
-    return _reduce(ks, divisors, knorm, tau, k_scan)
+    ks, phases, knorm = resonances(omega, k_scan)
+    return _reduce(ks, np.abs(phases - complex(lam)), knorm, tau, k_scan)
 
 
 def _reduce(ks, divisors, knorm, tau, k_scan) -> NuEstimate:
@@ -109,15 +103,14 @@ def _reduce(ks, divisors, knorm, tau, k_scan) -> NuEstimate:
 
 
 def scan_trace(omega, tau: float, k_scan: int, lam: complex | None = None):
-    """(|k|, divisor, running sup) rows for plotting; d=1 only scans k > 0
-    when lam is None (conjugate symmetry), both signs otherwise."""
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    ks = mode_ball(omega.size, k_scan)
-    order = np.argsort(np.sum(np.abs(ks), axis=1), kind="stable")
-    ks = ks[order]
+    """(|k|, divisor, running sup) rows for plotting, over the whole resonance
+    table (both signs of k, also for d=1) in stable order of |k|; lam=None
+    scans the divisors to 1."""
+    ks, phases, knorm = resonances(omega, k_scan)
+    order = np.argsort(knorm, kind="stable")
+    ks, knorm = ks[order], knorm[order]
     target = 1.0 + 0j if lam is None else complex(lam)
-    divisors = np.abs(_phases(omega, ks) - target)
-    knorm = np.sum(np.abs(ks), axis=1).astype(float)
+    divisors = np.abs(phases[order] - target)
     with np.errstate(divide="ignore"):
         terms = np.where(divisors < _ZERO_DIVISOR, np.inf, 1.0 / (divisors * knorm ** tau))
     running = np.maximum.accumulate(terms)

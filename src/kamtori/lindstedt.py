@@ -69,10 +69,8 @@ class EpsilonJet:
         return TorusEmbedding(self.K_coeffs[0])
 
     def embedding_at(self, eps) -> TorusEmbedding:
-        de = complex(eps) - self.eps0
-        acc = self.K_coeffs[-1].coeffs.astype(complex)
-        for j in range(self.order - 1, -1, -1):
-            acc = acc * de + self.K_coeffs[j].coeffs
+        acc = jets.poly_eval(np.stack([K.coeffs for K in self.K_coeffs]),
+                             complex(eps) - self.eps0)
         return TorusEmbedding(FourierSeries(self.dim, self.kmax, acc))
 
     def mu_at(self, eps) -> np.ndarray:
@@ -215,13 +213,11 @@ def residual_tail_norm(fam, jet: EpsilonJet, omega, eps_values,
     down to defects of 1e-30 and below.
     """
     rs = residual_jet(fam, jet, omega, through)
-    tail = rs[jet.order + 1:]
+    tail = np.stack([r.coeffs for r in rs[jet.order + 1:]])
     out = []
     for eps in np.atleast_1d(eps_values):
         de = complex(eps) - jet.eps0
-        acc = tail[-1].coeffs.astype(complex)
-        for r in tail[-2::-1]:
-            acc = acc * de + r.coeffs
+        acc = jets.poly_eval(tail, de)
         series = FourierSeries(jet.dim, jet.kmax, acc * de ** (jet.order + 1))
         out.append(series.analytic_norm(0.0))
     return np.array(out)

@@ -1,11 +1,15 @@
 import os
 import stat
 import textwrap
+from pathlib import Path
 
 import pytest
 
 from kamtori.cli import main
+from kamtori.config import load_config
 from kamtori.newton import load_solution
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GOLDEN = textwrap.dedent("""\
     [family]
@@ -80,12 +84,15 @@ def test_missing_omega_is_usage_error(tmp_path, capsys):
     assert "omega" in capsys.readouterr().err
 
 
-def test_unknown_key_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("section", ["family", "frequency", "solver", "goodset", "solve",
+                                     "lindstedt", "double", "sweep", "atlas"])
+def test_unknown_key_rejected(tmp_path, capsys, section):
     p = tmp_path / "bad.cfg"
-    p.write_text(GOLDEN.replace("[solver]\n", "[solver]\nwarp = 9\n"))
+    p.write_text(ATLAS.replace(f"[{section}]\n", f"[{section}]\nwarp = 9\n"))
     code = main(["solve", "--config", str(p), "--out", str(tmp_path / "o")])
     assert code == 64
-    assert "'warp'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "'warp'" in err and f"[{section}]" in err
 
 
 def test_unknown_section_rejected(tmp_path):
@@ -188,10 +195,13 @@ def test_bad_command_value_is_config_error(tmp_path, capsys, command, old, new):
     ("atlas", "rho_band = 0.05", "rho_band = 0", "rho_band"),
     ("atlas", "rho_band = 0.05", "rho_band = inf", "rho_band"),
     ("atlas", "rho_band = 0.05", "rho_band = 0.05\nradius_scale = -1", "radius_scale"),
+    ("solve", "eps = 0.0", "eps = nan", "eps"),
+    ("atlas", "bounds = 0.9 1.1 -0.1 0.1", "bounds = 0.9 inf -0.1 0.1", "bounds"),
 ], ids=["lindstedt-order-17", "lindstedt-order-negative", "double-rounds-4",
         "sweep-direction-0", "sweep-steps-0", "atlas-resolution-0-0",
         "atlas-resolution-24-0", "atlas-ball-kmax-negative", "atlas-ball-kmax-0",
-        "atlas-rho-band-0", "atlas-rho-band-inf", "atlas-radius-scale-negative"])
+        "atlas-rho-band-0", "atlas-rho-band-inf", "atlas-radius-scale-negative",
+        "solve-eps-nan", "atlas-bounds-inf"])
 def test_out_of_range_command_value_is_config_error(tmp_path, capsys, command, old,
                                                     new, key):
     p = tmp_path / "bad.cfg"
@@ -209,3 +219,56 @@ def test_outputs_honor_umask(golden_cfg, tmp_path):
         os.umask(old)
     for name in ("solution.txt", "newton_trace.txt", "manifest.txt"):
         assert stat.S_IMODE(os.stat(out / name).st_mode) == 0o644
+
+
+@pytest.mark.parametrize("command, edits, where", [
+    ("solve", {"A = 0.5": "A = -1"}, "[goodset].A"),
+    ("solve", {"N = 2": "N = -1"}, "[goodset].N"),
+    ("solve", {"r0 = 0.3": "r0 = 0"}, "[goodset].r0"),
+    ("verify", {"kscan = 2048": "kscan = 0"}, "[goodset].kscan"),
+    ("solve", {"kmax = 32": "kmax = -3"}, "[solver].kmax"),
+    ("solve", {"kmax = 32": "kmax = 0"}, "[solver].kmax"),
+    ("solve", {"rho = 0.1": "rho = -1"}, "[solver].rho"),
+    ("solve", {"rho = 0.1": "rho = 0.1\ndivisor_floor = -1"}, "[solver].divisor_floor"),
+    ("solve", {"rho = 0.1": "rho = 0.1\ndelta0 = -1"}, "[solver].delta0"),
+    ("solve", {"max_iter = 20": "max_iter = -1"}, "[solver].max_iter"),
+    ("solve", {"tol = 1e-12": "tol = -1"}, "[solver].tol"),
+    ("solve", {"omega = golden": "omega = 1/0"}, "[frequency].omega"),
+    ("solve", {"omega = golden": "omega = golden golden"}, "[frequency].omega"),
+    ("solve", {"omega = golden": "omega = nan"}, "[frequency].omega"),
+    ("solve", {"omega = golden": "omega = 1/" + "1" * 400}, "[frequency].omega"),
+    ("atlas", {"tau = 1.0": "tau = -1"}, "[frequency].tau"),
+    ("solve", {"a = 1": "a = 0"}, "[family].a"),
+    ("solve", {"kappa = 0.5": "kappa = nan"}, "[family].kappa"),
+    ("atlas", {"alpha = 1.0": "alpha = 0", "plane = lambda": "plane = epsilon"},
+     "[family].alpha"),
+], ids=["goodset-A-negative", "goodset-N-negative", "goodset-r0-0", "goodset-kscan-0",
+        "solver-kmax-negative", "solver-kmax-0", "solver-rho-negative",
+        "solver-divisor-floor-negative", "solver-delta0-negative",
+        "solver-max-iter-negative", "solver-tol-negative", "frequency-omega-1/0",
+        "frequency-omega-2-components", "frequency-omega-nan", "frequency-omega-overflow",
+        "frequency-tau-negative", "family-a-0", "family-kappa-nan", "family-alpha-0"])
+def test_out_of_range_run_value_is_config_error(tmp_path, capsys, command, edits, where):
+    text = ATLAS
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    p = tmp_path / "bad.cfg"
+    p.write_text(text)
+    assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 64
+    assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["A", "N", "r0"])
+def test_missing_goodset_key_is_config_error(tmp_path, capsys, key):
+    lines = [l for l in ATLAS.splitlines() if not l.startswith(f"{key} = ")]
+    p = tmp_path / "bad.cfg"
+    p.write_text("\n".join(lines) + "\n")
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 64
+    assert f"[goodset].{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+def test_committed_config_loads(path):
+    cfg = load_config(path)
+    assert cfg.omega.size == cfg.family.dim

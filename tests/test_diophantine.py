@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from kamtori.diophantine import (GOLDEN_MEAN, Frequency, GoodSetParams,
                                  in_good_set, lambda_in_good_set, mode_ball,
-                                 nu_lambda, nu_omega, scan_trace)
+                                 nu_lambda, nu_omega, resonances, scan_trace)
 
 # frozen by a 50-digit scan over |k| <= 1e5: the sup sits at k = 1
 NU_GOLDEN_TAU1 = 0.53646202345015873
@@ -160,3 +160,22 @@ def test_scan_trace_running_sup():
     running = trace[:, 2]
     assert np.all(np.diff(running) >= 0)
     assert running[-1] == pytest.approx(nu_omega(GOLDEN_MEAN, 1.0, 200).value)
+
+
+@pytest.mark.parametrize("omega", [GOLDEN_MEAN, [GOLDEN_MEAN, np.sqrt(2.0) - 1.0]],
+                         ids=["d1", "d2"])
+def test_resonance_table_matches_direct_scan(omega):
+    # every scan reads one resonance table; the direct per-use computation
+    # (phases of the sorted modes, divisors to 1) is the bit-for-bit reference
+    om = np.atleast_1d(omega)
+    ks, phases, knorm = resonances(om, 40)
+    assert np.array_equal(ks, mode_ball(om.size, 40))
+    assert np.array_equal(knorm, np.abs(ks).sum(axis=1))
+    trace, kt = scan_trace(om, 1.3, 40, lam=0.9 + 0.05j)
+    kt_ref = ks[np.argsort(np.abs(ks).sum(axis=1), kind="stable")]
+    div_ref = np.abs(np.exp(2j * np.pi * np.remainder(kt_ref @ om, 1.0)) - (0.9 + 0.05j))
+    assert np.array_equal(kt, kt_ref) and np.array_equal(trace[:, 1], div_ref)
+    if om.size > 1:
+        nu = nu_omega(om, 1.3, 40)
+        terms = 1.0 / (np.abs(phases - 1.0) * knorm ** 1.3)
+        assert nu.value == terms.max() and nu.k == tuple(ks[np.argmax(terms)])

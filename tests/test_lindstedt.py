@@ -266,6 +266,25 @@ def test_tail_vs_direct_cross_validation(fam, omega, base_torus):
         assert abs(direct - tail) <= 0.01 * direct
 
 
+def test_polynomial_evaluation_matches_horner_loop(fam, omega, jet4):
+    # embedding_at and residual_tail_norm evaluate through jets.poly_eval; a
+    # Horner loop over the FourierSeries coefficients is the bit-for-bit reference
+    def horner(series, de):
+        acc = series[-1].coeffs.astype(complex)
+        for s in series[-2::-1]:
+            acc = acc * de + s.coeffs
+        return acc
+
+    tail = residual_jet(fam, jet4, omega, 9)[jet4.order + 1:]
+    for eps in (0.01, 0.03 + 0.01j, -0.2):
+        de = complex(eps) - jet4.eps0
+        assert np.array_equal(jet4.embedding_at(eps).periodic.coeffs,
+                              horner(jet4.K_coeffs, de))
+        ref = FourierSeries(jet4.dim, jet4.kmax, horner(tail, de) * de ** 5)
+        assert residual_tail_norm(fam, jet4, omega, [eps], through=9)[0] \
+            == ref.analytic_norm(0.0)
+
+
 def test_point_oracle_extended_precision(fam, omega, base_torus):
     # evaluate the defect of the truncated polynomial at one angle in 40-digit
     # arithmetic and compare against the Taylor-tail prediction
