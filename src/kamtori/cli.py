@@ -62,6 +62,7 @@ def _atomic_write(path, text: str):
 class _Run:
     def __init__(self, args):
         self.cfg = load_config(args.config)
+        self.config = args.config
         self.out = args.out
         self.seed = args.seed
         self.force = args.force
@@ -94,7 +95,7 @@ def cmd_solve(run: _Run):
     cfg = run.cfg
     eps = cfg.sections["solve"]["eps"]
     if eps is None:
-        raise ConfigError("missing key 'eps'", "[solve]")
+        raise ConfigError("missing required key 'eps'", f"{run.config}[solve].eps")
     K0, mu0 = _solver_start(cfg)
     sol = run_newton(cfg.family, K0, mu0, cfg.omega, eps, tol=cfg.tol,
                      max_iter=cfg.max_iter, rho=cfg.rho, delta0=cfg.delta0,
@@ -160,7 +161,7 @@ def cmd_double(run: _Run):
 def cmd_atlas(run: _Run):
     cfg = run.cfg
     if cfg.good_set is None:
-        raise ConfigError("atlas needs a [goodset] section", "[goodset]")
+        raise ConfigError("atlas needs a [goodset] section", f"{run.config}[goodset]")
     sec = cfg.sections["atlas"]
     plane, bounds, rho_band = sec["plane"], sec["bounds"], sec["rho_band"]
 

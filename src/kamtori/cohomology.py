@@ -51,6 +51,48 @@ def divisor_grid(dim: int, kmax: int, lam: complex, omega) -> np.ndarray:
     return complex(lam) - np.exp(2j * np.pi * np.remainder(phase, 1.0))
 
 
+_DIVISOR_TABLE_SIZE = 8
+
+
+@lru_cache(maxsize=_DIVISOR_TABLE_SIZE)
+def _divisor_table(dim: int, kmax: int, lam_bytes: bytes, omega_bytes: bytes,
+                   floor_shape: tuple, floor_bytes: bytes) -> tuple:
+    """One entry (inv, gain, witness) of the divisor table: the read-only
+    1/(lam - e^{2 pi i k.omega}) over the mode box with the solve's k = 0
+    entry, and the largest gain off k = 0; or, when a divisor is below the
+    floor, (None, None, the (k, |divisor|, floor) of the smallest one)."""
+    lam = complex(np.frombuffer(lam_bytes, dtype=np.complex128)[0])
+    div = divisor_grid(dim, kmax, lam, np.frombuffer(omega_bytes))
+    center = (kmax,) * dim
+
+    absdiv = np.abs(div)
+    floor = np.broadcast_to(np.frombuffer(floor_bytes).reshape(floor_shape), absdiv.shape)
+
+    # the k = 0 divisor is lam - 1, not a resonance; it is handled below
+    bad = absdiv < floor
+    bad[center] = False
+    if np.any(bad):
+        idx = np.unravel_index(int(np.argmin(np.where(bad, absdiv, np.inf))), absdiv.shape)
+        return None, None, (tuple(int(i) - kmax for i in idx), absdiv[idx], floor[idx])
+
+    side = np.ones_like(absdiv, dtype=bool)
+    side[center] = False
+    inv = np.zeros_like(div)
+    inv[side] = 1.0 / div[side]
+    if abs(lam - 1.0) > _AVG_TWIST_TOL:
+        inv[center] = 1.0 / (lam - 1.0)
+    inv.setflags(write=False)
+    return inv, float(np.max(1.0 / absdiv[side])) if np.any(side) else 0.0, None
+
+
+def _divisors(dim: int, kmax: int, lam: complex, omega, divisor_floor) -> tuple:
+    """The table entry of (d, kmax, lam, omega, floor), looked up by bytes."""
+    floor = np.asarray(divisor_floor, dtype=float)
+    return _divisor_table(dim, kmax, np.complex128(lam).tobytes(),
+                          np.atleast_1d(np.asarray(omega, dtype=float)).tobytes(),
+                          floor.shape, floor.tobytes())
+
+
 def solve_twisted(eta: FourierSeries, lam: complex, omega,
                   divisor_floor=DEFAULT_DIVISOR_FLOOR) -> CohomologySolution:
     """Solve lam*phi - phi o T_omega = eta mode by mode.
@@ -61,40 +103,29 @@ def solve_twisted(eta: FourierSeries, lam: complex, omega,
     (e.g. a |k|-dependent threshold); any divisor below it raises
     DivisorTooSmall, flagging the parameter as outside the good set at this
     cutoff.
+
+    The inverse divisors (with the k = 0 entry), the largest gain and the
+    DivisorTooSmall witness come from a table of at most 8 entries, keyed by
+    the bytes of (d, kmax, lam, omega, floor): only bit-equal inputs share an
+    entry, and a hit is one multiply by the entry's read-only inverse.  The
+    least recently used entry is dropped first.
     """
     lam = complex(lam)
     dim, kmax = eta.dim, eta.kmax
-    div = divisor_grid(dim, kmax, lam, omega)
-    center = (kmax,) * dim
+    inv, gain, witness = _divisors(dim, kmax, lam, omega, divisor_floor)
+    if witness is not None:
+        raise DivisorTooSmall(*witness)
 
-    absdiv = np.abs(div)
-    floor = np.broadcast_to(np.asarray(divisor_floor, dtype=float), absdiv.shape)
     untwisted = abs(lam - 1.0) <= _AVG_TWIST_TOL
-
-    # the k = 0 divisor is lam - 1, not a resonance; it is handled below
-    bad = absdiv < floor
-    bad[center] = False
-    if np.any(bad):
-        idx = np.unravel_index(int(np.argmin(np.where(bad, absdiv, np.inf))), absdiv.shape)
-        k = tuple(int(i) - kmax for i in idx)
-        raise DivisorTooSmall(k, absdiv[idx], floor[idx])
-
-    inv = np.zeros_like(div)
-    side = np.ones_like(absdiv, dtype=bool)
-    side[center] = False
-    inv[side] = 1.0 / div[side]
     if untwisted:
         avg = eta.average()
         scale = eta.analytic_norm(0.0)
         if np.max(np.abs(np.atleast_1d(avg))) > 1e-12 * max(scale, 1e-30):
             raise ValueError("eta must have zero average when lam = 1")
         # phi_0 = 0: the unique zero-average solution
-    else:
-        inv[center] = 1.0 / (lam - 1.0)
 
     phi_coeffs = eta.coeffs * inv.reshape(inv.shape + (1,) * len(eta.value_shape))
     phi = FourierSeries(dim, kmax, phi_coeffs, zero_average=untwisted)
-    gain = float(np.max(1.0 / absdiv[side])) if np.any(side) else 0.0
     return CohomologySolution(phi, gain, eta, lam, omega)
 
 

@@ -118,26 +118,6 @@ def scan_trace(omega, tau: float, k_scan: int, lam: complex | None = None):
 
 
 @dataclass(frozen=True)
-class Frequency:
-    """A frequency vector with its cached finite-scan Diophantine estimate."""
-
-    omega: np.ndarray
-    tau: float
-    k_scan: int
-    nu_omega_est: NuEstimate
-
-    @classmethod
-    def build(cls, omega, tau: float, k_scan: int) -> "Frequency":
-        omega = np.atleast_1d(np.asarray(omega, dtype=float)).copy()
-        omega.setflags(write=False)
-        return cls(omega, float(tau), int(k_scan), nu_omega(omega, tau, k_scan))
-
-    @property
-    def dim(self) -> int:
-        return int(self.omega.size)
-
-
-@dataclass(frozen=True)
 class GoodSetParams:
     """Parameters of the good set: nu(lam; omega, tau) |lam - 1|^{N+1} <= A."""
 

@@ -5,6 +5,13 @@ may be scalar, vector or matrix valued.  The analytic norm is the weighted-l1
 majorant  sum_k |c_k| e^{2 pi rho |k|_1},  an upper bound for the supremum of
 the function on the strip |Im theta_j| <= rho; all norm-based bounds in the
 package are stated for this majorant.
+
+Grid transforms call the one-dimensional `np.fft.ifft` / `np.fft.fft` once
+per angle axis, last axis first, which is the order and the pocketfft call
+`np.fft.ifftn` / `np.fft.fftn` make themselves, so the samples are those of
+the n-dimensional transform bit for bit.  Each call transforms every line
+along its axis on its own, so series packed side by side on the value axes
+transform exactly as they would one at a time.
 """
 
 from __future__ import annotations
@@ -309,7 +316,9 @@ def to_grid(series: FourierSeries, n: int) -> np.ndarray:
     d = series.dim
     buf = np.zeros((n,) * d + series.value_shape, dtype=series.coeffs.dtype)
     buf[_fft_index(d, series.kmax, n)] = series.coeffs
-    return np.fft.ifftn(buf, axes=tuple(range(d))) * (n ** d)
+    for axis in reversed(range(d)):
+        buf = np.fft.ifft(buf, axis=axis)
+    return buf * (n ** d)
 
 
 def from_grid(values: np.ndarray, dim: int, kmax: int, **flags) -> FourierSeries:
@@ -324,7 +333,9 @@ def from_grid(values: np.ndarray, dim: int, kmax: int, **flags) -> FourierSeries
     n = values.shape[0]
     if n < 2 * kmax + 1:
         raise ValueError(f"grid size {n} below Nyquist bound {2 * kmax + 1} for kmax={kmax}")
-    chat = np.fft.fftn(np.asarray(values, dtype=np.complex128), axes=tuple(range(dim)))
+    chat = np.asarray(values, dtype=np.complex128)
+    for axis in reversed(range(dim)):
+        chat = np.fft.fft(chat, axis=axis)
     coeffs = chat[_fft_index(dim, kmax, n)]
     coeffs /= n ** dim
     return FourierSeries(dim, kmax, coeffs, **flags)

@@ -97,26 +97,6 @@ class EpsilonJet:
                           self.lambda_coeffs[: n + 1] - other.lambda_coeffs[: n + 1])
 
 
-# -- jet arithmetic (thin public wrappers over the kernels) -------------------
-
-def jet_add(a, b, order=None):
-    a, b = np.asarray(a), np.asarray(b)
-    n = (min(a.shape[0], b.shape[0]) - 1) if order is None else order
-    return jets.pad(a, n) + jets.pad(b, n)
-
-
-def jet_mul(a, b, order=None):
-    """Cauchy product of coefficient jets (exact truncated algebra)."""
-    return jets.cauchy(np.asarray(a), np.asarray(b), order=order)
-
-
-def jet_compose_with_family(fam, jet: EpsilonJet):
-    """Jet of f_{mu(eps),eps} o K(eps) on the sampling grid."""
-    n = _grid_size(jet.kmax)
-    x = _lift_jet(jet, n)
-    return fam.jet_apply(x, jet.mu_coeffs, jet.eps0)
-
-
 def _lift_jet(jet: EpsilonJet, n: int, order=None, omega=None) -> np.ndarray:
     """Grid jet of the embedding lift, or of K o T_omega when omega is given;
     order 0 carries the identity part."""
@@ -221,14 +201,6 @@ def residual_tail_norm(fam, jet: EpsilonJet, omega, eps_values,
         series = FourierSeries(jet.dim, jet.kmax, acc * de ** (jet.order + 1))
         out.append(series.analytic_norm(0.0))
     return np.array(out)
-
-
-def residual_norm_direct(fam, jet: EpsilonJet, omega, eps) -> float:
-    """Direct double-precision defect of the truncated polynomial at eps
-    (cancellation-limited near 1e-15; used to cross-validate the tail form)."""
-    from .newton import invariance_residual
-    K = jet.embedding_at(eps)
-    return invariance_residual(fam, K, jet.mu_at(eps), omega, eps).analytic_norm(0.0)
 
 
 # -- quadratic (doubling) engine ----------------------------------------------

@@ -86,12 +86,6 @@ def apply_map(fam: MapFamily, x, mu, eps):
     return out
 
 
-def jacobians(fam: MapFamily, x, mu, eps):
-    """(Df, D_mu f) at a phase point; analytic formulas for the built-ins."""
-    x = np.asarray(x, dtype=complex)
-    return fam.jacobian(x, mu, eps), fam.d_mu(x, mu, eps)
-
-
 def verify_conformal(fam: MapFamily, sample_count: int, eps, mu=None, rng=None) -> float:
     """Max over random phase points of |Df^T J Df - lam(eps) J| (Frobenius)."""
     rng = np.random.default_rng(0) if rng is None else rng

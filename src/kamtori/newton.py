@@ -15,8 +15,9 @@ of DK, E, Df and D_mu f (evaluated by the caller) into the frame data,
 `solve_reduced` solves one triangular system for (W1, W2, sigma).
 
 Each Newton iteration evaluates the map once: `run_newton` samples
-X = K(theta), the defect E = f o K - K o T_omega and E's series on the grid,
-reads its residual from that series and hands the same evaluation to
+X = K(theta), DK (K, K o T_omega and DK in one packed transform), the defect
+E = f o K - K o T_omega and E's series on the grid, reads its residual from
+that series and hands the same evaluation to
 `newton_step`, whose frame, step report and (at convergence) twist reuse it.
 The frame conditioning gate on DK^T DK uses the closed form |g|/|g| for the
 1 x 1 Gram of d = 1 and `np.linalg.cond` for d > 1; both follow
@@ -38,7 +39,7 @@ from .embedding import TorusEmbedding
 from .errors import (DivisorTooSmall, FrameSingular, NoConvergence,
                      NonDegeneracyFailure, NormalizationDiverged)
 from .fourier import (FourierSeries, dump_series, fast_grid_size, from_grid,
-                      load_series, to_grid)
+                      load_series, theta_grid, to_grid)
 from .maps import symplectic_matrix
 
 DEFAULT_DET_RTOL = 1e-10
@@ -57,36 +58,34 @@ def _grid_size(kmax: int, n=None) -> int:
 
 
 def _mean(grid: np.ndarray, dim: int) -> np.ndarray:
-    return np.mean(grid, axis=tuple(range(dim)))
+    # what np.mean computes, without its per-call argument handling
+    return np.add.reduce(grid, axis=tuple(range(dim))) / (grid.shape[0] ** dim)
 
 
-def _shift_packed(grids, dim, kmax, omega, n) -> list:
-    """Compose every order of each grid jet with T_omega (exact for the
-    retained band; performed in coefficient space).
-
-    The orders and values of all the jets are packed into the columns of one
-    grid array, shifted with one from_grid/to_grid pair; the batched
-    transforms act column by column, so every result equals the shift of its
-    jet alone.
-    """
-    lead = grids[0].shape[:dim + 1]
-    packed = np.concatenate([g.reshape(lead + (-1,)) for g in grids], axis=-1)
-    columns = np.moveaxis(packed, 0, dim)
-    shifted = np.moveaxis(to_grid(from_grid(columns, dim, kmax).shift(omega), n), dim, 0)
-    out, start = [], 0
-    for g in grids:
-        size = int(np.prod(g.shape[dim + 1:]))
-        out.append(np.ascontiguousarray(shifted[..., start:start + size]).reshape(g.shape))
+def _packed(transform, arrays, lead: int) -> list:
+    """Apply a column-wise transform to several arrays at once: the axes
+    after the first `lead` of each are flattened into columns, packed side by
+    side, transformed (the leading axes may change) and split back with each
+    array's own trailing shape.  The grid transforms act column by column, so
+    every part equals the transform of its array alone."""
+    packed = np.concatenate([a.reshape(a.shape[:lead] + (-1,)) for a in arrays], axis=-1)
+    out = transform(packed)
+    parts, start = [], 0
+    for a in arrays:
+        size = int(np.prod(a.shape[lead:]))
+        parts.append(np.ascontiguousarray(out[..., start:start + size])
+                     .reshape(out.shape[:-1] + a.shape[lead:]))
         start += size
-    return out
+    return parts
 
 
 @dataclass(frozen=True)
 class _Defect:
-    """One evaluation of (K, mu) on the grid: the lift X = K(theta) and the
-    defect E = f_{mu,eps} o K - K o T_omega, with E's series at K's cutoff."""
+    """One evaluation of (K, mu) on the grid: the lift X = K(theta), DK and
+    E = f_{mu,eps} o K - K o T_omega, with E's series at K's cutoff."""
 
     X: np.ndarray
+    DK: np.ndarray
     E: np.ndarray
     dim: int
     kmax: int
@@ -97,10 +96,17 @@ class _Defect:
 
 
 def _evaluate(fam, K: TorusEmbedding, mu, omega, eps, n=None) -> _Defect:
-    n = _grid_size(K.kmax, n)
-    X = K.lift_grid(n)
-    E = fam.apply(X, mu, eps) - K.shifted_lift_grid(omega, n)
-    return _Defect(X, E, K.dim, K.kmax)
+    """The lift, its shift by omega and DK come from one packed to_grid; the
+    lifts add theta (and omega) as `lift_grid` and `shifted_lift_grid` do."""
+    n, d = _grid_size(K.kmax, n), K.dim
+    P, Pshift, DK = _packed(lambda c: to_grid(FourierSeries(d, K.kmax, c), n),
+                            (K.periodic.coeffs, K.periodic.shift(omega).coeffs,
+                             K.dk_series().coeffs), d)
+    omega = np.atleast_1d(np.asarray(omega))
+    for j, theta in enumerate(theta_grid(d, n)):
+        P[..., j] += theta
+        Pshift[..., j] += theta + omega[j]
+    return _Defect(P, DK, fam.apply(P, mu, eps) - Pshift, d, K.kmax)
 
 
 def invariance_residual(fam, K: TorusEmbedding, mu, omega, eps, n=None) -> FourierSeries:
@@ -176,8 +182,11 @@ def build_frame(Jinv, lam, dk, E, Df, Dmu, omega, kmax: int) -> Frame:
     n, d = dk.shape[1], dk.shape[-1]
     N, M, cond = _frame_matrix(dk, Jinv)
     gamma = jets.matmul(np.swapaxes(dk, -1, -2) @ Jinv, dk)
-    # M, N and gamma composed with T_omega in one batched shift
-    Mshift, Nshift, gshift = _shift_packed((M, N, gamma), d, kmax, omega, n)
+    # every order of M, N and gamma composed with T_omega in one batched
+    # from_grid/to_grid pair (exact for the retained band)
+    Mshift, Nshift, gshift = _packed(
+        lambda g: np.moveaxis(to_grid(from_grid(np.moveaxis(g, 0, d), d, kmax)
+                                      .shift(omega), n), d, 0), (M, N, gamma), d + 1)
     beta = jets.inv_matrix(Mshift)
 
     P = jets.matmul(dk, N)
@@ -202,7 +211,7 @@ def newton_frame(fam, K, mu, omega, eps, n=None, *, _defect: _Defect | None = No
     ev = _evaluate(fam, K, mu, omega, eps, n) if _defect is None else _defect
     X = ev.X
     lam = np.array([complex(fam.lambda_eps(eps))])
-    return build_frame(fam.Jinv, lam, K.dk_grid(X.shape[0])[None], ev.E[None],
+    return build_frame(fam.Jinv, lam, ev.DK[None], ev.E[None],
                        fam.jacobian(X, mu, eps)[None], fam.d_mu(X, mu, eps)[None],
                        omega, K.kmax)
 
@@ -344,12 +353,13 @@ def newton_step(fam, K, mu, omega, eps, divisor_floor=DEFAULT_DIVISOR_FLOOR,
     W1, W2, sigma, gain = solve_reduced(core, -fr.Et[0, ..., :d], -fr.Et[0, ..., d:])
 
     W = np.concatenate([W1, W2], axis=-1)
-    delta = from_grid((fr.M[0] @ W[..., None])[..., 0], d, kmax)
-    K2 = K.with_correction(delta)
+    delta, W_coeffs = _packed(lambda g: from_grid(g, d, kmax).coeffs,
+                              ((fr.M[0] @ W[..., None])[..., 0], W), d)
+    K2 = K.with_correction(FourierSeries(d, kmax, delta))
     mu2 = np.atleast_1d(np.asarray(mu, dtype=complex)) + sigma
 
     report = StepReport(
-        w_norm=from_grid(W, d, kmax).analytic_norm(0.0),
+        w_norm=FourierSeries(d, kmax, W_coeffs).analytic_norm(0.0),
         sigma=sigma,
         residual_before=ev.series.analytic_norm(0.0),
         twist=core.twist(),

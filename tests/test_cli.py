@@ -268,6 +268,19 @@ def test_missing_goodset_key_is_config_error(tmp_path, capsys, key):
     assert f"[goodset].{key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, dropped, where", [
+    ("solve", ("eps = ",), "[solve].eps"),
+    ("atlas", ("[goodset]", "A = ", "N = ", "r0 = ", "kscan = "), "[goodset]"),
+], ids=["solve", "atlas"])
+def test_command_config_error_names_the_file(tmp_path, capsys, command, dropped, where):
+    # keys that only one command needs are checked by the command itself
+    lines = [l for l in ATLAS.splitlines() if not l.startswith(dropped)]
+    p = tmp_path / "bad.cfg"
+    p.write_text("\n".join(lines) + "\n")
+    assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 64
+    assert f"{p}{where}: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
 def test_committed_config_loads(path):
     cfg = load_config(path)

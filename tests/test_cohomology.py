@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kamtori.cohomology import (divisor_grid, shell_count, solve_twisted,
-                                tame_bound, tame_constant)
+from kamtori.cohomology import (_divisor_table, _divisors, divisor_grid, shell_count,
+                                solve_twisted, tame_bound, tame_constant)
 from kamtori.diophantine import GOLDEN_MEAN, nu_lambda
 from kamtori.errors import DivisorTooSmall
 from kamtori.fourier import FourierSeries, theta_grid, to_grid
@@ -122,6 +122,103 @@ def test_matrix_valued_eta(rng, omega):
     div = divisor_grid(1, 4, 0.8, omega)
     expect = c / div[:, None, None]
     np.testing.assert_allclose(sol.phi.coeffs, expect, rtol=1e-14)
+
+
+# -- divisor table ---------------------------------------------------------------
+
+def _per_call_solve(eta, lam, omega, divisor_floor):
+    """The per-call solve that the table replaced, kept as the reference."""
+    kmax, center = eta.kmax, (eta.kmax,) * eta.dim
+    div = divisor_grid(eta.dim, kmax, lam, omega)
+    absdiv = np.abs(div)
+    floor = np.broadcast_to(np.asarray(divisor_floor, dtype=float), absdiv.shape)
+    bad = absdiv < floor
+    bad[center] = False
+    if np.any(bad):
+        idx = np.unravel_index(int(np.argmin(np.where(bad, absdiv, np.inf))), absdiv.shape)
+        raise DivisorTooSmall(tuple(int(i) - kmax for i in idx), absdiv[idx], floor[idx])
+    inv = np.zeros_like(div)
+    side = np.ones_like(absdiv, dtype=bool)
+    side[center] = False
+    inv[side] = 1.0 / div[side]
+    if abs(lam - 1.0) > 1e-12:
+        inv[center] = 1.0 / (lam - 1.0)
+    phi = eta.coeffs * inv.reshape(inv.shape + (1,) * len(eta.value_shape))
+    return phi, float(np.max(1.0 / absdiv[side]))
+
+
+@pytest.mark.parametrize("dim, lam", [(1, 0.93 + 0.02j), (1, 1.0), (2, 1.05)])
+def test_divisor_table_hit_is_byte_equal_to_cold_call(rng, dim, lam):
+    omega = [GOLDEN_MEAN, np.sqrt(2.0) - 1.0][:dim]
+    kmax = 16 if dim == 1 else 6
+    c = rng.standard_normal((2 * kmax + 1,) * dim + (2,)) + 0j
+    c[(kmax,) * dim] = 0.0
+    eta = FourierSeries(dim, kmax, c)
+    floor = np.full((2 * kmax + 1,) * dim, 1e-9)
+    for divisor_floor in (1e-12, floor):
+        _divisor_table.cache_clear()
+        cold = solve_twisted(eta, lam, omega, divisor_floor)
+        hits = _divisor_table.cache_info().hits
+        hit = solve_twisted(eta, lam, omega, np.array(divisor_floor))   # equal, not the same
+        assert _divisor_table.cache_info().hits == hits + 1
+        phi, gain = _per_call_solve(eta, complex(lam), omega, divisor_floor)
+        for sol in (cold, hit):
+            assert sol.phi.coeffs.tobytes() == phi.tobytes()
+            assert sol.max_divisor_gain == gain
+
+
+def test_divisor_table_hit_on_failing_key_raises_the_same_witness(omega):
+    lam = cmath.exp(2j * cmath.pi * 3 * omega) * (1 + 1e-9)
+    eta = random_eta(np.random.default_rng(0), kmax=8)
+    _divisor_table.cache_clear()
+    raised = []
+    for _ in range(2):
+        with pytest.raises(DivisorTooSmall) as err:
+            solve_twisted(eta, lam, omega, divisor_floor=1e-6)
+        raised.append((err.value.k, err.value.divisor, err.value.floor))
+    assert _divisor_table.cache_info().hits == 1
+    with pytest.raises(DivisorTooSmall) as err:
+        _per_call_solve(eta, lam, omega, 1e-6)
+    assert raised == [(err.value.k, err.value.divisor, err.value.floor)] * 2
+    assert raised[0][0] == (3,)
+
+
+def test_divisor_table_keys_floor_arrays_by_value(omega):
+    eta = random_eta(np.random.default_rng(0), kmax=8)
+    loose = np.full(17, 1e-12)
+    strict = loose.copy()
+    strict[8 + 3] = 10.0     # one entry differs: an impossible floor at k = +3
+    for first, second in ((loose, strict), (strict, loose)):
+        _divisor_table.cache_clear()
+        for floor in (first, second):
+            if floor is strict:
+                with pytest.raises(DivisorTooSmall) as err:
+                    solve_twisted(eta, 0.9, omega, divisor_floor=floor)
+                assert err.value.k == (3,)
+            else:
+                solve_twisted(eta, 0.9, omega, divisor_floor=floor)
+        assert _divisor_table.cache_info().currsize == 2
+
+
+def test_divisor_table_inverse_is_read_only(omega):
+    inv, _, _ = _divisors(1, 8, 0.9, omega, 1e-12)
+    assert not inv.flags.writeable
+    with pytest.raises(ValueError):
+        inv[0] = 1.0
+
+
+def test_divisor_table_is_bounded():
+    # Worst case held: every entry a complex128 inverse plus a float64
+    # per-mode floor in its key, 24 bytes per mode.
+    size = _divisor_table.cache_info().maxsize
+    for dim, kmax, worst in ((1, 1024, 393_408), (2, 64, 3_195_072)):
+        omega = [GOLDEN_MEAN, np.sqrt(2.0) - 1.0][:dim]
+        floor = np.full((2 * kmax + 1,) * dim, 1e-12)
+        _divisor_table.cache_clear()
+        for i in range(size + 3):
+            inv, _, _ = _divisors(dim, kmax, 0.9 + 1e-3 * i, omega, floor)
+            assert _divisor_table.cache_info().currsize == min(i + 1, size)
+        assert size * (inv.nbytes + floor.nbytes) == worst
 
 
 # -- tame bound -------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kamtori.diophantine import (GOLDEN_MEAN, Frequency, GoodSetParams,
+from kamtori.diophantine import (GOLDEN_MEAN, GoodSetParams,
                                  in_good_set, lambda_in_good_set, mode_ball,
                                  nu_lambda, nu_omega, resonances, scan_trace)
 
@@ -147,12 +147,6 @@ def test_witness_records_maximizer():
                            GOLDEN_MEAN, 500)
     assert w.nu.k != ()
     assert w.attained == pytest.approx(w.nu.value * w.factor)
-
-
-def test_frequency_record():
-    f = Frequency.build(GOLDEN_MEAN, 1.0, 2000)
-    assert f.dim == 1
-    assert f.nu_omega_est.value <= Frequency.build(GOLDEN_MEAN, 1.0, 50000).nu_omega_est.value
 
 
 def test_scan_trace_running_sup():

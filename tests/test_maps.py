@@ -188,11 +188,3 @@ def test_unperturbed_torus_solves(fam, omega):
     th = 0.37
     img = fam.apply(K.eval_lift(th), mu, 0.0)
     np.testing.assert_allclose(img, K.eval_lift(th + omega), atol=1e-15)
-
-
-def test_jacobians_pair(fam, rng):
-    from kamtori.maps import jacobians
-    x = np.array([0.4, 0.6], dtype=complex)
-    Df, Dmu = jacobians(fam, x, 0.01, 0.05)
-    np.testing.assert_allclose(Df, fam.jacobian(x, 0.01, 0.05))
-    np.testing.assert_allclose(Dmu[..., 0], [1.0, 1.0])

@@ -6,12 +6,13 @@ import pytest
 from kamtori.embedding import TorusEmbedding
 from kamtori.errors import (DivisorTooSmall, FrameSingular, NoConvergence,
                             NonDegeneracyFailure, NormalizationDiverged)
-from kamtori.fourier import FourierSeries
+from kamtori.fourier import FourierSeries, from_grid
 from kamtori.lindstedt import lindstedt_expand
 from kamtori.maps import DissipativeStandardMap
-from kamtori.newton import (_gram_cond, dump_solution, invariance_residual,
-                            lagrangian_defect, load_solution, newton_step,
-                            normalize_embedding, reducibility_frame, run_newton)
+from kamtori.newton import (_evaluate, _gram_cond, _packed, dump_solution,
+                            invariance_residual, lagrangian_defect, load_solution,
+                            newton_step, normalize_embedding, reducibility_frame,
+                            run_newton)
 from kamtori.diophantine import GoodSetParams
 
 
@@ -27,6 +28,39 @@ def perturbed(K, rng, size=1e-3, kmax=None, seed_modes=3):
 
 
 # -- invariance residual -----------------------------------------------------------
+
+class _ZeroMap:
+    """apply is zero, so the defect is 0 - K o T_omega exactly."""
+
+    def apply(self, x, mu, eps):
+        return np.zeros_like(x)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_packed_evaluation_matches_separate_lifts(dim):
+    # _evaluate transforms K, K o T_omega and DK in one packed to_grid; each
+    # must equal its own transform byte for byte
+    rng = np.random.default_rng(dim)
+    kmax = 12 if dim == 1 else 5
+    shape = (2 * kmax + 1,) * dim + (2 * dim,)
+    K = TorusEmbedding(FourierSeries(
+        dim, kmax, 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))))
+    omega = np.array([(np.sqrt(5.0) - 1.0) / 2.0, np.sqrt(2.0) - 1.0][:dim])
+    ev = _evaluate(_ZeroMap(), K, None, omega, 0.0)
+    n = ev.X.shape[0]
+    assert ev.X.tobytes() == K.lift_grid(n).tobytes()
+    assert ev.E.tobytes() == (0.0 - K.shifted_lift_grid(omega, n)).tobytes()
+    assert ev.DK.tobytes() == K.dk_grid(n).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_packed_from_grid_matches_separate_transforms(dim):
+    rng = np.random.default_rng(dim)
+    grids = [rng.standard_normal((20,) * dim + shape) + 0j for shape in ((2 * dim,), (dim, 3))]
+    got = _packed(lambda g: from_grid(g, dim, 7).coeffs, grids, dim)
+    for g, part in zip(grids, got):
+        assert part.tobytes() == from_grid(g, dim, 7).coeffs.tobytes()
+
 
 def test_exact_solution_zero_residual(fam, omega, base_torus):
     K0, mu0 = base_torus
