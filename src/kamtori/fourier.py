@@ -341,26 +341,6 @@ def from_grid(values: np.ndarray, dim: int, kmax: int, **flags) -> FourierSeries
     return FourierSeries(dim, kmax, coeffs, **flags)
 
 
-def product(a: FourierSeries, b: FourierSeries, kmax: int | None = None) -> FourierSeries:
-    """Pointwise product (np.matmul semantics on values) via an anti-aliased grid.
-
-    The default output cutoff a.kmax + b.kmax makes the convolution exact; a
-    smaller kmax truncates after the exact product.
-    """
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    full = a.kmax + b.kmax
-    out_kmax = full if kmax is None else min(kmax, full)
-    n = fast_grid_size(full + out_kmax + 2)
-    ga, gb = to_grid(a, n), to_grid(b, n)
-    if a.value_shape == () or b.value_shape == ():
-        gc = ga * gb
-    else:
-        gc = np.matmul(ga, gb)
-    return from_grid(gc, a.dim, out_kmax,
-                     real_valued=a.real_valued and b.real_valued)
-
-
 # -- tabular text format -----------------------------------------------------
 
 def dump_series(series: FourierSeries, fp) -> None:

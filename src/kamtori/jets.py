@@ -30,8 +30,24 @@ def pad(a, order):
     return out
 
 
+def _order_sum(terms):
+    """terms[0] + terms[1] + ..., added in that order as a running sum from
+    zero is.  np.add.reduce over the leading axis runs in that order whenever
+    a term holds more than one value (the leading 0 + keeps the running sum's
+    +0 where every term is -0, whatever value the reduction starts from); a
+    single value per term would be summed pairwise, so those few terms are
+    added one by one."""
+    if terms[0].size == 1:
+        acc = 0
+        for t in terms:
+            acc = acc + t
+        return acc
+    return 0 + np.add.reduce(terms, axis=0)
+
+
 def cauchy(a, b, order=None, prod=np.multiply):
-    """Truncated Cauchy product c_n = sum_m prod(a_m, b_{n-m})."""
+    """Truncated Cauchy product c_n = sum_m prod(a_m, b_{n-m}); each order is
+    one batched product over its terms."""
     a = np.asarray(a)
     b = np.asarray(b)
     n = (min(a.shape[0], b.shape[0]) - 1) if order is None else order
@@ -41,10 +57,9 @@ def cauchy(a, b, order=None, prod=np.multiply):
     out = np.zeros((n + 1,) + first.shape, dtype=np.result_type(first.dtype, np.complex128))
     out[0] = first
     for i in range(1, n + 1):
-        acc = out[i]
-        for m in range(max(0, i - b.shape[0] + 1), min(i, a.shape[0] - 1) + 1):
-            acc = acc + prod(a[m], b[i - m])
-        out[i] = acc
+        lo, hi = max(0, i - b.shape[0] + 1), min(i, a.shape[0] - 1)
+        if lo <= hi:
+            out[i] = _order_sum(prod(a[lo:hi + 1], b[i - hi:i - lo + 1][::-1]))
     return out
 
 
@@ -61,14 +76,10 @@ def sincos(x, freq=TWO_PI):
     c = zero_like(x)
     s[0] = np.sin(freq * x[0])
     c[0] = np.cos(freq * x[0])
+    dx = derivative(x)
     for i in range(1, n + 1):
-        sacc = np.zeros_like(s[0])
-        cacc = np.zeros_like(c[0])
-        for m in range(1, i + 1):
-            sacc = sacc + m * x[m] * c[i - m]
-            cacc = cacc + m * x[m] * s[i - m]
-        s[i] = (freq / i) * sacc
-        c[i] = -(freq / i) * cacc
+        s[i] = (freq / i) * _order_sum(dx[:i] * c[i - 1::-1])
+        c[i] = -(freq / i) * _order_sum(dx[:i] * s[i - 1::-1])
     return s, c
 
 
@@ -79,10 +90,7 @@ def inv_matrix(a):
     out = zero_like(a)
     out[0] = np.linalg.inv(a[0])
     for i in range(1, n + 1):
-        acc = np.zeros_like(out[0])
-        for m in range(1, i + 1):
-            acc = acc + np.matmul(a[m], out[i - m])
-        out[i] = -np.matmul(out[0], acc)
+        out[i] = -np.matmul(out[0], _order_sum(np.matmul(a[1:i + 1], out[i - 1::-1])))
     return out
 
 

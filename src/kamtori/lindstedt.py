@@ -22,6 +22,23 @@ jets (the pointwise Newton frame for `lindstedt_expand`, the frame jets for
 Coefficients are normalized so that in the base frame the angle component of
 every order has zero average; normalized jets are unique, which is what makes
 the two engines agree coefficientwise.
+
+Band rule.  From the flat torus (order 0 constant in the angles) order j of
+the series is a trigonometric polynomial of degree j * deg, deg being the
+family's `degree`: each order adds at most one kick's worth of modes.  A jet
+is *band-limited* when its order 0 is constant and no order j >= 1 has a
+nonzero coefficient beyond |k|_inf <= j * deg; this is read from the
+coefficients, never assumed.  For a band-limited input, `lindstedt_expand`,
+`lindstedt_double` and `residual_jet` run at the cutoff B = min(kmax, M * deg),
+M the highest order the call produces, on the one grid `_grid_size(B)`, and
+project each output order j onto min(kmax, j * deg) before padding it back to
+kmax.  The modes beyond the band then are exactly 0 instead of roundoff
+amplified by the small divisors, and the result does not depend on kmax.
+Bands are finite only from a flat base: for a base with u0 != 0,
+sin 2 pi (theta + u0) and (DK^T DK)^-1 carry every mode, so a base of band
+b0 > 0 saturates at kmax at once, not at b0 + j * deg.  Any input that is not
+band-limited (every eps0 != 0 expansion, every Newton base, any jet with
+out-of-band content) runs at B = kmax with no projection.
 """
 
 from __future__ import annotations
@@ -111,6 +128,38 @@ def _lift_jet(jet: EpsilonJet, n: int, order=None, omega=None) -> np.ndarray:
     return out
 
 
+def _within(series: FourierSeries, band: int) -> bool:
+    """No nonzero coefficient beyond |k|_inf <= band."""
+    return band >= series.kmax or np.array_equal(
+        series.truncate(band).pad_to(series.kmax).coeffs, series.coeffs)
+
+
+def _bands(fam, K_coeffs, order: int) -> list:
+    """The mode band of each output order 0..order of a call on K_coeffs; the
+    last one is the cutoff B the call computes at (the band rule of the
+    module docstring)."""
+    kmax = K_coeffs[0].kmax
+    bands = [min(kmax, j * fam.degree) for j in range(order + 1)]
+    if all(_within(K, b) for K, b in zip(K_coeffs, bands)):
+        return bands
+    return [kmax] * (order + 1)
+
+
+def _at_cutoff(jet: EpsilonJet, B: int) -> EpsilonJet:
+    return EpsilonJet(jet.eps0, tuple(K.truncate(B) for K in jet.K_coeffs),
+                      jet.mu_coeffs, jet.lambda_coeffs)
+
+
+def _floor_at(divisor_floor, d: int, kmax: int, B: int):
+    """A per-mode divisor floor over the kmax mode box, cut to the B box;
+    scalar and broadcast floors are returned as they are."""
+    floor = np.asarray(divisor_floor)
+    if B == kmax or floor.shape[:d] != (2 * kmax + 1,) * d:
+        return divisor_floor
+    lo = kmax - B
+    return floor[(slice(lo, lo + 2 * B + 1),) * d]
+
+
 def _avg_first_rows(Minv0, grid, d):
     return _mean((Minv0 @ grid[..., None])[..., 0], d)[:d]
 
@@ -130,19 +179,22 @@ def lindstedt_expand(fam, K_base: TorusEmbedding, mu_base, omega, eps0, N: int,
     if N > MAX_ORDER_DOUBLE:
         raise ValueError(
             f"order {N} beyond the double-precision cap {MAX_ORDER_DOUBLE}")
-    d = K_base.dim
+    d, kmax = K_base.dim, K_base.kmax
     mu_base = np.atleast_1d(np.asarray(mu_base, dtype=complex))
-    fr = newton_frame(fam, K_base, mu_base, omega, eps0)
-    kmax, n = fr.kmax, fr.n
-    base_res = from_grid(fr.E[0], d, kmax).analytic_norm(0.0)
+    bands = _bands(fam, (K_base.periodic,), N)
+    B = bands[-1]
+    K_cut = TorusEmbedding(K_base.periodic.truncate(B))
+    fr = newton_frame(fam, K_cut, mu_base, omega, eps0)
+    n = fr.n
+    base_res = from_grid(fr.E[0], d, B).analytic_norm(0.0)
     if base_res > base_tol:
         raise ValueError(
             f"base residual {base_res:.3e} exceeds {base_tol:.1e}; "
             "the expansion needs an exact solution at eps0")
-    core = checked_block(fr, divisor_floor, det_rtol)
+    core = checked_block(fr, _floor_at(divisor_floor, d, kmax, B), det_rtol)
 
     K_coeffs = [K_base.periodic]
-    x0 = K_base.lift_grid(n)
+    x0 = K_cut.lift_grid(n)
     x_jet = np.zeros((N + 1,) + x0.shape, dtype=complex)
     x_jet[0] = x0
     mu_jet = np.zeros((N + 1, d), dtype=complex)
@@ -153,8 +205,8 @@ def lindstedt_expand(fam, K_base: TorusEmbedding, mu_base, omega, eps0, N: int,
         Et = (fr.beta[0] @ (-G)[..., None])[..., 0]
         W1, W2, mu_j, _ = solve_reduced(core, Et[..., :d], Et[..., d:])
         Kj = from_grid((fr.M[0] @ np.concatenate([W1, W2], axis=-1)[..., None])[..., 0],
-                       d, kmax)
-        K_coeffs.append(Kj)
+                       d, B).truncate(bands[j])
+        K_coeffs.append(Kj.pad_to(kmax))
         x_jet[j] = to_grid(Kj, n)
         mu_jet[j] = mu_j
 
@@ -171,12 +223,15 @@ def residual_jet(fam, jet: EpsilonJet, omega, through: int | None = None):
     order carries the asymptotic constant of the truncation error.
     """
     M = 2 * jet.order + 2 if through is None else through
-    n = _grid_size(jet.kmax)
-    x = _lift_jet(jet, n, order=M)
+    bands = _bands(fam, jet.truncated(M).K_coeffs, M)
+    cut = _at_cutoff(jet, bands[-1])
+    n = _grid_size(cut.kmax)
+    x = _lift_jet(cut, n, order=M)
     mu = jets.pad(jet.mu_coeffs, M)
     G = fam.jet_apply(x, mu, jet.eps0)
-    shift = _lift_jet(jet, n, order=M, omega=omega)
-    return [from_grid(G[j] - shift[j], jet.dim, jet.kmax) for j in range(M + 1)]
+    shift = _lift_jet(cut, n, order=M, omega=omega)
+    return [from_grid(G[j] - shift[j], jet.dim, cut.kmax).truncate(bands[j])
+            .pad_to(jet.kmax) for j in range(M + 1)]
 
 
 def residual_jet_norms(fam, jet: EpsilonJet, omega, through: int | None = None):
@@ -229,7 +284,10 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
             f"target order {M_ord} beyond the double-precision cap {MAX_ORDER_DOUBLE}")
     d, kmax = jet.dim, jet.kmax
     eps0 = jet.eps0
-    n = _grid_size(kmax)
+    bands = _bands(fam, jet.K_coeffs, M_ord)
+    B = bands[-1]
+    jet = _at_cutoff(jet, B)
+    n = _grid_size(B)
 
     x = _lift_jet(jet, n, order=M_ord)
     mu = jets.pad(jet.mu_coeffs, M_ord)
@@ -240,9 +298,9 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
     for j in range(1, N + 1):
         dk[j] = to_grid(_vector_jacobian(jet.K_coeffs[j]), n)
     fr = build_frame(fam.Jinv, lam, dk, E, fam.jet_jacobian(x, mu, eps0),
-                     fam.jet_d_mu(x, mu, eps0), omega, kmax)
+                     fam.jet_d_mu(x, mu, eps0), omega, B)
     # the averaged block of the (exact) order-0 torus serves every order
-    core = checked_block(fr, divisor_floor, det_rtol)
+    core = checked_block(fr, _floor_at(divisor_floor, d, kmax, B), det_rtol)
     Minv0 = np.linalg.inv(fr.M[0])
     S, A1, A2 = fr.S, fr.A[..., :d, :], fr.A[..., d:, :]
 
@@ -273,7 +331,7 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
 
         Wn = np.concatenate([W1[nn], W2[nn]], axis=-1)
         delta = (fr.M[0] @ Wn[..., None])[..., 0] + corr
-        K_new.append(from_grid(Kn_grid + delta, d, kmax))
+        K_new.append(from_grid(Kn_grid + delta, d, B).truncate(bands[nn]).pad_to(kmax))
         mu_new[nn] = mu_new[nn] + sigma[nn]
 
     return EpsilonJet(complex(eps0), tuple(K_new), mu_new, lam)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,6 +38,9 @@ class MapFamily:
     dim: int
     alpha: complex
     a: int
+    # trigonometric degree of the map in the angles: from the flat torus,
+    # order j of a Lindstedt series has no mode beyond |k|_inf <= j * degree
+    degree: int
 
     @property
     def J(self) -> np.ndarray:
@@ -117,6 +121,7 @@ class DissipativeStandardMap(MapFamily):
     alpha: complex = 1.0
     a: int = 1
     dim: int = 1
+    degree: ClassVar[int] = 1
 
     def lambda_eps(self, eps):
         return 1.0 + self.alpha * np.asarray(eps, dtype=complex) ** self.a

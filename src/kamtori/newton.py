@@ -18,7 +18,8 @@ Each Newton iteration evaluates the map once: `run_newton` samples
 X = K(theta), DK (K, K o T_omega and DK in one packed transform), the defect
 E = f o K - K o T_omega and E's series on the grid, reads its residual from
 that series and hands the same evaluation to
-`newton_step`, whose frame, step report and (at convergence) twist reuse it.
+`newton_step`, whose frame and step report reuse it; at convergence the twist
+and the Lagrangian defect (from its DK) reuse it too.
 The frame conditioning gate on DK^T DK uses the closed form |g|/|g| for the
 1 x 1 Gram of d = 1 and `np.linalg.cond` for d > 1; both follow
 `np.linalg.cond`'s rules (0 and inf give inf, nan stays nan), and every
@@ -419,7 +420,7 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20, rho=0.1,
                                       divisor_floor, det_rtol).twist()
             return KamSolution(
                 K=K, mu=mu, residual_norm=res, twist_constant=twist,
-                lagrangian_defect=lagrangian_defect(K, fam.J),
+                lagrangian_defect=lagrangian_defect(K, fam.J, _dk=ev.DK),
                 trace=tuple(trace), eps=complex(eps),
                 omega=np.atleast_1d(np.asarray(omega, dtype=float)),
                 lam=complex(fam.lambda_eps(eps)),
@@ -487,13 +488,16 @@ def normalize_embedding(K: TorusEmbedding, K_ref: TorusEmbedding,
     return K.shifted(sigma), sigma
 
 
-def lagrangian_defect(K: TorusEmbedding, J=None) -> float:
-    """l1 norm of the d x d series DK^T (J o K) DK (zero on Lagrangian tori)."""
+def lagrangian_defect(K: TorusEmbedding, J=None, *, _dk: np.ndarray | None = None) -> float:
+    """l1 norm of the d x d series DK^T (J o K) DK (zero on Lagrangian tori).
+
+    `_dk` is DK of K on the grid `_grid_size(K.kmax)` that the caller already
+    holds (run_newton's converged evaluation); without it DK is sampled here.
+    """
     d = K.dim
     if J is None:
         J = symplectic_matrix(d)
-    n = _grid_size(K.kmax)
-    alpha = K.dk_grid(n)
+    alpha = K.dk_grid(_grid_size(K.kmax)) if _dk is None else _dk
     L = np.swapaxes(alpha, -1, -2) @ J @ alpha
     return from_grid(L, d, K.kmax).analytic_norm(0.0)
 

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kamtori.fourier import (FourierSeries, dump_series, fast_grid_size,
-                             from_grid, load_series, product, theta_grid,
-                             to_grid)
+                             from_grid, load_series, theta_grid, to_grid)
 
 TWO_PI = 2 * np.pi
 
@@ -158,7 +157,8 @@ def test_banach_algebra_property(rng):
     for _ in range(10):
         a = random_series(rng, kmax=8)
         b = random_series(rng, kmax=8)
-        p = product(a, b)
+        # the product's coefficients are the convolution of the factors'
+        p = FourierSeries(1, 16, np.convolve(a.coeffs, b.coeffs))
         for rho in (0.0, 0.05, 0.1):
             assert p.analytic_norm(rho) <= (
                 a.analytic_norm(rho) * b.analytic_norm(rho) * (1 + 1e-12))
@@ -251,35 +251,6 @@ def test_nyquist_violation_raises(rng):
         to_grid(s, 16)
     with pytest.raises(ValueError):
         from_grid(np.zeros(8, dtype=complex), 1, 16)
-
-
-def test_product_of_single_modes_is_convolution():
-    e1 = FourierSeries.from_modes(1, 1, {1: 1.0})
-    p = product(e1, e1)
-    assert p.kmax == 2
-    assert p.mode(2) == pytest.approx(1.0)
-    other = p.coeffs.copy()
-    other[p.kmax + 2] = 0
-    assert np.max(np.abs(other)) < 1e-14
-
-
-def test_product_matches_poly_convolution(rng):
-    a = random_series(rng, kmax=6)
-    b = random_series(rng, kmax=5)
-    p = product(a, b)
-    conv = np.convolve(a.coeffs, b.coeffs)
-    assert np.max(np.abs(p.coeffs - conv)) <= 1e-13 * np.max(np.abs(conv))
-
-
-def test_matrix_product_grid(rng):
-    c1 = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
-    c2 = rng.standard_normal((5, 2, 1)) + 1j * rng.standard_normal((5, 2, 1))
-    a = FourierSeries(1, 2, c1)
-    b = FourierSeries(1, 2, c2)
-    p = product(a, b)
-    theta = [0.21]
-    np.testing.assert_allclose(p.eval(theta), a.eval(theta) @ b.eval(theta),
-                               rtol=1e-12, atol=1e-13)
 
 
 # -- structure helpers ------------------------------------------------------------

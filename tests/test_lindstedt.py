@@ -3,9 +3,9 @@ import io
 import numpy as np
 import pytest
 
-from kamtori import jets
+from kamtori import embedding, jets, lindstedt, newton
 from kamtori.embedding import TorusEmbedding
-from kamtori.errors import FrameSingular
+from kamtori.errors import DivisorTooSmall, FrameSingular
 from kamtori.fourier import FourierSeries, from_grid, theta_grid
 from kamtori.lindstedt import (EpsilonJet, _lift_jet, dump_jet, lindstedt_double,
                                lindstedt_expand, load_jet, residual_jet,
@@ -224,16 +224,120 @@ def test_doubling_idempotent_on_exact_orders(fam, omega, base_torus):
         assert np.max(np.abs(dbl.mu_coeffs[j] - jet.mu_coeffs[j])) <= 1e-12
 
 
-def test_two_doublings_match_order_by_order(fam, omega, base_torus):
+def test_two_doublings_match_order_by_order(fam, omega):
+    # from the flat torus both engines run on the band, so the agreement is
+    # at roundoff and the same at every kmax
+    for kmax in (32, 64, 128):
+        K0, mu0 = fam.unperturbed_torus(omega, kmax)
+        jet = lindstedt_expand(fam, K0, mu0, omega, 0.0, 1)
+        jet7d = lindstedt_double(fam, lindstedt_double(fam, jet, omega), omega)
+        jet7 = lindstedt_expand(fam, K0, mu0, omega, 0.0, 7)
+        assert jet7d.order == jet7.order == 7
+        for j in range(8):
+            assert np.max(np.abs(jet7d.K_coeffs[j].coeffs
+                                 - jet7.K_coeffs[j].coeffs)) <= 1e-14
+            assert np.max(np.abs(jet7d.mu_coeffs[j] - jet7.mu_coeffs[j])) <= 1e-14
+
+
+# -- band rule -------------------------------------------------------------------------
+
+def _flat_jets(fam, omega, kmax):
+    K0, mu0 = fam.unperturbed_torus(omega, kmax)
+    expanded = lindstedt_expand(fam, K0, mu0, omega, 0.0, 16)
+    doubled = [expanded.truncated(1)]
+    for _ in range(3):
+        doubled.append(lindstedt_double(fam, doubled[-1], omega))
+    return expanded, doubled[1:]
+
+
+def _outside_band(series, band):
+    inner = series.truncate(min(band, series.kmax)).pad_to(series.kmax)
+    return series.coeffs - inner.coeffs
+
+
+@pytest.fixture(scope="module")
+def flat_jets(fam, omega):
+    return {kmax: _flat_jets(fam, omega, kmax) for kmax in (32, 64, 128)}
+
+
+def test_flat_torus_jets_do_not_depend_on_kmax(fam, omega, flat_jets):
+    # the order-16 expansion and three doublings from the flat torus: order j
+    # holds no mode beyond j * degree, and the band is the same at every kmax
+    ref_e, ref_d = flat_jets[32]
+    for kmax, (expanded, doubled) in flat_jets.items():
+        for jet, ref in zip([expanded] + doubled, [ref_e] + ref_d):
+            assert jet.kmax == kmax and jet.order == ref.order
+            assert jet.mu_coeffs.tobytes() == ref.mu_coeffs.tobytes()
+            for j, (K, K_ref) in enumerate(zip(jet.K_coeffs, ref.K_coeffs)):
+                assert not np.any(_outside_band(K, j * fam.degree))
+                assert K.truncate(32).coeffs.tobytes() == K_ref.coeffs.tobytes()
+        # and so does the residual jet of the last doubling, through order 32
+        ref_r = residual_jet(fam, ref_d[-1], omega)
+        for j, (r, r_ref) in enumerate(zip(residual_jet(fam, doubled[-1], omega), ref_r)):
+            assert not np.any(_outside_band(r, j * fam.degree))
+            assert r.truncate(32).coeffs.tobytes() == r_ref.coeffs.tobytes()
+
+
+def test_out_of_band_bump_is_reported(fam, omega, jet4):
+    # an order-2 coefficient at k = 5 is outside the band 2 * degree: the jet
+    # is not band-limited, so its residual is computed at kmax and shows it
+    bad = list(jet4.K_coeffs)
+    bump = np.zeros_like(bad[2].coeffs)
+    bump[bad[2].kmax + 5, 0] = 1e-3
+    bad[2] = FourierSeries(1, bad[2].kmax, bad[2].coeffs + bump)
+    jet_bad = EpsilonJet(jet4.eps0, tuple(bad), jet4.mu_coeffs, jet4.lambda_coeffs)
+    norms = residual_jet_norms(fam, jet_bad, omega)
+    assert max(residual_jet_norms(fam, jet4, omega)[:5]) <= 1e-12
+    assert norms[0] <= 1e-12 and norms[1] <= 1e-12
+    assert norms[2] > 1e-5
+
+
+def _grid_sizes(monkeypatch):
+    """The set of grid sizes every later to_grid call samples on."""
+    seen = set()
+    for module in (lindstedt, newton, embedding):
+        to_grid = module.to_grid
+        monkeypatch.setattr(module, "to_grid",
+                            lambda series, n, _f=to_grid: seen.add(n) or _f(series, n))
+    return seen
+
+
+def test_newton_base_jets_run_on_the_kmax_grid(fam, omega, base_torus, monkeypatch):
     K0, mu0 = base_torus
-    jet = lindstedt_expand(fam, K0, mu0, omega, 0.0, 1)
-    jet7d = lindstedt_double(fam, lindstedt_double(fam, jet, omega), omega)
-    jet7 = lindstedt_expand(fam, K0, mu0, omega, 0.0, 7)
-    assert jet7d.order == jet7.order == 7
-    for j in range(8):
-        assert np.max(np.abs(jet7d.K_coeffs[j].coeffs
-                             - jet7.K_coeffs[j].coeffs)) <= 1e-9
-        assert np.max(np.abs(jet7d.mu_coeffs[j] - jet7.mu_coeffs[j])) <= 1e-9
+    eps0 = 0.02
+    sol = run_newton(fam, K0, mu0, omega, eps0, tol=1e-13)
+    seen = _grid_sizes(monkeypatch)
+    jet = lindstedt_expand(fam, sol.K, sol.mu, omega, eps0, 3)
+    lindstedt_double(fam, jet.truncated(1), omega)
+    residual_jet_norms(fam, jet, omega)
+    assert seen == {_grid_size(sol.K.kmax)}
+    # from the flat torus the same calls run on the grid of their band
+    seen.clear()
+    jet = lindstedt_expand(fam, K0, mu0, omega, 0.0, 3)
+    assert seen == {_grid_size(3)}
+    seen.clear()
+    lindstedt_double(fam, jet.truncated(1), omega)
+    assert seen == {_grid_size(3)}
+    seen.clear()
+    residual_jet_norms(fam, jet, omega)
+    assert seen == {_grid_size(8)}
+
+
+def test_per_mode_floor_is_cut_to_the_band(fam, omega, base_torus):
+    # a floor over the kmax mode box applies to the same modes at cutoff B
+    K0, mu0 = base_torus
+    floor = np.full(2 * K0.kmax + 1, 1e-12)
+    want = lindstedt_expand(fam, K0, mu0, omega, 0.0, 4, divisor_floor=1e-12)
+    got = lindstedt_expand(fam, K0, mu0, omega, 0.0, 4, divisor_floor=floor)
+    for a, b in zip(got.K_coeffs, want.K_coeffs):
+        assert a.coeffs.tobytes() == b.coeffs.tobytes()
+    floor[K0.kmax + 3] = 10.0
+    with pytest.raises(DivisorTooSmall) as err:
+        lindstedt_expand(fam, K0, mu0, omega, 0.0, 4, divisor_floor=floor)
+    assert tuple(err.value.k) == (3,)
+    with pytest.raises(DivisorTooSmall) as err:
+        lindstedt_double(fam, want.truncated(1), omega, divisor_floor=floor)
+    assert tuple(err.value.k) == (3,)
 
 
 def test_jets_are_normalized(fam, omega, jet4):

@@ -353,6 +353,21 @@ def test_lagrangian_defect_converged_torus(fam, omega, base_torus):
     assert sol.lagrangian_defect <= 1e-10
 
 
+def test_converged_lagrangian_defect_reuses_the_evaluated_dk(fam, omega, base_torus,
+                                                             monkeypatch):
+    # run_newton hands DK of its converged evaluation to the defect instead of
+    # sampling it again; the value is the one lagrangian_defect computes itself
+    calls = []
+    dk_grid = TorusEmbedding.dk_grid
+    monkeypatch.setattr(TorusEmbedding, "dk_grid",
+                        lambda self, n: calls.append(n) or dk_grid(self, n))
+    K0, mu0 = base_torus
+    sol = run_newton(fam, K0, mu0, omega, 0.05, tol=1e-12)
+    assert calls == []
+    direct = lagrangian_defect(sol.K, fam.J)
+    assert np.float64(sol.lagrangian_defect).tobytes() == np.float64(direct).tobytes()
+
+
 def test_lagrangian_defect_nonzero_in_2d(rng):
     # a random (non-invariant) 2-torus embedding has an O(1) defect
     kmax = 4
