@@ -4,6 +4,10 @@ The angle block is the identity plus a periodic correction u, the action
 block a periodic function v; both are carried as one (2d,)-valued Fourier
 series.  All evaluations work on the universal cover (continuous lifts), so
 differences of embeddings are genuinely periodic and free of mod-1 jumps.
+
+`sample_jet` is the one place where tori and torus jets meet the grid: the
+Newton solver and both Lindstedt engines evaluate the invariance equation on
+the lifts and DK it samples, all orders in one packed transform.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import FourierSeries, from_grid, theta_grid, to_grid
+from .fourier import FourierSeries, _packed, theta_grid, to_grid
 
 
 @dataclass(frozen=True)
@@ -59,15 +63,6 @@ class TorusEmbedding:
         out[: self.dim] += theta
         return out
 
-    def lift_grid(self, n: int) -> np.ndarray:
-        """(n,)*d grid of lifted images, shape (n,)*d + (2d,)."""
-        vals = to_grid(self.periodic, n)
-        grid = theta_grid(self.dim, n)
-        out = np.array(vals)
-        for j in range(self.dim):
-            out[..., j] += grid[j]
-        return out
-
     def shifted(self, sigma) -> "TorusEmbedding":
         """K o T_sigma as an embedding of the same form."""
         sigma = np.atleast_1d(np.asarray(sigma))
@@ -77,31 +72,6 @@ class TorusEmbedding:
         coeffs[center][: self.dim] += sigma
         return TorusEmbedding(FourierSeries(self.dim, self.kmax, coeffs,
                                             real_valued=shifted.real_valued))
-
-    def shifted_lift_grid(self, omega, n: int) -> np.ndarray:
-        """Grid lift of K o T_omega: theta + omega + u(theta+omega), v(theta+omega)."""
-        omega = np.atleast_1d(np.asarray(omega))
-        vals = to_grid(self.periodic.shift(omega), n)
-        grid = theta_grid(self.dim, n)
-        out = np.array(vals)
-        for j in range(self.dim):
-            out[..., j] += grid[j] + omega[j]
-        return out
-
-    def dk_series(self) -> FourierSeries:
-        """DK as a (2d, d)-valued series (identity block plus Du, Dv)."""
-        d = self.dim
-        cols = [self.periodic.differentiate(j).coeffs for j in range(d)]
-        coeffs = np.stack(cols, axis=-1)  # (..., 2d, d)
-        center = (self.kmax,) * d
-        block = coeffs[center].copy()
-        block[:d, :d] += np.eye(d)
-        coeffs[center] = block
-        return FourierSeries(d, self.kmax, coeffs,
-                             real_valued=self.periodic.real_valued)
-
-    def dk_grid(self, n: int) -> np.ndarray:
-        return to_grid(self.dk_series(), n)
 
     def with_correction(self, delta: FourierSeries) -> "TorusEmbedding":
         return TorusEmbedding(self.periodic + delta)
@@ -113,3 +83,30 @@ class TorusEmbedding:
         a, b = self.periodic, other.periodic
         kmax = max(a.kmax, b.kmax)
         return (a.pad_to(kmax) - b.pad_to(kmax)).analytic_norm(rho)
+
+
+def sample_jet(coeffs: np.ndarray, omega, n: int):
+    """Grid jets (X, X o T_omega, DK) of the torus jet K(eps) = sum_j K_j eps^j.
+
+    `coeffs` stacks the periodic parts K_j, shape (orders,) + (2 kmax + 1,)*d
+    + (2d,); a single torus K is the order-0 jet `K.periodic.coeffs[None]`.
+    The results lead with the order axis, then the (n,)*d grid.  K, its shift
+    by omega and the d columns of DK come from one packed to_grid; the lifts
+    theta and theta + omega, and DK's identity block (added to the mean
+    coefficient before the transform), enter order 0 only.
+    """
+    d = coeffs.shape[-1] // 2
+    kmax = (coeffs.shape[1] - 1) // 2
+    # order axis behind the mode axes (transpose: np.moveaxis has more overhead)
+    series = FourierSeries(d, kmax, coeffs.transpose(*range(1, d + 1), 0, d + 1))
+    dk = np.stack([series.differentiate(j).coeffs for j in range(d)], axis=-1)
+    dk[(kmax,) * d + (0,)][:d, :d] += np.eye(d)
+    parts = _packed(lambda c: to_grid(FourierSeries(d, kmax, c), n),
+                    (series.coeffs, series.shift(omega).coeffs, dk), d)
+    X, Xshift, DK = (np.ascontiguousarray(p.transpose(d, *range(d), *range(d + 1, p.ndim)))
+                     for p in parts)
+    omega = np.atleast_1d(np.asarray(omega))
+    for j, theta in enumerate(theta_grid(d, n)):
+        X[0, ..., j] += theta
+        Xshift[0, ..., j] += theta + omega[j]
+    return X, Xshift, DK

@@ -341,6 +341,23 @@ def from_grid(values: np.ndarray, dim: int, kmax: int, **flags) -> FourierSeries
     return FourierSeries(dim, kmax, coeffs, **flags)
 
 
+def _packed(transform, arrays, lead: int) -> list:
+    """Apply a column-wise transform to several arrays at once: the axes
+    after the first `lead` of each are flattened into columns, packed side by
+    side, transformed (the leading axes may change) and split back with each
+    array's own trailing shape.  The grid transforms act column by column, so
+    every part equals the transform of its array alone."""
+    packed = np.concatenate([a.reshape(a.shape[:lead] + (-1,)) for a in arrays], axis=-1)
+    out = transform(packed)
+    parts, start = [], 0
+    for a in arrays:
+        size = int(np.prod(a.shape[lead:]))
+        parts.append(np.ascontiguousarray(out[..., start:start + size])
+                     .reshape(out.shape[:-1] + a.shape[lead:]))
+        start += size
+    return parts
+
+
 # -- tabular text format -----------------------------------------------------
 
 def dump_series(series: FourierSeries, fp) -> None:

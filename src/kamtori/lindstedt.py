@@ -17,7 +17,10 @@ Two engines are provided:
 Both engines use the reduced-system core of `newton`: the frame built from
 jets (the pointwise Newton frame for `lindstedt_expand`, the frame jets for
 `lindstedt_double`), the checked averaged block of the base torus, and
-`solve_reduced` once per order on the right-hand side of that order.
+`solve_reduced` once per order on the right-hand side of that order.  Jets
+are sampled by `embedding.sample_jet`, all orders in one packed transform;
+`lindstedt_double` and `residual_jet` take their grid jets back to series with
+`_project`, one packed transform with each order cut to its band.
 
 Coefficients are normalized so that in the base frame the angle component of
 every order has zero average; normalized jets are unique, which is what makes
@@ -50,10 +53,12 @@ import numpy as np
 from . import jets
 from .jets import MAX_ORDER_DOUBLE
 from .cohomology import DEFAULT_DIVISOR_FLOOR
-from .embedding import TorusEmbedding
+from .embedding import TorusEmbedding, sample_jet
 from .fourier import FourierSeries, dump_series, from_grid, load_series, to_grid
-from .newton import (DEFAULT_DET_RTOL, _grid_size, _mean, build_frame,
-                     checked_block, newton_frame, solve_reduced)
+from .newton import (_evaluate, _grid_size, _mean, build_frame, checked_block,
+                     newton_frame, solve_reduced)
+
+BASE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -114,20 +119,6 @@ class EpsilonJet:
                           self.lambda_coeffs[: n + 1] - other.lambda_coeffs[: n + 1])
 
 
-def _lift_jet(jet: EpsilonJet, n: int, order=None, omega=None) -> np.ndarray:
-    """Grid jet of the embedding lift, or of K o T_omega when omega is given;
-    order 0 carries the identity part."""
-    order = jet.order if order is None else order
-    base = TorusEmbedding(jet.K_coeffs[0])
-    x0 = base.lift_grid(n) if omega is None else base.shifted_lift_grid(omega, n)
-    out = np.zeros((order + 1,) + x0.shape, dtype=complex)
-    out[0] = x0
-    for j in range(1, min(order, jet.order) + 1):
-        coeffs = jet.K_coeffs[j] if omega is None else jet.K_coeffs[j].shift(omega)
-        out[j] = to_grid(coeffs, n)
-    return out
-
-
 def _within(series: FourierSeries, band: int) -> bool:
     """No nonzero coefficient beyond |k|_inf <= band."""
     return band >= series.kmax or np.array_equal(
@@ -145,9 +136,30 @@ def _bands(fam, K_coeffs, order: int) -> list:
     return [kmax] * (order + 1)
 
 
-def _at_cutoff(jet: EpsilonJet, B: int) -> EpsilonJet:
-    return EpsilonJet(jet.eps0, tuple(K.truncate(B) for K in jet.K_coeffs),
-                      jet.mu_coeffs, jet.lambda_coeffs)
+def _evaluate_jet(fam, jet: EpsilonJet, omega, order: int):
+    """The jet on the grid of a call producing orders 0..order: the bands of
+    its output (the last is its cutoff B) and, on `_grid_size(B)`, the grid
+    jets x = K, mu, DK and E = f_{mu,eps} o K - K o T_omega, zero beyond the
+    jet's own order."""
+    bands = _bands(fam, jet.K_coeffs, order)
+    B = bands[-1]
+    coeffs = np.stack([K.truncate(B).coeffs for K in jet.K_coeffs])
+    x, xshift, dk = (jets.pad(a, order) for a in sample_jet(coeffs, omega, _grid_size(B)))
+    mu = jets.pad(jet.mu_coeffs, order)
+    return bands, x, mu, dk, fam.jet_apply(x, mu, jet.eps0) - xshift
+
+
+def _project(grids: np.ndarray, d: int, B: int, bands, kmax: int) -> list:
+    """The series of a grid jet (order on the leading axis, sampled at
+    cutoff B): one packed from_grid over all orders, then order j cut to
+    bands[j] and padded to kmax."""
+    coeffs = np.moveaxis(from_grid(np.moveaxis(grids, 0, d), d, B).coeffs, d, 0)
+    out = np.zeros((len(bands),) + (2 * kmax + 1,) * d + coeffs.shape[d + 1:],
+                   dtype=complex)
+    for j, b in enumerate(bands):
+        out[(j,) + (slice(kmax - b, kmax + b + 1),) * d] = \
+            coeffs[(j,) + (slice(B - b, B + b + 1),) * d]
+    return [FourierSeries(d, kmax, c) for c in out]
 
 
 def _floor_at(divisor_floor, d: int, kmax: int, B: int):
@@ -167,12 +179,10 @@ def _avg_first_rows(Minv0, grid, d):
 # -- order-by-order engine ----------------------------------------------------
 
 def lindstedt_expand(fam, K_base: TorusEmbedding, mu_base, omega, eps0, N: int,
-                     divisor_floor=DEFAULT_DIVISOR_FLOOR,
-                     det_rtol=DEFAULT_DET_RTOL,
-                     base_tol: float = 1e-10) -> EpsilonJet:
+                     divisor_floor=DEFAULT_DIVISOR_FLOOR) -> EpsilonJet:
     """Coefficients (K_j, mu_j), j <= N, of the normalized series at eps0.
 
-    Requires an exact base solution (residual below base_tol) and the
+    Requires an exact base solution (residual below BASE_TOL) and the
     invertibility of the averaged block; for eps0 != 0 the twisted solves use
     the lam(eps0) divisors and may raise DivisorTooSmall.
     """
@@ -184,19 +194,17 @@ def lindstedt_expand(fam, K_base: TorusEmbedding, mu_base, omega, eps0, N: int,
     bands = _bands(fam, (K_base.periodic,), N)
     B = bands[-1]
     K_cut = TorusEmbedding(K_base.periodic.truncate(B))
-    fr = newton_frame(fam, K_cut, mu_base, omega, eps0)
-    n = fr.n
-    base_res = from_grid(fr.E[0], d, B).analytic_norm(0.0)
-    if base_res > base_tol:
+    ev = _evaluate(fam, K_cut, mu_base, omega, eps0)
+    fr = newton_frame(fam, K_cut, mu_base, omega, eps0, _defect=ev)
+    base_res = ev.series.analytic_norm(0.0)
+    if base_res > BASE_TOL:
         raise ValueError(
-            f"base residual {base_res:.3e} exceeds {base_tol:.1e}; "
+            f"base residual {base_res:.3e} exceeds {BASE_TOL:.1e}; "
             "the expansion needs an exact solution at eps0")
-    core = checked_block(fr, _floor_at(divisor_floor, d, kmax, B), det_rtol)
+    core = checked_block(fr, _floor_at(divisor_floor, d, kmax, B))
 
     K_coeffs = [K_base.periodic]
-    x0 = K_cut.lift_grid(n)
-    x_jet = np.zeros((N + 1,) + x0.shape, dtype=complex)
-    x_jet[0] = x0
+    x_jet = jets.pad(ev.X[None], N)
     mu_jet = np.zeros((N + 1, d), dtype=complex)
     mu_jet[0] = mu_base
 
@@ -207,7 +215,7 @@ def lindstedt_expand(fam, K_base: TorusEmbedding, mu_base, omega, eps0, N: int,
         Kj = from_grid((fr.M[0] @ np.concatenate([W1, W2], axis=-1)[..., None])[..., 0],
                        d, B).truncate(bands[j])
         K_coeffs.append(Kj.pad_to(kmax))
-        x_jet[j] = to_grid(Kj, n)
+        x_jet[j] = to_grid(Kj, fr.n)
         mu_jet[j] = mu_j
 
     return EpsilonJet(complex(eps0), tuple(K_coeffs), mu_jet, fam.lambda_jet(eps0, N))
@@ -223,15 +231,8 @@ def residual_jet(fam, jet: EpsilonJet, omega, through: int | None = None):
     order carries the asymptotic constant of the truncation error.
     """
     M = 2 * jet.order + 2 if through is None else through
-    bands = _bands(fam, jet.truncated(M).K_coeffs, M)
-    cut = _at_cutoff(jet, bands[-1])
-    n = _grid_size(cut.kmax)
-    x = _lift_jet(cut, n, order=M)
-    mu = jets.pad(jet.mu_coeffs, M)
-    G = fam.jet_apply(x, mu, jet.eps0)
-    shift = _lift_jet(cut, n, order=M, omega=omega)
-    return [from_grid(G[j] - shift[j], jet.dim, cut.kmax).truncate(bands[j])
-            .pad_to(jet.kmax) for j in range(M + 1)]
+    bands, _, _, _, E = _evaluate_jet(fam, jet.truncated(M), omega, M)
+    return _project(E, jet.dim, bands[-1], bands, jet.kmax)
 
 
 def residual_jet_norms(fam, jet: EpsilonJet, omega, through: int | None = None):
@@ -260,15 +261,8 @@ def residual_tail_norm(fam, jet: EpsilonJet, omega, eps_values,
 
 # -- quadratic (doubling) engine ----------------------------------------------
 
-def _vector_jacobian(series: FourierSeries) -> FourierSeries:
-    """(2d, d)-valued series of partial derivatives of a (2d,)-valued one."""
-    cols = [series.differentiate(j).coeffs for j in range(series.dim)]
-    return FourierSeries(series.dim, series.kmax, np.stack(cols, axis=-1))
-
-
 def lindstedt_double(fam, jet: EpsilonJet, omega,
-                     divisor_floor=DEFAULT_DIVISOR_FLOOR,
-                     det_rtol=DEFAULT_DET_RTOL) -> EpsilonJet:
+                     divisor_floor=DEFAULT_DIVISOR_FLOOR) -> EpsilonJet:
     """One Newton step on the jet: order N in, order 2N+1 out.
 
     All frame objects (DK, the normalization and torsion, the inverse frame
@@ -277,37 +271,26 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
     averaged block as the base torus.  Already-exact orders are reproduced up
     to roundoff, and the output is normalized in the base frame.
     """
-    N = jet.order
-    M_ord = 2 * N + 1
+    M_ord = 2 * jet.order + 1
     if M_ord > MAX_ORDER_DOUBLE:
         raise ValueError(
             f"target order {M_ord} beyond the double-precision cap {MAX_ORDER_DOUBLE}")
     d, kmax = jet.dim, jet.kmax
     eps0 = jet.eps0
-    bands = _bands(fam, jet.K_coeffs, M_ord)
-    B = bands[-1]
-    jet = _at_cutoff(jet, B)
-    n = _grid_size(B)
-
-    x = _lift_jet(jet, n, order=M_ord)
-    mu = jets.pad(jet.mu_coeffs, M_ord)
+    bands, x, mu, dk, E = _evaluate_jet(fam, jet, omega, M_ord)
+    B, n = bands[-1], x.shape[1]
     lam = fam.lambda_jet(eps0, M_ord)
-    E = fam.jet_apply(x, mu, eps0) - _lift_jet(jet, n, order=M_ord, omega=omega)
-    dk = np.zeros((M_ord + 1,) + x.shape[1:-1] + (2 * d, d), dtype=complex)
-    dk[0] = TorusEmbedding(jet.K_coeffs[0]).dk_grid(n)
-    for j in range(1, N + 1):
-        dk[j] = to_grid(_vector_jacobian(jet.K_coeffs[j]), n)
     fr = build_frame(fam.Jinv, lam, dk, E, fam.jet_jacobian(x, mu, eps0),
                      fam.jet_d_mu(x, mu, eps0), omega, B)
     # the averaged block of the (exact) order-0 torus serves every order
-    core = checked_block(fr, _floor_at(divisor_floor, d, kmax, B), det_rtol)
+    core = checked_block(fr, _floor_at(divisor_floor, d, kmax, B))
     Minv0 = np.linalg.inv(fr.M[0])
     S, A1, A2 = fr.S, fr.A[..., :d, :], fr.A[..., d:, :]
 
     W1 = np.zeros((M_ord + 1,) + x.shape[1:-1] + (d,), dtype=complex)
     W2 = np.zeros_like(W1)
     sigma = np.zeros((M_ord + 1, d), dtype=complex)
-    K_new = []
+    K_grid = np.empty_like(x)
     mu_new = np.array(mu)
 
     for nn in range(M_ord + 1):
@@ -319,9 +302,9 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
                 - (A1[m] @ sigma[nn - m][..., None])[..., 0]
         W1[nn], W2[nn], sigma[nn], _ = solve_reduced(core, rhs1, rhs2)
 
-        # normalization in the base frame: zero average angle displacement
-        Kn_grid = to_grid(jet.K_coeffs[nn], n) if nn <= N else \
-            np.zeros(x.shape[1:], dtype=complex)
+        # normalization in the base frame: zero average angle displacement;
+        # x holds K_nn itself for nn >= 1, order 0 is sampled without the lift
+        Kn_grid = x[nn] if nn else to_grid(jet.K_coeffs[0].truncate(B), n)
         corr = np.zeros(x.shape[1:], dtype=complex)
         for m in range(1, nn + 1):
             Wm = np.concatenate([W1[nn - m], W2[nn - m]], axis=-1)
@@ -331,10 +314,11 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
 
         Wn = np.concatenate([W1[nn], W2[nn]], axis=-1)
         delta = (fr.M[0] @ Wn[..., None])[..., 0] + corr
-        K_new.append(from_grid(Kn_grid + delta, d, B).truncate(bands[nn]).pad_to(kmax))
+        K_grid[nn] = Kn_grid + delta
         mu_new[nn] = mu_new[nn] + sigma[nn]
 
-    return EpsilonJet(complex(eps0), tuple(K_new), mu_new, lam)
+    return EpsilonJet(complex(eps0), tuple(_project(K_grid, d, B, bands, kmax)),
+                      mu_new, lam)
 
 
 # -- jet files ----------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 A family transports the symplectic form to lam(eps) times itself,
 Df^T J Df = lam(eps) J pointwise, with lam(eps) = 1 + alpha*eps^a + ...
-and lam(0) = 1.  Families expose analytic phase/parameter/eps derivatives
-and truncated power-series (jet) evaluation; the built-in dissipative
-standard map is the test bench for the whole solver stack.
+and lam(0) = 1.  Families expose analytic phase and parameter derivatives
+and truncated power-series (jet) evaluation in eps, whose order-1
+coefficient is the eps derivative; the built-in dissipative standard map is
+the test bench for the whole solver stack.
 """
 
 from __future__ import annotations
@@ -64,9 +65,6 @@ class MapFamily:
         raise NotImplementedError
 
     def d_mu(self, x, mu, eps):
-        raise NotImplementedError
-
-    def d_eps(self, x, mu, eps):
         raise NotImplementedError
 
     def jet_apply(self, x_jet, mu_jet, eps0):
@@ -161,12 +159,6 @@ class DissipativeStandardMap(MapFamily):
         x = np.asarray(x)
         out = np.ones(x.shape[:-1] + (2, 1), dtype=complex)
         return out
-
-    def d_eps(self, x, mu, eps):
-        x = np.asarray(x)
-        dlam = self.alpha * self.a * np.asarray(eps, dtype=complex) ** (self.a - 1)
-        common = dlam * x[..., 1] + self.kappa * np.sin(2 * np.pi * x[..., 0]) / (2 * np.pi)
-        return np.stack([common, common], axis=-1)
 
     # -- jets ---------------------------------------------------------------
 

@@ -14,12 +14,12 @@ of DK, E, Df and D_mu f (evaluated by the caller) into the frame data,
 `checked_block` gates the averaged 2d x 2d block of the order-0 torus, and
 `solve_reduced` solves one triangular system for (W1, W2, sigma).
 
-Each Newton iteration evaluates the map once: `run_newton` samples
-X = K(theta), DK (K, K o T_omega and DK in one packed transform), the defect
-E = f o K - K o T_omega and E's series on the grid, reads its residual from
-that series and hands the same evaluation to
-`newton_step`, whose frame and step report reuse it; at convergence the twist
-and the Lagrangian defect (from its DK) reuse it too.
+Each Newton iteration evaluates the map once: `run_newton` samples K as the
+order-0 jet of `embedding.sample_jet` (X = K(theta), K o T_omega and DK in one
+packed transform), forms E = f o K - K o T_omega and its series, reads the
+residual from that series and hands the same evaluation to `newton_step`,
+whose frame and step report reuse it; at convergence the twist and the
+Lagrangian defect (from its DK) reuse it too.
 The frame conditioning gate on DK^T DK uses the closed form |g|/|g| for the
 1 x 1 Gram of d = 1 and `np.linalg.cond` for d > 1; both follow
 `np.linalg.cond`'s rules (0 and inf give inf, nan stays nan), and every
@@ -36,14 +36,14 @@ import numpy as np
 from . import jets
 from .cohomology import CohomologySolution, DEFAULT_DIVISOR_FLOOR, solve_twisted
 from .diophantine import GoodSetParams, lambda_in_good_set
-from .embedding import TorusEmbedding
+from .embedding import TorusEmbedding, sample_jet
 from .errors import (DivisorTooSmall, FrameSingular, NoConvergence,
                      NonDegeneracyFailure, NormalizationDiverged)
-from .fourier import (FourierSeries, dump_series, fast_grid_size, from_grid,
-                      load_series, theta_grid, to_grid)
+from .fourier import (FourierSeries, _packed, dump_series, fast_grid_size,
+                      from_grid, load_series, to_grid)
 from .maps import symplectic_matrix
 
-DEFAULT_DET_RTOL = 1e-10
+DET_RTOL = 1e-10
 DEFAULT_TAIL_THRESHOLD = 1e-10
 
 _FRAME_COND_LIMIT = 1e12
@@ -63,23 +63,6 @@ def _mean(grid: np.ndarray, dim: int) -> np.ndarray:
     return np.add.reduce(grid, axis=tuple(range(dim))) / (grid.shape[0] ** dim)
 
 
-def _packed(transform, arrays, lead: int) -> list:
-    """Apply a column-wise transform to several arrays at once: the axes
-    after the first `lead` of each are flattened into columns, packed side by
-    side, transformed (the leading axes may change) and split back with each
-    array's own trailing shape.  The grid transforms act column by column, so
-    every part equals the transform of its array alone."""
-    packed = np.concatenate([a.reshape(a.shape[:lead] + (-1,)) for a in arrays], axis=-1)
-    out = transform(packed)
-    parts, start = [], 0
-    for a in arrays:
-        size = int(np.prod(a.shape[lead:]))
-        parts.append(np.ascontiguousarray(out[..., start:start + size])
-                     .reshape(out.shape[:-1] + a.shape[lead:]))
-        start += size
-    return parts
-
-
 @dataclass(frozen=True)
 class _Defect:
     """One evaluation of (K, mu) on the grid: the lift X = K(theta), DK and
@@ -97,17 +80,9 @@ class _Defect:
 
 
 def _evaluate(fam, K: TorusEmbedding, mu, omega, eps, n=None) -> _Defect:
-    """The lift, its shift by omega and DK come from one packed to_grid; the
-    lifts add theta (and omega) as `lift_grid` and `shifted_lift_grid` do."""
-    n, d = _grid_size(K.kmax, n), K.dim
-    P, Pshift, DK = _packed(lambda c: to_grid(FourierSeries(d, K.kmax, c), n),
-                            (K.periodic.coeffs, K.periodic.shift(omega).coeffs,
-                             K.dk_series().coeffs), d)
-    omega = np.atleast_1d(np.asarray(omega))
-    for j, theta in enumerate(theta_grid(d, n)):
-        P[..., j] += theta
-        Pshift[..., j] += theta + omega[j]
-    return _Defect(P, DK, fam.apply(P, mu, eps) - Pshift, d, K.kmax)
+    """(K, mu) on the grid: K sampled as the order-0 jet of `sample_jet`."""
+    X, Xshift, DK = sample_jet(K.periodic.coeffs[None], omega, _grid_size(K.kmax, n))
+    return _Defect(X[0], DK[0], fam.apply(X[0], mu, eps) - Xshift[0], K.dim, K.kmax)
 
 
 def invariance_residual(fam, K: TorusEmbedding, mu, omega, eps, n=None) -> FourierSeries:
@@ -232,13 +207,12 @@ class ReducedCore:
         return float(np.linalg.norm(np.linalg.inv(self.block), 2))
 
 
-def checked_block(frame: Frame, divisor_floor=DEFAULT_DIVISOR_FLOOR,
-                  det_rtol=DEFAULT_DET_RTOL) -> ReducedCore:
+def checked_block(frame: Frame, divisor_floor=DEFAULT_DIVISOR_FLOOR) -> ReducedCore:
     """Assemble the 2d x 2d averaged block of the order-0 torus.
 
     Solves the twisted drift response Bb first (which may raise
     DivisorTooSmall) and raises NonDegeneracyFailure when
-    |det| <= det_rtol * scale^(2d), scale being the largest absolute row sum.
+    |det| <= DET_RTOL * scale^(2d), scale being the largest absolute row sum.
     """
     d, lam = frame.d, complex(frame.lam[0])
     S, A1, A2 = frame.S[0], frame.A[0, ..., :d, :], frame.A[0, ..., d:, :]
@@ -252,7 +226,7 @@ def checked_block(frame: Frame, divisor_floor=DEFAULT_DIVISOR_FLOOR,
     block[d:, d:] = _mean(A2, d)
     scale = float(np.max(np.sum(np.abs(block), axis=1)))
     det = np.linalg.det(block)
-    if not np.isfinite(scale) or abs(det) <= det_rtol * scale ** (2 * d):
+    if not np.isfinite(scale) or abs(det) <= DET_RTOL * scale ** (2 * d):
         raise NonDegeneracyFailure(det, scale)
     return ReducedCore(frame, block, complex(det), Bb, Bb_grid, divisor_floor)
 
@@ -340,7 +314,7 @@ class StepReport:
 
 
 def newton_step(fam, K, mu, omega, eps, divisor_floor=DEFAULT_DIVISOR_FLOOR,
-                det_rtol=DEFAULT_DET_RTOL, n=None, *, _defect: _Defect | None = None):
+                n=None, *, _defect: _Defect | None = None):
     """One quadratic correction (K, mu) -> (K + M W, mu + sigma).
 
     `_defect` is run_newton's evaluation of (K, mu), reused for the frame and
@@ -349,7 +323,7 @@ def newton_step(fam, K, mu, omega, eps, divisor_floor=DEFAULT_DIVISOR_FLOOR,
     """
     ev = _evaluate(fam, K, mu, omega, eps, n) if _defect is None else _defect
     fr = newton_frame(fam, K, mu, omega, eps, _defect=ev)
-    core = checked_block(fr, divisor_floor, det_rtol)
+    core = checked_block(fr, divisor_floor)
     d, kmax = fr.d, fr.kmax
     W1, W2, sigma, gain = solve_reduced(core, -fr.Et[0, ..., :d], -fr.Et[0, ..., d:])
 
@@ -386,7 +360,7 @@ class KamSolution:
 
 def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20, rho=0.1,
                delta0=None, divisor_floor=DEFAULT_DIVISOR_FLOOR,
-               det_rtol=DEFAULT_DET_RTOL, good_set: GoodSetParams | None = None,
+               good_set: GoodSetParams | None = None,
                good_set_scan: int = 4096, force: bool = False,
                tail_threshold=DEFAULT_TAIL_THRESHOLD, kmax_cap: int = 1024) -> KamSolution:
     """Iterate newton_step until the l1 residual majorant is below tol.
@@ -394,8 +368,13 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20, rho=0.1,
     The strip bookkeeping follows rho_{n+1} = rho_n - delta0 / 2^{n+1} with
     delta0 = rho/4 by default, so the total loss stays below delta0.  When the
     tail band of K carries relative mass above `tail_threshold` the cutoff is
-    doubled (up to kmax_cap).
+    doubled (up to kmax_cap).  A non-finite eps or mu0 raises ValueError.
     """
+    if not np.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
+    mu = np.atleast_1d(np.asarray(mu0, dtype=complex))
+    if not np.all(np.isfinite(mu)):
+        raise ValueError(f"mu0 must be finite, got {mu0}")
     if good_set is not None and not force:
         witness = lambda_in_good_set(complex(fam.lambda_eps(eps)), good_set,
                                      omega, good_set_scan)
@@ -406,7 +385,6 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20, rho=0.1,
 
     delta0 = rho / 4.0 if delta0 is None else delta0
     K = K0
-    mu = np.atleast_1d(np.asarray(mu0, dtype=complex))
     rho_n = rho
     trace = []
     twist = float("nan")
@@ -417,7 +395,7 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20, rho=0.1,
         if res <= tol:
             if not np.isfinite(twist):
                 twist = checked_block(newton_frame(fam, K, mu, omega, eps, _defect=ev),
-                                      divisor_floor, det_rtol).twist()
+                                      divisor_floor).twist()
             return KamSolution(
                 K=K, mu=mu, residual_norm=res, twist_constant=twist,
                 lagrangian_defect=lagrangian_defect(K, fam.J, _dk=ev.DK),
@@ -428,8 +406,7 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20, rho=0.1,
         if it == max_iter:
             break
         K, mu, report = newton_step(fam, K, mu, omega, eps,
-                                    divisor_floor=divisor_floor,
-                                    det_rtol=det_rtol, _defect=ev)
+                                    divisor_floor=divisor_floor, _defect=ev)
         twist = report.twist
         rho_n = max(rho_n - delta0 / 2.0 ** (it + 1), 0.0)
         if K.periodic.tail_mass() > tail_threshold and K.kmax < kmax_cap:
@@ -452,15 +429,16 @@ def normalize_embedding(K: TorusEmbedding, K_ref: TorusEmbedding,
     kmax = max(K.kmax, K_ref.kmax)
     K = K.pad_to(kmax)
     K_ref = K_ref.pad_to(kmax)
-    n = _grid_size(kmax)
+    n, no_shift = _grid_size(kmax), np.zeros(d)
 
-    _, M, _ = _frame_matrix(K_ref.dk_grid(n)[None], symplectic_matrix(d).T)
+    ref_lift, _, dk = sample_jet(K_ref.periodic.coeffs[None], no_shift, n)
+    _, M, _ = _frame_matrix(dk, symplectic_matrix(d).T)
     Minv = np.linalg.inv(M[0])
-    ref_lift = K_ref.lift_grid(n)
 
     def g(sigma):
         # the condition is holomorphic in sigma, so a complex shift is allowed
-        diff = K.shifted(sigma).lift_grid(n) - ref_lift
+        lift = sample_jet(K.shifted(sigma).periodic.coeffs[None], no_shift, n)[0]
+        diff = lift[0] - ref_lift[0]
         return _mean((Minv @ diff[..., None])[..., 0], d)[:d]
 
     sigma = np.zeros(d, dtype=complex)
@@ -497,8 +475,9 @@ def lagrangian_defect(K: TorusEmbedding, J=None, *, _dk: np.ndarray | None = Non
     d = K.dim
     if J is None:
         J = symplectic_matrix(d)
-    alpha = K.dk_grid(_grid_size(K.kmax)) if _dk is None else _dk
-    L = np.swapaxes(alpha, -1, -2) @ J @ alpha
+    if _dk is None:
+        _dk = sample_jet(K.periodic.coeffs[None], np.zeros(d), _grid_size(K.kmax))[2][0]
+    L = np.swapaxes(_dk, -1, -2) @ J @ _dk
     return from_grid(L, d, K.kmax).analytic_norm(0.0)
 
 

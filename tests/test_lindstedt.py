@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from kamtori import embedding, jets, lindstedt, newton
-from kamtori.embedding import TorusEmbedding
+from kamtori.embedding import TorusEmbedding, sample_jet
 from kamtori.errors import DivisorTooSmall, FrameSingular
-from kamtori.fourier import FourierSeries, from_grid, theta_grid
-from kamtori.lindstedt import (EpsilonJet, _lift_jet, dump_jet, lindstedt_double,
+from kamtori.fourier import FourierSeries, fast_grid_size, from_grid
+from kamtori.lindstedt import (EpsilonJet, dump_jet, lindstedt_double,
                                lindstedt_expand, load_jet, residual_jet,
                                residual_jet_norms, residual_tail_norm)
 from kamtori.maps import apply_map
@@ -43,14 +43,9 @@ def test_jet_add_pads():
 
 def test_compose_constant_jet_is_pointwise_apply(fam, omega, base_torus):
     K0, mu0 = base_torus
-    jet = EpsilonJet(0.05 + 0j, (K0.periodic,), np.array([mu0]),
-                     fam.lambda_jet(0.05, 0))
-    n = _grid_size(jet.kmax)
-    G = fam.jet_apply(_lift_jet(jet, n), jet.mu_coeffs, jet.eps0)
-    th = theta_grid(1, n)[0]
-    lift = K0.lift_grid(n)
-    direct = fam.apply(lift, mu0, 0.05)
-    np.testing.assert_allclose(G[0], direct, atol=1e-14)
+    X = sample_jet(K0.periodic.coeffs[None], omega, _grid_size(K0.kmax))[0]
+    G = fam.jet_apply(X, np.array([mu0]), 0.05 + 0j)
+    np.testing.assert_allclose(G[0], fam.apply(X[0], mu0, 0.05), atol=1e-14)
 
 
 def test_jet_inverse_kernel(rng):
@@ -278,6 +273,38 @@ def test_flat_torus_jets_do_not_depend_on_kmax(fam, omega, flat_jets):
             assert r.truncate(32).coeffs.tobytes() == r_ref.coeffs.tobytes()
 
 
+def _flat_jets_at_kmax_64(fam, omega):
+    K0, mu0 = fam.unperturbed_torus(omega, 64)
+    expanded = lindstedt_expand(fam, K0, mu0, omega, 0.0, 16)
+    doubled = lindstedt_double(fam, lindstedt_double(fam, expanded.truncated(1), omega), omega)
+    return expanded, doubled
+
+
+@pytest.mark.parametrize("factor", [5, 8])
+def test_flat_torus_jets_do_not_depend_on_the_grid_factor(fam, omega, factor, monkeypatch):
+    # the order-16 expansion and two doublings (orders 1-7) on grids
+    # oversampled by `factor` agree with the default factor 3 per order to
+    # 1e-12 and 1e-11, relative (measured at most 1.7e-13 and 1.1e-12)
+    ref = _flat_jets_at_kmax_64(fam, omega)
+    sizes = set()
+
+    def grid_size(kmax, n=None):
+        wanted = max(factor * kmax + 2, 16)
+        size = fast_grid_size(wanted if n is None else max(wanted, n))
+        sizes.add(size)
+        return size
+
+    for module in (newton, lindstedt):
+        monkeypatch.setattr(module, "_grid_size", grid_size)
+    for jet, jet_ref, tol in zip(_flat_jets_at_kmax_64(fam, omega), ref, (1e-12, 1e-11)):
+        assert jet.order == jet_ref.order
+        for j in range(1, jet.order + 1):
+            gap = np.max(np.abs(jet.K_coeffs[j].coeffs - jet_ref.K_coeffs[j].coeffs))
+            assert gap <= tol * np.max(np.abs(jet_ref.K_coeffs[j].coeffs))
+        assert np.max(np.abs(jet.mu_coeffs - jet_ref.mu_coeffs)) <= tol
+    assert fast_grid_size(factor * 16 + 2) in sizes
+
+
 def test_out_of_band_bump_is_reported(fam, omega, jet4):
     # an order-2 coefficient at k = 5 is outside the band 2 * degree: the jet
     # is not band-limited, so its residual is computed at kmax and shows it
@@ -344,7 +371,7 @@ def test_jets_are_normalized(fam, omega, jet4):
     # zero average angle displacement in the base frame at every order
     base = jet4.base_embedding()
     n = 128
-    dk = base.dk_grid(n)
+    dk = sample_jet(base.periodic.coeffs[None], omega, n)[2][0]
     Minv = np.linalg.inv(np.concatenate(
         [dk, np.array([[0.0, -1.0], [1.0, 0.0]]) @ dk], axis=-1))
     for j in range(1, jet4.order + 1):

@@ -3,13 +3,14 @@ import io
 import numpy as np
 import pytest
 
-from kamtori.embedding import TorusEmbedding
+from kamtori import newton
+from kamtori.embedding import TorusEmbedding, sample_jet
 from kamtori.errors import (DivisorTooSmall, FrameSingular, NoConvergence,
                             NonDegeneracyFailure, NormalizationDiverged)
-from kamtori.fourier import FourierSeries, from_grid
+from kamtori.fourier import FourierSeries, _packed, from_grid
 from kamtori.lindstedt import lindstedt_expand
 from kamtori.maps import DissipativeStandardMap
-from kamtori.newton import (_evaluate, _gram_cond, _packed, dump_solution,
+from kamtori.newton import (_evaluate, _gram_cond, dump_solution,
                             invariance_residual, lagrangian_defect, load_solution,
                             newton_step, normalize_embedding, reducibility_frame,
                             run_newton)
@@ -38,8 +39,9 @@ class _ZeroMap:
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_packed_evaluation_matches_separate_lifts(dim):
-    # _evaluate transforms K, K o T_omega and DK in one packed to_grid; each
-    # must equal its own transform byte for byte
+    # _evaluate samples K as the order-0 jet of sample_jet (which
+    # test_embedding checks against one transform per lift): X, DK and
+    # E = 0 - K o T_omega are that jet's order 0 byte for byte
     rng = np.random.default_rng(dim)
     kmax = 12 if dim == 1 else 5
     shape = (2 * kmax + 1,) * dim + (2 * dim,)
@@ -47,10 +49,10 @@ def test_packed_evaluation_matches_separate_lifts(dim):
         dim, kmax, 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))))
     omega = np.array([(np.sqrt(5.0) - 1.0) / 2.0, np.sqrt(2.0) - 1.0][:dim])
     ev = _evaluate(_ZeroMap(), K, None, omega, 0.0)
-    n = ev.X.shape[0]
-    assert ev.X.tobytes() == K.lift_grid(n).tobytes()
-    assert ev.E.tobytes() == (0.0 - K.shifted_lift_grid(omega, n)).tobytes()
-    assert ev.DK.tobytes() == K.dk_grid(n).tobytes()
+    X, Xshift, DK = sample_jet(K.periodic.coeffs[None], omega, ev.X.shape[0])
+    assert ev.X.tobytes() == X[0].tobytes()
+    assert ev.E.tobytes() == (0.0 - Xshift[0]).tobytes()
+    assert ev.DK.tobytes() == DK[0].tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -111,9 +113,10 @@ def test_triangular_reduction_bounded_by_error(fam, omega, base_torus, rng):
 def test_frame_first_block_is_dk(fam, omega, base_torus, rng):
     K = perturbed(base_torus[0], rng, 1e-2)
     fr = reducibility_frame(fam, K, base_torus[1], omega, 0.01)
-    d = K.dim
+    d, kmax = K.dim, K.kmax
+    DK = sample_jet(K.periodic.coeffs[None], omega, 3 * kmax + 2)[2][0]
     np.testing.assert_allclose(fr.M_frame.coeffs[..., :, :d],
-                               K.dk_series().coeffs, atol=1e-13)
+                               from_grid(DK, d, kmax).coeffs, atol=1e-13)
 
 
 def test_frame_singular_detected(fam, omega):
@@ -223,6 +226,18 @@ def test_run_at_desk_parameters(fam, omega, base_torus):
     rhos = [r for _, r in sol.trace]
     assert all(b <= a for a, b in zip(rhos, rhos[1:]))
     assert rhos[-1] >= 0.1 - 0.1 / 4
+
+
+@pytest.mark.parametrize("eps, mu0, named", [
+    (np.nan, [0.0], "eps must be finite, got nan"),
+    (complex(0.05, np.inf), [0.0], "eps must be finite, got (0.05+infj)"),
+    (0.05, [np.nan], "mu0 must be finite, got [nan]"),
+], ids=["eps-nan", "eps-inf", "mu0-nan"])
+def test_run_rejects_non_finite_input(fam, omega, base_torus, eps, mu0, named):
+    # a NaN eps used to run into NonDegeneracyFailure("determinant nan")
+    with pytest.raises(ValueError) as err:
+        run_newton(fam, base_torus[0], mu0, omega, eps)
+    assert str(err.value) == named
 
 
 def test_run_respects_good_set_gate(fam, omega, base_torus):
@@ -355,15 +370,15 @@ def test_lagrangian_defect_converged_torus(fam, omega, base_torus):
 
 def test_converged_lagrangian_defect_reuses_the_evaluated_dk(fam, omega, base_torus,
                                                              monkeypatch):
-    # run_newton hands DK of its converged evaluation to the defect instead of
-    # sampling it again; the value is the one lagrangian_defect computes itself
+    # run_newton samples K once per iteration and hands DK of its converged
+    # evaluation to the defect instead of sampling it again; the value is the
+    # one lagrangian_defect computes itself
     calls = []
-    dk_grid = TorusEmbedding.dk_grid
-    monkeypatch.setattr(TorusEmbedding, "dk_grid",
-                        lambda self, n: calls.append(n) or dk_grid(self, n))
+    monkeypatch.setattr(newton, "sample_jet",
+                        lambda *args: calls.append(args[2]) or sample_jet(*args))
     K0, mu0 = base_torus
     sol = run_newton(fam, K0, mu0, omega, 0.05, tol=1e-12)
-    assert calls == []
+    assert len(calls) == len(sol.trace)
     direct = lagrangian_defect(sol.K, fam.J)
     assert np.float64(sol.lagrangian_defect).tobytes() == np.float64(direct).tobytes()
 
