@@ -5,8 +5,8 @@ dissipation parameter, and atlases of the complex analyticity domain with its
 excluded resonance balls.
 """
 
-from .diophantine import (GOLDEN_MEAN, GoodSetParams, NuEstimate, in_good_set,
-                          lambda_in_good_set, nu_lambda, nu_omega)
+from .diophantine import (GOLDEN_MEAN, GoodSetParams, NuEstimate, lambda_in_good_set,
+                          nu_lambda, nu_omega)
 from .embedding import TorusEmbedding
 from .errors import (ConfigError, DivisorTooSmall, FrameSingular, KamtoriError,
                      NoConvergence, NonDegeneracyFailure, NormalizationDiverged)

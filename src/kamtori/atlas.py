@@ -1,7 +1,8 @@
 """Geometry of the good parameter sets: excluded resonance balls, grid
-classification of the lambda- and epsilon-planes, the exact excluded area
-(the union of the balls clipped to an annulus) and its scaling across annuli,
-tangential-accessibility cones, and continuation sweeps.
+classification of the lambda- and epsilon-planes by `diophantine`'s one
+good-set scan, the exact excluded area (the union of the balls clipped to an
+annulus) and its scaling across annuli, tangential-accessibility cones, and
+continuation sweeps, which meet the good set through `run_newton`'s gate.
 
 The bad set near lam = 1 is covered by balls B_k centered at the resonances
 e^{2 pi i k.omega}; within the annulus rho < |lam - 1| < 2 rho the covering
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohomology import DEFAULT_DIVISOR_FLOOR
-from .diophantine import GoodSetParams, resonances
+from .diophantine import GoodSetParams, good_set_attained, nu_scan, resonances
 from .errors import DivisorTooSmall, KamtoriError, NoConvergence, NonDegeneracyFailure
 from .newton import run_newton
 
@@ -96,7 +97,6 @@ def _polish_root(fam, eps, target, rounds: int = 4):
 # -- grid classification ------------------------------------------------------
 
 INSIDE, EXCLUDED, OUTSIDE_R0 = 0, 1, 2
-_CHUNK_BYTES = 4 << 20     # complex cells x modes distances per classify chunk
 
 
 @dataclass(frozen=True)
@@ -110,11 +110,15 @@ class AtlasGrid:
     k_scan: int
 
     def cell_centers(self):
-        re0, re1, im0, im1 = self.bounds
-        nx, ny = self.resolution
-        xs = re0 + (np.arange(nx) + 0.5) * (re1 - re0) / nx
-        ys = im0 + (np.arange(ny) + 0.5) * (im1 - im0) / ny
-        return xs, ys
+        return _cell_centers(self.bounds, self.resolution)
+
+
+def _cell_centers(bounds, resolution):
+    re0, re1, im0, im1 = bounds
+    nx, ny = resolution
+    xs = re0 + (np.arange(nx) + 0.5) * (re1 - re0) / nx
+    ys = im0 + (np.arange(ny) + 0.5) * (im1 - im0) / ny
+    return xs, ys
 
 
 def classify_grid(plane: str, bounds, resolution, params: GoodSetParams,
@@ -122,49 +126,23 @@ def classify_grid(plane: str, bounds, resolution, params: GoodSetParams,
     """Per-cell membership of the good set, deterministic for fixed scan.
 
     plane="lambda" tests the cell center directly; plane="epsilon" maps it
-    through the family's lam(eps) and adds the |eps| <= r0 gate.  Cells are
-    scanned in chunks whose cells x modes distance array fits _CHUNK_BYTES.
+    through the family's lam(eps) and adds the |eps| <= r0 gate.  Each cell
+    gets the status and witness of `lambda_in_good_set`, from its one scan.
     """
-    nx, ny = resolution
-    re0, re1, im0, im1 = bounds
-    xs = re0 + (np.arange(nx) + 0.5) * (re1 - re0) / nx
-    ys = im0 + (np.arange(ny) + 0.5) * (im1 - im0) / ny
-    zz = (xs[:, None] + 1j * ys[None, :]).ravel()
-
-    if plane == "epsilon":
-        if fam is None:
-            raise ValueError("epsilon-plane classification needs the map family")
-        lam = np.asarray(fam.lambda_eps(zz))
-        outside = np.abs(zz) > params.r0
-    elif plane == "lambda":
-        lam = zz
-        outside = np.zeros(zz.shape, dtype=bool)
-    else:
+    if plane not in ("lambda", "epsilon"):
         raise ValueError(f"unknown plane {plane!r}")
-
-    omega_v = np.atleast_1d(np.asarray(omega, dtype=float))
-    ks, roots, knorm = resonances(omega_v, k_scan)
-    weight = knorm ** (-params.tau)
-
-    status = np.full(zz.shape, INSIDE, dtype=np.int8)
-    witness = np.zeros(zz.shape + (omega_v.size,), dtype=np.int64)
-    factor = np.abs(lam - 1.0) ** (params.N + 1)
-    chunk = max(1, _CHUNK_BYTES // (16 * roots.size))
-    for lo in range(0, zz.size, chunk):
-        sl = slice(lo, min(lo + chunk, zz.size))
-        dist = np.abs(roots[None, :] - lam[sl, None])
-        with np.errstate(divide="ignore"):
-            terms = weight[None, :] / dist
-        arg = np.argmax(terms, axis=1)
-        attained = terms[np.arange(arg.size), arg] * factor[sl]
-        attained[factor[sl] == 0.0] = 0.0
-        status[sl] = np.where(attained > params.A, EXCLUDED, INSIDE)
-        witness[sl] = ks[arg]
-    status[outside] = OUTSIDE_R0
-    return AtlasGrid(plane, tuple(bounds), (nx, ny),
-                     status.reshape(nx, ny),
-                     witness.reshape(nx, ny, omega_v.size),
-                     params, k_scan)
+    if plane == "epsilon" and fam is None:
+        raise ValueError("epsilon-plane classification needs the map family")
+    xs, ys = _cell_centers(bounds, resolution)
+    zz = xs[:, None] + 1j * ys[None, :]
+    lam = zz if plane == "lambda" else np.asarray(fam.lambda_eps(zz))
+    term, witness, _ = nu_scan(lam, omega, params.tau, k_scan)
+    attained, _ = good_set_attained(lam, term, params.N)
+    status = np.where(attained <= params.A, INSIDE, EXCLUDED).astype(np.int8)
+    if plane == "epsilon":
+        status[np.abs(zz) > params.r0] = OUTSIDE_R0
+    return AtlasGrid(plane, tuple(bounds), tuple(resolution), status, witness, params,
+                     k_scan)
 
 
 # -- excluded measure ---------------------------------------------------------
@@ -338,10 +316,10 @@ def coupled_divisor_floor(kmax: int, dim: int, lam: complex,
 def sweep_continuation(fam, omega, path, K0, mu0, good_set: GoodSetParams | None = None,
                        tol: float = 1e-11, max_iter: int = 20, rho: float = 0.1) -> SweepResult:
     """Walk the epsilon path, solving at each point seeded by the previous
-    solution.  With good-set params the cohomology floor is coupled to the
-    set inequality, so DivisorTooSmall fires exactly when the path enters an
-    excluded ball; the sweep records the obstructing mode and halts (detours
-    are the caller's business via `detour_path`)."""
+    solution.  Good-set params go to run_newton's gate, so DivisorTooSmall
+    fires exactly where `lambda_in_good_set` says lam(eps) leaves the set,
+    at any cutoff; the sweep records the witness mode, divisor and floor and
+    halts (detours are the caller's business via `detour_path`)."""
     K, mu = K0, mu0
     steps = []
     sols = []
@@ -349,12 +327,9 @@ def sweep_continuation(fam, omega, path, K0, mu0, good_set: GoodSetParams | None
     prev = None
     reached = True
     for eps in np.asarray(path, dtype=complex):
-        floor = DEFAULT_DIVISOR_FLOOR
-        if good_set is not None:
-            floor = coupled_divisor_floor(K.kmax, K.dim, fam.lambda_eps(eps), good_set)
         try:
             sol = run_newton(fam, K, mu, omega, eps, tol=tol, max_iter=max_iter,
-                             rho=rho, divisor_floor=floor)
+                             rho=rho, good_set=good_set)
         except DivisorTooSmall as err:
             steps.append(SweepStep(complex(eps), "divisor", float("nan"), None,
                                    obstruction_k=err.k,

@@ -26,7 +26,7 @@ from . import __version__
 from .atlas import (classify_grid, excluded_balls, grid_table, render_svg,
                     sweep_continuation, sweep_table)
 from .config import load_config
-from .diophantine import in_good_set, scan_trace
+from .diophantine import lambda_in_good_set, scan_trace
 from .errors import (ConfigError, DivisorTooSmall, KamtoriError, NoConvergence,
                      NonDegeneracyFailure)
 from .lindstedt import (dump_jet, lindstedt_double, lindstedt_expand,
@@ -258,7 +258,7 @@ def cmd_verify(run: _Run):
     check("nu-monotone", 0.0 if n1.value <= n2.value else 1.0, 0.0)
 
     if cfg.good_set is not None:
-        w = in_good_set(0.0, cfg.good_set, cfg.omega, fam.lambda_eps, cfg.k_scan)
+        w = lambda_in_good_set(fam.lambda_eps(0.0), cfg.good_set, cfg.omega, cfg.k_scan)
         check("origin-in-good-set", 0.0 if w.member else 1.0, 0.0)
 
     sol = run_newton(fam, K0, mu0, cfg.omega, 0.05, tol=1e-12, rho=cfg.rho,

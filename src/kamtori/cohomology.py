@@ -86,8 +86,15 @@ def _divisor_table(dim: int, kmax: int, lam_bytes: bytes, omega_bytes: bytes,
 
 
 def _divisors(dim: int, kmax: int, lam: complex, omega, divisor_floor) -> tuple:
-    """The table entry of (d, kmax, lam, omega, floor), looked up by bytes."""
+    """The table entry of (d, kmax, lam, omega, floor), looked up by bytes;
+    a per-mode floor over a larger centred mode box is cut to the kmax box."""
     floor = np.asarray(divisor_floor, dtype=float)
+    if floor.shape not in ((), (2 * kmax + 1,) * dim):
+        m = (floor.shape[0] - 1) // 2
+        if floor.shape != (2 * m + 1,) * dim or m < kmax:
+            raise ValueError(f"divisor floor for kmax {m} (shape {floor.shape}) cannot serve "
+                             f"a solve at kmax {kmax}: it must span a larger centred box")
+        floor = floor[(slice(m - kmax, m + kmax + 1),) * dim]
     return _divisor_table(dim, kmax, np.complex128(lam).tobytes(),
                           np.atleast_1d(np.asarray(omega, dtype=float)).tobytes(),
                           floor.shape, floor.tobytes())
@@ -99,10 +106,10 @@ def solve_twisted(eta: FourierSeries, lam: complex, omega,
 
     For lam = 1 (within 1e-12) the average of eta must vanish and phi is
     returned with zero average; otherwise the average solves (lam-1) phi_0 =
-    eta_0.  `divisor_floor` may be a scalar or an array over the mode box
-    (e.g. a |k|-dependent threshold); any divisor below it raises
-    DivisorTooSmall, flagging the parameter as outside the good set at this
-    cutoff.
+    eta_0.  `divisor_floor` may be a scalar or an array over the centred mode
+    box of any cutoff >= kmax (e.g. a |k|-dependent threshold), cut to the
+    kmax box; any divisor below it raises DivisorTooSmall, flagging the
+    parameter as outside the good set at this cutoff.
 
     The inverse divisors (with the k = 0 entry), the largest gain and the
     DivisorTooSmall witness come from a table of at most 8 entries, keyed by

@@ -8,13 +8,19 @@ The quantities estimated here are running suprema over a finite mode scan,
 with |k| the l1 norm.  The scan bound is reported with every estimate: for
 the truncated cohomology solves it is the finite-scan value (with k_scan
 covering the mode box) that actually controls the solution, so that is the
-operationally relevant quantity.  A divisor below 1e-300 is treated as an
-exact zero and the estimate is flagged infinite.
+operationally relevant quantity.  An estimate whose witness divisor is below
+1e-300 is treated as an exact zero and flagged infinite.
+
+The good set is G = {lam : nu(lam; omega, tau) |lam - 1|^{N+1} <= A}, and
+one scan decides it: `nu_scan` finds the largest term of each lam in an
+array, `good_set_attained` multiplies in |lam - 1|^{N+1}.  `nu_lambda`,
+`lambda_in_good_set`, the atlas's `classify_grid` (over its cells) and the
+good-set gate of `newton.run_newton` (which continuation sweeps go through)
+all run it, so they test the same inequality bit for bit.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,23 +28,28 @@ import numpy as np
 GOLDEN_MEAN = (np.sqrt(5.0) - 1.0) / 2.0
 
 _ZERO_DIVISOR = 1e-300
+_CHUNK_BYTES = 4 << 20     # complex lam x modes distances per scan chunk
 
 
 def mode_ball(dim: int, k_scan: int) -> np.ndarray:
     """All k in Z^d with 0 < |k|_1 <= k_scan, as an (m, d) int array.
 
-    For d = 1 this is +-1..+-k_scan; higher dimensions enumerate the l1 ball.
+    For d = 1 this is +-1..+-k_scan; higher dimensions enumerate the l1 ball
+    in lexicographic order, one coordinate at a time: each prefix is followed
+    by every next coordinate c with |c| within the l1 budget it leaves.
     """
     if dim == 1:
         k = np.arange(1, k_scan + 1)
         return np.concatenate([k, -k]).reshape(-1, 1)
-    ks = []
-    rng = range(-k_scan, k_scan + 1)
-    for k in itertools.product(rng, repeat=dim):
-        s = sum(abs(c) for c in k)
-        if 0 < s <= k_scan:
-            ks.append(k)
-    return np.array(ks, dtype=int)
+    ks = np.zeros((1, 0), dtype=int)
+    left = np.array([k_scan])          # the l1 budget each prefix leaves
+    for _ in range(dim):
+        count = 2 * left + 1
+        first = np.repeat(np.cumsum(count) - count, count)
+        c = np.arange(first.size) - first - np.repeat(left, count)
+        ks = np.column_stack([np.repeat(ks, count, axis=0), c])
+        left = np.repeat(left, count) - np.abs(c)
+    return ks[left < k_scan]           # only the origin spends none of it
 
 
 def resonances(omega, k_scan: int):
@@ -65,17 +76,37 @@ class NuEstimate:
         return float("inf") if self.infinite else self.value
 
 
-def nu_omega(omega, tau: float, k_scan: int) -> NuEstimate:
-    """Scan estimate of nu(omega; tau); flagged infinite on a zero divisor."""
+def nu_scan(lam, omega, tau: float, k_scan: int):
+    """The scan behind every good-set test.  For each lam (an array of any
+    shape) over the resonance table: the largest term
+    |k|^-tau / |e^{2 pi i k.omega} - lam|, its mode k (shape lam.shape + (d,))
+    and its divisor.  An exact resonance gives an infinite term; ties keep
+    the first mode of the table.  The lam x modes distances are formed in
+    chunks of at most _CHUNK_BYTES."""
     if k_scan < 1:
         raise ValueError("k_scan must be >= 1")
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    if omega.size > 1:
-        return nu_lambda(1.0, omega, tau, k_scan)
-    # |e^{2 pi i k w} - 1| = 2 |sin(pi k w)|; conjugate modes match, scan k > 0
-    k = np.arange(1, k_scan + 1)
-    divisors = 2.0 * np.abs(np.sin(np.pi * np.remainder(k * float(omega[0]), 1.0)))
-    return _reduce(k.reshape(-1, 1), divisors, k.astype(float), tau, k_scan)
+    lam = np.asarray(lam, dtype=complex)
+    ks, roots, knorm = resonances(omega, k_scan)
+    weight = knorm ** (-tau)
+    flat = lam.ravel()
+    arg = np.empty(flat.size, dtype=np.intp)
+    chunk = max(1, _CHUNK_BYTES // (16 * roots.size))
+    with np.errstate(divide="ignore"):
+        for lo in range(0, flat.size, chunk):
+            dist = np.abs(roots[None, :] - flat[lo:lo + chunk, None])
+            arg[lo:lo + chunk] = np.argmax(weight[None, :] / dist, axis=1)
+        divisor = np.abs(roots[arg] - flat)
+        term = weight[arg] / divisor
+    return (term.reshape(lam.shape), ks[arg].reshape(lam.shape + (ks.shape[1],)),
+            divisor.reshape(lam.shape))
+
+
+def good_set_attained(lam, term, N: int):
+    """(nu |lam - 1|^{N+1}, |lam - 1|^{N+1}) for the `nu_scan` terms of the
+    lam array, the first 0 at lam = 1 (the Diophantine factor switched off)."""
+    factor = np.abs(lam - 1.0) ** (N + 1)
+    with np.errstate(invalid="ignore"):
+        return np.where(factor == 0.0, 0.0, term * factor), factor
 
 
 def nu_lambda(lam: complex, omega, tau: float, k_scan: int) -> NuEstimate:
@@ -84,22 +115,16 @@ def nu_lambda(lam: complex, omega, tau: float, k_scan: int) -> NuEstimate:
     For |lam| != 1 every scanned term is bounded by |1 - |lam||^{-1}, so the
     estimate inherits that analytic bound automatically.
     """
-    if k_scan < 1:
-        raise ValueError("k_scan must be >= 1")
-    ks, phases, knorm = resonances(omega, k_scan)
-    return _reduce(ks, np.abs(phases - complex(lam)), knorm, tau, k_scan)
+    term, k, divisor = nu_scan(complex(lam), omega, tau, k_scan)
+    k = tuple(int(c) for c in k)
+    if divisor < _ZERO_DIVISOR:
+        return NuEstimate(float("inf"), k, float(divisor), int(k_scan), infinite=True)
+    return NuEstimate(float(term), k, float(divisor), int(k_scan))
 
 
-def _reduce(ks, divisors, knorm, tau, k_scan) -> NuEstimate:
-    dead = divisors < _ZERO_DIVISOR
-    if np.any(dead):
-        i = int(np.argmax(dead))
-        return NuEstimate(float("inf"), tuple(int(c) for c in np.atleast_1d(ks[i])),
-                          float(divisors[i]), int(k_scan), infinite=True)
-    terms = 1.0 / (divisors * knorm ** tau)
-    i = int(np.argmax(terms))
-    return NuEstimate(float(terms[i]), tuple(int(c) for c in np.atleast_1d(ks[i])),
-                      float(divisors[i]), int(k_scan))
+def nu_omega(omega, tau: float, k_scan: int) -> NuEstimate:
+    """Scan estimate of nu(omega; tau) = nu(1; omega, tau)."""
+    return nu_lambda(1.0, omega, tau, k_scan)
 
 
 def scan_trace(omega, tau: float, k_scan: int, lam: complex | None = None):
@@ -140,25 +165,13 @@ class GoodSetWitness:
     factor: float          # |lam - 1|^{N+1}
     attained: float        # nu * factor (the tested quantity)
     lam: complex
+    floor: float           # factor |k|^-tau / A, the divisor floor of the witness k
 
 
 def lambda_in_good_set(lam: complex, params: GoodSetParams, omega, k_scan: int) -> GoodSetWitness:
+    """The good-set test at one lam, by the scan `classify_grid` runs per cell."""
     nu = nu_lambda(lam, omega, params.tau, k_scan)
-    factor = float(abs(complex(lam) - 1.0) ** (params.N + 1))
-    if factor == 0.0:
-        attained = 0.0      # lam = 1: the Diophantine factor is switched off
-    elif nu.infinite:
-        attained = float("inf")
-    else:
-        attained = nu.value * factor
-    return GoodSetWitness(attained <= params.A, nu, factor, attained, complex(lam))
-
-
-def in_good_set(eps: complex, params: GoodSetParams, omega, lam_of_eps,
-                k_scan: int) -> GoodSetWitness:
-    """Membership test for the epsilon-plane set via the family's lam(eps).
-
-    Callers are expected to keep |eps| <= r0; the radius gate itself is done
-    by the atlas grid classifier.
-    """
-    return lambda_in_good_set(complex(lam_of_eps(eps)), params, omega, k_scan)
+    attained, factor = good_set_attained(np.array([complex(lam)]), nu.value, params.N)
+    floor = float(factor[0]) * sum(abs(c) for c in nu.k) ** (-params.tau) / params.A
+    return GoodSetWitness(bool(attained[0] <= params.A), nu, float(factor[0]),
+                          float(attained[0]), complex(lam), floor)

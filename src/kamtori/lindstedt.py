@@ -162,16 +162,6 @@ def _project(grids: np.ndarray, d: int, B: int, bands, kmax: int) -> list:
     return [FourierSeries(d, kmax, c) for c in out]
 
 
-def _floor_at(divisor_floor, d: int, kmax: int, B: int):
-    """A per-mode divisor floor over the kmax mode box, cut to the B box;
-    scalar and broadcast floors are returned as they are."""
-    floor = np.asarray(divisor_floor)
-    if B == kmax or floor.shape[:d] != (2 * kmax + 1,) * d:
-        return divisor_floor
-    lo = kmax - B
-    return floor[(slice(lo, lo + 2 * B + 1),) * d]
-
-
 def _avg_first_rows(Minv0, grid, d):
     return _mean((Minv0 @ grid[..., None])[..., 0], d)[:d]
 
@@ -201,7 +191,7 @@ def lindstedt_expand(fam, K_base: TorusEmbedding, mu_base, omega, eps0, N: int,
         raise ValueError(
             f"base residual {base_res:.3e} exceeds {BASE_TOL:.1e}; "
             "the expansion needs an exact solution at eps0")
-    core = checked_block(fr, _floor_at(divisor_floor, d, kmax, B))
+    core = checked_block(fr, divisor_floor)
 
     K_coeffs = [K_base.periodic]
     x_jet = jets.pad(ev.X[None], N)
@@ -283,7 +273,7 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
     fr = build_frame(fam.Jinv, lam, dk, E, fam.jet_jacobian(x, mu, eps0),
                      fam.jet_d_mu(x, mu, eps0), omega, B)
     # the averaged block of the (exact) order-0 torus serves every order
-    core = checked_block(fr, _floor_at(divisor_floor, d, kmax, B))
+    core = checked_block(fr, divisor_floor)
     Minv0 = np.linalg.inv(fr.M[0])
     S, A1, A2 = fr.S, fr.A[..., :d, :], fr.A[..., d:, :]
 

@@ -49,13 +49,8 @@ DEFAULT_TAIL_THRESHOLD = 1e-10
 _FRAME_COND_LIMIT = 1e12
 
 
-def _grid_size(kmax: int, n=None) -> int:
-    wanted = max(3 * kmax + 2, 16)
-    if n is not None:
-        if n < 2 * kmax + 1:
-            raise ValueError(f"grid size {n} violates the Nyquist bound for kmax={kmax}")
-        wanted = max(wanted, n)
-    return fast_grid_size(wanted)
+def _grid_size(kmax: int) -> int:
+    return fast_grid_size(max(3 * kmax + 2, 16))
 
 
 def _mean(grid: np.ndarray, dim: int) -> np.ndarray:
@@ -79,19 +74,19 @@ class _Defect:
         return from_grid(self.E, self.dim, self.kmax)
 
 
-def _evaluate(fam, K: TorusEmbedding, mu, omega, eps, n=None) -> _Defect:
+def _evaluate(fam, K: TorusEmbedding, mu, omega, eps) -> _Defect:
     """(K, mu) on the grid: K sampled as the order-0 jet of `sample_jet`."""
-    X, Xshift, DK = sample_jet(K.periodic.coeffs[None], omega, _grid_size(K.kmax, n))
+    X, Xshift, DK = sample_jet(K.periodic.coeffs[None], omega, _grid_size(K.kmax))
     return _Defect(X[0], DK[0], fam.apply(X[0], mu, eps) - Xshift[0], K.dim, K.kmax)
 
 
-def invariance_residual(fam, K: TorusEmbedding, mu, omega, eps, n=None) -> FourierSeries:
+def invariance_residual(fam, K: TorusEmbedding, mu, omega, eps) -> FourierSeries:
     """E = f_{mu,eps} o K - K o T_omega as a (2d,)-valued series.
 
     Computed on an oversampled grid with continuous angle lifts, then
     truncated to the embedding's cutoff.
     """
-    return _evaluate(fam, K, mu, omega, eps, n).series
+    return _evaluate(fam, K, mu, omega, eps).series
 
 
 # -- the reduced system ---------------------------------------------------------
@@ -180,11 +175,11 @@ def build_frame(Jinv, lam, dk, E, Df, Dmu, omega, kmax: int) -> Frame:
                  Et=jets.matmul(beta, E[..., None])[..., 0], cond=cond)
 
 
-def newton_frame(fam, K, mu, omega, eps, n=None, *, _defect: _Defect | None = None) -> Frame:
+def newton_frame(fam, K, mu, omega, eps, *, _defect: _Defect | None = None) -> Frame:
     """The frame of (K, mu) at eps: the pointwise map evaluations enter as
     order-0 jets.  `_defect` is an evaluation of (K, mu) on the grid the
-    caller already holds; it fixes the grid, so n is then not used."""
-    ev = _evaluate(fam, K, mu, omega, eps, n) if _defect is None else _defect
+    caller already holds."""
+    ev = _evaluate(fam, K, mu, omega, eps) if _defect is None else _defect
     X = ev.X
     lam = np.array([complex(fam.lambda_eps(eps))])
     return build_frame(fam.Jinv, lam, ev.DK[None], ev.E[None],
@@ -276,9 +271,9 @@ class ReducibilityFrame:
     cond: float                 # worst conditioning of DK^T DK on the grid
 
 
-def reducibility_frame(fam, K, mu, omega, eps, n=None) -> ReducibilityFrame:
+def reducibility_frame(fam, K, mu, omega, eps) -> ReducibilityFrame:
     """Adapted frame with the reducibility defect R and its norm ratio to E."""
-    fr = newton_frame(fam, K, mu, omega, eps, n)
+    fr = newton_frame(fam, K, mu, omega, eps)
     d, kmax = fr.d, fr.kmax
     tri = np.zeros(fr.S.shape[1:-2] + (2 * d, 2 * d), dtype=complex)
     idx = np.arange(d)
@@ -314,14 +309,14 @@ class StepReport:
 
 
 def newton_step(fam, K, mu, omega, eps, divisor_floor=DEFAULT_DIVISOR_FLOOR,
-                n=None, *, _defect: _Defect | None = None):
+                *, _defect: _Defect | None = None):
     """One quadratic correction (K, mu) -> (K + M W, mu + sigma).
 
     `_defect` is run_newton's evaluation of (K, mu), reused for the frame and
     the report's residual instead of evaluating the map again; without it the
-    step evaluates (K, mu) on the grid of size n itself.
+    step evaluates (K, mu) itself.
     """
-    ev = _evaluate(fam, K, mu, omega, eps, n) if _defect is None else _defect
+    ev = _evaluate(fam, K, mu, omega, eps) if _defect is None else _defect
     fr = newton_frame(fam, K, mu, omega, eps, _defect=ev)
     core = checked_block(fr, divisor_floor)
     d, kmax = fr.d, fr.kmax
@@ -369,6 +364,8 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20, rho=0.1,
     delta0 = rho/4 by default, so the total loss stays below delta0.  When the
     tail band of K carries relative mass above `tail_threshold` the cutoff is
     doubled (up to kmax_cap).  A non-finite eps or mu0 raises ValueError.
+    With `good_set` (and not `force`) lam(eps) must pass `lambda_in_good_set`
+    over `good_set_scan` modes, or DivisorTooSmall carries its witness.
     """
     if not np.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps}")
@@ -376,12 +373,9 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20, rho=0.1,
     if not np.all(np.isfinite(mu)):
         raise ValueError(f"mu0 must be finite, got {mu0}")
     if good_set is not None and not force:
-        witness = lambda_in_good_set(complex(fam.lambda_eps(eps)), good_set,
-                                     omega, good_set_scan)
+        witness = lambda_in_good_set(fam.lambda_eps(eps), good_set, omega, good_set_scan)
         if not witness.member:
-            knorm = max(sum(abs(c) for c in witness.nu.k), 1)
-            floor = witness.factor / (good_set.A * knorm ** good_set.tau)
-            raise DivisorTooSmall(witness.nu.k, witness.nu.divisor, floor)
+            raise DivisorTooSmall(witness.nu.k, witness.nu.divisor, witness.floor)
 
     delta0 = rho / 4.0 if delta0 is None else delta0
     K = K0

@@ -1,4 +1,5 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from kamtori.atlas import (INSIDE, EXCLUDED, OUTSIDE_R0, ExclusionBall,
                            tangential_cone_check)
 from kamtori.diophantine import GoodSetParams, lambda_in_good_set
 from kamtori.maps import DissipativeStandardMap
-from kamtori.newton import normalize_embedding
+from kamtori.newton import normalize_embedding, run_newton
 
 
 @pytest.fixture(scope="module")
@@ -100,15 +101,28 @@ def test_classify_ball_centers_excluded(params, omega):
     assert grid.status[1, 1] == EXCLUDED
 
 
-def test_classify_agrees_with_pointwise(params, omega, rng):
-    bounds = (0.9, 1.1, -0.08, 0.08)
-    grid = classify_grid("lambda", bounds, (40, 32), params, omega, k_scan=512)
-    xs, ys = grid.cell_centers()
-    for _ in range(100):
-        i = rng.integers(0, 40)
-        j = rng.integers(0, 32)
-        w = lambda_in_good_set(complex(xs[i], ys[j]), params, omega, 512)
-        assert (grid.status[i, j] == INSIDE) == w.member
+def test_classify_agrees_with_pointwise(params, omega):
+    # every cell's status and witness mode are those of the pointwise test,
+    # in the lambda-plane and the eps-plane (a = 3, with its r0 gate), at
+    # d = 1 and d = 2: the oracle any faster search in classify_grid must keep
+    fam3 = DissipativeStandardMap(kappa=0.5, alpha=1.0, a=3)
+    eps_params = GoodSetParams(A=0.1, N=1, tau=1.0, r0=0.7)
+    cases = [("lambda", (0.7, 1.3, -0.3, 0.3), params),
+             ("epsilon", (-0.8, 0.8, -0.8, 0.8), eps_params)]
+    for (plane, bounds, par), (om, k_scan) in itertools.product(
+            cases, [(omega, 512), ([omega, np.sqrt(2.0) - 1.0], 40)]):
+        grid = classify_grid(plane, bounds, (40, 32), par, om, fam=fam3, k_scan=k_scan)
+        xs, ys = grid.cell_centers()
+        zz = xs[:, None] + 1j * ys[None, :]
+        lam = zz if plane == "lambda" else fam3.lambda_eps(zz)
+        gated = (np.abs(zz) > par.r0) & (plane == "epsilon")
+        assert np.all((grid.status == OUTSIDE_R0) == gated)
+        counts = np.bincount(grid.status.ravel(), minlength=3)
+        assert counts[INSIDE] > 0 and counts[EXCLUDED] > 0
+        for i, j in zip(*np.nonzero(~gated)):
+            w = lambda_in_good_set(lam[i, j], par, om, k_scan)
+            assert grid.status[i, j] == (INSIDE if w.member else EXCLUDED)
+            assert tuple(grid.witness_k[i, j]) == w.nu.k
 
 
 def test_classify_epsilon_r0_gate(params, omega, fam):
@@ -313,6 +327,49 @@ def test_resonance_ray_obstructed(omega):
                                       fam=fam, plane="epsilon")
             if b.k == (1,)][0]
     assert abs(last.eps - ball.center) <= 10.0 * ball.radius
+
+
+def test_sweep_halts_only_where_lambda_leaves_the_good_set(fam, omega):
+    # the halt comes from the good-set test at lam(eps) over run_newton's
+    # default 4096 modes, never from a divisor of an untwisted solve
+    gs = GoodSetParams(A=0.05, N=1, tau=1.0, r0=1.0)
+    K0, mu0 = fam.unperturbed_torus(omega, 64)
+    res = sweep_continuation(fam, omega, np.linspace(0.01, 0.5, 30), K0, mu0, good_set=gs)
+    *solved, last = res.steps
+    for st in solved:
+        assert lambda_in_good_set(fam.lambda_eps(st.eps), gs, omega, 4096).member
+    w = lambda_in_good_set(fam.lambda_eps(last.eps), gs, omega, 4096)
+    assert not w.member
+    assert not res.reached_end and last.status == "divisor"
+    assert last.obstruction_k == w.nu.k
+    assert last.note == f"divisor {w.nu.divisor:.3e} < floor {w.floor:.3e}"
+
+
+def test_sweep_from_a_coarse_cutoff_reaches_its_end(fam, omega):
+    # run_newton doubles kmax from 8 to 16 on this path, past the box of any
+    # floor built at the starting cutoff
+    gs = GoodSetParams(A=0.5, N=2, tau=1.0, r0=0.3)
+    K0, mu0 = fam.unperturbed_torus(omega, 8)
+    res = sweep_continuation(fam, omega, np.linspace(0.01, 0.25, 5), K0, mu0, good_set=gs)
+    assert res.reached_end
+    assert [sol.K.kmax for sol in res.solutions] == [8, 16, 16, 16, 16]
+
+
+def test_coupled_floor_over_a_smaller_box_raises_a_named_error(fam, omega):
+    # the solve doubles kmax from 8 to 16; the floor covers only the kmax 8 box
+    gs = GoodSetParams(A=0.5, N=2, tau=1.0, r0=0.3)
+    K0, mu0 = fam.unperturbed_torus(omega, 8)
+    floor = coupled_divisor_floor(8, 1, fam.lambda_eps(0.2), gs)
+    with pytest.raises(ValueError, match="floor for kmax 8 .* at kmax 16"):
+        run_newton(fam, K0, mu0, omega, 0.2, divisor_floor=floor)
+
+
+def test_coupled_floor_over_the_doubled_box_converges(fam, omega):
+    gs = GoodSetParams(A=0.5, N=2, tau=1.0, r0=0.3)
+    K0, mu0 = fam.unperturbed_torus(omega, 8)
+    floor = coupled_divisor_floor(16, 1, fam.lambda_eps(0.2), gs)
+    sol = run_newton(fam, K0, mu0, omega, 0.2, divisor_floor=floor)
+    assert sol.K.kmax == 16 and sol.residual_norm <= 1e-12
 
 
 def test_sweep_round_trip_returns_same_torus(fam, omega):

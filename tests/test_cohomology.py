@@ -115,6 +115,20 @@ def test_per_mode_floor_array(omega):
     assert err.value.k == (3,)
 
 
+def test_per_mode_floor_over_a_larger_box_is_cut_to_the_solve(omega):
+    eta = random_eta(np.random.default_rng(0), kmax=8)
+    want = solve_twisted(eta, 0.9, omega, divisor_floor=np.full(17, 1e-12))
+    floor = np.full(25, 1e-12)        # over the kmax 12 mode box
+    got = solve_twisted(eta, 0.9, omega, divisor_floor=floor)
+    assert got.phi.coeffs.tobytes() == want.phi.coeffs.tobytes()
+    floor[12 + 3] = 10.0     # impossible floor at k = +3
+    with pytest.raises(DivisorTooSmall) as err:
+        solve_twisted(eta, 0.9, omega, divisor_floor=floor)
+    assert err.value.k == (3,)
+    with pytest.raises(ValueError, match="floor for kmax 4 .* at kmax 8"):
+        solve_twisted(eta, 0.9, omega, divisor_floor=np.full(9, 1e-12))
+
+
 def test_matrix_valued_eta(rng, omega):
     c = rng.standard_normal((9, 2, 2)) + 1j * rng.standard_normal((9, 2, 2))
     eta = FourierSeries(1, 4, c)

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from kamtori.diophantine import (GOLDEN_MEAN, GoodSetParams,
-                                 in_good_set, lambda_in_good_set, mode_ball,
+                                 lambda_in_good_set, mode_ball,
                                  nu_lambda, nu_omega, resonances, scan_trace)
 
 # frozen by a 50-digit scan over |k| <= 1e5: the sup sits at k = 1
@@ -64,6 +66,18 @@ def test_mode_ball_d2_l1():
     assert len(ks) == 12
 
 
+@pytest.mark.parametrize("dim, k_scan", [(2, 0), (2, 1), (2, 7), (3, 1), (3, 5)])
+def test_mode_ball_matches_the_product_box_filter(dim, k_scan):
+    # the (2k+1)^d box in itertools' lexicographic order, filtered to the
+    # l1 ball: the reference the direct enumeration must equal byte for byte
+    rng = range(-k_scan, k_scan + 1)
+    ref = np.array([k for k in itertools.product(rng, repeat=dim)
+                    if 0 < sum(abs(c) for c in k) <= k_scan], dtype=int).reshape(-1, dim)
+    ks = mode_ball(dim, k_scan)
+    assert ks.dtype == ref.dtype and ks.shape == ref.shape
+    assert ks.tobytes() == ref.tobytes()
+
+
 def test_nu_omega_d2():
     omega = np.array([GOLDEN_MEAN, np.sqrt(2) - 1])
     est = nu_omega(omega, 2.0, 30)
@@ -118,7 +132,7 @@ def lam_linear(eps):
 
 def test_origin_in_good_set():
     params = GoodSetParams(A=0.1, N=2, tau=1.0, r0=0.5)
-    w = in_good_set(0.0, params, GOLDEN_MEAN, lam_linear, 1000)
+    w = lambda_in_good_set(lam_linear(0.0), params, GOLDEN_MEAN, 1000)
     assert w.member
     assert w.attained == 0.0
 
@@ -129,15 +143,15 @@ def test_real_eps_below_root_in_good_set():
     N, A = 3, 1e-3
     params = GoodSetParams(A=A, N=N, tau=1.0, r0=0.5)
     eps = 0.9 * A ** (1.0 / N)
-    assert in_good_set(eps, params, GOLDEN_MEAN, lam_linear, 2000).member
-    assert not in_good_set(2.5 * A ** (1.0 / N), params, GOLDEN_MEAN,
-                           lam_linear, 2000).member
+    assert lambda_in_good_set(lam_linear(eps), params, GOLDEN_MEAN, 2000).member
+    assert not lambda_in_good_set(lam_linear(2.5 * A ** (1.0 / N)), params,
+                                  GOLDEN_MEAN, 2000).member
 
 
 def test_resonant_eps_excluded():
     params = GoodSetParams(A=10.0, N=1, tau=1.0, r0=3.0)
     eps = np.exp(2j * np.pi * GOLDEN_MEAN) - 1.0   # lam(eps) hits the k=1 resonance
-    w = in_good_set(eps, params, GOLDEN_MEAN, lam_linear, 100)
+    w = lambda_in_good_set(lam_linear(eps), params, GOLDEN_MEAN, 100)
     assert not w.member
     assert w.attained == np.inf
 

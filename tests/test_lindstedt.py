@@ -288,9 +288,8 @@ def test_flat_torus_jets_do_not_depend_on_the_grid_factor(fam, omega, factor, mo
     ref = _flat_jets_at_kmax_64(fam, omega)
     sizes = set()
 
-    def grid_size(kmax, n=None):
-        wanted = max(factor * kmax + 2, 16)
-        size = fast_grid_size(wanted if n is None else max(wanted, n))
+    def grid_size(kmax):
+        size = fast_grid_size(max(factor * kmax + 2, 16))
         sizes.add(size)
         return size
 
