@@ -18,7 +18,7 @@ import numpy as np
 
 from .cohomology import DEFAULT_DIVISOR_FLOOR
 from .diophantine import GoodSetParams, good_set_attained, nu_scan, resonances
-from .errors import DivisorTooSmall, KamtoriError, NoConvergence, NonDegeneracyFailure
+from .errors import DivisorTooSmall, KamtoriError, NoConvergence
 from .newton import run_newton
 
 DEFAULT_RADIUS_SCALE = 1.0   # the covering constant; all geometry is relative to it
@@ -285,7 +285,7 @@ def circle_accessibility_fraction(omega, sigma: float, A: float, m: int,
 @dataclass(frozen=True)
 class SweepStep:
     eps: complex
-    status: str                # "ok" | "divisor" | "no-convergence" | "non-degenerate"
+    status: str                # "ok" or the halting error's status
     residual: float
     mu: np.ndarray | None
     obstruction_k: tuple | None = None
@@ -298,6 +298,7 @@ class SweepResult:
     reached_end: bool
     path_length: float
     solutions: tuple           # KamSolution per accepted step
+    error: KamtoriError | None = None   # what halted the sweep
 
 
 def coupled_divisor_floor(kmax: int, dim: int, lam: complex,
@@ -313,44 +314,41 @@ def coupled_divisor_floor(kmax: int, dim: int, lam: complex,
                       DEFAULT_DIVISOR_FLOOR)
 
 
-def sweep_continuation(fam, omega, path, K0, mu0, good_set: GoodSetParams | None = None,
-                       tol: float = 1e-11, max_iter: int = 20, rho: float = 0.1) -> SweepResult:
+def sweep_continuation(fam, omega, path, K0, mu0, **newton) -> SweepResult:
     """Walk the epsilon path, solving at each point seeded by the previous
-    solution.  Good-set params go to run_newton's gate, so DivisorTooSmall
-    fires exactly where `lambda_in_good_set` says lam(eps) leaves the set,
-    at any cutoff; the sweep records the witness mode, divisor and floor and
-    halts (detours are the caller's business via `detour_path`)."""
+    solution; `newton` holds the `run_newton` keywords of every solve.
+
+    With `good_set` (and not `force`), run_newton's gate raises DivisorTooSmall
+    exactly where `lambda_in_good_set` says lam(eps) leaves the set, at any
+    cutoff.  The first KamtoriError halts the sweep (detours are the caller's
+    business via `detour_path`): its last row carries the error's `status`,
+    with the witness mode, divisor and floor for DivisorTooSmall and the last
+    residual of the trace for NoConvergence (nan otherwise), and the error
+    stays on the result.
+    """
     K, mu = K0, mu0
     steps = []
     sols = []
     length = 0.0
     prev = None
-    reached = True
     for eps in np.asarray(path, dtype=complex):
         try:
-            sol = run_newton(fam, K, mu, omega, eps, tol=tol, max_iter=max_iter,
-                             rho=rho, good_set=good_set)
-        except DivisorTooSmall as err:
-            steps.append(SweepStep(complex(eps), "divisor", float("nan"), None,
-                                   obstruction_k=err.k,
-                                   note=f"divisor {err.divisor:.3e} < floor {err.floor:.3e}"))
-            reached = False
-            break
-        except NoConvergence as err:
-            steps.append(SweepStep(complex(eps), "no-convergence", err.trace[-1][0], None))
-            reached = False
-            break
-        except NonDegeneracyFailure:
-            steps.append(SweepStep(complex(eps), "non-degenerate", float("nan"), None))
-            reached = False
-            break
+            sol = run_newton(fam, K, mu, omega, eps, **newton)
+        except KamtoriError as err:
+            residual, k, note = float("nan"), None, ""
+            if isinstance(err, NoConvergence):
+                residual = err.trace[-1][0]
+            if isinstance(err, DivisorTooSmall):
+                k, note = err.k, f"divisor {err.divisor:.3e} < floor {err.floor:.3e}"
+            steps.append(SweepStep(complex(eps), err.status, residual, None, k, note))
+            return SweepResult(tuple(steps), False, length, tuple(sols), err)
         steps.append(SweepStep(complex(eps), "ok", sol.residual_norm, sol.mu))
         sols.append(sol)
         K, mu = sol.K, sol.mu
         if prev is not None:
             length += abs(complex(eps) - prev)
         prev = complex(eps)
-    return SweepResult(tuple(steps), reached, length, tuple(sols))
+    return SweepResult(tuple(steps), True, length, tuple(sols))
 
 
 def detour_path(eps1: complex, eps2: complex, balls, samples: int = 257,

@@ -7,8 +7,8 @@ written atomically and a manifest records the config hash, the package
 version and every emitted file; floats are printed with 17 significant
 digits so identical configs reproduce byte-identical tables.
 
-Exit codes: 0 ok, 64 config error, 2 non-degeneracy, 3 small divisor,
-4 no convergence, 1 anything else.
+Exit codes: 0 ok, 1 a failed verify check; an error prints its label and
+exits with its code, both named by its class in `errors`.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from .atlas import (classify_grid, excluded_balls, grid_table, render_svg,
                     sweep_continuation, sweep_table)
 from .config import load_config
 from .diophantine import lambda_in_good_set, scan_trace
-from .errors import (ConfigError, DivisorTooSmall, KamtoriError, NoConvergence,
-                     NonDegeneracyFailure)
+from .errors import ConfigError, KamtoriError
 from .lindstedt import (dump_jet, lindstedt_double, lindstedt_expand,
                         residual_jet_norms)
 from .newton import dump_solution, invariance_residual, run_newton
@@ -36,10 +35,6 @@ from .maps import verify_conformal
 
 EXIT_OK = 0
 EXIT_ERROR = 1
-EXIT_NONDEGENERATE = 2
-EXIT_DIVISOR = 3
-EXIT_NOCONV = 4
-EXIT_CONFIG = 64
 
 
 def _atomic_write(path, text: str):
@@ -65,7 +60,8 @@ class _Run:
         self.config = args.config
         self.out = args.out
         self.seed = args.seed
-        self.force = args.force
+        # the run_newton keywords of every solve in the run
+        self.newton = dict(self.cfg.newton, force=args.force)
         os.makedirs(self.out, exist_ok=True)
         with open(args.config, "rb") as fp:
             self.config_hash = hashlib.sha256(fp.read()).hexdigest()
@@ -97,10 +93,7 @@ def cmd_solve(run: _Run):
     if eps is None:
         raise ConfigError("missing required key 'eps'", f"{run.config}[solve].eps")
     K0, mu0 = _solver_start(cfg)
-    sol = run_newton(cfg.family, K0, mu0, cfg.omega, eps, tol=cfg.tol,
-                     max_iter=cfg.max_iter, rho=cfg.rho, delta0=cfg.delta0,
-                     divisor_floor=cfg.divisor_floor, good_set=cfg.good_set,
-                     good_set_scan=cfg.k_scan, force=run.force)
+    sol = run_newton(cfg.family, K0, mu0, cfg.omega, eps, **run.newton)
     buf = io.StringIO()
     dump_solution(sol, buf)
     run.emit("solution.txt", buf.getvalue())
@@ -116,12 +109,10 @@ def _expand_from_config(run: _Run, order: int, eps0: complex):
     cfg = run.cfg
     K0, mu0 = _solver_start(cfg)
     if eps0 != 0:
-        sol = run_newton(cfg.family, K0, mu0, cfg.omega, eps0, tol=cfg.tol,
-                         max_iter=cfg.max_iter, rho=cfg.rho,
-                         divisor_floor=cfg.divisor_floor)
+        sol = run_newton(cfg.family, K0, mu0, cfg.omega, eps0, **run.newton)
         K0, mu0 = sol.K, sol.mu
     return lindstedt_expand(cfg.family, K0, mu0, cfg.omega, eps0, order,
-                            divisor_floor=cfg.divisor_floor)
+                            divisor_floor=cfg.newton["divisor_floor"])
 
 
 def _emit_jet(run: _Run, jet):
@@ -151,7 +142,7 @@ def cmd_double(run: _Run):
     jet = _expand_from_config(run, order, 0.0)
     for _ in range(rounds):
         jet = lindstedt_double(cfg.family, jet, cfg.omega,
-                               divisor_floor=cfg.divisor_floor)
+                               divisor_floor=cfg.newton["divisor_floor"])
     norms = _emit_jet(run, jet)
     print(f"doubled {rounds}x from order {order}: final order {jet.order}, "
           f"max residual through order {jet.order}: {max(norms[:jet.order + 1]):.3e}")
@@ -202,9 +193,7 @@ def cmd_sweep(run: _Run):
         end = start + u * abs(end - start)
     path = start + (end - start) * np.linspace(0.0, 1.0, steps)
     K0, mu0 = _solver_start(cfg)
-    result = sweep_continuation(cfg.family, cfg.omega, path, K0, mu0,
-                                good_set=cfg.good_set, tol=cfg.tol,
-                                max_iter=cfg.max_iter, rho=cfg.rho)
+    result = sweep_continuation(cfg.family, cfg.omega, path, K0, mu0, **run.newton)
     buf = io.StringIO()
     sweep_table(result, buf)
     run.emit("sweep.txt", buf.getvalue())
@@ -213,14 +202,7 @@ def cmd_sweep(run: _Run):
     print(f"sweep {start} -> {end}: {status}, "
           f"{sum(1 for s in result.steps if s.status == 'ok')}/{steps} points, "
           f"path length {result.path_length:.6g}")
-    if not result.reached_end:
-        last = result.steps[-1]
-        if last.status == "divisor":
-            return EXIT_DIVISOR
-        if last.status == "no-convergence":
-            return EXIT_NOCONV
-        return EXIT_NONDEGENERATE
-    return EXIT_OK
+    return EXIT_OK if result.error is None else result.error.exit_code
 
 
 def cmd_verify(run: _Run):
@@ -261,8 +243,8 @@ def cmd_verify(run: _Run):
         w = lambda_in_good_set(fam.lambda_eps(0.0), cfg.good_set, cfg.omega, cfg.k_scan)
         check("origin-in-good-set", 0.0 if w.member else 1.0, 0.0)
 
-    sol = run_newton(fam, K0, mu0, cfg.omega, 0.05, tol=1e-12, rho=cfg.rho,
-                     divisor_floor=cfg.divisor_floor)
+    sol = run_newton(fam, K0, mu0, cfg.omega, 0.05, tol=1e-12, rho=cfg.newton["rho"],
+                     divisor_floor=cfg.newton["divisor_floor"])
     check("newton-residual", sol.residual_norm, 1e-12)
     check("lagrangian-defect", sol.lagrangian_defect, 1e-10)
 
@@ -304,21 +286,9 @@ def main(argv=None) -> int:
         code = _COMMANDS[args.command](run)
         run.manifest()
         return code
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NonDegeneracyFailure as err:
-        print(f"non-degeneracy failure: {err}", file=sys.stderr)
-        return EXIT_NONDEGENERATE
-    except DivisorTooSmall as err:
-        print(f"small divisor: {err}", file=sys.stderr)
-        return EXIT_DIVISOR
-    except NoConvergence as err:
-        print(f"no convergence: {err}", file=sys.stderr)
-        return EXIT_NOCONV
     except KamtoriError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
+        print(f"{err.label}: {err}", file=sys.stderr)
+        return err.exit_code
 
 
 if __name__ == "__main__":

@@ -21,6 +21,10 @@ ConfigError naming `<file>[<section>].<key>`.  Every number must be finite:
 [family] must be present; an absent [goodset] means no good set (its keys
 are required only when it is present); any other absent section takes its
 defaults.  Named means are expanded to full double precision.
+
+The [solver] keys other than kmax are `run_newton` keywords: with the good
+set (or None) and its kscan they make `RunConfig.newton`, the one mapping
+every solve of a run passes on.
 """
 
 from __future__ import annotations
@@ -120,7 +124,7 @@ _KEYS = {
                "a": (_int_in(1), 1)},
     "frequency": {"omega": (_numbers(_frequency, DissipativeStandardMap.dim), _REQUIRED),
                   "tau": (_positive, 1.0)},
-    # the keys of [solver] are the RunConfig fields they set
+    # the keys of [solver] but kmax are run_newton keywords
     "solver": {"tol": (_positive, 1e-12), "max_iter": (_int_in(0), 20),
                "rho": (_positive, 0.1), "delta0": (_positive, None),
                "kmax": (_int_in(1), 64), "divisor_floor": (_positive, 1e-12)},
@@ -144,14 +148,10 @@ class RunConfig:
     family: DissipativeStandardMap
     omega: np.ndarray
     tau: float
-    tol: float
-    max_iter: int
-    rho: float
-    delta0: float | None
     kmax: int
-    divisor_floor: float
     good_set: GoodSetParams | None
     k_scan: int | None           # [goodset].kscan; None without a good set
+    newton: dict                 # run_newton keywords from [solver] and [goodset]
     sections: dict               # section -> key -> typed value
 
 
@@ -201,11 +201,13 @@ def load_config(path) -> RunConfig:
 
     fam, freq = values["family"], values["frequency"]
     good = values.get("goodset")
+    good_set = None if good is None else GoodSetParams(
+        A=good["A"], N=good["N"], tau=freq["tau"], r0=good["r0"])
+    k_scan = None if good is None else good["kscan"]
+    newton = dict(values["solver"])
     return RunConfig(
         family=DissipativeStandardMap(kappa=fam["kappa"], alpha=complex(fam["alpha"]),
                                       a=fam["a"]),
-        omega=np.array(freq["omega"]), tau=freq["tau"],
-        good_set=None if good is None else GoodSetParams(
-            A=good["A"], N=good["N"], tau=freq["tau"], r0=good["r0"]),
-        k_scan=None if good is None else good["kscan"],
-        sections=values, **values["solver"])
+        omega=np.array(freq["omega"]), tau=freq["tau"], kmax=newton.pop("kmax"),
+        good_set=good_set, k_scan=k_scan,
+        newton=dict(newton, good_set=good_set, good_set_scan=k_scan), sections=values)

@@ -1,8 +1,14 @@
-"""Exception classes shared across the solver stack."""
+"""Exception classes shared across the solver stack, and how a run reports
+each one: the CLI prints `label: message` and exits with `exit_code`, and a
+sweep that halts on the error writes `status` in its last row.  A subclass
+without its own triple reports as the base class does.
+"""
 
 
 class KamtoriError(Exception):
     """Base class for all solver errors."""
+
+    label, exit_code, status = "error", 1, "error"
 
 
 class DivisorTooSmall(KamtoriError):
@@ -12,6 +18,8 @@ class DivisorTooSmall(KamtoriError):
     exp(2*pi*i*k.omega) for the requested mode box, i.e. the parameter sits
     inside (or too near) an excluded ball.
     """
+
+    label, exit_code, status = "small divisor", 3, "divisor"
 
     def __init__(self, k, divisor, floor):
         self.k = tuple(int(c) for c in k)
@@ -29,6 +37,8 @@ class FrameSingular(KamtoriError):
 class NonDegeneracyFailure(KamtoriError):
     """The averaged 2d x 2d twist system is numerically singular."""
 
+    label, exit_code, status = "non-degeneracy failure", 2, "non-degenerate"
+
     def __init__(self, det, scale):
         self.det = complex(det)
         self.scale = float(scale)
@@ -40,6 +50,8 @@ class NonDegeneracyFailure(KamtoriError):
 
 class NoConvergence(KamtoriError):
     """Newton iteration ran out of iterations before reaching tolerance."""
+
+    label, exit_code, status = "no convergence", 4, "no-convergence"
 
     def __init__(self, iterations, trace):
         self.iterations = int(iterations)
@@ -56,6 +68,8 @@ class NormalizationDiverged(KamtoriError):
 
 class ConfigError(KamtoriError):
     """Run configuration could not be parsed or validated."""
+
+    label, exit_code = "config error", 64
 
     def __init__(self, message, location=None):
         self.location = location

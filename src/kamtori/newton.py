@@ -44,7 +44,8 @@ from .fourier import (FourierSeries, _packed, dump_series, fast_grid_size,
 from .maps import symplectic_matrix
 
 DET_RTOL = 1e-10
-DEFAULT_TAIL_THRESHOLD = 1e-10
+DEFAULT_TAIL_THRESHOLD = 1e-10   # relative tail mass of K that doubles its cutoff
+KMAX_CAP = 1024                  # the cutoff is never doubled past this
 
 _FRAME_COND_LIMIT = 1e12
 
@@ -356,14 +357,13 @@ class KamSolution:
 def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20, rho=0.1,
                delta0=None, divisor_floor=DEFAULT_DIVISOR_FLOOR,
                good_set: GoodSetParams | None = None,
-               good_set_scan: int = 4096, force: bool = False,
-               tail_threshold=DEFAULT_TAIL_THRESHOLD, kmax_cap: int = 1024) -> KamSolution:
+               good_set_scan: int = 4096, force: bool = False) -> KamSolution:
     """Iterate newton_step until the l1 residual majorant is below tol.
 
     The strip bookkeeping follows rho_{n+1} = rho_n - delta0 / 2^{n+1} with
     delta0 = rho/4 by default, so the total loss stays below delta0.  When the
-    tail band of K carries relative mass above `tail_threshold` the cutoff is
-    doubled (up to kmax_cap).  A non-finite eps or mu0 raises ValueError.
+    tail band of K carries relative mass above DEFAULT_TAIL_THRESHOLD the
+    cutoff is doubled (up to KMAX_CAP).  A non-finite eps or mu0 raises ValueError.
     With `good_set` (and not `force`) lam(eps) must pass `lambda_in_good_set`
     over `good_set_scan` modes, or DivisorTooSmall carries its witness.
     """
@@ -403,8 +403,8 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20, rho=0.1,
                                     divisor_floor=divisor_floor, _defect=ev)
         twist = report.twist
         rho_n = max(rho_n - delta0 / 2.0 ** (it + 1), 0.0)
-        if K.periodic.tail_mass() > tail_threshold and K.kmax < kmax_cap:
-            K = K.pad_to(min(2 * K.kmax, kmax_cap))
+        if K.periodic.tail_mass() > DEFAULT_TAIL_THRESHOLD and K.kmax < KMAX_CAP:
+            K = K.pad_to(min(2 * K.kmax, KMAX_CAP))
     raise NoConvergence(max_iter, trace)
 
 
@@ -414,10 +414,11 @@ def normalize_embedding(K: TorusEmbedding, K_ref: TorusEmbedding,
     """Find sigma so that, in the frame of K_ref, the angle component of the
     mean displacement of K o T_sigma from K_ref vanishes.
 
-    Solved per component by a damped secant iteration; |sigma| is of the
-    order of the embedding distance.  Raises NormalizationDiverged if the
-    iteration leaves [-max_shift, max_shift], and FrameSingular if the frame
-    of K_ref cannot be built.
+    Solved by Newton's method with the exact Jacobian mean(M^-1 DK o T_sigma)
+    [:d], read from the sample of K o T_sigma that gives the condition; |sigma|
+    is of the order of the embedding distance.  Raises NormalizationDiverged
+    if the iteration leaves [-max_shift, max_shift], and FrameSingular if the
+    frame of K_ref cannot be built.
     """
     d = K.dim
     kmax = max(K.kmax, K_ref.kmax)
@@ -430,31 +431,26 @@ def normalize_embedding(K: TorusEmbedding, K_ref: TorusEmbedding,
     Minv = np.linalg.inv(M[0])
 
     def g(sigma):
-        # the condition is holomorphic in sigma, so a complex shift is allowed
-        lift = sample_jet(K.shifted(sigma).periodic.coeffs[None], no_shift, n)[0]
+        # the condition and its Jacobian; the condition is holomorphic in
+        # sigma, so a complex shift is allowed
+        lift, _, dk = sample_jet(K.shifted(sigma).periodic.coeffs[None], no_shift, n)
         diff = lift[0] - ref_lift[0]
-        return _mean((Minv @ diff[..., None])[..., 0], d)[:d]
+        return _mean((Minv @ diff[..., None])[..., 0], d)[:d], _mean(Minv @ dk[0], d)[:d]
 
     sigma = np.zeros(d, dtype=complex)
-    val = g(sigma)
-    h = 1e-7
+    val, jac = g(sigma)
     for _ in range(max_iter):
         if np.max(np.abs(val)) <= tol:
             break
-        jac = np.empty((d, d), dtype=complex)
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = h
-            jac[:, j] = (g(sigma + e) - g(sigma - e)) / (2 * h)
         sigma = sigma - np.linalg.solve(jac, val)
         if np.max(np.abs(sigma)) > max_shift:
             raise NormalizationDiverged(
                 f"shift {sigma} left the trust region |sigma| <= {max_shift}"
             )
-        val = g(sigma)
+        val, jac = g(sigma)
     else:
         if np.max(np.abs(val)) > tol:
-            raise NormalizationDiverged("secant iteration did not reach tolerance")
+            raise NormalizationDiverged("Newton iteration did not reach tolerance")
     if np.max(np.abs(sigma.imag)) < 1e-13:
         sigma = sigma.real
     return K.shifted(sigma), sigma

@@ -372,6 +372,13 @@ def test_coupled_floor_over_the_doubled_box_converges(fam, omega):
     assert sol.K.kmax == 16 and sol.residual_norm <= 1e-12
 
 
+def test_sweep_solves_with_run_newtons_defaults(fam, omega):
+    K0, mu0 = fam.unperturbed_torus(omega, 32)
+    res = sweep_continuation(fam, omega, [0.01], K0, mu0)
+    assert res.solutions[0].trace == run_newton(fam, K0, mu0, omega, 0.01).trace
+    assert res.steps[0].residual <= 1e-12
+
+
 def test_sweep_round_trip_returns_same_torus(fam, omega):
     K0, mu0 = fam.unperturbed_torus(omega, 32)
     fwd_path = np.linspace(0.01, 0.2, 9)

@@ -1,3 +1,4 @@
+import io
 import os
 import stat
 import textwrap
@@ -5,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from kamtori.atlas import SweepResult, SweepStep, sweep_table
 from kamtori.cli import main
 from kamtori.config import load_config
-from kamtori.newton import load_solution
+from kamtori.errors import KamtoriError, NoConvergence
+from kamtori.newton import load_solution, run_newton
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -285,3 +288,100 @@ def test_command_config_error_names_the_file(tmp_path, capsys, command, dropped,
 def test_committed_config_loads(path):
     cfg = load_config(path)
     assert cfg.omega.size == cfg.family.dim
+
+
+# -- failures through solve and sweep, on configs/golden.cfg ----------------------------
+
+GOODSET = "[goodset]\nA = 0.5\nN = 2\nr0 = 0.3\nkscan = 4096\n"
+# a good set that excludes lam(0.05) at mode 144
+NARROW = {"tau = 1.0": "tau = 0.1", "A = 0.5": "A = 0.01", "N = 2": "N = 1"}
+
+
+def _at(eps):
+    """Edits that put the solve and a one-point sweep at eps."""
+    return {"eps = 0.0": f"eps = {eps}", "start = 0.01": f"start = {eps}",
+            "end = 0.25": f"end = {eps}", "steps = 13": "steps = 1"}
+
+
+def _golden(tmp_path, command, edits, *flags, out=None):
+    """Run `command` on configs/golden.cfg with the text edits; the exit code."""
+    text = (CONFIGS / "golden.cfg").read_text()
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    p = tmp_path / "golden.cfg"
+    p.write_text(text)
+    return main([command, "--config", str(p), "--out", str(tmp_path / (out or command)),
+                 *flags])
+
+
+def _last_sweep_row(tmp_path):
+    return (tmp_path / "sweep" / "sweep.txt").read_text().splitlines()[-1].split()
+
+
+@pytest.mark.parametrize("edits, code, message, status", [
+    ({"kappa = 0.5": "kappa = 1", "alpha = 1.0": "alpha = 0.01", GOODSET: "", **_at(3.0)},
+     2, "non-degeneracy failure: non-degeneracy determinant 1.129e+22", "non-degenerate"),
+    ({"max_iter = 20": "max_iter = 0", **_at(0.05)},
+     4, "no convergence: no convergence after 0 iterations", "no-convergence"),
+], ids=["non-degenerate", "no-convergence"])
+def test_solve_and_sweep_report_a_failure_alike(tmp_path, capsys, edits, code, message,
+                                                status):
+    assert _golden(tmp_path, "solve", edits) == code
+    assert capsys.readouterr().err.startswith(message)
+    assert _golden(tmp_path, "sweep", edits) == code
+    assert _last_sweep_row(tmp_path)[2] == status
+
+
+def test_sweep_no_convergence_row_holds_the_last_residual(tmp_path):
+    edits = {"max_iter = 20": "max_iter = 0", "steps = 13": "steps = 1"}
+    assert _golden(tmp_path, "sweep", edits) == 4
+    cfg = load_config(tmp_path / "golden.cfg")
+    K0, mu0 = cfg.family.unperturbed_torus(cfg.omega, cfg.kmax)
+    with pytest.raises(NoConvergence) as err:
+        run_newton(cfg.family, K0, mu0, cfg.omega, 0.01, max_iter=0)
+    assert float(_last_sweep_row(tmp_path)[3]) == err.value.trace[-1][0]
+
+
+@pytest.mark.parametrize("edits, flags, code, status", [
+    ({**NARROW, "kscan = 4096": "kscan = 1"}, (), 0, "ok"),
+    (NARROW, ("--force",), 0, "ok"),
+    ({"divisor_floor = 1e-12": "divisor_floor = 0.1"}, (), 3, "divisor"),
+], ids=["kscan", "force", "divisor-floor"])
+def test_one_point_sweep_solves_as_solve_does(tmp_path, capsys, edits, flags, code,
+                                              status):
+    edits = {**edits, **_at(0.05)}
+    assert _golden(tmp_path, "solve", edits, *flags) == code
+    solve_err = capsys.readouterr().err
+    assert _golden(tmp_path, "sweep", edits, *flags) == code
+    assert _last_sweep_row(tmp_path)[2] == status
+    if code:
+        k = solve_err.split("k=(")[1].split(",)")[0]
+        assert _last_sweep_row(tmp_path)[-1].endswith(f"_k={k}")
+
+
+def test_lindstedt_base_solve_passes_the_good_set_gate(tmp_path, capsys):
+    edits = {**NARROW, "eps0 = 0": "eps0 = 0.05"}
+    assert _golden(tmp_path, "lindstedt", edits) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("small divisor: ") and "k=(144,)" in err
+    assert _golden(tmp_path, "lindstedt", edits, "--force", out="forced") == 0
+    assert _golden(tmp_path, "lindstedt", {GOODSET: "", "eps0 = 0": "eps0 = 0.05"},
+                   out="ungated") == 0
+    assert ((tmp_path / "forced" / "jet.txt").read_bytes()
+            == (tmp_path / "ungated" / "jet.txt").read_bytes())
+
+
+def _error_classes(cls=KamtoriError):
+    return [cls] + [c for sub in cls.__subclasses__() for c in _error_classes(sub)]
+
+
+def test_each_error_class_names_its_exit_code_and_sweep_status():
+    codes = [cls.exit_code for cls in _error_classes() if "exit_code" in vars(cls)]
+    assert len(set(codes)) == len(codes) and 0 not in codes
+    for cls in _error_classes():
+        assert cls.status != "ok"
+        buf = io.StringIO()
+        sweep_table(SweepResult((SweepStep(0.1, cls.status, float("nan"), None),),
+                                False, 0.0, ()), buf)
+        assert buf.getvalue().splitlines()[-1].split()[2] == cls.status

@@ -282,12 +282,13 @@ def test_run_evaluates_the_map_once_per_iteration(omega, base_torus):
     assert fam.calls[0] == len(sol.trace)
 
 
-def test_run_matches_hand_loop_of_steps(fam, omega):
+def test_run_matches_hand_loop_of_steps(fam, omega, monkeypatch):
     # run_newton hands its evaluation to newton_step; a loop of plain steps,
     # each evaluating on its own, must give the same iterates bit for bit
     K0, mu0 = fam.unperturbed_torus(omega, 6)
     eps, tail = 0.05, 1e-13
-    sol = run_newton(fam, K0, mu0, omega, eps, tol=1e-12, tail_threshold=tail)
+    monkeypatch.setattr(newton, "DEFAULT_TAIL_THRESHOLD", tail)
+    sol = run_newton(fam, K0, mu0, omega, eps, tol=1e-12)
     K, mu = K0, np.atleast_1d(np.asarray(mu0, dtype=complex))
     residuals = []
     for _ in range(len(sol.trace) - 1):
@@ -304,9 +305,10 @@ def test_run_matches_hand_loop_of_steps(fam, omega):
     assert rep.twist == sol.twist_constant
 
 
-def test_tail_doubling_triggers(fam, omega):
+def test_tail_doubling_triggers(fam, omega, monkeypatch):
     K0, mu0 = fam.unperturbed_torus(omega, 6)
-    sol = run_newton(fam, K0, mu0, omega, 0.05, tol=1e-12, tail_threshold=1e-13)
+    monkeypatch.setattr(newton, "DEFAULT_TAIL_THRESHOLD", 1e-13)
+    sol = run_newton(fam, K0, mu0, omega, 0.05, tol=1e-12)
     assert sol.K.kmax > 6
     assert sol.residual_norm <= 1e-12
 
