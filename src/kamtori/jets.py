@@ -83,12 +83,41 @@ def sincos(x, freq=TWO_PI):
     return s, c
 
 
+def inv_stack(a):
+    """The inverse of every matrix of a stack (..., m, m).
+
+    A 1 x 1 matrix is inverted by its reciprocal and a 2 x 2 one by its
+    adjugate over its determinant, a few passes over the stack where
+    np.linalg.inv runs LAPACK once per matrix; where a determinant is zero or
+    not finite these inverses hold inf or nan.  Larger matrices keep
+    np.linalg.inv; where it finds one exactly singular, the whole inverse is
+    nan.
+    """
+    a = np.asarray(a)
+    m = a.shape[-1]
+    if m > 2:
+        try:
+            return np.linalg.inv(a)
+        except np.linalg.LinAlgError:
+            return np.full(a.shape, np.nan, dtype=np.result_type(a.dtype, np.float64))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if m == 1:
+            return 1.0 / a
+        a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+        det = a00 * a11 - a01 * a10
+        out = np.empty(a.shape, dtype=det.dtype)
+        for (i, j), entry in (((0, 0), a11), ((0, 1), -a01), ((1, 0), -a10),
+                              ((1, 1), a00)):
+            np.divide(entry, det, out=out[..., i, j])
+        return out
+
+
 def inv_matrix(a):
     """Jet of the pointwise matrix inverse of a matrix-valued jet."""
     a = np.asarray(a)
     n = a.shape[0] - 1
     out = zero_like(a)
-    out[0] = np.linalg.inv(a[0])
+    out[0] = inv_stack(a[0])
     for i in range(1, n + 1):
         out[i] = -np.matmul(out[0], _order_sum(np.matmul(a[1:i + 1], out[i - 1::-1])))
     return out

@@ -270,11 +270,11 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
     bands, x, mu, dk, E = _evaluate_jet(fam, jet, omega, M_ord)
     B, n = bands[-1], x.shape[1]
     lam = fam.lambda_jet(eps0, M_ord)
-    fr = build_frame(fam.Jinv, lam, dk, E, fam.jet_jacobian(x, mu, eps0),
+    fr = build_frame(lam, dk, E, fam.jet_jacobian(x, mu, eps0),
                      fam.jet_d_mu(x, mu, eps0), omega, B)
     # the averaged block of the (exact) order-0 torus serves every order
     core = checked_block(fr, divisor_floor)
-    Minv0 = np.linalg.inv(fr.M[0])
+    Minv0 = jets.inv_stack(fr.M[0])
     S, A1, A2 = fr.S, fr.A[..., :d, :], fr.A[..., d:, :]
 
     W1 = np.zeros((M_ord + 1,) + x.shape[1:-1] + (d,), dtype=complex)

@@ -32,6 +32,19 @@ def symplectic_matrix(d: int) -> np.ndarray:
     return J
 
 
+def jinv_mul(x: np.ndarray) -> np.ndarray:
+    """J^-1 x for a stack of (2d, k) matrices: J^-1 = J^T = [[0, -I], [I, 0]]
+    is a signed block swap of the rows, equal in value to the product."""
+    d = x.shape[-2] // 2
+    return np.concatenate([-x[..., d:, :], x[..., :d, :]], axis=-2)
+
+
+def mul_jinv(x: np.ndarray) -> np.ndarray:
+    """x J^-1 for a stack of (k, 2d) matrices: a signed block swap of the columns."""
+    d = x.shape[-1] // 2
+    return np.concatenate([x[..., d:], -x[..., :d]], axis=-1)
+
+
 class MapFamily:
     """Interface shared by the map families (duck-typed; vectorized over
     leading axes of the phase array, lift semantics for the angle part)."""
@@ -46,11 +59,6 @@ class MapFamily:
     @property
     def J(self) -> np.ndarray:
         return symplectic_matrix(self.dim)
-
-    @property
-    def Jinv(self) -> np.ndarray:
-        J = self.J
-        return J.T  # orthogonal block structure: J^-1 = J^T
 
     def lambda_eps(self, eps):
         raise NotImplementedError

@@ -24,6 +24,13 @@ The frame conditioning gate on DK^T DK uses the closed form |g|/|g| for the
 1 x 1 Gram of d = 1 and `np.linalg.cond` for d > 1; both follow
 `np.linalg.cond`'s rules (0 and inf give inf, nan stays nan), and every
 non-finite or too large value raises FrameSingular.
+The pointwise inverses N = (DK^T DK)^-1 and beta = (M o T_omega)^-1 come from
+`jets.inv_stack`, in closed form for 1 x 1 and 2 x 2 matrices (the reciprocal,
+the adjugate over the determinant: the Gram for d <= 2 and the frame for
+d = 1) and from `np.linalg.inv` for larger ones.  A determinant of
+M o T_omega that is zero or not finite raises FrameSingular.
+J^-1 = [[0, -I], [I, 0]] enters only as a signed block swap of rows
+(`maps.jinv_mul`) or columns (`maps.mul_jinv`), never as a matrix product.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from .errors import (DivisorTooSmall, FrameSingular, NoConvergence,
                      NonDegeneracyFailure, NormalizationDiverged)
 from .fourier import (FourierSeries, _packed, dump_series, fast_grid_size,
                       from_grid, load_series, to_grid)
-from .maps import symplectic_matrix
+from .maps import jinv_mul, mul_jinv, symplectic_matrix
 
 DET_RTOL = 1e-10
 DEFAULT_TAIL_THRESHOLD = 1e-10   # relative tail mass of K that doubles its cutoff
@@ -110,7 +117,7 @@ def _gram_cond(gram: np.ndarray) -> np.ndarray:
     return cond
 
 
-def _frame_matrix(dk: np.ndarray, Jinv: np.ndarray):
+def _frame_matrix(dk: np.ndarray):
     """Jets of N = (DK^T DK)^-1 and of the frame M = [DK, J^-1 DK N], and the
     worst conditioning of DK^T DK on the grid.
 
@@ -124,7 +131,7 @@ def _frame_matrix(dk: np.ndarray, Jinv: np.ndarray):
             f"DK^T DK condition number {cond:.3e} exceeds {_FRAME_COND_LIMIT:.1e}"
         )
     N = jets.inv_matrix(gram)
-    return N, np.concatenate([dk, jets.matmul(Jinv @ dk, N)], axis=-1), cond
+    return N, np.concatenate([dk, jets.matmul(jinv_mul(dk), N)], axis=-1), cond
 
 
 @dataclass(frozen=True)
@@ -148,27 +155,36 @@ class Frame:
     cond: float           # worst conditioning of DK^T DK on the grid
 
 
-def build_frame(Jinv, lam, dk, E, Df, Dmu, omega, kmax: int) -> Frame:
+def build_frame(lam, dk, E, Df, Dmu, omega, kmax: int) -> Frame:
     """The adapted frame from the jets of the conformal factor lam, DK, the
-    defect E and the map derivatives Df, D_mu f, all sampled on one grid."""
+    defect E and the map derivatives Df, D_mu f, all sampled on one grid.
+
+    Raises FrameSingular when DK^T DK is ill-conditioned (see _frame_matrix)
+    or when (M o T_omega)^-1 is not finite at a grid point: a determinant of
+    M o T_omega there is zero or not finite.
+    """
     n, d = dk.shape[1], dk.shape[-1]
-    N, M, cond = _frame_matrix(dk, Jinv)
-    gamma = jets.matmul(np.swapaxes(dk, -1, -2) @ Jinv, dk)
+    N, M, cond = _frame_matrix(dk)
+    gamma = jets.matmul(mul_jinv(np.swapaxes(dk, -1, -2)), dk)
     # every order of M, N and gamma composed with T_omega in one batched
     # from_grid/to_grid pair (exact for the retained band)
     Mshift, Nshift, gshift = _packed(
         lambda g: np.moveaxis(to_grid(from_grid(np.moveaxis(g, 0, d), d, kmax)
                                       .shift(omega), n), d, 0), (M, N, gamma), d + 1)
     beta = jets.inv_matrix(Mshift)
+    bad = np.count_nonzero(~np.all(np.isfinite(beta[0]), axis=(-2, -1)))
+    if bad:
+        raise FrameSingular(
+            f"M o T_omega is singular or not finite at {bad} of {n ** d} grid points")
 
     P = jets.matmul(dk, N)
-    # M o T = [DK o T, J^-1 (P o T)] and J^-1 is a signed permutation, so
-    # J (M o T)[..., d:] is P o T exactly
-    Pshift = Jinv.T @ Mshift[..., d:]
+    # M o T = [DK o T, J^-1 (P o T)] and J = -J^-1 is a signed permutation,
+    # so J (M o T)[..., d:] is P o T exactly
+    Pshift = -jinv_mul(Mshift[..., d:])
     # S = (P^T o T) Df J^-1 P - lam (N^T o T)(gamma o T)(N o T), associated
     # from the left throughout
     lam_bc = lam.reshape(lam.shape + (1,) * (Nshift.ndim - 1))
-    S = jets.matmul(jets.matmul(np.swapaxes(Pshift, -1, -2), Df) @ Jinv, P) \
+    S = jets.matmul(mul_jinv(jets.matmul(np.swapaxes(Pshift, -1, -2), Df)), P) \
         - jets.matmul(jets.matmul(jets.cauchy(lam_bc, np.swapaxes(Nshift, -1, -2)),
                                   gshift), Nshift)
     return Frame(d=d, kmax=kmax, n=n, omega=omega, lam=lam, E=E, Df=Df, M=M,
@@ -183,7 +199,7 @@ def newton_frame(fam, K, mu, omega, eps, *, _defect: _Defect | None = None) -> F
     ev = _evaluate(fam, K, mu, omega, eps) if _defect is None else _defect
     X = ev.X
     lam = np.array([complex(fam.lambda_eps(eps))])
-    return build_frame(fam.Jinv, lam, ev.DK[None], ev.E[None],
+    return build_frame(lam, ev.DK[None], ev.E[None],
                        fam.jacobian(X, mu, eps)[None], fam.d_mu(X, mu, eps)[None],
                        omega, K.kmax)
 
@@ -427,8 +443,8 @@ def normalize_embedding(K: TorusEmbedding, K_ref: TorusEmbedding,
     n, no_shift = _grid_size(kmax), np.zeros(d)
 
     ref_lift, _, dk = sample_jet(K_ref.periodic.coeffs[None], no_shift, n)
-    _, M, _ = _frame_matrix(dk, symplectic_matrix(d).T)
-    Minv = np.linalg.inv(M[0])
+    _, M, _ = _frame_matrix(dk)
+    Minv = jets.inv_stack(M[0])
 
     def g(sigma):
         # the condition and its Jacobian; the condition is holomorphic in

@@ -46,7 +46,7 @@ def _loop_inv_matrix(a):
     a = np.asarray(a)
     n = a.shape[0] - 1
     out = jets.zero_like(a)
-    out[0] = np.linalg.inv(a[0])
+    out[0] = jets.inv_stack(a[0])
     for i in range(1, n + 1):
         acc = np.zeros_like(out[0])
         for m in range(1, i + 1):
@@ -117,6 +117,31 @@ def test_inv_matrix_is_byte_equal_to_the_running_sum(rng, shape):
         a = _jet(rng, order, shape) * 1e-2
         a[0] = rng.standard_normal(shape) + 3 * np.eye(shape[-1])
         assert _same_bytes(jets.inv_matrix(a), _loop_inv_matrix(a))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_closed_form_inverse_matches_lapack(rng, m):
+    # complex stacks with condition numbers spread over decades
+    a = _jet(rng, 0, (200, m, m))[0]
+    want = np.linalg.inv(a)
+    err = np.linalg.norm(jets.inv_stack(a) - want, axis=(-2, -1)) \
+        / np.linalg.norm(want, axis=(-2, -1))
+    assert np.all(err <= 1e-14 * np.linalg.cond(a))
+
+
+def test_larger_inverse_is_lapacks(rng):
+    a = _jet(rng, 0, (50, 3, 3))[0]
+    assert _same_bytes(jets.inv_stack(a), np.linalg.inv(a))
+    a[7] = 0.0
+    assert np.all(np.isnan(jets.inv_stack(a)))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_closed_form_inverse_of_a_singular_or_nan_matrix_is_not_finite(m):
+    a = np.stack([np.eye(m), np.zeros((m, m)), np.full((m, m), np.nan)]).astype(complex)
+    inv = jets.inv_stack(a)
+    assert np.array_equal(inv[0], np.eye(m))
+    assert not np.any(np.isfinite(inv[1])) and np.all(np.isnan(inv[2]))
 
 
 def test_order_zero_fast_path_returns_the_product_itself(rng):

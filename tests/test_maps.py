@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from kamtori import jets
-from kamtori.maps import (DissipativeStandardMap, apply_map, symplectic_matrix,
-                          verify_conformal)
+from kamtori.maps import (DissipativeStandardMap, apply_map, jinv_mul, mul_jinv,
+                          symplectic_matrix, verify_conformal)
 
 
 def test_symplectic_matrix_blocks():
@@ -11,6 +11,16 @@ def test_symplectic_matrix_blocks():
     assert np.array_equal(J[:2, 2:], np.eye(2))
     assert np.array_equal(J[2:, :2], -np.eye(2))
     np.testing.assert_array_equal(J @ J, -np.eye(4))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_jinv_block_swap_is_the_matrix_product(rng, d):
+    Jinv = symplectic_matrix(d).T
+    for k in (1, d, 3):
+        x = rng.standard_normal((5, 2 * d, k)) + 1j * rng.standard_normal((5, 2 * d, k))
+        assert np.array_equal(jinv_mul(x), Jinv @ x)
+        y = np.swapaxes(x, -1, -2)
+        assert np.array_equal(mul_jinv(y), y @ Jinv)
 
 
 def test_unperturbed_is_twist_map(fam):

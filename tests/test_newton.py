@@ -133,6 +133,24 @@ def test_frame_singular_detected(fam, omega):
         reducibility_frame(fam, K, np.array([0.0]), omega, 0.0)
 
 
+@pytest.mark.parametrize("angle_dk", [
+    # a Nyquist-only DK: its frame projects to 0 at every point of the grid
+    [1.0, -1.0, 1.0, -1.0],
+    # a subnormal Gram at one point passes the conditioning gate (|g|/|g| = 1),
+    # but N = 1/g overflows and the frame's nan spreads over the transform
+    [1.0, 1e-160, 1.0, 1.0],
+], ids=["singular", "nan"])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
+                            "ignore:overflow:RuntimeWarning")
+def test_singular_shifted_frame_raises_frame_singular(angle_dk):
+    dk = np.zeros((1, 4, 2, 1), dtype=complex)
+    dk[0, :, 0, 0] = angle_dk
+    Df = np.broadcast_to(np.eye(2, dtype=complex), (1, 4, 2, 2))
+    with pytest.raises(FrameSingular, match="at 4 of 4 grid points"):
+        newton.build_frame(np.array([1.0 + 0j]), dk, np.zeros((1, 4, 2), dtype=complex),
+                           Df, np.ones((1, 4, 2, 1), dtype=complex), np.array([0.25]), 1)
+
+
 def test_closed_form_gram_cond_matches_numpy():
     vals = np.array([1.0, 0.0, np.inf, -np.inf, 3 + 4j, 1e-320, 2e300j,
                      complex(0, np.inf), -7.5])
