@@ -337,7 +337,7 @@ def sweep_continuation(fam, omega, path, K0, mu0, **newton) -> SweepResult:
         except KamtoriError as err:
             residual, k, note = float("nan"), None, ""
             if isinstance(err, NoConvergence):
-                residual = err.trace[-1][0]
+                residual = err.trace[-1]
             if isinstance(err, DivisorTooSmall):
                 k, note = err.k, f"divisor {err.divisor:.3e} < floor {err.floor:.3e}"
             steps.append(SweepStep(complex(eps), err.status, residual, None, k, note))

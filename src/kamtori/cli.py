@@ -97,9 +97,8 @@ def cmd_solve(run: _Run):
     buf = io.StringIO()
     dump_solution(sol, buf)
     run.emit("solution.txt", buf.getvalue())
-    trace = "\n".join(f"{i} {r:.17g} {rho:.17g}"
-                      for i, (r, rho) in enumerate(sol.trace))
-    run.emit("newton_trace.txt", "# iter residual rho\n" + trace + "\n")
+    trace = "\n".join(f"{i} {r:.17g}" for i, r in enumerate(sol.trace))
+    run.emit("newton_trace.txt", "# iter residual\n" + trace + "\n")
     print(f"solved eps={eps}: residual {sol.residual_norm:.3e} "
           f"in {len(sol.trace) - 1} iterations")
     return EXIT_OK
@@ -243,7 +242,7 @@ def cmd_verify(run: _Run):
         w = lambda_in_good_set(fam.lambda_eps(0.0), cfg.good_set, cfg.omega, cfg.k_scan)
         check("origin-in-good-set", 0.0 if w.member else 1.0, 0.0)
 
-    sol = run_newton(fam, K0, mu0, cfg.omega, 0.05, tol=1e-12, rho=cfg.newton["rho"],
+    sol = run_newton(fam, K0, mu0, cfg.omega, 0.05, tol=1e-12,
                      divisor_floor=cfg.newton["divisor_floor"])
     check("newton-residual", sol.residual_norm, 1e-12)
     check("lagrangian-defect", sol.lagrangian_defect, 1e-10)

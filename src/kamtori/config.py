@@ -8,8 +8,8 @@ ConfigError naming `<file>[<section>].<key>`.  Every number must be finite:
                  >= 1; so lam(eps) = 1 + alpha eps^a
     [frequency]  omega* the family's d components (golden, silver, p/q or
                  a number); tau > 0
-    [solver]     tol, rho, divisor_floor > 0; delta0 > 0 or unset;
-                 max_iter integer >= 0; kmax integer >= 1
+    [solver]     tol, divisor_floor > 0; max_iter integer >= 0; kmax
+                 integer >= 1
     [goodset]    A*, r0* > 0; N* integer >= 0; kscan integer >= 1
     [solve]      eps complex (one number, or real and imaginary parts)
     [lindstedt]  order 0..16; eps0 complex
@@ -126,7 +126,6 @@ _KEYS = {
                   "tau": (_positive, 1.0)},
     # the keys of [solver] but kmax are run_newton keywords
     "solver": {"tol": (_positive, 1e-12), "max_iter": (_int_in(0), 20),
-               "rho": (_positive, 0.1), "delta0": (_positive, None),
                "kmax": (_int_in(1), 64), "divisor_floor": (_positive, 1e-12)},
     "goodset": {"A": (_positive, _REQUIRED), "N": (_int_in(0), _REQUIRED),
                 "r0": (_positive, _REQUIRED), "kscan": (_int_in(1), 4096)},

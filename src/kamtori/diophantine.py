@@ -72,9 +72,6 @@ class NuEstimate:
     k_scan: int
     infinite: bool = False
 
-    def __float__(self):
-        return float("inf") if self.infinite else self.value
-
 
 def nu_scan(lam, omega, tau: float, k_scan: int):
     """The scan behind every good-set test.  For each lam (an array of any

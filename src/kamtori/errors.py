@@ -56,7 +56,7 @@ class NoConvergence(KamtoriError):
     def __init__(self, iterations, trace):
         self.iterations = int(iterations)
         self.trace = list(trace)
-        last = self.trace[-1][0] if self.trace else float("nan")
+        last = self.trace[-1] if self.trace else float("nan")
         super().__init__(
             f"no convergence after {self.iterations} iterations (last residual {last:.3e})"
         )

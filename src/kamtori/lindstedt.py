@@ -87,9 +87,6 @@ class EpsilonJet:
     def kmax(self) -> int:
         return self.K_coeffs[0].kmax
 
-    def base_embedding(self) -> TorusEmbedding:
-        return TorusEmbedding(self.K_coeffs[0])
-
     def embedding_at(self, eps) -> TorusEmbedding:
         acc = jets.poly_eval(np.stack([K.coeffs for K in self.K_coeffs]),
                              complex(eps) - self.eps0)
@@ -104,19 +101,6 @@ class EpsilonJet:
         return EpsilonJet(self.eps0, self.K_coeffs[: order + 1],
                           np.array(self.mu_coeffs[: order + 1]),
                           np.array(self.lambda_coeffs[: order + 1]))
-
-    def __sub__(self, other: "EpsilonJet") -> "EpsilonJet":
-        """Coefficientwise difference (for comparing jets of one torus);
-        the base points must agree."""
-        if complex(other.eps0) != complex(self.eps0):
-            raise ValueError(
-                f"jet base points differ: {self.eps0} vs {other.eps0}")
-        n = min(self.order, other.order)
-        Ks = tuple(a - b for a, b in zip(self.K_coeffs[: n + 1],
-                                         other.K_coeffs[: n + 1]))
-        return EpsilonJet(self.eps0, Ks,
-                          self.mu_coeffs[: n + 1] - other.mu_coeffs[: n + 1],
-                          self.lambda_coeffs[: n + 1] - other.lambda_coeffs[: n + 1])
 
 
 def _within(series: FourierSeries, band: int) -> bool:

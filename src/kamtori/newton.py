@@ -17,9 +17,10 @@ of DK, E, Df and D_mu f (evaluated by the caller) into the frame data,
 Each Newton iteration evaluates the map once: `run_newton` samples K as the
 order-0 jet of `embedding.sample_jet` (X = K(theta), K o T_omega and DK in one
 packed transform), forms E = f o K - K o T_omega and its series, reads the
-residual from that series and hands the same evaluation to `newton_step`,
-whose frame and step report reuse it; at convergence the twist and the
-Lagrangian defect (from its DK) reuse it too.
+residual from that series into the trace (one float per evaluation, at
+rho = 0) and hands the same evaluation to `newton_step`, whose frame and step
+report reuse it; at convergence the twist and the Lagrangian defect (from its
+DK) reuse it too.
 The frame conditioning gate on DK^T DK uses the closed form |g|/|g| for the
 1 x 1 Gram of d = 1 and `np.linalg.cond` for d > 1; both follow
 `np.linalg.cond`'s rules (0 and inf give inf, nan stays nan), and every
@@ -121,8 +122,9 @@ def _frame_matrix(dk: np.ndarray):
     """Jets of N = (DK^T DK)^-1 and of the frame M = [DK, J^-1 DK N], and the
     worst conditioning of DK^T DK on the grid.
 
-    Raises FrameSingular when the order-0 Gram matrix is ill-conditioned; the
-    higher orders are solved with its inverse.
+    Raises FrameSingular when the order-0 Gram matrix is ill-conditioned or
+    its inverse is not finite at a grid point; the higher orders are solved
+    with that inverse.
     """
     gram = jets.matmul(np.swapaxes(dk, -1, -2), dk)
     cond = float(np.max(_gram_cond(gram[0])))
@@ -131,6 +133,11 @@ def _frame_matrix(dk: np.ndarray):
             f"DK^T DK condition number {cond:.3e} exceeds {_FRAME_COND_LIMIT:.1e}"
         )
     N = jets.inv_matrix(gram)
+    # a subnormal 1 x 1 Gram is well conditioned (|g|/|g| = 1), but 1/g overflows
+    bad = np.count_nonzero(~np.all(np.isfinite(N[0]), axis=(-2, -1)))
+    if bad:
+        raise FrameSingular(
+            f"DK^T DK is singular or not finite at {bad} of {N[0][..., 0, 0].size} grid points")
     return N, np.concatenate([dk, jets.matmul(jinv_mul(dk), N)], axis=-1), cond
 
 
@@ -213,7 +220,7 @@ class ReducedCore:
     det: complex
     Bb: CohomologySolution
     Bb_grid: np.ndarray
-    divisor_floor: float | np.ndarray   # scalar or per-mode floor of every solve
+    divisor_floor: float | np.ndarray   # scalar or per-mode floor of the lam-twisted solves
 
     def twist(self) -> float:
         return float(np.linalg.norm(np.linalg.inv(self.block), 2))
@@ -268,8 +275,11 @@ def solve_reduced(core: ReducedCore, rhs1: np.ndarray, rhs2: np.ndarray):
     W2 = Ba_grid + core.Bb_grid @ sigma + W2bar
 
     r1 = rhs1 - (S @ W2[..., None])[..., 0] - A1 @ sigma
+    # a per-mode floor bounds the lam-twisted divisors of the good set; the
+    # untwisted solve keeps a scalar one
+    floor = core.divisor_floor if np.ndim(core.divisor_floor) == 0 else DEFAULT_DIVISOR_FLOOR
     W1sol = solve_twisted(from_grid(r1, d, kmax).remove_average(), 1.0, fr.omega,
-                          divisor_floor=core.divisor_floor)
+                          divisor_floor=floor)
     W1 = to_grid(W1sol.phi, n)
     return W1, W2, sigma, max(Ba.max_divisor_gain, W1sol.max_divisor_gain)
 
@@ -364,22 +374,21 @@ class KamSolution:
     residual_norm: float
     twist_constant: float
     lagrangian_defect: float
-    trace: tuple               # ((residual, rho_n) per iteration)
+    trace: tuple               # the residual of each evaluation, one per iteration
     eps: complex
     omega: np.ndarray
     lam: complex
 
 
-def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20, rho=0.1,
-               delta0=None, divisor_floor=DEFAULT_DIVISOR_FLOOR,
+def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20,
+               divisor_floor=DEFAULT_DIVISOR_FLOOR,
                good_set: GoodSetParams | None = None,
                good_set_scan: int = 4096, force: bool = False) -> KamSolution:
-    """Iterate newton_step until the l1 residual majorant is below tol.
+    """Iterate newton_step until the l1 residual majorant at rho = 0 is below
+    tol; `trace` holds that residual at every evaluation.
 
-    The strip bookkeeping follows rho_{n+1} = rho_n - delta0 / 2^{n+1} with
-    delta0 = rho/4 by default, so the total loss stays below delta0.  When the
-    tail band of K carries relative mass above DEFAULT_TAIL_THRESHOLD the
-    cutoff is doubled (up to KMAX_CAP).  A non-finite eps or mu0 raises ValueError.
+    When the tail band of K carries relative mass above DEFAULT_TAIL_THRESHOLD
+    the cutoff is doubled (up to KMAX_CAP).  A non-finite eps or mu0 raises ValueError.
     With `good_set` (and not `force`) lam(eps) must pass `lambda_in_good_set`
     over `good_set_scan` modes, or DivisorTooSmall carries its witness.
     """
@@ -393,15 +402,13 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20, rho=0.1,
         if not witness.member:
             raise DivisorTooSmall(witness.nu.k, witness.nu.divisor, witness.floor)
 
-    delta0 = rho / 4.0 if delta0 is None else delta0
     K = K0
-    rho_n = rho
     trace = []
     twist = float("nan")
     for it in range(max_iter + 1):
         ev = _evaluate(fam, K, mu, omega, eps)
         res = ev.series.analytic_norm(0.0)
-        trace.append((res, rho_n))
+        trace.append(res)
         if res <= tol:
             if not np.isfinite(twist):
                 twist = checked_block(newton_frame(fam, K, mu, omega, eps, _defect=ev),
@@ -418,7 +425,6 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20, rho=0.1,
         K, mu, report = newton_step(fam, K, mu, omega, eps,
                                     divisor_floor=divisor_floor, _defect=ev)
         twist = report.twist
-        rho_n = max(rho_n - delta0 / 2.0 ** (it + 1), 0.0)
         if K.periodic.tail_mass() > DEFAULT_TAIL_THRESHOLD and K.kmax < KMAX_CAP:
             K = K.pad_to(min(2 * K.kmax, KMAX_CAP))
     raise NoConvergence(max_iter, trace)
@@ -495,7 +501,6 @@ def dump_solution(sol: KamSolution, fp) -> None:
     fp.write(f"# eps {sol.eps.real:.17g} {sol.eps.imag:.17g}\n")
     fp.write("# mu " + " ".join(f"{m.real:.17g} {m.imag:.17g}" for m in sol.mu) + "\n")
     fp.write(f"# lambda {sol.lam.real:.17g} {sol.lam.imag:.17g}\n")
-    fp.write(f"# rho {sol.trace[-1][1]:.17g}\n")
     fp.write(f"# residual {sol.residual_norm:.17g}\n")
     fp.write(f"# twist {sol.twist_constant:.17g}\n")
     dump_series(sol.K.angle_correction(), fp)
@@ -526,9 +531,8 @@ def load_solution(fp) -> KamSolution:
     eps = complex(float(head["eps"][0]), float(head["eps"][1]))
     lam = complex(float(head["lambda"][0]), float(head["lambda"][1]))
     residual = float(head["residual"][0])
-    rho = float(head["rho"][0])
     twist = float(head["twist"][0])
     omega = np.array([float(t) for t in head["omega"]])
     return KamSolution(K=K, mu=mu, residual_norm=residual, twist_constant=twist,
                        lagrangian_defect=lagrangian_defect(K),
-                       trace=((residual, rho),), eps=eps, omega=omega, lam=lam)
+                       trace=(residual,), eps=eps, omega=omega, lam=lam)

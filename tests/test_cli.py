@@ -1,3 +1,4 @@
+import inspect
 import io
 import os
 import stat
@@ -28,7 +29,6 @@ GOLDEN = textwrap.dedent("""\
     [solver]
     tol = 1e-12
     max_iter = 20
-    rho = 0.1
     kmax = 32
 
     [goodset]
@@ -231,9 +231,12 @@ def test_outputs_honor_umask(golden_cfg, tmp_path):
     ("verify", {"kscan = 2048": "kscan = 0"}, "[goodset].kscan"),
     ("solve", {"kmax = 32": "kmax = -3"}, "[solver].kmax"),
     ("solve", {"kmax = 32": "kmax = 0"}, "[solver].kmax"),
-    ("solve", {"rho = 0.1": "rho = -1"}, "[solver].rho"),
-    ("solve", {"rho = 0.1": "rho = 0.1\ndivisor_floor = -1"}, "[solver].divisor_floor"),
-    ("solve", {"rho = 0.1": "rho = 0.1\ndelta0 = -1"}, "[solver].delta0"),
+    # rho and delta0 are not [solver] keys
+    ("solve", {"tol = 1e-12": "tol = 1e-12\nrho = 0.1"}, "[solver]: unknown key 'rho'"),
+    ("solve", {"tol = 1e-12": "tol = 1e-12\ndivisor_floor = -1"},
+     "[solver].divisor_floor"),
+    ("solve", {"tol = 1e-12": "tol = 1e-12\ndelta0 = 0.025"},
+     "[solver]: unknown key 'delta0'"),
     ("solve", {"max_iter = 20": "max_iter = -1"}, "[solver].max_iter"),
     ("solve", {"tol = 1e-12": "tol = -1"}, "[solver].tol"),
     ("solve", {"omega = golden": "omega = 1/0"}, "[frequency].omega"),
@@ -246,8 +249,8 @@ def test_outputs_honor_umask(golden_cfg, tmp_path):
     ("atlas", {"alpha = 1.0": "alpha = 0", "plane = lambda": "plane = epsilon"},
      "[family].alpha"),
 ], ids=["goodset-A-negative", "goodset-N-negative", "goodset-r0-0", "goodset-kscan-0",
-        "solver-kmax-negative", "solver-kmax-0", "solver-rho-negative",
-        "solver-divisor-floor-negative", "solver-delta0-negative",
+        "solver-kmax-negative", "solver-kmax-0", "solver-rho-unknown",
+        "solver-divisor-floor-negative", "solver-delta0-unknown",
         "solver-max-iter-negative", "solver-tol-negative", "frequency-omega-1/0",
         "frequency-omega-2-components", "frequency-omega-nan", "frequency-omega-overflow",
         "frequency-tau-negative", "family-a-0", "family-kappa-nan", "family-alpha-0"])
@@ -288,6 +291,20 @@ def test_command_config_error_names_the_file(tmp_path, capsys, command, dropped,
 def test_committed_config_loads(path):
     cfg = load_config(path)
     assert cfg.omega.size == cfg.family.dim
+
+
+CONFIG_TEXTS = {**{p.name: p.read_text() for p in sorted(CONFIGS.glob("*.cfg"))},
+                "GOLDEN": GOLDEN, "ATLAS": ATLAS}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_TEXTS))
+def test_newton_hand_off_names_run_newton_parameters(tmp_path, name):
+    # a keyword dropped from run_newton but kept in the config (or the
+    # reverse) would otherwise fail only when a command runs
+    p = tmp_path / "run.cfg"
+    p.write_text(CONFIG_TEXTS[name])
+    keys = set(load_config(p).newton) | {"force"}
+    assert keys <= set(inspect.signature(run_newton).parameters)
 
 
 # -- failures through solve and sweep, on configs/golden.cfg ----------------------------
@@ -340,7 +357,7 @@ def test_sweep_no_convergence_row_holds_the_last_residual(tmp_path):
     K0, mu0 = cfg.family.unperturbed_torus(cfg.omega, cfg.kmax)
     with pytest.raises(NoConvergence) as err:
         run_newton(cfg.family, K0, mu0, cfg.omega, 0.01, max_iter=0)
-    assert float(_last_sweep_row(tmp_path)[3]) == err.value.trace[-1][0]
+    assert float(_last_sweep_row(tmp_path)[3]) == err.value.trace[-1]
 
 
 @pytest.mark.parametrize("edits, flags, code, status", [
