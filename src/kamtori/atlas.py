@@ -318,7 +318,7 @@ def sweep_continuation(fam, omega, path, K0, mu0, **newton) -> SweepResult:
     """Walk the epsilon path, solving at each point seeded by the previous
     solution; `newton` holds the `run_newton` keywords of every solve.
 
-    With `good_set` (and not `force`), run_newton's gate raises DivisorTooSmall
+    With `good_set`, run_newton's gate raises DivisorTooSmall
     exactly where `lambda_in_good_set` says lam(eps) leaves the set, at any
     cutoff.  The first KamtoriError halts the sweep (detours are the caller's
     business via `detour_path`): its last row carries the error's `status`,
@@ -372,9 +372,9 @@ def detour_path(eps1: complex, eps2: complex, balls, samples: int = 257,
     for bulge in np.linspace(0.05, max_bulge, 160):
         for side in (1, -1):
             center = mid + side * bulge * dist * normal
-            pts = _arc(eps1, eps2, center, samples)
+            pts, sweep = _arc(eps1, eps2, center, samples)
             if not _path_blocked(pts, balls):
-                return pts, abs(eps1 - center) * _arc_angle(eps1, eps2, center)
+                return pts, abs(eps1 - center) * abs(sweep)
     raise KamtoriError("no clearing arc found between the endpoints")
 
 
@@ -386,21 +386,15 @@ def _path_blocked(points, balls) -> bool:
     return False
 
 
-def _arc_angle(e1, e2, center):
-    a1 = np.angle(e1 - center)
-    a2 = np.angle(e2 - center)
-    d = (a2 - a1) % (2 * np.pi)
-    return min(d, 2 * np.pi - d)
-
-
 def _arc(e1, e2, center, samples):
+    """The shorter arc from e1 to e2 about center, and its signed sweep angle."""
     r1 = e1 - center
     a1 = np.angle(r1)
     d = (np.angle(e2 - center) - a1) % (2 * np.pi)
     if d > np.pi:
         d -= 2 * np.pi
     ang = a1 + np.linspace(0.0, d, samples)
-    return center + abs(r1) * np.exp(1j * ang)
+    return center + abs(r1) * np.exp(1j * ang), d
 
 
 # -- exports ------------------------------------------------------------------

@@ -60,8 +60,10 @@ class _Run:
         self.config = args.config
         self.out = args.out
         self.seed = args.seed
-        # the run_newton keywords of every solve in the run
-        self.newton = dict(self.cfg.newton, force=args.force)
+        # the run_newton keywords of every solve in the run; --force drops the gate
+        self.newton = dict(self.cfg.newton)
+        if args.force:
+            self.newton["good_set"] = None
         os.makedirs(self.out, exist_ok=True)
         with open(args.config, "rb") as fp:
             self.config_hash = hashlib.sha256(fp.read()).hexdigest()

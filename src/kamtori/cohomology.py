@@ -123,16 +123,16 @@ def solve_twisted(eta: FourierSeries, lam: complex, omega,
     if witness is not None:
         raise DivisorTooSmall(*witness)
 
-    untwisted = abs(lam - 1.0) <= _AVG_TWIST_TOL
-    if untwisted:
-        avg = eta.average()
+    if abs(lam - 1.0) <= _AVG_TWIST_TOL:
+        avg = np.abs(np.atleast_1d(eta.average()))
         scale = eta.analytic_norm(0.0)
-        if np.max(np.abs(np.atleast_1d(avg))) > 1e-12 * max(scale, 1e-30):
-            raise ValueError("eta must have zero average when lam = 1")
+        # a non-finite mean fails too: phi_0 = 0 * eta_0 would not be 0
+        if not np.all(np.isfinite(avg)) or np.max(avg) > 1e-12 * max(scale, 1e-30):
+            raise ValueError("eta must have a finite zero average when lam = 1")
         # phi_0 = 0: the unique zero-average solution
 
     phi_coeffs = eta.coeffs * inv.reshape(inv.shape + (1,) * len(eta.value_shape))
-    phi = FourierSeries(dim, kmax, phi_coeffs, zero_average=untwisted)
+    phi = FourierSeries(dim, kmax, phi_coeffs)
     return CohomologySolution(phi, gain, eta, lam, omega)
 
 

@@ -44,17 +44,15 @@ class TorusEmbedding:
         omega = np.atleast_1d(np.asarray(omega, dtype=float))
         d = omega.size
         value = np.concatenate([np.zeros(d), omega]).astype(complex)
-        return cls(FourierSeries.constant(value, d, kmax, real_valued=True))
+        return cls(FourierSeries.constant(value, d, kmax))
 
     def angle_correction(self) -> FourierSeries:
         d = self.dim
-        return FourierSeries(d, self.kmax, self.periodic.coeffs[..., :d],
-                             real_valued=self.periodic.real_valued)
+        return FourierSeries(d, self.kmax, self.periodic.coeffs[..., :d])
 
     def action(self) -> FourierSeries:
         d = self.dim
-        return FourierSeries(d, self.kmax, self.periodic.coeffs[..., d:],
-                             real_valued=self.periodic.real_valued)
+        return FourierSeries(d, self.kmax, self.periodic.coeffs[..., d:])
 
     def eval_lift(self, theta) -> np.ndarray:
         """K at one point on the universal cover."""
@@ -66,12 +64,10 @@ class TorusEmbedding:
     def shifted(self, sigma) -> "TorusEmbedding":
         """K o T_sigma as an embedding of the same form."""
         sigma = np.atleast_1d(np.asarray(sigma))
-        shifted = self.periodic.shift(sigma)
-        coeffs = shifted.coeffs.copy()
+        coeffs = self.periodic.shift(sigma).coeffs.copy()
         center = (self.kmax,) * self.dim
         coeffs[center][: self.dim] += sigma
-        return TorusEmbedding(FourierSeries(self.dim, self.kmax, coeffs,
-                                            real_valued=shifted.real_valued))
+        return TorusEmbedding(FourierSeries(self.dim, self.kmax, coeffs))
 
     def with_correction(self, delta: FourierSeries) -> "TorusEmbedding":
         return TorusEmbedding(self.periodic + delta)

@@ -12,18 +12,21 @@ per angle axis, last axis first, which is the order and the pocketfft call
 the n-dimensional transform bit for bit.  Each call transforms every line
 along its axis on its own, so series packed side by side on the value axes
 transform exactly as they would one at a time.
+
+A series is its coefficients: whether it is real valued or has zero average
+is read off them (`reality_defect`, `average`), never declared.  The text
+form `dump_series` writes is a header ``# fourier dim=<d> kmax=<K>
+shape=<spec>`` and one line of ``re im`` pairs per mode.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass
 from functools import lru_cache
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-
-_REALITY_TOL = 1e-14
 
 
 def fast_grid_size(m: int) -> int:
@@ -56,17 +59,16 @@ class FourierSeries:
         kmax: per-axis mode cutoff; stored modes satisfy |k_i| <= kmax.
         coeffs: complex array of shape (2*kmax+1,)*dim + value_shape, with
             axis index i corresponding to mode k_i = i - kmax.
-        real_valued: declares c_{-k} = conj(c_k); checked by reality_defect().
-        zero_average: declares c_0 = 0 exactly.
+
+    `zero_average=True` asserts c_0 = 0 exactly at construction; it is not stored.
     """
 
     dim: int
     kmax: int
     coeffs: np.ndarray
-    real_valued: bool = False
-    zero_average: bool = False
+    zero_average: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, zero_average):
         n = 2 * self.kmax + 1
         if self.coeffs.shape[: self.dim] != (n,) * self.dim:
             raise ValueError(
@@ -74,30 +76,28 @@ class FourierSeries:
                 f"dim={self.dim}, kmax={self.kmax}"
             )
         self.coeffs.setflags(write=False)
-        if self.zero_average:
-            # c_0 = 0 is an exact structural invariant, not a tolerance.
-            if np.any(self.mode((0,) * self.dim) != 0):
-                raise ValueError("series flagged zero-average has a nonzero c_0")
+        if zero_average and np.any(self.average() != 0):
+            raise ValueError("series declared zero-average has a nonzero c_0")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zeros(cls, dim, kmax, value_shape=(), dtype=np.complex128, **flags):
+    def zeros(cls, dim, kmax, value_shape=(), dtype=np.complex128, zero_average=False):
         n = 2 * kmax + 1
         shape = (n,) * dim + _as_value_shape(value_shape)
-        return cls(dim, kmax, np.zeros(shape, dtype=dtype), **flags)
+        return cls(dim, kmax, np.zeros(shape, dtype=dtype), zero_average)
 
     @classmethod
-    def constant(cls, value, dim, kmax, **flags):
+    def constant(cls, value, dim, kmax):
         value = np.asarray(value, dtype=complex)
-        out = cls.zeros(dim, kmax, value.shape, dtype=value.dtype, **flags)
+        out = cls.zeros(dim, kmax, value.shape, dtype=value.dtype)
         out.coeffs.setflags(write=True)
         out.coeffs[(kmax,) * dim] = value
         out.coeffs.setflags(write=False)
         return out
 
     @classmethod
-    def from_modes(cls, dim, kmax, modes, value_shape=None, **flags):
+    def from_modes(cls, dim, kmax, modes, value_shape=None, zero_average=False):
         """Build a series from a {k: value} mapping (k a d-tuple or int);
         the value shape is inferred from the entries unless given."""
         n = 2 * kmax + 1
@@ -109,7 +109,7 @@ class FourierSeries:
             k = (k,) if isinstance(k, int) else tuple(k)
             idx = tuple(int(ki) + kmax for ki in k)
             coeffs[idx] = val
-        return cls(dim, kmax, coeffs, **flags)
+        return cls(dim, kmax, coeffs, zero_average)
 
     # -- basic structure ---------------------------------------------------
 
@@ -135,43 +135,23 @@ class FourierSeries:
     def average(self) -> np.ndarray:
         return self.mode((0,) * self.dim)
 
-    def map_coeffs(self, fn, **flags) -> "FourierSeries":
-        merged = dict(real_valued=self.real_valued, zero_average=self.zero_average)
-        merged.update(flags)
-        return FourierSeries(self.dim, self.kmax, np.ascontiguousarray(fn(self.coeffs)), **merged)
-
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other):
         a, b = _aligned(self, other)
-        return FourierSeries(
-            a.dim, a.kmax, a.coeffs + b.coeffs,
-            real_valued=a.real_valued and b.real_valued,
-            zero_average=a.zero_average and b.zero_average,
-        )
+        return FourierSeries(a.dim, a.kmax, a.coeffs + b.coeffs)
 
     def __sub__(self, other):
         a, b = _aligned(self, other)
-        return FourierSeries(
-            a.dim, a.kmax, a.coeffs - b.coeffs,
-            real_valued=a.real_valued and b.real_valued,
-            zero_average=a.zero_average and b.zero_average,
-        )
-
-    def __mul__(self, scalar):
-        return self.map_coeffs(lambda c: c * scalar,
-                               real_valued=self.real_valued and np.isrealobj(np.asarray(scalar)))
-
-    __rmul__ = __mul__
+        return FourierSeries(a.dim, a.kmax, a.coeffs - b.coeffs)
 
     def __neg__(self):
-        return self.map_coeffs(np.negative)
+        return FourierSeries(self.dim, self.kmax, -self.coeffs)
 
     def remove_average(self) -> "FourierSeries":
         out = self.coeffs.copy()
         out[(self.kmax,) * self.dim] = 0
-        return FourierSeries(self.dim, self.kmax, out,
-                             real_valued=self.real_valued, zero_average=True)
+        return FourierSeries(self.dim, self.kmax, out)
 
     # -- operations --------------------------------------------------------
 
@@ -194,25 +174,21 @@ class FourierSeries:
         """Compose with the rotation T_omega: c_k -> c_k e^{2 pi i k.omega}."""
         omega = np.atleast_1d(np.asarray(omega))
         out = self.coeffs
-        real_shift = bool(np.isrealobj(omega)) or np.all(np.imag(omega) == 0)
         for j in range(self.dim):
             phase = np.exp(2j * np.pi * self.k_axis() * complex(omega[j]))
             shape = [1] * out.ndim
             shape[j] = phase.size
             out = out * phase.reshape(shape)
-        return FourierSeries(self.dim, self.kmax, out,
-                             real_valued=self.real_valued and real_shift,
-                             zero_average=self.zero_average)
+        return FourierSeries(self.dim, self.kmax, out)
 
     def differentiate(self, axis: int) -> "FourierSeries":
-        """d/d theta_axis: c_k -> 2 pi i k_axis c_k.  Output has zero average."""
+        """d/d theta_axis: c_k -> 2 pi i k_axis c_k."""
         if not 0 <= axis < self.dim:
             raise ValueError(f"axis {axis} out of range for dim {self.dim}")
         factor = 2j * np.pi * self.k_axis()
         shape = [1] * self.coeffs.ndim
         shape[axis] = factor.size
-        return FourierSeries(self.dim, self.kmax, self.coeffs * factor.reshape(shape),
-                             real_valued=self.real_valued, zero_average=True)
+        return FourierSeries(self.dim, self.kmax, self.coeffs * factor.reshape(shape))
 
     def analytic_norm(self, rho: float = 0.0) -> float:
         """Weighted-l1 majorant  sum_k |c_k|_F e^{2 pi rho |k|_1}  (>= strip sup)."""
@@ -250,18 +226,12 @@ class FourierSeries:
         scale = np.max(np.abs(self.coeffs))
         return float(defect / scale) if scale > 0 else 0.0
 
-    def is_real_valued(self, tol: float = _REALITY_TOL) -> bool:
-        return self.reality_defect() <= tol
-
     def pad_to(self, kmax: int) -> "FourierSeries":
         if kmax < self.kmax:
             raise ValueError("pad_to cannot shrink the mode box; use truncate")
         if kmax == self.kmax:
             return self
-        out = FourierSeries.zeros(self.dim, kmax, self.value_shape,
-                                  dtype=self.coeffs.dtype,
-                                  real_valued=self.real_valued,
-                                  zero_average=self.zero_average)
+        out = FourierSeries.zeros(self.dim, kmax, self.value_shape, dtype=self.coeffs.dtype)
         out.coeffs.setflags(write=True)
         lo, hi = kmax - self.kmax, kmax + self.kmax + 1
         out.coeffs[(slice(lo, hi),) * self.dim] = self.coeffs
@@ -273,9 +243,7 @@ class FourierSeries:
             return self.pad_to(kmax)
         lo, hi = self.kmax - kmax, self.kmax + kmax + 1
         return FourierSeries(self.dim, kmax,
-                             np.ascontiguousarray(self.coeffs[(slice(lo, hi),) * self.dim]),
-                             real_valued=self.real_valued,
-                             zero_average=self.zero_average)
+                             np.ascontiguousarray(self.coeffs[(slice(lo, hi),) * self.dim]))
 
 
 def _aligned(a: FourierSeries, b: FourierSeries):
@@ -321,7 +289,7 @@ def to_grid(series: FourierSeries, n: int) -> np.ndarray:
     return buf * (n ** d)
 
 
-def from_grid(values: np.ndarray, dim: int, kmax: int, **flags) -> FourierSeries:
+def from_grid(values: np.ndarray, dim: int, kmax: int) -> FourierSeries:
     """Recover the centered coefficient box from regular grid samples.
 
     Exact for series whose modes all satisfy |k_i| <= kmax; otherwise the
@@ -338,7 +306,7 @@ def from_grid(values: np.ndarray, dim: int, kmax: int, **flags) -> FourierSeries
         chat = np.fft.fft(chat, axis=axis)
     coeffs = chat[_fft_index(dim, kmax, n)]
     coeffs /= n ** dim
-    return FourierSeries(dim, kmax, coeffs, **flags)
+    return FourierSeries(dim, kmax, coeffs)
 
 
 def _packed(transform, arrays, lead: int) -> list:
@@ -363,18 +331,14 @@ def _packed(transform, arrays, lead: int) -> list:
 def dump_series(series: FourierSeries, fp) -> None:
     """Write the documented tabular text form.
 
-    Header line:  ``# fourier dim=<d> kmax=<K> shape=<spec> real=<0|1>
-    zeroavg=<0|1>`` with shape spec ``-`` (scalar), ``m`` (vector) or ``mxn``
-    (matrix); then one line per mode:  k_1 .. k_d  followed by ``re im`` for
-    every value entry in row-major order.  All numbers use %.17g (locale
-    independent).
+    Header line:  ``# fourier dim=<d> kmax=<K> shape=<spec>`` with shape spec
+    ``-`` (scalar), ``m`` (vector) or ``mxn`` (matrix); then one line per
+    mode:  k_1 .. k_d  followed by ``re im`` for every value entry in
+    row-major order.  All numbers use %.17g (locale independent).
     """
     vs = series.value_shape
     spec = "-" if vs == () else ("x".join(str(s) for s in vs))
-    fp.write(
-        f"# fourier dim={series.dim} kmax={series.kmax} shape={spec} "
-        f"real={int(series.real_valued)} zeroavg={int(series.zero_average)}\n"
-    )
+    fp.write(f"# fourier dim={series.dim} kmax={series.kmax} shape={spec}\n")
     flat = series.coeffs.reshape((2 * series.kmax + 1,) * series.dim + (-1,))
     for idx in np.ndindex(*flat.shape[: series.dim]):
         k = [i - series.kmax for i in idx]
@@ -387,6 +351,8 @@ def dump_series(series: FourierSeries, fp) -> None:
 
 
 def load_series(fp) -> FourierSeries:
+    """Read the form `dump_series` writes.  Other header tokens, such as the
+    ``real=``/``zeroavg=`` flags older files carry, are ignored."""
     header = fp.readline().strip()
     if not header.startswith("# fourier"):
         raise ValueError("not a fourier series table")
@@ -416,6 +382,4 @@ def load_series(fp) -> FourierSeries:
             complex(vals[0], vals[1])
         coeffs[tuple(ki + kmax for ki in k)] = z
         remaining -= 1
-    return FourierSeries(dim, kmax, coeffs,
-                         real_valued=bool(int(fields.get("real", "0"))),
-                         zero_average=bool(int(fields.get("zeroavg", "0"))))
+    return FourierSeries(dim, kmax, coeffs)

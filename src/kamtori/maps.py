@@ -126,7 +126,7 @@ class DissipativeStandardMap(MapFamily):
     kappa: float = 0.5
     alpha: complex = 1.0
     a: int = 1
-    dim: int = 1
+    dim: ClassVar[int] = 1
     degree: ClassVar[int] = 1
 
     def lambda_eps(self, eps):

@@ -383,21 +383,27 @@ class KamSolution:
 def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20,
                divisor_floor=DEFAULT_DIVISOR_FLOOR,
                good_set: GoodSetParams | None = None,
-               good_set_scan: int = 4096, force: bool = False) -> KamSolution:
+               good_set_scan: int = 4096) -> KamSolution:
     """Iterate newton_step until the l1 residual majorant at rho = 0 is below
     tol; `trace` holds that residual at every evaluation.
 
     When the tail band of K carries relative mass above DEFAULT_TAIL_THRESHOLD
-    the cutoff is doubled (up to KMAX_CAP).  A non-finite eps or mu0 raises ValueError.
-    With `good_set` (and not `force`) lam(eps) must pass `lambda_in_good_set`
-    over `good_set_scan` modes, or DivisorTooSmall carries its witness.
+    the cutoff is doubled (up to KMAX_CAP).  A non-finite eps, mu0 or K0
+    coefficient raises ValueError.  With `good_set` lam(eps) must pass
+    `lambda_in_good_set` over `good_set_scan` modes, or DivisorTooSmall carries
+    its witness.
     """
     if not np.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps}")
     mu = np.atleast_1d(np.asarray(mu0, dtype=complex))
     if not np.all(np.isfinite(mu)):
         raise ValueError(f"mu0 must be finite, got {mu0}")
-    if good_set is not None and not force:
+    bad = np.argwhere(~np.isfinite(K0.periodic.coeffs))
+    if bad.size:
+        k = tuple(int(i) - K0.kmax for i in bad[0][:K0.dim])
+        raise ValueError(f"K0 must be finite, got {K0.periodic.coeffs[tuple(bad[0])]} "
+                         f"at mode k={k}")
+    if good_set is not None:
         witness = lambda_in_good_set(fam.lambda_eps(eps), good_set, omega, good_set_scan)
         if not witness.member:
             raise DivisorTooSmall(witness.nu.k, witness.nu.divisor, witness.floor)

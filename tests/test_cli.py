@@ -303,7 +303,7 @@ def test_newton_hand_off_names_run_newton_parameters(tmp_path, name):
     # reverse) would otherwise fail only when a command runs
     p = tmp_path / "run.cfg"
     p.write_text(CONFIG_TEXTS[name])
-    keys = set(load_config(p).newton) | {"force"}
+    keys = set(load_config(p).newton)
     assert keys <= set(inspect.signature(run_newton).parameters)
 
 

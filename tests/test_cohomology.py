@@ -62,16 +62,17 @@ def test_independent_per_mode_oracle(rng, omega):
 def test_untwisted_zero_average_and_inversion(rng, omega):
     eta = random_eta(rng)
     sol = solve_twisted(eta, 1.0, omega)
-    assert sol.phi.zero_average
     assert abs(sol.phi.average()) == 0.0
     recon = FourierSeries(1, eta.kmax, sol.phi.coeffs - sol.phi.shift([omega]).coeffs)
     assert (recon - eta).analytic_norm(0.0) <= 1e-12 * eta.analytic_norm(0.0)
 
 
 def test_untwisted_requires_zero_average(omega):
-    eta = FourierSeries.from_modes(1, 4, {0: 1.0, 1: 0.5})
-    with pytest.raises(ValueError):
-        solve_twisted(eta, 1.0, omega)
+    # a non-finite mean fails too: it would give phi_0 = 0 * eta_0 = nan
+    for mean in (1.0, np.nan, np.inf):
+        eta = FourierSeries.from_modes(1, 4, {0: mean, 1: 0.5})
+        with pytest.raises(ValueError, match="finite zero average"):
+            solve_twisted(eta, 1.0, omega)
 
 
 def test_deterministic_bitwise(rng, omega):

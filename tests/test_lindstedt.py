@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -492,3 +493,18 @@ def test_jet_dump_load_round_trip(fam, omega, jet4):
     np.testing.assert_array_equal(back.lambda_coeffs, jet4.lambda_coeffs)
     for a, b in zip(back.K_coeffs, jet4.K_coeffs):
         np.testing.assert_array_equal(a.coeffs, b.coeffs)
+
+
+def test_jet_file_with_series_flag_tokens_loads(jet4):
+    # older files end each series header with `real=<0|1> zeroavg=<0|1>`;
+    # the reader ignores them
+    buf = io.StringIO()
+    dump_jet(jet4, buf)
+    text = re.sub(r"^(# fourier dim=\S+ kmax=\S+ shape=\S+).*$", r"\1 real=1 zeroavg=0",
+                  buf.getvalue(), flags=re.M)
+    assert text.count(" real=1 zeroavg=0\n") == jet4.order + 1
+    back = load_jet(io.StringIO(text))
+    assert back.mu_coeffs.tobytes() == jet4.mu_coeffs.tobytes()
+    assert back.lambda_coeffs.tobytes() == jet4.lambda_coeffs.tobytes()
+    for a, b in zip(back.K_coeffs, jet4.K_coeffs):
+        assert a.coeffs.tobytes() == b.coeffs.tobytes()

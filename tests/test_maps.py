@@ -23,6 +23,13 @@ def test_jinv_block_swap_is_the_matrix_product(rng, d):
         assert np.array_equal(mul_jinv(y), y @ Jinv)
 
 
+def test_dimension_is_fixed_by_the_class():
+    # the map acts on T x R: a dim=2 instance used to build and then ignore it
+    assert DissipativeStandardMap.dim == 1
+    with pytest.raises(TypeError):
+        DissipativeStandardMap(dim=2)
+
+
 def test_unperturbed_is_twist_map(fam):
     x = np.array([0.3, 0.45], dtype=complex)
     out = fam.apply(x, 0.0, 0.0)

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -247,15 +248,25 @@ def test_run_at_desk_parameters(fam, omega, base_torus):
     assert sol.lagrangian_defect <= 1e-10
 
 
-@pytest.mark.parametrize("eps, mu0, named", [
-    (np.nan, [0.0], "eps must be finite, got nan"),
-    (complex(0.05, np.inf), [0.0], "eps must be finite, got (0.05+infj)"),
-    (0.05, [np.nan], "mu0 must be finite, got [nan]"),
-], ids=["eps-nan", "eps-inf", "mu0-nan"])
-def test_run_rejects_non_finite_input(fam, omega, base_torus, eps, mu0, named):
-    # a NaN eps used to run into NonDegeneracyFailure("determinant nan")
+@pytest.mark.parametrize("eps, mu0, bad, named", [
+    (np.nan, [0.0], None, "eps must be finite, got nan"),
+    (complex(0.05, np.inf), [0.0], None, "eps must be finite, got (0.05+infj)"),
+    (0.05, [np.nan], None, "mu0 must be finite, got [nan]"),
+    (0.05, [0.0], ((32, 1), np.nan), "K0 must be finite, got (nan+0j) at mode k=(0,)"),
+    (0.05, [0.0], ((33, 0), np.nan), "K0 must be finite, got (nan+0j) at mode k=(1,)"),
+    (0.05, [0.0], ((31, 1), np.inf), "K0 must be finite, got (inf+0j) at mode k=(-1,)"),
+], ids=["eps-nan", "eps-inf", "mu0-nan", "K0-nan-mean", "K0-nan-k1", "K0-inf"])
+def test_run_rejects_non_finite_input(fam, omega, base_torus, eps, mu0, bad, named):
+    # a NaN eps used to run into NonDegeneracyFailure("determinant nan"), a
+    # NaN mean of K0 into a zero-average check and a NaN at k = 1 into
+    # FrameSingular("DK^T DK condition number nan")
+    K0 = base_torus[0]
+    if bad is not None:
+        coeffs = np.array(K0.periodic.coeffs)
+        coeffs[bad[0]] = bad[1]
+        K0 = TorusEmbedding(FourierSeries(1, K0.kmax, coeffs))
     with pytest.raises(ValueError) as err:
-        run_newton(fam, base_torus[0], mu0, omega, eps)
+        run_newton(fam, K0, mu0, omega, eps)
     assert str(err.value) == named
 
 
@@ -264,7 +275,7 @@ def test_run_respects_good_set_gate(fam, omega, base_torus):
     gs = GoodSetParams(A=1e-12, N=1, tau=1.0, r0=1.0)
     with pytest.raises(DivisorTooSmall):
         run_newton(fam, K0, mu0, omega, 0.15, good_set=gs)
-    sol = run_newton(fam, K0, mu0, omega, 0.15, good_set=gs, force=True)
+    sol = run_newton(fam, K0, mu0, omega, 0.15)
     assert sol.residual_norm <= 1e-12
 
 
@@ -453,3 +464,17 @@ def test_solution_file_with_a_rho_line_loads(fam, omega, base_torus):
     assert back.mu.tobytes() == sol.mu.tobytes()
     assert back.residual_norm == sol.residual_norm
     assert back.trace == (sol.residual_norm,)
+
+
+def test_solution_file_with_series_flag_tokens_loads(fam, omega, base_torus):
+    # older files end each series header with `real=<0|1> zeroavg=<0|1>`;
+    # the reader ignores them
+    sol = run_newton(fam, base_torus[0], base_torus[1], omega, 0.05, tol=1e-12)
+    buf = io.StringIO()
+    dump_solution(sol, buf)
+    text = re.sub(r"^(# fourier dim=\S+ kmax=\S+ shape=\S+).*$", r"\1 real=1 zeroavg=0",
+                  buf.getvalue(), flags=re.M)
+    assert text.count(" real=1 zeroavg=0\n") == 2
+    back = load_solution(io.StringIO(text))
+    assert back.K.periodic.coeffs.tobytes() == sol.K.periodic.coeffs.tobytes()
+    assert back.mu.tobytes() == sol.mu.tobytes()
