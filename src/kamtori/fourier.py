@@ -14,9 +14,14 @@ along its axis on its own, so series packed side by side on the value axes
 transform exactly as they would one at a time.
 
 A series is its coefficients: whether it is real valued or has zero average
-is read off them (`reality_defect`, `average`), never declared.  The text
-form `dump_series` writes is a header ``# fourier dim=<d> kmax=<K>
-shape=<spec>`` and one line of ``re im`` pairs per mode.
+is read off them (`reality_defect`, `average`), never declared.
+
+Text form.  Series, solution and jet files open with ``# <key> <tokens>``
+header lines, read by key in any order (unknown keys are skipped), then hold
+series tables: ``# fourier dim=<d> kmax=<K> shape=<spec>`` (spec ``-``, ``m``
+or ``mxn``) and one line per mode, k_1 .. k_d and the ``re im`` pairs of its
+value in row-major order.  Floats are written at %.17g; a pair is read as the
+complex128 view of its two floats, so signed zeros, inf and nan load exactly.
 """
 
 from __future__ import annotations
@@ -326,60 +331,61 @@ def _packed(transform, arrays, lead: int) -> list:
     return parts
 
 
-# -- tabular text format -----------------------------------------------------
+# -- text form ------------------------------------------------------------------
+
+def _format_pairs(values) -> str:
+    """``re im`` at %.17g for every value of a complex array, in row-major order."""
+    floats = np.ascontiguousarray(values, dtype=np.complex128).reshape(-1).view(np.float64)
+    return " ".join(f"{x:.17g}" for x in floats.tolist())
+
+
+def _parse_pairs(tokens) -> np.ndarray:
+    """The ``re im`` tokens as a flat complex128 array, their floats viewed as pairs."""
+    return np.array([float(t) for t in tokens], dtype=np.float64).view(np.complex128)
+
+
+def _read_header(fp) -> dict:
+    """key -> tokens of the header lines, leaving the stream at the first table."""
+    head = {}
+    while True:
+        pos, line = fp.tell(), fp.readline()
+        key, *toks = line[1:].split() or [""]
+        if not line.startswith("#") or key == "fourier":
+            fp.seek(pos)
+            return head
+        head[key] = toks
+
 
 def dump_series(series: FourierSeries, fp) -> None:
-    """Write the documented tabular text form.
-
-    Header line:  ``# fourier dim=<d> kmax=<K> shape=<spec>`` with shape spec
-    ``-`` (scalar), ``m`` (vector) or ``mxn`` (matrix); then one line per
-    mode:  k_1 .. k_d  followed by ``re im`` for every value entry in
-    row-major order.  All numbers use %.17g (locale independent).
-    """
-    vs = series.value_shape
-    spec = "-" if vs == () else ("x".join(str(s) for s in vs))
+    """Write one series table of the text form."""
+    spec = "x".join(str(s) for s in series.value_shape) or "-"
     fp.write(f"# fourier dim={series.dim} kmax={series.kmax} shape={spec}\n")
-    flat = series.coeffs.reshape((2 * series.kmax + 1,) * series.dim + (-1,))
-    for idx in np.ndindex(*flat.shape[: series.dim]):
-        k = [i - series.kmax for i in idx]
-        entries = flat[idx]
-        cells = [f"{ki:d}" for ki in k]
-        for z in entries:
-            cells.append(f"{z.real:.17g}")
-            cells.append(f"{z.imag:.17g}")
-        fp.write(" ".join(cells) + "\n")
+    for idx in np.ndindex(*series.coeffs.shape[: series.dim]):
+        k = " ".join(f"{i - series.kmax:d}" for i in idx)
+        fp.write(f"{k} {_format_pairs(series.coeffs[idx])}\n")
 
 
 def load_series(fp) -> FourierSeries:
-    """Read the form `dump_series` writes.  Other header tokens, such as the
+    """Read one series table.  Other header tokens, such as the
     ``real=``/``zeroavg=`` flags older files carry, are ignored."""
-    header = fp.readline().strip()
-    if not header.startswith("# fourier"):
+    header = fp.readline().split()
+    if header[:2] != ["#", "fourier"]:
         raise ValueError("not a fourier series table")
-    fields = dict(tok.split("=") for tok in header.split()[2:])
-    dim = int(fields["dim"])
-    kmax = int(fields["kmax"])
-    spec = fields["shape"]
+    fields = dict(tok.split("=") for tok in header[2:])
+    dim, kmax, spec = int(fields["dim"]), int(fields["kmax"]), fields["shape"]
     vshape = () if spec == "-" else tuple(int(s) for s in spec.split("x"))
-    rows = vshape[0] if len(vshape) >= 1 else 1
-    cols = vshape[1] if len(vshape) >= 2 else 1
     coeffs = np.zeros((2 * kmax + 1,) * dim + vshape, dtype=np.complex128)
-    nval = rows * cols
+    ncols = dim + 2 * int(np.prod(vshape))
     remaining = (2 * kmax + 1) ** dim
     while remaining > 0:
         line = fp.readline()
         if not line:
             raise ValueError("truncated fourier series table")
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
         toks = line.split()
-        k = tuple(int(t) for t in toks[:dim])
-        vals = np.array([float(t) for t in toks[dim:]], dtype=float)
-        if vals.size != 2 * nval:
-            raise ValueError(f"mode {k}: expected {2 * nval} value columns")
-        z = (vals[0::2] + 1j * vals[1::2]).reshape(vshape) if vshape else \
-            complex(vals[0], vals[1])
-        coeffs[tuple(ki + kmax for ki in k)] = z
+        if not toks or toks[0].startswith("#"):
+            continue
+        if len(toks) != ncols:
+            raise ValueError(f"mode {' '.join(toks[:dim])}: expected {ncols - dim} value columns")
+        coeffs[tuple(int(t) + kmax for t in toks[:dim])] = _parse_pairs(toks[dim:]).reshape(vshape)
         remaining -= 1
     return FourierSeries(dim, kmax, coeffs)

@@ -54,7 +54,8 @@ from . import jets
 from .jets import MAX_ORDER_DOUBLE
 from .cohomology import DEFAULT_DIVISOR_FLOOR
 from .embedding import TorusEmbedding, sample_jet
-from .fourier import FourierSeries, dump_series, from_grid, load_series, to_grid
+from .fourier import (FourierSeries, _format_pairs, _parse_pairs, _read_header,
+                      dump_series, from_grid, load_series, to_grid)
 from .newton import (_evaluate, _grid_size, _mean, build_frame, checked_block,
                      newton_frame, solve_reduced)
 
@@ -298,34 +299,22 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
 # -- jet files ----------------------------------------------------------------
 
 def dump_jet(jet: EpsilonJet, fp) -> None:
+    """Write `jet` in the text form of `fourier`: its header lines (eps0 and
+    every mu[j] and lambda[j]), then the series tables K_0 .. K_N."""
     fp.write(f"# kamtori-jet d={jet.dim} kmax={jet.kmax} order={jet.order}\n")
-    fp.write(f"# eps0 {jet.eps0.real:.17g} {jet.eps0.imag:.17g}\n")
+    fp.write(f"# eps0 {_format_pairs(jet.eps0)}\n")
     for label, arr in (("mu", jet.mu_coeffs), ("lambda", jet.lambda_coeffs)):
-        flat = np.asarray(arr, dtype=complex).reshape(len(jet.K_coeffs), -1)
-        for j, row in enumerate(flat):
-            cells = " ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row)
-            fp.write(f"# {label}[{j}] {cells}\n")
+        for j, row in enumerate(arr):
+            fp.write(f"# {label}[{j}] {_format_pairs(row)}\n")
     for series in jet.K_coeffs:
         dump_series(series, fp)
 
 
 def load_jet(fp) -> EpsilonJet:
-    head = fp.readline().split()
-    meta = dict(tok.split("=") for tok in head[2:])
-    order = int(meta["order"])
-    eps_line = fp.readline().split()
-    eps0 = complex(float(eps_line[2]), float(eps_line[3]))
-    mu, lam = {}, {}
-    for _ in range(2 * (order + 1)):
-        toks = fp.readline().split()
-        label = toks[1]
-        vals = [float(t) for t in toks[2:]]
-        row = np.array([complex(a, b) for a, b in zip(vals[0::2], vals[1::2])])
-        if label.startswith("mu"):
-            mu[int(label[3:-1])] = row
-        else:
-            lam[int(label[7:-1])] = row[0]
-    K_coeffs = tuple(load_series(fp) for _ in range(order + 1))
-    mu_arr = np.array([mu[j] for j in range(order + 1)])
-    lam_arr = np.array([lam[j] for j in range(order + 1)])
-    return EpsilonJet(eps0, K_coeffs, mu_arr, lam_arr)
+    head = _read_header(fp)
+    order = int(dict(tok.split("=") for tok in head["kamtori-jet"])["order"])
+    orders = range(order + 1)
+    return EpsilonJet(complex(_parse_pairs(head["eps0"])[0]),
+                      tuple(load_series(fp) for _ in orders),
+                      np.array([_parse_pairs(head[f"mu[{j}]"]) for j in orders]),
+                      np.array([_parse_pairs(head[f"lambda[{j}]"])[0] for j in orders]))

@@ -47,8 +47,9 @@ from .diophantine import GoodSetParams, lambda_in_good_set
 from .embedding import TorusEmbedding, sample_jet
 from .errors import (DivisorTooSmall, FrameSingular, NoConvergence,
                      NonDegeneracyFailure, NormalizationDiverged)
-from .fourier import (FourierSeries, _packed, dump_series, fast_grid_size,
-                      from_grid, load_series, to_grid)
+from .fourier import (FourierSeries, _format_pairs, _packed, _parse_pairs,
+                      _read_header, dump_series, fast_grid_size, from_grid,
+                      load_series, to_grid)
 from .maps import jinv_mul, mul_jinv, symplectic_matrix
 
 DET_RTOL = 1e-10
@@ -388,8 +389,9 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20,
     tol; `trace` holds that residual at every evaluation.
 
     When the tail band of K carries relative mass above DEFAULT_TAIL_THRESHOLD
-    the cutoff is doubled (up to KMAX_CAP).  A non-finite eps, mu0 or K0
-    coefficient raises ValueError.  With `good_set` lam(eps) must pass
+    the cutoff is doubled (up to KMAX_CAP).  A non-finite eps, mu0, omega or
+    K0 coefficient, a tol outside [0, inf) or a max_iter that is not an
+    integer >= 0 raises ValueError.  With `good_set` lam(eps) must pass
     `lambda_in_good_set` over `good_set_scan` modes, or DivisorTooSmall carries
     its witness.
     """
@@ -398,11 +400,17 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20,
     mu = np.atleast_1d(np.asarray(mu0, dtype=complex))
     if not np.all(np.isfinite(mu)):
         raise ValueError(f"mu0 must be finite, got {mu0}")
+    if np.atleast_1d(omega).shape != (K0.dim,) or not np.all(np.isfinite(omega)):
+        raise ValueError(f"omega must have {K0.dim} finite components, got {omega}")
     bad = np.argwhere(~np.isfinite(K0.periodic.coeffs))
     if bad.size:
         k = tuple(int(i) - K0.kmax for i in bad[0][:K0.dim])
         raise ValueError(f"K0 must be finite, got {K0.periodic.coeffs[tuple(bad[0])]} "
                          f"at mode k={k}")
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must satisfy 0 <= tol < inf, got {tol}")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter}")
     if good_set is not None:
         witness = lambda_in_good_set(fam.lambda_eps(eps), good_set, omega, good_set_scan)
         if not witness.member:
@@ -502,11 +510,13 @@ def lagrangian_defect(K: TorusEmbedding, J=None, *, _dk: np.ndarray | None = Non
 # -- solution files -----------------------------------------------------------
 
 def dump_solution(sol: KamSolution, fp) -> None:
+    """Write `sol` in the text form of `fourier`: its header lines, then the
+    angle correction u and the action v as two (d,)-valued series tables."""
     fp.write(f"# kamtori-solution d={sol.K.dim} kmax={sol.K.kmax}\n")
     fp.write("# omega " + " ".join(f"{w:.17g}" for w in sol.omega) + "\n")
-    fp.write(f"# eps {sol.eps.real:.17g} {sol.eps.imag:.17g}\n")
-    fp.write("# mu " + " ".join(f"{m.real:.17g} {m.imag:.17g}" for m in sol.mu) + "\n")
-    fp.write(f"# lambda {sol.lam.real:.17g} {sol.lam.imag:.17g}\n")
+    fp.write(f"# eps {_format_pairs(sol.eps)}\n")
+    fp.write(f"# mu {_format_pairs(sol.mu)}\n")
+    fp.write(f"# lambda {_format_pairs(sol.lam)}\n")
     fp.write(f"# residual {sol.residual_norm:.17g}\n")
     fp.write(f"# twist {sol.twist_constant:.17g}\n")
     dump_series(sol.K.angle_correction(), fp)
@@ -514,31 +524,13 @@ def dump_solution(sol: KamSolution, fp) -> None:
 
 
 def load_solution(fp) -> KamSolution:
-    head = {}
-    pos = fp.tell()
-    while True:
-        line = fp.readline()
-        if not line.startswith("#") or line.startswith("# fourier"):
-            fp.seek(pos)
-            break
-        pos = fp.tell()
-        toks = line[1:].split()
-        head[toks[0]] = toks[1:]
-    u = load_series(fp)
-    v = load_series(fp)
-    d = u.dim
-    coeffs = np.concatenate([
-        u.coeffs[..., None] if u.value_shape == () else u.coeffs,
-        v.coeffs[..., None] if v.value_shape == () else v.coeffs,
-    ], axis=-1)
-    K = TorusEmbedding(FourierSeries(d, u.kmax, coeffs))
-    mu_raw = [float(t) for t in head["mu"]]
-    mu = np.array([complex(a, b) for a, b in zip(mu_raw[0::2], mu_raw[1::2])])
-    eps = complex(float(head["eps"][0]), float(head["eps"][1]))
-    lam = complex(float(head["lambda"][0]), float(head["lambda"][1]))
+    head = _read_header(fp)
+    u, v = load_series(fp), load_series(fp)
+    K = TorusEmbedding(FourierSeries(u.dim, u.kmax, np.concatenate([u.coeffs, v.coeffs], -1)))
     residual = float(head["residual"][0])
-    twist = float(head["twist"][0])
-    omega = np.array([float(t) for t in head["omega"]])
-    return KamSolution(K=K, mu=mu, residual_norm=residual, twist_constant=twist,
-                       lagrangian_defect=lagrangian_defect(K),
-                       trace=(residual,), eps=eps, omega=omega, lam=lam)
+    return KamSolution(K=K, mu=_parse_pairs(head["mu"]), residual_norm=residual,
+                       twist_constant=float(head["twist"][0]),
+                       lagrangian_defect=lagrangian_defect(K), trace=(residual,),
+                       eps=complex(_parse_pairs(head["eps"])[0]),
+                       omega=np.array([float(t) for t in head["omega"]]),
+                       lam=complex(_parse_pairs(head["lambda"])[0]))

@@ -11,7 +11,8 @@ from kamtori.atlas import SweepResult, SweepStep, sweep_table
 from kamtori.cli import main
 from kamtori.config import load_config
 from kamtori.errors import KamtoriError, NoConvergence
-from kamtori.newton import load_solution, run_newton
+from kamtori.lindstedt import dump_jet, load_jet
+from kamtori.newton import dump_solution, load_solution, run_newton
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -131,6 +132,22 @@ def test_double_command(golden_cfg, tmp_path):
     assert main(["double", "--config", golden_cfg, "--out", out]) == 0
     head = open(os.path.join(out, "jet.txt")).readline()
     assert "order=3" in head
+
+
+@pytest.mark.parametrize("command, name, load, dump", [
+    ("solve", "solution.txt", load_solution, dump_solution),
+    ("double", "jet.txt", load_jet, dump_jet),
+], ids=["solve", "double"])
+def test_output_file_reloads_to_its_bytes(tmp_path, command, name, load, dump):
+    # loading a written file and writing it again gives its bytes back
+    out = tmp_path / "out"
+    assert main([command, "--config", str(CONFIGS / "golden.cfg"), "--out", str(out)]) == 0
+    text = (out / name).read_text()
+    with open(out / name) as fp:
+        back = load(fp)
+    buf = io.StringIO()
+    dump(back, buf)
+    assert buf.getvalue() == text
 
 
 def test_sweep_command(golden_cfg, tmp_path):

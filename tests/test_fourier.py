@@ -305,3 +305,23 @@ def test_dump_load_matrix_valued(rng):
     dump_series(s, buf)
     buf.seek(0)
     np.testing.assert_array_equal(load_series(buf).coeffs, s.coeffs)
+
+
+@pytest.mark.parametrize("value_shape", [(2,), (2, 2)], ids=["vector", "matrix"])
+def test_dump_load_is_exact_for_signed_zeros_and_inf(rng, value_shape):
+    # each re/im pair is read as the two floats of one complex128: -0.0 parts
+    # and a +-inf imaginary part come back bit for bit, where re + 1j * im
+    # gave +0.0 and nan+inf j
+    c = rng.standard_normal((7,) + value_shape) + 1j * rng.standard_normal((7,) + value_shape)
+    flat = c.reshape(7, -1)
+    flat[0, 0] = complex(-0.0, -0.0)
+    flat[1, 0] = complex(-0.0, 0.0)
+    flat[2, -1] = complex(0.0, -0.0)
+    flat[3, 0] = complex(0.0, np.inf)
+    flat[4, -1] = complex(-0.0, -np.inf)
+    flat[5, 1] = complex(np.nan, -0.0)
+    s = FourierSeries(1, 3, c)
+    buf = io.StringIO()
+    dump_series(s, buf)
+    buf.seek(0)
+    assert load_series(buf).coeffs.tobytes() == s.coeffs.tobytes()

@@ -508,3 +508,22 @@ def test_jet_file_with_series_flag_tokens_loads(jet4):
     assert back.lambda_coeffs.tobytes() == jet4.lambda_coeffs.tobytes()
     for a, b in zip(back.K_coeffs, jet4.K_coeffs):
         assert a.coeffs.tobytes() == b.coeffs.tobytes()
+
+
+def test_jet_file_header_lines_load_by_key(jet4):
+    # header lines are read by key: an unknown `# note` line and the
+    # lambda[j] lines moved ahead of eps0 and mu[j] load to the same bytes
+    buf = io.StringIO()
+    dump_jet(jet4, buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    mu = [line for line in lines if line.startswith("# mu[")]
+    lam = [line for line in lines if line.startswith("# lambda[")]
+    tables = lines[2 + len(mu) + len(lam):]
+    assert len(mu) == len(lam) == jet4.order + 1 and tables[0].startswith("# fourier")
+    text = "".join(lines[:1] + ["# note written by hand\n"] + lam + lines[1:2] + mu + tables)
+    back = load_jet(io.StringIO(text))
+    assert back.eps0 == jet4.eps0
+    assert back.mu_coeffs.tobytes() == jet4.mu_coeffs.tobytes()
+    assert back.lambda_coeffs.tobytes() == jet4.lambda_coeffs.tobytes()
+    for a, b in zip(back.K_coeffs, jet4.K_coeffs, strict=True):
+        assert a.coeffs.tobytes() == b.coeffs.tobytes()

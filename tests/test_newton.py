@@ -248,25 +248,39 @@ def test_run_at_desk_parameters(fam, omega, base_torus):
     assert sol.lagrangian_defect <= 1e-10
 
 
-@pytest.mark.parametrize("eps, mu0, bad, named", [
-    (np.nan, [0.0], None, "eps must be finite, got nan"),
-    (complex(0.05, np.inf), [0.0], None, "eps must be finite, got (0.05+infj)"),
-    (0.05, [np.nan], None, "mu0 must be finite, got [nan]"),
-    (0.05, [0.0], ((32, 1), np.nan), "K0 must be finite, got (nan+0j) at mode k=(0,)"),
-    (0.05, [0.0], ((33, 0), np.nan), "K0 must be finite, got (nan+0j) at mode k=(1,)"),
-    (0.05, [0.0], ((31, 1), np.inf), "K0 must be finite, got (inf+0j) at mode k=(-1,)"),
-], ids=["eps-nan", "eps-inf", "mu0-nan", "K0-nan-mean", "K0-nan-k1", "K0-inf"])
-def test_run_rejects_non_finite_input(fam, omega, base_torus, eps, mu0, bad, named):
+@pytest.mark.parametrize("eps, mu0, bad, kw, named", [
+    (np.nan, [0.0], None, {}, "eps must be finite, got nan"),
+    (complex(0.05, np.inf), [0.0], None, {}, "eps must be finite, got (0.05+infj)"),
+    (0.05, [np.nan], None, {}, "mu0 must be finite, got [nan]"),
+    (0.05, [0.0], ((32, 1), np.nan), {}, "K0 must be finite, got (nan+0j) at mode k=(0,)"),
+    (0.05, [0.0], ((33, 0), np.nan), {}, "K0 must be finite, got (nan+0j) at mode k=(1,)"),
+    (0.05, [0.0], ((31, 1), np.inf), {}, "K0 must be finite, got (inf+0j) at mode k=(-1,)"),
+    (0.05, [0.0], None, {"omega": np.nan}, "omega must have 1 finite components, got nan"),
+    (0.05, [0.0], None, {"omega": [np.inf]},
+     "omega must have 1 finite components, got [inf]"),
+    (0.05, [0.0], None, {"omega": [0.5, 0.25]},
+     "omega must have 1 finite components, got [0.5, 0.25]"),
+    (0.05, [0.0], None, {"tol": np.nan}, "tol must satisfy 0 <= tol < inf, got nan"),
+    (0.05, [0.0], None, {"tol": -1e-12}, "tol must satisfy 0 <= tol < inf, got -1e-12"),
+    (0.05, [0.0], None, {"tol": np.inf}, "tol must satisfy 0 <= tol < inf, got inf"),
+    (0.05, [0.0], None, {"max_iter": -1}, "max_iter must be an integer >= 0, got -1"),
+    (0.05, [0.0], None, {"max_iter": 2.5}, "max_iter must be an integer >= 0, got 2.5"),
+], ids=["eps-nan", "eps-inf", "mu0-nan", "K0-nan-mean", "K0-nan-k1", "K0-inf",
+        "omega-nan", "omega-inf", "omega-length", "tol-nan", "tol-negative", "tol-inf",
+        "max_iter-negative", "max_iter-float"])
+def test_run_rejects_non_finite_input(fam, omega, base_torus, eps, mu0, bad, kw, named):
     # a NaN eps used to run into NonDegeneracyFailure("determinant nan"), a
     # NaN mean of K0 into a zero-average check and a NaN at k = 1 into
-    # FrameSingular("DK^T DK condition number nan")
+    # FrameSingular("DK^T DK condition number nan"); a NaN omega into
+    # FrameSingular("M o T_omega ..."), tol = nan into NoConvergence after 20
+    # iterations and max_iter = -1 into NoConvergence after -1 iterations
     K0 = base_torus[0]
     if bad is not None:
         coeffs = np.array(K0.periodic.coeffs)
         coeffs[bad[0]] = bad[1]
         K0 = TorusEmbedding(FourierSeries(1, K0.kmax, coeffs))
     with pytest.raises(ValueError) as err:
-        run_newton(fam, K0, mu0, omega, eps)
+        run_newton(fam, K0, mu0, **{"omega": omega, "eps": eps, **kw})
     assert str(err.value) == named
 
 
