@@ -81,6 +81,30 @@ class TorusEmbedding:
         return (a.pad_to(kmax) - b.pad_to(kmax)).analytic_norm(rho)
 
 
+def _series_and_dk(coeffs: np.ndarray):
+    """The torus jet as one series with the order axis behind the mode axes,
+    and the coefficients of its DK (the identity block in order 0's mean)."""
+    d = coeffs.shape[-1] // 2
+    kmax = (coeffs.shape[1] - 1) // 2
+    # transpose: np.moveaxis has more overhead
+    series = FourierSeries(d, kmax, coeffs.transpose(*range(1, d + 1), 0, d + 1))
+    dk = np.stack([series.differentiate(j).coeffs for j in range(d)], axis=-1)
+    dk[(kmax,) * d + (0,)][:d, :d] += np.eye(d)
+    return series, dk
+
+
+def _order_first(grid: np.ndarray, d: int) -> np.ndarray:
+    """A grid jet with its order axis moved from behind the d grid axes to the front."""
+    return np.ascontiguousarray(grid.transpose(d, *range(d), *range(d + 1, grid.ndim)))
+
+
+def sample_dk(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """The DK grid jet of `sample_jet` alone, with the same values: the
+    transforms act column by column."""
+    series, dk = _series_and_dk(coeffs)
+    return _order_first(to_grid(FourierSeries(series.dim, series.kmax, dk), n), series.dim)
+
+
 def sample_jet(coeffs: np.ndarray, omega, n: int):
     """Grid jets (X, X o T_omega, DK) of the torus jet K(eps) = sum_j K_j eps^j.
 
@@ -91,16 +115,11 @@ def sample_jet(coeffs: np.ndarray, omega, n: int):
     theta and theta + omega, and DK's identity block (added to the mean
     coefficient before the transform), enter order 0 only.
     """
-    d = coeffs.shape[-1] // 2
-    kmax = (coeffs.shape[1] - 1) // 2
-    # order axis behind the mode axes (transpose: np.moveaxis has more overhead)
-    series = FourierSeries(d, kmax, coeffs.transpose(*range(1, d + 1), 0, d + 1))
-    dk = np.stack([series.differentiate(j).coeffs for j in range(d)], axis=-1)
-    dk[(kmax,) * d + (0,)][:d, :d] += np.eye(d)
+    series, dk = _series_and_dk(coeffs)
+    d, kmax = series.dim, series.kmax
     parts = _packed(lambda c: to_grid(FourierSeries(d, kmax, c), n),
                     (series.coeffs, series.shift(omega).coeffs, dk), d)
-    X, Xshift, DK = (np.ascontiguousarray(p.transpose(d, *range(d), *range(d + 1, p.ndim)))
-                     for p in parts)
+    X, Xshift, DK = (_order_first(p, d) for p in parts)
     omega = np.atleast_1d(np.asarray(omega))
     for j, theta in enumerate(theta_grid(d, n)):
         X[0, ..., j] += theta

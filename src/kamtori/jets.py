@@ -4,6 +4,10 @@ Lindstedt engines.
 A jet is an ndarray whose leading axis indexes the power order; entries are
 grid samples or plain values of a common shape.  All operations are
 coefficient-exact truncated power-series algebra.
+
+Matrix-valued jets and grid stacks multiply through `mm`: the frames of the
+Newton method and the Lindstedt engines are stacks of 1 x 1 to 2 x 2
+matrices at d = 1.
 """
 
 from __future__ import annotations
@@ -45,6 +49,26 @@ def _order_sum(terms):
     return 0 + np.add.reduce(terms, axis=0)
 
 
+def mm(a, b):
+    """The matrix product of two stacks (..., p, m) and (..., m, q), broadcast
+    over the leading axes as np.matmul is.
+
+    For an inner dimension m <= 2 it is the broadcast sum of the m outer
+    products a[..., :, j] b[..., j, :], a few passes over the stack, where
+    np.matmul runs one BLAS call per matrix; each entry is rounded the same
+    wherever it lies in the stack.  Larger inner dimensions keep np.matmul,
+    which is faster there.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape[-1] > 2:
+        return np.matmul(a, b)
+    out = a[..., :, :1] * b[..., :1, :]
+    if a.shape[-1] == 2:
+        out += a[..., :, 1:] * b[..., 1:, :]
+    return out
+
+
 def cauchy(a, b, order=None, prod=np.multiply):
     """Truncated Cauchy product c_n = sum_m prod(a_m, b_{n-m}); each order is
     one batched product over its terms."""
@@ -64,7 +88,7 @@ def cauchy(a, b, order=None, prod=np.multiply):
 
 
 def matmul(a, b, order=None):
-    return cauchy(a, b, order=order, prod=np.matmul)
+    return cauchy(a, b, order=order, prod=mm)
 
 
 def sincos(x, freq=TWO_PI):
@@ -119,7 +143,7 @@ def inv_matrix(a):
     out = zero_like(a)
     out[0] = inv_stack(a[0])
     for i in range(1, n + 1):
-        out[i] = -np.matmul(out[0], _order_sum(np.matmul(a[1:i + 1], out[i - 1::-1])))
+        out[i] = -mm(out[0], _order_sum(mm(a[1:i + 1], out[i - 1::-1])))
     return out
 
 

@@ -148,7 +148,7 @@ def _project(grids: np.ndarray, d: int, B: int, bands, kmax: int) -> list:
 
 
 def _avg_first_rows(Minv0, grid, d):
-    return _mean((Minv0 @ grid[..., None])[..., 0], d)[:d]
+    return _mean(jets.mm(Minv0, grid[..., None])[..., 0], d)[:d]
 
 
 # -- order-by-order engine ----------------------------------------------------
@@ -185,9 +185,9 @@ def lindstedt_expand(fam, K_base: TorusEmbedding, mu_base, omega, eps0, N: int,
 
     for j in range(1, N + 1):
         G = fam.jet_apply(x_jet[: j + 1], mu_jet[: j + 1], eps0)[j]
-        Et = (fr.beta[0] @ (-G)[..., None])[..., 0]
+        Et = jets.mm(fr.beta[0], (-G)[..., None])[..., 0]
         W1, W2, mu_j, _ = solve_reduced(core, Et[..., :d], Et[..., d:])
-        Kj = from_grid((fr.M[0] @ np.concatenate([W1, W2], axis=-1)[..., None])[..., 0],
+        Kj = from_grid(jets.mm(fr.M[0], np.concatenate([W1, W2], axis=-1)[..., None])[..., 0],
                        d, B).truncate(bands[j])
         K_coeffs.append(Kj.pad_to(kmax))
         x_jet[j] = to_grid(Kj, fr.n)
@@ -272,9 +272,9 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
         rhs1 = -fr.Et[nn][..., :d]
         rhs2 = -fr.Et[nn][..., d:]
         for m in range(1, nn + 1):
-            rhs2 = rhs2 - lam[m] * W2[nn - m] - (A2[m] @ sigma[nn - m][..., None])[..., 0]
-            rhs1 = rhs1 - (S[m] @ W2[nn - m][..., None])[..., 0] \
-                - (A1[m] @ sigma[nn - m][..., None])[..., 0]
+            rhs2 = rhs2 - lam[m] * W2[nn - m] - jets.mm(A2[m], sigma[nn - m][:, None])[..., 0]
+            rhs1 = rhs1 - jets.mm(S[m], W2[nn - m][..., None])[..., 0] \
+                - jets.mm(A1[m], sigma[nn - m][:, None])[..., 0]
         W1[nn], W2[nn], sigma[nn], _ = solve_reduced(core, rhs1, rhs2)
 
         # normalization in the base frame: zero average angle displacement;
@@ -283,12 +283,12 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
         corr = np.zeros(x.shape[1:], dtype=complex)
         for m in range(1, nn + 1):
             Wm = np.concatenate([W1[nn - m], W2[nn - m]], axis=-1)
-            corr = corr + (fr.M[m] @ Wm[..., None])[..., 0]
+            corr = corr + jets.mm(fr.M[m], Wm[..., None])[..., 0]
         W1bar = -_avg_first_rows(Minv0, Kn_grid, d) - _avg_first_rows(Minv0, corr, d)
         W1[nn] = W1[nn] + W1bar
 
         Wn = np.concatenate([W1[nn], W2[nn]], axis=-1)
-        delta = (fr.M[0] @ Wn[..., None])[..., 0] + corr
+        delta = jets.mm(fr.M[0], Wn[..., None])[..., 0] + corr
         K_grid[nn] = Kn_grid + delta
         mu_new[nn] = mu_new[nn] + sigma[nn]
 

@@ -106,7 +106,7 @@ def verify_conformal(fam: MapFamily, sample_count: int, eps, mu=None, rng=None) 
     x[:, d:] = rng.uniform(-1.5, 1.5, (sample_count, d))
     Df = fam.jacobian(x.astype(complex), mu, eps)
     J = fam.J
-    defect = np.swapaxes(Df, -1, -2) @ J @ Df - fam.lambda_eps(eps) * J
+    defect = jets.mm(jets.mm(np.swapaxes(Df, -1, -2), J), Df) - fam.lambda_eps(eps) * J
     return float(np.max(np.sqrt(np.sum(np.abs(defect) ** 2, axis=(-2, -1)))))
 
 

@@ -19,8 +19,12 @@ order-0 jet of `embedding.sample_jet` (X = K(theta), K o T_omega and DK in one
 packed transform), forms E = f o K - K o T_omega and its series, reads the
 residual from that series into the trace (one float per evaluation, at
 rho = 0) and hands the same evaluation to `newton_step`, whose frame and step
-report reuse it; at convergence the twist and the Lagrangian defect (from its
-DK) reuse it too.
+report reuse it; at convergence the Lagrangian defect (from its DK) reuses it
+too.  A `StepReport` keeps the step's W on the grid and its averaged block;
+their norm and the twist are computed when first read, so a step transforms
+only the correction M W, and `run_newton` inverts a block only for the twist
+of its last step (or of the converged frame when there was no step or that
+twist is not finite).
 The frame conditioning gate on DK^T DK uses the closed form |g|/|g| for the
 1 x 1 Gram of d = 1 and `np.linalg.cond` for d > 1; both follow
 `np.linalg.cond`'s rules (0 and inf give inf, nan stays nan), and every
@@ -32,6 +36,8 @@ d = 1) and from `np.linalg.inv` for larger ones.  A determinant of
 M o T_omega that is zero or not finite raises FrameSingular.
 J^-1 = [[0, -I], [I, 0]] enters only as a signed block swap of rows
 (`maps.jinv_mul`) or columns (`maps.mul_jinv`), never as a matrix product.
+Every other product of grid stacks goes through `jets.mm`, a broadcast
+multiply-add for the 1 x 1 to 2 x 2 blocks of d = 1.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import numpy as np
 from . import jets
 from .cohomology import CohomologySolution, DEFAULT_DIVISOR_FLOOR, solve_twisted
 from .diophantine import GoodSetParams, lambda_in_good_set
-from .embedding import TorusEmbedding, sample_jet
+from .embedding import TorusEmbedding, sample_dk, sample_jet
 from .errors import (DivisorTooSmall, FrameSingular, NoConvergence,
                      NonDegeneracyFailure, NormalizationDiverged)
 from .fourier import (FourierSeries, _format_pairs, _packed, _parse_pairs,
@@ -119,6 +125,19 @@ def _gram_cond(gram: np.ndarray) -> np.ndarray:
     return cond
 
 
+def _not_finite_points(stack: np.ndarray) -> int:
+    """The number of matrices of a stack (..., m, m) with a non-finite entry.
+
+    A finite sum of the stack proves there is none at the cost of one pass;
+    only a sum that is not finite (a non-finite entry, or finite entries whose
+    sum overflows) pays for the exact count.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(np.add.reduce(stack, axis=None)):
+            return 0
+    return int(np.count_nonzero(~np.all(np.isfinite(stack), axis=(-2, -1))))
+
+
 def _frame_matrix(dk: np.ndarray):
     """Jets of N = (DK^T DK)^-1 and of the frame M = [DK, J^-1 DK N], and the
     worst conditioning of DK^T DK on the grid.
@@ -135,7 +154,7 @@ def _frame_matrix(dk: np.ndarray):
         )
     N = jets.inv_matrix(gram)
     # a subnormal 1 x 1 Gram is well conditioned (|g|/|g| = 1), but 1/g overflows
-    bad = np.count_nonzero(~np.all(np.isfinite(N[0]), axis=(-2, -1)))
+    bad = _not_finite_points(N[0])
     if bad:
         raise FrameSingular(
             f"DK^T DK is singular or not finite at {bad} of {N[0][..., 0, 0].size} grid points")
@@ -180,7 +199,7 @@ def build_frame(lam, dk, E, Df, Dmu, omega, kmax: int) -> Frame:
         lambda g: np.moveaxis(to_grid(from_grid(np.moveaxis(g, 0, d), d, kmax)
                                       .shift(omega), n), d, 0), (M, N, gamma), d + 1)
     beta = jets.inv_matrix(Mshift)
-    bad = np.count_nonzero(~np.all(np.isfinite(beta[0]), axis=(-2, -1)))
+    bad = _not_finite_points(beta[0])
     if bad:
         raise FrameSingular(
             f"M o T_omega is singular or not finite at {bad} of {n ** d} grid points")
@@ -223,8 +242,10 @@ class ReducedCore:
     Bb_grid: np.ndarray
     divisor_floor: float | np.ndarray   # scalar or per-mode floor of the lam-twisted solves
 
-    def twist(self) -> float:
-        return float(np.linalg.norm(np.linalg.inv(self.block), 2))
+
+def _twist(block: np.ndarray) -> float:
+    """The twist constant: the 2-norm of the inverse averaged block."""
+    return float(np.linalg.norm(np.linalg.inv(block), 2))
 
 
 def checked_block(frame: Frame, divisor_floor=DEFAULT_DIVISOR_FLOOR) -> ReducedCore:
@@ -241,7 +262,7 @@ def checked_block(frame: Frame, divisor_floor=DEFAULT_DIVISOR_FLOOR) -> ReducedC
     Bb_grid = to_grid(Bb.phi, frame.n)
     block = np.zeros((2 * d, 2 * d), dtype=complex)
     block[:d, :d] = _mean(S, d)
-    block[:d, d:] = _mean(S @ Bb_grid, d) + _mean(A1, d)
+    block[:d, d:] = _mean(jets.mm(S, Bb_grid), d) + _mean(A1, d)
     block[d:, :d] = (lam - 1.0) * np.eye(d)
     block[d:, d:] = _mean(A2, d)
     scale = float(np.max(np.sum(np.abs(block), axis=1)))
@@ -268,14 +289,14 @@ def solve_reduced(core: ReducedCore, rhs1: np.ndarray, rhs2: np.ndarray):
                        divisor_floor=core.divisor_floor)
     Ba_grid = to_grid(Ba.phi, n)
     rhs_avg = np.concatenate([
-        _mean(rhs1, d) - _mean((S @ Ba_grid[..., None])[..., 0], d),
+        _mean(rhs1, d) - _mean(jets.mm(S, Ba_grid[..., None])[..., 0], d),
         _mean(rhs2, d),
     ])
     sol = np.linalg.solve(core.block, rhs_avg)
     W2bar, sigma = sol[:d], sol[d:]
-    W2 = Ba_grid + core.Bb_grid @ sigma + W2bar
+    W2 = Ba_grid + jets.mm(core.Bb_grid, sigma[:, None])[..., 0] + W2bar
 
-    r1 = rhs1 - (S @ W2[..., None])[..., 0] - A1 @ sigma
+    r1 = rhs1 - jets.mm(S, W2[..., None])[..., 0] - jets.mm(A1, sigma[:, None])[..., 0]
     # a per-mode floor bounds the lam-twisted divisors of the good set; the
     # untwisted solve keeps a scalar one
     floor = core.divisor_floor if np.ndim(core.divisor_floor) == 0 else DEFAULT_DIVISOR_FLOOR
@@ -308,7 +329,7 @@ def reducibility_frame(fam, K, mu, omega, eps) -> ReducibilityFrame:
     tri[..., idx, idx] = 1.0
     tri[..., idx + d, idx + d] = fr.lam[0]
     tri[..., :d, d:] = fr.S[0]
-    R_series = from_grid(fr.Df[0] @ fr.M[0] - fr.Mshift[0] @ tri, d, kmax)
+    R_series = from_grid(jets.mm(fr.Df[0], fr.M[0]) - jets.mm(fr.Mshift[0], tri), d, kmax)
     R_norm = R_series.analytic_norm(0.0)
     E_norm = from_grid(fr.E[0], d, kmax).analytic_norm(0.0)
     return ReducibilityFrame(
@@ -327,13 +348,27 @@ def reducibility_frame(fam, K, mu, omega, eps) -> ReducibilityFrame:
 
 @dataclass(frozen=True)
 class StepReport:
-    w_norm: float
+    """One Newton step.  The report keeps the correction W of the frame
+    coordinates on the grid and the averaged block, not the frame; its norm
+    w_norm and the twist (inverse and SVD of the block) are computed when
+    first read, which run_newton does only for the twist at convergence."""
+
     sigma: np.ndarray
     residual_before: float
-    twist: float
     det: complex
     divisor_gain: float
     grid: int
+    W: np.ndarray          # (n,)*d + (2d,) correction in frame coordinates
+    block: np.ndarray      # (2d, 2d) averaged block
+    kmax: int
+
+    @cached_property
+    def w_norm(self) -> float:
+        return from_grid(self.W, self.W.shape[-1] // 2, self.kmax).analytic_norm(0.0)
+
+    @cached_property
+    def twist(self) -> float:
+        return _twist(self.block)
 
 
 def newton_step(fam, K, mu, omega, eps, divisor_floor=DEFAULT_DIVISOR_FLOOR,
@@ -351,19 +386,18 @@ def newton_step(fam, K, mu, omega, eps, divisor_floor=DEFAULT_DIVISOR_FLOOR,
     W1, W2, sigma, gain = solve_reduced(core, -fr.Et[0, ..., :d], -fr.Et[0, ..., d:])
 
     W = np.concatenate([W1, W2], axis=-1)
-    delta, W_coeffs = _packed(lambda g: from_grid(g, d, kmax).coeffs,
-                              ((fr.M[0] @ W[..., None])[..., 0], W), d)
-    K2 = K.with_correction(FourierSeries(d, kmax, delta))
+    K2 = K.with_correction(from_grid(jets.mm(fr.M[0], W[..., None])[..., 0], d, kmax))
     mu2 = np.atleast_1d(np.asarray(mu, dtype=complex)) + sigma
 
     report = StepReport(
-        w_norm=FourierSeries(d, kmax, W_coeffs).analytic_norm(0.0),
         sigma=sigma,
         residual_before=ev.series.analytic_norm(0.0),
-        twist=core.twist(),
         det=core.det,
         divisor_gain=max(gain, core.Bb.max_divisor_gain),
         grid=fr.n,
+        W=W,
+        block=core.block,
+        kmax=kmax,
     )
     return K2, mu2, report
 
@@ -418,15 +452,17 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20,
 
     K = K0
     trace = []
-    twist = float("nan")
+    report = None
     for it in range(max_iter + 1):
         ev = _evaluate(fam, K, mu, omega, eps)
         res = ev.series.analytic_norm(0.0)
         trace.append(res)
         if res <= tol:
+            # the twist of the last step's block, else of the converged frame
+            twist = float("nan") if report is None else report.twist
             if not np.isfinite(twist):
-                twist = checked_block(newton_frame(fam, K, mu, omega, eps, _defect=ev),
-                                      divisor_floor).twist()
+                twist = _twist(checked_block(newton_frame(fam, K, mu, omega, eps, _defect=ev),
+                                             divisor_floor).block)
             return KamSolution(
                 K=K, mu=mu, residual_norm=res, twist_constant=twist,
                 lagrangian_defect=lagrangian_defect(K, fam.J, _dk=ev.DK),
@@ -438,7 +474,6 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20,
             break
         K, mu, report = newton_step(fam, K, mu, omega, eps,
                                     divisor_floor=divisor_floor, _defect=ev)
-        twist = report.twist
         if K.periodic.tail_mass() > DEFAULT_TAIL_THRESHOLD and K.kmax < KMAX_CAP:
             K = K.pad_to(min(2 * K.kmax, KMAX_CAP))
     raise NoConvergence(max_iter, trace)
@@ -471,7 +506,8 @@ def normalize_embedding(K: TorusEmbedding, K_ref: TorusEmbedding,
         # sigma, so a complex shift is allowed
         lift, _, dk = sample_jet(K.shifted(sigma).periodic.coeffs[None], no_shift, n)
         diff = lift[0] - ref_lift[0]
-        return _mean((Minv @ diff[..., None])[..., 0], d)[:d], _mean(Minv @ dk[0], d)[:d]
+        return (_mean(jets.mm(Minv, diff[..., None])[..., 0], d)[:d],
+                _mean(jets.mm(Minv, dk[0]), d)[:d])
 
     sigma = np.zeros(d, dtype=complex)
     val, jac = g(sigma)
@@ -496,14 +532,15 @@ def lagrangian_defect(K: TorusEmbedding, J=None, *, _dk: np.ndarray | None = Non
     """l1 norm of the d x d series DK^T (J o K) DK (zero on Lagrangian tori).
 
     `_dk` is DK of K on the grid `_grid_size(K.kmax)` that the caller already
-    holds (run_newton's converged evaluation); without it DK is sampled here.
+    holds (run_newton's converged evaluation); without it only DK is sampled
+    here, to the same values.
     """
     d = K.dim
     if J is None:
         J = symplectic_matrix(d)
     if _dk is None:
-        _dk = sample_jet(K.periodic.coeffs[None], np.zeros(d), _grid_size(K.kmax))[2][0]
-    L = np.swapaxes(_dk, -1, -2) @ J @ _dk
+        _dk = sample_dk(K.periodic.coeffs[None], _grid_size(K.kmax))[0]
+    L = jets.mm(jets.mm(np.swapaxes(_dk, -1, -2), J), _dk)
     return from_grid(L, d, K.kmax).analytic_norm(0.0)
 
 

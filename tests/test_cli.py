@@ -355,7 +355,7 @@ def _last_sweep_row(tmp_path):
 
 @pytest.mark.parametrize("edits, code, message, status", [
     ({"kappa = 0.5": "kappa = 1", "alpha = 1.0": "alpha = 0.01", GOODSET: "", **_at(3.0)},
-     2, "non-degeneracy failure: non-degeneracy determinant 1.125e+22", "non-degenerate"),
+     2, "non-degeneracy failure: non-degeneracy determinant 1.086e+22", "non-degenerate"),
     ({"max_iter = 20": "max_iter = 0", **_at(0.05)},
      4, "no convergence: no convergence after 0 iterations", "no-convergence"),
 ], ids=["non-degenerate", "no-convergence"])

@@ -1,5 +1,6 @@
 """The jet kernels sum each order with one batched product; the running-sum
-loops they replaced are kept here as the byte-for-byte reference."""
+loops they replaced are kept here as the byte-for-byte reference, with
+`jets.mm` as their pointwise matrix product."""
 
 import numpy as np
 import pytest
@@ -50,8 +51,8 @@ def _loop_inv_matrix(a):
     for i in range(1, n + 1):
         acc = np.zeros_like(out[0])
         for m in range(1, i + 1):
-            acc = acc + np.matmul(a[m], out[i - m])
-        out[i] = -np.matmul(out[0], acc)
+            acc = acc + jets.mm(a[m], out[i - m])
+        out[i] = -jets.mm(out[0], acc)
     return out
 
 
@@ -84,7 +85,7 @@ def test_cauchy_is_byte_equal_to_the_running_sum(rng, shape):
                            _loop_cauchy(short, a, order=order + 3))
         if len(shape) == 3:
             bt = np.swapaxes(b, -1, -2)
-            assert _same_bytes(jets.matmul(bt, b), _loop_cauchy(bt, b, prod=np.matmul))
+            assert _same_bytes(jets.matmul(bt, b), _loop_cauchy(bt, b, prod=jets.mm))
 
 
 def test_cauchy_keeps_the_signed_zero_of_the_running_sum():
@@ -148,4 +149,54 @@ def test_order_zero_fast_path_returns_the_product_itself(rng):
     a, b = _jet(rng, 0, (5, 2, 2)), _jet(rng, 0, (5, 2, 2))
     out = jets.matmul(a, b)
     assert out.shape == (1, 5, 2, 2)
-    assert out.base is not None and _same_bytes(out[0], a[0] @ b[0])
+    assert out.base is not None and _same_bytes(out[0], jets.mm(a[0], b[0]))
+
+
+# (a, b) shapes by inner dimension: stacks, a single matrix against a stack
+# (the Minv0 of the doubling), and the matrix-vector products of the frame
+MM_SHAPES = {
+    1: [((300, 1, 1), (300, 1, 1)), ((300, 2, 1), (300, 1, 2)), ((7, 300, 2, 1), (300, 1, 1))],
+    2: [((300, 2, 2), (300, 2, 2)), ((300, 1, 2), (300, 2, 1)), ((2, 2), (300, 2, 1)),
+        ((300, 2, 2), (2, 1)), ((5, 300, 2, 2), (5, 300, 2, 1))],
+    3: [((300, 3, 3), (300, 3, 2))],
+    4: [((300, 4, 4), (300, 4, 1)), ((4, 4), (300, 4, 4))],
+}
+
+
+@pytest.mark.parametrize("inner", [1, 2])
+def test_mm_agrees_with_matmul_for_small_inner_dimensions(rng, inner):
+    for sa, sb in MM_SHAPES[inner]:
+        a, b = _jet(rng, 0, sa)[0], _jet(rng, 0, sb)[0]
+        got, want = jets.mm(a, b), np.matmul(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        # relative to the sum of the magnitudes of the products
+        assert np.all(np.abs(got - want) <= 1e-15 * np.matmul(np.abs(a), np.abs(b)))
+
+
+@pytest.mark.parametrize("inner", [3, 4])
+def test_mm_is_matmul_for_larger_inner_dimensions(rng, inner):
+    for sa, sb in MM_SHAPES[inner]:
+        a, b = _jet(rng, 0, sa)[0], _jet(rng, 0, sb)[0]
+        assert _same_bytes(jets.mm(a, b), np.matmul(a, b))
+
+
+def test_mm_broadcasts_a_single_matrix_against_a_stack(rng):
+    m, stack = _jet(rng, 0, (2, 2))[0], _jet(rng, 0, (300, 2, 1))[0]
+    got = jets.mm(m, stack)
+    assert got.shape == (300, 2, 1)
+    # each matrix of the stack as the product of the single matrix with it
+    assert _same_bytes(got, np.stack([jets.mm(m, v) for v in stack]))
+
+
+@pytest.mark.parametrize("inner", [1, 2])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_mm_keeps_inf_and_nan_entries_not_finite(inner):
+    a = np.ones((3, 2, inner), dtype=complex)
+    b = np.ones((3, inner, 2), dtype=complex)
+    a[0, 1, 0] = np.inf
+    a[1, 0, -1] = complex(0.0, np.nan)
+    b[2, 0, 1] = -np.inf
+    got = jets.mm(a, b)
+    assert np.array_equal(np.isfinite(got), np.isfinite(np.matmul(a, b)))
+    assert not np.all(np.isfinite(got[0, 1])) and not np.all(np.isfinite(got[1, 0]))
+    assert not np.isfinite(got[2, 0, 1]) and np.all(np.isfinite(got[2, :, 0]))

@@ -4,12 +4,12 @@ import re
 import numpy as np
 import pytest
 
-from kamtori import newton
+from kamtori import embedding, newton
 from kamtori.atlas import coupled_divisor_floor
 from kamtori.embedding import TorusEmbedding, sample_jet
 from kamtori.errors import (DivisorTooSmall, FrameSingular, NoConvergence,
                             NonDegeneracyFailure, NormalizationDiverged)
-from kamtori.fourier import FourierSeries, _packed, fast_grid_size, from_grid
+from kamtori.fourier import FourierSeries, _packed, fast_grid_size, from_grid, to_grid
 from kamtori.lindstedt import lindstedt_expand
 from kamtori.maps import DissipativeStandardMap
 from kamtori.newton import (_evaluate, _gram_cond, dump_solution,
@@ -152,6 +152,29 @@ def test_singular_shifted_frame_raises_frame_singular(angle_dk, named):
         newton.build_frame(np.array([1.0 + 0j]), dk, np.zeros((1, 4, 2), dtype=complex),
                            Df, np.ones((1, 4, 2, 1), dtype=complex), np.array([0.25]), 1)
     assert str(err.value) == named
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_frame_of_a_finite_stack_whose_sum_overflows_is_built():
+    # DK = (1e-154, 0) everywhere: N = 1/|DK|^2 ~ 1e308 is finite at each of
+    # the 4 points, though the sum of the stack overflows
+    dk = np.zeros((1, 4, 2, 1), dtype=complex)
+    dk[0, :, 0, 0] = 1e-154
+    Df = np.broadcast_to(np.eye(2, dtype=complex), (1, 4, 2, 2))
+    fr = newton.build_frame(np.array([1.0 + 0j]), dk, np.zeros((1, 4, 2), dtype=complex),
+                            Df, np.ones((1, 4, 2, 1), dtype=complex), np.array([0.25]), 1)
+    assert np.all(np.isfinite(fr.N[0])) and not np.isfinite(np.sum(fr.N[0]))
+    assert np.all(np.isfinite(fr.beta[0]))
+
+
+def test_not_finite_points_counts_one_nan_grid_point(rng):
+    stack = rng.standard_normal((3125, 2, 2)) + 0j
+    assert newton._not_finite_points(stack) == 0
+    stack[1234, 1, 0] = complex(0.0, np.nan)
+    assert newton._not_finite_points(stack) == 1
+    stack[7, 0, 0] = stack[7, 0, 1] = np.inf
+    assert newton._not_finite_points(stack) == 2
 
 
 def test_closed_form_gram_cond_matches_numpy():
@@ -440,6 +463,27 @@ def test_converged_lagrangian_defect_reuses_the_evaluated_dk(fam, omega, base_to
     assert len(calls) == len(sol.trace)
     direct = lagrangian_defect(sol.K, fam.J)
     assert np.float64(sol.lagrangian_defect).tobytes() == np.float64(direct).tobytes()
+
+
+def test_lagrangian_defect_samples_only_dk(fam, omega, monkeypatch):
+    # without _dk the defect transforms DK alone, n * 2d * d grid values, and
+    # its value is bit for bit that of the DK sample_jet gives
+    K0, mu0 = fam.unperturbed_torus(omega, 32)
+    K = run_newton(fam, K0, mu0, omega, 0.05, tol=1e-12).K
+    n = newton._grid_size(K.kmax)
+    dk = sample_jet(K.periodic.coeffs[None], omega, n)[2][0]
+    want = lagrangian_defect(K, fam.J, _dk=dk)
+    points = []
+
+    def counted(series, n):
+        grid = to_grid(series, n)
+        points.append(grid.size)
+        return grid
+
+    monkeypatch.setattr(embedding, "to_grid", counted)
+    got = lagrangian_defect(K, fam.J)
+    assert points == [n * 2 * 1]
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_lagrangian_defect_nonzero_in_2d(rng):
