@@ -104,12 +104,13 @@ def solve_twisted(eta: FourierSeries, lam: complex, omega,
                   divisor_floor=DEFAULT_DIVISOR_FLOOR) -> CohomologySolution:
     """Solve lam*phi - phi o T_omega = eta mode by mode.
 
-    For lam = 1 (within 1e-12) the average of eta must vanish and phi is
-    returned with zero average; otherwise the average solves (lam-1) phi_0 =
-    eta_0.  `divisor_floor` may be a scalar or an array over the centred mode
-    box of any cutoff >= kmax (e.g. a |k|-dependent threshold), cut to the
-    kmax box; any divisor below it raises DivisorTooSmall, flagging the
-    parameter as outside the good set at this cutoff.
+    For lam = 1 (within 1e-12) eta must be finite with a vanishing average
+    (else ValueError) and phi is returned with zero average; otherwise the
+    average solves (lam-1) phi_0 = eta_0.  `divisor_floor` may be a scalar or
+    an array over the centred mode box of any cutoff >= kmax (e.g. a
+    |k|-dependent threshold), cut to the kmax box; any divisor below it raises
+    DivisorTooSmall, flagging the parameter as outside the good set at this
+    cutoff.
 
     The inverse divisors (with the k = 0 entry), the largest gain and the
     DivisorTooSmall witness come from a table of at most 8 entries, keyed by
@@ -126,9 +127,10 @@ def solve_twisted(eta: FourierSeries, lam: complex, omega,
     if abs(lam - 1.0) <= _AVG_TWIST_TOL:
         avg = np.abs(np.atleast_1d(eta.average()))
         scale = eta.analytic_norm(0.0)
-        # a non-finite mean fails too: phi_0 = 0 * eta_0 would not be 0
-        if not np.all(np.isfinite(avg)) or np.max(avg) > 1e-12 * max(scale, 1e-30):
-            raise ValueError("eta must have a finite zero average when lam = 1")
+        # a non-finite mode, the mean included, makes the scale non-finite
+        if not np.isfinite(scale) or np.max(avg) > 1e-12 * max(scale, 1e-30):
+            raise ValueError("eta must have finite modes and a finite zero average "
+                             "when lam = 1")
         # phi_0 = 0: the unique zero-average solution
 
     phi_coeffs = eta.coeffs * inv.reshape(inv.shape + (1,) * len(eta.value_shape))

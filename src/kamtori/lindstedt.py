@@ -12,7 +12,9 @@ Two engines are provided:
 * `lindstedt_double` performs one Newton step on the whole jet: frames,
   torsion and conformal factor are themselves jets, and a single step takes a
   jet whose residual vanishes through order N to one vanishing through
-  2N + 1, leaving the already-exact lower orders unchanged.
+  2N + 1.  It solves only the new orders N+1..2N+1, each on its band;
+  orders <= N are returned as given, and an input not exact there (residual
+  above BASE_TOL) is refused with a ValueError naming the order.
 
 Both engines use the reduced-system core of `newton`: the frame built from
 jets (the pointwise Newton frame for `lindstedt_expand`, the frame jets for
@@ -147,10 +149,6 @@ def _project(grids: np.ndarray, d: int, B: int, bands, kmax: int) -> list:
     return [FourierSeries(d, kmax, c) for c in out]
 
 
-def _avg_first_rows(Minv0, grid, d):
-    return _mean(jets.mm(Minv0, grid[..., None])[..., 0], d)[:d]
-
-
 # -- order-by-order engine ----------------------------------------------------
 
 def lindstedt_expand(fam, K_base: TorusEmbedding, mu_base, omega, eps0, N: int,
@@ -186,7 +184,7 @@ def lindstedt_expand(fam, K_base: TorusEmbedding, mu_base, omega, eps0, N: int,
     for j in range(1, N + 1):
         G = fam.jet_apply(x_jet[: j + 1], mu_jet[: j + 1], eps0)[j]
         Et = jets.mm(fr.beta[0], (-G)[..., None])[..., 0]
-        W1, W2, mu_j, _ = solve_reduced(core, Et[..., :d], Et[..., d:])
+        W1, W2, mu_j, _ = solve_reduced(core, Et[..., :d], Et[..., d:], B)
         Kj = from_grid(jets.mm(fr.M[0], np.concatenate([W1, W2], axis=-1)[..., None])[..., 0],
                        d, B).truncate(bands[j])
         K_coeffs.append(Kj.pad_to(kmax))
@@ -241,59 +239,55 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
     """One Newton step on the jet: order N in, order 2N+1 out.
 
     All frame objects (DK, the normalization and torsion, the inverse frame
-    and the conformal factor) are computed as jets; the corrections solve a
-    twisted and an untwisted difference equation per order, with the same
-    averaged block as the base torus.  Already-exact orders are reproduced up
-    to roundoff, and the output is normalized in the base frame.
+    and the conformal factor) are computed as jets; each new order N+1..2N+1
+    solves a twisted and an untwisted difference equation on its own band,
+    with the same averaged block as the base torus, and is normalized in the
+    base frame.  Orders <= N are returned as given, so the input must be
+    exact there: a ValueError names the first order whose residual exceeds
+    BASE_TOL on the grid.
     """
-    M_ord = 2 * jet.order + 1
+    N, M_ord = jet.order, 2 * jet.order + 1
     if M_ord > MAX_ORDER_DOUBLE:
         raise ValueError(
             f"target order {M_ord} beyond the double-precision cap {MAX_ORDER_DOUBLE}")
-    d, kmax = jet.dim, jet.kmax
-    eps0 = jet.eps0
+    d, kmax, eps0 = jet.dim, jet.kmax, jet.eps0
     bands, x, mu, dk, E = _evaluate_jet(fam, jet, omega, M_ord)
-    B, n = bands[-1], x.shape[1]
+    B = bands[-1]
     lam = fam.lambda_jet(eps0, M_ord)
     fr = build_frame(lam, dk, E, fam.jet_jacobian(x, mu, eps0),
                      fam.jet_d_mu(x, mu, eps0), omega, B)
     # the averaged block of the (exact) order-0 torus serves every order
     core = checked_block(fr, divisor_floor)
+    for j in range(N + 1):
+        sup = float(np.max(np.abs(E[j])))
+        if not sup <= BASE_TOL:
+            raise ValueError(f"input order {j} is not exact: its residual reaches "
+                             f"{sup:.3e} on the grid, above {BASE_TOL:.1e}")
     Minv0 = jets.inv_stack(fr.M[0])
     S, A1, A2 = fr.S, fr.A[..., :d, :], fr.A[..., d:, :]
 
-    W1 = np.zeros((M_ord + 1,) + x.shape[1:-1] + (d,), dtype=complex)
-    W2 = np.zeros_like(W1)
-    sigma = np.zeros((M_ord + 1, d), dtype=complex)
+    # W = (W1, W2) and the drift correction vanish at orders <= N, so order nn
+    # sums only m < nn - N; its drift correction is the new mu[nn]
+    W = np.zeros(x.shape, dtype=complex)
     K_grid = np.empty_like(x)
     mu_new = np.array(mu)
 
-    for nn in range(M_ord + 1):
-        rhs1 = -fr.Et[nn][..., :d]
-        rhs2 = -fr.Et[nn][..., d:]
-        for m in range(1, nn + 1):
-            rhs2 = rhs2 - lam[m] * W2[nn - m] - jets.mm(A2[m], sigma[nn - m][:, None])[..., 0]
-            rhs1 = rhs1 - jets.mm(S[m], W2[nn - m][..., None])[..., 0] \
-                - jets.mm(A1[m], sigma[nn - m][:, None])[..., 0]
-        W1[nn], W2[nn], sigma[nn], _ = solve_reduced(core, rhs1, rhs2)
-
-        # normalization in the base frame: zero average angle displacement;
-        # x holds K_nn itself for nn >= 1, order 0 is sampled without the lift
-        Kn_grid = x[nn] if nn else to_grid(jet.K_coeffs[0].truncate(B), n)
+    for nn in range(N + 1, M_ord + 1):
+        rhs1, rhs2 = -fr.Et[nn][..., :d], -fr.Et[nn][..., d:]
         corr = np.zeros(x.shape[1:], dtype=complex)
-        for m in range(1, nn + 1):
-            Wm = np.concatenate([W1[nn - m], W2[nn - m]], axis=-1)
-            corr = corr + jets.mm(fr.M[m], Wm[..., None])[..., 0]
-        W1bar = -_avg_first_rows(Minv0, Kn_grid, d) - _avg_first_rows(Minv0, corr, d)
-        W1[nn] = W1[nn] + W1bar
+        for m in range(1, nn - N):
+            W2m, sig = W[nn - m][..., d:], mu_new[nn - m][:, None]
+            rhs2 = rhs2 - lam[m] * W2m - jets.mm(A2[m], sig)[..., 0]
+            rhs1 = rhs1 - jets.mm(S[m], W2m[..., None])[..., 0] - jets.mm(A1[m], sig)[..., 0]
+            corr = corr + jets.mm(fr.M[m], W[nn - m][..., None])[..., 0]
+        W1, W2, mu_new[nn], _ = solve_reduced(core, rhs1, rhs2, bands[nn])
+        # normalization in the base frame: zero average angle displacement
+        W1 = W1 - _mean(jets.mm(Minv0, corr[..., None])[..., 0], d)[:d]
+        W[nn] = np.concatenate([W1, W2], axis=-1)
+        K_grid[nn] = jets.mm(fr.M[0], W[nn][..., None])[..., 0] + corr
 
-        Wn = np.concatenate([W1[nn], W2[nn]], axis=-1)
-        delta = jets.mm(fr.M[0], Wn[..., None])[..., 0] + corr
-        K_grid[nn] = Kn_grid + delta
-        mu_new[nn] = mu_new[nn] + sigma[nn]
-
-    return EpsilonJet(complex(eps0), tuple(_project(K_grid, d, B, bands, kmax)),
-                      mu_new, lam)
+    new = _project(K_grid[N + 1:], d, B, bands[N + 1:], kmax)
+    return EpsilonJet(complex(eps0), tuple(jet.K_coeffs) + tuple(new), mu_new, lam)
 
 
 # -- jet files ----------------------------------------------------------------

@@ -272,7 +272,7 @@ def checked_block(frame: Frame, divisor_floor=DEFAULT_DIVISOR_FLOOR) -> ReducedC
     return ReducedCore(frame, block, complex(det), Bb, Bb_grid, divisor_floor)
 
 
-def solve_reduced(core: ReducedCore, rhs1: np.ndarray, rhs2: np.ndarray):
+def solve_reduced(core: ReducedCore, rhs1: np.ndarray, rhs2: np.ndarray, band: int):
     """Solve the triangular system of the order-0 frame,
 
         (W1 - W1 o T) + S W2 + A1 sigma = rhs1,
@@ -280,12 +280,14 @@ def solve_reduced(core: ReducedCore, rhs1: np.ndarray, rhs2: np.ndarray):
 
     for grid corrections W1 (zero average), W2 and the drift sigma: a
     lam-twisted solve, the averaged block for (avg W2, sigma), then an
-    untwisted solve.  Returns (W1, W2, sigma, largest divisor gain).
+    untwisted solve, both at the cutoff `band` <= the frame's kmax (each
+    right-hand side is read from the grid at it, so the cut costs no
+    transform).  Returns (W1, W2, sigma, largest divisor gain).
     """
     fr = core.frame
-    d, kmax, n, lam = fr.d, fr.kmax, fr.n, complex(fr.lam[0])
+    d, n, lam = fr.d, fr.n, complex(fr.lam[0])
     S, A1 = fr.S[0], fr.A[0, ..., :d, :]
-    Ba = solve_twisted(from_grid(rhs2, d, kmax).remove_average(), lam, fr.omega,
+    Ba = solve_twisted(from_grid(rhs2, d, band).remove_average(), lam, fr.omega,
                        divisor_floor=core.divisor_floor)
     Ba_grid = to_grid(Ba.phi, n)
     rhs_avg = np.concatenate([
@@ -300,7 +302,7 @@ def solve_reduced(core: ReducedCore, rhs1: np.ndarray, rhs2: np.ndarray):
     # a per-mode floor bounds the lam-twisted divisors of the good set; the
     # untwisted solve keeps a scalar one
     floor = core.divisor_floor if np.ndim(core.divisor_floor) == 0 else DEFAULT_DIVISOR_FLOOR
-    W1sol = solve_twisted(from_grid(r1, d, kmax).remove_average(), 1.0, fr.omega,
+    W1sol = solve_twisted(from_grid(r1, d, band).remove_average(), 1.0, fr.omega,
                           divisor_floor=floor)
     W1 = to_grid(W1sol.phi, n)
     return W1, W2, sigma, max(Ba.max_divisor_gain, W1sol.max_divisor_gain)
@@ -383,7 +385,7 @@ def newton_step(fam, K, mu, omega, eps, divisor_floor=DEFAULT_DIVISOR_FLOOR,
     fr = newton_frame(fam, K, mu, omega, eps, _defect=ev)
     core = checked_block(fr, divisor_floor)
     d, kmax = fr.d, fr.kmax
-    W1, W2, sigma, gain = solve_reduced(core, -fr.Et[0, ..., :d], -fr.Et[0, ..., d:])
+    W1, W2, sigma, gain = solve_reduced(core, -fr.Et[0, ..., :d], -fr.Et[0, ..., d:], kmax)
 
     W = np.concatenate([W1, W2], axis=-1)
     K2 = K.with_correction(from_grid(jets.mm(fr.M[0], W[..., None])[..., 0], d, kmax))

@@ -75,6 +75,13 @@ def test_untwisted_requires_zero_average(omega):
             solve_twisted(eta, 1.0, omega)
 
 
+def test_untwisted_rejects_a_non_finite_mode(omega):
+    # a nan off the mean leaves the average at 0.5 * 0 but not the scale
+    eta = FourierSeries.from_modes(1, 4, {1: np.nan, 2: 0.5})
+    with pytest.raises(ValueError, match="finite modes"):
+        solve_twisted(eta, 1.0, omega)
+
+
 def test_deterministic_bitwise(rng, omega):
     eta = random_eta(rng)
     a = solve_twisted(eta, 0.95, omega)
