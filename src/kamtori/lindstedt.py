@@ -12,8 +12,9 @@ Two engines are provided:
 * `lindstedt_double` performs one Newton step on the whole jet: frames,
   torsion and conformal factor are themselves jets, and a single step takes a
   jet whose residual vanishes through order N to one vanishing through
-  2N + 1.  It solves only the new orders N+1..2N+1, each on its band;
-  orders <= N are returned as given, and an input not exact there (residual
+  2N + 1.  It solves only the new orders N+1..2N+1, each on its band; they
+  read the frame jets through order N only, so those are all it builds.
+  Orders <= N are returned as given, and an input not exact there (residual
   above BASE_TOL) is refused with a ValueError naming the order.
 
 Both engines use the reduced-system core of `newton`: the frame built from
@@ -168,7 +169,7 @@ def lindstedt_expand(fam, K_base: TorusEmbedding, mu_base, omega, eps0, N: int,
     B = bands[-1]
     K_cut = TorusEmbedding(K_base.periodic.truncate(B))
     ev = _evaluate(fam, K_cut, mu_base, omega, eps0)
-    fr = newton_frame(fam, K_cut, mu_base, omega, eps0, _defect=ev)
+    fr = newton_frame(fam, ev, mu_base, omega, eps0)
     base_res = ev.series.analytic_norm(0.0)
     if base_res > BASE_TOL:
         raise ValueError(
@@ -239,12 +240,13 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
     """One Newton step on the jet: order N in, order 2N+1 out.
 
     All frame objects (DK, the normalization and torsion, the inverse frame
-    and the conformal factor) are computed as jets; each new order N+1..2N+1
-    solves a twisted and an untwisted difference equation on its own band,
-    with the same averaged block as the base torus, and is normalized in the
-    base frame.  Orders <= N are returned as given, so the input must be
-    exact there: a ValueError names the first order whose residual exceeds
-    BASE_TOL on the grid.
+    and the conformal factor) are computed as jets through order N, all that
+    the new orders read; each new order N+1..2N+1 solves a twisted and an
+    untwisted difference equation on its own band, with the same averaged
+    block as the base torus, and is normalized in the base frame.  Orders
+    <= N are returned as given, so the input must be exact there: a
+    ValueError names the first order whose residual exceeds BASE_TOL on the
+    grid.
     """
     N, M_ord = jet.order, 2 * jet.order + 1
     if M_ord > MAX_ORDER_DOUBLE:
@@ -254,8 +256,9 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
     bands, x, mu, dk, E = _evaluate_jet(fam, jet, omega, M_ord)
     B = bands[-1]
     lam = fam.lambda_jet(eps0, M_ord)
-    fr = build_frame(lam, dk, E, fam.jet_jacobian(x, mu, eps0),
-                     fam.jet_d_mu(x, mu, eps0), omega, B)
+    x0, mu0 = x[:N + 1], mu[:N + 1]
+    fr = build_frame(lam[:N + 1], dk[:N + 1], fam.jet_jacobian(x0, mu0, eps0),
+                     fam.jet_d_mu(x0, mu0, eps0), omega, B)
     # the averaged block of the (exact) order-0 torus serves every order
     core = checked_block(fr, divisor_floor)
     for j in range(N + 1):
@@ -264,6 +267,8 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
             raise ValueError(f"input order {j} is not exact: its residual reaches "
                              f"{sup:.3e} on the grid, above {BASE_TOL:.1e}")
     Minv0 = jets.inv_stack(fr.M[0])
+    # beta E through 2N+1 drops only beta[m > N] E[<= N], bounded by the guard
+    Et = jets.matmul(fr.beta, E[..., None], order=M_ord)[..., 0]
     S, A1, A2 = fr.S, fr.A[..., :d, :], fr.A[..., d:, :]
 
     # W = (W1, W2) and the drift correction vanish at orders <= N, so order nn
@@ -273,7 +278,7 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
     mu_new = np.array(mu)
 
     for nn in range(N + 1, M_ord + 1):
-        rhs1, rhs2 = -fr.Et[nn][..., :d], -fr.Et[nn][..., d:]
+        rhs1, rhs2 = -Et[nn][..., :d], -Et[nn][..., d:]
         corr = np.zeros(x.shape[1:], dtype=complex)
         for m in range(1, nn - N):
             W2m, sig = W[nn - m][..., d:], mu_new[nn - m][:, None]

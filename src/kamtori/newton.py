@@ -10,7 +10,8 @@ and converges quadratically from any sufficiently accurate initial pair.
 
 The reduced system is written once, over jets in eps whose order 0 is the
 Newton frame, and both Lindstedt engines use it: `build_frame` turns the jets
-of DK, E, Df and D_mu f (evaluated by the caller) into the frame data,
+of DK, Df and D_mu f (evaluated by the caller) into the frame, a function of
+the torus alone (each solver forms its right-hand side beta E),
 `checked_block` gates the averaged 2d x 2d block of the order-0 torus, and
 `solve_reduced` solves one triangular system for (W1, W2, sigma).
 
@@ -32,8 +33,8 @@ non-finite or too large value raises FrameSingular.
 The pointwise inverses N = (DK^T DK)^-1 and beta = (M o T_omega)^-1 come from
 `jets.inv_stack`, in closed form for 1 x 1 and 2 x 2 matrices (the reciprocal,
 the adjugate over the determinant: the Gram for d <= 2 and the frame for
-d = 1) and from `np.linalg.inv` for larger ones.  A determinant of
-M o T_omega that is zero or not finite raises FrameSingular.
+d = 1) and from `np.linalg.inv` for larger ones.  A non-finite N, N o T_omega,
+gamma o T_omega or beta at a grid point raises FrameSingular.
 J^-1 = [[0, -I], [I, 0]] enters only as a signed block swap of rows
 (`maps.jinv_mul`) or columns (`maps.mul_jinv`), never as a matrix product.
 Every other product of grid stacks goes through `jets.mm`, a broadcast
@@ -138,9 +139,15 @@ def _not_finite_points(stack: np.ndarray) -> int:
     return int(np.count_nonzero(~np.all(np.isfinite(stack), axis=(-2, -1))))
 
 
+def _gate(stack: np.ndarray, what: str) -> None:
+    """Raise FrameSingular naming `what` if a matrix of the grid stack is not finite."""
+    bad = _not_finite_points(stack)
+    if bad:
+        raise FrameSingular(f"{what} at {bad} of {stack[..., 0, 0].size} grid points")
+
+
 def _frame_matrix(dk: np.ndarray):
-    """Jets of N = (DK^T DK)^-1 and of the frame M = [DK, J^-1 DK N], and the
-    worst conditioning of DK^T DK on the grid.
+    """Jets of N = (DK^T DK)^-1 and of the frame M = [DK, J^-1 DK N].
 
     Raises FrameSingular when the order-0 Gram matrix is ill-conditioned or
     its inverse is not finite at a grid point; the higher orders are solved
@@ -150,59 +157,51 @@ def _frame_matrix(dk: np.ndarray):
     cond = float(np.max(_gram_cond(gram[0])))
     if not np.isfinite(cond) or cond > _FRAME_COND_LIMIT:
         raise FrameSingular(
-            f"DK^T DK condition number {cond:.3e} exceeds {_FRAME_COND_LIMIT:.1e}"
-        )
+            f"DK^T DK condition number {cond:.3e} exceeds {_FRAME_COND_LIMIT:.1e}")
     N = jets.inv_matrix(gram)
     # a subnormal 1 x 1 Gram is well conditioned (|g|/|g| = 1), but 1/g overflows
-    bad = _not_finite_points(N[0])
-    if bad:
-        raise FrameSingular(
-            f"DK^T DK is singular or not finite at {bad} of {N[0][..., 0, 0].size} grid points")
-    return N, np.concatenate([dk, jets.matmul(jinv_mul(dk), N)], axis=-1), cond
+    _gate(N[0], "DK^T DK is singular or not finite")
+    return N, np.concatenate([dk, jets.matmul(jinv_mul(dk), N)], axis=-1)
 
 
 @dataclass(frozen=True)
 class Frame:
-    """Jets, leading axis the order in eps, of the adapted frame on the grid."""
+    """Jets, leading axis the order in eps, of a torus's adapted frame on the grid."""
 
     d: int
     kmax: int
     n: int
     omega: np.ndarray
     lam: np.ndarray       # (order+1,) conformal factor
-    E: np.ndarray         # (.., 2d) invariance defect
     Df: np.ndarray        # (.., 2d, 2d)
-    M: np.ndarray         # (.., 2d, 2d) frame [DK, J^-1 DK N]
+    M: np.ndarray         # (.., 2d, 2d) frame [DK, J^-1 DK N], N = (DK^T DK)^-1
     Mshift: np.ndarray    # M o T_omega
     beta: np.ndarray      # (M o T_omega)^-1
-    N: np.ndarray         # (.., d, d) normalization (DK^T DK)^-1
     S: np.ndarray         # (.., d, d) torsion
     A: np.ndarray         # (.., 2d, d) frame-projected drift response
-    Et: np.ndarray        # (.., 2d) frame-projected defect beta E
-    cond: float           # worst conditioning of DK^T DK on the grid
 
 
-def build_frame(lam, dk, E, Df, Dmu, omega, kmax: int) -> Frame:
-    """The adapted frame from the jets of the conformal factor lam, DK, the
-    defect E and the map derivatives Df, D_mu f, all sampled on one grid.
+def build_frame(lam, dk, Df, Dmu, omega, kmax: int) -> Frame:
+    """The adapted frame from the jets of the conformal factor lam, DK and the
+    map derivatives Df, D_mu f, all sampled on one grid.
 
-    Raises FrameSingular when DK^T DK is ill-conditioned (see _frame_matrix)
-    or when (M o T_omega)^-1 is not finite at a grid point: a determinant of
-    M o T_omega there is zero or not finite.
+    Raises FrameSingular when DK^T DK is ill-conditioned (see _frame_matrix),
+    when N o T_omega or gamma o T_omega is not finite at a grid point (their
+    shift transform overflowed), or when (M o T_omega)^-1 is not finite at a
+    grid point: a determinant of M o T_omega there is zero or not finite.
     """
     n, d = dk.shape[1], dk.shape[-1]
-    N, M, cond = _frame_matrix(dk)
+    N, M = _frame_matrix(dk)
     gamma = jets.matmul(mul_jinv(np.swapaxes(dk, -1, -2)), dk)
     # every order of M, N and gamma composed with T_omega in one batched
     # from_grid/to_grid pair (exact for the retained band)
     Mshift, Nshift, gshift = _packed(
         lambda g: np.moveaxis(to_grid(from_grid(np.moveaxis(g, 0, d), d, kmax)
                                       .shift(omega), n), d, 0), (M, N, gamma), d + 1)
+    _gate(Nshift[0], "N o T_omega is not finite")
+    _gate(gshift[0], "gamma o T_omega is not finite")
     beta = jets.inv_matrix(Mshift)
-    bad = _not_finite_points(beta[0])
-    if bad:
-        raise FrameSingular(
-            f"M o T_omega is singular or not finite at {bad} of {n ** d} grid points")
+    _gate(beta[0], "M o T_omega is singular or not finite")
 
     P = jets.matmul(dk, N)
     # M o T = [DK o T, J^-1 (P o T)] and J = -J^-1 is a signed permutation,
@@ -214,21 +213,16 @@ def build_frame(lam, dk, E, Df, Dmu, omega, kmax: int) -> Frame:
     S = jets.matmul(mul_jinv(jets.matmul(np.swapaxes(Pshift, -1, -2), Df)), P) \
         - jets.matmul(jets.matmul(jets.cauchy(lam_bc, np.swapaxes(Nshift, -1, -2)),
                                   gshift), Nshift)
-    return Frame(d=d, kmax=kmax, n=n, omega=omega, lam=lam, E=E, Df=Df, M=M,
-                 Mshift=Mshift, beta=beta, N=N, S=S, A=jets.matmul(beta, Dmu),
-                 Et=jets.matmul(beta, E[..., None])[..., 0], cond=cond)
+    return Frame(d=d, kmax=kmax, n=n, omega=omega, lam=lam, Df=Df, M=M,
+                 Mshift=Mshift, beta=beta, S=S, A=jets.matmul(beta, Dmu))
 
 
-def newton_frame(fam, K, mu, omega, eps, *, _defect: _Defect | None = None) -> Frame:
-    """The frame of (K, mu) at eps: the pointwise map evaluations enter as
-    order-0 jets.  `_defect` is an evaluation of (K, mu) on the grid the
-    caller already holds."""
-    ev = _evaluate(fam, K, mu, omega, eps) if _defect is None else _defect
-    X = ev.X
+def newton_frame(fam, ev: _Defect, mu, omega, eps) -> Frame:
+    """The frame of the torus of `ev`, an evaluation of (K, mu) at eps on the
+    grid: the pointwise map derivatives at its lift enter as order-0 jets."""
     lam = np.array([complex(fam.lambda_eps(eps))])
-    return build_frame(lam, ev.DK[None], ev.E[None],
-                       fam.jacobian(X, mu, eps)[None], fam.d_mu(X, mu, eps)[None],
-                       omega, K.kmax)
+    return build_frame(lam, ev.DK[None], fam.jacobian(ev.X, mu, eps)[None],
+                       fam.d_mu(ev.X, mu, eps)[None], omega, ev.kmax)
 
 
 @dataclass(frozen=True)
@@ -310,42 +304,26 @@ def solve_reduced(core: ReducedCore, rhs1: np.ndarray, rhs2: np.ndarray, band: i
 
 @dataclass(frozen=True)
 class ReducibilityFrame:
-    M_frame: FourierSeries      # (2d, 2d) adapted frame, first block DK
-    N_norm: FourierSeries       # (d, d) normalization (DK^T DK)^-1
-    S_tors: FourierSeries       # (d, d) torsion
-    A_tilde: FourierSeries      # (2d, d) frame-projected drift response
-    beta: FourierSeries         # (2d, 2d) inverse of M o T_omega
-    residual_R: FourierSeries   # reducibility defect
+    """The Newton frame of (K, mu), with the norms of its reducibility defect
+    R = Df M - (M o T_omega) [[I, S], [0, lam I]] and of the invariance defect
+    E, each the l1 norm at rho = 0 of its series."""
+
+    frame: Frame
     R_norm: float
     E_norm: float
     ratio: float                # R_norm / max(E_norm, tiny)
-    cond: float                 # worst conditioning of DK^T DK on the grid
 
 
 def reducibility_frame(fam, K, mu, omega, eps) -> ReducibilityFrame:
-    """Adapted frame with the reducibility defect R and its norm ratio to E."""
-    fr = newton_frame(fam, K, mu, omega, eps)
-    d, kmax = fr.d, fr.kmax
-    tri = np.zeros(fr.S.shape[1:-2] + (2 * d, 2 * d), dtype=complex)
-    idx = np.arange(d)
-    tri[..., idx, idx] = 1.0
-    tri[..., idx + d, idx + d] = fr.lam[0]
-    tri[..., :d, d:] = fr.S[0]
-    R_series = from_grid(jets.mm(fr.Df[0], fr.M[0]) - jets.mm(fr.Mshift[0], tri), d, kmax)
-    R_norm = R_series.analytic_norm(0.0)
-    E_norm = from_grid(fr.E[0], d, kmax).analytic_norm(0.0)
-    return ReducibilityFrame(
-        M_frame=from_grid(fr.M[0], d, kmax),
-        N_norm=from_grid(fr.N[0], d, kmax),
-        S_tors=from_grid(fr.S[0], d, kmax),
-        A_tilde=from_grid(fr.A[0], d, kmax),
-        beta=from_grid(fr.beta[0], d, kmax),
-        residual_R=R_series,
-        R_norm=R_norm,
-        E_norm=E_norm,
-        ratio=R_norm / max(E_norm, 1e-300),
-        cond=fr.cond,
-    )
+    """The frame of (K, mu) at eps with the norms of R and E (ReducibilityFrame)."""
+    ev = _evaluate(fam, K, mu, omega, eps)
+    fr = newton_frame(fam, ev, mu, omega, eps)
+    Ms1, Ms2 = fr.Mshift[0][..., :fr.d], fr.Mshift[0][..., fr.d:]
+    R = jets.mm(fr.Df[0], fr.M[0]) \
+        - np.concatenate([Ms1, jets.mm(Ms1, fr.S[0]) + fr.lam[0] * Ms2], axis=-1)
+    R_norm = from_grid(R, fr.d, fr.kmax).analytic_norm(0.0)
+    E_norm = ev.series.analytic_norm(0.0)
+    return ReducibilityFrame(fr, R_norm, E_norm, R_norm / max(E_norm, 1e-300))
 
 
 @dataclass(frozen=True)
@@ -382,10 +360,11 @@ def newton_step(fam, K, mu, omega, eps, divisor_floor=DEFAULT_DIVISOR_FLOOR,
     step evaluates (K, mu) itself.
     """
     ev = _evaluate(fam, K, mu, omega, eps) if _defect is None else _defect
-    fr = newton_frame(fam, K, mu, omega, eps, _defect=ev)
+    fr = newton_frame(fam, ev, mu, omega, eps)
     core = checked_block(fr, divisor_floor)
     d, kmax = fr.d, fr.kmax
-    W1, W2, sigma, gain = solve_reduced(core, -fr.Et[0, ..., :d], -fr.Et[0, ..., d:], kmax)
+    Et = jets.mm(fr.beta[0], ev.E[..., None])[..., 0]
+    W1, W2, sigma, gain = solve_reduced(core, -Et[..., :d], -Et[..., d:], kmax)
 
     W = np.concatenate([W1, W2], axis=-1)
     K2 = K.with_correction(from_grid(jets.mm(fr.M[0], W[..., None])[..., 0], d, kmax))
@@ -463,7 +442,7 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20,
             # the twist of the last step's block, else of the converged frame
             twist = float("nan") if report is None else report.twist
             if not np.isfinite(twist):
-                twist = _twist(checked_block(newton_frame(fam, K, mu, omega, eps, _defect=ev),
+                twist = _twist(checked_block(newton_frame(fam, ev, mu, omega, eps),
                                              divisor_floor).block)
             return KamSolution(
                 K=K, mu=mu, residual_norm=res, twist_constant=twist,
@@ -500,7 +479,7 @@ def normalize_embedding(K: TorusEmbedding, K_ref: TorusEmbedding,
     n, no_shift = _grid_size(kmax), np.zeros(d)
 
     ref_lift, _, dk = sample_jet(K_ref.periodic.coeffs[None], no_shift, n)
-    _, M, _ = _frame_matrix(dk)
+    _, M = _frame_matrix(dk)
     Minv = jets.inv_stack(M[0])
 
     def g(sigma):

@@ -11,7 +11,7 @@ from kamtori.fourier import FourierSeries, fast_grid_size, from_grid
 from kamtori.lindstedt import (EpsilonJet, dump_jet, lindstedt_double,
                                lindstedt_expand, load_jet, residual_jet,
                                residual_jet_norms, residual_tail_norm)
-from kamtori.maps import apply_map
+from kamtori.maps import DissipativeStandardMap, apply_map
 from kamtori.newton import _grid_size, invariance_residual, run_newton
 
 
@@ -209,6 +209,22 @@ def test_doubling_frame_singular_detected(fam, omega):
                      fam.lambda_jet(0.0, 0))
     with pytest.raises(FrameSingular):
         lindstedt_double(fam, jet, omega)
+
+
+def test_doubling_frame_stops_at_the_input_order(omega, base_torus):
+    # the new orders 8..15 of a 7 -> 15 doubling read the frame's orders <= 7
+    # only, so the map derivatives are taken as jets through order 7
+    class Recording(DissipativeStandardMap):
+        def jet_jacobian(self, x_jet, mu_jet, eps0):
+            seen.append(x_jet.shape[0])
+            return super().jet_jacobian(x_jet, mu_jet, eps0)
+
+    seen = []
+    fam = Recording(kappa=0.5, alpha=1.0, a=1)
+    jet = lindstedt_expand(fam, *base_torus, omega, 0.0, 7)
+    seen.clear()
+    assert lindstedt_double(fam, jet, omega).order == 15
+    assert seen == [8]
 
 
 def test_doubling_idempotent_on_exact_orders(fam, omega, base_torus):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from kamtori import embedding, newton
+from kamtori import embedding, jets, newton
 from kamtori.atlas import coupled_divisor_floor
 from kamtori.embedding import TorusEmbedding, sample_jet
 from kamtori.errors import (DivisorTooSmall, FrameSingular, NoConvergence,
@@ -102,8 +102,9 @@ def test_frame_zero_error_on_exact_torus(fam, omega, base_torus):
 
 def test_unperturbed_twist_is_one(fam, omega, base_torus):
     K0, mu0 = base_torus
-    fr = reducibility_frame(fam, K0, mu0, omega, 0.0)
-    dev = fr.S_tors - FourierSeries.constant(np.array([[1.0]]), 1, fr.S_tors.kmax)
+    fr = reducibility_frame(fam, K0, mu0, omega, 0.0).frame
+    one = FourierSeries.constant(np.array([[1.0]]), 1, fr.kmax)
+    dev = from_grid(fr.S[0], 1, fr.kmax) - one
     assert dev.analytic_norm(0.0) <= 1e-13
 
 
@@ -114,12 +115,29 @@ def test_triangular_reduction_bounded_by_error(fam, omega, base_torus, rng):
     assert fr.R_norm <= 50.0 * fr.E_norm
 
 
+def test_reducibility_view_matches_the_triangular_product(fam, omega, base_torus, rng):
+    # R is formed from the blocks of M o T_omega; the reference multiplies
+    # by the whole matrix tri = [[I, S], [0, lam I]]
+    K, mu, eps = perturbed(base_torus[0], rng, 5e-3), base_torus[1], 0.02
+    view = reducibility_frame(fam, K, mu, omega, eps)
+    fr = view.frame
+    tri = np.zeros(fr.S.shape[1:-2] + (2, 2), dtype=complex)
+    tri[..., 0, 0] = 1.0
+    tri[..., 1, 1] = fr.lam[0]
+    tri[..., :1, 1:] = fr.S[0]
+    R = jets.mm(fr.Df[0], fr.M[0]) - jets.mm(fr.Mshift[0], tri)
+    R_norm = from_grid(R, 1, fr.kmax).analytic_norm(0.0)
+    E_norm = invariance_residual(fam, K, mu, omega, eps).analytic_norm(0.0)
+    assert E_norm > 1e-6
+    assert (view.R_norm, view.E_norm, view.ratio) == (R_norm, E_norm, R_norm / E_norm)
+
+
 def test_frame_first_block_is_dk(fam, omega, base_torus, rng):
     K = perturbed(base_torus[0], rng, 1e-2)
-    fr = reducibility_frame(fam, K, base_torus[1], omega, 0.01)
+    fr = reducibility_frame(fam, K, base_torus[1], omega, 0.01).frame
     d, kmax = K.dim, K.kmax
     DK = sample_jet(K.periodic.coeffs[None], omega, 3 * kmax + 2)[2][0]
-    np.testing.assert_allclose(fr.M_frame.coeffs[..., :, :d],
+    np.testing.assert_allclose(from_grid(fr.M[0], d, kmax).coeffs[..., :, :d],
                                from_grid(DK, d, kmax).coeffs, atol=1e-13)
 
 
@@ -149,23 +167,28 @@ def test_singular_shifted_frame_raises_frame_singular(angle_dk, named):
     dk[0, :, 0, 0] = angle_dk
     Df = np.broadcast_to(np.eye(2, dtype=complex), (1, 4, 2, 2))
     with pytest.raises(FrameSingular) as err:
-        newton.build_frame(np.array([1.0 + 0j]), dk, np.zeros((1, 4, 2), dtype=complex),
-                           Df, np.ones((1, 4, 2, 1), dtype=complex), np.array([0.25]), 1)
+        newton.build_frame(np.array([1.0 + 0j]), dk, Df,
+                           np.ones((1, 4, 2, 1), dtype=complex), np.array([0.25]), 1)
     assert str(err.value) == named
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
-def test_frame_of_a_finite_stack_whose_sum_overflows_is_built():
+def test_frame_whose_normalization_overflows_its_shift_is_singular():
     # DK = (1e-154, 0) everywhere: N = 1/|DK|^2 ~ 1e308 is finite at each of
-    # the 4 points, though the sum of the stack overflows
+    # the 4 points, so the Gram gate passes though the sum of the stack
+    # overflows (a false positive there would name DK^T DK); the shift
+    # transform of N overflows, and the frame names N o T_omega, not a
+    # determinant of the averaged block downstream
     dk = np.zeros((1, 4, 2, 1), dtype=complex)
     dk[0, :, 0, 0] = 1e-154
+    N = newton._frame_matrix(dk)[0]
+    assert np.all(np.isfinite(N[0])) and not np.isfinite(np.sum(N[0]))
     Df = np.broadcast_to(np.eye(2, dtype=complex), (1, 4, 2, 2))
-    fr = newton.build_frame(np.array([1.0 + 0j]), dk, np.zeros((1, 4, 2), dtype=complex),
-                            Df, np.ones((1, 4, 2, 1), dtype=complex), np.array([0.25]), 1)
-    assert np.all(np.isfinite(fr.N[0])) and not np.isfinite(np.sum(fr.N[0]))
-    assert np.all(np.isfinite(fr.beta[0]))
+    with pytest.raises(FrameSingular) as err:
+        newton.build_frame(np.array([1.0 + 0j]), dk, Df,
+                           np.ones((1, 4, 2, 1), dtype=complex), np.array([0.25]), 1)
+    assert str(err.value) == "N o T_omega is not finite at 4 of 4 grid points"
 
 
 def test_not_finite_points_counts_one_nan_grid_point(rng):
