@@ -11,7 +11,7 @@ from .embedding import TorusEmbedding
 from .errors import (ConfigError, DivisorTooSmall, FrameSingular, KamtoriError,
                      NoConvergence, NonDegeneracyFailure, NormalizationDiverged)
 from .fourier import FourierSeries, from_grid, theta_grid, to_grid
-from .maps import DissipativeStandardMap, MapFamily, apply_map, symplectic_matrix, verify_conformal
+from .maps import DissipativeStandardMap, MapFamily, symplectic_matrix, verify_conformal
 from .cohomology import CohomologySolution, solve_twisted, tame_bound
 from .newton import (KamSolution, ReducibilityFrame, invariance_residual,
                      lagrangian_defect, newton_step, normalize_embedding,

@@ -28,7 +28,7 @@ from .atlas import (classify_grid, excluded_balls, grid_table, render_svg,
 from .config import load_config
 from .diophantine import lambda_in_good_set, scan_trace
 from .errors import ConfigError, KamtoriError
-from .lindstedt import (dump_jet, lindstedt_double, lindstedt_expand,
+from .lindstedt import (BASE_TOL, dump_jet, lindstedt_double, lindstedt_expand,
                         residual_jet_norms)
 from .newton import dump_solution, invariance_residual, run_newton
 from .maps import verify_conformal
@@ -108,6 +108,9 @@ def cmd_solve(run: _Run):
 
 def _expand_from_config(run: _Run, order: int, eps0: complex):
     cfg = run.cfg
+    if eps0 != 0 and run.newton["tol"] > BASE_TOL:
+        raise ConfigError(f"tol above {BASE_TOL:.1e}: the expansion at eps0 != 0 needs "
+                          "an exact base", f"{run.config}[solver].tol")
     K0, mu0 = _solver_start(cfg)
     if eps0 != 0:
         sol = run_newton(cfg.family, K0, mu0, cfg.omega, eps0, **run.newton)

@@ -15,8 +15,8 @@ ConfigError naming `<file>[<section>].<key>`.  Every number must be finite:
     [lindstedt]  order 0..16; eps0 complex
     [double]     order 0..16; rounds >= 0, within the order cap
     [sweep]      start, end complex; steps >= 1; direction complex != 0
-    [atlas]      plane lambda | epsilon; bounds 4 numbers; resolution 2
-                 integers >= 1; ball_kmax >= 1; rho_band, radius_scale > 0
+    [atlas]      plane lambda | epsilon; bounds re0 < re1, im0 < im1 (4 numbers);
+                 resolution 2 integers >= 1; ball_kmax >= 1; rho_band, radius_scale > 0
 
 [family] must be present; an absent [goodset] means no good set (its keys
 are required only when it is present); any other absent section takes its
@@ -105,6 +105,14 @@ def _numbers(cast, count: int):
     return parse
 
 
+def _box(text: str) -> tuple:
+    """re0 re1 im0 im1 with re0 < re1 and im0 < im1."""
+    box = _numbers(_finite, 4)(text)
+    if box[0] < box[1] and box[2] < box[3]:
+        return box
+    raise ValueError("expected re0 < re1 and im0 < im1")
+
+
 def _choice(*names):
     def parse(text: str) -> str:
         if text not in names:
@@ -133,7 +141,7 @@ _KEYS = {
     "lindstedt": {"order": (_JET_ORDER, 4), "eps0": (_complex, 0j)},
     "double": {"order": (_JET_ORDER, 1), "rounds": (_int_in(0), 2)},
     "atlas": {"plane": (_choice("lambda", "epsilon"), "lambda"),
-              "bounds": (_numbers(_finite, 4), (0.7, 1.3, -0.3, 0.3)),
+              "bounds": (_box, (0.7, 1.3, -0.3, 0.3)),
               "resolution": (_numbers(_int_in(1), 2), (200, 200)),
               "ball_kmax": (_int_in(1), 512), "rho_band": (_positive, 0.05),
               "radius_scale": (_positive, 1.0)},

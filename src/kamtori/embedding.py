@@ -76,9 +76,7 @@ class TorusEmbedding:
         return TorusEmbedding(self.periodic.pad_to(kmax))
 
     def distance(self, other: "TorusEmbedding", rho: float = 0.0) -> float:
-        a, b = self.periodic, other.periodic
-        kmax = max(a.kmax, b.kmax)
-        return (a.pad_to(kmax) - b.pad_to(kmax)).analytic_norm(rho)
+        return (self.periodic - other.periodic).analytic_norm(rho)
 
 
 def _series_and_dk(coeffs: np.ndarray):

@@ -85,17 +85,6 @@ class MapFamily:
         raise NotImplementedError
 
 
-def apply_map(fam: MapFamily, x, mu, eps):
-    """Image point with the angle components reduced mod 1."""
-    out = np.array(fam.apply(np.asarray(x, dtype=complex), mu, eps))
-    d = fam.dim
-    # complex angles reduce only their real part
-    if np.iscomplexobj(out):
-        re = np.mod(np.real(out[..., :d]), 1.0)
-        out[..., :d] = re + 1j * np.imag(out[..., :d])
-    return out
-
-
 def verify_conformal(fam: MapFamily, sample_count: int, eps, mu=None, rng=None) -> float:
     """Max over random phase points of |Df^T J Df - lam(eps) J| (Frobenius)."""
     rng = np.random.default_rng(0) if rng is None else rng

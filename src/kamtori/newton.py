@@ -20,12 +20,12 @@ order-0 jet of `embedding.sample_jet` (X = K(theta), K o T_omega and DK in one
 packed transform), forms E = f o K - K o T_omega and its series, reads the
 residual from that series into the trace (one float per evaluation, at
 rho = 0) and hands the same evaluation to `newton_step`, whose frame and step
-report reuse it; at convergence the Lagrangian defect (from its DK) reuses it
-too.  A `StepReport` keeps the step's W on the grid and its averaged block;
-their norm and the twist are computed when first read, so a step transforms
-only the correction M W, and `run_newton` inverts a block only for the twist
-of its last step (or of the converged frame when there was no step or that
-twist is not finite).
+report reuse it.  The Lagrangian defect of a solution is computed from its
+torus when first read.  A `StepReport` keeps the step's W on the grid and its
+averaged block; their norm and the twist are computed when first read, so a
+step transforms only the correction M W, and `run_newton` inverts a block
+only for the twist of its last step (or of the converged frame when there was
+no step or that twist is not finite).
 The frame conditioning gate on DK^T DK uses the closed form |g|/|g| for the
 1 x 1 Gram of d = 1 and `np.linalg.cond` for d > 1; both follow
 `np.linalg.cond`'s rules (0 and inf give inf, nan stays nan), and every
@@ -389,11 +389,15 @@ class KamSolution:
     mu: np.ndarray
     residual_norm: float
     twist_constant: float
-    lagrangian_defect: float
     trace: tuple               # the residual of each evaluation, one per iteration
     eps: complex
     omega: np.ndarray
     lam: complex
+
+    @cached_property
+    def lagrangian_defect(self) -> float:
+        """`lagrangian_defect(K)`, computed when first read."""
+        return lagrangian_defect(self.K)
 
 
 def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20,
@@ -446,7 +450,6 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20,
                                              divisor_floor).block)
             return KamSolution(
                 K=K, mu=mu, residual_norm=res, twist_constant=twist,
-                lagrangian_defect=lagrangian_defect(K, fam.J, _dk=ev.DK),
                 trace=tuple(trace), eps=complex(eps),
                 omega=np.atleast_1d(np.asarray(omega, dtype=float)),
                 lam=complex(fam.lambda_eps(eps)),
@@ -509,20 +512,13 @@ def normalize_embedding(K: TorusEmbedding, K_ref: TorusEmbedding,
     return K.shifted(sigma), sigma
 
 
-def lagrangian_defect(K: TorusEmbedding, J=None, *, _dk: np.ndarray | None = None) -> float:
-    """l1 norm of the d x d series DK^T (J o K) DK (zero on Lagrangian tori).
-
-    `_dk` is DK of K on the grid `_grid_size(K.kmax)` that the caller already
-    holds (run_newton's converged evaluation); without it only DK is sampled
-    here, to the same values.
-    """
-    d = K.dim
-    if J is None:
-        J = symplectic_matrix(d)
-    if _dk is None:
-        _dk = sample_dk(K.periodic.coeffs[None], _grid_size(K.kmax))[0]
-    L = jets.mm(jets.mm(np.swapaxes(_dk, -1, -2), J), _dk)
-    return from_grid(L, d, K.kmax).analytic_norm(0.0)
+def lagrangian_defect(K: TorusEmbedding, J=None) -> float:
+    """l1 norm of the d x d series DK^T (J o K) DK (zero on Lagrangian tori),
+    from DK alone sampled on the grid `_grid_size(K.kmax)`."""
+    J = symplectic_matrix(K.dim) if J is None else J
+    dk = sample_dk(K.periodic.coeffs[None], _grid_size(K.kmax))[0]
+    L = jets.mm(jets.mm(np.swapaxes(dk, -1, -2), J), dk)
+    return from_grid(L, K.dim, K.kmax).analytic_norm(0.0)
 
 
 # -- solution files -----------------------------------------------------------
@@ -547,8 +543,7 @@ def load_solution(fp) -> KamSolution:
     K = TorusEmbedding(FourierSeries(u.dim, u.kmax, np.concatenate([u.coeffs, v.coeffs], -1)))
     residual = float(head["residual"][0])
     return KamSolution(K=K, mu=_parse_pairs(head["mu"]), residual_norm=residual,
-                       twist_constant=float(head["twist"][0]),
-                       lagrangian_defect=lagrangian_defect(K), trace=(residual,),
+                       twist_constant=float(head["twist"][0]), trace=(residual,),
                        eps=complex(_parse_pairs(head["eps"])[0]),
                        omega=np.array([float(t) for t in head["omega"]]),
                        lam=complex(_parse_pairs(head["lambda"])[0]))

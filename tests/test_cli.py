@@ -265,12 +265,16 @@ def test_outputs_honor_umask(golden_cfg, tmp_path):
     ("solve", {"kappa = 0.5": "kappa = nan"}, "[family].kappa"),
     ("atlas", {"alpha = 1.0": "alpha = 0", "plane = lambda": "plane = epsilon"},
      "[family].alpha"),
+    ("atlas", {"bounds = 0.9 1.1": "bounds = 1.0 1.0"}, "[atlas].bounds"),
+    ("atlas", {"bounds = 0.9 1.1": "bounds = 1.1 0.9"}, "[atlas].bounds"),
+    ("atlas", {"-0.1 0.1": "0.1 -0.1"}, "[atlas].bounds"),
 ], ids=["goodset-A-negative", "goodset-N-negative", "goodset-r0-0", "goodset-kscan-0",
         "solver-kmax-negative", "solver-kmax-0", "solver-rho-unknown",
         "solver-divisor-floor-negative", "solver-delta0-unknown",
         "solver-max-iter-negative", "solver-tol-negative", "frequency-omega-1/0",
         "frequency-omega-2-components", "frequency-omega-nan", "frequency-omega-overflow",
-        "frequency-tau-negative", "family-a-0", "family-kappa-nan", "family-alpha-0"])
+        "frequency-tau-negative", "family-a-0", "family-kappa-nan", "family-alpha-0",
+        "atlas-bounds-empty", "atlas-bounds-re-reversed", "atlas-bounds-im-reversed"])
 def test_out_of_range_run_value_is_config_error(tmp_path, capsys, command, edits, where):
     text = ATLAS
     for old, new in edits.items():
@@ -404,6 +408,17 @@ def test_lindstedt_base_solve_passes_the_good_set_gate(tmp_path, capsys):
                    out="ungated") == 0
     assert ((tmp_path / "forced" / "jet.txt").read_bytes()
             == (tmp_path / "ungated" / "jet.txt").read_bytes())
+
+
+def test_lindstedt_at_eps0_refuses_a_tol_above_the_base_tolerance(tmp_path, capsys):
+    # the expansion at eps0 != 0 needs a base residual <= lindstedt.BASE_TOL, so
+    # a looser [solver] tol is refused before any solve; at BASE_TOL it runs
+    edits = {"eps0 = 0": "eps0 = 0.05"}
+    assert _golden(tmp_path, "lindstedt", {**edits, "tol = 1e-12": "tol = 1e-8"}) == 64
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {tmp_path / 'golden.cfg'}[solver].tol: ")
+    assert "exact base" in err
+    assert _golden(tmp_path, "lindstedt", {**edits, "tol = 1e-12": "tol = 1e-10"}) == 0
 
 
 def _error_classes(cls=KamtoriError):

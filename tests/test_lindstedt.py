@@ -11,7 +11,7 @@ from kamtori.fourier import FourierSeries, fast_grid_size, from_grid
 from kamtori.lindstedt import (EpsilonJet, dump_jet, lindstedt_double,
                                lindstedt_expand, load_jet, residual_jet,
                                residual_jet_norms, residual_tail_norm)
-from kamtori.maps import DissipativeStandardMap, apply_map
+from kamtori.maps import DissipativeStandardMap
 from kamtori.newton import _grid_size, invariance_residual, run_newton
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from kamtori import jets
-from kamtori.maps import (DissipativeStandardMap, apply_map, jinv_mul, mul_jinv,
-                          symplectic_matrix, verify_conformal)
+from kamtori.maps import (DissipativeStandardMap, jinv_mul, mul_jinv, symplectic_matrix,
+                          verify_conformal)
 
 
 def test_symplectic_matrix_blocks():
@@ -39,12 +39,6 @@ def test_unperturbed_is_twist_map(fam):
 def test_pure_drift(fam):
     out = fam.apply(np.array([0.0, 0.0], dtype=complex), 0.2, 0.0)
     np.testing.assert_allclose(out, [0.2, 0.2], atol=1e-15)
-
-
-def test_apply_map_reduces_angle(fam):
-    out = apply_map(fam, np.array([0.9, 0.8]), 0.0, 0.0)
-    assert 0.0 <= out[0].real < 1.0
-    assert out[1] == pytest.approx(0.8)
 
 
 def test_composition_matches_double_apply(fam, rng):

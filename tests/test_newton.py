@@ -473,29 +473,55 @@ def test_lagrangian_defect_converged_torus(fam, omega, base_torus):
     assert sol.lagrangian_defect <= 1e-10
 
 
-def test_converged_lagrangian_defect_reuses_the_evaluated_dk(fam, omega, base_torus,
-                                                             monkeypatch):
-    # run_newton samples K once per iteration and hands DK of its converged
-    # evaluation to the defect instead of sampling it again; the value is the
-    # one lagrangian_defect computes itself
+def test_converged_lagrangian_defect_is_the_defect_of_its_torus(fam, omega, base_torus,
+                                                                 monkeypatch):
+    # run_newton samples K once per evaluation and none for the defect; the
+    # defect read from the solution is the one lagrangian_defect computes
+    # from its torus
     calls = []
     monkeypatch.setattr(newton, "sample_jet",
                         lambda *args: calls.append(args[2]) or sample_jet(*args))
     K0, mu0 = base_torus
     sol = run_newton(fam, K0, mu0, omega, 0.05, tol=1e-12)
+    got = sol.lagrangian_defect
     assert len(calls) == len(sol.trace)
     direct = lagrangian_defect(sol.K, fam.J)
-    assert np.float64(sol.lagrangian_defect).tobytes() == np.float64(direct).tobytes()
+    assert np.float64(got).tobytes() == np.float64(direct).tobytes()
+
+
+def test_lagrangian_defect_is_computed_once_when_read(fam, omega, base_torus, monkeypatch):
+    # neither run_newton nor load_solution computes the defect; the first read
+    # computes it once and a second read reuses it
+    calls = []
+    monkeypatch.setattr(newton, "lagrangian_defect",
+                        lambda *args: calls.append(args) or lagrangian_defect(*args))
+    K0, mu0 = base_torus
+    sol = run_newton(fam, K0, mu0, omega, 0.05, tol=1e-12)
+    assert calls == []
+    got = sol.lagrangian_defect
+    assert len(calls) == 1
+    assert sol.lagrangian_defect == got and len(calls) == 1
+    direct = lagrangian_defect(sol.K, fam.J)
+    assert np.float64(got).tobytes() == np.float64(direct).tobytes()
+
+    buf = io.StringIO()
+    dump_solution(sol, buf)
+    buf.seek(0)
+    back = load_solution(buf)
+    assert len(calls) == 1
+    assert back.lagrangian_defect == lagrangian_defect(back.K, fam.J)
+    assert len(calls) == 2
 
 
 def test_lagrangian_defect_samples_only_dk(fam, omega, monkeypatch):
-    # without _dk the defect transforms DK alone, n * 2d * d grid values, and
-    # its value is bit for bit that of the DK sample_jet gives
+    # the defect transforms DK alone, n * 2d * d grid values, and its value is
+    # bit for bit the formula DK^T J DK on the DK sample_jet gives
     K0, mu0 = fam.unperturbed_torus(omega, 32)
     K = run_newton(fam, K0, mu0, omega, 0.05, tol=1e-12).K
     n = newton._grid_size(K.kmax)
     dk = sample_jet(K.periodic.coeffs[None], omega, n)[2][0]
-    want = lagrangian_defect(K, fam.J, _dk=dk)
+    L = jets.mm(jets.mm(np.swapaxes(dk, -1, -2), fam.J), dk)
+    want = from_grid(L, K.dim, K.kmax).analytic_norm(0.0)
     points = []
 
     def counted(series, n):
