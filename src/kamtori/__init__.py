@@ -8,8 +8,9 @@ excluded resonance balls.
 from .diophantine import (GOLDEN_MEAN, GoodSetParams, NuEstimate, lambda_in_good_set,
                           nu_lambda, nu_omega)
 from .embedding import TorusEmbedding
-from .errors import (ConfigError, DivisorTooSmall, FrameSingular, KamtoriError,
-                     NoConvergence, NonDegeneracyFailure, NormalizationDiverged)
+from .errors import (ConfigError, Diverged, DivisorTooSmall, FrameSingular,
+                     KamtoriError, NoConvergence, NonDegeneracyFailure,
+                     NormalizationDiverged)
 from .fourier import FourierSeries, from_grid, theta_grid, to_grid
 from .maps import DissipativeStandardMap, MapFamily, symplectic_matrix, verify_conformal
 from .cohomology import CohomologySolution, solve_twisted, tame_bound

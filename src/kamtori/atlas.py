@@ -18,7 +18,7 @@ import numpy as np
 
 from .cohomology import DEFAULT_DIVISOR_FLOOR
 from .diophantine import GoodSetParams, good_set_attained, nu_scan, resonances
-from .errors import DivisorTooSmall, KamtoriError, NoConvergence
+from .errors import Diverged, DivisorTooSmall, KamtoriError, NoConvergence
 from .newton import run_newton
 
 DEFAULT_RADIUS_SCALE = 1.0   # the covering constant; all geometry is relative to it
@@ -113,6 +113,13 @@ class AtlasGrid:
         return _cell_centers(self.bounds, self.resolution)
 
 
+def _check_bounds(bounds) -> None:
+    """Raise ValueError unless bounds (re0, re1, im0, im1) have re0 < re1 and im0 < im1."""
+    re0, re1, im0, im1 = bounds
+    if not (re0 < re1 and im0 < im1):
+        raise ValueError(f"bounds must have re0 < re1 and im0 < im1, got {tuple(bounds)}")
+
+
 def _cell_centers(bounds, resolution):
     re0, re1, im0, im1 = bounds
     nx, ny = resolution
@@ -128,9 +135,11 @@ def classify_grid(plane: str, bounds, resolution, params: GoodSetParams,
     plane="lambda" tests the cell center directly; plane="epsilon" maps it
     through the family's lam(eps) and adds the |eps| <= r0 gate.  Each cell
     gets the status and witness of `lambda_in_good_set`, from its one scan.
+    Bounds without re0 < re1 and im0 < im1 raise ValueError.
     """
     if plane not in ("lambda", "epsilon"):
         raise ValueError(f"unknown plane {plane!r}")
+    _check_bounds(bounds)
     if plane == "epsilon" and fam is None:
         raise ValueError("epsilon-plane classification needs the map family")
     xs, ys = _cell_centers(bounds, resolution)
@@ -323,8 +332,8 @@ def sweep_continuation(fam, omega, path, K0, mu0, **newton) -> SweepResult:
     cutoff.  The first KamtoriError halts the sweep (detours are the caller's
     business via `detour_path`): its last row carries the error's `status`,
     with the witness mode, divisor and floor for DivisorTooSmall and the last
-    residual of the trace for NoConvergence (nan otherwise), and the error
-    stays on the result.
+    residual of the trace for NoConvergence and Diverged (nan otherwise), and
+    the error stays on the result.
     """
     K, mu = K0, mu0
     steps = []
@@ -336,7 +345,7 @@ def sweep_continuation(fam, omega, path, K0, mu0, **newton) -> SweepResult:
             sol = run_newton(fam, K, mu, omega, eps, **newton)
         except KamtoriError as err:
             residual, k, note = float("nan"), None, ""
-            if isinstance(err, NoConvergence):
+            if isinstance(err, (NoConvergence, Diverged)):
                 residual = err.trace[-1]
             if isinstance(err, DivisorTooSmall):
                 k, note = err.k, f"divisor {err.divisor:.3e} < floor {err.floor:.3e}"
@@ -425,7 +434,9 @@ def sweep_table(result: SweepResult, fp) -> None:
 
 
 def render_svg(balls, bounds, width: int = 640, unit_circle: bool = False) -> str:
-    """Deterministic SVG of the excluded balls (black) inside the bounds."""
+    """Deterministic SVG of the excluded balls (black) inside the bounds, which
+    must have re0 < re1 and im0 < im1 (ValueError)."""
+    _check_bounds(bounds)
     re0, re1, im0, im1 = bounds
     height = int(round(width * (im1 - im0) / (re1 - re0)))
 

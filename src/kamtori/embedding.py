@@ -7,7 +7,8 @@ differences of embeddings are genuinely periodic and free of mod-1 jumps.
 
 `sample_jet` is the one place where tori and torus jets meet the grid: the
 Newton solver and both Lindstedt engines evaluate the invariance equation on
-the lifts and DK it samples, all orders in one packed transform.
+the lifts it samples and build their frames from its DK and DK o T_omega,
+all orders in one packed transform.
 """
 
 from __future__ import annotations
@@ -79,16 +80,21 @@ class TorusEmbedding:
         return (self.periodic - other.periodic).analytic_norm(rho)
 
 
-def _series_and_dk(coeffs: np.ndarray):
-    """The torus jet as one series with the order axis behind the mode axes,
-    and the coefficients of its DK (the identity block in order 0's mean)."""
+def _series(coeffs: np.ndarray) -> FourierSeries:
+    """The torus jet as one series with the order axis behind the mode axes."""
     d = coeffs.shape[-1] // 2
-    kmax = (coeffs.shape[1] - 1) // 2
     # transpose: np.moveaxis has more overhead
-    series = FourierSeries(d, kmax, coeffs.transpose(*range(1, d + 1), 0, d + 1))
+    return FourierSeries(d, (coeffs.shape[1] - 1) // 2,
+                         coeffs.transpose(*range(1, d + 1), 0, d + 1))
+
+
+def _dk(series: FourierSeries) -> np.ndarray:
+    """The coefficients of the DK jet of a torus jet series (the identity
+    block in order 0's mean)."""
+    d, kmax = series.dim, series.kmax
     dk = np.stack([series.differentiate(j).coeffs for j in range(d)], axis=-1)
     dk[(kmax,) * d + (0,)][:d, :d] += np.eye(d)
-    return series, dk
+    return dk
 
 
 def _order_first(grid: np.ndarray, d: int) -> np.ndarray:
@@ -99,27 +105,31 @@ def _order_first(grid: np.ndarray, d: int) -> np.ndarray:
 def sample_dk(coeffs: np.ndarray, n: int) -> np.ndarray:
     """The DK grid jet of `sample_jet` alone, with the same values: the
     transforms act column by column."""
-    series, dk = _series_and_dk(coeffs)
-    return _order_first(to_grid(FourierSeries(series.dim, series.kmax, dk), n), series.dim)
+    series = _series(coeffs)
+    return _order_first(to_grid(FourierSeries(series.dim, series.kmax, _dk(series)), n),
+                        series.dim)
 
 
 def sample_jet(coeffs: np.ndarray, omega, n: int):
-    """Grid jets (X, X o T_omega, DK) of the torus jet K(eps) = sum_j K_j eps^j.
+    """Grid jets (X, X o T_omega, DK, DK o T_omega) of the torus jet
+    K(eps) = sum_j K_j eps^j.
 
     `coeffs` stacks the periodic parts K_j, shape (orders,) + (2 kmax + 1,)*d
     + (2d,); a single torus K is the order-0 jet `K.periodic.coeffs[None]`.
     The results lead with the order axis, then the (n,)*d grid.  K, its shift
-    by omega and the d columns of DK come from one packed to_grid; the lifts
-    theta and theta + omega, and DK's identity block (added to the mean
-    coefficient before the transform), enter order 0 only.
+    by omega and the d columns of DK and of DK o T_omega (the derivative of
+    the shifted series) come from one packed to_grid; the lifts theta and
+    theta + omega, and DK's identity block (added to the mean coefficient
+    before the transform), enter order 0 only.
     """
-    series, dk = _series_and_dk(coeffs)
+    series = _series(coeffs)
+    shifted = series.shift(omega)
     d, kmax = series.dim, series.kmax
     parts = _packed(lambda c: to_grid(FourierSeries(d, kmax, c), n),
-                    (series.coeffs, series.shift(omega).coeffs, dk), d)
-    X, Xshift, DK = (_order_first(p, d) for p in parts)
+                    (series.coeffs, shifted.coeffs, _dk(series), _dk(shifted)), d)
+    X, Xshift, DK, DKshift = (_order_first(p, d) for p in parts)
     omega = np.atleast_1d(np.asarray(omega))
     for j, theta in enumerate(theta_grid(d, n)):
         X[0, ..., j] += theta
         Xshift[0, ..., j] += theta + omega[j]
-    return X, Xshift, DK
+    return X, Xshift, DK, DKshift

@@ -62,6 +62,20 @@ class NoConvergence(KamtoriError):
         )
 
 
+class Diverged(KamtoriError):
+    """Newton iteration diverged: a residual is not finite, or two consecutive
+    residuals exceed the first one."""
+
+    label, exit_code, status = "diverged", 5, "diverged"
+
+    def __init__(self, trace):
+        self.trace = list(trace)
+        super().__init__(
+            f"diverged after {len(self.trace)} evaluations (residual {self.trace[-1]:.3e}, "
+            f"first {self.trace[0]:.3e})"
+        )
+
+
 class NormalizationDiverged(KamtoriError):
     """Root finding for the normalizing shift left its trust region."""
 

@@ -11,7 +11,9 @@ per angle axis, last axis first, which is the order and the pocketfft call
 `np.fft.ifftn` / `np.fft.fftn` make themselves, so the samples are those of
 the n-dimensional transform bit for bit.  Each call transforms every line
 along its axis on its own, so series packed side by side on the value axes
-transform exactly as they would one at a time.
+transform exactly as they would one at a time.  The centered mode box moves
+to and from FFT order (mode k at index k mod n on each axis) by 2^d slice
+copies, one per sign pattern of k, with no index arrays.
 
 A series is its coefficients: whether it is real valued or has zero average
 is read off them (`reality_defect`, `average`), never declared.
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -267,20 +270,21 @@ def theta_grid(dim: int, n: int) -> list[np.ndarray]:
 
 
 @lru_cache(maxsize=64)
-def _fft_index(dim: int, kmax: int, n: int) -> tuple:
-    """Index of the centered mode box |k_i| <= kmax in an n^d FFT array:
-    mode k sits at k mod n on each axis (read-only, shared by every call)."""
-    order = np.arange(-kmax, kmax + 1) % n
-    order.setflags(write=False)
-    return np.ix_(*[order] * dim)
+def _box_blocks(dim: int, kmax: int, n: int) -> tuple:
+    """The 2^dim blocks of the centered mode box |k_i| <= kmax in an n^dim FFT
+    array, as (box, fft) pairs of slice tuples: on each axis the modes k >= 0
+    sit at [:kmax+1] and k < 0 at [n-kmax:], so each block is one slice copy."""
+    halves = ((slice(kmax, None), slice(None, kmax + 1)),
+              (slice(None, kmax), slice(n - kmax, None)))
+    return tuple(tuple(zip(*block)) for block in product(halves, repeat=dim))
 
 
 def to_grid(series: FourierSeries, n: int) -> np.ndarray:
     """Sample on the regular n^d grid theta_j = j/n.
 
     Requires n >= 2*kmax+1 so every stored mode lands in its own bin: the
-    centered box is scattered straight into FFT order (mode k at index
-    k mod n on each axis) and inverse-transformed.
+    centered box is copied straight into FFT order (mode k at index k mod n
+    on each axis, `_box_blocks`) and inverse-transformed.
     """
     if n < 2 * series.kmax + 1:
         raise ValueError(
@@ -288,7 +292,8 @@ def to_grid(series: FourierSeries, n: int) -> np.ndarray:
         )
     d = series.dim
     buf = np.zeros((n,) * d + series.value_shape, dtype=series.coeffs.dtype)
-    buf[_fft_index(d, series.kmax, n)] = series.coeffs
+    for box, fft in _box_blocks(d, series.kmax, n):
+        buf[fft] = series.coeffs[box]
     for axis in reversed(range(d)):
         buf = np.fft.ifft(buf, axis=axis)
     return buf * (n ** d)
@@ -299,9 +304,9 @@ def from_grid(values: np.ndarray, dim: int, kmax: int) -> FourierSeries:
 
     Exact for series whose modes all satisfy |k_i| <= kmax; otherwise the
     out-of-band content aliases (callers oversample accordingly).  The
-    2*kmax+1 kept modes per axis are gathered from FFT order (index k mod n)
-    and only they are scaled by n^-d; complex128 samples are transformed
-    without a copy.
+    2*kmax+1 kept modes per axis are copied from FFT order (index k mod n,
+    `_box_blocks`) and only they are scaled by n^-d; complex128 samples are
+    transformed without a copy.
     """
     n = values.shape[0]
     if n < 2 * kmax + 1:
@@ -309,7 +314,9 @@ def from_grid(values: np.ndarray, dim: int, kmax: int) -> FourierSeries:
     chat = np.asarray(values, dtype=np.complex128)
     for axis in reversed(range(dim)):
         chat = np.fft.fft(chat, axis=axis)
-    coeffs = chat[_fft_index(dim, kmax, n)]
+    coeffs = np.empty((2 * kmax + 1,) * dim + chat.shape[dim:], dtype=chat.dtype)
+    for box, fft in _box_blocks(dim, kmax, n):
+        coeffs[box] = chat[fft]
     coeffs /= n ** dim
     return FourierSeries(dim, kmax, coeffs)
 

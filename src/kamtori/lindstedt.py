@@ -127,14 +127,15 @@ def _bands(fam, K_coeffs, order: int) -> list:
 def _evaluate_jet(fam, jet: EpsilonJet, omega, order: int):
     """The jet on the grid of a call producing orders 0..order: the bands of
     its output (the last is its cutoff B) and, on `_grid_size(B)`, the grid
-    jets x = K, mu, DK and E = f_{mu,eps} o K - K o T_omega, zero beyond the
-    jet's own order."""
+    jets x = K, mu, DK, DK o T_omega and E = f_{mu,eps} o K - K o T_omega,
+    zero beyond the jet's own order."""
     bands = _bands(fam, jet.K_coeffs, order)
     B = bands[-1]
     coeffs = np.stack([K.truncate(B).coeffs for K in jet.K_coeffs])
-    x, xshift, dk = (jets.pad(a, order) for a in sample_jet(coeffs, omega, _grid_size(B)))
+    x, xshift, dk, dkshift = (jets.pad(a, order)
+                              for a in sample_jet(coeffs, omega, _grid_size(B)))
     mu = jets.pad(jet.mu_coeffs, order)
-    return bands, x, mu, dk, fam.jet_apply(x, mu, jet.eps0) - xshift
+    return bands, x, mu, dk, dkshift, fam.jet_apply(x, mu, jet.eps0) - xshift
 
 
 def _project(grids: np.ndarray, d: int, B: int, bands, kmax: int) -> list:
@@ -205,7 +206,7 @@ def residual_jet(fam, jet: EpsilonJet, omega, through: int | None = None):
     order carries the asymptotic constant of the truncation error.
     """
     M = 2 * jet.order + 2 if through is None else through
-    bands, _, _, _, E = _evaluate_jet(fam, jet.truncated(M), omega, M)
+    bands, *_, E = _evaluate_jet(fam, jet.truncated(M), omega, M)
     return _project(E, jet.dim, bands[-1], bands, jet.kmax)
 
 
@@ -253,12 +254,12 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
         raise ValueError(
             f"target order {M_ord} beyond the double-precision cap {MAX_ORDER_DOUBLE}")
     d, kmax, eps0 = jet.dim, jet.kmax, jet.eps0
-    bands, x, mu, dk, E = _evaluate_jet(fam, jet, omega, M_ord)
+    bands, x, mu, dk, dkshift, E = _evaluate_jet(fam, jet, omega, M_ord)
     B = bands[-1]
     lam = fam.lambda_jet(eps0, M_ord)
     x0, mu0 = x[:N + 1], mu[:N + 1]
-    fr = build_frame(lam[:N + 1], dk[:N + 1], fam.jet_jacobian(x0, mu0, eps0),
-                     fam.jet_d_mu(x0, mu0, eps0), omega, B)
+    fr = build_frame(lam[:N + 1], dk[:N + 1], dkshift[:N + 1],
+                     fam.jet_jacobian(x0, mu0, eps0), fam.jet_d_mu(x0, mu0, eps0), omega, B)
     # the averaged block of the (exact) order-0 torus serves every order
     core = checked_block(fr, divisor_floor)
     for j in range(N + 1):

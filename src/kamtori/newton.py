@@ -10,22 +10,25 @@ and converges quadratically from any sufficiently accurate initial pair.
 
 The reduced system is written once, over jets in eps whose order 0 is the
 Newton frame, and both Lindstedt engines use it: `build_frame` turns the jets
-of DK, Df and D_mu f (evaluated by the caller) into the frame, a function of
-the torus alone (each solver forms its right-hand side beta E),
+of DK, DK o T_omega, Df and D_mu f (evaluated by the caller) into the frame, a
+function of the torus alone (each solver forms its right-hand side beta E),
 `checked_block` gates the averaged 2d x 2d block of the order-0 torus, and
-`solve_reduced` solves one triangular system for (W1, W2, sigma).
+`solve_reduced` solves one triangular system for (W1, W2, sigma).  N, M and
+gamma = DK^T J^-1 DK are pointwise functions of DK, so the frame builds
+N o T_omega, M o T_omega and gamma o T_omega by the same formulas on the
+sample of DK o T_omega, with no grid transform.
 
 Each Newton iteration evaluates the map once: `run_newton` samples K as the
-order-0 jet of `embedding.sample_jet` (X = K(theta), K o T_omega and DK in one
-packed transform), forms E = f o K - K o T_omega and its series, reads the
-residual from that series into the trace (one float per evaluation, at
-rho = 0) and hands the same evaluation to `newton_step`, whose frame and step
-report reuse it.  The Lagrangian defect of a solution is computed from its
-torus when first read.  A `StepReport` keeps the step's W on the grid and its
-averaged block; their norm and the twist are computed when first read, so a
-step transforms only the correction M W, and `run_newton` inverts a block
-only for the twist of its last step (or of the converged frame when there was
-no step or that twist is not finite).
+order-0 jet of `embedding.sample_jet` (X = K(theta), K o T_omega, DK and
+DK o T_omega in one packed transform), forms E = f o K - K o T_omega and its
+series, reads the residual from that series into the trace (one float per
+evaluation, at rho = 0) and hands the same evaluation to `newton_step`, whose
+frame and step report reuse it.  The Lagrangian defect of a solution is
+computed from its torus when first read.  A `StepReport` keeps the step's W
+on the grid and its averaged block; their norm and the twist are computed
+when first read, so a step transforms only the correction M W, and
+`run_newton` inverts a block only for the twist of its last step (or of the
+converged frame when there was no step or that twist is not finite).
 The frame conditioning gate on DK^T DK uses the closed form |g|/|g| for the
 1 x 1 Gram of d = 1 and `np.linalg.cond` for d > 1; both follow
 `np.linalg.cond`'s rules (0 and inf give inf, nan stays nan), and every
@@ -52,9 +55,9 @@ from . import jets
 from .cohomology import CohomologySolution, DEFAULT_DIVISOR_FLOOR, solve_twisted
 from .diophantine import GoodSetParams, lambda_in_good_set
 from .embedding import TorusEmbedding, sample_dk, sample_jet
-from .errors import (DivisorTooSmall, FrameSingular, NoConvergence,
+from .errors import (Diverged, DivisorTooSmall, FrameSingular, NoConvergence,
                      NonDegeneracyFailure, NormalizationDiverged)
-from .fourier import (FourierSeries, _format_pairs, _packed, _parse_pairs,
+from .fourier import (FourierSeries, _format_pairs, _parse_pairs,
                       _read_header, dump_series, fast_grid_size, from_grid,
                       load_series, to_grid)
 from .maps import jinv_mul, mul_jinv, symplectic_matrix
@@ -77,11 +80,13 @@ def _mean(grid: np.ndarray, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Defect:
-    """One evaluation of (K, mu) on the grid: the lift X = K(theta), DK and
-    E = f_{mu,eps} o K - K o T_omega, with E's series at K's cutoff."""
+    """One evaluation of (K, mu) on the grid: the lift X = K(theta), DK,
+    DK o T_omega and E = f_{mu,eps} o K - K o T_omega, with E's series at
+    K's cutoff."""
 
     X: np.ndarray
     DK: np.ndarray
+    DKshift: np.ndarray
     E: np.ndarray
     dim: int
     kmax: int
@@ -93,8 +98,10 @@ class _Defect:
 
 def _evaluate(fam, K: TorusEmbedding, mu, omega, eps) -> _Defect:
     """(K, mu) on the grid: K sampled as the order-0 jet of `sample_jet`."""
-    X, Xshift, DK = sample_jet(K.periodic.coeffs[None], omega, _grid_size(K.kmax))
-    return _Defect(X[0], DK[0], fam.apply(X[0], mu, eps) - Xshift[0], K.dim, K.kmax)
+    X, Xshift, DK, DKshift = sample_jet(K.periodic.coeffs[None], omega,
+                                        _grid_size(K.kmax))
+    return _Defect(X[0], DK[0], DKshift[0], fam.apply(X[0], mu, eps) - Xshift[0],
+                   K.dim, K.kmax)
 
 
 def invariance_residual(fam, K: TorusEmbedding, mu, omega, eps) -> FourierSeries:
@@ -146,22 +153,33 @@ def _gate(stack: np.ndarray, what: str) -> None:
         raise FrameSingular(f"{what} at {bad} of {stack[..., 0, 0].size} grid points")
 
 
+def _gram(dk: np.ndarray) -> np.ndarray:
+    """The jet of the Gram matrix DK^T DK."""
+    return jets.matmul(np.swapaxes(dk, -1, -2), dk)
+
+
+def _normalized(dk: np.ndarray, gram: np.ndarray, what: str):
+    """Jets of N = gram^-1 and of M = [DK, J^-1 DK N] from the jets of DK and
+    its Gram; raises FrameSingular naming `what` where order 0 of N is not
+    finite (the higher orders are solved with that inverse)."""
+    N = jets.inv_matrix(gram)
+    _gate(N[0], what)
+    return N, np.concatenate([dk, jets.matmul(jinv_mul(dk), N)], axis=-1)
+
+
 def _frame_matrix(dk: np.ndarray):
     """Jets of N = (DK^T DK)^-1 and of the frame M = [DK, J^-1 DK N].
 
     Raises FrameSingular when the order-0 Gram matrix is ill-conditioned or
-    its inverse is not finite at a grid point; the higher orders are solved
-    with that inverse.
+    its inverse is not finite at a grid point.
     """
-    gram = jets.matmul(np.swapaxes(dk, -1, -2), dk)
+    gram = _gram(dk)
     cond = float(np.max(_gram_cond(gram[0])))
     if not np.isfinite(cond) or cond > _FRAME_COND_LIMIT:
         raise FrameSingular(
             f"DK^T DK condition number {cond:.3e} exceeds {_FRAME_COND_LIMIT:.1e}")
-    N = jets.inv_matrix(gram)
     # a subnormal 1 x 1 Gram is well conditioned (|g|/|g| = 1), but 1/g overflows
-    _gate(N[0], "DK^T DK is singular or not finite")
-    return N, np.concatenate([dk, jets.matmul(jinv_mul(dk), N)], axis=-1)
+    return _normalized(dk, gram, "DK^T DK is singular or not finite")
 
 
 @dataclass(frozen=True)
@@ -181,24 +199,22 @@ class Frame:
     A: np.ndarray         # (.., 2d, d) frame-projected drift response
 
 
-def build_frame(lam, dk, Df, Dmu, omega, kmax: int) -> Frame:
-    """The adapted frame from the jets of the conformal factor lam, DK and the
-    map derivatives Df, D_mu f, all sampled on one grid.
+def build_frame(lam, dk, dkshift, Df, Dmu, omega, kmax: int) -> Frame:
+    """The adapted frame from the jets of the conformal factor lam, DK,
+    DK o T_omega and the map derivatives Df, D_mu f, all sampled on one grid.
 
-    Raises FrameSingular when DK^T DK is ill-conditioned (see _frame_matrix),
-    when N o T_omega or gamma o T_omega is not finite at a grid point (their
-    shift transform overflowed), or when (M o T_omega)^-1 is not finite at a
-    grid point: a determinant of M o T_omega there is zero or not finite.
+    N, M and gamma = DK^T J^-1 DK are pointwise functions of DK, so their
+    compositions with T_omega are the same formulas on DK o T_omega.  Raises
+    FrameSingular when DK^T DK is ill-conditioned (see _frame_matrix), when
+    N o T_omega or gamma o T_omega is not finite at a grid point (the Gram of
+    DK o T_omega is singular or overflows there), or when (M o T_omega)^-1 is
+    not finite at a grid point: a determinant of M o T_omega there is zero or
+    not finite.
     """
     n, d = dk.shape[1], dk.shape[-1]
     N, M = _frame_matrix(dk)
-    gamma = jets.matmul(mul_jinv(np.swapaxes(dk, -1, -2)), dk)
-    # every order of M, N and gamma composed with T_omega in one batched
-    # from_grid/to_grid pair (exact for the retained band)
-    Mshift, Nshift, gshift = _packed(
-        lambda g: np.moveaxis(to_grid(from_grid(np.moveaxis(g, 0, d), d, kmax)
-                                      .shift(omega), n), d, 0), (M, N, gamma), d + 1)
-    _gate(Nshift[0], "N o T_omega is not finite")
+    Nshift, Mshift = _normalized(dkshift, _gram(dkshift), "N o T_omega is not finite")
+    gshift = jets.matmul(mul_jinv(np.swapaxes(dkshift, -1, -2)), dkshift)
     _gate(gshift[0], "gamma o T_omega is not finite")
     beta = jets.inv_matrix(Mshift)
     _gate(beta[0], "M o T_omega is singular or not finite")
@@ -221,8 +237,9 @@ def newton_frame(fam, ev: _Defect, mu, omega, eps) -> Frame:
     """The frame of the torus of `ev`, an evaluation of (K, mu) at eps on the
     grid: the pointwise map derivatives at its lift enter as order-0 jets."""
     lam = np.array([complex(fam.lambda_eps(eps))])
-    return build_frame(lam, ev.DK[None], fam.jacobian(ev.X, mu, eps)[None],
-                       fam.d_mu(ev.X, mu, eps)[None], omega, ev.kmax)
+    return build_frame(lam, ev.DK[None], ev.DKshift[None],
+                       fam.jacobian(ev.X, mu, eps)[None], fam.d_mu(ev.X, mu, eps)[None],
+                       omega, ev.kmax)
 
 
 @dataclass(frozen=True)
@@ -407,12 +424,14 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20,
     """Iterate newton_step until the l1 residual majorant at rho = 0 is below
     tol; `trace` holds that residual at every evaluation.
 
-    When the tail band of K carries relative mass above DEFAULT_TAIL_THRESHOLD
-    the cutoff is doubled (up to KMAX_CAP).  A non-finite eps, mu0, omega or
-    K0 coefficient, a tol outside [0, inf) or a max_iter that is not an
-    integer >= 0 raises ValueError.  With `good_set` lam(eps) must pass
-    `lambda_in_good_set` over `good_set_scan` modes, or DivisorTooSmall carries
-    its witness.
+    Raises Diverged with the trace when a residual is not finite or two
+    consecutive residuals exceed the first one, and NoConvergence when
+    max_iter steps end above tol.  When the tail band of K carries relative
+    mass above DEFAULT_TAIL_THRESHOLD the cutoff is doubled (up to KMAX_CAP).
+    A non-finite eps, mu0, omega or K0 coefficient, a tol outside [0, inf) or
+    a max_iter that is not an integer >= 0 raises ValueError.  With `good_set`
+    lam(eps) must pass `lambda_in_good_set` over `good_set_scan` modes, or
+    DivisorTooSmall carries its witness.
     """
     if not np.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps}")
@@ -442,6 +461,8 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20,
         ev = _evaluate(fam, K, mu, omega, eps)
         res = ev.series.analytic_norm(0.0)
         trace.append(res)
+        if not np.isfinite(res) or (len(trace) > 2 and min(trace[-2:]) > trace[0]):
+            raise Diverged(trace)
         if res <= tol:
             # the twist of the last step's block, else of the converged frame
             twist = float("nan") if report is None else report.twist
@@ -481,14 +502,14 @@ def normalize_embedding(K: TorusEmbedding, K_ref: TorusEmbedding,
     K_ref = K_ref.pad_to(kmax)
     n, no_shift = _grid_size(kmax), np.zeros(d)
 
-    ref_lift, _, dk = sample_jet(K_ref.periodic.coeffs[None], no_shift, n)
+    ref_lift, _, dk, _ = sample_jet(K_ref.periodic.coeffs[None], no_shift, n)
     _, M = _frame_matrix(dk)
     Minv = jets.inv_stack(M[0])
 
     def g(sigma):
         # the condition and its Jacobian; the condition is holomorphic in
         # sigma, so a complex shift is allowed
-        lift, _, dk = sample_jet(K.shifted(sigma).periodic.coeffs[None], no_shift, n)
+        lift, _, dk, _ = sample_jet(K.shifted(sigma).periodic.coeffs[None], no_shift, n)
         diff = lift[0] - ref_lift[0]
         return (_mean(jets.mm(Minv, diff[..., None])[..., 0], d)[:d],
                 _mean(jets.mm(Minv, dk[0]), d)[:d])

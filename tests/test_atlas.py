@@ -416,6 +416,23 @@ def test_grid_table_and_svg(params, omega, tmp_path):
     assert svg.count("<circle") == len(balls) + 1
 
 
+@pytest.mark.parametrize("bounds", [
+    (1.0, 1.0, -0.15, 0.15),       # an empty real range divided by zero
+    (1.1, 0.9, -0.1, 0.1),
+    (0.9, 1.1, 0.1, -0.1),         # gave an SVG of negative height
+    (0.9, 1.1, 0.1, 0.1),
+    (np.nan, 1.1, -0.1, 0.1),
+], ids=["re-empty", "re-reversed", "im-reversed", "im-empty", "nan"])
+def test_atlas_bounds_must_be_ordered(params, omega, bounds):
+    named = f"bounds must have re0 < re1 and im0 < im1, got {bounds}"
+    with pytest.raises(ValueError) as err:
+        render_svg([], bounds)
+    assert str(err.value) == named
+    with pytest.raises(ValueError) as err:
+        classify_grid("lambda", bounds, (4, 4), params, omega, k_scan=16)
+    assert str(err.value) == named
+
+
 def test_sweep_table_format(fam, omega):
     K0, mu0 = fam.unperturbed_torus(omega, 16)
     res = sweep_continuation(fam, omega, [0.01, 0.02], K0, mu0)

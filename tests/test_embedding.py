@@ -67,17 +67,22 @@ def test_sample_jet_matches_one_transform_per_lift(dim, orders):
     K_coeffs = _random_jet(rng, dim, kmax, orders)
     omega = OMEGA[:dim]
     n = _grid_size(kmax)
-    X, Xshift, DK = sample_jet(np.stack([K.coeffs for K in K_coeffs]), omega, n)
+    X, Xshift, DK, DKshift = sample_jet(np.stack([K.coeffs for K in K_coeffs]), omega, n)
     assert X.shape == Xshift.shape == (orders,) + (n,) * dim + (2 * dim,)
-    assert DK.shape == (orders,) + (n,) * dim + (2 * dim, dim)
+    assert DK.shape == DKshift.shape == (orders,) + (n,) * dim + (2 * dim, dim)
     assert X.tobytes() == lift_jet(K_coeffs, n).tobytes()
     assert Xshift.tobytes() == lift_jet(K_coeffs, n, omega).tobytes()
     base = TorusEmbedding(K_coeffs[0])
     assert X[0].tobytes() == lift_grid(base, n).tobytes()
     assert Xshift[0].tobytes() == shifted_lift_grid(base, omega, n).tobytes()
     assert DK[0].tobytes() == to_grid(dk_series(base), n).tobytes()
+    # DK o T_omega is the derivative of K o T_omega
+    shifted = TorusEmbedding(base.periodic.shift(omega))
+    assert DKshift[0].tobytes() == to_grid(dk_series(shifted), n).tobytes()
     for j in range(1, orders):
         assert DK[j].tobytes() == to_grid(vector_jacobian(K_coeffs[j]), n).tobytes()
+        assert DKshift[j].tobytes() == \
+            to_grid(vector_jacobian(K_coeffs[j].shift(omega)), n).tobytes()
 
 
 # -- the projector -------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from kamtori import fourier
 from kamtori.fourier import (FourierSeries, dump_series, fast_grid_size,
                              from_grid, load_series, theta_grid, to_grid)
 
@@ -243,6 +244,38 @@ def test_transforms_match_fftshift_formulation(rng, dim, n, value_shape):
         # real samples are promoted as before
         real = from_grid(grid.real, dim, kmax).coeffs
         assert real.tobytes() == _from_grid_fftshift(grid.real, dim, kmax).tobytes()
+
+
+def _fft_order(dim, kmax, n):
+    """Reference: the fancy index of the centered box in FFT order, k mod n."""
+    order = np.arange(-kmax, kmax + 1) % n
+    return np.ix_(*[order] * dim)
+
+
+@pytest.mark.parametrize("dim, kmax, n", [
+    (1, 0, 1), (1, 0, 5), (1, 3, 7), (1, 5, 16), (2, 0, 3), (2, 2, 5), (2, 3, 10),
+])
+def test_slice_copies_match_the_fancy_index(rng, dim, kmax, n):
+    # the transforms copy the box by 2^d slice blocks, and equal the fancy-index
+    # scatter and gather byte for byte, also at kmax 0 and at n = 2 kmax + 1
+    blocks = fourier._box_blocks(dim, kmax, n)
+    assert len(blocks) == 2 ** dim
+    shape = (2 * kmax + 1,) * dim + (2,)
+    s = FourierSeries(dim, kmax,
+                      rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    buf = np.zeros((n,) * dim + (2,), dtype=complex)
+    buf[_fft_order(dim, kmax, n)] = s.coeffs
+    ref = buf
+    for axis in reversed(range(dim)):
+        ref = np.fft.ifft(ref, axis=axis)
+    grid = to_grid(s, n)
+    assert grid.tobytes() == (ref * n ** dim).tobytes()
+    chat = grid
+    for axis in reversed(range(dim)):
+        chat = np.fft.fft(chat, axis=axis)
+    want = chat[_fft_order(dim, kmax, n)]
+    want /= n ** dim
+    assert from_grid(grid, dim, kmax).coeffs.tobytes() == want.tobytes()
 
 
 def test_nyquist_violation_raises(rng):

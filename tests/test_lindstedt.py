@@ -44,7 +44,7 @@ def test_jet_add_pads():
 
 def test_compose_constant_jet_is_pointwise_apply(fam, omega, base_torus):
     K0, mu0 = base_torus
-    X = sample_jet(K0.periodic.coeffs[None], omega, _grid_size(K0.kmax))[0]
+    X, *_ = sample_jet(K0.periodic.coeffs[None], omega, _grid_size(K0.kmax))
     G = fam.jet_apply(X, np.array([mu0]), 0.05 + 0j)
     np.testing.assert_allclose(G[0], fam.apply(X[0], mu0, 0.05), atol=1e-14)
 
@@ -443,7 +443,8 @@ def test_jets_are_normalized(fam, omega, jet4):
     # zero average angle displacement in the base frame at every order
     base = TorusEmbedding(jet4.K_coeffs[0])
     n = 128
-    dk = sample_jet(base.periodic.coeffs[None], omega, n)[2][0]
+    _, _, dk, _ = sample_jet(base.periodic.coeffs[None], omega, n)
+    dk = dk[0]
     Minv = np.linalg.inv(np.concatenate(
         [dk, np.array([[0.0, -1.0], [1.0, 0.0]]) @ dk], axis=-1))
     for j in range(1, jet4.order + 1):

@@ -4,10 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from kamtori import embedding, jets, newton
+from kamtori import embedding, fourier, jets, newton
 from kamtori.atlas import coupled_divisor_floor
 from kamtori.embedding import TorusEmbedding, sample_jet
-from kamtori.errors import (DivisorTooSmall, FrameSingular, NoConvergence,
+from kamtori.errors import (Diverged, DivisorTooSmall, FrameSingular, NoConvergence,
                             NonDegeneracyFailure, NormalizationDiverged)
 from kamtori.fourier import FourierSeries, _packed, fast_grid_size, from_grid, to_grid
 from kamtori.lindstedt import lindstedt_expand
@@ -42,8 +42,8 @@ class _ZeroMap:
 @pytest.mark.parametrize("dim", [1, 2])
 def test_packed_evaluation_matches_separate_lifts(dim):
     # _evaluate samples K as the order-0 jet of sample_jet (which
-    # test_embedding checks against one transform per lift): X, DK and
-    # E = 0 - K o T_omega are that jet's order 0 byte for byte
+    # test_embedding checks against one transform per lift): X, DK,
+    # DK o T_omega and E = 0 - K o T_omega are that jet's order 0 byte for byte
     rng = np.random.default_rng(dim)
     kmax = 12 if dim == 1 else 5
     shape = (2 * kmax + 1,) * dim + (2 * dim,)
@@ -51,10 +51,11 @@ def test_packed_evaluation_matches_separate_lifts(dim):
         dim, kmax, 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))))
     omega = np.array([(np.sqrt(5.0) - 1.0) / 2.0, np.sqrt(2.0) - 1.0][:dim])
     ev = _evaluate(_ZeroMap(), K, None, omega, 0.0)
-    X, Xshift, DK = sample_jet(K.periodic.coeffs[None], omega, ev.X.shape[0])
+    X, Xshift, DK, DKshift = sample_jet(K.periodic.coeffs[None], omega, ev.X.shape[0])
     assert ev.X.tobytes() == X[0].tobytes()
     assert ev.E.tobytes() == (0.0 - Xshift[0]).tobytes()
     assert ev.DK.tobytes() == DK[0].tobytes()
+    assert ev.DKshift.tobytes() == DKshift[0].tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -153,42 +154,84 @@ def test_frame_singular_detected(fam, omega):
         reducibility_frame(fam, K, np.array([0.0]), omega, 0.0)
 
 
-@pytest.mark.parametrize("angle_dk, named", [
-    # a Nyquist-only DK: its frame projects to 0 at every point of the grid
-    ([1.0, -1.0, 1.0, -1.0], "M o T_omega is singular or not finite at 4 of 4 grid points"),
-    # a subnormal Gram at one point passes the conditioning gate (|g|/|g| = 1),
-    # but N = 1/g overflows there
-    ([1.0, 1e-160, 1.0, 1.0], "DK^T DK is singular or not finite at 1 of 4 grid points"),
+def _frame_of(dk, dkshift):
+    """build_frame on order-0 jets of DK and DK o T_omega sampled at 4 points,
+    with Df = I and D_mu f = 1."""
+    Df = np.broadcast_to(np.eye(2, dtype=complex), (1, 4, 2, 2))
+    return newton.build_frame(np.array([1.0 + 0j]), dk, dkshift, Df,
+                              np.ones((1, 4, 2, 1), dtype=complex), np.array([0.25]), 1)
+
+
+def _angle_dk(values):
+    dk = np.zeros((1, 4, 2, 1), dtype=complex)
+    dk[0, :, 0, 0] = values
+    return dk
+
+
+@pytest.mark.parametrize("shift_dk", [
+    # the Gram of DK o T_omega is 0 at one point
+    [1.0, 0.0, 1.0, 1.0],
+    # a NaN sample of DK o T_omega makes its Gram NaN there
+    [1.0, np.nan, 1.0, 1.0],
 ], ids=["singular", "nan"])
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning",
-                            "ignore:overflow:RuntimeWarning")
-def test_singular_shifted_frame_raises_frame_singular(angle_dk, named):
-    dk = np.zeros((1, 4, 2, 1), dtype=complex)
-    dk[0, :, 0, 0] = angle_dk
-    Df = np.broadcast_to(np.eye(2, dtype=complex), (1, 4, 2, 2))
+                            "ignore:divide by zero:RuntimeWarning")
+def test_singular_shifted_frame_raises_frame_singular(shift_dk):
+    # DK itself is well conditioned, so the frame names the shifted matrix,
+    # never DK^T DK
     with pytest.raises(FrameSingular) as err:
-        newton.build_frame(np.array([1.0 + 0j]), dk, Df,
-                           np.ones((1, 4, 2, 1), dtype=complex), np.array([0.25]), 1)
-    assert str(err.value) == named
+        _frame_of(_angle_dk([1.0] * 4), _angle_dk(shift_dk))
+    assert str(err.value) == "N o T_omega is not finite at 1 of 4 grid points"
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 def test_frame_whose_normalization_overflows_its_shift_is_singular():
-    # DK = (1e-154, 0) everywhere: N = 1/|DK|^2 ~ 1e308 is finite at each of
-    # the 4 points, so the Gram gate passes though the sum of the stack
-    # overflows (a false positive there would name DK^T DK); the shift
-    # transform of N overflows, and the frame names N o T_omega, not a
-    # determinant of the averaged block downstream
-    dk = np.zeros((1, 4, 2, 1), dtype=complex)
-    dk[0, :, 0, 0] = 1e-154
-    N = newton._frame_matrix(dk)[0]
-    assert np.all(np.isfinite(N[0])) and not np.isfinite(np.sum(N[0]))
-    Df = np.broadcast_to(np.eye(2, dtype=complex), (1, 4, 2, 2))
+    # a subnormal Gram g of DK o T_omega at one point: N o T_omega = 1/g
+    # overflows there
     with pytest.raises(FrameSingular) as err:
-        newton.build_frame(np.array([1.0 + 0j]), dk, Df,
-                           np.ones((1, 4, 2, 1), dtype=complex), np.array([0.25]), 1)
-    assert str(err.value) == "N o T_omega is not finite at 4 of 4 grid points"
+        _frame_of(_angle_dk([1.0] * 4), _angle_dk([1.0, 1.0, 1e-160, 1.0]))
+    assert str(err.value) == "N o T_omega is not finite at 1 of 4 grid points"
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_frame_names_a_subnormal_gram_of_dk_as_dk():
+    # a subnormal Gram g of DK passes the conditioning gate (|g|/|g| = 1),
+    # but N = 1/g overflows; the frame names DK's Gram, not the shifted one
+    with pytest.raises(FrameSingular) as err:
+        _frame_of(_angle_dk([1.0, 1.0, 1e-160, 1.0]), _angle_dk([1.0] * 4))
+    assert str(err.value) == "DK^T DK is singular or not finite at 1 of 4 grid points"
+
+
+def test_shifted_frame_is_the_frame_of_the_shifted_dk(fam, omega, base_torus, monkeypatch):
+    # M o T_omega and its inverse beta are the pointwise formulas on the
+    # sample of DK o T_omega, bit for bit, and no grid transform is made
+    kmax = 16
+    k = np.abs(np.arange(-kmax, kmax + 1))
+    rng = np.random.default_rng(7)
+    c = np.array(fam.unperturbed_torus(omega, kmax)[0].periodic.coeffs)
+    c += 1e-2 * np.exp(-0.3 * k)[:, None] * (rng.standard_normal(c.shape)
+                                             + 1j * rng.standard_normal(c.shape))
+    K = TorusEmbedding(FourierSeries(1, kmax, c))
+    ev = _evaluate(fam, K, base_torus[1], omega, 0.01)
+    # DK o T_omega: the derivative of K o T_omega, the identity in its mean
+    dks = np.array(K.periodic.shift(omega).differentiate(0).coeffs)[..., None]
+    dks[kmax, 0, 0] += 1.0
+    dks = to_grid(FourierSeries(1, kmax, dks), ev.X.shape[0])
+    assert dks.tobytes() == ev.DKshift.tobytes()
+
+    def no_transform(*args, **kwargs):
+        raise AssertionError("build_frame made a grid transform")
+
+    for module in (newton, fourier):
+        monkeypatch.setattr(module, "from_grid", no_transform)
+        monkeypatch.setattr(module, "to_grid", no_transform)
+    monkeypatch.setattr(FourierSeries, "shift", no_transform)
+    fr = newton.newton_frame(fam, ev, base_torus[1], omega, 0.01)
+    _, Mshift = newton._frame_matrix(dks[None])
+    assert fr.Mshift[0].tobytes() == Mshift[0].tobytes()
+    assert fr.beta[0].tobytes() == jets.inv_stack(Mshift[0]).tobytes()
 
 
 def test_not_finite_points_counts_one_nan_grid_point(rng):
@@ -366,6 +409,33 @@ def test_no_convergence_carries_trace(fam, omega, base_torus):
     with pytest.raises(NoConvergence) as err:
         run_newton(fam, K0, mu0, omega, 0.05, tol=1e-30, max_iter=3)
     assert len(err.value.trace) == 4
+
+
+def test_run_reports_divergence_with_its_trace(omega):
+    # kappa 1, alpha 0.01 at eps 3.0: the residual falls once, then exceeds
+    # its start twice in a row; the run used to go on past overflow and
+    # report a determinant of the averaged block from there
+    fam = DissipativeStandardMap(kappa=1.0, alpha=0.01, a=1)
+    K0, mu0 = fam.unperturbed_torus(omega, 64)
+    with pytest.raises(Diverged) as err:
+        run_newton(fam, K0, mu0, omega, 3.0)
+    trace = err.value.trace
+    assert len(trace) == 4 and trace[1] < trace[0] < min(trace[2:])
+    assert (err.value.label, err.value.exit_code, err.value.status) == \
+        ("diverged", 5, "diverged")
+    assert str(err.value) == (f"diverged after 4 evaluations (residual {trace[-1]:.3e}, "
+                              f"first {trace[0]:.3e})")
+
+
+class _NanMap(DissipativeStandardMap):
+    def apply(self, x, mu, eps):
+        return np.full_like(super().apply(x, mu, eps), np.nan)
+
+
+def test_run_reports_a_non_finite_residual_as_divergence(omega, base_torus):
+    with pytest.raises(Diverged) as err:
+        run_newton(_NanMap(kappa=0.5), *base_torus, omega, 0.05)
+    assert len(err.value.trace) == 1 and np.isnan(err.value.trace[0])
 
 
 def test_run_evaluates_the_map_once_per_iteration(omega, base_torus):
