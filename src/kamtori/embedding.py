@@ -7,8 +7,13 @@ differences of embeddings are genuinely periodic and free of mod-1 jumps.
 
 `sample_jet` is the one place where tori and torus jets meet the grid: the
 Newton solver and both Lindstedt engines evaluate the invariance equation on
-the lifts it samples and build their frames from its DK and DK o T_omega,
-all orders in one packed transform.
+the lifts it samples and build their frames from its DK and DK o T_omega.
+Each caller chooses the blocks it reads (the lifts, DK, and whether each
+comes with its shift by omega), and all the chosen blocks of all orders are
+sampled by one `to_grid` into one buffer: a Newton step takes all four, the
+invariance residual and `lindstedt.residual_jet` the lifts and their shifts,
+`newton.normalize_embedding` the unshifted lift and DK, and
+`newton.lagrangian_defect` DK alone.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import FourierSeries, _packed, theta_grid, to_grid
+from .fourier import FourierSeries, angle_axis, grid_columns, to_grid
 
 
 @dataclass(frozen=True)
@@ -88,13 +93,14 @@ def _series(coeffs: np.ndarray) -> FourierSeries:
                          coeffs.transpose(*range(1, d + 1), 0, d + 1))
 
 
-def _dk(series: FourierSeries) -> np.ndarray:
-    """The coefficients of the DK jet of a torus jet series (the identity
-    block in order 0's mean)."""
+def _dk(series: FourierSeries) -> FourierSeries:
+    """The DK jet of a torus jet series (the identity block in order 0's mean)."""
     d, kmax = series.dim, series.kmax
-    dk = np.stack([series.differentiate(j).coeffs for j in range(d)], axis=-1)
+    dk = np.empty(series.coeffs.shape + (d,), dtype=complex)
+    for j in range(d):
+        dk[..., j] = series.differentiate(j).coeffs
     dk[(kmax,) * d + (0,)][:d, :d] += np.eye(d)
-    return dk
+    return FourierSeries(d, kmax, dk)
 
 
 def _order_first(grid: np.ndarray, d: int) -> np.ndarray:
@@ -102,34 +108,30 @@ def _order_first(grid: np.ndarray, d: int) -> np.ndarray:
     return np.ascontiguousarray(grid.transpose(d, *range(d), *range(d + 1, grid.ndim)))
 
 
-def sample_dk(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """The DK grid jet of `sample_jet` alone, with the same values: the
-    transforms act column by column."""
-    series = _series(coeffs)
-    return _order_first(to_grid(FourierSeries(series.dim, series.kmax, _dk(series)), n),
-                        series.dim)
-
-
-def sample_jet(coeffs: np.ndarray, omega, n: int):
-    """Grid jets (X, X o T_omega, DK, DK o T_omega) of the torus jet
-    K(eps) = sum_j K_j eps^j.
+def sample_jet(coeffs: np.ndarray, omega, n: int, *, lifts: bool = True,
+               dk: bool = True) -> tuple:
+    """Grid jets of the torus jet K(eps) = sum_j K_j eps^j: the lifts X and
+    X o T_omega if `lifts`, then DK and DK o T_omega if `dk`; with omega
+    None the shifted blocks are left out.
 
     `coeffs` stacks the periodic parts K_j, shape (orders,) + (2 kmax + 1,)*d
     + (2d,); a single torus K is the order-0 jet `K.periodic.coeffs[None]`.
-    The results lead with the order axis, then the (n,)*d grid.  K, its shift
-    by omega and the d columns of DK and of DK o T_omega (the derivative of
-    the shifted series) come from one packed to_grid; the lifts theta and
-    theta + omega, and DK's identity block (added to the mean coefficient
-    before the transform), enter order 0 only.
+    The results lead with the order axis, then the (n,)*d grid.  The chosen
+    blocks (K, its shift by omega, and the d columns of DK and of
+    DK o T_omega, the derivative of the shifted series) come from one
+    to_grid, each copied out of its buffer as one contiguous array; the
+    lifts theta and theta + omega, and DK's identity block (added to the mean
+    coefficient before the transform), enter order 0 only.
     """
     series = _series(coeffs)
-    shifted = series.shift(omega)
-    d, kmax = series.dim, series.kmax
-    parts = _packed(lambda c: to_grid(FourierSeries(d, kmax, c), n),
-                    (series.coeffs, shifted.coeffs, _dk(series), _dk(shifted)), d)
-    X, Xshift, DK, DKshift = (_order_first(p, d) for p in parts)
-    omega = np.atleast_1d(np.asarray(omega))
-    for j, theta in enumerate(theta_grid(d, n)):
-        X[0, ..., j] += theta
-        Xshift[0, ..., j] += theta + omega[j]
-    return X, Xshift, DK, DKshift
+    d = series.dim
+    base = (series,) if omega is None else (series, series.shift(omega))
+    blocks = (base if lifts else ()) + (tuple(_dk(s) for s in base) if dk else ())
+    out = [_order_first(cols, d) for cols in grid_columns(to_grid(blocks, n), blocks)]
+    if lifts:
+        for j in range(d):
+            theta = angle_axis(n).reshape((1,) * j + (n,) + (1,) * (d - 1 - j))
+            out[0][0, ..., j] += theta
+            if omega is not None:
+                out[1][0, ..., j] += theta + np.atleast_1d(omega)[j]
+    return tuple(out)

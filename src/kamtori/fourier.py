@@ -10,10 +10,22 @@ Grid transforms call the one-dimensional `np.fft.ifft` / `np.fft.fft` once
 per angle axis, last axis first, which is the order and the pocketfft call
 `np.fft.ifftn` / `np.fft.fftn` make themselves, so the samples are those of
 the n-dimensional transform bit for bit.  Each call transforms every line
-along its axis on its own, so series packed side by side on the value axes
+along its axis on its own, so series sampled side by side on the value axes
 transform exactly as they would one at a time.  The centered mode box moves
 to and from FFT order (mode k at index k mod n on each axis) by 2^d slice
-copies, one per sign pattern of k, with no index arrays.
+copies, one per sign pattern of k, with no index arrays.  `to_grid` makes one
+allocation per call: the boxes of all the series it samples are copied
+straight into one zero-filled buffer, which is transformed along each axis
+and scaled by n^d in place.
+
+The tables that depend only on a cutoff, a grid size or a shift are computed
+once and kept read-only in bounded LRU caches: the 5-smooth grid size of a
+minimum (`fast_grid_size`, 256 entries), the box blocks per (d, kmax, n) (64),
+the shift phases e^{2 pi i k omega_j} per (kmax, omega_j) (64), the
+derivative factors 2 pi i k per kmax (32), the angle axis j/n per n (32) and
+the tail-band mask of `tail_mass` per (d, kmax) (16).  No grid of angles is
+cached (at d = 2 and large n one is tens of MB): samplers broadcast the 1-D
+axis, and `theta_grid` builds its meshgrid anew.
 
 A series is its coefficients: whether it is real valued or has zero average
 is read off them (`reality_defect`, `average`), never declared.
@@ -30,16 +42,23 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
+from math import prod
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
 
+@lru_cache(maxsize=256)
 def fast_grid_size(m: int) -> int:
-    """Smallest 5-smooth integer >= m (keeps fftn fast at odd-ish sizes)."""
+    """Smallest 5-smooth integer >= m (keeps fftn fast at odd-ish sizes).
+
+    Raises ValueError for m < 1, where no such size exists.
+    """
     n = int(m)
+    if n < 1:
+        raise ValueError(f"grid size needs m >= 1, got {m}")
     while True:
         r = n
         for p in (2, 3, 5):
@@ -48,6 +67,49 @@ def fast_grid_size(m: int) -> int:
         if r == 1:
             return n
         n += 1
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _k_axis(kmax: int) -> np.ndarray:
+    return np.arange(-kmax, kmax + 1)
+
+
+@lru_cache(maxsize=64)
+def _phase_table(kmax: int, key: bytes) -> np.ndarray:
+    # keyed by the bytes of omega_j, so -0.0 and nan get tables of their own
+    w = complex(np.frombuffer(key, dtype=np.complex128)[0])
+    return _read_only(np.exp(2j * np.pi * _k_axis(kmax) * w))
+
+
+def shift_phases(kmax: int, w) -> np.ndarray:
+    """e^{2 pi i k w} over |k| <= kmax for one shift component w (cached, read-only)."""
+    return _phase_table(kmax, np.complex128(w).tobytes())
+
+
+@lru_cache(maxsize=32)
+def derivative_factors(kmax: int) -> np.ndarray:
+    """2 pi i k over |k| <= kmax (cached, read-only)."""
+    return _read_only(2j * np.pi * _k_axis(kmax))
+
+
+@lru_cache(maxsize=32)
+def angle_axis(n: int) -> np.ndarray:
+    """The angles j/n, j < n, of one grid axis (cached, read-only)."""
+    return _read_only(np.arange(n) / n)
+
+
+@lru_cache(maxsize=16)
+def _tail_band(dim: int, kmax: int) -> np.ndarray:
+    """The mask kmax/2 < |k|_inf over the mode box (cached, read-only)."""
+    outer = np.abs(_k_axis(kmax)) > kmax / 2
+    band = np.zeros((2 * kmax + 1,) * dim, dtype=bool)
+    for j in range(dim):
+        band = band | outer.reshape((-1,) + (1,) * (dim - 1 - j))
+    return _read_only(band)
 
 
 def _as_value_shape(shape) -> tuple:
@@ -126,7 +188,7 @@ class FourierSeries:
         return self.coeffs.shape[self.dim :]
 
     def k_axis(self) -> np.ndarray:
-        return np.arange(-self.kmax, self.kmax + 1)
+        return _k_axis(self.kmax)
 
     def k_norm_grid(self) -> np.ndarray:
         """|k|_1 over the mode box, shaped like one value entry."""
@@ -183,7 +245,7 @@ class FourierSeries:
         omega = np.atleast_1d(np.asarray(omega))
         out = self.coeffs
         for j in range(self.dim):
-            phase = np.exp(2j * np.pi * self.k_axis() * complex(omega[j]))
+            phase = shift_phases(self.kmax, omega[j])
             shape = [1] * out.ndim
             shape[j] = phase.size
             out = out * phase.reshape(shape)
@@ -193,7 +255,7 @@ class FourierSeries:
         """d/d theta_axis: c_k -> 2 pi i k_axis c_k."""
         if not 0 <= axis < self.dim:
             raise ValueError(f"axis {axis} out of range for dim {self.dim}")
-        factor = 2j * np.pi * self.k_axis()
+        factor = derivative_factors(self.kmax)
         shape = [1] * self.coeffs.ndim
         shape[axis] = factor.size
         return FourierSeries(self.dim, self.kmax, self.coeffs * factor.reshape(shape))
@@ -219,13 +281,7 @@ class FourierSeries:
         total = float(np.sum(mags))
         if total == 0.0:
             return 0.0
-        kinf = np.abs(self.k_axis())
-        grid = np.zeros((2 * self.kmax + 1,) * self.dim)
-        for j in range(self.dim):
-            shape = [1] * self.dim
-            shape[j] = kinf.size
-            grid = np.maximum(grid, kinf.reshape(shape))
-        return float(np.sum(mags[grid > self.kmax / 2])) / total
+        return float(np.sum(mags[_tail_band(self.dim, self.kmax)])) / total
 
     def reality_defect(self) -> float:
         """max_k |c_{-k} - conj(c_k)| relative to the largest coefficient."""
@@ -265,8 +321,7 @@ def _aligned(a: FourierSeries, b: FourierSeries):
 
 def theta_grid(dim: int, n: int) -> list[np.ndarray]:
     """Meshgrid of angles j/n per axis, each of shape (n,)*dim."""
-    axis = np.arange(n) / n
-    return list(np.meshgrid(*([axis] * dim), indexing="ij"))
+    return list(np.meshgrid(*([angle_axis(n)] * dim), indexing="ij"))
 
 
 @lru_cache(maxsize=64)
@@ -279,24 +334,54 @@ def _box_blocks(dim: int, kmax: int, n: int) -> tuple:
     return tuple(tuple(zip(*block)) for block in product(halves, repeat=dim))
 
 
-def to_grid(series: FourierSeries, n: int) -> np.ndarray:
+def to_grid(series, n: int) -> np.ndarray:
     """Sample on the regular n^d grid theta_j = j/n.
 
-    Requires n >= 2*kmax+1 so every stored mode lands in its own bin: the
-    centered box is copied straight into FFT order (mode k at index k mod n
-    on each axis, `_box_blocks`) and inverse-transformed.
+    `series` is one FourierSeries, sampled with shape (n,)*d + value_shape,
+    or a tuple of series on one mode box, sampled side by side: the result
+    has shape (n,)*d + (columns,), each series' values flattened in row-major
+    order into its own columns, in the order given (`grid_columns` gives
+    the views of each), and each equal bit for bit to its own sample.  Requires n >= 2*kmax+1 so every stored mode lands
+    in its own bin: each centered box is copied straight into FFT order (mode
+    k at index k mod n on each axis, `_box_blocks`) of one zero-filled
+    buffer, which is inverse-transformed and scaled by n^d in place.
     """
-    if n < 2 * series.kmax + 1:
+    single = isinstance(series, FourierSeries)
+    parts = (series,) if single else tuple(series)
+    d, kmax = parts[0].dim, parts[0].kmax
+    if any(p.dim != d or p.kmax != kmax for p in parts[1:]):
+        raise ValueError("series sampled together must share one mode box")
+    if n < 2 * kmax + 1:
         raise ValueError(
-            f"grid size {n} below Nyquist bound {2 * series.kmax + 1} for kmax={series.kmax}"
+            f"grid size {n} below Nyquist bound {2 * kmax + 1} for kmax={kmax}"
         )
-    d = series.dim
-    buf = np.zeros((n,) * d + series.value_shape, dtype=series.coeffs.dtype)
-    for box, fft in _box_blocks(d, series.kmax, n):
-        buf[fft] = series.coeffs[box]
+    # the samples are complex, of the coefficients' precision
+    dtype = np.complex64
+    for p in parts:
+        dtype = np.promote_types(dtype, p.coeffs.dtype)
+    if single:
+        # one series keeps its own value shape, which spares the column views
+        buf = np.zeros((n,) * d + series.value_shape, dtype=dtype)
+        views = (buf,)
+    else:
+        buf = np.zeros((n,) * d + (sum(prod(p.value_shape) for p in parts),), dtype=dtype)
+        views = grid_columns(buf, parts)
+    for p, view in zip(parts, views):
+        for box, fft in _box_blocks(d, kmax, n):
+            view[fft] = p.coeffs[box]
     for axis in reversed(range(d)):
-        buf = np.fft.ifft(buf, axis=axis)
-    return buf * (n ** d)
+        np.fft.ifft(buf, axis=axis, out=buf)
+    buf *= n ** d
+    return buf
+
+
+def grid_columns(grid: np.ndarray, series) -> list:
+    """The views of a side-by-side sample `to_grid(series, n)` of a tuple of
+    series that hold each series' values, in its own value shape."""
+    lead = grid.shape[:series[0].dim]
+    widths = [prod(s.value_shape) for s in series]
+    return [grid[..., end - w:end].reshape(lead + s.value_shape)
+            for s, w, end in zip(series, widths, accumulate(widths))]
 
 
 def from_grid(values: np.ndarray, dim: int, kmax: int) -> FourierSeries:
@@ -305,37 +390,21 @@ def from_grid(values: np.ndarray, dim: int, kmax: int) -> FourierSeries:
     Exact for series whose modes all satisfy |k_i| <= kmax; otherwise the
     out-of-band content aliases (callers oversample accordingly).  The
     2*kmax+1 kept modes per axis are copied from FFT order (index k mod n,
-    `_box_blocks`) and only they are scaled by n^-d; complex128 samples are
-    transformed without a copy.
+    `_box_blocks`) and only they are scaled by n^-d.  The first transform
+    writes one new buffer and the others run in it in place; complex128
+    samples enter that first transform without a copy.
     """
     n = values.shape[0]
     if n < 2 * kmax + 1:
         raise ValueError(f"grid size {n} below Nyquist bound {2 * kmax + 1} for kmax={kmax}")
-    chat = np.asarray(values, dtype=np.complex128)
-    for axis in reversed(range(dim)):
-        chat = np.fft.fft(chat, axis=axis)
+    chat = np.fft.fft(np.asarray(values, dtype=np.complex128), axis=dim - 1)
+    for axis in reversed(range(dim - 1)):
+        np.fft.fft(chat, axis=axis, out=chat)
     coeffs = np.empty((2 * kmax + 1,) * dim + chat.shape[dim:], dtype=chat.dtype)
     for box, fft in _box_blocks(dim, kmax, n):
         coeffs[box] = chat[fft]
     coeffs /= n ** dim
     return FourierSeries(dim, kmax, coeffs)
-
-
-def _packed(transform, arrays, lead: int) -> list:
-    """Apply a column-wise transform to several arrays at once: the axes
-    after the first `lead` of each are flattened into columns, packed side by
-    side, transformed (the leading axes may change) and split back with each
-    array's own trailing shape.  The grid transforms act column by column, so
-    every part equals the transform of its array alone."""
-    packed = np.concatenate([a.reshape(a.shape[:lead] + (-1,)) for a in arrays], axis=-1)
-    out = transform(packed)
-    parts, start = [], 0
-    for a in arrays:
-        size = int(np.prod(a.shape[lead:]))
-        parts.append(np.ascontiguousarray(out[..., start:start + size])
-                     .reshape(out.shape[:-1] + a.shape[lead:]))
-        start += size
-    return parts
 
 
 # -- text form ------------------------------------------------------------------

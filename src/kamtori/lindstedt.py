@@ -21,7 +21,7 @@ Both engines use the reduced-system core of `newton`: the frame built from
 jets (the pointwise Newton frame for `lindstedt_expand`, the frame jets for
 `lindstedt_double`), the checked averaged block of the base torus, and
 `solve_reduced` once per order on the right-hand side of that order.  Jets
-are sampled by `embedding.sample_jet`, all orders in one packed transform;
+are sampled by `embedding.sample_jet`, all orders in one transform;
 `lindstedt_double` and `residual_jet` take their grid jets back to series with
 `_project`, one packed transform with each order cut to its band.
 
@@ -124,18 +124,19 @@ def _bands(fam, K_coeffs, order: int) -> list:
     return [kmax] * (order + 1)
 
 
-def _evaluate_jet(fam, jet: EpsilonJet, omega, order: int):
+def _evaluate_jet(fam, jet: EpsilonJet, omega, order: int, dk: bool = True):
     """The jet on the grid of a call producing orders 0..order: the bands of
     its output (the last is its cutoff B) and, on `_grid_size(B)`, the grid
-    jets x = K, mu, DK, DK o T_omega and E = f_{mu,eps} o K - K o T_omega,
-    zero beyond the jet's own order."""
+    jets x = K, mu and E = f_{mu,eps} o K - K o T_omega, zero beyond the
+    jet's own order, and with `dk` the pair (DK, DK o T_omega) through the
+    jet's order (else an empty tuple)."""
     bands = _bands(fam, jet.K_coeffs, order)
     B = bands[-1]
     coeffs = np.stack([K.truncate(B).coeffs for K in jet.K_coeffs])
-    x, xshift, dk, dkshift = (jets.pad(a, order)
-                              for a in sample_jet(coeffs, omega, _grid_size(B)))
+    x, xshift, *dks = sample_jet(coeffs, omega, _grid_size(B), dk=dk)
+    x, xshift = jets.pad(x, order), jets.pad(xshift, order)
     mu = jets.pad(jet.mu_coeffs, order)
-    return bands, x, mu, dk, dkshift, fam.jet_apply(x, mu, jet.eps0) - xshift
+    return bands, x, mu, fam.jet_apply(x, mu, jet.eps0) - xshift, tuple(dks)
 
 
 def _project(grids: np.ndarray, d: int, B: int, bands, kmax: int) -> list:
@@ -206,7 +207,7 @@ def residual_jet(fam, jet: EpsilonJet, omega, through: int | None = None):
     order carries the asymptotic constant of the truncation error.
     """
     M = 2 * jet.order + 2 if through is None else through
-    bands, *_, E = _evaluate_jet(fam, jet.truncated(M), omega, M)
+    bands, _, _, E, _ = _evaluate_jet(fam, jet.truncated(M), omega, M, dk=False)
     return _project(E, jet.dim, bands[-1], bands, jet.kmax)
 
 
@@ -254,7 +255,7 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
         raise ValueError(
             f"target order {M_ord} beyond the double-precision cap {MAX_ORDER_DOUBLE}")
     d, kmax, eps0 = jet.dim, jet.kmax, jet.eps0
-    bands, x, mu, dk, dkshift, E = _evaluate_jet(fam, jet, omega, M_ord)
+    bands, x, mu, E, (dk, dkshift) = _evaluate_jet(fam, jet, omega, M_ord)
     B = bands[-1]
     lam = fam.lambda_jet(eps0, M_ord)
     x0, mu0 = x[:N + 1], mu[:N + 1]

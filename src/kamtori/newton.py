@@ -20,7 +20,7 @@ sample of DK o T_omega, with no grid transform.
 
 Each Newton iteration evaluates the map once: `run_newton` samples K as the
 order-0 jet of `embedding.sample_jet` (X = K(theta), K o T_omega, DK and
-DK o T_omega in one packed transform), forms E = f o K - K o T_omega and its
+DK o T_omega in one transform), forms E = f o K - K o T_omega and its
 series, reads the residual from that series into the trace (one float per
 evaluation, at rho = 0) and hands the same evaluation to `newton_step`, whose
 frame and step report reuse it.  The Lagrangian defect of a solution is
@@ -54,7 +54,7 @@ import numpy as np
 from . import jets
 from .cohomology import CohomologySolution, DEFAULT_DIVISOR_FLOOR, solve_twisted
 from .diophantine import GoodSetParams, lambda_in_good_set
-from .embedding import TorusEmbedding, sample_dk, sample_jet
+from .embedding import TorusEmbedding, sample_jet
 from .errors import (Diverged, DivisorTooSmall, FrameSingular, NoConvergence,
                      NonDegeneracyFailure, NormalizationDiverged)
 from .fourier import (FourierSeries, _format_pairs, _parse_pairs,
@@ -107,10 +107,11 @@ def _evaluate(fam, K: TorusEmbedding, mu, omega, eps) -> _Defect:
 def invariance_residual(fam, K: TorusEmbedding, mu, omega, eps) -> FourierSeries:
     """E = f_{mu,eps} o K - K o T_omega as a (2d,)-valued series.
 
-    Computed on an oversampled grid with continuous angle lifts, then
-    truncated to the embedding's cutoff.
+    Computed on an oversampled grid with continuous angle lifts (K and
+    K o T_omega, no DK), then truncated to the embedding's cutoff.
     """
-    return _evaluate(fam, K, mu, omega, eps).series
+    X, Xshift = sample_jet(K.periodic.coeffs[None], omega, _grid_size(K.kmax), dk=False)
+    return from_grid(fam.apply(X[0], mu, eps) - Xshift[0], K.dim, K.kmax)
 
 
 # -- the reduced system ---------------------------------------------------------
@@ -500,16 +501,16 @@ def normalize_embedding(K: TorusEmbedding, K_ref: TorusEmbedding,
     kmax = max(K.kmax, K_ref.kmax)
     K = K.pad_to(kmax)
     K_ref = K_ref.pad_to(kmax)
-    n, no_shift = _grid_size(kmax), np.zeros(d)
+    n = _grid_size(kmax)
 
-    ref_lift, _, dk, _ = sample_jet(K_ref.periodic.coeffs[None], no_shift, n)
+    ref_lift, dk = sample_jet(K_ref.periodic.coeffs[None], None, n)
     _, M = _frame_matrix(dk)
     Minv = jets.inv_stack(M[0])
 
     def g(sigma):
         # the condition and its Jacobian; the condition is holomorphic in
         # sigma, so a complex shift is allowed
-        lift, _, dk, _ = sample_jet(K.shifted(sigma).periodic.coeffs[None], no_shift, n)
+        lift, dk = sample_jet(K.shifted(sigma).periodic.coeffs[None], None, n)
         diff = lift[0] - ref_lift[0]
         return (_mean(jets.mm(Minv, diff[..., None])[..., 0], d)[:d],
                 _mean(jets.mm(Minv, dk[0]), d)[:d])
@@ -537,8 +538,8 @@ def lagrangian_defect(K: TorusEmbedding, J=None) -> float:
     """l1 norm of the d x d series DK^T (J o K) DK (zero on Lagrangian tori),
     from DK alone sampled on the grid `_grid_size(K.kmax)`."""
     J = symplectic_matrix(K.dim) if J is None else J
-    dk = sample_dk(K.periodic.coeffs[None], _grid_size(K.kmax))[0]
-    L = jets.mm(jets.mm(np.swapaxes(dk, -1, -2), J), dk)
+    (dk,) = sample_jet(K.periodic.coeffs[None], None, _grid_size(K.kmax), lifts=False)
+    L = jets.mm(jets.mm(np.swapaxes(dk[0], -1, -2), J), dk[0])
     return from_grid(L, K.dim, K.kmax).analytic_norm(0.0)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kamtori import embedding, lindstedt, newton
 from kamtori.embedding import TorusEmbedding, sample_jet
 from kamtori.fourier import FourierSeries, from_grid, theta_grid, to_grid
 from kamtori.lindstedt import _project
@@ -83,6 +84,77 @@ def test_sample_jet_matches_one_transform_per_lift(dim, orders):
         assert DK[j].tobytes() == to_grid(vector_jacobian(K_coeffs[j]), n).tobytes()
         assert DKshift[j].tobytes() == \
             to_grid(vector_jacobian(K_coeffs[j].shift(omega)), n).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sample_jet_samples_the_blocks_asked_for(dim):
+    # each choice of blocks gives those blocks of the full sample bit for
+    # bit, in the order lifts then DK, unshifted before shifted
+    rng = np.random.default_rng(dim)
+    kmax = 9 if dim == 1 else 4
+    coeffs = np.stack([K.coeffs for K in _random_jet(rng, dim, kmax, 3)])
+    omega, n = OMEGA[:dim], _grid_size(kmax)
+    X, Xshift, DK, DKshift = sample_jet(coeffs, omega, n)
+    cases = [
+        (sample_jet(coeffs, omega, n, dk=False), (X, Xshift)),
+        (sample_jet(coeffs, omega, n, lifts=False), (DK, DKshift)),
+        (sample_jet(coeffs, None, n), (X, DK)),
+        (sample_jet(coeffs, None, n, dk=False), (X,)),
+        (sample_jet(coeffs, None, n, lifts=False), (DK,)),
+    ]
+    for got, want in cases:
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.flags["C_CONTIGUOUS"]
+            assert g.tobytes() == w.tobytes()
+
+
+def _sampled_points(monkeypatch):
+    """The grid values of every later to_grid call of the sampler."""
+    points = []
+
+    def counted(series, n):
+        grid = to_grid(series, n)
+        points.append(grid.size)
+        return grid
+
+    monkeypatch.setattr(embedding, "to_grid", counted)
+    return points
+
+
+def test_each_caller_samples_only_what_it_reads(fam, omega, base_torus, monkeypatch):
+    # d = 1: a lift is 2 columns per order and DK 2; each caller's samples
+    # hold only the blocks it reads
+    K0, mu0 = base_torus
+    sol = newton.run_newton(fam, K0, mu0, omega, 0.05, tol=1e-12)
+    K, n = sol.K, _grid_size(sol.K.kmax)
+    jet = lindstedt.lindstedt_expand(fam, K0, mu0, omega, 0.0, 4)
+    points = _sampled_points(monkeypatch)
+
+    # a Newton evaluation: X, X o T_omega, DK and DK o T_omega
+    newton._evaluate(fam, K, sol.mu, omega, 0.05)
+    assert points == [8 * n]
+    # the invariance residual: X and X o T_omega
+    points.clear()
+    newton.invariance_residual(fam, K, sol.mu, omega, 0.05)
+    assert points == [4 * n]
+    # the normalization: X and DK of K_ref, then of each shifted K
+    points.clear()
+    newton.normalize_embedding(K.shifted(0.01), K)
+    assert len(points) >= 2 and set(points) == {4 * n}
+    # the Lagrangian defect: DK alone
+    points.clear()
+    newton.lagrangian_defect(K)
+    assert points == [2 * n]
+    # the residual jet: X and X o T_omega of the 5 orders, on the grid of
+    # its band 2 * 4 + 2 = 10 from the flat torus
+    points.clear()
+    lindstedt.residual_jet(fam, jet, omega)
+    assert points == [5 * 4 * _grid_size(10 * fam.degree)]
+    # the doubling: all four blocks of its 2 input orders at the band 3
+    points.clear()
+    lindstedt.lindstedt_double(fam, jet.truncated(1), omega)
+    assert points == [2 * 8 * _grid_size(3 * fam.degree)]
 
 
 # -- the projector -------------------------------------------------------------------

@@ -278,6 +278,54 @@ def test_slice_copies_match_the_fancy_index(rng, dim, kmax, n):
     assert from_grid(grid, dim, kmax).coeffs.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("dim, kmax, n", [(1, 5, 11), (1, 12, 40), (2, 3, 7), (2, 4, 12)])
+def test_to_grid_is_the_scaled_inverse_fftn_of_the_box(rng, dim, kmax, n):
+    # the box in FFT order, inverse-transformed by ifftn and scaled by n^d
+    shape = (2 * kmax + 1,) * dim + (3,)
+    s = FourierSeries(dim, kmax, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    box = np.zeros((n,) * dim + (3,), dtype=complex)
+    box[_fft_order(dim, kmax, n)] = s.coeffs
+    want = np.fft.ifftn(box, axes=tuple(range(dim))) * n ** dim
+    assert to_grid(s, n).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim, kmax, n", [(1, 12, 38), (2, 4, 14)])
+def test_tuple_to_grid_matches_separate_transforms(rng, dim, kmax, n):
+    # series sampled side by side: each one's columns, in the order given,
+    # are its own sample bit for bit
+    shapes = [(), (2 * dim,), (3, 2 * dim, dim)]
+    parts = []
+    for vshape in shapes:
+        shape = (2 * kmax + 1,) * dim + vshape
+        parts.append(FourierSeries(dim, kmax, rng.standard_normal(shape)
+                                   + 1j * rng.standard_normal(shape)))
+    grid = to_grid(tuple(parts), n)
+    assert grid.shape == (n,) * dim + (1 + 2 * dim + 6 * dim * dim,)
+    start = 0
+    for s, view in zip(parts, fourier.grid_columns(grid, parts)):
+        size = int(np.prod(s.value_shape))
+        want = to_grid(s, n)
+        assert grid[..., start:start + size].tobytes() == want.reshape((n,) * dim + (size,)).tobytes()
+        assert view.shape == want.shape and np.shares_memory(view, grid)
+        assert view.tobytes() == want.tobytes()
+        start += size
+    assert to_grid((parts[1],), n).tobytes() == to_grid(parts[1], n).tobytes()
+
+
+def test_tuple_to_grid_needs_one_mode_box(rng):
+    a, b = random_series(rng, kmax=4), random_series(rng, kmax=5)
+    with pytest.raises(ValueError, match="one mode box"):
+        to_grid((a, b), 16)
+
+
+def test_real_coefficients_sample_as_complex(rng):
+    c = rng.standard_normal(9)
+    s = FourierSeries(1, 4, c)
+    box = np.zeros(12)
+    box[np.arange(-4, 5) % 12] = c
+    assert to_grid(s, 12).tobytes() == (np.fft.ifft(box) * 12).tobytes()
+
+
 def test_nyquist_violation_raises(rng):
     s = random_series(rng, kmax=16)
     with pytest.raises(ValueError):
@@ -317,6 +365,78 @@ def test_theta_grid_shape():
     g = theta_grid(2, 8)
     assert len(g) == 2 and g[0].shape == (8, 8)
     assert g[0][1, 0] == pytest.approx(1 / 8)
+
+
+@pytest.mark.parametrize("m", [0, -3])
+def test_fast_grid_size_needs_a_positive_minimum(m):
+    with pytest.raises(ValueError, match="m >= 1"):
+        fast_grid_size(m)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 7), (1, 200), (2, 9)])
+def test_theta_grid_is_the_meshgrid_of_the_angle_axis(dim, n):
+    want = np.meshgrid(*([np.arange(n) / n] * dim), indexing="ij")
+    got = theta_grid(dim, n)
+    assert len(got) == dim
+    for g, w in zip(got, want):
+        assert g.flags.writeable
+        assert g.tobytes() == w.tobytes()
+
+
+def _uncached_tail_band(dim, kmax):
+    kinf = np.abs(np.arange(-kmax, kmax + 1))
+    grid = np.zeros((2 * kmax + 1,) * dim)
+    for j in range(dim):
+        shape = [1] * dim
+        shape[j] = kinf.size
+        grid = np.maximum(grid, kinf.reshape(shape))
+    return grid > kmax / 2
+
+
+@pytest.mark.parametrize("table, args, formula", [
+    (fourier.shift_phases, (7, 0.3819660112501051),
+     lambda kmax, w: np.exp(2j * np.pi * np.arange(-kmax, kmax + 1) * complex(w))),
+    (fourier.shift_phases, (3, -0.0),
+     lambda kmax, w: np.exp(2j * np.pi * np.arange(-kmax, kmax + 1) * complex(w))),
+    (fourier.shift_phases, (5, 0.1 + 0.02j),
+     lambda kmax, w: np.exp(2j * np.pi * np.arange(-kmax, kmax + 1) * complex(w))),
+    (fourier.derivative_factors, (9,), lambda kmax: 2j * np.pi * np.arange(-kmax, kmax + 1)),
+    (fourier.angle_axis, (18,), lambda n: np.arange(n) / n),
+    (fourier._tail_band, (1, 8), _uncached_tail_band),
+    (fourier._tail_band, (2, 5), _uncached_tail_band),
+])
+def test_cached_tables_are_read_only_and_exact(table, args, formula):
+    got = table(*args)
+    assert table(*args) is got
+    want = formula(*args)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        got[0] = got[-1]
+
+
+def test_shift_phases_tell_signed_zeros_apart():
+    # the cache is keyed by the bytes of the shift, so -0.0 never reads the
+    # table of +0.0
+    pos, neg = fourier.shift_phases(2, 0.0), fourier.shift_phases(2, -0.0)
+    assert pos is not neg
+    k = np.arange(-2, 3)
+    assert neg.tobytes() == np.exp(2j * np.pi * k * complex(-0.0)).tobytes()
+
+
+def test_shift_differentiate_and_tail_mass_match_their_formulas(rng):
+    # read through the cached tables, bit for bit at d = 2
+    s = random_series(rng, kmax=6, dim=2)
+    k = np.arange(-6, 7)
+    w = (0.25, -0.125)
+    want = s.coeffs * np.exp(2j * np.pi * k * complex(w[0]))[:, None]
+    want = want * np.exp(2j * np.pi * k * complex(w[1]))[None, :]
+    assert s.shift(w).coeffs.tobytes() == want.tobytes()
+    assert s.differentiate(1).coeffs.tobytes() == \
+        (s.coeffs * (2j * np.pi * k)[None, :]).tobytes()
+    mags = s.coeff_magnitudes()
+    tail = float(np.sum(mags[_uncached_tail_band(2, 6)])) / float(np.sum(mags))
+    assert s.tail_mass() == tail
 
 
 # -- dump / load -------------------------------------------------------------------
