@@ -21,9 +21,6 @@ from .diophantine import GoodSetParams, good_set_attained, nu_scan, resonances
 from .errors import Diverged, DivisorTooSmall, KamtoriError, NoConvergence
 from .newton import run_newton
 
-DEFAULT_RADIUS_SCALE = 1.0   # the covering constant; all geometry is relative to it
-
-
 @dataclass(frozen=True)
 class ExclusionBall:
     k: tuple
@@ -37,15 +34,20 @@ class ExclusionBall:
 
 
 def excluded_balls(params: GoodSetParams, omega, k_max: int, rho_band: float,
-                   radius_scale: float = DEFAULT_RADIUS_SCALE,
+                   radius_scale: float = 1.0,
                    fam=None, plane: str = "lambda") -> list[ExclusionBall]:
     """Balls covering the bad set inside the annulus rho < |lam-1| < 2 rho.
 
     A ball is kept when it intersects the annulus.  For plane="epsilon" the
     centers are mapped through all `a` branches of the leading root of
     lam(eps) = root (polished by a Newton iteration on the family's lam) and
-    the radii rescaled by |lam'| at the center.
+    the radii rescaled by |lam'| at the center.  Any other plane, and the
+    epsilon-plane without `fam`, raise ValueError.
     """
+    if plane not in ("lambda", "epsilon"):
+        raise ValueError(f"unknown plane {plane!r}")
+    if plane == "epsilon" and fam is None:
+        raise ValueError("epsilon-plane balls need the map family")
     ks, roots, knorm = resonances(omega, k_max)
     radius = radius_scale * rho_band ** (params.N + 1) * knorm ** (-params.tau) / params.A
     dist = np.abs(roots - 1.0)
@@ -63,8 +65,6 @@ def excluded_balls(params: GoodSetParams, omega, k_max: int, rho_band: float,
 
 
 def _to_eps_plane(ball: ExclusionBall, fam) -> list[ExclusionBall]:
-    if fam is None:
-        raise ValueError("epsilon-plane balls need the map family")
     a = int(fam.a)
     alpha = complex(fam.alpha)
     w = (ball.center - 1.0) / alpha
@@ -85,8 +85,8 @@ def _lambda_prime(fam, eps):
     return complex(fam.lambda_jet(eps, 1)[1])
 
 
-def _polish_root(fam, eps, target, rounds: int = 4):
-    for _ in range(rounds):
+def _polish_root(fam, eps, target):
+    for _ in range(4):
         d = _lambda_prime(fam, eps)
         if abs(d) == 0.0:
             break
@@ -166,7 +166,6 @@ class MeasureFit:
 
 
 def excluded_measure(rho: float, params: GoodSetParams, omega, k_max: int,
-                     radius_scale: float = DEFAULT_RADIUS_SCALE,
                      levels: int = 3) -> MeasureFit:
     """Excluded area in the annuli rho/2^i < |lam-1| < rho/2^(i-1) and the
     log-log scaling exponent fitted across them.
@@ -180,7 +179,7 @@ def excluded_measure(rho: float, params: GoodSetParams, omega, k_max: int,
     rhos = rho / 2.0 ** np.arange(levels)
     areas, counts, bounds = [], [], []
     for r in rhos:
-        balls = excluded_balls(params, omega_v, k_max, r, radius_scale)
+        balls = excluded_balls(params, omega_v, k_max, r)
         counts.append(len(balls))
         bounds.append(float(np.pi * sum(b.radius ** 2 for b in balls)))
         areas.append(_union_area(balls, r))
@@ -360,28 +359,28 @@ def sweep_continuation(fam, omega, path, K0, mu0, **newton) -> SweepResult:
     return SweepResult(tuple(steps), True, length, tuple(sols))
 
 
-def detour_path(eps1: complex, eps2: complex, balls, samples: int = 257,
-                max_bulge: float = 8.0):
+def detour_path(eps1: complex, eps2: complex, balls):
     """Path from eps1 to eps2 avoiding the balls: the straight segment when
-    clear, else the flattest circular arc that clears them.
+    clear, else the flattest circular arc that clears them, its center at
+    most 8 chords from the chord's midpoint.
 
-    Returns (points, length).  For arcs the length stays below
+    Returns (points, length), with 257 points.  For arcs the length stays below
     (pi/2) |eps1 - eps2| until the bulge exceeds a half turn, which keeps the
     compensation ratio below pi with margin.
     """
     eps1, eps2 = complex(eps1), complex(eps2)
     chord = eps2 - eps1
     dist = abs(chord)
-    ts = np.linspace(0.0, 1.0, samples)
+    ts = np.linspace(0.0, 1.0, 257)
     seg = eps1 + ts * chord
     if not _path_blocked(seg, balls):
         return seg, dist
     mid = 0.5 * (eps1 + eps2)
     normal = 1j * chord / dist
-    for bulge in np.linspace(0.05, max_bulge, 160):
+    for bulge in np.linspace(0.05, 8.0, 160):
         for side in (1, -1):
             center = mid + side * bulge * dist * normal
-            pts, sweep = _arc(eps1, eps2, center, samples)
+            pts, sweep = _arc(eps1, eps2, center, ts.size)
             if not _path_blocked(pts, balls):
                 return pts, abs(eps1 - center) * abs(sweep)
     raise KamtoriError("no clearing arc found between the endpoints")
@@ -433,11 +432,12 @@ def sweep_table(result: SweepResult, fp) -> None:
                  f"{st.residual:.17g} {mu_re} {mu_im} {note}\n")
 
 
-def render_svg(balls, bounds, width: int = 640, unit_circle: bool = False) -> str:
-    """Deterministic SVG of the excluded balls (black) inside the bounds, which
-    must have re0 < re1 and im0 < im1 (ValueError)."""
+def render_svg(balls, bounds, unit_circle: bool = False) -> str:
+    """Deterministic SVG, 640 pixels wide, of the excluded balls (black)
+    inside the bounds, which must have re0 < re1 and im0 < im1 (ValueError)."""
     _check_bounds(bounds)
     re0, re1, im0, im1 = bounds
+    width = 640
     height = int(round(width * (im1 - im0) / (re1 - re0)))
 
     def sx(x):

@@ -81,8 +81,8 @@ class TorusEmbedding:
     def pad_to(self, kmax: int) -> "TorusEmbedding":
         return TorusEmbedding(self.periodic.pad_to(kmax))
 
-    def distance(self, other: "TorusEmbedding", rho: float = 0.0) -> float:
-        return (self.periodic - other.periodic).analytic_norm(rho)
+    def distance(self, other: "TorusEmbedding") -> float:
+        return (self.periodic - other.periodic).analytic_norm(0.0)
 
 
 def _series(coeffs: np.ndarray) -> FourierSeries:

@@ -112,14 +112,6 @@ def _tail_band(dim: int, kmax: int) -> np.ndarray:
     return _read_only(band)
 
 
-def _as_value_shape(shape) -> tuple:
-    if shape is None:
-        return ()
-    if isinstance(shape, int):
-        return (shape,)
-    return tuple(int(s) for s in shape)
-
-
 @dataclass(frozen=True)
 class FourierSeries:
     """Truncated Fourier series  f(theta) = sum_k c_k e^{2 pi i k.theta}.
@@ -154,7 +146,7 @@ class FourierSeries:
     @classmethod
     def zeros(cls, dim, kmax, value_shape=(), dtype=np.complex128, zero_average=False):
         n = 2 * kmax + 1
-        shape = (n,) * dim + _as_value_shape(value_shape)
+        shape = (n,) * dim + tuple(value_shape)
         return cls(dim, kmax, np.zeros(shape, dtype=dtype), zero_average)
 
     @classmethod
@@ -167,14 +159,12 @@ class FourierSeries:
         return out
 
     @classmethod
-    def from_modes(cls, dim, kmax, modes, value_shape=None, zero_average=False):
+    def from_modes(cls, dim, kmax, modes, zero_average=False):
         """Build a series from a {k: value} mapping (k a d-tuple or int);
-        the value shape is inferred from the entries unless given."""
+        the value shape is that of the entries."""
         n = 2 * kmax + 1
-        if value_shape is None:
-            value_shape = np.asarray(next(iter(modes.values()))).shape if modes else ()
-        coeffs = np.zeros((n,) * dim + _as_value_shape(value_shape),
-                          dtype=np.complex128)
+        value_shape = np.asarray(next(iter(modes.values()))).shape if modes else ()
+        coeffs = np.zeros((n,) * dim + value_shape, dtype=np.complex128)
         for k, val in modes.items():
             k = (k,) if isinstance(k, int) else tuple(k)
             idx = tuple(int(ki) + kmax for ki in k)
@@ -341,9 +331,10 @@ def to_grid(series, n: int) -> np.ndarray:
     or a tuple of series on one mode box, sampled side by side: the result
     has shape (n,)*d + (columns,), each series' values flattened in row-major
     order into its own columns, in the order given (`grid_columns` gives
-    the views of each), and each equal bit for bit to its own sample.  Requires n >= 2*kmax+1 so every stored mode lands
-    in its own bin: each centered box is copied straight into FFT order (mode
-    k at index k mod n on each axis, `_box_blocks`) of one zero-filled
+    the views of each), and each equal bit for bit to its own sample.  The
+    samples are complex128.  Requires n >= 2*kmax+1 so every stored mode
+    lands in its own bin: each centered box is copied straight into FFT order
+    (mode k at index k mod n on each axis, `_box_blocks`) of one zero-filled
     buffer, which is inverse-transformed and scaled by n^d in place.
     """
     single = isinstance(series, FourierSeries)
@@ -355,16 +346,12 @@ def to_grid(series, n: int) -> np.ndarray:
         raise ValueError(
             f"grid size {n} below Nyquist bound {2 * kmax + 1} for kmax={kmax}"
         )
-    # the samples are complex, of the coefficients' precision
-    dtype = np.complex64
-    for p in parts:
-        dtype = np.promote_types(dtype, p.coeffs.dtype)
     if single:
         # one series keeps its own value shape, which spares the column views
-        buf = np.zeros((n,) * d + series.value_shape, dtype=dtype)
+        buf = np.zeros((n,) * d + series.value_shape, dtype=complex)
         views = (buf,)
     else:
-        buf = np.zeros((n,) * d + (sum(prod(p.value_shape) for p in parts),), dtype=dtype)
+        buf = np.zeros((n,) * d + (sum(prod(p.value_shape) for p in parts),), dtype=complex)
         views = grid_columns(buf, parts)
     for p, view in zip(parts, views):
         for box, fft in _box_blocks(d, kmax, n):

@@ -5,9 +5,9 @@ A jet is an ndarray whose leading axis indexes the power order; entries are
 grid samples or plain values of a common shape.  All operations are
 coefficient-exact truncated power-series algebra.
 
-Matrix-valued jets and grid stacks multiply through `mm`: the frames of the
-Newton method and the Lindstedt engines are stacks of 1 x 1 to 2 x 2
-matrices at d = 1.
+Matrix-valued jets and grid stacks multiply through `mm`, for any inner
+dimension; the frames of the Newton method and the Lindstedt engines are
+stacks of 1 x 1 to 2 x 2 matrices at d = 1.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ TWO_PI = 2.0 * np.pi
 MAX_ORDER_DOUBLE = 16      # order cap of the complex128 jets
 
 
-def zero_like(a, order=None):
-    n = a.shape[0] if order is None else order + 1
-    return np.zeros((n,) + a.shape[1:], dtype=np.result_type(a.dtype, np.complex128))
+def zero_like(a):
+    return np.zeros(a.shape, dtype=np.result_type(a.dtype, np.complex128))
 
 
 def pad(a, order):
@@ -53,19 +52,16 @@ def mm(a, b):
     """The matrix product of two stacks (..., p, m) and (..., m, q), broadcast
     over the leading axes as np.matmul is.
 
-    For an inner dimension m <= 2 it is the broadcast sum of the m outer
-    products a[..., :, j] b[..., j, :], a few passes over the stack, where
-    np.matmul runs one BLAS call per matrix; each entry is rounded the same
-    wherever it lies in the stack.  Larger inner dimensions keep np.matmul,
-    which is faster there.
+    It is the broadcast sum of the m outer products a[..., :, j] b[..., j, :],
+    added in order of j: m passes over the stack, where np.matmul runs one
+    BLAS call per matrix; each entry is rounded the same wherever it lies in
+    the stack.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.shape[-1] > 2:
-        return np.matmul(a, b)
     out = a[..., :, :1] * b[..., :1, :]
-    if a.shape[-1] == 2:
-        out += a[..., :, 1:] * b[..., 1:, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j:j + 1] * b[..., j:j + 1, :]
     return out
 
 
@@ -91,19 +87,19 @@ def matmul(a, b, order=None):
     return cauchy(a, b, order=order, prod=mm)
 
 
-def sincos(x, freq=TWO_PI):
-    """Jets of sin(freq*x) and cos(freq*x) along a jet x, via the standard
+def sincos(x):
+    """Jets of sin(2 pi x) and cos(2 pi x) along a jet x, via the standard
     first-order recurrence (exact truncated coefficients)."""
     x = np.asarray(x)
     n = x.shape[0] - 1
     s = zero_like(x)
     c = zero_like(x)
-    s[0] = np.sin(freq * x[0])
-    c[0] = np.cos(freq * x[0])
+    s[0] = np.sin(TWO_PI * x[0])
+    c[0] = np.cos(TWO_PI * x[0])
     dx = derivative(x)
     for i in range(1, n + 1):
-        s[i] = (freq / i) * _order_sum(dx[:i] * c[i - 1::-1])
-        c[i] = -(freq / i) * _order_sum(dx[:i] * s[i - 1::-1])
+        s[i] = (TWO_PI / i) * _order_sum(dx[:i] * c[i - 1::-1])
+        c[i] = -(TWO_PI / i) * _order_sum(dx[:i] * s[i - 1::-1])
     return s, c
 
 
@@ -166,9 +162,9 @@ def derivative(a):
     return a[1:] * factors
 
 
-def variable(eps0, order, dtype=np.complex128):
+def variable(eps0, order):
     """The jet of t itself around eps0: [eps0, 1, 0, ...]."""
-    out = np.zeros(order + 1, dtype=dtype)
+    out = np.zeros(order + 1, dtype=np.complex128)
     out[0] = eps0
     if order >= 1:
         out[1] = 1.0

@@ -2,10 +2,27 @@
 
 A family transports the symplectic form to lam(eps) times itself,
 Df^T J Df = lam(eps) J pointwise, with lam(eps) = 1 + alpha*eps^a + ...
-and lam(0) = 1.  Families expose analytic phase and parameter derivatives
-and truncated power-series (jet) evaluation in eps, whose order-1
-coefficient is the eps derivative; the built-in dissipative standard map is
-the test bench for the whole solver stack.
+and lam(0) = 1.  The dissipative standard map is the one family built in.
+
+A family is duck-typed: the solver layers read only these names, and every
+method is vectorized over the leading axes of its phase (or jet) array, with
+lift semantics for the angle part.
+
+    dim, J            d and the 2d x 2d structure matrix (`verify_conformal`;
+                      callers of `newton.lagrangian_defect` pass J)
+    alpha, a          lam(eps) = 1 + alpha eps^a + ... (`atlas`'s epsilon-plane balls)
+    degree            trigonometric degree in the angles: from the flat torus,
+                      order j of a Lindstedt series has no mode beyond
+                      |k|_inf <= j * degree (`lindstedt`)
+    lambda_eps(eps)   lam (`newton`, `atlas`, `verify_conformal`)
+    apply, jacobian, d_mu (x, mu, eps)
+                      f, Df and df/dmu at phase points (`newton`;
+                      `verify_conformal` reads jacobian)
+    lambda_jet(eps0, order)
+                      the jet of lam in eps about eps0, whose order-1
+                      coefficient is lam' (`lindstedt`, `atlas`)
+    jet_apply, jet_jacobian, jet_d_mu (x_jet, mu_jet, eps0)
+                      f, Df and df/dmu as jets in eps about eps0 (`lindstedt`)
 """
 
 from __future__ import annotations
@@ -45,62 +62,21 @@ def mul_jinv(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x[..., d:], -x[..., :d]], axis=-1)
 
 
-class MapFamily:
-    """Interface shared by the map families (duck-typed; vectorized over
-    leading axes of the phase array, lift semantics for the angle part)."""
-
-    dim: int
-    alpha: complex
-    a: int
-    # trigonometric degree of the map in the angles: from the flat torus,
-    # order j of a Lindstedt series has no mode beyond |k|_inf <= j * degree
-    degree: int
-
-    @property
-    def J(self) -> np.ndarray:
-        return symplectic_matrix(self.dim)
-
-    def lambda_eps(self, eps):
-        raise NotImplementedError
-
-    def lambda_jet(self, eps0, order: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def apply(self, x, mu, eps):
-        raise NotImplementedError
-
-    def jacobian(self, x, mu, eps):
-        raise NotImplementedError
-
-    def d_mu(self, x, mu, eps):
-        raise NotImplementedError
-
-    def jet_apply(self, x_jet, mu_jet, eps0):
-        raise NotImplementedError
-
-    def jet_jacobian(self, x_jet, mu_jet, eps0):
-        raise NotImplementedError
-
-    def jet_d_mu(self, x_jet, mu_jet, eps0):
-        raise NotImplementedError
-
-
-def verify_conformal(fam: MapFamily, sample_count: int, eps, mu=None, rng=None) -> float:
+def verify_conformal(fam, sample_count: int, eps, rng=None) -> float:
     """Max over random phase points of |Df^T J Df - lam(eps) J| (Frobenius)."""
     rng = np.random.default_rng(0) if rng is None else rng
     d = fam.dim
-    mu = np.zeros(d) if mu is None else np.atleast_1d(mu)
     x = np.empty((sample_count, 2 * d))
     x[:, :d] = rng.random((sample_count, d))
     x[:, d:] = rng.uniform(-1.5, 1.5, (sample_count, d))
-    Df = fam.jacobian(x.astype(complex), mu, eps)
+    Df = fam.jacobian(x.astype(complex), np.zeros(d), eps)
     J = fam.J
     defect = jets.mm(jets.mm(np.swapaxes(Df, -1, -2), J), Df) - fam.lambda_eps(eps) * J
     return float(np.max(np.sqrt(np.sum(np.abs(defect) ** 2, axis=(-2, -1)))))
 
 
 @dataclass(frozen=True)
-class DissipativeStandardMap(MapFamily):
+class DissipativeStandardMap:
     """Kicked twist map with conformal dissipation on T x R:
 
         y' = lam(eps) * y + mu + eps * kappa * sin(2 pi x) / (2 pi)
@@ -117,6 +93,10 @@ class DissipativeStandardMap(MapFamily):
     a: int = 1
     dim: ClassVar[int] = 1
     degree: ClassVar[int] = 1
+
+    @property
+    def J(self) -> np.ndarray:
+        return symplectic_matrix(self.dim)
 
     def lambda_eps(self, eps):
         return 1.0 + self.alpha * np.asarray(eps, dtype=complex) ** self.a

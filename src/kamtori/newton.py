@@ -486,16 +486,16 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20,
 
 
 def normalize_embedding(K: TorusEmbedding, K_ref: TorusEmbedding,
-                        max_shift: float = 0.25, tol: float = 1e-13,
-                        max_iter: int = 60):
+                        max_shift: float = 0.25):
     """Find sigma so that, in the frame of K_ref, the angle component of the
     mean displacement of K o T_sigma from K_ref vanishes.
 
     Solved by Newton's method with the exact Jacobian mean(M^-1 DK o T_sigma)
-    [:d], read from the sample of K o T_sigma that gives the condition; |sigma|
-    is of the order of the embedding distance.  Raises NormalizationDiverged
-    if the iteration leaves [-max_shift, max_shift], and FrameSingular if the
-    frame of K_ref cannot be built.
+    [:d], read from the sample of K o T_sigma that gives the condition, to
+    1e-13 within 60 steps; |sigma| is of the order of the embedding distance.
+    Raises NormalizationDiverged if the iteration leaves [-max_shift,
+    max_shift] or does not reach 1e-13, and FrameSingular if the frame of
+    K_ref cannot be built.
     """
     d = K.dim
     kmax = max(K.kmax, K_ref.kmax)
@@ -517,8 +517,8 @@ def normalize_embedding(K: TorusEmbedding, K_ref: TorusEmbedding,
 
     sigma = np.zeros(d, dtype=complex)
     val, jac = g(sigma)
-    for _ in range(max_iter):
-        if np.max(np.abs(val)) <= tol:
+    for _ in range(60):
+        if np.max(np.abs(val)) <= 1e-13:
             break
         sigma = sigma - np.linalg.solve(jac, val)
         if np.max(np.abs(sigma)) > max_shift:
@@ -526,9 +526,8 @@ def normalize_embedding(K: TorusEmbedding, K_ref: TorusEmbedding,
                 f"shift {sigma} left the trust region |sigma| <= {max_shift}"
             )
         val, jac = g(sigma)
-    else:
-        if np.max(np.abs(val)) > tol:
-            raise NormalizationDiverged("Newton iteration did not reach tolerance")
+    if np.max(np.abs(val)) > 1e-13:
+        raise NormalizationDiverged("Newton iteration did not reach tolerance")
     if np.max(np.abs(sigma.imag)) < 1e-13:
         sigma = sigma.real
     return K.shifted(sigma), sigma

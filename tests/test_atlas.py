@@ -80,6 +80,23 @@ def test_epsilon_plane_branches(params, omega):
             assert complex(fam.lambda_eps(b.center)) == pytest.approx(root, abs=1e-10)
 
 
+@pytest.mark.parametrize("plane, with_family", [
+    ("Lambda", True), ("lamda", False), ("eps", True)])
+def test_excluded_balls_rejects_an_unknown_plane(params, omega, plane, with_family):
+    # an unknown plane used to be read as the epsilon-plane
+    fam = DissipativeStandardMap(kappa=0.5, alpha=1.0, a=3) if with_family else None
+    with pytest.raises(ValueError, match=f"unknown plane '{plane}'"):
+        excluded_balls(params, omega, 256, 0.05, fam=fam, plane=plane)
+
+
+def test_epsilon_plane_balls_need_the_family_even_when_none_are_kept(params, omega):
+    # k_max 2 keeps no ball in this annulus; the family used to be asked
+    # for only when a ball was mapped, so this returned []
+    assert excluded_balls(params, omega, 2, 0.05) == []
+    with pytest.raises(ValueError, match="need the map family"):
+        excluded_balls(params, omega, 2, 0.05, plane="epsilon")
+
+
 # -- classification ------------------------------------------------------------------
 
 def test_classify_off_circle_collar_inside(params, omega):

@@ -75,7 +75,7 @@ def golden_cfg(tmp_path):
 def test_verify_golden_passes(golden_cfg, tmp_path):
     out = str(tmp_path / "out")
     assert main(["verify", "--config", golden_cfg, "--out", out]) == 0
-    text = open(os.path.join(out, "verify.txt")).read()
+    text = Path(out, "verify.txt").read_text()
     assert "FAIL" not in text
     assert "PASS" in text
 
@@ -111,7 +111,7 @@ def test_solve_exact_case(golden_cfg, tmp_path):
     with open(os.path.join(out, "solution.txt")) as fp:
         sol = load_solution(fp)
     assert sol.residual_norm <= 1e-13
-    manifest = open(os.path.join(out, "manifest.txt")).read()
+    manifest = Path(out, "manifest.txt").read_text()
     assert "solution.txt" in manifest
     assert "config-sha256" in manifest
 
@@ -122,15 +122,15 @@ def test_reproducible_outputs(golden_cfg, tmp_path):
     assert main(["lindstedt", "--config", golden_cfg, "--out", out1]) == 0
     assert main(["lindstedt", "--config", golden_cfg, "--out", out2]) == 0
     for name in ("jet.txt", "residual_orders.txt", "manifest.txt"):
-        a = open(os.path.join(out1, name)).read()
-        b = open(os.path.join(out2, name)).read()
+        a = Path(out1, name).read_text()
+        b = Path(out2, name).read_text()
         assert a == b
 
 
 def test_double_command(golden_cfg, tmp_path):
     out = str(tmp_path / "out")
     assert main(["double", "--config", golden_cfg, "--out", out]) == 0
-    head = open(os.path.join(out, "jet.txt")).readline()
+    head = Path(out, "jet.txt").read_text().splitlines()[0]
     assert "order=3" in head
 
 
@@ -153,7 +153,7 @@ def test_output_file_reloads_to_its_bytes(tmp_path, command, name, load, dump):
 def test_sweep_command(golden_cfg, tmp_path):
     out = str(tmp_path / "out")
     assert main(["sweep", "--config", golden_cfg, "--out", out]) == 0
-    lines = open(os.path.join(out, "sweep.txt")).read().strip().splitlines()
+    lines = Path(out, "sweep.txt").read_text().strip().splitlines()
     assert len(lines) == 6
     assert all("ok" in l for l in lines[1:])
 
@@ -172,7 +172,7 @@ def test_sweep_resonance_exit_code(tmp_path):
     p.write_text(cfg)
     out = str(tmp_path / "out")
     assert main(["sweep", "--config", str(p), "--out", out]) == 3
-    assert "divisor" in open(os.path.join(out, "sweep.txt")).read()
+    assert "divisor" in Path(out, "sweep.txt").read_text()
 
 
 def test_atlas_command(tmp_path):
@@ -183,7 +183,7 @@ def test_atlas_command(tmp_path):
     for name in ("cells.txt", "balls.txt", "atlas.svg", "nu_trace.txt",
                  "manifest.txt"):
         assert os.path.exists(os.path.join(out, name))
-    cells = open(os.path.join(out, "cells.txt")).read()
+    cells = Path(out, "cells.txt").read_text()
     assert "inside" in cells
 
 

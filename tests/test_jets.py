@@ -163,7 +163,7 @@ MM_SHAPES = {
 }
 
 
-@pytest.mark.parametrize("inner", [1, 2])
+@pytest.mark.parametrize("inner", [1, 2, 3, 4])
 def test_mm_agrees_with_matmul_for_small_inner_dimensions(rng, inner):
     for sa, sb in MM_SHAPES[inner]:
         a, b = _jet(rng, 0, sa)[0], _jet(rng, 0, sb)[0]
@@ -171,13 +171,6 @@ def test_mm_agrees_with_matmul_for_small_inner_dimensions(rng, inner):
         assert got.shape == want.shape and got.dtype == want.dtype
         # relative to the sum of the magnitudes of the products
         assert np.all(np.abs(got - want) <= 1e-15 * np.matmul(np.abs(a), np.abs(b)))
-
-
-@pytest.mark.parametrize("inner", [3, 4])
-def test_mm_is_matmul_for_larger_inner_dimensions(rng, inner):
-    for sa, sb in MM_SHAPES[inner]:
-        a, b = _jet(rng, 0, sa)[0], _jet(rng, 0, sb)[0]
-        assert _same_bytes(jets.mm(a, b), np.matmul(a, b))
 
 
 def test_mm_broadcasts_a_single_matrix_against_a_stack(rng):
@@ -188,7 +181,7 @@ def test_mm_broadcasts_a_single_matrix_against_a_stack(rng):
     assert _same_bytes(got, np.stack([jets.mm(m, v) for v in stack]))
 
 
-@pytest.mark.parametrize("inner", [1, 2])
+@pytest.mark.parametrize("inner", [1, 2, 3, 4])
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_mm_keeps_inf_and_nan_entries_not_finite(inner):
     a = np.ones((3, 2, inner), dtype=complex)

@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 from kamtori import jets
+from kamtori.atlas import excluded_balls
+from kamtori.diophantine import GoodSetParams
+from kamtori.lindstedt import lindstedt_double, lindstedt_expand
 from kamtori.maps import (DissipativeStandardMap, jinv_mul, mul_jinv, symplectic_matrix,
                           verify_conformal)
+from kamtori.newton import run_newton
 
 
 def test_symplectic_matrix_blocks():
@@ -121,6 +125,41 @@ def test_broken_family_detected(rng):
     defect = verify_conformal(fam, 200, eps, rng=rng)
     # the missing factor shows up at the size of |lam - 1|
     assert defect >= 0.5 * abs(fam.lambda_eps(eps) - 1.0)
+
+
+# -- the family protocol ------------------------------------------------------------
+
+class _PlainFamily:
+    """No base class: the attributes and the eight methods of the protocol in
+    the `maps` docstring, forwarded to a family, and nothing else."""
+
+    def __init__(self, fam):
+        self.dim, self.degree, self.alpha, self.a, self.J = \
+            fam.dim, fam.degree, fam.alpha, fam.a, fam.J
+        for name in ("lambda_eps", "lambda_jet", "apply", "jacobian", "d_mu",
+                     "jet_apply", "jet_jacobian", "jet_d_mu"):
+            setattr(self, name, getattr(fam, name))
+
+
+def _jet_bytes(jet):
+    return [K.coeffs.tobytes() for K in jet.K_coeffs] + [np.asarray(jet.mu_coeffs).tobytes()]
+
+
+def test_the_protocol_alone_runs_every_layer(omega):
+    fam = DissipativeStandardMap(kappa=0.5, alpha=1.0, a=2)
+    K0, mu0 = fam.unperturbed_torus(omega, 32)
+    runs = []
+    for f in (fam, _PlainFamily(fam)):
+        sol = run_newton(f, K0, mu0, omega, 0.05)
+        jet = lindstedt_expand(f, K0, mu0, omega, 0.0, 4)
+        doubled = lindstedt_double(f, jet.truncated(1), omega)
+        balls = excluded_balls(GoodSetParams(A=0.1, N=1, tau=1.0, r0=0.3), omega, 256,
+                               0.05, fam=f, plane="epsilon")
+        runs.append([sol.K.periodic.coeffs.tobytes(), sol.mu.tobytes(), sol.trace,
+                     _jet_bytes(jet), _jet_bytes(doubled),
+                     verify_conformal(f, 50, 0.07, rng=np.random.default_rng(3)), balls])
+    assert runs[1][-1] and runs[1][-1][0].plane == "epsilon"
+    assert runs[1] == runs[0]
 
 
 # -- jets ---------------------------------------------------------------------------
