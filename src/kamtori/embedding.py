@@ -10,8 +10,9 @@ Newton solver and both Lindstedt engines evaluate the invariance equation on
 the lifts it samples and build their frames from its DK and DK o T_omega.
 Each caller chooses the blocks it reads (the lifts, DK, and whether each
 comes with its shift by omega), and all the chosen blocks of all orders are
-sampled by one `to_grid` into one buffer: a Newton step takes all four, the
-invariance residual and `lindstedt.residual_jet` the lifts and their shifts,
+sampled by one `to_grid` into one buffer, each block a row-slice view of it
+(no copy): a Newton step takes all four, the invariance residual and
+`lindstedt.residual_jet` the lifts and their shifts,
 `newton.normalize_embedding` the unshifted lift and DK, and
 `newton.lagrangian_defect` DK alone.
 """
@@ -103,11 +104,6 @@ def _dk(series: FourierSeries) -> FourierSeries:
     return FourierSeries(d, kmax, dk)
 
 
-def _order_first(grid: np.ndarray, d: int) -> np.ndarray:
-    """A grid jet with its order axis moved from behind the d grid axes to the front."""
-    return np.ascontiguousarray(grid.transpose(d, *range(d), *range(d + 1, grid.ndim)))
-
-
 def sample_jet(coeffs: np.ndarray, omega, n: int, *, lifts: bool = True,
                dk: bool = True) -> tuple:
     """Grid jets of the torus jet K(eps) = sum_j K_j eps^j: the lifts X and
@@ -116,22 +112,22 @@ def sample_jet(coeffs: np.ndarray, omega, n: int, *, lifts: bool = True,
 
     `coeffs` stacks the periodic parts K_j, shape (orders,) + (2 kmax + 1,)*d
     + (2d,); a single torus K is the order-0 jet `K.periodic.coeffs[None]`.
-    The results lead with the order axis, then the (n,)*d grid.  The chosen
-    blocks (K, its shift by omega, and the d columns of DK and of
+    The results are grid jets (orders, 2d, n^d) and (orders, 2d, d, n^d).
+    The chosen blocks (K, its shift by omega, and the d columns of DK and of
     DK o T_omega, the derivative of the shifted series) come from one
-    to_grid, each copied out of its buffer as one contiguous array; the
-    lifts theta and theta + omega, and DK's identity block (added to the mean
-    coefficient before the transform), enter order 0 only.
+    to_grid, each a view of a block of rows of its buffer, with a contiguous
+    point axis; the lifts theta and theta + omega, and DK's identity block
+    (added to the mean coefficient before the transform), enter order 0 only.
     """
     series = _series(coeffs)
     d = series.dim
     base = (series,) if omega is None else (series, series.shift(omega))
     blocks = (base if lifts else ()) + (tuple(_dk(s) for s in base) if dk else ())
-    out = [_order_first(cols, d) for cols in grid_columns(to_grid(blocks, n), blocks)]
+    out = grid_columns(to_grid(blocks, n), blocks)
     if lifts:
         for j in range(d):
             theta = angle_axis(n).reshape((1,) * j + (n,) + (1,) * (d - 1 - j))
-            out[0][0, ..., j] += theta
+            out[0][0, j].reshape((n,) * d)[...] += theta
             if omega is not None:
-                out[1][0, ..., j] += theta + np.atleast_1d(omega)[j]
+                out[1][0, j].reshape((n,) * d)[...] += theta + np.atleast_1d(omega)[j]
     return tuple(out)

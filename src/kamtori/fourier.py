@@ -6,17 +6,19 @@ majorant  sum_k |c_k| e^{2 pi rho |k|_1},  an upper bound for the supremum of
 the function on the strip |Im theta_j| <= rho; all norm-based bounds in the
 package are stated for this majorant.
 
-Grid transforms call the one-dimensional `np.fft.ifft` / `np.fft.fft` once
-per angle axis, last axis first, which is the order and the pocketfft call
-`np.fft.ifftn` / `np.fft.fftn` make themselves, so the samples are those of
-the n-dimensional transform bit for bit.  Each call transforms every line
-along its axis on its own, so series sampled side by side on the value axes
-transform exactly as they would one at a time.  The centered mode box moves
-to and from FFT order (mode k at index k mod n on each axis) by 2^d slice
-copies, one per sign pattern of k, with no index arrays.  `to_grid` makes one
-allocation per call: the boxes of all the series it samples are copied
-straight into one zero-filled buffer, which is transformed along each axis
-and scaled by n^d in place.
+Grid values are stored value axes first: a series with value shape V is
+sampled on the n^d grid theta = j/n as V + (n^d,), the points in row-major
+order of (j_1, .., j_d) (the flattened `theta_grid`).  The transforms view
+that axis as (n,)*d, a free reshape, and call `np.fft.ifft` / `np.fft.fft`
+once per angle axis, last axis first, as `np.fft.ifftn` / `np.fft.fftn` do,
+so the samples are those of the n-dimensional transform bit for bit.  Each
+call transforms every line along its axis on its own, so series sampled side
+by side transform exactly as they would one at a time.  Coefficients keep
+their (modes.., values..) layout: the centered mode box moves to and from FFT
+order (mode k at index k mod n on each axis) by 2^d slice copies, one per
+sign pattern of k, which also transpose between the two layouts.  `to_grid`
+makes one allocation per call, a zero-filled buffer that takes the boxes of
+all the series it samples and is transformed and scaled by n^d in place.
 
 The tables that depend only on a cutoff, a grid size or a shift are computed
 once and kept read-only in bounded LRU caches: the 5-smooth grid size of a
@@ -317,20 +319,20 @@ def theta_grid(dim: int, n: int) -> list[np.ndarray]:
 @lru_cache(maxsize=64)
 def _box_blocks(dim: int, kmax: int, n: int) -> tuple:
     """The 2^dim blocks of the centered mode box |k_i| <= kmax in an n^dim FFT
-    array, as (box, fft) pairs of slice tuples: on each axis the modes k >= 0
-    sit at [:kmax+1] and k < 0 at [n-kmax:], so each block is one slice copy."""
+    array, as (box, fft) index pairs of the last dim axes: on each axis the
+    modes k >= 0 sit at [:kmax+1] and k < 0 at [n-kmax:], one slice copy each."""
     halves = ((slice(kmax, None), slice(None, kmax + 1)),
               (slice(None, kmax), slice(n - kmax, None)))
-    return tuple(tuple(zip(*block)) for block in product(halves, repeat=dim))
+    return tuple(tuple((...,) + s for s in zip(*b)) for b in product(halves, repeat=dim))
 
 
 def to_grid(series, n: int) -> np.ndarray:
     """Sample on the regular n^d grid theta_j = j/n.
 
-    `series` is one FourierSeries, sampled with shape (n,)*d + value_shape,
+    `series` is one FourierSeries, sampled with shape value_shape + (n^d,),
     or a tuple of series on one mode box, sampled side by side: the result
-    has shape (n,)*d + (columns,), each series' values flattened in row-major
-    order into its own columns, in the order given (`grid_columns` gives
+    has shape (rows, n^d), each series' values flattened in row-major order
+    into its own block of rows, in the order given (`grid_columns` gives
     the views of each), and each equal bit for bit to its own sample.  The
     samples are complex128.  Requires n >= 2*kmax+1 so every stored mode
     lands in its own bin: each centered box is copied straight into FFT order
@@ -347,49 +349,63 @@ def to_grid(series, n: int) -> np.ndarray:
             f"grid size {n} below Nyquist bound {2 * kmax + 1} for kmax={kmax}"
         )
     if single:
-        # one series keeps its own value shape, which spares the column views
-        buf = np.zeros((n,) * d + series.value_shape, dtype=complex)
+        # one series keeps its own value shape, which spares the row views
+        buf = np.zeros(series.value_shape + (n ** d,), dtype=complex)
         views = (buf,)
     else:
-        buf = np.zeros((n,) * d + (sum(prod(p.value_shape) for p in parts),), dtype=complex)
+        buf = np.zeros((sum(prod(p.value_shape) for p in parts), n ** d), dtype=complex)
         views = grid_columns(buf, parts)
     for p, view in zip(parts, views):
+        cells, box_last = _cells(view, d, n), p.coeffs.transpose(_values_first(d, p.coeffs.ndim))
         for box, fft in _box_blocks(d, kmax, n):
-            view[fft] = p.coeffs[box]
-    for axis in reversed(range(d)):
-        np.fft.ifft(buf, axis=axis, out=buf)
+            cells[fft] = box_last[box]
+    cells = _cells(buf, d, n)
+    for axis in range(-1, -d - 1, -1):
+        np.fft.ifft(cells, axis=axis, out=cells)
     buf *= n ** d
     return buf
 
 
+@lru_cache(maxsize=64)
+def _values_first(dim: int, ndim: int) -> tuple:
+    """The transpose that views a coefficient box with its values before its dim modes."""
+    return tuple(range(dim, ndim)) + tuple(range(dim))
+
+
+def _cells(grid: np.ndarray, dim: int, n: int) -> np.ndarray:
+    """The point axis of a grid stack viewed as the (n,)*dim grid (itself at dim 1)."""
+    return grid if dim == 1 else grid.reshape(grid.shape[:-1] + (n,) * dim)
+
+
 def grid_columns(grid: np.ndarray, series) -> list:
-    """The views of a side-by-side sample `to_grid(series, n)` of a tuple of
-    series that hold each series' values, in its own value shape."""
-    lead = grid.shape[:series[0].dim]
+    """The views of a side-by-side sample `to_grid(series, n)` of a tuple of series
+    that hold each series' values, in its own value shape, each a block of rows."""
     widths = [prod(s.value_shape) for s in series]
-    return [grid[..., end - w:end].reshape(lead + s.value_shape)
+    return [grid[end - w:end].reshape(s.value_shape + grid.shape[1:])
             for s, w, end in zip(series, widths, accumulate(widths))]
 
 
 def from_grid(values: np.ndarray, dim: int, kmax: int) -> FourierSeries:
-    """Recover the centered coefficient box from regular grid samples.
+    """Recover the centered coefficient box from grid samples value_shape + (n^dim,).
 
     Exact for series whose modes all satisfy |k_i| <= kmax; otherwise the
     out-of-band content aliases (callers oversample accordingly).  The
     2*kmax+1 kept modes per axis are copied from FFT order (index k mod n,
     `_box_blocks`) and only they are scaled by n^-d.  The first transform
-    writes one new buffer and the others run in it in place; complex128
-    samples enter that first transform without a copy.
+    writes one new buffer and the others run in it in place; contiguous
+    complex128 samples enter that first transform without a copy.
     """
-    n = values.shape[0]
+    values = np.asarray(values, dtype=np.complex128)
+    n = round(values.shape[-1] ** (1 / dim))
     if n < 2 * kmax + 1:
         raise ValueError(f"grid size {n} below Nyquist bound {2 * kmax + 1} for kmax={kmax}")
-    chat = np.fft.fft(np.asarray(values, dtype=np.complex128), axis=dim - 1)
-    for axis in reversed(range(dim - 1)):
+    chat = np.fft.fft(_cells(values, dim, n), axis=-1)
+    for axis in range(-2, -dim - 1, -1):
         np.fft.fft(chat, axis=axis, out=chat)
-    coeffs = np.empty((2 * kmax + 1,) * dim + chat.shape[dim:], dtype=chat.dtype)
+    coeffs = np.empty((2 * kmax + 1,) * dim + chat.shape[:-dim], dtype=chat.dtype)
+    box_last = coeffs.transpose(_values_first(dim, coeffs.ndim))
     for box, fft in _box_blocks(dim, kmax, n):
-        coeffs[box] = chat[fft]
+        box_last[box] = chat[fft]
     coeffs /= n ** dim
     return FourierSeries(dim, kmax, coeffs)
 

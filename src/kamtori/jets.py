@@ -5,12 +5,15 @@ A jet is an ndarray whose leading axis indexes the power order; entries are
 grid samples or plain values of a common shape.  All operations are
 coefficient-exact truncated power-series algebra.
 
-Matrix-valued jets and grid stacks multiply through `mm`, for any inner
-dimension; the frames of the Newton method and the Lindstedt engines are
-stacks of 1 x 1 to 2 x 2 matrices at d = 1.
+Matrix-valued jets and grid stacks are (..., p, q, points), the grid points
+on one trailing axis: `mm` multiplies them, for any inner dimension, and
+`inv_stack` inverts them, over the matrix axes (-3, -2).  The frames of the
+Newton method and the Lindstedt engines are 1 x 1 to 2 x 2 at d = 1.
 """
 
 from __future__ import annotations
+
+from contextlib import suppress
 
 import numpy as np
 
@@ -49,19 +52,19 @@ def _order_sum(terms):
 
 
 def mm(a, b):
-    """The matrix product of two stacks (..., p, m) and (..., m, q), broadcast
-    over the leading axes as np.matmul is.
+    """The matrix product of two stacks (..., p, m, points) and (..., m, q,
+    points), broadcast as np.matmul is; a constant matrix has one point.
 
-    It is the broadcast sum of the m outer products a[..., :, j] b[..., j, :],
-    added in order of j: m passes over the stack, where np.matmul runs one
-    BLAS call per matrix; each entry is rounded the same wherever it lies in
-    the stack.
+    It is the broadcast sum of the m outer products a[..., :, j, :]
+    b[..., j, :, :], added in order of j: m passes along the contiguous point
+    axis, where np.matmul runs one BLAS call per matrix; each entry is rounded
+    the same wherever it lies in the stack.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    out = a[..., :, :1] * b[..., :1, :]
-    for j in range(1, a.shape[-1]):
-        out += a[..., :, j:j + 1] * b[..., j:j + 1, :]
+    out = a[..., :, :1, :] * b[..., :1, :, :]
+    for j in range(1, a.shape[-2]):
+        out += a[..., :, j:j + 1, :] * b[..., j:j + 1, :, :]
     return out
 
 
@@ -104,31 +107,36 @@ def sincos(x):
 
 
 def inv_stack(a):
-    """The inverse of every matrix of a stack (..., m, m).
+    """The inverse of every matrix of a stack (..., m, m, points).
 
     A 1 x 1 matrix is inverted by its reciprocal and a 2 x 2 one by its
     adjugate over its determinant, a few passes over the stack where
     np.linalg.inv runs LAPACK once per matrix; where a determinant is zero or
     not finite these inverses hold inf or nan.  Larger matrices keep
-    np.linalg.inv; where it finds one exactly singular, the whole inverse is
-    nan.
+    np.linalg.inv; when it finds one exactly singular, the stack is inverted
+    matrix by matrix and only the singular ones are nan.
     """
     a = np.asarray(a)
-    m = a.shape[-1]
+    m = a.shape[-2]
     if m > 2:
+        lead = np.moveaxis(a, -1, -3)
         try:
-            return np.linalg.inv(a)
+            return np.moveaxis(np.linalg.inv(lead), -3, -1)
         except np.linalg.LinAlgError:
-            return np.full(a.shape, np.nan, dtype=np.result_type(a.dtype, np.float64))
+            out = np.full(lead.shape, np.nan, dtype=np.result_type(a.dtype, np.float64))
+            for idx in np.ndindex(lead.shape[:-2]):
+                with suppress(np.linalg.LinAlgError):
+                    out[idx] = np.linalg.inv(lead[idx])
+            return np.moveaxis(out, -3, -1)
     with np.errstate(divide="ignore", invalid="ignore"):
         if m == 1:
             return 1.0 / a
-        a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+        a00, a01, a10, a11 = a[..., 0, 0, :], a[..., 0, 1, :], a[..., 1, 0, :], a[..., 1, 1, :]
         det = a00 * a11 - a01 * a10
         out = np.empty(a.shape, dtype=det.dtype)
         for (i, j), entry in (((0, 0), a11), ((0, 1), -a01), ((1, 0), -a10),
                               ((1, 1), a00)):
-            np.divide(entry, det, out=out[..., i, j])
+            np.divide(entry, det, out=out[..., i, j, :])
         return out
 
 

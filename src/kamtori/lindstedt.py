@@ -141,9 +141,9 @@ def _evaluate_jet(fam, jet: EpsilonJet, omega, order: int, dk: bool = True):
 
 def _project(grids: np.ndarray, d: int, B: int, bands, kmax: int) -> list:
     """The series of a grid jet (order on the leading axis, sampled at
-    cutoff B): one packed from_grid over all orders, then order j cut to
+    cutoff B): one from_grid over all orders, then order j cut to
     bands[j] and padded to kmax."""
-    coeffs = np.moveaxis(from_grid(np.moveaxis(grids, 0, d), d, B).coeffs, d, 0)
+    coeffs = np.moveaxis(from_grid(grids, d, B).coeffs, d, 0)
     out = np.zeros((len(bands),) + (2 * kmax + 1,) * d + coeffs.shape[d + 1:],
                    dtype=complex)
     for j, b in enumerate(bands):
@@ -186,9 +186,9 @@ def lindstedt_expand(fam, K_base: TorusEmbedding, mu_base, omega, eps0, N: int,
 
     for j in range(1, N + 1):
         G = fam.jet_apply(x_jet[: j + 1], mu_jet[: j + 1], eps0)[j]
-        Et = jets.mm(fr.beta[0], (-G)[..., None])[..., 0]
-        W1, W2, mu_j, _ = solve_reduced(core, Et[..., :d], Et[..., d:], B)
-        Kj = from_grid(jets.mm(fr.M[0], np.concatenate([W1, W2], axis=-1)[..., None])[..., 0],
+        Et = jets.mm(fr.beta[0], (-G)[:, None])[:, 0]
+        W1, W2, mu_j, _ = solve_reduced(core, Et[:d], Et[d:], B)
+        Kj = from_grid(jets.mm(fr.M[0], np.concatenate([W1, W2])[:, None])[:, 0],
                        d, B).truncate(bands[j])
         K_coeffs.append(Kj.pad_to(kmax))
         x_jet[j] = to_grid(Kj, fr.n)
@@ -270,8 +270,8 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
                              f"{sup:.3e} on the grid, above {BASE_TOL:.1e}")
     Minv0 = jets.inv_stack(fr.M[0])
     # beta E through 2N+1 drops only beta[m > N] E[<= N], bounded by the guard
-    Et = jets.matmul(fr.beta, E[..., None], order=M_ord)[..., 0]
-    S, A1, A2 = fr.S, fr.A[..., :d, :], fr.A[..., d:, :]
+    Et = jets.matmul(fr.beta, E[:, :, None], order=M_ord)[:, :, 0]
+    S, A1, A2 = fr.S, fr.A[:, :d], fr.A[:, d:]
 
     # W = (W1, W2) and the drift correction vanish at orders <= N, so order nn
     # sums only m < nn - N; its drift correction is the new mu[nn]
@@ -280,18 +280,18 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
     mu_new = np.array(mu)
 
     for nn in range(N + 1, M_ord + 1):
-        rhs1, rhs2 = -Et[nn][..., :d], -Et[nn][..., d:]
+        rhs1, rhs2 = -Et[nn][:d], -Et[nn][d:]
         corr = np.zeros(x.shape[1:], dtype=complex)
         for m in range(1, nn - N):
-            W2m, sig = W[nn - m][..., d:], mu_new[nn - m][:, None]
-            rhs2 = rhs2 - lam[m] * W2m - jets.mm(A2[m], sig)[..., 0]
-            rhs1 = rhs1 - jets.mm(S[m], W2m[..., None])[..., 0] - jets.mm(A1[m], sig)[..., 0]
-            corr = corr + jets.mm(fr.M[m], W[nn - m][..., None])[..., 0]
+            W2m, sig = W[nn - m][d:], mu_new[nn - m][:, None, None]
+            rhs2 = rhs2 - lam[m] * W2m - jets.mm(A2[m], sig)[:, 0]
+            rhs1 = rhs1 - jets.mm(S[m], W2m[:, None])[:, 0] - jets.mm(A1[m], sig)[:, 0]
+            corr = corr + jets.mm(fr.M[m], W[nn - m][:, None])[:, 0]
         W1, W2, mu_new[nn], _ = solve_reduced(core, rhs1, rhs2, bands[nn])
         # normalization in the base frame: zero average angle displacement
-        W1 = W1 - _mean(jets.mm(Minv0, corr[..., None])[..., 0], d)[:d]
-        W[nn] = np.concatenate([W1, W2], axis=-1)
-        K_grid[nn] = jets.mm(fr.M[0], W[nn][..., None])[..., 0] + corr
+        W1 = W1 - _mean(jets.mm(Minv0, corr[:, None])[:, 0])[:d, None]
+        W[nn] = np.concatenate([W1, W2])
+        K_grid[nn] = jets.mm(fr.M[0], W[nn][:, None])[:, 0] + corr
 
     new = _project(K_grid[N + 1:], d, B, bands[N + 1:], kmax)
     return EpsilonJet(complex(eps0), tuple(jet.K_coeffs) + tuple(new), mu_new, lam)

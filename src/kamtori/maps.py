@@ -4,9 +4,11 @@ A family transports the symplectic form to lam(eps) times itself,
 Df^T J Df = lam(eps) J pointwise, with lam(eps) = 1 + alpha*eps^a + ...
 and lam(0) = 1.  The dissipative standard map is the one family built in.
 
-A family is duck-typed: the solver layers read only these names, and every
-method is vectorized over the leading axes of its phase (or jet) array, with
-lift semantics for the angle part.
+A family is duck-typed: the solver layers read only these names.  Every
+method takes phase points with their 2d components on the leading axis (after
+a jet's order axis), vectorized over the trailing axes, with lift semantics
+for the angle part: a point is (2d,), a grid stack (2d, points), a grid jet
+(orders, 2d, points); Df is (2d, 2d, ...) and df/dmu (2d, d, ...).
 
     dim, J            d and the 2d x 2d structure matrix (`verify_conformal`;
                       callers of `newton.lagrangian_defect` pass J)
@@ -50,29 +52,29 @@ def symplectic_matrix(d: int) -> np.ndarray:
 
 
 def jinv_mul(x: np.ndarray) -> np.ndarray:
-    """J^-1 x for a stack of (2d, k) matrices: J^-1 = J^T = [[0, -I], [I, 0]]
+    """J^-1 x for a stack (2d, k, points): J^-1 = J^T = [[0, -I], [I, 0]]
     is a signed block swap of the rows, equal in value to the product."""
-    d = x.shape[-2] // 2
-    return np.concatenate([-x[..., d:, :], x[..., :d, :]], axis=-2)
+    d = x.shape[-3] // 2
+    return np.concatenate([-x[..., d:, :, :], x[..., :d, :, :]], axis=-3)
 
 
 def mul_jinv(x: np.ndarray) -> np.ndarray:
-    """x J^-1 for a stack of (k, 2d) matrices: a signed block swap of the columns."""
-    d = x.shape[-1] // 2
-    return np.concatenate([x[..., d:], -x[..., :d]], axis=-1)
+    """x J^-1 for a stack (k, 2d, points): a signed block swap of the columns."""
+    d = x.shape[-2] // 2
+    return np.concatenate([x[..., d:, :], -x[..., :d, :]], axis=-2)
 
 
 def verify_conformal(fam, sample_count: int, eps, rng=None) -> float:
     """Max over random phase points of |Df^T J Df - lam(eps) J| (Frobenius)."""
     rng = np.random.default_rng(0) if rng is None else rng
     d = fam.dim
-    x = np.empty((sample_count, 2 * d))
-    x[:, :d] = rng.random((sample_count, d))
-    x[:, d:] = rng.uniform(-1.5, 1.5, (sample_count, d))
+    x = np.empty((2 * d, sample_count))
+    x[:d] = rng.random((sample_count, d)).T
+    x[d:] = rng.uniform(-1.5, 1.5, (sample_count, d)).T
     Df = fam.jacobian(x.astype(complex), np.zeros(d), eps)
-    J = fam.J
-    defect = jets.mm(jets.mm(np.swapaxes(Df, -1, -2), J), Df) - fam.lambda_eps(eps) * J
-    return float(np.max(np.sqrt(np.sum(np.abs(defect) ** 2, axis=(-2, -1)))))
+    J = fam.J[..., None]
+    defect = jets.mm(jets.mm(np.swapaxes(Df, -3, -2), J), Df) - fam.lambda_eps(eps) * J
+    return float(np.max(np.sqrt(np.sum(np.abs(defect) ** 2, axis=(0, 1)))))
 
 
 @dataclass(frozen=True)
@@ -117,32 +119,31 @@ class DissipativeStandardMap:
         x = np.asarray(x)
         lam = self.lambda_eps(eps)
         mu = np.atleast_1d(mu)[0] if np.ndim(mu) else mu
-        ynew = lam * x[..., 1] + mu + self._kick(x[..., 0], eps)
-        xnew = x[..., 0] + ynew
-        return np.stack([xnew, ynew], axis=-1)
+        ynew = lam * x[1] + mu + self._kick(x[0], eps)
+        xnew = x[0] + ynew
+        return np.stack([xnew, ynew])
 
     def jacobian(self, x, mu, eps):
         x = np.asarray(x)
         lam = self.lambda_eps(eps)
-        c = eps * self.kappa * np.cos(2 * np.pi * x[..., 0])
-        out = np.empty(x.shape[:-1] + (2, 2), dtype=np.result_type(x.dtype, type(lam)))
-        out[..., 0, 0] = 1.0 + c
-        out[..., 0, 1] = lam
-        out[..., 1, 0] = c
-        out[..., 1, 1] = lam
+        c = eps * self.kappa * np.cos(2 * np.pi * x[0])
+        out = np.empty((2, 2) + x.shape[1:], dtype=np.result_type(x.dtype, type(lam)))
+        out[0, 0] = 1.0 + c
+        out[0, 1] = lam
+        out[1, 0] = c
+        out[1, 1] = lam
         return out
 
     def d_mu(self, x, mu, eps):
         x = np.asarray(x)
-        out = np.ones(x.shape[:-1] + (2, 1), dtype=complex)
-        return out
+        return np.ones((2, 1) + x.shape[1:], dtype=complex)
 
     # -- jets ---------------------------------------------------------------
 
     def jet_apply(self, x_jet, mu_jet, eps0):
         x_jet = np.asarray(x_jet)
         order = x_jet.shape[0] - 1
-        a, b = x_jet[..., 0], x_jet[..., 1]
+        a, b = x_jet[:, 0], x_jet[:, 1]
         lamj = self.lambda_jet(eps0, order)
         epsj = jets.variable(eps0, order)
         s, _ = jets.sincos(a)
@@ -150,28 +151,28 @@ class DissipativeStandardMap:
         ynew = jets.cauchy(_expand(lamj, b), b, order=order) \
             + _expand(np.asarray(mu_jet)[:, 0], b) + kick
         xnew = a + ynew
-        return np.stack([xnew, ynew], axis=-1)
+        return np.stack([xnew, ynew], axis=1)
 
     def jet_jacobian(self, x_jet, mu_jet, eps0):
         x_jet = np.asarray(x_jet)
         order = x_jet.shape[0] - 1
-        a = x_jet[..., 0]
+        a = x_jet[:, 0]
         lamj = self.lambda_jet(eps0, order)
         epsj = jets.variable(eps0, order)
         _, c = jets.sincos(a)
         ck = self.kappa * jets.cauchy(_expand(epsj, c), c, order=order)
-        out = np.zeros(x_jet.shape[:-1] + (2, 2), dtype=complex)
-        out[..., 0, 0] = ck
-        out[0, ..., 0, 0] += 1.0
-        out[..., 1, 0] = ck
+        out = np.zeros((order + 1, 2, 2) + x_jet.shape[2:], dtype=complex)
+        out[:, 0, 0] = ck
+        out[0, 0, 0] += 1.0
+        out[:, 1, 0] = ck
         lam_bc = lamj.reshape((order + 1,) + (1,) * (out.ndim - 3))
-        out[..., 0, 1] = lam_bc * np.ones_like(ck)
-        out[..., 1, 1] = lam_bc * np.ones_like(ck)
+        out[:, 0, 1] = lam_bc * np.ones_like(ck)
+        out[:, 1, 1] = lam_bc * np.ones_like(ck)
         return out
 
     def jet_d_mu(self, x_jet, mu_jet, eps0):
         x_jet = np.asarray(x_jet)
-        out = np.zeros(x_jet.shape[:-1] + (2, 1), dtype=complex)
+        out = np.zeros(x_jet.shape[:1] + (2, 1) + x_jet.shape[2:], dtype=complex)
         out[0] = 1.0
         return out
 

@@ -40,8 +40,9 @@ d = 1) and from `np.linalg.inv` for larger ones.  A non-finite N, N o T_omega,
 gamma o T_omega or beta at a grid point raises FrameSingular.
 J^-1 = [[0, -I], [I, 0]] enters only as a signed block swap of rows
 (`maps.jinv_mul`) or columns (`maps.mul_jinv`), never as a matrix product.
-Every other product of grid stacks goes through `jets.mm`, a broadcast
-multiply-add for the 1 x 1 to 2 x 2 blocks of d = 1.
+Grid stacks are (values.., points): every other product is a `jets.mm`
+multiply-add along the contiguous point axis, and the d > 1 branches of
+`_gram_cond` and `inv_stack` move that axis for `np.linalg`.
 """
 
 from __future__ import annotations
@@ -73,9 +74,9 @@ def _grid_size(kmax: int) -> int:
     return fast_grid_size(max(3 * kmax + 2, 16))
 
 
-def _mean(grid: np.ndarray, dim: int) -> np.ndarray:
-    # what np.mean computes, without its per-call argument handling
-    return np.add.reduce(grid, axis=tuple(range(dim))) / (grid.shape[0] ** dim)
+def _mean(grid: np.ndarray) -> np.ndarray:
+    # what np.mean over the point axis computes, without its per-call argument handling
+    return np.add.reduce(grid, axis=-1) / grid.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -97,11 +98,12 @@ class _Defect:
 
 
 def _evaluate(fam, K: TorusEmbedding, mu, omega, eps) -> _Defect:
-    """(K, mu) on the grid: K sampled as the order-0 jet of `sample_jet`."""
+    """(K, mu) on the grid: K sampled as the order-0 jet of `sample_jet`, whose
+    buffer then holds E in the place of K o T_omega."""
     X, Xshift, DK, DKshift = sample_jet(K.periodic.coeffs[None], omega,
                                         _grid_size(K.kmax))
-    return _Defect(X[0], DK[0], DKshift[0], fam.apply(X[0], mu, eps) - Xshift[0],
-                   K.dim, K.kmax)
+    E = np.subtract(fam.apply(X[0], mu, eps), Xshift[0], out=Xshift[0])
+    return _Defect(X[0], DK[0], DKshift[0], E, K.dim, K.kmax)
 
 
 def invariance_residual(fam, K: TorusEmbedding, mu, omega, eps) -> FourierSeries:
@@ -124,9 +126,9 @@ def _gram_cond(gram: np.ndarray) -> np.ndarray:
     and nonzero), which spares the batched SVD for d = 1; a nan entry gives
     nan there, where the SVD of np.linalg.cond may fail to converge instead.
     """
-    if gram.shape[-1] > 1:
-        return np.linalg.cond(gram)
-    g = gram[..., 0, 0]
+    if gram.shape[-2] > 1:
+        return np.linalg.cond(np.moveaxis(gram, -1, -3))
+    g = gram[..., 0, 0, :]
     mag = np.abs(g)
     with np.errstate(invalid="ignore"):
         cond = mag / mag
@@ -135,7 +137,7 @@ def _gram_cond(gram: np.ndarray) -> np.ndarray:
 
 
 def _not_finite_points(stack: np.ndarray) -> int:
-    """The number of matrices of a stack (..., m, m) with a non-finite entry.
+    """The number of matrices of a stack (..., m, m, points) with a non-finite entry.
 
     A finite sum of the stack proves there is none at the cost of one pass;
     only a sum that is not finite (a non-finite entry, or finite entries whose
@@ -144,19 +146,19 @@ def _not_finite_points(stack: np.ndarray) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         if np.isfinite(np.add.reduce(stack, axis=None)):
             return 0
-    return int(np.count_nonzero(~np.all(np.isfinite(stack), axis=(-2, -1))))
+    return int(np.count_nonzero(~np.all(np.isfinite(stack), axis=(-3, -2))))
 
 
 def _gate(stack: np.ndarray, what: str) -> None:
     """Raise FrameSingular naming `what` if a matrix of the grid stack is not finite."""
     bad = _not_finite_points(stack)
     if bad:
-        raise FrameSingular(f"{what} at {bad} of {stack[..., 0, 0].size} grid points")
+        raise FrameSingular(f"{what} at {bad} of {stack.shape[-1]} grid points")
 
 
 def _gram(dk: np.ndarray) -> np.ndarray:
     """The jet of the Gram matrix DK^T DK."""
-    return jets.matmul(np.swapaxes(dk, -1, -2), dk)
+    return jets.matmul(np.swapaxes(dk, -3, -2), dk)
 
 
 def _normalized(dk: np.ndarray, gram: np.ndarray, what: str):
@@ -165,7 +167,7 @@ def _normalized(dk: np.ndarray, gram: np.ndarray, what: str):
     finite (the higher orders are solved with that inverse)."""
     N = jets.inv_matrix(gram)
     _gate(N[0], what)
-    return N, np.concatenate([dk, jets.matmul(jinv_mul(dk), N)], axis=-1)
+    return N, np.concatenate([dk, jets.matmul(jinv_mul(dk), N)], axis=-2)
 
 
 def _frame_matrix(dk: np.ndarray):
@@ -185,19 +187,19 @@ def _frame_matrix(dk: np.ndarray):
 
 @dataclass(frozen=True)
 class Frame:
-    """Jets, leading axis the order in eps, of a torus's adapted frame on the grid."""
+    """Jets (order+1, rows, columns, points) of a torus's adapted frame on the grid."""
 
     d: int
     kmax: int
     n: int
     omega: np.ndarray
     lam: np.ndarray       # (order+1,) conformal factor
-    Df: np.ndarray        # (.., 2d, 2d)
-    M: np.ndarray         # (.., 2d, 2d) frame [DK, J^-1 DK N], N = (DK^T DK)^-1
+    Df: np.ndarray        # (2d, 2d)
+    M: np.ndarray         # (2d, 2d) frame [DK, J^-1 DK N], N = (DK^T DK)^-1
     Mshift: np.ndarray    # M o T_omega
     beta: np.ndarray      # (M o T_omega)^-1
-    S: np.ndarray         # (.., d, d) torsion
-    A: np.ndarray         # (.., 2d, d) frame-projected drift response
+    S: np.ndarray         # (d, d) torsion
+    A: np.ndarray         # (2d, d) frame-projected drift response
 
 
 def build_frame(lam, dk, dkshift, Df, Dmu, omega, kmax: int) -> Frame:
@@ -212,10 +214,10 @@ def build_frame(lam, dk, dkshift, Df, Dmu, omega, kmax: int) -> Frame:
     not finite at a grid point: a determinant of M o T_omega there is zero or
     not finite.
     """
-    n, d = dk.shape[1], dk.shape[-1]
+    d, points = dk.shape[-2:]
     N, M = _frame_matrix(dk)
     Nshift, Mshift = _normalized(dkshift, _gram(dkshift), "N o T_omega is not finite")
-    gshift = jets.matmul(mul_jinv(np.swapaxes(dkshift, -1, -2)), dkshift)
+    gshift = jets.matmul(mul_jinv(np.swapaxes(dkshift, -3, -2)), dkshift)
     _gate(gshift[0], "gamma o T_omega is not finite")
     beta = jets.inv_matrix(Mshift)
     _gate(beta[0], "M o T_omega is singular or not finite")
@@ -223,14 +225,13 @@ def build_frame(lam, dk, dkshift, Df, Dmu, omega, kmax: int) -> Frame:
     P = jets.matmul(dk, N)
     # M o T = [DK o T, J^-1 (P o T)] and J = -J^-1 is a signed permutation,
     # so J (M o T)[..., d:] is P o T exactly
-    Pshift = -jinv_mul(Mshift[..., d:])
+    Pshift = -jinv_mul(Mshift[..., d:, :])
     # S = (P^T o T) Df J^-1 P - lam (N^T o T)(gamma o T)(N o T), associated
     # from the left throughout
     lam_bc = lam.reshape(lam.shape + (1,) * (Nshift.ndim - 1))
-    S = jets.matmul(mul_jinv(jets.matmul(np.swapaxes(Pshift, -1, -2), Df)), P) \
-        - jets.matmul(jets.matmul(jets.cauchy(lam_bc, np.swapaxes(Nshift, -1, -2)),
-                                  gshift), Nshift)
-    return Frame(d=d, kmax=kmax, n=n, omega=omega, lam=lam, Df=Df, M=M,
+    S = jets.matmul(mul_jinv(jets.matmul(np.swapaxes(Pshift, -3, -2), Df)), P) \
+        - jets.matmul(jets.matmul(jets.cauchy(lam_bc, np.swapaxes(Nshift, -3, -2)), gshift), Nshift)
+    return Frame(d=d, kmax=kmax, n=round(points ** (1 / d)), omega=omega, lam=lam, Df=Df, M=M,
                  Mshift=Mshift, beta=beta, S=S, A=jets.matmul(beta, Dmu))
 
 
@@ -268,15 +269,15 @@ def checked_block(frame: Frame, divisor_floor=DEFAULT_DIVISOR_FLOOR) -> ReducedC
     |det| <= DET_RTOL * scale^(2d), scale being the largest absolute row sum.
     """
     d, lam = frame.d, complex(frame.lam[0])
-    S, A1, A2 = frame.S[0], frame.A[0, ..., :d, :], frame.A[0, ..., d:, :]
+    S, A1, A2 = frame.S[0], frame.A[0, :d], frame.A[0, d:]
     Bb = solve_twisted(-from_grid(A2, d, frame.kmax).remove_average(), lam,
                        frame.omega, divisor_floor=divisor_floor)
     Bb_grid = to_grid(Bb.phi, frame.n)
     block = np.zeros((2 * d, 2 * d), dtype=complex)
-    block[:d, :d] = _mean(S, d)
-    block[:d, d:] = _mean(jets.mm(S, Bb_grid), d) + _mean(A1, d)
+    block[:d, :d] = _mean(S)
+    block[:d, d:] = _mean(jets.mm(S, Bb_grid)) + _mean(A1)
     block[d:, :d] = (lam - 1.0) * np.eye(d)
-    block[d:, d:] = _mean(A2, d)
+    block[d:, d:] = _mean(A2)
     scale = float(np.max(np.sum(np.abs(block), axis=1)))
     det = np.linalg.det(block)
     if not np.isfinite(scale) or abs(det) <= DET_RTOL * scale ** (2 * d):
@@ -290,27 +291,25 @@ def solve_reduced(core: ReducedCore, rhs1: np.ndarray, rhs2: np.ndarray, band: i
         (W1 - W1 o T) + S W2 + A1 sigma = rhs1,
         (lam W2 - W2 o T) + A2 sigma = rhs2,
 
-    for grid corrections W1 (zero average), W2 and the drift sigma: a
-    lam-twisted solve, the averaged block for (avg W2, sigma), then an
-    untwisted solve, both at the cutoff `band` <= the frame's kmax (each
-    right-hand side is read from the grid at it, so the cut costs no
-    transform).  Returns (W1, W2, sigma, largest divisor gain).
+    for grid corrections W1 (zero average) and W2, (d, points) like rhs1 and
+    rhs2, and the drift sigma: a lam-twisted solve, the averaged block for
+    (avg W2, sigma), then an untwisted solve, both at the cutoff `band` <= the
+    frame's kmax (each right-hand side is read from the grid at it, so the
+    cut costs no transform).  Returns (W1, W2, sigma, largest divisor gain).
     """
     fr = core.frame
     d, n, lam = fr.d, fr.n, complex(fr.lam[0])
-    S, A1 = fr.S[0], fr.A[0, ..., :d, :]
+    S, A1 = fr.S[0], fr.A[0, :d]
     Ba = solve_twisted(from_grid(rhs2, d, band).remove_average(), lam, fr.omega,
                        divisor_floor=core.divisor_floor)
     Ba_grid = to_grid(Ba.phi, n)
-    rhs_avg = np.concatenate([
-        _mean(rhs1, d) - _mean(jets.mm(S, Ba_grid[..., None])[..., 0], d),
-        _mean(rhs2, d),
-    ])
+    rhs_avg = np.concatenate([_mean(rhs1) - _mean(jets.mm(S, Ba_grid[:, None])[:, 0]),
+                              _mean(rhs2)])
     sol = np.linalg.solve(core.block, rhs_avg)
     W2bar, sigma = sol[:d], sol[d:]
-    W2 = Ba_grid + jets.mm(core.Bb_grid, sigma[:, None])[..., 0] + W2bar
+    W2 = Ba_grid + jets.mm(core.Bb_grid, sigma[:, None, None])[:, 0] + W2bar[:, None]
 
-    r1 = rhs1 - jets.mm(S, W2[..., None])[..., 0] - jets.mm(A1, sigma[:, None])[..., 0]
+    r1 = rhs1 - jets.mm(S, W2[:, None])[:, 0] - jets.mm(A1, sigma[:, None, None])[:, 0]
     # a per-mode floor bounds the lam-twisted divisors of the good set; the
     # untwisted solve keeps a scalar one
     floor = core.divisor_floor if np.ndim(core.divisor_floor) == 0 else DEFAULT_DIVISOR_FLOOR
@@ -336,9 +335,9 @@ def reducibility_frame(fam, K, mu, omega, eps) -> ReducibilityFrame:
     """The frame of (K, mu) at eps with the norms of R and E (ReducibilityFrame)."""
     ev = _evaluate(fam, K, mu, omega, eps)
     fr = newton_frame(fam, ev, mu, omega, eps)
-    Ms1, Ms2 = fr.Mshift[0][..., :fr.d], fr.Mshift[0][..., fr.d:]
+    Ms1, Ms2 = fr.Mshift[0][:, :fr.d], fr.Mshift[0][:, fr.d:]
     R = jets.mm(fr.Df[0], fr.M[0]) \
-        - np.concatenate([Ms1, jets.mm(Ms1, fr.S[0]) + fr.lam[0] * Ms2], axis=-1)
+        - np.concatenate([Ms1, jets.mm(Ms1, fr.S[0]) + fr.lam[0] * Ms2], axis=1)
     R_norm = from_grid(R, fr.d, fr.kmax).analytic_norm(0.0)
     E_norm = ev.series.analytic_norm(0.0)
     return ReducibilityFrame(fr, R_norm, E_norm, R_norm / max(E_norm, 1e-300))
@@ -356,13 +355,13 @@ class StepReport:
     det: complex
     divisor_gain: float
     grid: int
-    W: np.ndarray          # (n,)*d + (2d,) correction in frame coordinates
+    W: np.ndarray          # (2d, points) correction in frame coordinates
     block: np.ndarray      # (2d, 2d) averaged block
     kmax: int
 
     @cached_property
     def w_norm(self) -> float:
-        return from_grid(self.W, self.W.shape[-1] // 2, self.kmax).analytic_norm(0.0)
+        return from_grid(self.W, self.W.shape[0] // 2, self.kmax).analytic_norm(0.0)
 
     @cached_property
     def twist(self) -> float:
@@ -381,11 +380,11 @@ def newton_step(fam, K, mu, omega, eps, divisor_floor=DEFAULT_DIVISOR_FLOOR,
     fr = newton_frame(fam, ev, mu, omega, eps)
     core = checked_block(fr, divisor_floor)
     d, kmax = fr.d, fr.kmax
-    Et = jets.mm(fr.beta[0], ev.E[..., None])[..., 0]
-    W1, W2, sigma, gain = solve_reduced(core, -Et[..., :d], -Et[..., d:], kmax)
+    Et = jets.mm(fr.beta[0], ev.E[:, None])[:, 0]
+    W1, W2, sigma, gain = solve_reduced(core, -Et[:d], -Et[d:], kmax)
 
-    W = np.concatenate([W1, W2], axis=-1)
-    K2 = K.with_correction(from_grid(jets.mm(fr.M[0], W[..., None])[..., 0], d, kmax))
+    W = np.concatenate([W1, W2])
+    K2 = K.with_correction(from_grid(jets.mm(fr.M[0], W[:, None])[:, 0], d, kmax))
     mu2 = np.atleast_1d(np.asarray(mu, dtype=complex)) + sigma
 
     report = StepReport(
@@ -512,8 +511,8 @@ def normalize_embedding(K: TorusEmbedding, K_ref: TorusEmbedding,
         # sigma, so a complex shift is allowed
         lift, dk = sample_jet(K.shifted(sigma).periodic.coeffs[None], None, n)
         diff = lift[0] - ref_lift[0]
-        return (_mean(jets.mm(Minv, diff[..., None])[..., 0], d)[:d],
-                _mean(jets.mm(Minv, dk[0]), d)[:d])
+        return (_mean(jets.mm(Minv, diff[:, None])[:, 0])[:d],
+                _mean(jets.mm(Minv, dk[0]))[:d])
 
     sigma = np.zeros(d, dtype=complex)
     val, jac = g(sigma)
@@ -538,7 +537,7 @@ def lagrangian_defect(K: TorusEmbedding, J=None) -> float:
     from DK alone sampled on the grid `_grid_size(K.kmax)`."""
     J = symplectic_matrix(K.dim) if J is None else J
     (dk,) = sample_jet(K.periodic.coeffs[None], None, _grid_size(K.kmax), lifts=False)
-    L = jets.mm(jets.mm(np.swapaxes(dk[0], -1, -2), J), dk[0])
+    L = jets.mm(jets.mm(np.swapaxes(dk[0], -3, -2), J[..., None]), dk[0])
     return from_grid(L, K.dim, K.kmax).analytic_norm(0.0)
 
 

@@ -15,14 +15,14 @@ OMEGA = np.array([(np.sqrt(5.0) - 1.0) / 2.0, np.sqrt(2.0) - 1.0])
 def lift_grid(K: TorusEmbedding, n: int) -> np.ndarray:
     out = np.array(to_grid(K.periodic, n))
     for j, theta in enumerate(theta_grid(K.dim, n)):
-        out[..., j] += theta
+        out[j] += theta.ravel()
     return out
 
 
 def shifted_lift_grid(K: TorusEmbedding, omega, n: int) -> np.ndarray:
     out = np.array(to_grid(K.periodic.shift(omega), n))
     for j, theta in enumerate(theta_grid(K.dim, n)):
-        out[..., j] += theta + omega[j]
+        out[j] += theta.ravel() + omega[j]
     return out
 
 
@@ -69,8 +69,8 @@ def test_sample_jet_matches_one_transform_per_lift(dim, orders):
     omega = OMEGA[:dim]
     n = _grid_size(kmax)
     X, Xshift, DK, DKshift = sample_jet(np.stack([K.coeffs for K in K_coeffs]), omega, n)
-    assert X.shape == Xshift.shape == (orders,) + (n,) * dim + (2 * dim,)
-    assert DK.shape == DKshift.shape == (orders,) + (n,) * dim + (2 * dim, dim)
+    assert X.shape == Xshift.shape == (orders, 2 * dim, n ** dim)
+    assert DK.shape == DKshift.shape == (orders, 2 * dim, dim, n ** dim)
     assert X.tobytes() == lift_jet(K_coeffs, n).tobytes()
     assert Xshift.tobytes() == lift_jet(K_coeffs, n, omega).tobytes()
     base = TorusEmbedding(K_coeffs[0])
@@ -107,6 +107,26 @@ def test_sample_jet_samples_the_blocks_asked_for(dim):
         for g, w in zip(got, want):
             assert g.flags["C_CONTIGUOUS"]
             assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sample_jet_copies_nothing(dim, monkeypatch):
+    # every block is a view of the one to_grid buffer, with a contiguous
+    # point axis
+    rng = np.random.default_rng(dim)
+    kmax = 9 if dim == 1 else 4
+    coeffs = np.stack([K.coeffs for K in _random_jet(rng, dim, kmax, 3)])
+    buffers = []
+    monkeypatch.setattr(embedding, "to_grid",
+                        lambda series, n: buffers.append(to_grid(series, n)) or buffers[-1])
+    for omega in (OMEGA[:dim], None):
+        for lifts, dk in ((True, True), (True, False), (False, True)):
+            buffers.clear()
+            blocks = sample_jet(coeffs, omega, _grid_size(kmax), lifts=lifts, dk=dk)
+            assert len(buffers) == 1
+            for block in blocks:
+                assert np.shares_memory(block, buffers[0])
+                assert block.strides[-1] == block.itemsize
 
 
 def _sampled_points(monkeypatch):
@@ -164,7 +184,7 @@ def test_project_matches_per_order_truncate_and_pad(dim):
     rng = np.random.default_rng(dim)
     B, kmax, n = 5, 9, 17
     bands = [0, 2, 4, 5]
-    grids = rng.standard_normal((len(bands),) + (n,) * dim + (2 * dim,)) + 0j
+    grids = rng.standard_normal((len(bands), 2 * dim, n ** dim)) + 0j
     got = _project(grids, dim, B, bands, kmax)
     for grid, band, series in zip(grids, bands, got):
         want = from_grid(grid, dim, B).truncate(band).pad_to(kmax)

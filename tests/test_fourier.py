@@ -206,6 +206,20 @@ def test_grid_round_trip_2d(rng):
     assert np.max(np.abs(back.coeffs - s.coeffs)) <= 1e-13 * np.max(np.abs(c))
 
 
+def _value_first(grid, dim):
+    """A point-major sample, (n,)*dim + values, in the layout of to_grid: the
+    values first, the grid points flattened on one trailing axis."""
+    moved = np.moveaxis(grid, tuple(range(dim)), tuple(range(-dim, 0)))
+    return np.ascontiguousarray(moved).reshape(grid.shape[dim:] + (-1,))
+
+
+def _point_major(values, dim):
+    """The inverse of _value_first: a view with the (n,)*dim grid axes in front."""
+    n = round(values.shape[-1] ** (1 / dim))
+    cells = values.reshape(values.shape[:-1] + (n,) * dim)
+    return np.moveaxis(cells, tuple(range(-dim, 0)), tuple(range(dim)))
+
+
 def _to_grid_fftshift(series, n):
     """Reference: centered box placed at n//2 - kmax, then ifftshift."""
     d, kmax = series.dim, series.kmax
@@ -213,11 +227,12 @@ def _to_grid_fftshift(series, n):
     lo = n // 2 - kmax
     buf[(slice(lo, lo + 2 * kmax + 1),) * d] = series.coeffs
     buf = np.fft.ifftshift(buf, axes=tuple(range(d)))
-    return np.fft.ifftn(buf, axes=tuple(range(d))) * (n ** d)
+    return _value_first(np.fft.ifftn(buf, axes=tuple(range(d))) * (n ** d), d)
 
 
 def _from_grid_fftshift(values, dim, kmax):
     """Reference: scale every mode, fftshift, cut the centered box."""
+    values = _point_major(values, dim)
     n = values.shape[0]
     chat = np.fft.fftn(values.astype(np.complex128), axes=tuple(range(dim))) / (n ** dim)
     chat = np.fft.fftshift(chat, axes=tuple(range(dim)))
@@ -268,9 +283,10 @@ def test_slice_copies_match_the_fancy_index(rng, dim, kmax, n):
     ref = buf
     for axis in reversed(range(dim)):
         ref = np.fft.ifft(ref, axis=axis)
+    ref = _value_first(ref, dim)
     grid = to_grid(s, n)
     assert grid.tobytes() == (ref * n ** dim).tobytes()
-    chat = grid
+    chat = _point_major(grid, dim)
     for axis in reversed(range(dim)):
         chat = np.fft.fft(chat, axis=axis)
     want = chat[_fft_order(dim, kmax, n)]
@@ -285,7 +301,7 @@ def test_to_grid_is_the_scaled_inverse_fftn_of_the_box(rng, dim, kmax, n):
     s = FourierSeries(dim, kmax, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     box = np.zeros((n,) * dim + (3,), dtype=complex)
     box[_fft_order(dim, kmax, n)] = s.coeffs
-    want = np.fft.ifftn(box, axes=tuple(range(dim))) * n ** dim
+    want = _value_first(np.fft.ifftn(box, axes=tuple(range(dim))) * n ** dim, dim)
     assert to_grid(s, n).tobytes() == want.tobytes()
 
 
@@ -300,12 +316,12 @@ def test_tuple_to_grid_matches_separate_transforms(rng, dim, kmax, n):
         parts.append(FourierSeries(dim, kmax, rng.standard_normal(shape)
                                    + 1j * rng.standard_normal(shape)))
     grid = to_grid(tuple(parts), n)
-    assert grid.shape == (n,) * dim + (1 + 2 * dim + 6 * dim * dim,)
+    assert grid.shape == (1 + 2 * dim + 6 * dim * dim, n ** dim)
     start = 0
     for s, view in zip(parts, fourier.grid_columns(grid, parts)):
         size = int(np.prod(s.value_shape))
         want = to_grid(s, n)
-        assert grid[..., start:start + size].tobytes() == want.reshape((n,) * dim + (size,)).tobytes()
+        assert grid[start:start + size].tobytes() == want.reshape((size, n ** dim)).tobytes()
         assert view.shape == want.shape and np.shares_memory(view, grid)
         assert view.tobytes() == want.tobytes()
         start += size

@@ -1,6 +1,8 @@
 """The jet kernels sum each order with one batched product; the running-sum
 loops they replaced are kept here as the byte-for-byte reference, with
-`jets.mm` as their pointwise matrix product."""
+`jets.mm` as their pointwise matrix product.  Matrix stacks are laid out
+(..., p, q, points); `np.linalg` and `np.matmul` references run on the
+point-major view (..., points, p, q)."""
 
 import numpy as np
 import pytest
@@ -56,6 +58,20 @@ def _loop_inv_matrix(a):
     return out
 
 
+def _point_major(x):
+    return np.moveaxis(x, -1, -3)
+
+
+def _stacked(x):
+    """A point-major stack (..., points, p, q) in the layout (..., p, q, points)."""
+    return np.moveaxis(x, -3, -1)
+
+
+def _matmul(a, b):
+    """np.matmul of two stacks (..., p, m, points) and (..., m, q, points)."""
+    return _stacked(np.matmul(_point_major(a), _point_major(b)))
+
+
 def _same_bytes(x, y):
     x, y = np.asarray(x), np.asarray(y)
     return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
@@ -69,7 +85,7 @@ def _jet(rng, order, shape):
 
 
 # values: bare scalars, and scalar, (1,1), (2,1) and (2,2) values on a grid of 5
-SHAPES = [(), (5,), (5, 1, 1), (5, 2, 1), (5, 2, 2)]
+SHAPES = [(), (5,), (1, 1, 5), (2, 1, 5), (2, 2, 5)]
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -84,7 +100,7 @@ def test_cauchy_is_byte_equal_to_the_running_sum(rng, shape):
         assert _same_bytes(jets.cauchy(short, a, order=order + 3),
                            _loop_cauchy(short, a, order=order + 3))
         if len(shape) == 3:
-            bt = np.swapaxes(b, -1, -2)
+            bt = np.swapaxes(b, -3, -2)
             assert _same_bytes(jets.matmul(bt, b), _loop_cauchy(bt, b, prod=jets.mm))
 
 
@@ -112,11 +128,11 @@ def test_sincos_is_byte_equal_to_the_running_sum(rng, shape):
         assert _same_bytes(got[0], want[0]) and _same_bytes(got[1], want[1])
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (5, 1, 1), (5, 2, 2), (4, 3, 3)])
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 1, 5), (2, 2, 5), (3, 3, 4)])
 def test_inv_matrix_is_byte_equal_to_the_running_sum(rng, shape):
     for order in range(34):
         a = _jet(rng, order, shape) * 1e-2
-        a[0] = rng.standard_normal(shape) + 3 * np.eye(shape[-1])
+        a[0] = rng.standard_normal(shape) + 3 * np.eye(shape[0])[..., None]
         assert _same_bytes(jets.inv_matrix(a), _loop_inv_matrix(a))
 
 
@@ -125,41 +141,46 @@ def test_closed_form_inverse_matches_lapack(rng, m):
     # complex stacks with condition numbers spread over decades
     a = _jet(rng, 0, (200, m, m))[0]
     want = np.linalg.inv(a)
-    err = np.linalg.norm(jets.inv_stack(a) - want, axis=(-2, -1)) \
+    inv = _point_major(jets.inv_stack(_stacked(a)))
+    err = np.linalg.norm(inv - want, axis=(-2, -1)) \
         / np.linalg.norm(want, axis=(-2, -1))
     assert np.all(err <= 1e-14 * np.linalg.cond(a))
 
 
 def test_larger_inverse_is_lapacks(rng):
     a = _jet(rng, 0, (50, 3, 3))[0]
-    assert _same_bytes(jets.inv_stack(a), np.linalg.inv(a))
+    assert _same_bytes(_point_major(jets.inv_stack(_stacked(a))), np.linalg.inv(a))
+    # one singular matrix is nan, and every other one keeps LAPACK's inverse
     a[7] = 0.0
-    assert np.all(np.isnan(jets.inv_stack(a)))
+    inv = _point_major(jets.inv_stack(_stacked(a)))
+    assert np.all(np.isnan(inv[7]))
+    others = np.arange(50) != 7
+    assert _same_bytes(inv[others], np.linalg.inv(a[others]))
 
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_closed_form_inverse_of_a_singular_or_nan_matrix_is_not_finite(m):
     a = np.stack([np.eye(m), np.zeros((m, m)), np.full((m, m), np.nan)]).astype(complex)
-    inv = jets.inv_stack(a)
+    inv = _point_major(jets.inv_stack(_stacked(a)))
     assert np.array_equal(inv[0], np.eye(m))
     assert not np.any(np.isfinite(inv[1])) and np.all(np.isnan(inv[2]))
 
 
 def test_order_zero_fast_path_returns_the_product_itself(rng):
-    a, b = _jet(rng, 0, (5, 2, 2)), _jet(rng, 0, (5, 2, 2))
+    a, b = _jet(rng, 0, (2, 2, 5)), _jet(rng, 0, (2, 2, 5))
     out = jets.matmul(a, b)
-    assert out.shape == (1, 5, 2, 2)
+    assert out.shape == (1, 2, 2, 5)
     assert out.base is not None and _same_bytes(out[0], jets.mm(a[0], b[0]))
 
 
 # (a, b) shapes by inner dimension: stacks, a single matrix against a stack
 # (the Minv0 of the doubling), and the matrix-vector products of the frame
 MM_SHAPES = {
-    1: [((300, 1, 1), (300, 1, 1)), ((300, 2, 1), (300, 1, 2)), ((7, 300, 2, 1), (300, 1, 1))],
-    2: [((300, 2, 2), (300, 2, 2)), ((300, 1, 2), (300, 2, 1)), ((2, 2), (300, 2, 1)),
-        ((300, 2, 2), (2, 1)), ((5, 300, 2, 2), (5, 300, 2, 1))],
-    3: [((300, 3, 3), (300, 3, 2))],
-    4: [((300, 4, 4), (300, 4, 1)), ((4, 4), (300, 4, 4))],
+    1: [((1, 1, 300), (1, 1, 300)), ((2, 1, 300), (1, 2, 300)), ((7, 2, 1, 300), (1, 1, 300))],
+    2: [((2, 2, 300), (2, 2, 300)), ((1, 2, 300), (2, 1, 300)), ((2, 2, 1), (2, 1, 300)),
+        ((2, 2, 300), (2, 1, 1)), ((5, 2, 2, 300), (5, 2, 1, 300))],
+    3: [((3, 3, 300), (3, 2, 300))],
+    4: [((4, 4, 300), (4, 1, 300)), ((4, 4, 1), (4, 4, 300))],
 }
 
 
@@ -167,29 +188,31 @@ MM_SHAPES = {
 def test_mm_agrees_with_matmul_for_small_inner_dimensions(rng, inner):
     for sa, sb in MM_SHAPES[inner]:
         a, b = _jet(rng, 0, sa)[0], _jet(rng, 0, sb)[0]
-        got, want = jets.mm(a, b), np.matmul(a, b)
+        got, want = jets.mm(a, b), _matmul(a, b)
         assert got.shape == want.shape and got.dtype == want.dtype
         # relative to the sum of the magnitudes of the products
-        assert np.all(np.abs(got - want) <= 1e-15 * np.matmul(np.abs(a), np.abs(b)))
+        assert np.all(np.abs(got - want) <= 1e-15 * _matmul(np.abs(a), np.abs(b)))
 
 
 def test_mm_broadcasts_a_single_matrix_against_a_stack(rng):
-    m, stack = _jet(rng, 0, (2, 2))[0], _jet(rng, 0, (300, 2, 1))[0]
+    m, stack = _jet(rng, 0, (2, 2, 1))[0], _jet(rng, 0, (2, 1, 300))[0]
     got = jets.mm(m, stack)
-    assert got.shape == (300, 2, 1)
+    assert got.shape == (2, 1, 300)
     # each matrix of the stack as the product of the single matrix with it
-    assert _same_bytes(got, np.stack([jets.mm(m, v) for v in stack]))
+    points = [stack[..., i:i + 1] for i in range(300)]
+    assert _same_bytes(got, np.concatenate([jets.mm(m, v) for v in points], axis=-1))
 
 
 @pytest.mark.parametrize("inner", [1, 2, 3, 4])
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_mm_keeps_inf_and_nan_entries_not_finite(inner):
-    a = np.ones((3, 2, inner), dtype=complex)
-    b = np.ones((3, inner, 2), dtype=complex)
-    a[0, 1, 0] = np.inf
-    a[1, 0, -1] = complex(0.0, np.nan)
-    b[2, 0, 1] = -np.inf
+    # three points; the comments name each entry as (point, row, column)
+    a = np.ones((2, inner, 3), dtype=complex)
+    b = np.ones((inner, 2, 3), dtype=complex)
+    a[1, 0, 0] = np.inf                      # (0, 1, 0)
+    a[0, -1, 1] = complex(0.0, np.nan)       # (1, 0, -1)
+    b[0, 1, 2] = -np.inf                     # (2, 0, 1)
     got = jets.mm(a, b)
-    assert np.array_equal(np.isfinite(got), np.isfinite(np.matmul(a, b)))
-    assert not np.all(np.isfinite(got[0, 1])) and not np.all(np.isfinite(got[1, 0]))
-    assert not np.isfinite(got[2, 0, 1]) and np.all(np.isfinite(got[2, :, 0]))
+    assert np.array_equal(np.isfinite(got), np.isfinite(_matmul(a, b)))
+    assert not np.all(np.isfinite(got[1, :, 0])) and not np.all(np.isfinite(got[0, :, 1]))
+    assert not np.isfinite(got[0, 1, 2]) and np.all(np.isfinite(got[:, 0, 2]))

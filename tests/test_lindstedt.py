@@ -50,11 +50,11 @@ def test_compose_constant_jet_is_pointwise_apply(fam, omega, base_torus):
 
 
 def test_jet_inverse_kernel(rng):
-    A = rng.standard_normal((5, 3, 2, 2)) + 1j * rng.standard_normal((5, 3, 2, 2))
-    A[0] += 4 * np.eye(2)
+    A = rng.standard_normal((5, 2, 2, 3)) + 1j * rng.standard_normal((5, 2, 2, 3))
+    A[0] += 4 * np.eye(2)[..., None]
     X = jets.inv_matrix(A)
     prod = jets.matmul(A, X)
-    assert np.max(np.abs(prod[0] - np.eye(2))) <= 1e-13
+    assert np.max(np.abs(prod[0] - np.eye(2)[..., None])) <= 1e-13
     assert np.max(np.abs(prod[1:])) <= 1e-12
 
 
@@ -444,12 +444,12 @@ def test_jets_are_normalized(fam, omega, jet4):
     base = TorusEmbedding(jet4.K_coeffs[0])
     n = 128
     _, _, dk, _ = sample_jet(base.periodic.coeffs[None], omega, n)
-    dk = dk[0]
+    dk = np.moveaxis(dk[0], -1, 0)   # point-major, for np.linalg
     Minv = np.linalg.inv(np.concatenate(
         [dk, np.array([[0.0, -1.0], [1.0, 0.0]]) @ dk], axis=-1))
     for j in range(1, jet4.order + 1):
         from kamtori.fourier import to_grid
-        g = to_grid(jet4.K_coeffs[j], n)
+        g = to_grid(jet4.K_coeffs[j], n).T
         avg = np.mean((Minv @ g[..., None])[..., 0], axis=0)
         assert abs(avg[0]) <= 1e-12
 

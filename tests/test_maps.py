@@ -4,10 +4,11 @@ import pytest
 from kamtori import jets
 from kamtori.atlas import excluded_balls
 from kamtori.diophantine import GoodSetParams
+from kamtori.embedding import sample_jet
 from kamtori.lindstedt import lindstedt_double, lindstedt_expand
 from kamtori.maps import (DissipativeStandardMap, jinv_mul, mul_jinv, symplectic_matrix,
                           verify_conformal)
-from kamtori.newton import run_newton
+from kamtori.newton import _grid_size, run_newton
 
 
 def test_symplectic_matrix_blocks():
@@ -21,10 +22,12 @@ def test_symplectic_matrix_blocks():
 def test_jinv_block_swap_is_the_matrix_product(rng, d):
     Jinv = symplectic_matrix(d).T
     for k in (1, d, 3):
-        x = rng.standard_normal((5, 2 * d, k)) + 1j * rng.standard_normal((5, 2 * d, k))
-        assert np.array_equal(jinv_mul(x), Jinv @ x)
-        y = np.swapaxes(x, -1, -2)
-        assert np.array_equal(mul_jinv(y), y @ Jinv)
+        # the stacks are (rows, columns, points); the products run point-major
+        xp = rng.standard_normal((5, 2 * d, k)) + 1j * rng.standard_normal((5, 2 * d, k))
+        x, yp = np.moveaxis(xp, 0, -1), np.swapaxes(xp, -1, -2)
+        assert np.array_equal(jinv_mul(x), np.moveaxis(Jinv @ xp, 0, -1))
+        y = np.moveaxis(yp, 0, -1)
+        assert np.array_equal(mul_jinv(y), np.moveaxis(yp @ Jinv, 0, -1))
 
 
 def test_dimension_is_fixed_by_the_class():
@@ -47,18 +50,18 @@ def test_pure_drift(fam):
 
 def test_composition_matches_double_apply(fam, rng):
     eps, mu = 0.04, -0.02
-    x = np.stack([rng.random(20), rng.uniform(-1, 1, 20)], axis=-1).astype(complex)
+    x = np.stack([rng.random(20), rng.uniform(-1, 1, 20)]).astype(complex)
     once = fam.apply(fam.apply(x, mu, eps), mu, eps)
     for i in range(20):
-        two = fam.apply(fam.apply(x[i], mu, eps), mu, eps)
-        np.testing.assert_allclose(once[i], two, atol=1e-14)
+        two = fam.apply(fam.apply(x[:, i], mu, eps), mu, eps)
+        np.testing.assert_allclose(once[:, i], two, atol=1e-14)
 
 
 def test_jacobian_structure_at_eps0(fam, rng):
-    x = np.stack([rng.random(5), rng.uniform(-1, 1, 5)], axis=-1).astype(complex)
+    x = np.stack([rng.random(5), rng.uniform(-1, 1, 5)]).astype(complex)
     Df = fam.jacobian(x, 0.0, 0.0)
-    np.testing.assert_allclose(Df, np.broadcast_to(np.array([[1.0, 1.0], [0.0, 1.0]]),
-                                                   Df.shape), atol=1e-15)
+    want = np.array([[1.0, 1.0], [0.0, 1.0]])[..., None]
+    np.testing.assert_allclose(Df, np.broadcast_to(want, Df.shape), atol=1e-15)
 
 
 def test_d_mu_column(fam):
@@ -109,13 +112,13 @@ class _BrokenFamily(DissipativeStandardMap):
     def apply(self, x, mu, eps):
         x = np.asarray(x)
         mu0 = np.asarray(mu, dtype=complex).reshape(-1)[0] if np.size(mu) else 0.0
-        ynew = x[..., 1] + mu0 + self._kick(x[..., 0], eps)
-        return np.stack([x[..., 0] + ynew, ynew], axis=-1)
+        ynew = x[1] + mu0 + self._kick(x[0], eps)
+        return np.stack([x[0] + ynew, ynew])
 
     def jacobian(self, x, mu, eps):
         out = super().jacobian(x, mu, eps)
-        out[..., 0, 1] = 1.0
-        out[..., 1, 1] = 1.0
+        out[0, 1] = 1.0
+        out[1, 1] = 1.0
         return out
 
 
@@ -131,14 +134,28 @@ def test_broken_family_detected(rng):
 
 class _PlainFamily:
     """No base class: the attributes and the eight methods of the protocol in
-    the `maps` docstring, forwarded to a family, and nothing else."""
+    the `maps` docstring, and nothing else.  The pointwise methods are written
+    out in the protocol's layout, components on the leading axis and any grid
+    behind them; the others are forwarded to a family."""
 
     def __init__(self, fam):
-        self.dim, self.degree, self.alpha, self.a, self.J = \
-            fam.dim, fam.degree, fam.alpha, fam.a, fam.J
-        for name in ("lambda_eps", "lambda_jet", "apply", "jacobian", "d_mu",
-                     "jet_apply", "jet_jacobian", "jet_d_mu"):
+        self.dim, self.degree, self.alpha, self.a, self.J, self.kappa = \
+            fam.dim, fam.degree, fam.alpha, fam.a, fam.J, fam.kappa
+        for name in ("lambda_eps", "lambda_jet", "jet_apply", "jet_jacobian", "jet_d_mu"):
             setattr(self, name, getattr(fam, name))
+
+    def apply(self, x, mu, eps):
+        y = self.lambda_eps(eps) * x[1] + np.atleast_1d(mu)[0] \
+            + eps * self.kappa * np.sin(2 * np.pi * x[0]) / (2 * np.pi)
+        return np.stack([x[0] + y, y])
+
+    def jacobian(self, x, mu, eps):
+        c = eps * self.kappa * np.cos(2 * np.pi * x[0])
+        lam = self.lambda_eps(eps) * np.ones_like(c)
+        return np.stack([np.stack([1.0 + c, lam]), np.stack([c, lam])])
+
+    def d_mu(self, x, mu, eps):
+        return np.ones((2, 1) + np.shape(x)[1:], dtype=complex)
 
 
 def _jet_bytes(jet):
@@ -186,8 +203,8 @@ def test_jet_apply_matches_pointwise_eval(fam, rng):
     # eps0 + de applied to the evaluated argument jet, up to O(de^{N+1})
     N = 6
     eps0 = 0.02
-    x_jet = (rng.standard_normal((N + 1, 4, 2)) * 0.3).astype(complex)
-    x_jet[0, :, 0] = rng.random(4)
+    x_jet = (rng.standard_normal((N + 1, 2, 4)) * 0.3).astype(complex)
+    x_jet[0, 0] = rng.random(4)
     mu_jet = (rng.standard_normal((N + 1, 1)) * 0.1).astype(complex)
     G = fam.jet_apply(x_jet, mu_jet, eps0)
     for de in (1e-2, 5e-3, 2.5e-3):
@@ -203,8 +220,8 @@ def test_jet_chain_rule_consistency(fam, rng):
     # the jet, rebuilt from the family's jet pieces
     N = 5
     eps0 = 0.03
-    x_jet = (rng.standard_normal((N + 1, 8, 2)) * 0.2).astype(complex)
-    x_jet[0, :, 0] = rng.random(8)
+    x_jet = (rng.standard_normal((N + 1, 2, 8)) * 0.2).astype(complex)
+    x_jet[0, 0] = rng.random(8)
     mu_jet = (rng.standard_normal((N + 1, 1)) * 0.05).astype(complex)
 
     G = fam.jet_apply(x_jet, mu_jet, eps0)
@@ -215,24 +232,24 @@ def test_jet_chain_rule_consistency(fam, rng):
     Dmu = fam.jet_d_mu(x_jet, mu_jet, eps0)[: M + 1]
     xp = jets.derivative(x_jet)
     mup = jets.derivative(mu_jet)
-    term = jets.matmul(Df, xp[..., None])[..., 0] \
-        + jets.matmul(Dmu, mup[:, None, :, None] * np.ones((1, 8, 1, 1)))[..., 0]
+    term = jets.matmul(Df, xp[:, :, None])[:, :, 0] \
+        + jets.matmul(Dmu, mup[:, :, None, None] * np.ones((1, 1, 1, 8)))[:, :, 0]
 
     # remaining explicit eps-derivative: lam'(eps) y + kappa V'(x)
     lamp = jets.derivative(fam.lambda_jet(eps0, N))
-    s, _ = jets.sincos(x_jet[..., 0])
+    s, _ = jets.sincos(x_jet[:, 0])
     dv = fam.kappa / (2 * np.pi) * s[: M + 1]
-    de_f = jets.cauchy(lamp.reshape(-1, 1), x_jet[: M + 1, :, 1]) + dv
-    term = term + np.stack([de_f, de_f], axis=-1)
+    de_f = jets.cauchy(lamp.reshape(-1, 1), x_jet[: M + 1, 1]) + dv
+    term = term + np.stack([de_f, de_f], axis=1)
 
     assert np.max(np.abs(lhs - term)) <= 1e-11
 
 
 def test_jet_d_mu_constant(fam):
-    x_jet = np.zeros((3, 5, 2), dtype=complex)
+    x_jet = np.zeros((3, 2, 5), dtype=complex)
     out = fam.jet_d_mu(x_jet, np.zeros((3, 1)), 0.0)
     assert np.max(np.abs(out[1:])) == 0.0
-    np.testing.assert_allclose(out[0, ..., 0], np.ones((5, 2)))
+    np.testing.assert_allclose(out[0, :, 0], np.ones((2, 5)))
 
 
 def test_unperturbed_torus_solves(fam, omega):
@@ -240,3 +257,17 @@ def test_unperturbed_torus_solves(fam, omega):
     th = 0.37
     img = fam.apply(K.eval_lift(th), mu, 0.0)
     np.testing.assert_allclose(img, K.eval_lift(th + omega), atol=1e-15)
+
+
+def test_a_single_point_is_evaluated_as_on_the_grid(fam, omega):
+    # a (2d,) point, as the benchmark's off-grid checks pass it, gives the
+    # values of the grid evaluation at that point
+    K0, mu0 = fam.unperturbed_torus(omega, 16)
+    sol = run_newton(fam, K0, mu0, omega, 0.1)
+    (X,) = sample_jet(sol.K.periodic.coeffs[None], None, _grid_size(sol.K.kmax), dk=False)
+    grid = [f(X[0], sol.mu, 0.1) for f in (fam.apply, fam.jacobian, fam.d_mu)]
+    for p in (0, 7, X.shape[-1] - 1):
+        for f, values in zip((fam.apply, fam.jacobian, fam.d_mu), grid):
+            point = f(X[0][:, p], sol.mu, 0.1)
+            assert point.shape == values.shape[:-1]
+            assert point.tobytes() == np.ascontiguousarray(values[..., p]).tobytes()

@@ -11,7 +11,7 @@ from kamtori.errors import (Diverged, DivisorTooSmall, FrameSingular, NoConverge
                             NonDegeneracyFailure, NormalizationDiverged)
 from kamtori.fourier import FourierSeries, fast_grid_size, from_grid, to_grid
 from kamtori.lindstedt import lindstedt_expand
-from kamtori.maps import DissipativeStandardMap
+from kamtori.maps import DissipativeStandardMap, symplectic_matrix
 from kamtori.newton import (_evaluate, _gram_cond, dump_solution,
                             invariance_residual, lagrangian_defect, load_solution,
                             newton_step, normalize_embedding, reducibility_frame,
@@ -51,7 +51,9 @@ def test_packed_evaluation_matches_separate_lifts(dim):
         dim, kmax, 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))))
     omega = np.array([(np.sqrt(5.0) - 1.0) / 2.0, np.sqrt(2.0) - 1.0][:dim])
     ev = _evaluate(_ZeroMap(), K, None, omega, 0.0)
-    X, Xshift, DK, DKshift = sample_jet(K.periodic.coeffs[None], omega, ev.X.shape[0])
+    n = newton._grid_size(kmax)
+    assert ev.X.shape[-1] == n ** dim
+    X, Xshift, DK, DKshift = sample_jet(K.periodic.coeffs[None], omega, n)
     assert ev.X.tobytes() == X[0].tobytes()
     assert ev.E.tobytes() == (0.0 - Xshift[0]).tobytes()
     assert ev.DK.tobytes() == DK[0].tobytes()
@@ -113,10 +115,10 @@ def test_reducibility_view_matches_the_triangular_product(fam, omega, base_torus
     K, mu, eps = perturbed(base_torus[0], rng, 5e-3), base_torus[1], 0.02
     view = reducibility_frame(fam, K, mu, omega, eps)
     fr = view.frame
-    tri = np.zeros(fr.S.shape[1:-2] + (2, 2), dtype=complex)
-    tri[..., 0, 0] = 1.0
-    tri[..., 1, 1] = fr.lam[0]
-    tri[..., :1, 1:] = fr.S[0]
+    tri = np.zeros((2, 2) + fr.S.shape[3:], dtype=complex)
+    tri[0, 0] = 1.0
+    tri[1, 1] = fr.lam[0]
+    tri[:1, 1:] = fr.S[0]
     R = jets.mm(fr.Df[0], fr.M[0]) - jets.mm(fr.Mshift[0], tri)
     R_norm = from_grid(R, 1, fr.kmax).analytic_norm(0.0)
     E_norm = invariance_residual(fam, K, mu, omega, eps).analytic_norm(0.0)
@@ -148,14 +150,14 @@ def test_frame_singular_detected(fam, omega):
 def _frame_of(dk, dkshift):
     """build_frame on order-0 jets of DK and DK o T_omega sampled at 4 points,
     with Df = I and D_mu f = 1."""
-    Df = np.broadcast_to(np.eye(2, dtype=complex), (1, 4, 2, 2))
+    Df = np.broadcast_to(np.eye(2, dtype=complex)[..., None], (1, 2, 2, 4))
     return newton.build_frame(np.array([1.0 + 0j]), dk, dkshift, Df,
-                              np.ones((1, 4, 2, 1), dtype=complex), np.array([0.25]), 1)
+                              np.ones((1, 2, 1, 4), dtype=complex), np.array([0.25]), 1)
 
 
 def _angle_dk(values):
-    dk = np.zeros((1, 4, 2, 1), dtype=complex)
-    dk[0, :, 0, 0] = values
+    dk = np.zeros((1, 2, 1, 4), dtype=complex)
+    dk[0, 0, 0] = values
     return dk
 
 
@@ -209,7 +211,7 @@ def test_shifted_frame_is_the_frame_of_the_shifted_dk(fam, omega, base_torus, mo
     # DK o T_omega: the derivative of K o T_omega, the identity in its mean
     dks = np.array(K.periodic.shift(omega).differentiate(0).coeffs)[..., None]
     dks[kmax, 0, 0] += 1.0
-    dks = to_grid(FourierSeries(1, kmax, dks), ev.X.shape[0])
+    dks = to_grid(FourierSeries(1, kmax, dks), ev.X.shape[-1])
     assert dks.tobytes() == ev.DKshift.tobytes()
 
     def no_transform(*args, **kwargs):
@@ -225,24 +227,74 @@ def test_shifted_frame_is_the_frame_of_the_shifted_dk(fam, omega, base_torus, mo
     assert fr.beta[0].tobytes() == jets.inv_stack(Mshift[0]).tobytes()
 
 
+def test_two_dimensional_frame_matches_a_pointwise_linalg_reference():
+    # d = 2: the Gram is 2 x 2 (conditioned by np.linalg.cond's SVD) and the
+    # frame 4 x 4 (inverted by np.linalg.inv); every matrix of the frame is
+    # the np.linalg formula at its grid point
+    rng = np.random.default_rng(22)
+    kmax, d = 3, 2
+    omega = np.array([(np.sqrt(5.0) - 1.0) / 2.0, np.sqrt(2.0) - 1.0])
+    shape = (2 * kmax + 1,) * d + (2 * d,)
+    K = TorusEmbedding(FourierSeries(d, kmax, 0.02 * (rng.standard_normal(shape)
+                                                      + 1j * rng.standard_normal(shape))))
+    n = newton._grid_size(kmax)
+    _, _, dk, dkshift = sample_jet(K.periodic.coeffs[None], omega, n)
+    Df = np.eye(2 * d) + 0.2 * rng.standard_normal((2 * d, 2 * d))
+    Dmu = rng.standard_normal((2 * d, d))
+    lam = 0.9 + 0j
+    points = n ** d
+    fr = newton.build_frame(np.array([lam]), dk, dkshift,
+                            np.broadcast_to(Df[None, ..., None], (1, 2 * d, 2 * d, points)),
+                            np.broadcast_to(Dmu[None, ..., None], (1, 2 * d, d, points)),
+                            omega, kmax)
+
+    Jinv = np.linalg.inv(symplectic_matrix(d))
+
+    def frame(g):               # point-major DK (points, 2d, d) -> N, M
+        N = np.linalg.inv(np.swapaxes(g, -1, -2) @ g)
+        return N, np.concatenate([g, Jinv @ g @ N], axis=-1)
+
+    g, gs = np.moveaxis(dk[0], -1, 0), np.moveaxis(dkshift[0], -1, 0)
+    N, M = frame(g)
+    Ns, Ms = frame(gs)
+    beta = np.linalg.inv(Ms)
+    P, Ps = g @ N, gs @ Ns
+    S = np.swapaxes(Ps, -1, -2) @ Df @ Jinv @ P \
+        - lam * np.swapaxes(Ns, -1, -2) @ (np.swapaxes(gs, -1, -2) @ Jinv @ gs) @ Ns
+    assert fr.n == n
+    for got, want in ((fr.M, M), (fr.Mshift, Ms), (fr.beta, beta), (fr.S, S),
+                      (fr.A, beta @ Dmu)):
+        assert got.shape == (1,) + want.shape[1:] + (points,)
+        assert np.max(np.abs(np.moveaxis(got[0], -1, 0) - want)) <= 1e-13
+
+
+def test_a_singular_large_matrix_is_blamed_on_its_grid_point_alone():
+    # four 3 x 3 identities with one zero matrix: only that point is not finite
+    stack = np.repeat(np.eye(3, dtype=complex)[..., None], 4, axis=-1)
+    stack[..., 2] = 0.0
+    with pytest.raises(FrameSingular) as err:
+        newton._gate(jets.inv_stack(stack), "M o T_omega is singular or not finite")
+    assert str(err.value) == "M o T_omega is singular or not finite at 1 of 4 grid points"
+
+
 def test_not_finite_points_counts_one_nan_grid_point(rng):
-    stack = rng.standard_normal((3125, 2, 2)) + 0j
+    stack = rng.standard_normal((2, 2, 3125)) + 0j
     assert newton._not_finite_points(stack) == 0
-    stack[1234, 1, 0] = complex(0.0, np.nan)
+    stack[1, 0, 1234] = complex(0.0, np.nan)
     assert newton._not_finite_points(stack) == 1
-    stack[7, 0, 0] = stack[7, 0, 1] = np.inf
+    stack[0, 0, 7] = stack[0, 1, 7] = np.inf
     assert newton._not_finite_points(stack) == 2
 
 
 def test_closed_form_gram_cond_matches_numpy():
     vals = np.array([1.0, 0.0, np.inf, -np.inf, 3 + 4j, 1e-320, 2e300j,
                      complex(0, np.inf), -7.5])
-    ours = _gram_cond(vals.reshape(-1, 1, 1))
+    ours = _gram_cond(vals.reshape(1, 1, -1))
     assert ours.tobytes() == np.linalg.cond(vals.reshape(-1, 1, 1)).tobytes()
     # with a nan entry LAPACK's SVD may fail to converge; where it returns,
     # nan stays nan
     with_nan = np.array([2.0, np.nan, complex(np.inf, np.nan), 0.0]).reshape(-1, 1, 1)
-    ours = _gram_cond(with_nan)
+    ours = _gram_cond(with_nan.reshape(1, 1, -1))
     for g, c in zip(with_nan, ours):
         try:
             want = np.linalg.cond(g[None])[0]
@@ -303,7 +355,7 @@ def test_step_linear_response(fam, omega, base_torus, rng):
 def test_nondegeneracy_failure_detected(omega, base_torus, solve):
     class NoDrift(DissipativeStandardMap):
         def d_mu(self, x, mu, eps):
-            return np.zeros(np.asarray(x).shape[:-1] + (2, 1), dtype=complex)
+            return np.zeros((2, 1) + np.asarray(x).shape[1:], dtype=complex)
 
     fam = NoDrift(kappa=0.5)
     K0, mu0 = base_torus
@@ -582,7 +634,7 @@ def test_lagrangian_defect_samples_only_dk(fam, omega, monkeypatch):
     K = run_newton(fam, K0, mu0, omega, 0.05, tol=1e-12).K
     n = newton._grid_size(K.kmax)
     dk = sample_jet(K.periodic.coeffs[None], omega, n)[2][0]
-    L = jets.mm(jets.mm(np.swapaxes(dk, -1, -2), fam.J), dk)
+    L = jets.mm(jets.mm(np.swapaxes(dk, -3, -2), fam.J[..., None]), dk)
     want = from_grid(L, K.dim, K.kmax).analytic_norm(0.0)
     points = []
 
