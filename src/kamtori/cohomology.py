@@ -105,7 +105,8 @@ def solve_twisted(eta: FourierSeries, lam: complex, omega,
     """Solve lam*phi - phi o T_omega = eta mode by mode.
 
     For lam = 1 (within 1e-12) eta must be finite with a vanishing average
-    (else ValueError) and phi is returned with zero average; otherwise the
+    (else ValueError; finite modes too large for their squares to stay
+    finite pass) and phi is returned with zero average; otherwise the
     average solves (lam-1) phi_0 = eta_0.  `divisor_floor` may be a scalar or
     an array over the centred mode box of any cutoff >= kmax (e.g. a
     |k|-dependent threshold), cut to the kmax box; any divisor below it raises
@@ -127,8 +128,10 @@ def solve_twisted(eta: FourierSeries, lam: complex, omega,
     if abs(lam - 1.0) <= _AVG_TWIST_TOL:
         avg = np.abs(np.atleast_1d(eta.average()))
         scale = eta.analytic_norm(0.0)
-        # a non-finite mode, the mean included, makes the scale non-finite
-        if not np.isfinite(scale) or np.max(avg) > 1e-12 * max(scale, 1e-30):
+        # a non-finite mode, the mean included, makes the scale non-finite, and
+        # so do finite modes whose squares overflow; only the former are refused
+        if (not np.isfinite(scale) and not np.isfinite(eta.coeffs).all()
+                or np.max(avg) > 1e-12 * max(scale, 1e-30)):
             raise ValueError("eta must have finite modes and a finite zero average "
                              "when lam = 1")
         # phi_0 = 0: the unique zero-average solution

@@ -105,7 +105,7 @@ def _dk(series: FourierSeries) -> FourierSeries:
 
 
 def sample_jet(coeffs: np.ndarray, omega, n: int, *, lifts: bool = True,
-               dk: bool = True) -> tuple:
+               dk: bool = True, real: bool = False) -> tuple:
     """Grid jets of the torus jet K(eps) = sum_j K_j eps^j: the lifts X and
     X o T_omega if `lifts`, then DK and DK o T_omega if `dk`; with omega
     None the shifted blocks are left out.
@@ -118,12 +118,15 @@ def sample_jet(coeffs: np.ndarray, omega, n: int, *, lifts: bool = True,
     to_grid, each a view of a block of rows of its buffer, with a contiguous
     point axis; the lifts theta and theta + omega, and DK's identity block
     (added to the mean coefficient before the transform), enter order 0 only.
+    The samples are complex128, or with `real` (a jet of Hermitian series and
+    a real omega; the Newton solver reads that off its problem) float64,
+    sampled by `to_grid(..., real=True)`.
     """
     series = _series(coeffs)
     d = series.dim
     base = (series,) if omega is None else (series, series.shift(omega))
     blocks = (base if lifts else ()) + (tuple(_dk(s) for s in base) if dk else ())
-    out = grid_columns(to_grid(blocks, n), blocks)
+    out = grid_columns(to_grid(blocks, n, real=real), blocks)
     if lifts:
         for j in range(d):
             theta = angle_axis(n).reshape((1,) * j + (n,) + (1,) * (d - 1 - j))

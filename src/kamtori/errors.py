@@ -76,6 +76,19 @@ class Diverged(KamtoriError):
         )
 
 
+class JetOverflow(KamtoriError):
+    """A Lindstedt engine met an order that is not finite: the right-hand
+    side or the solution of that order overflowed (or is nan), so it and
+    every later order are lost.  `order` names the first such order."""
+
+    label, exit_code, status = "jet overflow", 6, "jet-overflow"
+
+    def __init__(self, order, what):
+        self.order = int(order)
+        super().__init__(f"order {self.order} of the jet is not finite: its {what} "
+                         "overflows")
+
+
 class NormalizationDiverged(KamtoriError):
     """Root finding for the normalizing shift left its trust region."""
 

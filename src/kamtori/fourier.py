@@ -20,10 +20,17 @@ sign pattern of k, which also transpose between the two layouts.  `to_grid`
 makes one allocation per call, a zero-filled buffer that takes the boxes of
 all the series it samples and is transformed and scaled by n^d in place.
 
+Samples are complex128 by default.  Hermitian series (c_-k = conj(c_k))
+may be sampled as float64 (`to_grid(..., real=True)`), through the n//2 + 1
+bins of a real transform at about half the cost, as `np.fft.irfftn` does;
+`from_grid` of float64 samples follows `np.fft.rfftn` and mirrors the modes
+k_d < 0, so the box is Hermitian bit for bit.  The Newton solver samples a
+real problem as float64 (see `newton`); every other caller is complex.
+
 The tables that depend only on a cutoff, a grid size or a shift are computed
 once and kept read-only in bounded LRU caches: the 5-smooth grid size of a
-minimum (`fast_grid_size`, 256 entries), the box blocks per (d, kmax, n) (64),
-the shift phases e^{2 pi i k omega_j} per (kmax, omega_j) (64), the
+minimum (`fast_grid_size`, 256 entries), the box blocks per (d, kmax, n) and
+sample dtype (64), the mirror slices per (d, kmax) (64), the shift phases e^{2 pi i k omega_j} per (kmax, omega_j) (64), the
 derivative factors 2 pi i k per kmax (32), the angle axis j/n per n (32) and
 the tail-band mask of `tail_mass` per (d, kmax) (16).  No grid of angles is
 cached (at d = 2 and large n one is tens of MB): samplers broadcast the 1-D
@@ -317,27 +324,37 @@ def theta_grid(dim: int, n: int) -> list[np.ndarray]:
 
 
 @lru_cache(maxsize=64)
-def _box_blocks(dim: int, kmax: int, n: int) -> tuple:
+def _box_blocks(dim: int, kmax: int, n: int, half: bool = False) -> tuple:
     """The 2^dim blocks of the centered mode box |k_i| <= kmax in an n^dim FFT
     array, as (box, fft) index pairs of the last dim axes: on each axis the
-    modes k >= 0 sit at [:kmax+1] and k < 0 at [n-kmax:], one slice copy each."""
+    modes k >= 0 sit at [:kmax+1] and k < 0 at [n-kmax:], one slice copy each.
+    With `half` the last axis is the n//2 + 1 bins of a real transform, which
+    hold its modes k >= 0 only: 2^(dim-1) blocks."""
     halves = ((slice(kmax, None), slice(None, kmax + 1)),
               (slice(None, kmax), slice(n - kmax, None)))
-    return tuple(tuple((...,) + s for s in zip(*b)) for b in product(halves, repeat=dim))
+    axes = (halves,) * (dim - 1) + (halves[:1] if half else halves,)
+    return tuple(tuple((...,) + s for s in zip(*b)) for b in product(*axes))
 
 
-def to_grid(series, n: int) -> np.ndarray:
+def to_grid(series, n: int, *, real: bool = False) -> np.ndarray:
     """Sample on the regular n^d grid theta_j = j/n.
 
     `series` is one FourierSeries, sampled with shape value_shape + (n^d,),
     or a tuple of series on one mode box, sampled side by side: the result
     has shape (rows, n^d), each series' values flattened in row-major order
     into its own block of rows, in the order given (`grid_columns` gives
-    the views of each), and each equal bit for bit to its own sample.  The
-    samples are complex128.  Requires n >= 2*kmax+1 so every stored mode
-    lands in its own bin: each centered box is copied straight into FFT order
-    (mode k at index k mod n on each axis, `_box_blocks`) of one zero-filled
-    buffer, which is inverse-transformed and scaled by n^d in place.
+    the views of each), and each equal bit for bit to its own sample.
+    Requires n >= 2*kmax+1 so every stored mode lands in its own bin: each
+    centered box is copied straight into FFT order (mode k at index k mod n
+    on each axis, `_box_blocks`) of one zero-filled spectrum.
+
+    The samples are complex128, the spectrum inverse-transformed and scaled
+    by n^d in place.  With `real` the series are taken as Hermitian and the
+    samples are float64: the spectrum holds only the modes k_d >= 0 of the
+    last axis, the n//2 + 1 bins of `np.fft.irfft`, which transforms it after
+    the other axes' `np.fft.ifft`, all unscaled (norm="forward"), as
+    `np.fft.irfftn` does; of a series that is not Hermitian it samples the
+    Hermitian series with the same modes k_d > 0.
     """
     single = isinstance(series, FourierSeries)
     parts = (series,) if single else tuple(series)
@@ -348,20 +365,26 @@ def to_grid(series, n: int) -> np.ndarray:
         raise ValueError(
             f"grid size {n} below Nyquist bound {2 * kmax + 1} for kmax={kmax}"
         )
-    if single:
-        # one series keeps its own value shape, which spares the row views
-        buf = np.zeros(series.value_shape + (n ** d,), dtype=complex)
-        views = (buf,)
+    # one series keeps its own value shape, which spares the row views
+    lead = series.value_shape if single else (sum(prod(p.value_shape) for p in parts),)
+    if real:
+        spec = np.zeros(lead + (n,) * (d - 1) + (n // 2 + 1,), dtype=complex)
     else:
-        buf = np.zeros((sum(prod(p.value_shape) for p in parts), n ** d), dtype=complex)
-        views = grid_columns(buf, parts)
+        buf = np.zeros(lead + (n ** d,), dtype=complex)
+        spec = _cells(buf, d, n)
+    views = (spec,) if single else grid_columns(spec, parts)
     for p, view in zip(parts, views):
-        cells, box_last = _cells(view, d, n), p.coeffs.transpose(_values_first(d, p.coeffs.ndim))
-        for box, fft in _box_blocks(d, kmax, n):
-            cells[fft] = box_last[box]
-    cells = _cells(buf, d, n)
+        box_last = p.coeffs.transpose(_values_first(d, p.coeffs.ndim))
+        for box, fft in _box_blocks(d, kmax, n, real):
+            view[fft] = box_last[box]
+    if real:
+        for axis in range(-d, -1):
+            np.fft.ifft(spec, axis=axis, norm="forward", out=spec)
+        buf = np.empty(lead + (n ** d,))
+        np.fft.irfft(spec, n, axis=-1, norm="forward", out=_cells(buf, d, n))
+        return buf
     for axis in range(-1, -d - 1, -1):
-        np.fft.ifft(cells, axis=axis, out=cells)
+        np.fft.ifft(spec, axis=axis, out=spec)
     buf *= n ** d
     return buf
 
@@ -379,7 +402,8 @@ def _cells(grid: np.ndarray, dim: int, n: int) -> np.ndarray:
 
 def grid_columns(grid: np.ndarray, series) -> list:
     """The views of a side-by-side sample `to_grid(series, n)` of a tuple of series
-    that hold each series' values, in its own value shape, each a block of rows."""
+    (or of any stack whose leading axis holds their rows) that hold each
+    series' values, in its own value shape, each a block of rows."""
     widths = [prod(s.value_shape) for s in series]
     return [grid[end - w:end].reshape(s.value_shape + grid.shape[1:])
             for s, w, end in zip(series, widths, accumulate(widths))]
@@ -392,22 +416,56 @@ def from_grid(values: np.ndarray, dim: int, kmax: int) -> FourierSeries:
     out-of-band content aliases (callers oversample accordingly).  The
     2*kmax+1 kept modes per axis are copied from FFT order (index k mod n,
     `_box_blocks`) and only they are scaled by n^-d.  The first transform
-    writes one new buffer and the others run in it in place; contiguous
-    complex128 samples enter that first transform without a copy.
+    writes one new buffer and the others run in it in place.
+
+    Complex samples are transformed by `np.fft.fft` on every axis, last axis
+    first, as `np.fft.fftn` does; contiguous complex128 samples enter without
+    a copy.  Real samples (float64, or promoted to it) are transformed as
+    `np.fft.rfftn` does, `np.fft.rfft` on the last axis, and only the modes
+    k_d >= 0 are copied, scaled as they are copied; the others are written as
+    the conjugates of their mirrors (`_mirror`), so the box is Hermitian bit
+    for bit.
     """
-    values = np.asarray(values, dtype=np.complex128)
+    values = np.asarray(values)
+    real = values.dtype.kind != "c"
+    values = values.astype(np.float64 if real else np.complex128, copy=False)
     n = round(values.shape[-1] ** (1 / dim))
     if n < 2 * kmax + 1:
         raise ValueError(f"grid size {n} below Nyquist bound {2 * kmax + 1} for kmax={kmax}")
-    chat = np.fft.fft(_cells(values, dim, n), axis=-1)
+    chat = (np.fft.rfft if real else np.fft.fft)(_cells(values, dim, n), axis=-1)
     for axis in range(-2, -dim - 1, -1):
         np.fft.fft(chat, axis=axis, out=chat)
     coeffs = np.empty((2 * kmax + 1,) * dim + chat.shape[:-dim], dtype=chat.dtype)
     box_last = coeffs.transpose(_values_first(dim, coeffs.ndim))
-    for box, fft in _box_blocks(dim, kmax, n):
-        box_last[box] = chat[fft]
-    coeffs /= n ** dim
+    if real:
+        for box, fft in _box_blocks(dim, kmax, n, True):
+            np.divide(chat[fft], n ** dim, out=box_last[box])
+        _mirror(coeffs, dim, kmax)
+    else:
+        for box, fft in _box_blocks(dim, kmax, n):
+            box_last[box] = chat[fft]
+        coeffs /= n ** dim
     return FourierSeries(dim, kmax, coeffs)
+
+
+@lru_cache(maxsize=64)
+def _mirror_blocks(dim: int, kmax: int) -> tuple:
+    """The slices of the centered box whose last nonzero k_i is negative, one
+    per axis i: k_d < 0; then k_d = 0 and k_(d-1) < 0; ..; then k_1 < 0 and
+    the other k_i = 0."""
+    return tuple((slice(None),) * axis + (slice(None, kmax),) + (kmax,) * (dim - 1 - axis)
+                 for axis in range(dim - 1, -1, -1))
+
+
+def _mirror(coeffs: np.ndarray, dim: int, kmax: int) -> None:
+    """Complete a box that holds the modes k_d >= 0 to a Hermitian one, in
+    place: c_-k = conj(c_k) on each block of `_mirror_blocks`, and c_0 real.
+    At dim 1 c_0 is rfft's mean, real already."""
+    flipped = coeffs[(slice(None, None, -1),) * dim]
+    for neg in _mirror_blocks(dim, kmax):
+        np.conjugate(flipped[neg], out=coeffs[neg])
+    if dim > 1:
+        coeffs[(kmax,) * dim + (...,)].imag = 0
 
 
 # -- text form ------------------------------------------------------------------

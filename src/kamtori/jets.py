@@ -5,6 +5,9 @@ A jet is an ndarray whose leading axis indexes the power order; entries are
 grid samples or plain values of a common shape.  All operations are
 coefficient-exact truncated power-series algebra.
 
+Real jets stay real: a kernel's result is float64 when its operands are
+real, complex128 when one of them is complex.
+
 Matrix-valued jets and grid stacks are (..., p, q, points), the grid points
 on one trailing axis: `mm` multiplies them, for any inner dimension, and
 `inv_stack` inverts them, over the matrix axes (-3, -2).  The frames of the
@@ -22,7 +25,8 @@ MAX_ORDER_DOUBLE = 16      # order cap of the complex128 jets
 
 
 def zero_like(a):
-    return np.zeros(a.shape, dtype=np.result_type(a.dtype, np.complex128))
+    """Zeros of a jet's shape, complex128 for a complex jet and float64 for a real one."""
+    return np.zeros(a.shape, dtype=np.result_type(a.dtype, np.float64))
 
 
 def pad(a, order):
@@ -75,9 +79,9 @@ def cauchy(a, b, order=None, prod=np.multiply):
     b = np.asarray(b)
     n = (min(a.shape[0], b.shape[0]) - 1) if order is None else order
     first = prod(a[0], b[0])
-    if n == 0 and first.dtype == np.complex128:
+    if n == 0:
         return first[None]
-    out = np.zeros((n + 1,) + first.shape, dtype=np.result_type(first.dtype, np.complex128))
+    out = np.zeros((n + 1,) + first.shape, dtype=np.result_type(first.dtype, np.float64))
     out[0] = first
     for i in range(1, n + 1):
         lo, hi = max(0, i - b.shape[0] + 1), min(i, a.shape[0] - 1)

@@ -49,6 +49,8 @@ out-of-band content) runs at B = kmax with no projection.
 
 from __future__ import annotations
 
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +59,7 @@ from . import jets
 from .jets import MAX_ORDER_DOUBLE
 from .cohomology import DEFAULT_DIVISOR_FLOOR
 from .embedding import TorusEmbedding, sample_jet
+from .errors import JetOverflow
 from .fourier import (FourierSeries, _format_pairs, _parse_pairs, _read_header,
                       dump_series, from_grid, load_series, to_grid)
 from .newton import (_evaluate, _grid_size, _mean, build_frame, checked_block,
@@ -139,6 +142,24 @@ def _evaluate_jet(fam, jet: EpsilonJet, omega, order: int, dk: bool = True):
     return bands, x, mu, fam.jet_apply(x, mu, jet.eps0) - xshift, tuple(dks)
 
 
+@contextmanager
+def _orders_checked():
+    """Hide numpy's overflow and invalid-value warnings: the engines check
+    every order instead (`_check_order`).  A warnings filter costs nothing per
+    ufunc call, where a non-default np.errstate slows each by about 7%."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "(overflow|invalid value) encountered",
+                                RuntimeWarning)
+        yield
+
+
+def _check_order(j: int, what: str, *arrays) -> None:
+    """Raise JetOverflow naming order j when one of `arrays` is not finite."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise JetOverflow(j, what)
+
+
 def _project(grids: np.ndarray, d: int, B: int, bands, kmax: int) -> list:
     """The series of a grid jet (order on the leading axis, sampled at
     cutoff B): one from_grid over all orders, then order j cut to
@@ -160,7 +181,8 @@ def lindstedt_expand(fam, K_base: TorusEmbedding, mu_base, omega, eps0, N: int,
 
     Requires an exact base solution (residual below BASE_TOL) and the
     invertibility of the averaged block; for eps0 != 0 the twisted solves use
-    the lam(eps0) divisors and may raise DivisorTooSmall.
+    the lam(eps0) divisors and may raise DivisorTooSmall.  JetOverflow names
+    the first order whose right-hand side or solution is not finite.
     """
     if N > MAX_ORDER_DOUBLE:
         raise ValueError(
@@ -170,7 +192,9 @@ def lindstedt_expand(fam, K_base: TorusEmbedding, mu_base, omega, eps0, N: int,
     bands = _bands(fam, (K_base.periodic,), N)
     B = bands[-1]
     K_cut = TorusEmbedding(K_base.periodic.truncate(B))
-    ev = _evaluate(fam, K_cut, mu_base, omega, eps0)
+    # complex like the orders: products of a real base frame with them would be
+    # mixed real-complex, which numpy runs slower than complex ones
+    ev = _evaluate(fam, K_cut, mu_base, omega, eps0, complex_grids=True)
     fr = newton_frame(fam, ev, mu_base, omega, eps0)
     base_res = ev.series.analytic_norm(0.0)
     if base_res > BASE_TOL:
@@ -184,15 +208,18 @@ def lindstedt_expand(fam, K_base: TorusEmbedding, mu_base, omega, eps0, N: int,
     mu_jet = np.zeros((N + 1, d), dtype=complex)
     mu_jet[0] = mu_base
 
-    for j in range(1, N + 1):
-        G = fam.jet_apply(x_jet[: j + 1], mu_jet[: j + 1], eps0)[j]
-        Et = jets.mm(fr.beta[0], (-G)[:, None])[:, 0]
-        W1, W2, mu_j, _ = solve_reduced(core, Et[:d], Et[d:], B)
-        Kj = from_grid(jets.mm(fr.M[0], np.concatenate([W1, W2])[:, None])[:, 0],
-                       d, B).truncate(bands[j])
-        K_coeffs.append(Kj.pad_to(kmax))
-        x_jet[j] = to_grid(Kj, fr.n)
-        mu_jet[j] = mu_j
+    with _orders_checked():
+        for j in range(1, N + 1):
+            G = fam.jet_apply(x_jet[: j + 1], mu_jet[: j + 1], eps0)[j]
+            Et = jets.mm(fr.beta[0], (-G)[:, None])[:, 0]
+            _check_order(j, "right-hand side", Et)
+            W1, W2, mu_j, _ = solve_reduced(core, Et[:d], Et[d:], B)
+            Kj = from_grid(jets.mm(fr.M[0], np.concatenate([W1, W2])[:, None])[:, 0],
+                           d, B).truncate(bands[j])
+            _check_order(j, "solution", Kj.coeffs)
+            K_coeffs.append(Kj.pad_to(kmax))
+            x_jet[j] = to_grid(Kj, fr.n)
+            mu_jet[j] = mu_j
 
     return EpsilonJet(complex(eps0), tuple(K_coeffs), mu_jet, fam.lambda_jet(eps0, N))
 
@@ -248,14 +275,19 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
     block as the base torus, and is normalized in the base frame.  Orders
     <= N are returned as given, so the input must be exact there: a
     ValueError names the first order whose residual exceeds BASE_TOL on the
-    grid.
+    grid.  JetOverflow names the first order whose residual, right-hand side
+    or solution is not finite.
     """
     N, M_ord = jet.order, 2 * jet.order + 1
     if M_ord > MAX_ORDER_DOUBLE:
         raise ValueError(
             f"target order {M_ord} beyond the double-precision cap {MAX_ORDER_DOUBLE}")
     d, kmax, eps0 = jet.dim, jet.kmax, jet.eps0
-    bands, x, mu, E, (dk, dkshift) = _evaluate_jet(fam, jet, omega, M_ord)
+    with _orders_checked():
+        bands, x, mu, E, (dk, dkshift) = _evaluate_jet(fam, jet, omega, M_ord)
+        if not np.isfinite(E).all():
+            for j, Ej in enumerate(E):
+                _check_order(j, "residual", Ej)
     B = bands[-1]
     lam = fam.lambda_jet(eps0, M_ord)
     x0, mu0 = x[:N + 1], mu[:N + 1]
@@ -279,19 +311,22 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
     K_grid = np.empty_like(x)
     mu_new = np.array(mu)
 
-    for nn in range(N + 1, M_ord + 1):
-        rhs1, rhs2 = -Et[nn][:d], -Et[nn][d:]
-        corr = np.zeros(x.shape[1:], dtype=complex)
-        for m in range(1, nn - N):
-            W2m, sig = W[nn - m][d:], mu_new[nn - m][:, None, None]
-            rhs2 = rhs2 - lam[m] * W2m - jets.mm(A2[m], sig)[:, 0]
-            rhs1 = rhs1 - jets.mm(S[m], W2m[:, None])[:, 0] - jets.mm(A1[m], sig)[:, 0]
-            corr = corr + jets.mm(fr.M[m], W[nn - m][:, None])[:, 0]
-        W1, W2, mu_new[nn], _ = solve_reduced(core, rhs1, rhs2, bands[nn])
-        # normalization in the base frame: zero average angle displacement
-        W1 = W1 - _mean(jets.mm(Minv0, corr[:, None])[:, 0])[:d, None]
-        W[nn] = np.concatenate([W1, W2])
-        K_grid[nn] = jets.mm(fr.M[0], W[nn][:, None])[:, 0] + corr
+    with _orders_checked():
+        for nn in range(N + 1, M_ord + 1):
+            rhs1, rhs2 = -Et[nn][:d], -Et[nn][d:]
+            corr = np.zeros(x.shape[1:], dtype=complex)
+            for m in range(1, nn - N):
+                W2m, sig = W[nn - m][d:], mu_new[nn - m][:, None, None]
+                rhs2 = rhs2 - lam[m] * W2m - jets.mm(A2[m], sig)[:, 0]
+                rhs1 = rhs1 - jets.mm(S[m], W2m[:, None])[:, 0] - jets.mm(A1[m], sig)[:, 0]
+                corr = corr + jets.mm(fr.M[m], W[nn - m][:, None])[:, 0]
+            _check_order(nn, "right-hand side", rhs1, rhs2)
+            W1, W2, mu_new[nn], _ = solve_reduced(core, rhs1, rhs2, bands[nn])
+            # normalization in the base frame: zero average angle displacement
+            W1 = W1 - _mean(jets.mm(Minv0, corr[:, None])[:, 0])[:d, None]
+            W[nn] = np.concatenate([W1, W2])
+            K_grid[nn] = jets.mm(fr.M[0], W[nn][:, None])[:, 0] + corr
+            _check_order(nn, "solution", K_grid[nn])
 
     new = _project(K_grid[N + 1:], d, B, bands[N + 1:], kmax)
     return EpsilonJet(complex(eps0), tuple(jet.K_coeffs) + tuple(new), mu_new, lam)

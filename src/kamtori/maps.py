@@ -10,6 +10,14 @@ a jet's order axis), vectorized over the trailing axes, with lift semantics
 for the angle part: a point is (2d,), a grid stack (2d, points), a grid jet
 (orders, 2d, points); Df is (2d, 2d, ...) and df/dmu (2d, d, ...).
 
+Values may be complex128 or, for a real problem, float64.  The Newton
+solver passes real points, mu and eps when the problem is real (see
+`newton`) and takes the real part of f, Df and df/dmu then, so a family may
+return complex values with zero imaginary parts at real points.  The built-in
+family returns float64 at real points when eps, mu and lam(eps) are real,
+which spares the complex arithmetic; `lambda_eps` and `lambda_jet` are
+always complex.
+
     dim, J            d and the 2d x 2d structure matrix (`verify_conformal`;
                       callers of `newton.lagrangian_defect` pass J)
     alpha, a          lam(eps) = 1 + alpha eps^a + ... (`atlas`'s epsilon-plane balls)
@@ -112,12 +120,17 @@ class DissipativeStandardMap:
 
     # -- pointwise ----------------------------------------------------------
 
+    def _lam(self, x, eps):
+        """lam(eps) as the points x take it: real at real points when it is real."""
+        lam = self.lambda_eps(eps)
+        return lam.real if not np.iscomplexobj(x) and lam.imag == 0 else lam
+
     def _kick(self, x, eps):
         return eps * self.kappa * np.sin(2 * np.pi * x) / (2 * np.pi)
 
     def apply(self, x, mu, eps):
         x = np.asarray(x)
-        lam = self.lambda_eps(eps)
+        lam = self._lam(x, eps)
         mu = np.atleast_1d(mu)[0] if np.ndim(mu) else mu
         ynew = lam * x[1] + mu + self._kick(x[0], eps)
         xnew = x[0] + ynew
@@ -125,9 +138,9 @@ class DissipativeStandardMap:
 
     def jacobian(self, x, mu, eps):
         x = np.asarray(x)
-        lam = self.lambda_eps(eps)
+        lam = self._lam(x, eps)
         c = eps * self.kappa * np.cos(2 * np.pi * x[0])
-        out = np.empty((2, 2) + x.shape[1:], dtype=np.result_type(x.dtype, type(lam)))
+        out = np.empty((2, 2) + x.shape[1:], dtype=np.result_type(x.dtype, c, lam))
         out[0, 0] = 1.0 + c
         out[0, 1] = lam
         out[1, 0] = c
@@ -136,7 +149,8 @@ class DissipativeStandardMap:
 
     def d_mu(self, x, mu, eps):
         x = np.asarray(x)
-        return np.ones((2, 1) + x.shape[1:], dtype=complex)
+        return np.ones((2, 1) + x.shape[1:],
+                       dtype=np.result_type(x.dtype, self._lam(x, eps), eps, np.float64))
 
     # -- jets ---------------------------------------------------------------
 

@@ -18,6 +18,16 @@ gamma = DK^T J^-1 DK are pointwise functions of DK, so the frame builds
 N o T_omega, M o T_omega and gamma o T_omega by the same formulas on the
 sample of DK o T_omega, with no grid transform.
 
+Real problems run on real grids.  `_real_problem` reads off the inputs of
+each evaluation, with no option, whether (K, mu) at eps is real: K's
+coefficients Hermitian bit for bit, eps, mu and lam(eps) with zero imaginary
+parts and omega not complex.  Then the samples, the family's values (their
+real parts), the frame, the averaged block, both cohomology solves and the
+correction M W are float64 grids; `from_grid` of the real correction is
+Hermitian bit for bit, so a continuation from the flat torus stays real.
+Coefficients and mu stay complex128.  Any other problem keeps the complex
+grids and their bytes.
+
 Each Newton iteration evaluates the map once: `run_newton` samples K as the
 order-0 jet of `embedding.sample_jet` (X = K(theta), K o T_omega, DK and
 DK o T_omega in one transform), forms E = f o K - K o T_omega and its
@@ -97,12 +107,38 @@ class _Defect:
         return from_grid(self.E, self.dim, self.kmax)
 
 
-def _evaluate(fam, K: TorusEmbedding, mu, omega, eps) -> _Defect:
+def _real_problem(fam, K: TorusEmbedding, mu, omega, eps) -> tuple:
+    """(real, mu, omega, eps): whether (K, mu) at eps is a real problem (K's
+    coefficients are Hermitian bit for bit, c_-k == conj(c_k), eps, mu and
+    lam(eps) have zero imaginary parts and omega is not complex), and the
+    arguments as the sampler and the family get them: their real parts when
+    it is."""
+    c = K.periodic.coeffs
+    real = bool((c[(slice(None, None, -1),) * K.dim] == c.conj()).all()
+                and np.imag(eps) == 0 and not np.imag(mu).any()
+                and not np.iscomplexobj(omega) and np.imag(fam.lambda_eps(eps)) == 0)
+    return (True, np.real(mu), np.real(omega), np.real(eps)) if real else \
+        (False, mu, omega, eps)
+
+
+def _defect_rows(fam, X: np.ndarray, Xshift: np.ndarray, mu, eps) -> np.ndarray:
+    """E = f_{mu,eps}(X) - X o T_omega, written over the rows of X o T_omega;
+    of real samples f's real part is taken, so a family may return complex
+    values with zero imaginary parts there."""
+    F = fam.apply(X, mu, eps)
+    return np.subtract(F if np.iscomplexobj(Xshift) else np.real(F), Xshift, out=Xshift)
+
+
+def _evaluate(fam, K: TorusEmbedding, mu, omega, eps, *, complex_grids=False) -> _Defect:
     """(K, mu) on the grid: K sampled as the order-0 jet of `sample_jet`, whose
-    buffer then holds E in the place of K o T_omega."""
+    buffer then holds E in the place of K o T_omega; float64 samples for a
+    real problem (`_real_problem`), else complex128, and complex128 always
+    with `complex_grids` (a base whose jet orders are complex)."""
+    real, mu, omega, eps = ((False, mu, omega, eps) if complex_grids
+                            else _real_problem(fam, K, mu, omega, eps))
     X, Xshift, DK, DKshift = sample_jet(K.periodic.coeffs[None], omega,
-                                        _grid_size(K.kmax))
-    E = np.subtract(fam.apply(X[0], mu, eps), Xshift[0], out=Xshift[0])
+                                        _grid_size(K.kmax), real=real)
+    E = _defect_rows(fam, X[0], Xshift[0], mu, eps)
     return _Defect(X[0], DK[0], DKshift[0], E, K.dim, K.kmax)
 
 
@@ -110,10 +146,13 @@ def invariance_residual(fam, K: TorusEmbedding, mu, omega, eps) -> FourierSeries
     """E = f_{mu,eps} o K - K o T_omega as a (2d,)-valued series.
 
     Computed on an oversampled grid with continuous angle lifts (K and
-    K o T_omega, no DK), then truncated to the embedding's cutoff.
+    K o T_omega, no DK; real samples for a real problem, as `_evaluate`),
+    then truncated to the embedding's cutoff.
     """
-    X, Xshift = sample_jet(K.periodic.coeffs[None], omega, _grid_size(K.kmax), dk=False)
-    return from_grid(fam.apply(X[0], mu, eps) - Xshift[0], K.dim, K.kmax)
+    real, mu, omega, eps = _real_problem(fam, K, mu, omega, eps)
+    X, Xshift = sample_jet(K.periodic.coeffs[None], omega, _grid_size(K.kmax),
+                           dk=False, real=real)
+    return from_grid(_defect_rows(fam, X[0], Xshift[0], mu, eps), K.dim, K.kmax)
 
 
 # -- the reduced system ---------------------------------------------------------
@@ -237,10 +276,17 @@ def build_frame(lam, dk, dkshift, Df, Dmu, omega, kmax: int) -> Frame:
 
 def newton_frame(fam, ev: _Defect, mu, omega, eps) -> Frame:
     """The frame of the torus of `ev`, an evaluation of (K, mu) at eps on the
-    grid: the pointwise map derivatives at its lift enter as order-0 jets."""
+    grid: the pointwise map derivatives at its lift enter as order-0 jets.
+    Of a real evaluation (float64 samples) the frame is real: the family gets
+    the real parts of mu and eps, and lam, Df and D_mu f are taken real."""
+    real = not np.iscomplexobj(ev.X)
+    if real:
+        mu, eps = np.real(mu), np.real(eps)
     lam = np.array([complex(fam.lambda_eps(eps))])
-    return build_frame(lam, ev.DK[None], ev.DKshift[None],
-                       fam.jacobian(ev.X, mu, eps)[None], fam.d_mu(ev.X, mu, eps)[None],
+    Df, Dmu = fam.jacobian(ev.X, mu, eps), fam.d_mu(ev.X, mu, eps)
+    if real:
+        lam, Df, Dmu = lam.real, np.real(Df), np.real(Dmu)
+    return build_frame(lam, ev.DK[None], ev.DKshift[None], Df[None], Dmu[None],
                        omega, ev.kmax)
 
 
@@ -267,13 +313,15 @@ def checked_block(frame: Frame, divisor_floor=DEFAULT_DIVISOR_FLOOR) -> ReducedC
     Solves the twisted drift response Bb first (which may raise
     DivisorTooSmall) and raises NonDegeneracyFailure when
     |det| <= DET_RTOL * scale^(2d), scale being the largest absolute row sum.
+    A real frame gives a real Bb on the grid and a real block.
     """
-    d, lam = frame.d, complex(frame.lam[0])
+    d, lam = frame.d, frame.lam[0]
     S, A1, A2 = frame.S[0], frame.A[0, :d], frame.A[0, d:]
+    real = not np.iscomplexobj(S)
     Bb = solve_twisted(-from_grid(A2, d, frame.kmax).remove_average(), lam,
                        frame.omega, divisor_floor=divisor_floor)
-    Bb_grid = to_grid(Bb.phi, frame.n)
-    block = np.zeros((2 * d, 2 * d), dtype=complex)
+    Bb_grid = to_grid(Bb.phi, frame.n, real=real)
+    block = np.zeros((2 * d, 2 * d), dtype=S.dtype)
     block[:d, :d] = _mean(S)
     block[:d, d:] = _mean(jets.mm(S, Bb_grid)) + _mean(A1)
     block[d:, :d] = (lam - 1.0) * np.eye(d)
@@ -295,14 +343,17 @@ def solve_reduced(core: ReducedCore, rhs1: np.ndarray, rhs2: np.ndarray, band: i
     rhs2, and the drift sigma: a lam-twisted solve, the averaged block for
     (avg W2, sigma), then an untwisted solve, both at the cutoff `band` <= the
     frame's kmax (each right-hand side is read from the grid at it, so the
-    cut costs no transform).  Returns (W1, W2, sigma, largest divisor gain).
+    cut costs no transform).  Real right-hand sides (float64) are solved on
+    real grids, complex ones on complex grids, whatever the frame.  Returns
+    (W1, W2, sigma, largest divisor gain).
     """
     fr = core.frame
-    d, n, lam = fr.d, fr.n, complex(fr.lam[0])
+    d, n, lam = fr.d, fr.n, fr.lam[0]
     S, A1 = fr.S[0], fr.A[0, :d]
+    real = not (np.iscomplexobj(rhs1) or np.iscomplexobj(rhs2))
     Ba = solve_twisted(from_grid(rhs2, d, band).remove_average(), lam, fr.omega,
                        divisor_floor=core.divisor_floor)
-    Ba_grid = to_grid(Ba.phi, n)
+    Ba_grid = to_grid(Ba.phi, n, real=real)
     rhs_avg = np.concatenate([_mean(rhs1) - _mean(jets.mm(S, Ba_grid[:, None])[:, 0]),
                               _mean(rhs2)])
     sol = np.linalg.solve(core.block, rhs_avg)
@@ -315,7 +366,7 @@ def solve_reduced(core: ReducedCore, rhs1: np.ndarray, rhs2: np.ndarray, band: i
     floor = core.divisor_floor if np.ndim(core.divisor_floor) == 0 else DEFAULT_DIVISOR_FLOOR
     W1sol = solve_twisted(from_grid(r1, d, band).remove_average(), 1.0, fr.omega,
                           divisor_floor=floor)
-    W1 = to_grid(W1sol.phi, n)
+    W1 = to_grid(W1sol.phi, n, real=real)
     return W1, W2, sigma, max(Ba.max_divisor_gain, W1sol.max_divisor_gain)
 
 

@@ -411,6 +411,17 @@ def test_lindstedt_base_solve_passes_the_good_set_gate(tmp_path, capsys):
             == (tmp_path / "ungated" / "jet.txt").read_bytes())
 
 
+@pytest.mark.parametrize("command", ["lindstedt", "double"])
+def test_an_overflowing_jet_order_is_named(tmp_path, capsys, command):
+    # with kappa 1e200 order 1 is about 1e199 and order 2 overflows: each engine
+    # names that order (the expansion by its right-hand side, the doubling by
+    # the residual of its input jet) instead of failing in a solve
+    assert _golden(tmp_path, command, {"kappa = 0.5": "kappa = 1e200"}) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("jet overflow: order 2 of the jet is not finite: its ")
+    assert not (tmp_path / command / "jet.txt").exists()
+
+
 def test_lindstedt_at_eps0_refuses_a_tol_above_the_base_tolerance(tmp_path, capsys):
     # the expansion at eps0 != 0 needs a base residual <= lindstedt.BASE_TOL, so
     # a looser [solver] tol is refused before any solve; at BASE_TOL it runs

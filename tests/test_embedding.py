@@ -118,7 +118,8 @@ def test_sample_jet_copies_nothing(dim, monkeypatch):
     coeffs = np.stack([K.coeffs for K in _random_jet(rng, dim, kmax, 3)])
     buffers = []
     monkeypatch.setattr(embedding, "to_grid",
-                        lambda series, n: buffers.append(to_grid(series, n)) or buffers[-1])
+                        lambda series, n, **kw: buffers.append(to_grid(series, n, **kw))
+                        or buffers[-1])
     for omega in (OMEGA[:dim], None):
         for lifts, dk in ((True, True), (True, False), (False, True)):
             buffers.clear()
@@ -133,8 +134,8 @@ def _sampled_points(monkeypatch):
     """The grid values of every later to_grid call of the sampler."""
     points = []
 
-    def counted(series, n):
-        grid = to_grid(series, n)
+    def counted(series, n, **kw):
+        grid = to_grid(series, n, **kw)
         points.append(grid.size)
         return grid
 

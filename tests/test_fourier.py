@@ -1,4 +1,5 @@
 import io
+from itertools import product
 
 import numpy as np
 import pytest
@@ -256,9 +257,82 @@ def test_transforms_match_fftshift_formulation(rng, dim, n, value_shape):
         back = from_grid(grid, dim, kmax)
         assert back.coeffs.flags["C_CONTIGUOUS"]
         assert back.coeffs.tobytes() == _from_grid_fftshift(grid, dim, kmax).tobytes()
-        # real samples are promoted as before
+        # real samples take the rfftn contract
         real = from_grid(grid.real, dim, kmax).coeffs
-        assert real.tobytes() == _from_grid_fftshift(grid.real, dim, kmax).tobytes()
+        assert real.tobytes() == _from_grid_rfftn(grid.real, dim, kmax).tobytes()
+
+
+def _hermitian_series(rng, dim, kmax, value_shape):
+    shape = (2 * kmax + 1,) * dim + value_shape
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    flip = (slice(None, None, -1),) * dim
+    return FourierSeries(dim, kmax, 0.5 * (c + np.conj(c[flip])))
+
+
+def _to_grid_irfftn(series, n):
+    """Reference for real samples: the modes k_d >= 0 in the n//2 + 1 bins of
+    the last axis (FFT order on the others), np.fft.irfftn unscaled."""
+    d, kmax = series.dim, series.kmax
+    half = np.zeros((n,) * (d - 1) + (n // 2 + 1,) + series.value_shape, dtype=complex)
+    bins = np.ix_(*([np.arange(-kmax, kmax + 1) % n] * (d - 1) + [np.arange(kmax + 1)]))
+    half[bins] = series.coeffs[(slice(None),) * (d - 1) + (slice(kmax, None),)]
+    grid = np.fft.irfftn(half, s=(n,) * d, axes=tuple(range(d)), norm="forward")
+    return _value_first(grid, d)
+
+
+def _from_grid_rfftn(values, dim, kmax):
+    """Reference for real samples, mode by mode: np.fft.rfftn scaled by n^-d
+    where the last nonzero k_i is positive, the conjugate of the mirror mode
+    where it is negative, and the real part at k = 0."""
+    values = _point_major(values, dim)
+    n = values.shape[0]
+    chat = np.fft.rfftn(values, axes=tuple(range(dim)))
+    out = np.empty((2 * kmax + 1,) * dim + values.shape[dim:], dtype=complex)
+    for k in product(range(-kmax, kmax + 1), repeat=dim):
+        sign = next((np.sign(ki) for ki in reversed(k) if ki), 0)
+        src = tuple(-ki for ki in k) if sign < 0 else k
+        val = np.array(chat[tuple(ki % n for ki in src[:-1]) + (src[-1],)] / n ** dim)
+        if sign < 0:
+            val = np.conj(val)
+        if sign == 0:
+            val.imag = 0
+        out[tuple(ki + kmax for ki in k)] = val
+    return out
+
+
+@pytest.mark.parametrize("dim, n, value_shape", [
+    (1, 16, ()), (1, 17, (2,)), (1, 15, (2, 1)), (1, 24, (2, 2)),
+    (2, 8, ()), (2, 9, (2,)), (2, 10, (2, 1)), (2, 11, (4, 2)),
+])
+def test_real_transforms_match_the_rfftn_formulation(rng, dim, n, value_shape):
+    # float64 samples of a Hermitian series by irfftn, and an exactly Hermitian
+    # box from float64 samples by rfftn, bit for bit, at and below Nyquist
+    flip = (slice(None, None, -1),) * dim
+    for kmax in ((n - 1) // 2, (n - 1) // 2 - 2):
+        s = _hermitian_series(rng, dim, kmax, value_shape)
+        grid = to_grid(s, n, real=True)
+        assert grid.dtype == np.float64 and grid.shape == value_shape + (n ** dim,)
+        assert grid.tobytes() == _to_grid_irfftn(s, n).tobytes()
+        assert np.max(np.abs(grid - to_grid(s, n).real)) <= 1e-13 * np.max(np.abs(grid))
+        back = from_grid(grid, dim, kmax).coeffs
+        assert back.flags["C_CONTIGUOUS"] and back.dtype == np.complex128
+        assert back.tobytes() == _from_grid_rfftn(grid, dim, kmax).tobytes()
+        assert np.array_equal(back[flip], np.conj(back))
+        assert np.max(np.abs(back - s.coeffs)) <= 1e-13 * np.max(np.abs(s.coeffs))
+        # samples of a series that is not Hermitian still give a Hermitian box
+        noise = rng.standard_normal(grid.shape)
+        box = from_grid(noise, dim, kmax).coeffs
+        assert box.tobytes() == _from_grid_rfftn(noise, dim, kmax).tobytes()
+        assert np.array_equal(box[flip], np.conj(box))
+
+
+@pytest.mark.parametrize("dim, kmax, n", [(1, 12, 38), (2, 4, 14)])
+def test_real_tuple_to_grid_matches_separate_transforms(rng, dim, kmax, n):
+    parts = [_hermitian_series(rng, dim, kmax, v) for v in [(), (2 * dim,), (3, 2 * dim, dim)]]
+    grid = to_grid(tuple(parts), n, real=True)
+    assert grid.dtype == np.float64
+    for s, view in zip(parts, fourier.grid_columns(grid, parts)):
+        assert view.tobytes() == to_grid(s, n, real=True).tobytes()
 
 
 def _fft_order(dim, kmax, n):

@@ -136,6 +136,27 @@ def test_inv_matrix_is_byte_equal_to_the_running_sum(rng, shape):
         assert _same_bytes(jets.inv_matrix(a), _loop_inv_matrix(a))
 
 
+@pytest.mark.parametrize("order", [0, 3])
+def test_real_jets_stay_real(rng, order):
+    # no kernel forces complex128 on real operands; products are the real parts
+    # of the complex computation bit for bit, the inverse (numpy's complex
+    # division multiplies by a reciprocal) to roundoff
+    a = rng.standard_normal((order + 1, 2, 2, 5)) * 1e-2
+    a[0] += 3 * np.eye(2)[..., None]
+    b = rng.standard_normal((order + 1, 2, 2, 5))
+    for kernel, args in ((jets.cauchy, (a, b)), (jets.matmul, (a, b)),
+                         (jets.inv_matrix, (a,))):
+        got = kernel(*args)
+        assert got.dtype == np.float64
+        ref = kernel(*(x.astype(complex) for x in args))
+        if kernel is jets.inv_matrix:
+            np.testing.assert_allclose(got, ref.real, rtol=1e-14, atol=0)
+        else:
+            assert got.tobytes() == np.ascontiguousarray(ref.real).tobytes()
+    assert jets.zero_like(a).dtype == np.float64
+    assert jets.sincos(a[:, 0, 0])[0].dtype == np.float64
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_closed_form_inverse_matches_lapack(rng, m):
     # complex stacks with condition numbers spread over decades

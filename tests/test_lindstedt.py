@@ -397,7 +397,7 @@ def _grid_sizes(monkeypatch):
     for module in (lindstedt, newton, embedding):
         to_grid = module.to_grid
         monkeypatch.setattr(module, "to_grid",
-                            lambda series, n, _f=to_grid: seen.add(n) or _f(series, n))
+                            lambda series, n, _f=to_grid, **kw: seen.add(n) or _f(series, n, **kw))
     return seen
 
 

@@ -64,6 +64,23 @@ def test_jacobian_structure_at_eps0(fam, rng):
     np.testing.assert_allclose(Df, np.broadcast_to(want, Df.shape), atol=1e-15)
 
 
+@pytest.mark.parametrize("alpha, eps, x_dtype, want", [
+    (1.0, 0.05, float, np.float64), (1.0, 0.05 + 0.01j, float, np.complex128),
+    (1.0 + 0.5j, 0.05, float, np.complex128), (1.0, 0.05, complex, np.complex128),
+])
+def test_values_are_real_at_real_points_of_a_real_map(rng, alpha, eps, x_dtype, want):
+    # real points, eps and mu with a real lam(eps) give float64 values, equal
+    # to the real parts of the complex evaluation; otherwise complex128
+    fam = DissipativeStandardMap(kappa=0.5, alpha=alpha, a=1)
+    x = np.stack([rng.random(7), rng.uniform(-1, 1, 7)]).astype(x_dtype)
+    for method in (fam.apply, fam.jacobian, fam.d_mu):
+        got = method(x, 0.01, eps)
+        assert got.dtype == want
+        if want == np.float64:
+            ref = method(x.astype(complex), 0.01, eps)
+            assert got.tobytes() == np.ascontiguousarray(ref.real).tobytes()
+
+
 def test_d_mu_column(fam):
     D = fam.d_mu(np.array([0.1, 0.2], dtype=complex), 0.0, 0.03)
     np.testing.assert_allclose(D[..., 0], [1.0, 1.0], atol=1e-16)

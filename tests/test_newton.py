@@ -1,3 +1,4 @@
+import hashlib
 import io
 import re
 
@@ -638,8 +639,8 @@ def test_lagrangian_defect_samples_only_dk(fam, omega, monkeypatch):
     want = from_grid(L, K.dim, K.kmax).analytic_norm(0.0)
     points = []
 
-    def counted(series, n):
-        grid = to_grid(series, n)
+    def counted(series, n, **kw):
+        grid = to_grid(series, n, **kw)
         points.append(grid.size)
         return grid
 
@@ -699,3 +700,126 @@ def test_solution_file_with_series_flag_tokens_loads(fam, omega, base_torus):
     back = load_solution(io.StringIO(text))
     assert back.K.periodic.coeffs.tobytes() == sol.K.periodic.coeffs.tobytes()
     assert back.mu.tobytes() == sol.mu.tobytes()
+
+
+# -- real and complex problems ----------------------------------------------------
+
+def _sampled_real_flags(monkeypatch):
+    """The `real` flag of every later sample_jet call of the solver."""
+    flags = []
+    sample = newton.sample_jet
+
+    def spy(*args, real=False, **kw):
+        flags.append(real)
+        return sample(*args, real=real, **kw)
+
+    monkeypatch.setattr(newton, "sample_jet", spy)
+    return flags
+
+
+def _hermitian(K):
+    c = K.periodic.coeffs
+    return np.array_equal(c[(slice(None, None, -1),) * K.dim], np.conj(c))
+
+
+def test_a_real_problem_runs_on_real_grids(fam, omega, base_torus, monkeypatch):
+    # from the flat torus every evaluation of a real continuation is real: each
+    # correction keeps K Hermitian bit for bit, and every grid is float64
+    K, mu = base_torus
+    flags = _sampled_real_flags(monkeypatch)
+    for eps in (0.05, 0.1):
+        sol = run_newton(fam, K, mu, omega, eps, tol=1e-12)
+        K, mu = sol.K, sol.mu
+        assert _hermitian(K) and not np.any(mu.imag)
+    assert flags and all(flags)
+    ev = _evaluate(fam, K, mu, omega, 0.1)
+    fr = newton.newton_frame(fam, ev, mu, omega, 0.1)
+    core = newton.checked_block(fr)
+    _, _, rep = newton_step(fam, K, mu, omega, 0.1, _defect=ev)
+    for grid in (ev.X, ev.DK, ev.DKshift, ev.E, fr.lam, fr.Df, fr.M, fr.Mshift,
+                 fr.beta, fr.S, fr.A, core.block, core.Bb_grid, rep.W, rep.sigma):
+        assert grid.dtype == np.float64
+
+
+def test_the_real_path_agrees_with_the_complex_one(fam, omega, base_torus, monkeypatch):
+    # the same continuation forced onto complex grids: the same cutoffs and
+    # iteration counts, the tori equal to roundoff
+    runs = []
+    for force_complex in (False, True):
+        if force_complex:
+            monkeypatch.setattr(newton, "_real_problem",
+                                lambda fam, K, mu, omega, eps: (False, mu, omega, eps))
+        K, mu = base_torus
+        sols = []
+        for eps in (0.05, 0.1, 0.2):
+            sol = run_newton(fam, K, mu, omega, eps, tol=1e-12)
+            K, mu = sol.K, sol.mu
+            sols.append(sol)
+        runs.append(sols)
+    for real, cplx in zip(*runs):
+        assert real.K.kmax == cplx.K.kmax and len(real.trace) == len(cplx.trace)
+        assert real.K.distance(cplx.K) <= 1e-13 * real.K.periodic.analytic_norm(0.0)
+        assert np.max(np.abs(real.mu - cplx.mu)) <= 1e-14 * np.max(np.abs(real.mu))
+
+
+def _anti_hermitian_start(base_torus):
+    """The flat torus with c_1 = c_-1 = 1e-3 i in its action: one mode pair
+    whose conjugates do not match."""
+    K0, mu0 = base_torus
+    c = K0.periodic.coeffs.copy()
+    c[K0.kmax + 1, 1] += 1e-3j
+    c[K0.kmax - 1, 1] += 1e-3j
+    return TorusEmbedding(FourierSeries(1, K0.kmax, c)), mu0
+
+
+# sha256 of K's coefficients, mu and the trace of each solve, from kmax 32 at
+# tol 1e-12: the complex path gives these bytes with or without the real one
+_COMPLEX_SOLVES = {
+    "complex eps": "5c95d15056cf9dcf07b9834abf632a12960f7ff364f31d20cb90f301b1018114",
+    "complex alpha": "7a5f715113c5c72e342ae043b5b0ce98a94044d60114f8d0dae84f24326c7d35",
+    "anti-Hermitian K0": "2b73b897bd7f0ce89f1f2ec21e1b1d5bb334d4f3b71d019f5327452bd9b3a79f",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COMPLEX_SOLVES))
+def test_a_complex_problem_keeps_its_complex_grids_and_bytes(omega, base_torus,
+                                                            monkeypatch, case):
+    fam = DissipativeStandardMap(kappa=0.5, alpha=1.0 + 0.5j if case == "complex alpha"
+                                 else 1.0, a=1)
+    K0, mu0 = (_anti_hermitian_start(base_torus) if case == "anti-Hermitian K0"
+               else base_torus)
+    eps = 0.05 + 0.01j if case == "complex eps" else 0.05
+    assert newton._real_problem(fam, K0, mu0, omega, eps)[0] is False
+    assert _evaluate(fam, K0, mu0, omega, eps).X.dtype == np.complex128
+    flags = _sampled_real_flags(monkeypatch)
+    sol = run_newton(fam, K0, mu0, omega, eps, tol=1e-12)
+    assert flags and not any(flags)
+    digest = hashlib.sha256()
+    for a in (sol.K.periodic.coeffs, sol.mu, np.array(sol.trace)):
+        digest.update(np.ascontiguousarray(a).tobytes())
+    assert digest.hexdigest() == _COMPLEX_SOLVES[case]
+
+
+class _ComplexValuedFamily(DissipativeStandardMap):
+    """The built-in family with f, Df and df/dmu always complex, as a duck-typed
+    family may return them at real points."""
+
+    def apply(self, x, mu, eps):
+        return super().apply(x, mu, eps).astype(complex)
+
+    def jacobian(self, x, mu, eps):
+        return super().jacobian(x, mu, eps).astype(complex)
+
+    def d_mu(self, x, mu, eps):
+        return super().d_mu(x, mu, eps).astype(complex)
+
+
+def test_a_family_with_complex_values_at_real_points_runs_the_real_path(omega, base_torus):
+    # the solver takes the real parts, which are the real values bit for bit
+    fams = (DissipativeStandardMap(kappa=0.5, alpha=1.0, a=1),
+            _ComplexValuedFamily(kappa=0.5, alpha=1.0, a=1))
+    K0, mu0 = base_torus
+    sols = [run_newton(f, K0, mu0, omega, 0.1, tol=1e-12) for f in fams]
+    assert _evaluate(fams[1], K0, mu0, omega, 0.1).E.dtype == np.float64
+    assert sols[0].K.periodic.coeffs.tobytes() == sols[1].K.periodic.coeffs.tobytes()
+    assert sols[0].mu.tobytes() == sols[1].mu.tobytes() and sols[0].trace == sols[1].trace
