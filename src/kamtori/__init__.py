@@ -9,8 +9,8 @@ from .diophantine import (GOLDEN_MEAN, GoodSetParams, NuEstimate, lambda_in_good
                           nu_lambda, nu_omega)
 from .embedding import TorusEmbedding
 from .errors import (ConfigError, Diverged, DivisorTooSmall, FrameSingular,
-                     JetOverflow, KamtoriError, NoConvergence, NonDegeneracyFailure,
-                     NormalizationDiverged)
+                     InexactJet, JetOverflow, KamtoriError, NoConvergence,
+                     NonDegeneracyFailure, NormalizationDiverged)
 from .fourier import FourierSeries, from_grid, theta_grid, to_grid
 from .maps import DissipativeStandardMap, symplectic_matrix, verify_conformal
 from .cohomology import CohomologySolution, solve_twisted, tame_bound

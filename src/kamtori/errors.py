@@ -89,6 +89,22 @@ class JetOverflow(KamtoriError):
                          "overflows")
 
 
+class InexactJet(KamtoriError):
+    """The doubling was given a jet that is not exact through its order: the
+    residual of an input order on the grid exceeds the tolerance `tol`.  The
+    doubling returns those orders as given, so it refuses the jet; `order`
+    names the first such order and `residual` its largest value."""
+
+    label, exit_code, status = "inexact jet", 7, "inexact-jet"
+
+    def __init__(self, order, residual, tol):
+        self.order = int(order)
+        self.residual = float(residual)
+        self.tol = float(tol)
+        super().__init__(f"input order {self.order} is not exact: its residual reaches "
+                         f"{self.residual:.3e} on the grid, above {self.tol:.1e}")
+
+
 class NormalizationDiverged(KamtoriError):
     """Root finding for the normalizing shift left its trust region."""
 

@@ -27,12 +27,20 @@ bins of a real transform at about half the cost, as `np.fft.irfftn` does;
 k_d < 0, so the box is Hermitian bit for bit.  The Newton solver samples a
 real problem as float64 (see `newton`); every other caller is complex.
 
+`multiply_modes` is the spectral primitive of the grid-to-grid cohomology
+solve: grid samples to grid samples through one forward and one inverse
+transform, the in-band modes scaled, mean-free and multiplied by a table
+over the mode box in FFT order, bit for bit what `from_grid`, the product
+on the coefficient box and `to_grid` give, without the box.
+
 The tables that depend only on a cutoff, a grid size or a shift are computed
 once and kept read-only in bounded LRU caches: the 5-smooth grid size of a
 minimum (`fast_grid_size`, 256 entries), the box blocks per (d, kmax, n) and
-sample dtype (64), the mirror slices per (d, kmax) (64), the shift phases e^{2 pi i k omega_j} per (kmax, omega_j) (64), the
-derivative factors 2 pi i k per kmax (32), the angle axis j/n per n (32) and
-the tail-band mask of `tail_mass` per (d, kmax) (16).  No grid of angles is
+sample dtype (64), the mirror slices per (d, kmax) (64), the mirror indices
+of a real spectrum's k_d = 0 plane per (d, band, n) (64), the shift phases
+e^{2 pi i k omega_j} per (kmax, omega_j) (64), the derivative factors
+2 pi i k per kmax (32), the angle axis j/n per n (32) and the tail-band mask
+of `tail_mass` per (d, kmax) (16).  No grid of angles is
 cached (at d = 2 and large n one is tens of MB): samplers broadcast the 1-D
 axis, and `theta_grid` builds its meshgrid anew.
 
@@ -269,10 +277,18 @@ class FourierSeries:
         return float(np.sum(mags * np.exp(TWO_PI * rho * self.k_norm_grid())))
 
     def coeff_magnitudes(self) -> np.ndarray:
-        """Frobenius magnitude of each coefficient, over the mode box."""
+        """Frobenius magnitude of each coefficient, over the mode box:
+        sqrt(sum |c|^2) over its values.  Where that sum overflows on finite
+        values (|c| above about 1.3e154) the magnitude is taken scaled by the
+        mode's largest |c| (`_scaled_magnitudes`), so it is finite whenever
+        it is representable; every other magnitude is the plain sum's."""
+        mags = np.abs(self.coeffs)
         extra = tuple(range(self.dim, self.coeffs.ndim))
-        return np.sqrt(np.sum(np.abs(self.coeffs) ** 2, axis=extra)) if extra \
-            else np.abs(self.coeffs)
+        if not extra:
+            return mags
+        if mags.max(initial=0.0) <= _SQUARE_SAFE:
+            return np.sqrt(np.sum(mags ** 2, axis=extra))
+        return _scaled_magnitudes(mags, extra)
 
     def tail_mass(self) -> float:
         """Relative coefficient mass in the band kmax/2 < |k|_inf <= kmax."""
@@ -307,6 +323,25 @@ class FourierSeries:
         lo, hi = self.kmax - kmax, self.kmax + kmax + 1
         return FourierSeries(self.dim, kmax,
                              np.ascontiguousarray(self.coeffs[(slice(lo, hi),) * self.dim]))
+
+
+# the squares of up to 1e8 magnitudes below this sum to a finite float
+_SQUARE_SAFE = 1e150
+
+
+def _scaled_magnitudes(mags: np.ndarray, extra: tuple) -> np.ndarray:
+    """sqrt(sum mags^2) over the `extra` axes, and for each mode where that
+    sum overflows on finite values, top * sqrt(sum (mags/top)^2) with top
+    the mode's largest magnitude."""
+    with np.errstate(over="ignore"):
+        out = np.sqrt(np.sum(mags ** 2, axis=extra))
+        over = np.isinf(out) & np.isfinite(mags).all(axis=extra)
+        if over.any():
+            big = mags[over]
+            axes = tuple(range(1, big.ndim))
+            top = big.max(axis=axes, keepdims=True)
+            out[over] = top.reshape(-1) * np.sqrt(np.sum((big / top) ** 2, axis=axes))
+    return out
 
 
 def _aligned(a: FourierSeries, b: FourierSeries):
@@ -367,26 +402,31 @@ def to_grid(series, n: int, *, real: bool = False) -> np.ndarray:
         )
     # one series keeps its own value shape, which spares the row views
     lead = series.value_shape if single else (sum(prod(p.value_shape) for p in parts),)
-    if real:
-        spec = np.zeros(lead + (n,) * (d - 1) + (n // 2 + 1,), dtype=complex)
-    else:
-        buf = np.zeros(lead + (n ** d,), dtype=complex)
-        spec = _cells(buf, d, n)
+    spec = np.zeros(lead + (n,) * (d - 1) + ((n // 2 + 1) if real else n,), dtype=complex)
     views = (spec,) if single else grid_columns(spec, parts)
     for p, view in zip(parts, views):
         box_last = p.coeffs.transpose(_values_first(d, p.coeffs.ndim))
         for box, fft in _box_blocks(d, kmax, n, real):
             view[fft] = box_last[box]
+    return _sample(spec, d, n, real)
+
+
+def _sample(spec: np.ndarray, dim: int, n: int, real: bool) -> np.ndarray:
+    """The samples values + (n^dim,) of an FFT-order spectrum values + (n,)*dim
+    (the last axis n//2 + 1 bins with `real`), transformed in place as
+    `to_grid` states: float64 samples through `np.fft.irfft` with `real`,
+    else complex128 ones scaled by n^dim in place."""
+    lead = spec.shape[:-dim]
     if real:
-        for axis in range(-d, -1):
+        for axis in range(-dim, -1):
             np.fft.ifft(spec, axis=axis, norm="forward", out=spec)
-        buf = np.empty(lead + (n ** d,))
-        np.fft.irfft(spec, n, axis=-1, norm="forward", out=_cells(buf, d, n))
+        buf = np.empty(lead + (n ** dim,))
+        np.fft.irfft(spec, n, axis=-1, norm="forward", out=_cells(buf, dim, n))
         return buf
-    for axis in range(-1, -d - 1, -1):
+    for axis in range(-1, -dim - 1, -1):
         np.fft.ifft(spec, axis=axis, out=spec)
-    buf *= n ** d
-    return buf
+    spec *= n ** dim
+    return spec.reshape(lead + (n ** dim,))
 
 
 @lru_cache(maxsize=64)
@@ -426,15 +466,7 @@ def from_grid(values: np.ndarray, dim: int, kmax: int) -> FourierSeries:
     the conjugates of their mirrors (`_mirror`), so the box is Hermitian bit
     for bit.
     """
-    values = np.asarray(values)
-    real = values.dtype.kind != "c"
-    values = values.astype(np.float64 if real else np.complex128, copy=False)
-    n = round(values.shape[-1] ** (1 / dim))
-    if n < 2 * kmax + 1:
-        raise ValueError(f"grid size {n} below Nyquist bound {2 * kmax + 1} for kmax={kmax}")
-    chat = (np.fft.rfft if real else np.fft.fft)(_cells(values, dim, n), axis=-1)
-    for axis in range(-2, -dim - 1, -1):
-        np.fft.fft(chat, axis=axis, out=chat)
+    chat, n, real = _spectrum(values, dim, kmax)
     coeffs = np.empty((2 * kmax + 1,) * dim + chat.shape[:-dim], dtype=chat.dtype)
     box_last = coeffs.transpose(_values_first(dim, coeffs.ndim))
     if real:
@@ -446,6 +478,73 @@ def from_grid(values: np.ndarray, dim: int, kmax: int) -> FourierSeries:
             box_last[box] = chat[fft]
         coeffs /= n ** dim
     return FourierSeries(dim, kmax, coeffs)
+
+
+def _spectrum(values, dim: int, kmax: int) -> tuple:
+    """(spectrum, n, real): the unscaled forward transform of samples
+    value_shape + (n^dim,), as `from_grid` states, in FFT order with shape
+    value_shape + (n,)*dim (the last axis n//2 + 1 bins for real samples).
+    Raises ValueError when n is below the Nyquist bound of kmax."""
+    values = np.asarray(values)
+    real = values.dtype.kind != "c"
+    values = values.astype(np.float64 if real else np.complex128, copy=False)
+    n = round(values.shape[-1] ** (1 / dim))
+    if n < 2 * kmax + 1:
+        raise ValueError(f"grid size {n} below Nyquist bound {2 * kmax + 1} for kmax={kmax}")
+    chat = (np.fft.rfft if real else np.fft.fft)(_cells(values, dim, n), axis=-1)
+    for axis in range(-2, -dim - 1, -1):
+        np.fft.fft(chat, axis=axis, out=chat)
+    return chat, n, real
+
+
+def multiply_modes(values: np.ndarray, dim: int, band: int, factors: np.ndarray, *,
+                   negate: bool = False) -> np.ndarray:
+    """Multiply the modes of grid samples by `factors`: the samples, on the
+    grid of `values` and with its dtype, of the box c = `from_grid(values,
+    dim, band)` with its mean set to 0 (then negated with `negate`) and each
+    mode k times factors[k], an array over the centred box of `band`.
+
+    Bit for bit `to_grid` of that series (real=True for real samples), by
+    the same operations in the same order on an FFT-order spectrum instead
+    of a coefficient box: one forward transform (`_spectrum`), the in-band
+    bins (`_box_blocks`) divided by n^dim into a zeroed spectrum, the mean
+    bin zeroed, each block multiplied by the same block of `factors`, and
+    the inverse transform of `to_grid` (`_sample`).  Of real samples the
+    spectrum holds the modes k_d >= 0, all that `to_grid(real=True)` reads;
+    at dim > 1 `from_grid` rewrites those with k_d = 0 whose last nonzero k_i
+    is negative as conjugate mirrors (`_mirror`), and so does this
+    (`_plane_mirror`).
+    """
+    chat, n, real = _spectrum(values, dim, band)
+    spec = np.zeros_like(chat)
+    blocks = _box_blocks(dim, band, n, real)
+    for _, fft in blocks:
+        np.divide(chat[fft], n ** dim, out=spec[fft])
+    if real:
+        for target, source in _plane_mirror(dim, band, n):
+            spec[target] = np.conj(spec[source])
+    spec[(...,) + (0,) * dim] = 0
+    for box, fft in blocks:
+        if negate:
+            np.negative(spec[fft], out=spec[fft])
+        np.multiply(spec[fft], factors[box], out=spec[fft])
+    return _sample(spec, dim, n, real)
+
+
+@lru_cache(maxsize=64)
+def _plane_mirror(dim: int, band: int, n: int) -> tuple:
+    """The (target, source) indices of a real spectrum's plane k_d = 0 that
+    `_mirror` sets to conjugates, one pair per axis i < dim - 1: k_i < 0 and
+    k_(i+1..d) = 0 from the negated modes (bin j of an axis negated is bin
+    (n - j) mod n), over the band's bins on the axes before i."""
+    bins = np.r_[0:band + 1, n - band:n]
+    pairs = []
+    for axis in range(dim - 1):
+        target = [bins] * axis + [np.arange(n - band, n)] + [np.zeros(1, int)] * (dim - axis - 1)
+        source = [(n - t) % n for t in target]
+        pairs.append(tuple((...,) + tuple(_read_only(a) for a in np.ix_(*idx))
+                           for idx in (target, source)))
+    return tuple(pairs)
 
 
 @lru_cache(maxsize=64)

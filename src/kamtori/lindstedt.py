@@ -15,7 +15,7 @@ Two engines are provided:
   2N + 1.  It solves only the new orders N+1..2N+1, each on its band; they
   read the frame jets through order N only, so those are all it builds.
   Orders <= N are returned as given, and an input not exact there (residual
-  above BASE_TOL) is refused with a ValueError naming the order.
+  above BASE_TOL) is refused with InexactJet naming the order.
 
 Both engines use the reduced-system core of `newton`: the frame built from
 jets (the pointwise Newton frame for `lindstedt_expand`, the frame jets for
@@ -59,7 +59,7 @@ from . import jets
 from .jets import MAX_ORDER_DOUBLE
 from .cohomology import DEFAULT_DIVISOR_FLOOR
 from .embedding import TorusEmbedding, sample_jet
-from .errors import JetOverflow
+from .errors import InexactJet, JetOverflow
 from .fourier import (FourierSeries, _format_pairs, _parse_pairs, _read_header,
                       dump_series, from_grid, load_series, to_grid)
 from .newton import (_evaluate, _grid_size, _mean, build_frame, checked_block,
@@ -196,7 +196,7 @@ def lindstedt_expand(fam, K_base: TorusEmbedding, mu_base, omega, eps0, N: int,
     # mixed real-complex, which numpy runs slower than complex ones
     ev = _evaluate(fam, K_cut, mu_base, omega, eps0, complex_grids=True)
     fr = newton_frame(fam, ev, mu_base, omega, eps0)
-    base_res = ev.series.analytic_norm(0.0)
+    base_res = ev.residual
     if base_res > BASE_TOL:
         raise ValueError(
             f"base residual {base_res:.3e} exceeds {BASE_TOL:.1e}; "
@@ -273,10 +273,10 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
     the new orders read; each new order N+1..2N+1 solves a twisted and an
     untwisted difference equation on its own band, with the same averaged
     block as the base torus, and is normalized in the base frame.  Orders
-    <= N are returned as given, so the input must be exact there: a
-    ValueError names the first order whose residual exceeds BASE_TOL on the
-    grid.  JetOverflow names the first order whose residual, right-hand side
-    or solution is not finite.
+    <= N are returned as given, so the input must be exact there: InexactJet
+    names the first order whose residual exceeds BASE_TOL on the grid.
+    JetOverflow names the first order whose residual, right-hand side or
+    solution is not finite.
     """
     N, M_ord = jet.order, 2 * jet.order + 1
     if M_ord > MAX_ORDER_DOUBLE:
@@ -298,8 +298,7 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
     for j in range(N + 1):
         sup = float(np.max(np.abs(E[j])))
         if not sup <= BASE_TOL:
-            raise ValueError(f"input order {j} is not exact: its residual reaches "
-                             f"{sup:.3e} on the grid, above {BASE_TOL:.1e}")
+            raise InexactJet(j, sup, BASE_TOL)
     Minv0 = jets.inv_stack(fr.M[0])
     # beta E through 2N+1 drops only beta[m > N] E[<= N], bounded by the guard
     Et = jets.matmul(fr.beta, E[:, :, None], order=M_ord)[:, :, 0]

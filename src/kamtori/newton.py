@@ -30,15 +30,21 @@ grids and their bytes.
 
 Each Newton iteration evaluates the map once: `run_newton` samples K as the
 order-0 jet of `embedding.sample_jet` (X = K(theta), K o T_omega, DK and
-DK o T_omega in one transform), forms E = f o K - K o T_omega and its
-series, reads the residual from that series into the trace (one float per
-evaluation, at rho = 0) and hands the same evaluation to `newton_step`, whose
-frame and step report reuse it.  The Lagrangian defect of a solution is
-computed from its torus when first read.  A `StepReport` keeps the step's W
-on the grid and its averaged block; their norm and the twist are computed
-when first read, so a step transforms only the correction M W, and
-`run_newton` inverts a block only for the twist of its last step (or of the
-converged frame when there was no step or that twist is not finite).
+DK o T_omega in one transform), forms E = f o K - K o T_omega, and reads the
+residual of that evaluation (`_Defect.residual`, the l1 norm at rho = 0 of
+E's series, computed once) into the trace; it hands the same evaluation to
+`newton_step`, whose frame and step report reuse it.  So an iteration that
+steps makes these transforms: the inverse one of `sample_jet`, the forward
+one of E for the residual, one forward and one inverse transform for each of
+the three cohomology solves (Bb in `checked_block`, Ba and W1 in
+`solve_reduced`, each `cohomology.solve_twisted_grid` from grid to grid),
+and the forward one of the correction M W; the frame builds its shifts from
+DK o T_omega with none.  The Lagrangian defect of a solution is computed
+from its torus when first read.  A `StepReport` keeps the step's W on the
+grid and its averaged block; their norm and the twist are computed when
+first read, and `run_newton` inverts a block only for the twist of its last
+step (or of the converged frame when there was no step or that twist is not
+finite).
 The frame conditioning gate on DK^T DK uses the closed form |g|/|g| for the
 1 x 1 Gram of d = 1 and `np.linalg.cond` for d > 1; both follow
 `np.linalg.cond`'s rules (0 and inf give inf, nan stays nan), and every
@@ -63,14 +69,14 @@ from functools import cached_property
 import numpy as np
 
 from . import jets
-from .cohomology import CohomologySolution, DEFAULT_DIVISOR_FLOOR, solve_twisted
+from .cohomology import DEFAULT_DIVISOR_FLOOR, solve_twisted_grid
 from .diophantine import GoodSetParams, lambda_in_good_set
 from .embedding import TorusEmbedding, sample_jet
 from .errors import (Diverged, DivisorTooSmall, FrameSingular, NoConvergence,
                      NonDegeneracyFailure, NormalizationDiverged)
 from .fourier import (FourierSeries, _format_pairs, _parse_pairs,
                       _read_header, dump_series, fast_grid_size, from_grid,
-                      load_series, to_grid)
+                      load_series)
 from .maps import jinv_mul, mul_jinv, symplectic_matrix
 
 DET_RTOL = 1e-10
@@ -92,8 +98,9 @@ def _mean(grid: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _Defect:
     """One evaluation of (K, mu) on the grid: the lift X = K(theta), DK,
-    DK o T_omega and E = f_{mu,eps} o K - K o T_omega, with E's series at
-    K's cutoff."""
+    DK o T_omega and E = f_{mu,eps} o K - K o T_omega, with its residual:
+    the l1 norm at rho = 0 of E's series at K's cutoff, computed on first
+    read, so the trace and the step report share one transform and norm."""
 
     X: np.ndarray
     DK: np.ndarray
@@ -103,8 +110,8 @@ class _Defect:
     kmax: int
 
     @cached_property
-    def series(self) -> FourierSeries:
-        return from_grid(self.E, self.dim, self.kmax)
+    def residual(self) -> float:
+        return from_grid(self.E, self.dim, self.kmax).analytic_norm(0.0)
 
 
 def _real_problem(fam, K: TorusEmbedding, mu, omega, eps) -> tuple:
@@ -292,13 +299,14 @@ def newton_frame(fam, ev: _Defect, mu, omega, eps) -> Frame:
 
 @dataclass(frozen=True)
 class ReducedCore:
-    """A frame with its checked averaged block and drift response Bb."""
+    """A frame with its checked averaged block and drift response Bb on the
+    grid, with the largest divisor gain of Bb's solve."""
 
     frame: Frame
     block: np.ndarray          # (2d, 2d) averaged system
     det: complex
-    Bb: CohomologySolution
     Bb_grid: np.ndarray
+    Bb_gain: float
     divisor_floor: float | np.ndarray   # scalar or per-mode floor of the lam-twisted solves
 
 
@@ -317,10 +325,8 @@ def checked_block(frame: Frame, divisor_floor=DEFAULT_DIVISOR_FLOOR) -> ReducedC
     """
     d, lam = frame.d, frame.lam[0]
     S, A1, A2 = frame.S[0], frame.A[0, :d], frame.A[0, d:]
-    real = not np.iscomplexobj(S)
-    Bb = solve_twisted(-from_grid(A2, d, frame.kmax).remove_average(), lam,
-                       frame.omega, divisor_floor=divisor_floor)
-    Bb_grid = to_grid(Bb.phi, frame.n, real=real)
+    Bb_grid, Bb_gain = solve_twisted_grid(A2, d, frame.kmax, lam, frame.omega,
+                                          divisor_floor, negate=True)
     block = np.zeros((2 * d, 2 * d), dtype=S.dtype)
     block[:d, :d] = _mean(S)
     block[:d, d:] = _mean(jets.mm(S, Bb_grid)) + _mean(A1)
@@ -330,7 +336,7 @@ def checked_block(frame: Frame, divisor_floor=DEFAULT_DIVISOR_FLOOR) -> ReducedC
     det = np.linalg.det(block)
     if not np.isfinite(scale) or abs(det) <= DET_RTOL * scale ** (2 * d):
         raise NonDegeneracyFailure(det, scale)
-    return ReducedCore(frame, block, complex(det), Bb, Bb_grid, divisor_floor)
+    return ReducedCore(frame, block, complex(det), Bb_grid, Bb_gain, divisor_floor)
 
 
 def solve_reduced(core: ReducedCore, rhs1: np.ndarray, rhs2: np.ndarray, band: int):
@@ -343,17 +349,14 @@ def solve_reduced(core: ReducedCore, rhs1: np.ndarray, rhs2: np.ndarray, band: i
     rhs2, and the drift sigma: a lam-twisted solve, the averaged block for
     (avg W2, sigma), then an untwisted solve, both at the cutoff `band` <= the
     frame's kmax (each right-hand side is read from the grid at it, so the
-    cut costs no transform).  Real right-hand sides (float64) are solved on
-    real grids, complex ones on complex grids, whatever the frame.  Returns
-    (W1, W2, sigma, largest divisor gain).
+    cut costs no transform).  Each solve returns the dtype of its right-hand
+    side, whatever the frame: float64 ones are solved on real grids, complex
+    ones on complex grids.  Returns (W1, W2, sigma, largest divisor gain).
     """
     fr = core.frame
-    d, n, lam = fr.d, fr.n, fr.lam[0]
+    d, lam = fr.d, fr.lam[0]
     S, A1 = fr.S[0], fr.A[0, :d]
-    real = not (np.iscomplexobj(rhs1) or np.iscomplexobj(rhs2))
-    Ba = solve_twisted(from_grid(rhs2, d, band).remove_average(), lam, fr.omega,
-                       divisor_floor=core.divisor_floor)
-    Ba_grid = to_grid(Ba.phi, n, real=real)
+    Ba_grid, Ba_gain = solve_twisted_grid(rhs2, d, band, lam, fr.omega, core.divisor_floor)
     rhs_avg = np.concatenate([_mean(rhs1) - _mean(jets.mm(S, Ba_grid[:, None])[:, 0]),
                               _mean(rhs2)])
     sol = np.linalg.solve(core.block, rhs_avg)
@@ -364,10 +367,8 @@ def solve_reduced(core: ReducedCore, rhs1: np.ndarray, rhs2: np.ndarray, band: i
     # a per-mode floor bounds the lam-twisted divisors of the good set; the
     # untwisted solve keeps a scalar one
     floor = core.divisor_floor if np.ndim(core.divisor_floor) == 0 else DEFAULT_DIVISOR_FLOOR
-    W1sol = solve_twisted(from_grid(r1, d, band).remove_average(), 1.0, fr.omega,
-                          divisor_floor=floor)
-    W1 = to_grid(W1sol.phi, n, real=real)
-    return W1, W2, sigma, max(Ba.max_divisor_gain, W1sol.max_divisor_gain)
+    W1, W1_gain = solve_twisted_grid(r1, d, band, 1.0, fr.omega, floor)
+    return W1, W2, sigma, max(Ba_gain, W1_gain)
 
 
 @dataclass(frozen=True)
@@ -390,7 +391,7 @@ def reducibility_frame(fam, K, mu, omega, eps) -> ReducibilityFrame:
     R = jets.mm(fr.Df[0], fr.M[0]) \
         - np.concatenate([Ms1, jets.mm(Ms1, fr.S[0]) + fr.lam[0] * Ms2], axis=1)
     R_norm = from_grid(R, fr.d, fr.kmax).analytic_norm(0.0)
-    E_norm = ev.series.analytic_norm(0.0)
+    E_norm = ev.residual
     return ReducibilityFrame(fr, R_norm, E_norm, R_norm / max(E_norm, 1e-300))
 
 
@@ -440,9 +441,9 @@ def newton_step(fam, K, mu, omega, eps, divisor_floor=DEFAULT_DIVISOR_FLOOR,
 
     report = StepReport(
         sigma=sigma,
-        residual_before=ev.series.analytic_norm(0.0),
+        residual_before=ev.residual,
         det=core.det,
-        divisor_gain=max(gain, core.Bb.max_divisor_gain),
+        divisor_gain=max(gain, core.Bb_gain),
         grid=fr.n,
         W=W,
         block=core.block,
@@ -510,7 +511,7 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20,
     report = None
     for it in range(max_iter + 1):
         ev = _evaluate(fam, K, mu, omega, eps)
-        res = ev.series.analytic_norm(0.0)
+        res = ev.residual
         trace.append(res)
         if not np.isfinite(res) or (len(trace) > 2 and min(trace[-2:]) > trace[0]):
             raise Diverged(trace)

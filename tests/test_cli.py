@@ -1,6 +1,7 @@
 import inspect
 import io
 import os
+import re
 import stat
 import textwrap
 from pathlib import Path
@@ -420,6 +421,17 @@ def test_an_overflowing_jet_order_is_named(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("jet overflow: order 2 of the jet is not finite: its ")
     assert not (tmp_path / command / "jet.txt").exists()
+
+
+def test_doubling_names_an_inexact_input_order(tmp_path, capsys):
+    # with kappa 1e100 order 1 is about 1e99, so its roundoff on the grid is far
+    # above BASE_TOL: the doubling refuses the jet naming that order, its
+    # residual and the tolerance, with its own exit code instead of a traceback
+    assert _golden(tmp_path, "double", {"kappa = 0.5": "kappa = 1e100"}) == 7
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"inexact jet: input order 1 is not exact: its residual reaches "
+                        r"\S+e\+\d+ on the grid, above 1\.0e-10\n", err)
+    assert not (tmp_path / "double" / "jet.txt").exists()
 
 
 def test_lindstedt_at_eps0_refuses_a_tol_above_the_base_tolerance(tmp_path, capsys):

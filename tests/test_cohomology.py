@@ -1,14 +1,16 @@
 import cmath
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from kamtori.cohomology import (_divisor_table, _divisors, divisor_grid, shell_count,
-                                solve_twisted, tame_bound, tame_constant)
+                                solve_twisted, solve_twisted_grid, tame_bound,
+                                tame_constant)
 from kamtori.diophantine import GOLDEN_MEAN, nu_lambda
 from kamtori.errors import DivisorTooSmall
-from kamtori.fourier import FourierSeries, theta_grid, to_grid
+from kamtori.fourier import FourierSeries, fast_grid_size, from_grid, theta_grid, to_grid
 
 
 def random_eta(rng, kmax=32, decay=0.25, zero_avg=True):
@@ -144,6 +146,80 @@ def test_matrix_valued_eta(rng, omega):
     div = divisor_grid(1, 4, 0.8, omega)
     expect = c / div[:, None, None]
     np.testing.assert_allclose(sol.phi.coeffs, expect, rtol=1e-14)
+
+
+# -- grid solve --------------------------------------------------------------------
+
+OMEGA2 = np.array([GOLDEN_MEAN, np.sqrt(2.0) - 1.0])
+
+
+def _series_solve(v, d, band, lam, omega, floor, negate=False):
+    """The composition the grid solve replaces, and its divisor gain."""
+    eta = from_grid(v, d, band).remove_average()
+    sol = solve_twisted(-eta if negate else eta, lam, omega, floor)
+    n = round(v.shape[-1] ** (1 / d))
+    return to_grid(sol.phi, n, real=v.dtype == np.float64), sol.max_divisor_gain
+
+
+def _samples(rng, d, real, rows, kmax, kind):
+    n = fast_grid_size(3 * kmax + 2)
+    shape = rows + (n ** d,)
+    if kind == "constant":   # every mode but the mean is an exact zero of the FFT
+        v = np.full(shape, 1.0)
+    else:
+        v = rng.standard_normal(shape) + 0.5
+    return v if real else v + 1j * (0.0 if kind == "constant" else rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("lam", [0.9, 0.9 + 0.1j, 1.0, 1.05 + 0.01j])
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("d", [1, 2])
+def test_grid_solve_is_the_series_solve_bit_for_bit(rng, d, real, lam):
+    # from_grid -> remove_average -> solve_twisted -> to_grid, byte for byte:
+    # 1 and 2 rows, the full cutoff and a band below it, a scalar floor and a
+    # per-mode one over the kmax box, and the negated right-hand side, whose
+    # mean is zeroed before it is negated (constant samples at lam 1.05 + 0.01j
+    # tell the signed zeros apart)
+    kmax = 20 if d == 1 else 6
+    omega = OMEGA2[:d]
+    mode_floor = np.full((2 * kmax + 1,) * d, 1e-12)
+    for rows, band, floor, kind, negate in product(
+            [(1,), (2,)], [kmax, kmax // 2], [1e-12, mode_floor], ["random", "constant"],
+            [False, True]):
+        v = _samples(rng, d, real, rows, kmax, kind)
+        want, want_gain = _series_solve(v, d, band, lam, omega, floor, negate)
+        got, gain = solve_twisted_grid(v, d, band, lam, omega, floor, negate=negate)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert gain == want_gain
+
+
+def test_grid_solve_raises_the_series_solve_witness(rng, omega):
+    v = _samples(rng, 1, True, (2,), 16, "random")
+    floor = np.full(33, 1e-12)
+    floor[16 - 5] = 10.0
+    for f in (floor, 0.5):
+        with pytest.raises(DivisorTooSmall) as want:
+            _series_solve(v, 1, 16, 0.9, omega, f)
+        with pytest.raises(DivisorTooSmall) as got:
+            solve_twisted_grid(v, 1, 16, 0.9, omega, f)
+        assert (got.value.k, got.value.divisor, got.value.floor) == \
+            (want.value.k, want.value.divisor, want.value.floor)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_untwisted_grid_solve_refuses_a_nan_row_like_the_series_solve(rng, omega, real):
+    v = _samples(rng, 1, real, (2,), 16, "random")
+    v[1, 7] = np.nan
+    with pytest.raises(ValueError) as want:
+        _series_solve(v, 1, 16, 1.0, omega, 1e-12)
+    with pytest.raises(ValueError) as got:
+        solve_twisted_grid(v, 1, 16, 1.0, omega)
+    assert str(got.value) == str(want.value)
+    # lam != 1 solves it: a nan phi, as the series solve gives
+    phi, _ = solve_twisted_grid(v, 1, 16, 0.9, omega)
+    assert phi.tobytes() == _series_solve(v, 1, 16, 0.9, omega, 1e-12)[0].tobytes()
 
 
 # -- divisor table ---------------------------------------------------------------

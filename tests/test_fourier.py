@@ -145,6 +145,27 @@ def test_norm_monotone_in_rho(rng):
     assert s.analytic_norm(0.05) <= s.analytic_norm(0.1) <= s.analytic_norm(0.2)
 
 
+def test_magnitudes_of_large_finite_vector_modes_are_finite(rng):
+    # |c|^2 overflows above about 1.3e154, where the magnitude of a finite
+    # mode is still representable; modes whose squares sum to a finite float
+    # keep the plain sum's bits
+    s = FourierSeries.from_modes(1, 2, {1: [1e160, 1.0], -1: [3e200, 4e200],
+                                        2: [0.3, 0.4]})
+    mags = s.coeff_magnitudes()
+    assert mags[3] == 1e160 and mags[1] == pytest.approx(5e200, rel=1e-15)
+    assert mags[4] == np.sqrt(0.3 ** 2 + 0.4 ** 2) and mags[2] == 0.0
+    assert s.analytic_norm() == pytest.approx(5e200, rel=1e-15)
+    assert s.tail_mass() == pytest.approx(0.5 / 5e200, rel=1e-12)
+    # a mode too large to represent reads inf; inf and nan stay as they were
+    t = FourierSeries.from_modes(1, 1, {-1: [1.5e308, 1.5e308], 0: [np.inf, 1.0],
+                                        1: [np.nan, 1.0]})
+    assert t.coeff_magnitudes().tolist()[:2] == [np.inf, np.inf]
+    assert np.isnan(t.coeff_magnitudes()[2])
+    c = random_series(rng, kmax=4, dim=2).coeffs[..., None] * np.array([1.0, 2.0, 3.0])
+    assert FourierSeries(2, 4, c).coeff_magnitudes().tobytes() == \
+        np.sqrt(np.sum(np.abs(c) ** 2, axis=-1)).tobytes()
+
+
 @given(st.integers(0, 2 ** 31 - 1))
 def test_cauchy_coefficient_inequality(seed):
     s = random_series(np.random.default_rng(seed), kmax=8)

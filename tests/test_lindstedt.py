@@ -6,7 +6,7 @@ import pytest
 
 from kamtori import embedding, jets, lindstedt, newton
 from kamtori.embedding import TorusEmbedding, sample_jet
-from kamtori.errors import DivisorTooSmall, FrameSingular
+from kamtori.errors import DivisorTooSmall, FrameSingular, InexactJet
 from kamtori.fourier import FourierSeries, fast_grid_size, from_grid
 from kamtori.lindstedt import (EpsilonJet, dump_jet, lindstedt_double,
                                lindstedt_expand, load_jet, residual_jet,
@@ -303,8 +303,9 @@ def test_doubling_refuses_an_inexact_input(fam, omega, jet4):
     bump[bad[2].kmax + 1, 0] = 1e-6
     bad[2] = FourierSeries(1, bad[2].kmax, bad[2].coeffs + bump)
     jet_bad = EpsilonJet(jet4.eps0, tuple(bad), jet4.mu_coeffs, jet4.lambda_coeffs)
-    with pytest.raises(ValueError, match="input order 2 is not exact"):
+    with pytest.raises(InexactJet, match="input order 2 is not exact") as err:
         lindstedt_double(fam, jet_bad, omega)
+    assert err.value.order == 2 and err.value.residual > err.value.tol == lindstedt.BASE_TOL
 
 
 # -- band rule -------------------------------------------------------------------------
@@ -392,12 +393,20 @@ def test_out_of_band_bump_is_reported(fam, omega, jet4):
 
 
 def _grid_sizes(monkeypatch):
-    """The set of grid sizes every later to_grid call samples on."""
+    """The set of grid sizes every later to_grid call samples on and every
+    later cohomology solve of the reduced system solves on."""
     seen = set()
-    for module in (lindstedt, newton, embedding):
+    for module in (lindstedt, embedding):
         to_grid = module.to_grid
         monkeypatch.setattr(module, "to_grid",
                             lambda series, n, _f=to_grid, **kw: seen.add(n) or _f(series, n, **kw))
+    solve = newton.solve_twisted_grid
+
+    def spy(eta, dim, *args, **kw):
+        seen.add(round(eta.shape[-1] ** (1 / dim)))
+        return solve(eta, dim, *args, **kw)
+
+    monkeypatch.setattr(newton, "solve_twisted_grid", spy)
     return seen
 
 

@@ -218,9 +218,10 @@ def test_shifted_frame_is_the_frame_of_the_shifted_dk(fam, omega, base_torus, mo
     def no_transform(*args, **kwargs):
         raise AssertionError("build_frame made a grid transform")
 
-    for module in (newton, fourier):
-        monkeypatch.setattr(module, "from_grid", no_transform)
-        monkeypatch.setattr(module, "to_grid", no_transform)
+    for module, names in ((newton, ("from_grid", "solve_twisted_grid")),
+                          (fourier, ("from_grid", "to_grid", "multiply_modes"))):
+        for name in names:
+            monkeypatch.setattr(module, name, no_transform)
     monkeypatch.setattr(FourierSeries, "shift", no_transform)
     fr = newton.newton_frame(fam, ev, base_torus[1], omega, 0.01)
     _, Mshift = newton._frame_matrix(dks[None])
