@@ -16,7 +16,8 @@ ConfigError naming `<file>[<section>].<key>`.  Every number must be finite:
     [double]     order 0..16; rounds >= 0, within the order cap
     [sweep]      start, end complex; steps >= 1; direction complex != 0
     [atlas]      plane lambda | epsilon; bounds re0 < re1, im0 < im1 (4 numbers);
-                 resolution 2 integers >= 1; ball_kmax >= 1; rho_band, radius_scale > 0
+                 resolution 2 integers >= 1; ball_kmax >= 1; rho_band, radius_scale > 0,
+                 with a finite largest ball radius radius_scale rho_band^(N+1) / A
 
 [family] must be present; an absent [goodset] means no good set (its keys
 are required only when it is present); any other absent section takes its
@@ -106,11 +107,11 @@ def _numbers(cast, count: int):
 
 
 def _box(text: str) -> tuple:
-    """re0 re1 im0 im1 with re0 < re1 and im0 < im1."""
-    box = _numbers(_finite, 4)(text)
-    if box[0] < box[1] and box[2] < box[3]:
+    """re0 re1 im0 im1 with re0 < re1 and im0 < im1, and finite widths."""
+    re0, re1, im0, im1 = box = _numbers(_finite, 4)(text)
+    if re0 < re1 and im0 < im1 and np.isfinite(re1 - re0) and np.isfinite(im1 - im0):
         return box
-    raise ValueError("expected re0 < re1 and im0 < im1")
+    raise ValueError("expected re0 < re1 and im0 < im1, with finite widths")
 
 
 def _choice(*names):
@@ -207,7 +208,15 @@ def load_config(path) -> RunConfig:
                 f"{final}, beyond the cap {MAX_ORDER_DOUBLE}", f"{path}[double].rounds")
 
     fam, freq = values["family"], values["frequency"]
-    good = values.get("goodset")
+    good, atlas = values.get("goodset"), values["atlas"]
+    try:   # the largest radius of an atlas ball, at the modes |k| = 1
+        radius = 0.0 if good is None else \
+            atlas["radius_scale"] * atlas["rho_band"] ** (good["N"] + 1) / good["A"]
+    except OverflowError:
+        radius = np.inf
+    if not np.isfinite(radius):
+        raise ConfigError("the largest ball radius radius_scale * rho_band^(N+1) / A "
+                          "is not finite", f"{path}[atlas].rho_band")
     good_set = None if good is None else GoodSetParams(
         A=good["A"], N=good["N"], tau=freq["tau"], r0=good["r0"])
     k_scan = None if good is None else good["kscan"]

@@ -9,12 +9,13 @@ differences of embeddings are genuinely periodic and free of mod-1 jumps.
 Newton solver and both Lindstedt engines evaluate the invariance equation on
 the lifts it samples and build their frames from its DK and DK o T_omega.
 Each caller chooses the blocks it reads (the lifts, DK, and whether each
-comes with its shift by omega), and all the chosen blocks of all orders are
-sampled by one `to_grid` into one buffer, each block a row-slice view of it
-(no copy): a Newton step takes all four, the invariance residual and
-`lindstedt.residual_jet` the lifts and their shifts,
+comes with its shift by omega): a Newton step takes all four, the invariance
+residual and `lindstedt.residual_jet` the lifts and their shifts,
 `newton.normalize_embedding` the unshifted lift and DK, and
-`newton.lagrangian_defect` DK alone.
+`newton.lagrangian_defect` DK alone.  K's modes are copied once into one
+FFT-order spectrum, the shifted and differentiated blocks of all orders are
+products of them there, and one inverse transform samples all the chosen
+blocks into one buffer, each a row-slice view of it (no copy).
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import FourierSeries, angle_axis, grid_columns, to_grid
+from .fourier import (FourierSeries, _sample, angle_axis, derivative_factors,
+                      shift_phases, zero_spectrum)
 
 
 @dataclass(frozen=True)
@@ -86,24 +88,6 @@ class TorusEmbedding:
         return (self.periodic - other.periodic).analytic_norm(0.0)
 
 
-def _series(coeffs: np.ndarray) -> FourierSeries:
-    """The torus jet as one series with the order axis behind the mode axes."""
-    d = coeffs.shape[-1] // 2
-    # transpose: np.moveaxis has more overhead
-    return FourierSeries(d, (coeffs.shape[1] - 1) // 2,
-                         coeffs.transpose(*range(1, d + 1), 0, d + 1))
-
-
-def _dk(series: FourierSeries) -> FourierSeries:
-    """The DK jet of a torus jet series (the identity block in order 0's mean)."""
-    d, kmax = series.dim, series.kmax
-    dk = np.empty(series.coeffs.shape + (d,), dtype=complex)
-    for j in range(d):
-        dk[..., j] = series.differentiate(j).coeffs
-    dk[(kmax,) * d + (0,)][:d, :d] += np.eye(d)
-    return FourierSeries(d, kmax, dk)
-
-
 def sample_jet(coeffs: np.ndarray, omega, n: int, *, lifts: bool = True,
                dk: bool = True, real: bool = False) -> tuple:
     """Grid jets of the torus jet K(eps) = sum_j K_j eps^j: the lifts X and
@@ -112,25 +96,46 @@ def sample_jet(coeffs: np.ndarray, omega, n: int, *, lifts: bool = True,
 
     `coeffs` stacks the periodic parts K_j, shape (orders,) + (2 kmax + 1,)*d
     + (2d,); a single torus K is the order-0 jet `K.periodic.coeffs[None]`.
-    The results are grid jets (orders, 2d, n^d) and (orders, 2d, d, n^d).
-    The chosen blocks (K, its shift by omega, and the d columns of DK and of
-    DK o T_omega, the derivative of the shifted series) come from one
-    to_grid, each a view of a block of rows of its buffer, with a contiguous
-    point axis; the lifts theta and theta + omega, and DK's identity block
-    (added to the mean coefficient before the transform), enter order 0 only.
-    The samples are complex128, or with `real` (a jet of Hermitian series and
-    a real omega; the Newton solver reads that off its problem) float64,
-    sampled by `to_grid(..., real=True)`.
+    The results are grid jets (orders, 2d, n^d) and (orders, 2d, d, n^d),
+    each a view of a block of rows of one buffer, with a contiguous point
+    axis, all sampled by one inverse transform of one spectrum
+    (`fourier.zero_spectrum`): K's bins in FFT order, their shift by omega
+    (times `shift_phases`, one axis after another) and the d columns of DK
+    and of DK o T_omega (the unshifted and shifted bins times
+    `derivative_factors`), bit for bit the modes `FourierSeries.shift` and
+    `differentiate` give.  The lifts theta and theta + omega, and DK's
+    identity block (added to the mean bin before the transform), enter
+    order 0 only.  The samples are complex128, or with `real` (a jet of
+    Hermitian series and a real omega; the Newton solver decides that once
+    per solve) float64, transformed as by `to_grid(..., real=True)`.
     """
-    series = _series(coeffs)
-    d = series.dim
-    base = (series,) if omega is None else (series, series.shift(omega))
-    blocks = (base if lifts else ()) + (tuple(_dk(s) for s in base) if dk else ())
-    out = grid_columns(to_grid(blocks, n, real=real), blocks)
-    if lifts:
-        for j in range(d):
-            theta = angle_axis(n).reshape((1,) * j + (n,) + (1,) * (d - 1 - j))
-            out[0][0, j].reshape((n,) * d)[...] += theta
-            if omega is not None:
-                out[1][0, j].reshape((n,) * d)[...] += theta + np.atleast_1d(omega)[j]
-    return tuple(out)
+    orders, d = coeffs.shape[0], coeffs.shape[-1] // 2
+    kmax, copies = (coeffs.shape[1] - 1) // 2, 1 if omega is None else 2
+    lift_rows, rows = (copies * orders * 2 * d * k for k in (lifts, lifts + d * dk))
+    spec, blocks = zero_spectrum((rows,), d, kmax, n, real)
+    # (copies, orders, ..) blocks of rows; a block left out has no copies
+    lift = spec[:lift_rows].reshape((-1, orders, 2 * d) + spec.shape[1:])
+    jac = spec[lift_rows:].reshape((-1, orders, 2 * d, d) + spec.shape[1:])
+    box = coeffs.transpose(0, d + 1, *range(1, d + 1))
+    phases = [] if omega is None else [shift_phases(kmax, w) for w in np.atleast_1d(omega)]
+    along = [(-1,) + (1,) * (d - 1 - j) for j in range(d)]   # 1-D table shapes per mode axis
+    for b, fft in blocks:
+        c = box[b]
+        bins = lift[fft] if lifts else np.empty((copies,) + c.shape, dtype=complex)
+        bins[0] = c
+        for j, p in enumerate(phases):
+            np.multiply(bins[1] if j else c, p[b[1 + j]].reshape(along[j]), out=bins[1])
+        for j in range(d if dk else 0):
+            np.multiply(bins, derivative_factors(kmax)[b[1 + j]].reshape(along[j]),
+                        out=jac[:, :, :, j][fft])
+    jac[(slice(None), 0, slice(None, d), slice(None)) + (0,) * d] += np.eye(d)
+
+    grid = _sample(spec, d, n, real)
+    X = grid[:lift_rows].reshape((-1, orders, 2 * d, n ** d))
+    DK = grid[lift_rows:].reshape((-1, orders, 2 * d, d, n ** d))
+    for j in range(d if lifts else 0):
+        theta = angle_axis(n).reshape((1,) * j + (n,) + (1,) * (d - 1 - j))
+        X[0, 0, j].reshape((n,) * d)[...] += theta
+        if omega is not None:
+            X[1, 0, j].reshape((n,) * d)[...] += theta + np.atleast_1d(omega)[j]
+    return tuple(X) + tuple(DK)

@@ -12,13 +12,15 @@ order of (j_1, .., j_d) (the flattened `theta_grid`).  The transforms view
 that axis as (n,)*d, a free reshape, and call `np.fft.ifft` / `np.fft.fft`
 once per angle axis, last axis first, as `np.fft.ifftn` / `np.fft.fftn` do,
 so the samples are those of the n-dimensional transform bit for bit.  Each
-call transforms every line along its axis on its own, so series sampled side
+call transforms every line along its axis on its own, so rows sampled side
 by side transform exactly as they would one at a time.  Coefficients keep
 their (modes.., values..) layout: the centered mode box moves to and from FFT
 order (mode k at index k mod n on each axis) by 2^d slice copies, one per
-sign pattern of k, which also transpose between the two layouts.  `to_grid`
-makes one allocation per call, a zero-filled buffer that takes the boxes of
-all the series it samples and is transformed and scaled by n^d in place.
+sign pattern of k, which also transpose between the two layouts.  A sample
+makes one allocation, the zero-filled spectrum of `zero_spectrum`, which is
+transformed and scaled by n^d in place: `to_grid` copies one series' box
+into it, `embedding.sample_jet` a torus jet's box with its shifted and
+differentiated modes side by side, each a block of rows.
 
 Samples are complex128 by default.  Hermitian series (c_-k = conj(c_k))
 may be sampled as float64 (`to_grid(..., real=True)`), through the n//2 + 1
@@ -59,7 +61,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import product
 from math import prod
 
 import numpy as np
@@ -281,14 +283,20 @@ class FourierSeries:
         sqrt(sum |c|^2) over its values.  Where that sum overflows on finite
         values (|c| above about 1.3e154) the magnitude is taken scaled by the
         mode's largest |c| (`_scaled_magnitudes`), so it is finite whenever
-        it is representable; every other magnitude is the plain sum's."""
+        it is representable; every other magnitude is the plain sum's.
+        Fewer than 8 squares are added one after another, left to right,
+        which is what np.sum does with them, without its per-call cost."""
         mags = np.abs(self.coeffs)
         extra = tuple(range(self.dim, self.coeffs.ndim))
         if not extra:
             return mags
-        if mags.max(initial=0.0) <= _SQUARE_SAFE:
-            return np.sqrt(np.sum(mags ** 2, axis=extra))
-        return _scaled_magnitudes(mags, extra)
+        if not mags.max(initial=0.0) <= _SQUARE_SAFE:
+            return _scaled_magnitudes(mags, extra)
+        squares, values = mags ** 2, prod(self.value_shape)
+        if values >= 8:
+            return np.sqrt(np.sum(squares, axis=extra))
+        cols = squares.reshape(squares.shape[:self.dim] + (values,))
+        return np.sqrt(sum((cols[..., i] for i in range(1, values)), cols[..., 0]))
 
     def tail_mass(self) -> float:
         """Relative coefficient mass in the band kmax/2 < |k|_inf <= kmax."""
@@ -371,43 +379,36 @@ def _box_blocks(dim: int, kmax: int, n: int, half: bool = False) -> tuple:
     return tuple(tuple((...,) + s for s in zip(*b)) for b in product(*axes))
 
 
-def to_grid(series, n: int, *, real: bool = False) -> np.ndarray:
-    """Sample on the regular n^d grid theta_j = j/n.
-
-    `series` is one FourierSeries, sampled with shape value_shape + (n^d,),
-    or a tuple of series on one mode box, sampled side by side: the result
-    has shape (rows, n^d), each series' values flattened in row-major order
-    into its own block of rows, in the order given (`grid_columns` gives
-    the views of each), and each equal bit for bit to its own sample.
-    Requires n >= 2*kmax+1 so every stored mode lands in its own bin: each
-    centered box is copied straight into FFT order (mode k at index k mod n
-    on each axis, `_box_blocks`) of one zero-filled spectrum.
-
-    The samples are complex128, the spectrum inverse-transformed and scaled
-    by n^d in place.  With `real` the series are taken as Hermitian and the
-    samples are float64: the spectrum holds only the modes k_d >= 0 of the
-    last axis, the n//2 + 1 bins of `np.fft.irfft`, which transforms it after
-    the other axes' `np.fft.ifft`, all unscaled (norm="forward"), as
-    `np.fft.irfftn` does; of a series that is not Hermitian it samples the
-    Hermitian series with the same modes k_d > 0.
-    """
-    single = isinstance(series, FourierSeries)
-    parts = (series,) if single else tuple(series)
-    d, kmax = parts[0].dim, parts[0].kmax
-    if any(p.dim != d or p.kmax != kmax for p in parts[1:]):
-        raise ValueError("series sampled together must share one mode box")
+def zero_spectrum(lead: tuple, dim: int, kmax: int, n: int, real: bool = False) -> tuple:
+    """A zero-filled FFT-order spectrum lead + (n,)*dim (the last axis n//2 + 1
+    bins with `real`) and the `_box_blocks` that take a centered box into it;
+    n >= 2*kmax+1 (else ValueError) puts every mode in a bin of its own."""
     if n < 2 * kmax + 1:
         raise ValueError(
             f"grid size {n} below Nyquist bound {2 * kmax + 1} for kmax={kmax}"
         )
-    # one series keeps its own value shape, which spares the row views
-    lead = series.value_shape if single else (sum(prod(p.value_shape) for p in parts),)
-    spec = np.zeros(lead + (n,) * (d - 1) + ((n // 2 + 1) if real else n,), dtype=complex)
-    views = (spec,) if single else grid_columns(spec, parts)
-    for p, view in zip(parts, views):
-        box_last = p.coeffs.transpose(_values_first(d, p.coeffs.ndim))
-        for box, fft in _box_blocks(d, kmax, n, real):
-            view[fft] = box_last[box]
+    shape = lead + (n,) * (dim - 1) + ((n // 2 + 1) if real else n,)
+    return np.zeros(shape, dtype=complex), _box_blocks(dim, kmax, n, real)
+
+
+def to_grid(series: FourierSeries, n: int, *, real: bool = False) -> np.ndarray:
+    """Sample on the regular n^d grid theta_j = j/n, with shape
+    value_shape + (n^d,).
+
+    The centered box is copied straight into FFT order (`zero_spectrum`),
+    and the spectrum is inverse-transformed and scaled by n^d in place: the
+    samples are complex128.  With `real` the series is taken as Hermitian and
+    the samples are float64: the spectrum holds only the modes k_d >= 0 of
+    the last axis, the n//2 + 1 bins of `np.fft.irfft`, which transforms it
+    after the other axes' `np.fft.ifft`, all unscaled (norm="forward"), as
+    `np.fft.irfftn` does; of a series that is not Hermitian it samples the
+    Hermitian series with the same modes k_d > 0.
+    """
+    d = series.dim
+    spec, blocks = zero_spectrum(series.value_shape, d, series.kmax, n, real)
+    box_last = series.coeffs.transpose(_values_first(d, series.coeffs.ndim))
+    for box, fft in blocks:
+        spec[fft] = box_last[box]
     return _sample(spec, d, n, real)
 
 
@@ -438,15 +439,6 @@ def _values_first(dim: int, ndim: int) -> tuple:
 def _cells(grid: np.ndarray, dim: int, n: int) -> np.ndarray:
     """The point axis of a grid stack viewed as the (n,)*dim grid (itself at dim 1)."""
     return grid if dim == 1 else grid.reshape(grid.shape[:-1] + (n,) * dim)
-
-
-def grid_columns(grid: np.ndarray, series) -> list:
-    """The views of a side-by-side sample `to_grid(series, n)` of a tuple of series
-    (or of any stack whose leading axis holds their rows) that hold each
-    series' values, in its own value shape, each a block of rows."""
-    widths = [prod(s.value_shape) for s in series]
-    return [grid[end - w:end].reshape(s.value_shape + grid.shape[1:])
-            for s, w, end in zip(series, widths, accumulate(widths))]
 
 
 def from_grid(values: np.ndarray, dim: int, kmax: int) -> FourierSeries:

@@ -194,7 +194,7 @@ def lindstedt_expand(fam, K_base: TorusEmbedding, mu_base, omega, eps0, N: int,
     K_cut = TorusEmbedding(K_base.periodic.truncate(B))
     # complex like the orders: products of a real base frame with them would be
     # mixed real-complex, which numpy runs slower than complex ones
-    ev = _evaluate(fam, K_cut, mu_base, omega, eps0, complex_grids=True)
+    ev = _evaluate(fam, K_cut, mu_base, omega, eps0, real=False)
     fr = newton_frame(fam, ev, mu_base, omega, eps0)
     base_res = ev.residual
     if base_res > BASE_TOL:

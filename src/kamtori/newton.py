@@ -18,23 +18,24 @@ gamma = DK^T J^-1 DK are pointwise functions of DK, so the frame builds
 N o T_omega, M o T_omega and gamma o T_omega by the same formulas on the
 sample of DK o T_omega, with no grid transform.
 
-Real problems run on real grids.  `_real_problem` reads off the inputs of
-each evaluation, with no option, whether (K, mu) at eps is real: K's
+Real problems run on real grids.  `_real_problem` reads off the inputs of a
+solve, once, with no option, whether (K, mu) at eps is real: K's
 coefficients Hermitian bit for bit, eps, mu and lam(eps) with zero imaginary
 parts and omega not complex.  Then the samples, the family's values (their
-real parts), the frame, the averaged block, both cohomology solves and the
+real parts), the frame, the averaged block, the cohomology solves and the
 correction M W are float64 grids; `from_grid` of the real correction is
-Hermitian bit for bit, so a continuation from the flat torus stays real.
-Coefficients and mu stay complex128.  Any other problem keeps the complex
-grids and their bytes.
+Hermitian bit for bit and sigma float64, so every iterate stays real and
+each evaluation of the solve reuses the decision.  Coefficients and mu stay
+complex128.  Any other problem keeps the complex grids and their bytes.
 
 Each Newton iteration evaluates the map once: `run_newton` samples K as the
 order-0 jet of `embedding.sample_jet` (X = K(theta), K o T_omega, DK and
-DK o T_omega in one transform), forms E = f o K - K o T_omega, and reads the
+DK o T_omega from one spectrum), forms E = f o K - K o T_omega, and reads the
 residual of that evaluation (`_Defect.residual`, the l1 norm at rho = 0 of
 E's series, computed once) into the trace; it hands the same evaluation to
 `newton_step`, whose frame and step report reuse it.  So an iteration that
-steps makes these transforms: the inverse one of `sample_jet`, the forward
+steps makes these transforms: the one inverse transform of `sample_jet` (its
+shifted and differentiated blocks are products on the spectrum), the forward
 one of E for the residual, one forward and one inverse transform for each of
 the three cohomology solves (Bb in `checked_block`, Ba and W1 in
 `solve_reduced`, each `cohomology.solve_twisted_grid` from grid to grid),
@@ -136,13 +137,15 @@ def _defect_rows(fam, X: np.ndarray, Xshift: np.ndarray, mu, eps) -> np.ndarray:
     return np.subtract(F if np.iscomplexobj(Xshift) else np.real(F), Xshift, out=Xshift)
 
 
-def _evaluate(fam, K: TorusEmbedding, mu, omega, eps, *, complex_grids=False) -> _Defect:
+def _evaluate(fam, K: TorusEmbedding, mu, omega, eps, *, real=None) -> _Defect:
     """(K, mu) on the grid: K sampled as the order-0 jet of `sample_jet`, whose
-    buffer then holds E in the place of K o T_omega; float64 samples for a
-    real problem (`_real_problem`), else complex128, and complex128 always
-    with `complex_grids` (a base whose jet orders are complex)."""
-    real, mu, omega, eps = ((False, mu, omega, eps) if complex_grids
-                            else _real_problem(fam, K, mu, omega, eps))
+    buffer then holds E in the place of K o T_omega; float64 samples, of the
+    real parts of mu, omega and eps, when `real` (the `_real_problem`
+    decision of a solve, made here for (K, mu) when None), else complex128."""
+    if real is None:
+        real = _real_problem(fam, K, mu, omega, eps)[0]
+    if real:
+        mu, omega, eps = np.real(mu), np.real(omega), np.real(eps)
     X, Xshift, DK, DKshift = sample_jet(K.periodic.coeffs[None], omega,
                                         _grid_size(K.kmax), real=real)
     E = _defect_rows(fam, X[0], Xshift[0], mu, eps)
@@ -506,11 +509,12 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20,
         if not witness.member:
             raise DivisorTooSmall(witness.nu.k, witness.nu.divisor, witness.floor)
 
+    real = _real_problem(fam, K0, mu, omega, eps)[0]
     K = K0
     trace = []
     report = None
     for it in range(max_iter + 1):
-        ev = _evaluate(fam, K, mu, omega, eps)
+        ev = _evaluate(fam, K, mu, omega, eps, real=real)
         res = ev.residual
         trace.append(res)
         if not np.isfinite(res) or (len(trace) > 2 and min(trace[-2:]) > trace[0]):

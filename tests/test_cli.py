@@ -218,11 +218,18 @@ def test_bad_command_value_is_config_error(tmp_path, capsys, command, old, new):
     ("atlas", "rho_band = 0.05", "rho_band = 0.05\nradius_scale = -1", "radius_scale"),
     ("solve", "eps = 0.0", "eps = nan", "eps"),
     ("atlas", "bounds = 0.9 1.1 -0.1 0.1", "bounds = 0.9 inf -0.1 0.1", "bounds"),
+    # finite bounds whose widths overflow
+    ("atlas", "bounds = 0.9 1.1 -0.1 0.1", "bounds = -1e308 1e308 -1e308 1e308", "bounds"),
+    ("atlas", "bounds = 0.9 1.1 -0.1 0.1", "bounds = 0.9 1.1 -1e308 1e308", "bounds"),
+    # the largest ball radius rho_band^(N+1) / A overflows
+    ("atlas", "rho_band = 0.05", "rho_band = 1e200", "rho_band"),
+    ("atlas", "rho_band = 0.05", "rho_band = 1e300", "rho_band"),
 ], ids=["lindstedt-order-17", "lindstedt-order-negative", "double-rounds-4",
         "sweep-direction-0", "sweep-steps-0", "atlas-resolution-0-0",
         "atlas-resolution-24-0", "atlas-ball-kmax-negative", "atlas-ball-kmax-0",
         "atlas-rho-band-0", "atlas-rho-band-inf", "atlas-radius-scale-negative",
-        "solve-eps-nan", "atlas-bounds-inf"])
+        "solve-eps-nan", "atlas-bounds-inf", "atlas-bounds-width-overflows",
+        "atlas-bounds-height-overflows", "atlas-rho-band-1e200", "atlas-rho-band-1e300"])
 def test_out_of_range_command_value_is_config_error(tmp_path, capsys, command, old,
                                                     new, key):
     p = tmp_path / "bad.cfg"

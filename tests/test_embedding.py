@@ -111,15 +111,15 @@ def test_sample_jet_samples_the_blocks_asked_for(dim):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_sample_jet_copies_nothing(dim, monkeypatch):
-    # every block is a view of the one to_grid buffer, with a contiguous
-    # point axis
+    # one inverse transform per sample, and every block is a view of its
+    # buffer, with a contiguous point axis
     rng = np.random.default_rng(dim)
     kmax = 9 if dim == 1 else 4
     coeffs = np.stack([K.coeffs for K in _random_jet(rng, dim, kmax, 3)])
     buffers = []
-    monkeypatch.setattr(embedding, "to_grid",
-                        lambda series, n, **kw: buffers.append(to_grid(series, n, **kw))
-                        or buffers[-1])
+    sample = embedding._sample
+    monkeypatch.setattr(embedding, "_sample",
+                        lambda *args: buffers.append(sample(*args)) or buffers[-1])
     for omega in (OMEGA[:dim], None):
         for lifts, dk in ((True, True), (True, False), (False, True)):
             buffers.clear()
@@ -130,16 +130,73 @@ def test_sample_jet_copies_nothing(dim, monkeypatch):
                 assert block.strides[-1] == block.itemsize
 
 
-def _sampled_points(monkeypatch):
-    """The grid values of every later to_grid call of the sampler."""
-    points = []
+def _composed_sample(coeffs, omega, n, lifts, dk, real):
+    """The sampler's blocks as the composition of series gives them, each by a
+    to_grid of its own: K with its orders behind the modes, K o T_omega =
+    K.shift(omega), DK and DK o T_omega (the derivative of the shifted
+    series), each with the identity in order 0's mean, then the lifts theta
+    and theta + omega added to order 0's samples."""
+    d = coeffs.shape[-1] // 2
+    kmax = (coeffs.shape[1] - 1) // 2
+    K = FourierSeries(d, kmax, np.moveaxis(coeffs, 0, d))
+    base = (K,) if omega is None else (K, K.shift(omega))
 
-    def counted(series, n, **kw):
-        grid = to_grid(series, n, **kw)
+    def dk_series(s):
+        cols = np.stack([s.differentiate(j).coeffs for j in range(d)], axis=-1)
+        cols[(kmax,) * d + (0,)][:d, :d] += np.eye(d)
+        return FourierSeries(d, kmax, cols)
+
+    blocks = (base if lifts else ()) + (tuple(dk_series(s) for s in base) if dk else ())
+    out = [to_grid(b, n, real=real) for b in blocks]
+    if lifts:
+        for j, theta in enumerate(theta_grid(d, n)):
+            out[0][0, j] += theta.ravel()
+            if omega is not None:
+                out[1][0, j] += theta.ravel() + omega[j]
+    return out
+
+
+@pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan-mode"])
+@pytest.mark.parametrize("orders", [1, 3])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sample_jet_is_the_series_composition_bit_for_bit(dim, real, orders, nan):
+    # every block choice, with and without omega, on the kmax grid and on
+    # the smallest one, equals the per-series composition byte for byte
+    rng = np.random.default_rng(100 * dim + 10 * orders + real)
+    kmax = 11 if dim == 1 else 4
+    jet = [K.coeffs for K in _random_jet(rng, dim, kmax, orders)]
+    if real:
+        flip = (slice(None, None, -1),) * dim
+        jet = [0.5 * (c + np.conj(c[flip])) for c in jet]
+    coeffs = np.stack(jet)
+    if nan:
+        coeffs[(0,) + (kmax + 1,) * dim + (dim,)] = np.nan
+    for n in (_grid_size(kmax), 2 * kmax + 1):
+        for omega in (OMEGA[:dim], None):
+            for lifts, dk in ((True, True), (True, False), (False, True)):
+                got = sample_jet(coeffs, omega, n, lifts=lifts, dk=dk, real=real)
+                want = _composed_sample(coeffs, omega, n, lifts, dk, real)
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape and g.dtype == w.dtype
+                    assert g.tobytes() == w.tobytes()
+                    assert np.isnan(g).any() == nan
+    with pytest.raises(ValueError, match="Nyquist"):
+        sample_jet(coeffs, None, 2 * kmax, real=real)
+
+
+def _sampled_points(monkeypatch):
+    """The grid values of every later inverse transform of the sampler."""
+    points = []
+    sample = embedding._sample
+
+    def counted(*args):
+        grid = sample(*args)
         points.append(grid.size)
         return grid
 
-    monkeypatch.setattr(embedding, "to_grid", counted)
+    monkeypatch.setattr(embedding, "_sample", counted)
     return points
 
 

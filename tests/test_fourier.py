@@ -166,6 +166,27 @@ def test_magnitudes_of_large_finite_vector_modes_are_finite(rng):
         np.sqrt(np.sum(np.abs(c) ** 2, axis=-1)).tobytes()
 
 
+@pytest.mark.parametrize("value_shape", [(2,), (3,), (2, 2), (4, 2), (3, 3)])
+@pytest.mark.parametrize("dim, kmax", [(1, 40), (2, 5)])
+def test_magnitudes_are_the_plain_sum_bit_for_bit(rng, dim, kmax, value_shape):
+    # the running sum of fewer than 8 squares and np.sum of 8 or more give
+    # np.sum's bits, over magnitudes 1e-30..1e30; on the overflow path every
+    # mode whose plain sum is finite keeps those bits too
+    shape = (2 * kmax + 1,) * dim + value_shape
+    c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+        * 10.0 ** rng.uniform(-30, 30, shape)
+    values = tuple(range(dim, c.ndim))
+    want = np.sqrt(np.sum(np.abs(c) ** 2, axis=values))
+    assert FourierSeries(dim, kmax, c.copy()).coeff_magnitudes().tobytes() == want.tobytes()
+    c[(kmax + 1,) * dim] = 1e200
+    with np.errstate(over="ignore"):
+        plain = np.sqrt(np.sum(np.abs(c) ** 2, axis=values))
+    mags = FourierSeries(dim, kmax, c).coeff_magnitudes()
+    finite = np.isfinite(plain)
+    assert not finite.all() and np.isfinite(mags).all()
+    assert mags[finite].tobytes() == plain[finite].tobytes()
+
+
 @given(st.integers(0, 2 ** 31 - 1))
 def test_cauchy_coefficient_inequality(seed):
     s = random_series(np.random.default_rng(seed), kmax=8)
@@ -347,15 +368,6 @@ def test_real_transforms_match_the_rfftn_formulation(rng, dim, n, value_shape):
         assert np.array_equal(box[flip], np.conj(box))
 
 
-@pytest.mark.parametrize("dim, kmax, n", [(1, 12, 38), (2, 4, 14)])
-def test_real_tuple_to_grid_matches_separate_transforms(rng, dim, kmax, n):
-    parts = [_hermitian_series(rng, dim, kmax, v) for v in [(), (2 * dim,), (3, 2 * dim, dim)]]
-    grid = to_grid(tuple(parts), n, real=True)
-    assert grid.dtype == np.float64
-    for s, view in zip(parts, fourier.grid_columns(grid, parts)):
-        assert view.tobytes() == to_grid(s, n, real=True).tobytes()
-
-
 def _fft_order(dim, kmax, n):
     """Reference: the fancy index of the centered box in FFT order, k mod n."""
     order = np.arange(-kmax, kmax + 1) % n
@@ -398,35 +410,6 @@ def test_to_grid_is_the_scaled_inverse_fftn_of_the_box(rng, dim, kmax, n):
     box[_fft_order(dim, kmax, n)] = s.coeffs
     want = _value_first(np.fft.ifftn(box, axes=tuple(range(dim))) * n ** dim, dim)
     assert to_grid(s, n).tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("dim, kmax, n", [(1, 12, 38), (2, 4, 14)])
-def test_tuple_to_grid_matches_separate_transforms(rng, dim, kmax, n):
-    # series sampled side by side: each one's columns, in the order given,
-    # are its own sample bit for bit
-    shapes = [(), (2 * dim,), (3, 2 * dim, dim)]
-    parts = []
-    for vshape in shapes:
-        shape = (2 * kmax + 1,) * dim + vshape
-        parts.append(FourierSeries(dim, kmax, rng.standard_normal(shape)
-                                   + 1j * rng.standard_normal(shape)))
-    grid = to_grid(tuple(parts), n)
-    assert grid.shape == (1 + 2 * dim + 6 * dim * dim, n ** dim)
-    start = 0
-    for s, view in zip(parts, fourier.grid_columns(grid, parts)):
-        size = int(np.prod(s.value_shape))
-        want = to_grid(s, n)
-        assert grid[start:start + size].tobytes() == want.reshape((size, n ** dim)).tobytes()
-        assert view.shape == want.shape and np.shares_memory(view, grid)
-        assert view.tobytes() == want.tobytes()
-        start += size
-    assert to_grid((parts[1],), n).tobytes() == to_grid(parts[1], n).tobytes()
-
-
-def test_tuple_to_grid_needs_one_mode_box(rng):
-    a, b = random_series(rng, kmax=4), random_series(rng, kmax=5)
-    with pytest.raises(ValueError, match="one mode box"):
-        to_grid((a, b), 16)
 
 
 def test_real_coefficients_sample_as_complex(rng):

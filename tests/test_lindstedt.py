@@ -393,13 +393,14 @@ def test_out_of_band_bump_is_reported(fam, omega, jet4):
 
 
 def _grid_sizes(monkeypatch):
-    """The set of grid sizes every later to_grid call samples on and every
-    later cohomology solve of the reduced system solves on."""
+    """The set of grid sizes every later to_grid call and sample_jet transform
+    samples on and every later cohomology solve of the reduced system solves on."""
     seen = set()
-    for module in (lindstedt, embedding):
-        to_grid = module.to_grid
-        monkeypatch.setattr(module, "to_grid",
-                            lambda series, n, _f=to_grid, **kw: seen.add(n) or _f(series, n, **kw))
+    to_grid, sample = lindstedt.to_grid, embedding._sample
+    monkeypatch.setattr(lindstedt, "to_grid",
+                        lambda series, n, **kw: seen.add(n) or to_grid(series, n, **kw))
+    monkeypatch.setattr(embedding, "_sample",
+                        lambda spec, dim, n, real: seen.add(n) or sample(spec, dim, n, real))
     solve = newton.solve_twisted_grid
 
     def spy(eta, dim, *args, **kw):

@@ -639,13 +639,14 @@ def test_lagrangian_defect_samples_only_dk(fam, omega, monkeypatch):
     L = jets.mm(jets.mm(np.swapaxes(dk, -3, -2), fam.J[..., None]), dk)
     want = from_grid(L, K.dim, K.kmax).analytic_norm(0.0)
     points = []
+    sample = embedding._sample
 
-    def counted(series, n, **kw):
-        grid = to_grid(series, n, **kw)
+    def counted(*args):
+        grid = sample(*args)
         points.append(grid.size)
         return grid
 
-    monkeypatch.setattr(embedding, "to_grid", counted)
+    monkeypatch.setattr(embedding, "_sample", counted)
     got = lagrangian_defect(K, fam.J)
     assert points == [n * 2 * 1]
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
@@ -740,6 +741,48 @@ def test_a_real_problem_runs_on_real_grids(fam, omega, base_torus, monkeypatch):
     for grid in (ev.X, ev.DK, ev.DKshift, ev.E, fr.lam, fr.Df, fr.M, fr.Mshift,
                  fr.beta, fr.S, fr.A, core.block, core.Bb_grid, rep.W, rep.sigma):
         assert grid.dtype == np.float64
+
+
+def _solve_spied(monkeypatch, fam, K, mu, omega, eps):
+    """run_newton with the number of its realness decisions and, for every
+    evaluation, the torus evaluated and the dtypes of its samples and E."""
+    decisions, evaluations = [], []
+    decide, evaluate = newton._real_problem, newton._evaluate
+
+    def decide_spy(*args):
+        decisions.append(args)
+        return decide(*args)
+
+    def evaluate_spy(fam, K, mu, omega, eps, **kw):
+        ev = evaluate(fam, K, mu, omega, eps, **kw)
+        evaluations.append((K, {a.dtype for a in (ev.X, ev.DK, ev.DKshift, ev.E)}))
+        return ev
+
+    monkeypatch.setattr(newton, "_real_problem", decide_spy)
+    monkeypatch.setattr(newton, "_evaluate", evaluate_spy)
+    sol = run_newton(fam, K, mu, omega, eps, tol=1e-12)
+    return sol, decisions, evaluations
+
+
+def test_a_real_solve_decides_once_and_every_iterate_stays_real(fam, omega, base_torus,
+                                                                monkeypatch):
+    # realness is read off the inputs once; every iterate of the solve is
+    # Hermitian bit for bit and every evaluation float64
+    K0, mu0 = base_torus
+    sol, decisions, evaluations = _solve_spied(monkeypatch, fam, K0, mu0, omega, 0.1)
+    assert len(decisions) == 1 and len(evaluations) == len(sol.trace) >= 3
+    for K, dtypes in evaluations:
+        assert _hermitian(K) and dtypes == {np.dtype(np.float64)}
+    assert _hermitian(sol.K) and not np.any(sol.mu.imag)
+
+
+def test_a_complex_eps_solve_keeps_complex_grids_throughout(fam, omega, base_torus,
+                                                            monkeypatch):
+    K0, mu0 = base_torus
+    sol, decisions, evaluations = _solve_spied(monkeypatch, fam, K0, mu0, omega,
+                                               0.05 + 0.01j)
+    assert len(decisions) == 1 and len(evaluations) == len(sol.trace) >= 3
+    assert all(dtypes == {np.dtype(np.complex128)} for _, dtypes in evaluations)
 
 
 def test_the_real_path_agrees_with_the_complex_one(fam, omega, base_torus, monkeypatch):
