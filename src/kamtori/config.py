@@ -15,7 +15,8 @@ ConfigError naming `<file>[<section>].<key>`.  Every number must be finite:
     [lindstedt]  order 0..16; eps0 complex
     [double]     order 0..16; rounds >= 0, within the order cap
     [sweep]      start, end complex; steps >= 1; direction complex != 0
-    [atlas]      plane lambda | epsilon; bounds re0 < re1, im0 < im1 (4 numbers);
+    [atlas]      plane lambda | epsilon; bounds re0 < re1, im0 < im1 (4 numbers)
+                 with a finite image height 640 (im1 - im0) / (re1 - re0);
                  resolution 2 integers >= 1; ball_kmax >= 1; rho_band, radius_scale > 0,
                  with a finite largest ball radius radius_scale rho_band^(N+1) / A
 
@@ -107,11 +108,15 @@ def _numbers(cast, count: int):
 
 
 def _box(text: str) -> tuple:
-    """re0 re1 im0 im1 with re0 < re1 and im0 < im1, and finite widths."""
+    """re0 re1 im0 im1 with re0 < re1 and im0 < im1, finite widths and a
+    finite height 640 (im1 - im0) / (re1 - re0) of the 640-pixel-wide
+    `atlas.render_svg` image."""
     re0, re1, im0, im1 = box = _numbers(_finite, 4)(text)
-    if re0 < re1 and im0 < im1 and np.isfinite(re1 - re0) and np.isfinite(im1 - im0):
+    # a finite height needs a finite width im1 - im0
+    if re0 < re1 and im0 < im1 and np.isfinite(re1 - re0) \
+            and np.isfinite(640 * (im1 - im0) / (re1 - re0)):
         return box
-    raise ValueError("expected re0 < re1 and im0 < im1, with finite widths")
+    raise ValueError("expected re0 < re1 and im0 < im1, with finite widths and image height")
 
 
 def _choice(*names):

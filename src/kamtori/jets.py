@@ -72,21 +72,26 @@ def mm(a, b):
     return out
 
 
-def cauchy(a, b, order=None, prod=np.multiply):
-    """Truncated Cauchy product c_n = sum_m prod(a_m, b_{n-m}); each order is
-    one batched product over its terms."""
+def cauchy(a, b, order=None, prod=np.multiply, start=0):
+    """Orders start..order of the truncated Cauchy product c_n = sum_m
+    prod(a_m, b_{n-m}); each order is one batched product over its terms.
+
+    Zero orders of a factor add only signed zeros, and `_order_sum` makes a
+    zero sum +0 either way, so a polynomial factor passed as its orders through
+    its degree gives the same bits for finite factors, from fewer terms."""
     a = np.asarray(a)
     b = np.asarray(b)
     n = (min(a.shape[0], b.shape[0]) - 1) if order is None else order
     first = prod(a[0], b[0])
     if n == 0:
         return first[None]
-    out = np.zeros((n + 1,) + first.shape, dtype=np.result_type(first.dtype, np.float64))
-    out[0] = first
-    for i in range(1, n + 1):
+    out = np.zeros((n + 1 - start,) + first.shape, dtype=np.result_type(first.dtype, np.float64))
+    if start == 0:
+        out[0] = first
+    for i in range(max(start, 1), n + 1):
         lo, hi = max(0, i - b.shape[0] + 1), min(i, a.shape[0] - 1)
         if lo <= hi:
-            out[i] = _order_sum(prod(a[lo:hi + 1], b[i - hi:i - lo + 1][::-1]))
+            out[i - start] = _order_sum(prod(a[lo:hi + 1], b[i - hi:i - lo + 1][::-1]))
     return out
 
 
@@ -94,17 +99,22 @@ def matmul(a, b, order=None):
     return cauchy(a, b, order=order, prod=mm)
 
 
-def sincos(x):
+def sincos(x, sc=None):
     """Jets of sin(2 pi x) and cos(2 pi x) along a jet x, via the standard
-    first-order recurrence (exact truncated coefficients)."""
+    first-order recurrence (exact truncated coefficients).
+
+    `sc`, the (s, c) of an earlier call through order m, is continued: its
+    orders below m are kept, so x must not have changed there, and orders
+    m..n are computed (m again: x_m may have changed)."""
     x = np.asarray(x)
     n = x.shape[0] - 1
-    s = zero_like(x)
-    c = zero_like(x)
-    s[0] = np.sin(TWO_PI * x[0])
-    c[0] = np.cos(TWO_PI * x[0])
+    m = 0 if sc is None else sc[0].shape[0] - 1
+    s, c = (zero_like(x), zero_like(x)) if sc is None else (pad(sc[0], n), pad(sc[1], n))
+    if m == 0:
+        s[0] = np.sin(TWO_PI * x[0])
+        c[0] = np.cos(TWO_PI * x[0])
     dx = derivative(x)
-    for i in range(1, n + 1):
+    for i in range(max(m, 1), n + 1):
         s[i] = (TWO_PI / i) * _order_sum(dx[:i] * c[i - 1::-1])
         c[i] = -(TWO_PI / i) * _order_sum(dx[:i] * s[i - 1::-1])
     return s, c

@@ -7,7 +7,9 @@ Two engines are provided:
   lam(eps0)-twisted and an untwisted difference equation are solved in the
   frame of the base torus, with the averaged 2d x 2d system fixing the drift
   coefficient (the (lam-1) entry is kept symbolic, so eps0 = 0, where the
-  block is triangular, and eps0 != 0 share one code path).
+  block is triangular, and eps0 != 0 share one code path).  The map's jet is
+  carried from order to order (`jet_apply`'s `work`): order j costs a fixed
+  number of kernel calls of O(j) terms each, O(N^2) work through order N.
 
 * `lindstedt_double` performs one Newton step on the whole jet: frames,
   torsion and conformal factor are themselves jets, and a single step takes a
@@ -208,9 +210,10 @@ def lindstedt_expand(fam, K_base: TorusEmbedding, mu_base, omega, eps0, N: int,
     mu_jet = np.zeros((N + 1, d), dtype=complex)
     mu_jet[0] = mu_base
 
+    work = {}   # the map's jet carried from order to order
     with _orders_checked():
         for j in range(1, N + 1):
-            G = fam.jet_apply(x_jet[: j + 1], mu_jet[: j + 1], eps0)[j]
+            G = fam.jet_apply(x_jet[: j + 1], mu_jet[: j + 1], eps0, work=work)[0]
             Et = jets.mm(fr.beta[0], (-G)[:, None])[:, 0]
             _check_order(j, "right-hand side", Et)
             W1, W2, mu_j, _ = solve_reduced(core, Et[:d], Et[d:], B)

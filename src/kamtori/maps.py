@@ -32,7 +32,11 @@ always complex.
                       the jet of lam in eps about eps0, whose order-1
                       coefficient is lam' (`lindstedt`, `atlas`)
     jet_apply, jet_jacobian, jet_d_mu (x_jet, mu_jet, eps0)
-                      f, Df and df/dmu as jets in eps about eps0 (`lindstedt`)
+                      f, Df and df/dmu as jets in eps about eps0 (`lindstedt`);
+                      jet_apply(..., work=w) evaluates incrementally: called with
+                      one dict w on jets that grow by one order per call and
+                      change between calls only at the last call's last order,
+                      it computes and returns its last order alone (a one-order jet)
 """
 
 from __future__ import annotations
@@ -154,27 +158,28 @@ class DissipativeStandardMap:
 
     # -- jets ---------------------------------------------------------------
 
-    def jet_apply(self, x_jet, mu_jet, eps0):
+    def jet_apply(self, x_jet, mu_jet, eps0, *, work=None):
         x_jet = np.asarray(x_jet)
         order = x_jet.shape[0] - 1
+        lo = 0 if work is None else order
         a, b = x_jet[:, 0], x_jet[:, 1]
-        lamj = self.lambda_jet(eps0, order)
-        epsj = jets.variable(eps0, order)
-        s, _ = jets.sincos(a)
-        kick = self.kappa / (2 * np.pi) * jets.cauchy(_expand(epsj, s), s, order=order)
-        ynew = jets.cauchy(_expand(lamj, b), b, order=order) \
-            + _expand(np.asarray(mu_jet)[:, 0], b) + kick
-        xnew = a + ynew
-        return np.stack([xnew, ynew], axis=1)
+        s, c = jets.sincos(a, None if work is None else work.get("sincos"))
+        if work is not None:
+            work["sincos"] = (s, c)
+        # eps and lam(eps) are polynomials: their orders through the degree
+        kick = self.kappa / (2 * np.pi) * jets.cauchy(
+            _expand(jets.variable(eps0, 1), s), s, order=order, start=lo)
+        ynew = jets.cauchy(_expand(self.lambda_jet(eps0, self.a), b), b, order=order,
+                           start=lo) + _expand(np.asarray(mu_jet)[lo:, 0], b) + kick
+        return np.stack([a[lo:] + ynew, ynew], axis=1)
 
     def jet_jacobian(self, x_jet, mu_jet, eps0):
         x_jet = np.asarray(x_jet)
         order = x_jet.shape[0] - 1
         a = x_jet[:, 0]
         lamj = self.lambda_jet(eps0, order)
-        epsj = jets.variable(eps0, order)
         _, c = jets.sincos(a)
-        ck = self.kappa * jets.cauchy(_expand(epsj, c), c, order=order)
+        ck = self.kappa * jets.cauchy(_expand(jets.variable(eps0, 1), c), c, order=order)
         out = np.zeros((order + 1, 2, 2) + x_jet.shape[2:], dtype=complex)
         out[:, 0, 0] = ck
         out[0, 0, 0] += 1.0

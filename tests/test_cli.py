@@ -221,6 +221,9 @@ def test_bad_command_value_is_config_error(tmp_path, capsys, command, old, new):
     # finite bounds whose widths overflow
     ("atlas", "bounds = 0.9 1.1 -0.1 0.1", "bounds = -1e308 1e308 -1e308 1e308", "bounds"),
     ("atlas", "bounds = 0.9 1.1 -0.1 0.1", "bounds = 0.9 1.1 -1e308 1e308", "bounds"),
+    # finite widths whose image height 640 (im1 - im0) / (re1 - re0) overflows
+    ("atlas", "bounds = 0.9 1.1 -0.1 0.1", "bounds = 0.9 0.9000000000000001 -1e300 1e300",
+     "bounds"),
     # the largest ball radius rho_band^(N+1) / A overflows
     ("atlas", "rho_band = 0.05", "rho_band = 1e200", "rho_band"),
     ("atlas", "rho_band = 0.05", "rho_band = 1e300", "rho_band"),
@@ -229,7 +232,8 @@ def test_bad_command_value_is_config_error(tmp_path, capsys, command, old, new):
         "atlas-resolution-24-0", "atlas-ball-kmax-negative", "atlas-ball-kmax-0",
         "atlas-rho-band-0", "atlas-rho-band-inf", "atlas-radius-scale-negative",
         "solve-eps-nan", "atlas-bounds-inf", "atlas-bounds-width-overflows",
-        "atlas-bounds-height-overflows", "atlas-rho-band-1e200", "atlas-rho-band-1e300"])
+        "atlas-bounds-height-overflows", "atlas-bounds-image-height-overflows",
+        "atlas-rho-band-1e200", "atlas-rho-band-1e300"])
 def test_out_of_range_command_value_is_config_error(tmp_path, capsys, command, old,
                                                     new, key):
     p = tmp_path / "bad.cfg"

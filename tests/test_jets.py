@@ -117,6 +117,74 @@ def test_cauchy_keeps_the_signed_zero_of_the_running_sum():
         assert not np.any(np.signbit(out[1:].real))
 
 
+# the polynomial jets of the map family: eps about eps0 (degree 1) and lam(eps)
+# = 1 + alpha eps^a about eps0 (degree a), with the zero orders of eps0 = 0
+POLYS = [[0.3 - 0.1j, 1.0], [0.0, 1.0], [1.0, 0.0, 0.0, 2.0 + 1.0j],
+         [1.25, 0.75, 0.15, 0.01]]
+
+
+@pytest.mark.parametrize("poly", POLYS)
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+def test_polynomial_product_is_the_zero_padded_product(rng, poly, shape):
+    p = np.asarray(poly, dtype=complex).reshape((len(poly),) + (1,) * len(shape))
+    for order in range(20):
+        b = _jet(rng, order, shape)
+        b[rng.random(b.shape) < 0.2] = complex(-0.0, -0.0)
+        want = jets.cauchy(jets.pad(p, order), b, order=order)
+        assert _same_bytes(jets.cauchy(p, b, order=order), want)
+        # the orders from `start` on are those orders of the product
+        for start in range(order + 1):
+            assert _same_bytes(jets.cauchy(p, b, order=order, start=start), want[start:])
+
+
+@pytest.mark.parametrize("poly", POLYS)
+def test_polynomial_product_keeps_the_signed_zero_of_the_running_sum(poly):
+    # every product is -0 - 0j or +0 + 0j: the sums are +0 beyond order 0,
+    # with the polynomial's zero orders or without them
+    p = np.asarray(poly, dtype=complex)
+    for b0 in (complex(-0.0, -0.0), complex(0.0, -0.0)):
+        b = np.full(6, b0)
+        got = jets.cauchy(p, b, order=5)
+        assert _same_bytes(got, jets.cauchy(jets.pad(p, 5), b, order=5))
+        assert not np.any(np.signbit(got[1:].real)) and not np.any(np.signbit(got[1:].imag))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(np.inf, 1.0),
+                                 complex(1.0, np.nan)])
+@pytest.mark.parametrize("poly", POLYS)
+def test_polynomial_product_of_inf_or_nan_is_not_finite(rng, poly, bad):
+    p = np.asarray(poly, dtype=complex)[:, None]
+    deg, order = len(poly) - 1, 10
+    for k in (0, 3, 9):
+        b = _jet(rng, order, (4,))
+        b[k, 2] = bad
+        with np.errstate(invalid="ignore"):   # inf * 0
+            got = jets.cauchy(p, b, order=order)
+            full = jets.cauchy(jets.pad(p, order), b, order=order)
+        # below order k and at the other points nothing changes; from order k
+        # each order that a term of the polynomial carries b_k to is not finite,
+        # so the first order that is not finite is that of the padded product
+        assert _same_bytes(got[:k], full[:k])
+        assert _same_bytes(np.delete(got, 2, axis=1), np.delete(full, 2, axis=1))
+        assert not np.any(np.isfinite(got[k:k + deg + 1, 2]))
+        assert not np.any(np.isfinite(full[k:, 2]))
+    # a coefficient that is not finite spoils every order from its own on
+    q = np.array(poly, dtype=complex)
+    q[-1] = bad
+    with np.errstate(invalid="ignore"):
+        got = jets.cauchy(q[:, None], rng.standard_normal((order + 1, 4)), order=order)
+    assert np.all(np.isfinite(got[:deg])) and not np.any(np.isfinite(got[deg:]))
+
+
+def test_polynomial_product_of_real_jets_stays_real(rng):
+    p = np.array([1.0, 0.0, -0.5])
+    b = rng.standard_normal((9, 5))
+    got = jets.cauchy(p[:, None], b, order=8)
+    assert got.dtype == np.float64
+    assert _same_bytes(got, jets.cauchy(jets.pad(p, 8)[:, None], b, order=8))
+    assert _same_bytes(jets.cauchy(p[:, None], b, order=8, start=8), got[8:])
+
+
 # a single grid point, a grid, and a grid of vectors (the old loop on a bare
 # 0-d jet ran numpy's scalar arithmetic, which rounds unlike the array loops)
 @pytest.mark.parametrize("shape", [(1,), (5,), (7, 3)])
@@ -126,6 +194,27 @@ def test_sincos_is_byte_equal_to_the_running_sum(rng, shape):
         x[0] = rng.random(shape)
         got, want = jets.sincos(x), _loop_sincos(x)
         assert _same_bytes(got[0], want[0]) and _same_bytes(got[1], want[1])
+
+
+@pytest.mark.parametrize("shape", [(1,), (5,), (7, 3)])
+def test_continued_sincos_is_the_whole_recurrence(rng, shape):
+    # order by order, as the Lindstedt expansion grows its jet: each call sees
+    # its last order as zero, and the next one continues it once that order
+    # is known
+    x = _jet(rng, 16, shape) * 1e-3
+    x[0] = rng.random(shape)
+    grown = np.zeros_like(x)
+    grown[0] = x[0]
+    sc = None
+    for j in range(17):
+        sc = jets.sincos(grown[:j + 1], sc)
+        want = jets.sincos(grown[:j + 1])
+        assert _same_bytes(sc[0], want[0]) and _same_bytes(sc[1], want[1])
+        if j < 16:
+            grown[j] = x[j]
+    # an order-0 jet is recomputed whole
+    sc = jets.sincos(x[:3], jets.sincos(np.zeros_like(x[:1])))
+    assert _same_bytes(sc[0], jets.sincos(x[:3])[0])
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 1, 5), (2, 2, 5), (3, 3, 4)])

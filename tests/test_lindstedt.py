@@ -6,7 +6,7 @@ import pytest
 
 from kamtori import embedding, jets, lindstedt, newton
 from kamtori.embedding import TorusEmbedding, sample_jet
-from kamtori.errors import DivisorTooSmall, FrameSingular, InexactJet
+from kamtori.errors import DivisorTooSmall, FrameSingular, InexactJet, JetOverflow
 from kamtori.fourier import FourierSeries, fast_grid_size, from_grid
 from kamtori.lindstedt import (EpsilonJet, dump_jet, lindstedt_double,
                                lindstedt_expand, load_jet, residual_jet,
@@ -156,6 +156,60 @@ def test_expansion_deterministic(fam, omega, base_torus):
     b = lindstedt_expand(fam, K0, mu0, omega, 0.0, 3)
     for x, y in zip(a.K_coeffs, b.K_coeffs):
         np.testing.assert_array_equal(x.coeffs, y.coeffs)
+
+
+class _FromOrderZero(DissipativeStandardMap):
+    """The expansion's former evaluation, the oracle of the incremental one:
+    every call computes the map's jet from order 0, with full Cauchy products
+    over the zero-padded jets of eps and lam(eps), and the expansion reads its
+    last order, jet_apply(x[:j+1], mu[:j+1], eps0)[j]."""
+
+    def jet_apply(self, x_jet, mu_jet, eps0, *, work=None):
+        order = x_jet.shape[0] - 1
+        a, b = x_jet[:, 0], x_jet[:, 1]
+        lamj = self.lambda_jet(eps0, order)[:, None]
+        epsj = jets.variable(eps0, order)[:, None]
+        s, _ = jets.sincos(a)
+        kick = self.kappa / (2 * np.pi) * jets.cauchy(epsj, s, order=order)
+        ynew = jets.cauchy(lamj, b, order=order) + mu_jet[:, :1] + kick
+        return np.stack([a + ynew, ynew], axis=1)[order:]
+
+
+def _expansions(fam, base, omega, eps0, N):
+    return [_jet_bytes(lindstedt_expand(f, *base, omega, eps0, N))
+            for f in (fam, _FromOrderZero(fam.kappa, fam.alpha, fam.a))]
+
+
+def _jet_bytes(jet):
+    return [K.coeffs.tobytes() for K in jet.K_coeffs] + [
+        jet.mu_coeffs.tobytes(), jet.lambda_coeffs.tobytes()]
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_expansion_is_the_order_by_order_recomputation_on_the_flat_torus(omega, a):
+    fam = DissipativeStandardMap(kappa=0.5, alpha=1.0, a=a)
+    got, want = _expansions(fam, fam.unperturbed_torus(omega, 32), omega, 0.0, 16)
+    assert got == want
+
+
+@pytest.mark.parametrize("eps0", [0.05, 0.04 - 0.02j])
+@pytest.mark.parametrize("a", [1, 3])
+def test_expansion_is_the_order_by_order_recomputation_on_a_newton_base(omega, a, eps0):
+    fam = DissipativeStandardMap(kappa=0.5, alpha=1.0, a=a)
+    sol = run_newton(fam, *fam.unperturbed_torus(omega, 32), omega, eps0, tol=1e-14)
+    got, want = _expansions(fam, (sol.K, sol.mu), omega, eps0, 10)
+    assert got == want
+
+
+@pytest.mark.parametrize("kappa, order", [(1e200, 2), (1e100, 4)])
+def test_incremental_expansion_names_the_same_overflowing_order(omega, kappa, order):
+    fam = DissipativeStandardMap(kappa=kappa, alpha=1.0, a=1)
+    errors = []
+    for f in (fam, _FromOrderZero(kappa, 1.0, 1)):
+        with pytest.raises(JetOverflow) as err:
+            lindstedt_expand(f, *f.unperturbed_torus(omega, 32), omega, 0.0, 8)
+        errors.append((err.value.order, str(err.value)))
+    assert errors[0] == errors[1] and errors[0][0] == order
 
 
 def test_order_cap_enforced(fam, omega, base_torus):

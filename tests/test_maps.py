@@ -232,6 +232,25 @@ def test_jet_apply_matches_pointwise_eval(fam, rng):
         assert err <= max(50 * de ** (N + 1), 1e-14)
 
 
+@pytest.mark.parametrize("a, eps0", [(1, 0.0), (3, 0.0), (2, 0.05 - 0.01j)])
+def test_incremental_jet_apply_is_the_last_order_of_the_whole_jet(rng, a, eps0):
+    # a caller growing its jet one order at a time, each order known only
+    # after the call that saw it as zero, as the Lindstedt expansion does
+    fam = DissipativeStandardMap(kappa=0.5, alpha=1.0 + 0.5j, a=a)
+    N = 9
+    x = (rng.standard_normal((N + 1, 2, 6)) * 0.2).astype(complex)
+    x[0, 0] = rng.random(6)
+    mu = (rng.standard_normal((N + 1, 1)) * 0.05).astype(complex)
+    grown, mu_grown = np.zeros_like(x), np.zeros_like(mu)
+    grown[0], mu_grown[0] = x[0], mu[0]
+    work = {}
+    for j in range(1, N + 1):
+        got = fam.jet_apply(grown[:j + 1], mu_grown[:j + 1], eps0, work=work)
+        want = fam.jet_apply(grown[:j + 1], mu_grown[:j + 1], eps0)
+        assert got.shape == (1, 2, 6) and got.tobytes() == want[j:].tobytes()
+        grown[j], mu_grown[j] = x[j], mu[j]
+
+
 def test_jet_chain_rule_consistency(fam, rng):
     # d/d eps of the composed jet equals Df.x' + D_mu f.mu' + d_eps f along
     # the jet, rebuilt from the family's jet pieces
