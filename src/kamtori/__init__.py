@@ -13,7 +13,7 @@ from .errors import (ConfigError, Diverged, DivisorTooSmall, FrameSingular,
                      NonDegeneracyFailure, NormalizationDiverged)
 from .fourier import FourierSeries, from_grid, theta_grid, to_grid
 from .maps import DissipativeStandardMap, symplectic_matrix, verify_conformal
-from .cohomology import CohomologySolution, solve_twisted, tame_bound
+from .cohomology import tame_bound
 from .newton import (KamSolution, ReducibilityFrame, invariance_residual,
                      lagrangian_defect, newton_step, normalize_embedding,
                      reducibility_frame, run_newton)

@@ -25,9 +25,11 @@ import numpy as np
 from . import __version__
 from .atlas import (classify_grid, excluded_balls, grid_table, render_svg,
                     sweep_continuation, sweep_table)
+from .cohomology import solve_twisted_grid
 from .config import load_config
-from .diophantine import lambda_in_good_set, scan_trace
+from .diophantine import lambda_in_good_set, nu_omega, scan_trace
 from .errors import ConfigError, KamtoriError
+from .fourier import FourierSeries, from_grid, to_grid
 from .lindstedt import (BASE_TOL, dump_jet, lindstedt_double, lindstedt_expand,
                         residual_jet_norms)
 from .newton import dump_solution, invariance_residual, run_newton
@@ -226,19 +228,21 @@ def cmd_verify(run: _Run):
     E0 = invariance_residual(fam, K0, mu0, cfg.omega, 0.0)
     check("exact-torus-residual", E0.analytic_norm(0.0), 1e-14)
 
-    from .fourier import FourierSeries, from_grid, to_grid
     coeffs = (rng.standard_normal((33,)) + 1j * rng.standard_normal((33,)))
     series = FourierSeries(1, 16, coeffs * np.exp(-0.4 * np.abs(np.arange(-16, 17))))
-    rt = from_grid(to_grid(series, 64), 1, 16)
+    grid = to_grid(series, 64)
+    rt = from_grid(grid, 1, 16)
     check("grid-round-trip", (rt - series).analytic_norm(0.0)
           / series.analytic_norm(0.0), 1e-13)
 
-    from .cohomology import solve_twisted
+    # the solve on the grid, its residual lam*phi - phi o T_omega - eta taken
+    # on the modes of phi against the zero-average part of the series
     eta = series.remove_average()
-    sol = solve_twisted(eta, 0.97, cfg.omega)
-    check("cohomology-residual", sol.residual / eta.analytic_norm(0.0), 1e-12)
+    phi = from_grid(solve_twisted_grid(grid, 1, 16, 0.97, cfg.omega)[0], 1, 16)
+    resid = 0.97 * phi.coeffs - phi.shift(cfg.omega).coeffs - eta.coeffs
+    check("cohomology-residual", FourierSeries(1, 16, resid).analytic_norm(0.0)
+          / eta.analytic_norm(0.0), 1e-12)
 
-    from .diophantine import nu_omega
     n1 = nu_omega(cfg.omega, cfg.tau, 1000)
     n2 = nu_omega(cfg.omega, cfg.tau, 100000)
     check("nu-monotone", 0.0 if n1.value <= n2.value else 1.0, 0.0)

@@ -5,56 +5,34 @@
 solved per mode by  phi_k = eta_k / (lam - e^{2 pi i k.omega}),  together with
 the tame norm bound the solution obeys on a slightly smaller strip.
 
-Two entry points solve it.  `solve_twisted` takes and returns a
-`FourierSeries` (with the solve's right-hand side, divisor gain and residual
-in a `CohomologySolution`); it is the public per-series API.
-`solve_twisted_grid` takes grid samples and returns the zero-average
-solution of their zero-average part on the same grid, bit for bit what
-`from_grid`, `remove_average`, `solve_twisted` and `to_grid` give, but
-through one forward and one inverse transform of the spectrum
+One entry point solves it: `solve_twisted_grid` takes grid samples and
+returns the zero-average solution of their zero-average part on the same
+grid, through one forward and one inverse transform of the spectrum
 (`fourier.multiply_modes`) with no series; the Newton step and both
 Lindstedt engines solve through it.
 
-Both read one divisor table: the inverse divisors over the mode box (with
+It reads one divisor table: the inverse divisors over the mode box (with
 the solve's k = 0 entry), the largest gain and the DivisorTooSmall witness,
 at most 8 entries keyed by the bytes of (d, kmax, lam, omega, floor), so
 only bit-equal inputs share an entry and a hit is one multiply by the
 entry's read-only inverse; the least recently used entry is dropped first.
-Both raise the entry's witness as DivisorTooSmall and, at lam = 1, refuse a
-right-hand side that is not finite (`_check_untwisted`).
+A solve raises the entry's witness as DivisorTooSmall and, at lam = 1,
+refuses a right-hand side with a mode that is not finite (ValueError).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DivisorTooSmall
-from .fourier import TWO_PI, FourierSeries, from_grid, multiply_modes
+from .fourier import TWO_PI, from_grid, multiply_modes
 
 DEFAULT_DIVISOR_FLOOR = 1e-12
 
 _AVG_TWIST_TOL = 1e-12     # |lam - 1| below this selects the untwisted branch
-
-
-@dataclass(frozen=True)
-class CohomologySolution:
-    phi: FourierSeries
-    max_divisor_gain: float   # largest |lam - e^{2 pi i k.omega}|^{-1} used
-    eta: FourierSeries        # the right-hand side solved for
-    lam: complex
-    omega: np.ndarray
-
-    @cached_property
-    def residual(self) -> float:
-        """l1 norm of lam*phi - phi o T_omega - eta at rho=0, computed on
-        first read (the solvers never read it)."""
-        resid = self.lam * self.phi.coeffs - self.phi.shift(self.omega).coeffs \
-            - self.eta.coeffs
-        return float(FourierSeries(self.phi.dim, self.phi.kmax, resid).analytic_norm(0.0))
 
 
 def divisor_grid(dim: int, kmax: int, lam: complex, omega) -> np.ndarray:
@@ -118,45 +96,6 @@ def _divisors(dim: int, kmax: int, lam: complex, omega, divisor_floor) -> tuple:
                           floor.shape, floor.tobytes())
 
 
-def _check_untwisted(eta: FourierSeries) -> None:
-    """Refuse the right-hand side of an untwisted solve that is not finite or
-    has a nonzero average (ValueError); finite modes pass even where their
-    l1 norm overflows."""
-    avg = np.abs(np.atleast_1d(eta.average()))
-    scale = eta.analytic_norm(0.0)
-    # a non-finite mode, the mean included, makes the scale non-finite, and so
-    # do finite modes whose l1 norm overflows; only the former are refused
-    if (not np.isfinite(scale) and not np.isfinite(eta.coeffs).all()
-            or np.max(avg) > 1e-12 * max(scale, 1e-30)):
-        raise ValueError("eta must have finite modes and a finite zero average "
-                         "when lam = 1")
-
-
-def solve_twisted(eta: FourierSeries, lam: complex, omega,
-                  divisor_floor=DEFAULT_DIVISOR_FLOOR) -> CohomologySolution:
-    """Solve lam*phi - phi o T_omega = eta mode by mode.
-
-    For lam = 1 (within 1e-12) eta must be finite with a vanishing average
-    (else ValueError; finite modes pass even where their l1 norm overflows)
-    and phi is returned with zero average; otherwise the
-    average solves (lam-1) phi_0 = eta_0.  `divisor_floor` may be a scalar or
-    an array over the centred mode box of any cutoff >= kmax (e.g. a
-    |k|-dependent threshold), cut to the kmax box; any divisor below it raises
-    DivisorTooSmall, flagging the parameter as outside the good set at this
-    cutoff.
-    """
-    lam = complex(lam)
-    dim, kmax = eta.dim, eta.kmax
-    inv, gain, witness = _divisors(dim, kmax, lam, omega, divisor_floor)
-    if witness is not None:
-        raise DivisorTooSmall(*witness)
-    if abs(lam - 1.0) <= _AVG_TWIST_TOL:
-        _check_untwisted(eta)   # phi_0 = 0: the unique zero-average solution
-    phi_coeffs = eta.coeffs * inv.reshape(inv.shape + (1,) * len(eta.value_shape))
-    phi = FourierSeries(dim, kmax, phi_coeffs)
-    return CohomologySolution(phi, gain, eta, lam, omega)
-
-
 def solve_twisted_grid(eta: np.ndarray, dim: int, band: int, lam: complex, omega,
                        divisor_floor=DEFAULT_DIVISOR_FLOOR, *, negate: bool = False) -> tuple:
     """(phi, largest divisor gain) for grid samples eta, value_shape +
@@ -164,22 +103,27 @@ def solve_twisted_grid(eta: np.ndarray, dim: int, band: int, lam: complex, omega
     solution of lam*phi - phi o T_omega = eta - avg(eta) at the cutoff
     `band`, or of its negative with `negate`.
 
-    Bit for bit `to_grid(solve_twisted(from_grid(eta, dim, band)
-    .remove_average(), lam, omega, divisor_floor).phi, n, real=<eta is
-    real>)`, with `-from_grid(...).remove_average()` under `negate`, and
-    with the same DivisorTooSmall and, at lam = 1, the same ValueError for a
-    right-hand side that is not finite; but the table's inverse divisors
-    multiply the spectrum where it lies (`fourier.multiply_modes`), with no
-    series.  An untwisted phi that is not finite is checked by building that
-    right-hand side.
+    Its modes are phi_k = eta_k / (lam - e^{2 pi i k.omega}) for 0 <
+    |k|_inf <= band, with eta_k those of `fourier.from_grid(eta, dim, band)`,
+    and it is sampled as `fourier.to_grid` samples a box (real=True for real
+    samples); the table's inverse divisors multiply the spectrum where it
+    lies (`fourier.multiply_modes`).  `divisor_floor` may be a scalar or an
+    array over the centred mode box of any cutoff >= band (e.g. a
+    |k|-dependent threshold), cut to the band's box; a divisor below it
+    raises DivisorTooSmall, flagging the parameter as outside the good set
+    at this cutoff.  For lam = 1 (within 1e-12) eta's modes must be finite,
+    else ValueError (finite modes pass even where their l1 norm overflows);
+    the modes are checked only when phi is not finite.
     """
     lam = complex(lam)
     inv, gain, witness = _divisors(dim, band, lam, omega, divisor_floor)
     if witness is not None:
         raise DivisorTooSmall(*witness)
     phi = multiply_modes(eta, dim, band, inv, negate=negate)
-    if abs(lam - 1.0) <= _AVG_TWIST_TOL and not np.isfinite(phi).all():
-        _check_untwisted(from_grid(eta, dim, band).remove_average())
+    if (abs(lam - 1.0) <= _AVG_TWIST_TOL and not np.isfinite(phi).all()
+            and not np.isfinite(from_grid(eta, dim, band).remove_average().coeffs).all()):
+        raise ValueError("eta must have finite modes and a finite zero average "
+                         "when lam = 1")
     return phi, gain
 
 

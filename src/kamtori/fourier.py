@@ -26,7 +26,7 @@ Samples are complex128 by default.  Hermitian series (c_-k = conj(c_k))
 may be sampled as float64 (`to_grid(..., real=True)`), through the n//2 + 1
 bins of a real transform at about half the cost, as `np.fft.irfftn` does;
 `from_grid` of float64 samples follows `np.fft.rfftn` and mirrors the modes
-k_d < 0, so the box is Hermitian bit for bit.  The Newton solver samples a
+it lacks, so the box is Hermitian bit for bit.  The Newton solver samples a
 real problem as float64 (see `newton`); every other caller is complex.
 
 `multiply_modes` is the spectral primitive of the grid-to-grid cohomology
@@ -35,14 +35,20 @@ transform, the in-band modes scaled, mean-free and multiplied by a table
 over the mode box in FFT order, bit for bit what `from_grid`, the product
 on the coefficient box and `to_grid` give, without the box.
 
+One rule mirrors a real transform's plane k_d = 0, where rfftn holds both
+k and -k: `_plane_mirror` indexes the modes whose last nonzero k_i is
+negative and their negations.  `from_grid` applies it to its box and
+`multiply_modes` to its FFT-order spectrum, both after the scaling by n^-d:
+conj(x)/n^d can differ from conj(x/n^d) in the sign of a zero part (of
+exactly even samples, say), so the two mirror at the same step.
+
 The tables that depend only on a cutoff, a grid size or a shift are computed
 once and kept read-only in bounded LRU caches: the 5-smooth grid size of a
 minimum (`fast_grid_size`, 256 entries), the box blocks per (d, kmax, n) and
-sample dtype (64), the mirror slices per (d, kmax) (64), the mirror indices
-of a real spectrum's k_d = 0 plane per (d, band, n) (64), the shift phases
-e^{2 pi i k omega_j} per (kmax, omega_j) (64), the derivative factors
-2 pi i k per kmax (32), the angle axis j/n per n (32) and the tail-band mask
-of `tail_mass` per (d, kmax) (16).  No grid of angles is
+sample dtype (64), the plane mirror per (d, band) and layout (64), the
+shift phases e^{2 pi i k omega_j} per (kmax, omega_j) (64), the derivative
+factors 2 pi i k per kmax (32), the angle axis j/n per n (32) and the
+tail-band mask of `tail_mass` per (d, kmax) (16).  No grid of angles is
 cached (at d = 2 and large n one is tens of MB): samplers broadcast the 1-D
 axis, and `theta_grid` builds its meshgrid anew.
 
@@ -59,7 +65,7 @@ complex128 view of its two floats, so signed zeros, inf and nan load exactly.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import prod
@@ -140,16 +146,13 @@ class FourierSeries:
         kmax: per-axis mode cutoff; stored modes satisfy |k_i| <= kmax.
         coeffs: complex array of shape (2*kmax+1,)*dim + value_shape, with
             axis index i corresponding to mode k_i = i - kmax.
-
-    `zero_average=True` asserts c_0 = 0 exactly at construction; it is not stored.
     """
 
     dim: int
     kmax: int
     coeffs: np.ndarray
-    zero_average: InitVar[bool] = False
 
-    def __post_init__(self, zero_average):
+    def __post_init__(self):
         n = 2 * self.kmax + 1
         if self.coeffs.shape[: self.dim] != (n,) * self.dim:
             raise ValueError(
@@ -157,16 +160,14 @@ class FourierSeries:
                 f"dim={self.dim}, kmax={self.kmax}"
             )
         self.coeffs.setflags(write=False)
-        if zero_average and np.any(self.average() != 0):
-            raise ValueError("series declared zero-average has a nonzero c_0")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zeros(cls, dim, kmax, value_shape=(), dtype=np.complex128, zero_average=False):
+    def zeros(cls, dim, kmax, value_shape=(), dtype=np.complex128):
         n = 2 * kmax + 1
         shape = (n,) * dim + tuple(value_shape)
-        return cls(dim, kmax, np.zeros(shape, dtype=dtype), zero_average)
+        return cls(dim, kmax, np.zeros(shape, dtype=dtype))
 
     @classmethod
     def constant(cls, value, dim, kmax):
@@ -178,7 +179,7 @@ class FourierSeries:
         return out
 
     @classmethod
-    def from_modes(cls, dim, kmax, modes, zero_average=False):
+    def from_modes(cls, dim, kmax, modes):
         """Build a series from a {k: value} mapping (k a d-tuple or int);
         the value shape is that of the entries."""
         n = 2 * kmax + 1
@@ -188,7 +189,7 @@ class FourierSeries:
             k = (k,) if isinstance(k, int) else tuple(k)
             idx = tuple(int(ki) + kmax for ki in k)
             coeffs[idx] = val
-        return cls(dim, kmax, coeffs, zero_average)
+        return cls(dim, kmax, coeffs)
 
     # -- basic structure ---------------------------------------------------
 
@@ -454,9 +455,11 @@ def from_grid(values: np.ndarray, dim: int, kmax: int) -> FourierSeries:
     first, as `np.fft.fftn` does; contiguous complex128 samples enter without
     a copy.  Real samples (float64, or promoted to it) are transformed as
     `np.fft.rfftn` does, `np.fft.rfft` on the last axis, and only the modes
-    k_d >= 0 are copied, scaled as they are copied; the others are written as
-    the conjugates of their mirrors (`_mirror`), so the box is Hermitian bit
-    for bit.
+    k_d >= 0 are copied, scaled as they are copied.  Those of the plane k_d = 0
+    whose last nonzero k_i is negative are then rewritten as the conjugates
+    of their mirrors (`_plane_mirror`, the rule `multiply_modes` applies), c_0
+    is made real, and the modes k_d < 0 are written as the conjugates of
+    theirs, so the box is Hermitian bit for bit.
     """
     chat, n, real = _spectrum(values, dim, kmax)
     coeffs = np.empty((2 * kmax + 1,) * dim + chat.shape[:-dim], dtype=chat.dtype)
@@ -464,7 +467,12 @@ def from_grid(values: np.ndarray, dim: int, kmax: int) -> FourierSeries:
     if real:
         for box, fft in _box_blocks(dim, kmax, n, True):
             np.divide(chat[fft], n ** dim, out=box_last[box])
-        _mirror(coeffs, dim, kmax)
+        if dim > 1:   # at dim 1 the plane is c_0 alone, rfft's mean, real already
+            for target, source in _plane_mirror(dim, kmax, kmax):
+                box_last[target] = np.conj(box_last[source])
+            coeffs[(kmax,) * dim + (...,)].imag = 0
+        neg = (slice(None),) * (dim - 1) + (slice(None, kmax),)
+        np.conjugate(coeffs[(slice(None, None, -1),) * dim][neg], out=coeffs[neg])
     else:
         for box, fft in _box_blocks(dim, kmax, n):
             box_last[box] = chat[fft]
@@ -502,18 +510,17 @@ def multiply_modes(values: np.ndarray, dim: int, band: int, factors: np.ndarray,
     bins (`_box_blocks`) divided by n^dim into a zeroed spectrum, the mean
     bin zeroed, each block multiplied by the same block of `factors`, and
     the inverse transform of `to_grid` (`_sample`).  Of real samples the
-    spectrum holds the modes k_d >= 0, all that `to_grid(real=True)` reads;
-    at dim > 1 `from_grid` rewrites those with k_d = 0 whose last nonzero k_i
-    is negative as conjugate mirrors (`_mirror`), and so does this
-    (`_plane_mirror`).
+    spectrum holds the modes k_d >= 0, all that `to_grid(real=True)` reads,
+    and at dim > 1 those of the plane k_d = 0 are mirrored after the scaling
+    by the one rule `from_grid` applies to its box (`_plane_mirror`).
     """
     chat, n, real = _spectrum(values, dim, band)
     spec = np.zeros_like(chat)
     blocks = _box_blocks(dim, band, n, real)
     for _, fft in blocks:
         np.divide(chat[fft], n ** dim, out=spec[fft])
-    if real:
-        for target, source in _plane_mirror(dim, band, n):
+    if real and dim > 1:
+        for target, source in _plane_mirror(dim, band, 0):
             spec[target] = np.conj(spec[source])
     spec[(...,) + (0,) * dim] = 0
     for box, fft in blocks:
@@ -524,39 +531,20 @@ def multiply_modes(values: np.ndarray, dim: int, band: int, factors: np.ndarray,
 
 
 @lru_cache(maxsize=64)
-def _plane_mirror(dim: int, band: int, n: int) -> tuple:
-    """The (target, source) indices of a real spectrum's plane k_d = 0 that
-    `_mirror` sets to conjugates, one pair per axis i < dim - 1: k_i < 0 and
-    k_(i+1..d) = 0 from the negated modes (bin j of an axis negated is bin
-    (n - j) mod n), over the band's bins on the axes before i."""
-    bins = np.r_[0:band + 1, n - band:n]
+def _plane_mirror(dim: int, band: int, center: int) -> tuple:
+    """The Hermitian mirror of a real transform's plane k_d = 0: (target,
+    source) indices, one pair per axis i < dim - 1, of the modes k_i < 0 and
+    k_(i+1..d) = 0, over the band's modes on the axes before i, and of their
+    negations, whose conjugates the targets take.  Mode k sits at index
+    k + center on each axis: center 0 indexes an FFT-order spectrum (a mode
+    k < 0 from the end of its axis), center = band the centred box."""
+    ks = np.arange(-band, band + 1)
     pairs = []
     for axis in range(dim - 1):
-        target = [bins] * axis + [np.arange(n - band, n)] + [np.zeros(1, int)] * (dim - axis - 1)
-        source = [(n - t) % n for t in target]
-        pairs.append(tuple((...,) + tuple(_read_only(a) for a in np.ix_(*idx))
-                           for idx in (target, source)))
+        target = [ks] * axis + [ks[:band]] + [ks[band:band + 1]] * (dim - axis - 1)
+        pairs.append(tuple((...,) + tuple(_read_only(a + center) for a in np.ix_(*idx))
+                           for idx in (target, [-t for t in target])))
     return tuple(pairs)
-
-
-@lru_cache(maxsize=64)
-def _mirror_blocks(dim: int, kmax: int) -> tuple:
-    """The slices of the centered box whose last nonzero k_i is negative, one
-    per axis i: k_d < 0; then k_d = 0 and k_(d-1) < 0; ..; then k_1 < 0 and
-    the other k_i = 0."""
-    return tuple((slice(None),) * axis + (slice(None, kmax),) + (kmax,) * (dim - 1 - axis)
-                 for axis in range(dim - 1, -1, -1))
-
-
-def _mirror(coeffs: np.ndarray, dim: int, kmax: int) -> None:
-    """Complete a box that holds the modes k_d >= 0 to a Hermitian one, in
-    place: c_-k = conj(c_k) on each block of `_mirror_blocks`, and c_0 real.
-    At dim 1 c_0 is rfft's mean, real already."""
-    flipped = coeffs[(slice(None, None, -1),) * dim]
-    for neg in _mirror_blocks(dim, kmax):
-        np.conjugate(flipped[neg], out=coeffs[neg])
-    if dim > 1:
-        coeffs[(kmax,) * dim + (...,)].imag = 0
 
 
 # -- text form ------------------------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from kamtori import cli
 from kamtori.atlas import SweepResult, SweepStep, sweep_table
 from kamtori.cli import main
 from kamtori.config import load_config
@@ -79,6 +80,22 @@ def test_verify_golden_passes(golden_cfg, tmp_path):
     text = Path(out, "verify.txt").read_text()
     assert "FAIL" not in text
     assert "PASS" in text
+
+
+def test_verify_fails_a_wrong_cohomology_solve(golden_cfg, tmp_path, monkeypatch, capsys):
+    # the residual check reads the grid solve the program runs: a phi off by
+    # a relative 1e-9 leaves a residual of about 1e-9, above its 1e-12 bound
+    solve = cli.solve_twisted_grid
+
+    def scaled(*args, **kwargs):
+        phi, gain = solve(*args, **kwargs)
+        return phi * (1 + 1e-9), gain
+
+    monkeypatch.setattr(cli, "solve_twisted_grid", scaled)
+    out = str(tmp_path / "out")
+    assert main(["verify", "--config", golden_cfg, "--out", out]) == 1
+    assert "FAIL cohomology-residual" in capsys.readouterr().out
+    assert "FAIL cohomology-residual" in Path(out, "verify.txt").read_text()
 
 
 def test_missing_omega_is_usage_error(tmp_path, capsys):

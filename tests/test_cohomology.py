@@ -3,14 +3,16 @@ from itertools import product
 
 import numpy as np
 import pytest
+from conftest import per_mode_solve
 from hypothesis import given, strategies as st
 
 from kamtori.cohomology import (_divisor_table, _divisors, divisor_grid, shell_count,
-                                solve_twisted, solve_twisted_grid, tame_bound,
-                                tame_constant)
+                                solve_twisted_grid, tame_bound, tame_constant)
 from kamtori.diophantine import GOLDEN_MEAN, nu_lambda
 from kamtori.errors import DivisorTooSmall
 from kamtori.fourier import FourierSeries, fast_grid_size, from_grid, theta_grid, to_grid
+
+UNTWISTED_REFUSAL = "eta must have finite modes and a finite zero average when lam = 1"
 
 
 def random_eta(rng, kmax=32, decay=0.25, zero_avg=True):
@@ -18,30 +20,46 @@ def random_eta(rng, kmax=32, decay=0.25, zero_avg=True):
     c = c * np.exp(-decay * np.abs(np.arange(-kmax, kmax + 1)))
     if zero_avg:
         c[kmax] = 0.0
-    return FourierSeries(1, kmax, c, zero_average=zero_avg)
+    return FourierSeries(1, kmax, c)
+
+
+def _grid_solve(eta, lam, omega, divisor_floor=1e-12):
+    """The grid solve of a series' complex samples, its phi read back as a
+    series at eta's cutoff, and its divisor gain."""
+    n = fast_grid_size(2 * eta.kmax + 1)
+    phi, gain = solve_twisted_grid(to_grid(eta, n), eta.dim, eta.kmax, lam, omega,
+                                   divisor_floor)
+    return from_grid(phi, eta.dim, eta.kmax), gain
+
+
+def _residual(phi, eta, lam, omega):
+    """l1 norm at rho = 0 of lam*phi - phi o T_omega - eta."""
+    resid = lam * phi.coeffs - phi.shift(omega).coeffs - eta.coeffs
+    return FourierSeries(phi.dim, phi.kmax, resid).analytic_norm(0.0)
 
 
 def test_zero_eta_gives_zero_phi(omega):
-    sol = solve_twisted(FourierSeries.zeros(1, 8, zero_average=True), 0.9, omega)
-    assert sol.phi.analytic_norm(0.0) == 0.0
-    assert sol.residual == 0.0
+    eta = FourierSeries.zeros(1, 8)
+    phi, _ = _grid_solve(eta, 0.9, omega)
+    assert phi.analytic_norm(0.0) == 0.0
+    assert _residual(phi, eta, 0.9, omega) == 0.0
 
 
 def test_single_mode_closed_form(omega):
     lam = 0.93 + 0.02j
     eta = FourierSeries.from_modes(1, 4, {1: 1.0})
-    sol = solve_twisted(eta, lam, omega)
+    phi, _ = _grid_solve(eta, lam, omega)
     expect = 1.0 / (lam - cmath.exp(2j * cmath.pi * omega))
-    assert sol.phi.mode(1) == pytest.approx(expect, rel=1e-14)
+    assert phi.mode(1) == pytest.approx(expect, rel=1e-14)
 
 
 def test_residual_reconstruction_on_grid(rng, omega):
     eta = random_eta(rng, kmax=32)
     lam = 0.97
-    sol = solve_twisted(eta, lam, omega)
+    phi, _ = _grid_solve(eta, lam, omega)
     n = 128
-    phi_g = to_grid(sol.phi, n)
-    phi_shift = to_grid(sol.phi.shift([omega]), n)
+    phi_g = to_grid(phi, n)
+    phi_shift = to_grid(phi.shift([omega]), n)
     eta_g = to_grid(eta, n)
     err = np.max(np.abs(lam * phi_g - phi_shift - eta_g))
     assert err <= 1e-12 * eta.analytic_norm(0.0)
@@ -52,44 +70,49 @@ def test_independent_per_mode_oracle(rng, omega):
     lam = 1.02 + 0.03j
     for _ in range(10):
         eta = random_eta(rng, kmax=24)
-        sol = solve_twisted(eta, lam, omega)
+        phi, _ = per_mode_solve(eta, lam, omega)
         for k in range(-24, 25):
             if k == 0:
                 expect = eta.mode(0) / (lam - 1.0)
             else:
                 expect = eta.mode(k) / (lam - cmath.exp(2j * cmath.pi * k * omega))
-            assert abs(sol.phi.mode(k) - expect) <= 1e-12 * max(abs(expect), 1e-9)
+            assert abs(phi.mode(k) - expect) <= 1e-12 * max(abs(expect), 1e-9)
 
 
 def test_untwisted_zero_average_and_inversion(rng, omega):
     eta = random_eta(rng)
-    sol = solve_twisted(eta, 1.0, omega)
-    assert abs(sol.phi.average()) == 0.0
-    recon = FourierSeries(1, eta.kmax, sol.phi.coeffs - sol.phi.shift([omega]).coeffs)
+    phi, _ = per_mode_solve(eta, 1.0, omega)
+    assert abs(phi.average()) == 0.0
+    phi, _ = _grid_solve(eta, 1.0, omega)
+    recon = FourierSeries(1, eta.kmax, phi.coeffs - phi.shift([omega]).coeffs)
     assert (recon - eta).analytic_norm(0.0) <= 1e-12 * eta.analytic_norm(0.0)
 
 
 def test_untwisted_requires_zero_average(omega):
-    # a non-finite mean fails too: it would give phi_0 = 0 * eta_0 = nan
-    for mean in (1.0, np.nan, np.inf):
-        eta = FourierSeries.from_modes(1, 4, {0: mean, 1: 0.5})
-        with pytest.raises(ValueError, match="finite zero average"):
-            solve_twisted(eta, 1.0, omega)
+    # the grid solve drops a finite mean; a non-finite one fails, as it makes
+    # every mode of the samples nan (the transform of an inf flags inf - inf)
+    v = to_grid(FourierSeries.from_modes(1, 4, {1: 0.5}), 9)
+    for mean in (np.nan, np.inf):
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="finite zero average"):
+            solve_twisted_grid(v + mean, 1, 4, 1.0, omega)
+    phi, _ = solve_twisted_grid(v + 1.0, 1, 4, 1.0, omega)
+    assert phi.tobytes() == _series_solve(v + 1.0, 1, 4, 1.0, omega, 1e-12)[0].tobytes()
 
 
 def test_untwisted_rejects_a_non_finite_mode(omega):
     # a nan off the mean leaves the average at 0.5 * 0 but not the scale
     eta = FourierSeries.from_modes(1, 4, {1: np.nan, 2: 0.5})
     with pytest.raises(ValueError, match="finite modes"):
-        solve_twisted(eta, 1.0, omega)
+        _grid_solve(eta, 1.0, omega)
 
 
 def test_deterministic_bitwise(rng, omega):
     eta = random_eta(rng)
-    a = solve_twisted(eta, 0.95, omega)
-    b = solve_twisted(eta, 0.95, omega)
-    np.testing.assert_array_equal(a.phi.coeffs, b.phi.coeffs)
-    assert a.residual == b.residual
+    a, _ = _grid_solve(eta, 0.95, omega)
+    b, _ = _grid_solve(eta, 0.95, omega)
+    np.testing.assert_array_equal(a.coeffs, b.coeffs)
+    assert _residual(a, eta, 0.95, omega) == _residual(b, eta, 0.95, omega)
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.floats(-2, 2), st.floats(-2, 2))
@@ -100,10 +123,9 @@ def test_linearity(seed, are, aim):
     e1 = random_eta(rng, kmax=12)
     e2 = random_eta(rng, kmax=12)
     lam = 0.9
-    combo = FourierSeries(1, 12, a * e1.coeffs + e2.coeffs, zero_average=True)
-    lhs = solve_twisted(combo, lam, omega).phi.coeffs
-    rhs = a * solve_twisted(e1, lam, omega).phi.coeffs \
-        + solve_twisted(e2, lam, omega).phi.coeffs
+    combo = FourierSeries(1, 12, a * e1.coeffs + e2.coeffs)
+    lhs = _grid_solve(combo, lam, omega)[0].coeffs
+    rhs = a * _grid_solve(e1, lam, omega)[0].coeffs + _grid_solve(e2, lam, omega)[0].coeffs
     scale = np.max(np.abs(rhs)) + 1e-30
     assert np.max(np.abs(lhs - rhs)) <= 1e-13 * max(scale, 1.0)
 
@@ -112,7 +134,7 @@ def test_divisor_too_small_raises(omega):
     lam = cmath.exp(2j * cmath.pi * omega) * (1 + 1e-14)
     eta = FourierSeries.from_modes(1, 4, {1: 1.0})
     with pytest.raises(DivisorTooSmall) as err:
-        solve_twisted(eta, lam, omega)
+        _grid_solve(eta, lam, omega)
     assert abs(err.value.k[0]) == 1
 
 
@@ -121,44 +143,45 @@ def test_per_mode_floor_array(omega):
     floor = np.full(17, 1e-12)
     floor[8 + 3] = 10.0     # impossible floor at k = +3
     with pytest.raises(DivisorTooSmall) as err:
-        solve_twisted(eta, 0.9, omega, divisor_floor=floor)
+        _grid_solve(eta, 0.9, omega, divisor_floor=floor)
     assert err.value.k == (3,)
 
 
 def test_per_mode_floor_over_a_larger_box_is_cut_to_the_solve(omega):
     eta = random_eta(np.random.default_rng(0), kmax=8)
-    want = solve_twisted(eta, 0.9, omega, divisor_floor=np.full(17, 1e-12))
+    want, _ = _grid_solve(eta, 0.9, omega, divisor_floor=np.full(17, 1e-12))
     floor = np.full(25, 1e-12)        # over the kmax 12 mode box
-    got = solve_twisted(eta, 0.9, omega, divisor_floor=floor)
-    assert got.phi.coeffs.tobytes() == want.phi.coeffs.tobytes()
+    got, _ = _grid_solve(eta, 0.9, omega, divisor_floor=floor)
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
     floor[12 + 3] = 10.0     # impossible floor at k = +3
     with pytest.raises(DivisorTooSmall) as err:
-        solve_twisted(eta, 0.9, omega, divisor_floor=floor)
+        _grid_solve(eta, 0.9, omega, divisor_floor=floor)
     assert err.value.k == (3,)
     with pytest.raises(ValueError, match="floor for kmax 4 .* at kmax 8"):
-        solve_twisted(eta, 0.9, omega, divisor_floor=np.full(9, 1e-12))
+        _grid_solve(eta, 0.9, omega, divisor_floor=np.full(9, 1e-12))
 
 
 def test_matrix_valued_eta(rng, omega):
     c = rng.standard_normal((9, 2, 2)) + 1j * rng.standard_normal((9, 2, 2))
     eta = FourierSeries(1, 4, c)
-    sol = solve_twisted(eta, 0.8, omega)
+    phi, _ = per_mode_solve(eta, 0.8, omega)
     div = divisor_grid(1, 4, 0.8, omega)
     expect = c / div[:, None, None]
-    np.testing.assert_allclose(sol.phi.coeffs, expect, rtol=1e-14)
+    np.testing.assert_allclose(phi.coeffs, expect, rtol=1e-14)
 
 
 # -- grid solve --------------------------------------------------------------------
 
-OMEGA2 = np.array([GOLDEN_MEAN, np.sqrt(2.0) - 1.0])
+OMEGAS = np.array([GOLDEN_MEAN, np.sqrt(2.0) - 1.0, np.sqrt(3.0) - 1.0])
 
 
 def _series_solve(v, d, band, lam, omega, floor, negate=False):
-    """The composition the grid solve replaces, and its divisor gain."""
+    """The composition the grid solve replaces, through the per-mode
+    reference solve, and its divisor gain."""
     eta = from_grid(v, d, band).remove_average()
-    sol = solve_twisted(-eta if negate else eta, lam, omega, floor)
+    phi, gain = per_mode_solve(-eta if negate else eta, lam, omega, floor)
     n = round(v.shape[-1] ** (1 / d))
-    return to_grid(sol.phi, n, real=v.dtype == np.float64), sol.max_divisor_gain
+    return to_grid(phi, n, real=v.dtype == np.float64), gain
 
 
 def _samples(rng, d, real, rows, kmax, kind):
@@ -173,19 +196,20 @@ def _samples(rng, d, real, rows, kmax, kind):
 
 @pytest.mark.parametrize("lam", [0.9, 0.9 + 0.1j, 1.0, 1.05 + 0.01j])
 @pytest.mark.parametrize("real", [True, False])
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_grid_solve_is_the_series_solve_bit_for_bit(rng, d, real, lam):
-    # from_grid -> remove_average -> solve_twisted -> to_grid, byte for byte:
-    # 1 and 2 rows, the full cutoff and a band below it, a scalar floor and a
-    # per-mode one over the kmax box, and the negated right-hand side, whose
-    # mean is zeroed before it is negated (constant samples at lam 1.05 + 0.01j
-    # tell the signed zeros apart)
-    kmax = 20 if d == 1 else 6
-    omega = OMEGA2[:d]
+    # from_grid -> remove_average -> per_mode_solve -> to_grid, byte for byte:
+    # 1 and 2 rows and a 2x2 matrix, the full cutoff and a band below it, a
+    # scalar floor and a per-mode one over the kmax box, and the negated
+    # right-hand side, whose mean is zeroed before it is negated (constant
+    # samples at lam 1.05 + 0.01j tell the signed zeros apart); at d = 3 the
+    # real transform's plane k_d = 0 has two mirror pairs
+    kmax = {1: 20, 2: 6, 3: 4}[d]
+    omega = OMEGAS[:d]
     mode_floor = np.full((2 * kmax + 1,) * d, 1e-12)
     for rows, band, floor, kind, negate in product(
-            [(1,), (2,)], [kmax, kmax // 2], [1e-12, mode_floor], ["random", "constant"],
-            [False, True]):
+            [(1,), (2,), (2, 2)], [kmax, kmax // 2], [1e-12, mode_floor],
+            ["random", "constant"], [False, True]):
         v = _samples(rng, d, real, rows, kmax, kind)
         want, want_gain = _series_solve(v, d, band, lam, omega, floor, negate)
         got, gain = solve_twisted_grid(v, d, band, lam, omega, floor, negate=negate)
@@ -210,13 +234,12 @@ def test_grid_solve_raises_the_series_solve_witness(rng, omega):
 
 @pytest.mark.parametrize("real", [True, False])
 def test_untwisted_grid_solve_refuses_a_nan_row_like_the_series_solve(rng, omega, real):
+    # the message the series solve refused it with, byte for byte
     v = _samples(rng, 1, real, (2,), 16, "random")
     v[1, 7] = np.nan
-    with pytest.raises(ValueError) as want:
-        _series_solve(v, 1, 16, 1.0, omega, 1e-12)
     with pytest.raises(ValueError) as got:
         solve_twisted_grid(v, 1, 16, 1.0, omega)
-    assert str(got.value) == str(want.value)
+    assert str(got.value) == UNTWISTED_REFUSAL
     # lam != 1 solves it: a nan phi, as the series solve gives
     phi, _ = solve_twisted_grid(v, 1, 16, 0.9, omega)
     assert phi.tobytes() == _series_solve(v, 1, 16, 0.9, omega, 1e-12)[0].tobytes()
@@ -224,45 +247,25 @@ def test_untwisted_grid_solve_refuses_a_nan_row_like_the_series_solve(rng, omega
 
 # -- divisor table ---------------------------------------------------------------
 
-def _per_call_solve(eta, lam, omega, divisor_floor):
-    """The per-call solve that the table replaced, kept as the reference."""
-    kmax, center = eta.kmax, (eta.kmax,) * eta.dim
-    div = divisor_grid(eta.dim, kmax, lam, omega)
-    absdiv = np.abs(div)
-    floor = np.broadcast_to(np.asarray(divisor_floor, dtype=float), absdiv.shape)
-    bad = absdiv < floor
-    bad[center] = False
-    if np.any(bad):
-        idx = np.unravel_index(int(np.argmin(np.where(bad, absdiv, np.inf))), absdiv.shape)
-        raise DivisorTooSmall(tuple(int(i) - kmax for i in idx), absdiv[idx], floor[idx])
-    inv = np.zeros_like(div)
-    side = np.ones_like(absdiv, dtype=bool)
-    side[center] = False
-    inv[side] = 1.0 / div[side]
-    if abs(lam - 1.0) > 1e-12:
-        inv[center] = 1.0 / (lam - 1.0)
-    phi = eta.coeffs * inv.reshape(inv.shape + (1,) * len(eta.value_shape))
-    return phi, float(np.max(1.0 / absdiv[side]))
-
-
 @pytest.mark.parametrize("dim, lam", [(1, 0.93 + 0.02j), (1, 1.0), (2, 1.05)])
 def test_divisor_table_hit_is_byte_equal_to_cold_call(rng, dim, lam):
-    omega = [GOLDEN_MEAN, np.sqrt(2.0) - 1.0][:dim]
+    omega = OMEGAS[:dim]
     kmax = 16 if dim == 1 else 6
     c = rng.standard_normal((2 * kmax + 1,) * dim + (2,)) + 0j
     c[(kmax,) * dim] = 0.0
-    eta = FourierSeries(dim, kmax, c)
+    v = to_grid(FourierSeries(dim, kmax, c), fast_grid_size(2 * kmax + 1))
     floor = np.full((2 * kmax + 1,) * dim, 1e-9)
     for divisor_floor in (1e-12, floor):
         _divisor_table.cache_clear()
-        cold = solve_twisted(eta, lam, omega, divisor_floor)
+        cold = solve_twisted_grid(v, dim, kmax, lam, omega, divisor_floor)
         hits = _divisor_table.cache_info().hits
-        hit = solve_twisted(eta, lam, omega, np.array(divisor_floor))   # equal, not the same
+        hit = solve_twisted_grid(v, dim, kmax, lam, omega,
+                                 np.array(divisor_floor))   # equal, not the same
         assert _divisor_table.cache_info().hits == hits + 1
-        phi, gain = _per_call_solve(eta, complex(lam), omega, divisor_floor)
-        for sol in (cold, hit):
-            assert sol.phi.coeffs.tobytes() == phi.tobytes()
-            assert sol.max_divisor_gain == gain
+        phi, gain = _series_solve(v, dim, kmax, lam, omega, divisor_floor)
+        for got, got_gain in (cold, hit):
+            assert got.tobytes() == phi.tobytes()
+            assert got_gain == gain
 
 
 def test_divisor_table_hit_on_failing_key_raises_the_same_witness(omega):
@@ -272,11 +275,11 @@ def test_divisor_table_hit_on_failing_key_raises_the_same_witness(omega):
     raised = []
     for _ in range(2):
         with pytest.raises(DivisorTooSmall) as err:
-            solve_twisted(eta, lam, omega, divisor_floor=1e-6)
+            _grid_solve(eta, lam, omega, divisor_floor=1e-6)
         raised.append((err.value.k, err.value.divisor, err.value.floor))
     assert _divisor_table.cache_info().hits == 1
     with pytest.raises(DivisorTooSmall) as err:
-        _per_call_solve(eta, lam, omega, 1e-6)
+        per_mode_solve(eta, lam, omega, 1e-6)
     assert raised == [(err.value.k, err.value.divisor, err.value.floor)] * 2
     assert raised[0][0] == (3,)
 
@@ -291,10 +294,10 @@ def test_divisor_table_keys_floor_arrays_by_value(omega):
         for floor in (first, second):
             if floor is strict:
                 with pytest.raises(DivisorTooSmall) as err:
-                    solve_twisted(eta, 0.9, omega, divisor_floor=floor)
+                    _grid_solve(eta, 0.9, omega, divisor_floor=floor)
                 assert err.value.k == (3,)
             else:
-                solve_twisted(eta, 0.9, omega, divisor_floor=floor)
+                _grid_solve(eta, 0.9, omega, divisor_floor=floor)
         assert _divisor_table.cache_info().currsize == 2
 
 
@@ -310,7 +313,7 @@ def test_divisor_table_is_bounded():
     # per-mode floor in its key, 24 bytes per mode.
     size = _divisor_table.cache_info().maxsize
     for dim, kmax, worst in ((1, 1024, 393_408), (2, 64, 3_195_072)):
-        omega = [GOLDEN_MEAN, np.sqrt(2.0) - 1.0][:dim]
+        omega = OMEGAS[:dim]
         floor = np.full((2 * kmax + 1,) * dim, 1e-12)
         _divisor_table.cache_clear()
         for i in range(size + 3):
@@ -360,8 +363,8 @@ def test_measured_solution_below_tame_bound(rng, omega):
         c = rng.standard_normal(2 * kmax + 1) + 1j * rng.standard_normal(2 * kmax + 1)
         c = c * np.exp(-2 * np.pi * rho * np.abs(np.arange(-kmax, kmax + 1)))
         eta = FourierSeries(1, kmax, c).remove_average()
-        sol = solve_twisted(eta, lam, omega)
+        phi, _ = per_mode_solve(eta, lam, omega)
         for delta in (0.05, 0.1, 0.2):
-            measured = sol.phi.analytic_norm(rho - delta)
+            measured = phi.analytic_norm(rho - delta)
             bound = tame_bound(eta.analytic_norm(rho), delta, tau, 1, nu)
             assert measured <= bound

@@ -218,11 +218,6 @@ def test_reality_flag_checks(rng):
         assert abs(s.eval([theta]).imag) <= 1e-13 * norm
 
 
-def test_zero_average_flag_enforced():
-    with pytest.raises(ValueError):
-        FourierSeries.from_modes(1, 2, {0: 1.0}, zero_average=True)
-
-
 # -- grid transforms -------------------------------------------------------------
 
 def test_constant_grid_only_dc():
@@ -345,6 +340,7 @@ def _from_grid_rfftn(values, dim, kmax):
 @pytest.mark.parametrize("dim, n, value_shape", [
     (1, 16, ()), (1, 17, (2,)), (1, 15, (2, 1)), (1, 24, (2, 2)),
     (2, 8, ()), (2, 9, (2,)), (2, 10, (2, 1)), (2, 11, (4, 2)),
+    (3, 6, (2,)), (3, 7, ()),
 ])
 def test_real_transforms_match_the_rfftn_formulation(rng, dim, n, value_shape):
     # float64 samples of a Hermitian series by irfftn, and an exactly Hermitian
