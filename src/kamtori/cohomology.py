@@ -13,11 +13,14 @@ Lindstedt engines solve through it.
 
 It reads one divisor table: the inverse divisors over the mode box (with
 the solve's k = 0 entry), the largest gain and the DivisorTooSmall witness,
-at most 8 entries keyed by the bytes of (d, kmax, lam, omega, floor), so
+at most 32 entries keyed by the bytes of (d, kmax, lam, omega, floor), so
 only bit-equal inputs share an entry and a hit is one multiply by the
 entry's read-only inverse; the least recently used entry is dropped first.
+That holds the 29 keys of a 13-point continuation at kmax 64 with an
+order-16 expansion and three doublings 1 -> 3 -> 7 -> 15 (one band each).
 A solve raises the entry's witness as DivisorTooSmall and, at lam = 1,
-refuses a right-hand side with a mode that is not finite (ValueError).
+refuses a right-hand side with a sample or a mode that is not finite
+(ValueError).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .fourier import TWO_PI, from_grid, multiply_modes
 DEFAULT_DIVISOR_FLOOR = 1e-12
 
 _AVG_TWIST_TOL = 1e-12     # |lam - 1| below this selects the untwisted branch
+_UNTWISTED_REFUSAL = "eta must have finite modes and a finite zero average when lam = 1"
 
 
 def divisor_grid(dim: int, kmax: int, lam: complex, omega) -> np.ndarray:
@@ -47,7 +51,7 @@ def divisor_grid(dim: int, kmax: int, lam: complex, omega) -> np.ndarray:
     return complex(lam) - np.exp(2j * np.pi * np.remainder(phase, 1.0))
 
 
-_DIVISOR_TABLE_SIZE = 8
+_DIVISOR_TABLE_SIZE = 32
 
 
 @lru_cache(maxsize=_DIVISOR_TABLE_SIZE)
@@ -83,47 +87,47 @@ def _divisor_table(dim: int, kmax: int, lam_bytes: bytes, omega_bytes: bytes,
 
 def _divisors(dim: int, kmax: int, lam: complex, omega, divisor_floor) -> tuple:
     """The table entry of (d, kmax, lam, omega, floor), looked up by bytes;
-    a per-mode floor over a larger centred mode box is cut to the kmax box."""
+    a per-mode floor must span the kmax mode box."""
     floor = np.asarray(divisor_floor, dtype=float)
     if floor.shape not in ((), (2 * kmax + 1,) * dim):
-        m = (floor.shape[0] - 1) // 2
-        if floor.shape != (2 * m + 1,) * dim or m < kmax:
-            raise ValueError(f"divisor floor for kmax {m} (shape {floor.shape}) cannot serve "
-                             f"a solve at kmax {kmax}: it must span a larger centred box")
-        floor = floor[(slice(m - kmax, m + kmax + 1),) * dim]
+        raise ValueError(f"divisor floor for kmax {(floor.shape[0] - 1) // 2} (shape "
+                         f"{floor.shape}) cannot serve a solve at kmax {kmax}: it must "
+                         "span the same centred box")
     return _divisor_table(dim, kmax, np.complex128(lam).tobytes(),
                           np.atleast_1d(np.asarray(omega, dtype=float)).tobytes(),
                           floor.shape, floor.tobytes())
 
 
 def solve_twisted_grid(eta: np.ndarray, dim: int, band: int, lam: complex, omega,
-                       divisor_floor=DEFAULT_DIVISOR_FLOOR, *, negate: bool = False) -> tuple:
+                       divisor_floor=DEFAULT_DIVISOR_FLOOR) -> tuple:
     """(phi, largest divisor gain) for grid samples eta, value_shape +
     (n^dim,): phi on the same grid and with eta's dtype, the zero-average
-    solution of lam*phi - phi o T_omega = eta - avg(eta) at the cutoff
-    `band`, or of its negative with `negate`.
+    solution of lam*phi - phi o T_omega = eta - avg(eta) at the cutoff `band`.
 
     Its modes are phi_k = eta_k / (lam - e^{2 pi i k.omega}) for 0 <
     |k|_inf <= band, with eta_k those of `fourier.from_grid(eta, dim, band)`,
     and it is sampled as `fourier.to_grid` samples a box (real=True for real
     samples); the table's inverse divisors multiply the spectrum where it
     lies (`fourier.multiply_modes`).  `divisor_floor` may be a scalar or an
-    array over the centred mode box of any cutoff >= band (e.g. a
-    |k|-dependent threshold), cut to the band's box; a divisor below it
-    raises DivisorTooSmall, flagging the parameter as outside the good set
-    at this cutoff.  For lam = 1 (within 1e-12) eta's modes must be finite,
-    else ValueError (finite modes pass even where their l1 norm overflows);
-    the modes are checked only when phi is not finite.
+    array over the band's centred mode box (e.g. a |k|-dependent threshold),
+    else ValueError; a divisor below it raises DivisorTooSmall, flagging the
+    parameter as outside the good set at this cutoff.  For lam = 1 (within
+    1e-12) eta's samples and modes must be finite, else ValueError, raised
+    before any transform for a sample that is not finite (finite modes pass
+    even where their l1 norm overflows); the modes are checked only when phi
+    is not finite.
     """
     lam = complex(lam)
     inv, gain, witness = _divisors(dim, band, lam, omega, divisor_floor)
     if witness is not None:
         raise DivisorTooSmall(*witness)
-    phi = multiply_modes(eta, dim, band, inv, negate=negate)
-    if (abs(lam - 1.0) <= _AVG_TWIST_TOL and not np.isfinite(phi).all()
+    untwisted = abs(lam - 1.0) <= _AVG_TWIST_TOL
+    if untwisted and not np.isfinite(eta).all():
+        raise ValueError(_UNTWISTED_REFUSAL)
+    phi = multiply_modes(eta, dim, band, inv)
+    if (untwisted and not np.isfinite(phi).all()
             and not np.isfinite(from_grid(eta, dim, band).remove_average().coeffs).all()):
-        raise ValueError("eta must have finite modes and a finite zero average "
-                         "when lam = 1")
+        raise ValueError(_UNTWISTED_REFUSAL)
     return phi, gain
 
 

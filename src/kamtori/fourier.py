@@ -497,12 +497,11 @@ def _spectrum(values, dim: int, kmax: int) -> tuple:
     return chat, n, real
 
 
-def multiply_modes(values: np.ndarray, dim: int, band: int, factors: np.ndarray, *,
-                   negate: bool = False) -> np.ndarray:
+def multiply_modes(values: np.ndarray, dim: int, band: int, factors: np.ndarray) -> np.ndarray:
     """Multiply the modes of grid samples by `factors`: the samples, on the
     grid of `values` and with its dtype, of the box c = `from_grid(values,
-    dim, band)` with its mean set to 0 (then negated with `negate`) and each
-    mode k times factors[k], an array over the centred box of `band`.
+    dim, band)` with its mean set to 0 and each mode k times factors[k], an
+    array over the centred box of `band`.
 
     Bit for bit `to_grid` of that series (real=True for real samples), by
     the same operations in the same order on an FFT-order spectrum instead
@@ -524,8 +523,6 @@ def multiply_modes(values: np.ndarray, dim: int, band: int, factors: np.ndarray,
             spec[target] = np.conj(spec[source])
     spec[(...,) + (0,) * dim] = 0
     for box, fft in blocks:
-        if negate:
-            np.negative(spec[fft], out=spec[fft])
         np.multiply(spec[fft], factors[box], out=spec[fft])
     return _sample(spec, dim, n, real)
 

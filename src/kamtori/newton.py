@@ -16,7 +16,11 @@ function of the torus alone (each solver forms its right-hand side beta E),
 `solve_reduced` solves one triangular system for (W1, W2, sigma).  N, M and
 gamma = DK^T J^-1 DK are pointwise functions of DK, so the frame builds
 N o T_omega, M o T_omega and gamma o T_omega by the same formulas on the
-sample of DK o T_omega, with no grid transform.
+sample of DK o T_omega, with no grid transform.  N and M of DK and of
+DK o T_omega are one stack (order axis first, then the two copies): one Gram
+product, one `jets.inv_matrix` and one product for M (`_frame_matrix`, which
+`normalize_embedding` calls on its one DK); P = DK N and P o T_omega are read
+off M's second block column by the signed block swap J = -J^-1.
 
 Real problems run on real grids.  `_real_problem` reads off the inputs of a
 solve, once, with no option, whether (K, mu) at eps is real: K's
@@ -115,54 +119,39 @@ class _Defect:
         return from_grid(self.E, self.dim, self.kmax).analytic_norm(0.0)
 
 
-def _real_problem(fam, K: TorusEmbedding, mu, omega, eps) -> tuple:
-    """(real, mu, omega, eps): whether (K, mu) at eps is a real problem (K's
-    coefficients are Hermitian bit for bit, c_-k == conj(c_k), eps, mu and
-    lam(eps) have zero imaginary parts and omega is not complex), and the
-    arguments as the sampler and the family get them: their real parts when
-    it is."""
+def _real_problem(fam, K: TorusEmbedding, mu, omega, eps) -> bool:
+    """Whether (K, mu) at eps is a real problem: K's coefficients are
+    Hermitian bit for bit, c_-k == conj(c_k), eps, mu and lam(eps) have zero
+    imaginary parts and omega is not complex."""
     c = K.periodic.coeffs
-    real = bool((c[(slice(None, None, -1),) * K.dim] == c.conj()).all()
+    return bool((c[(slice(None, None, -1),) * K.dim] == c.conj()).all()
                 and np.imag(eps) == 0 and not np.imag(mu).any()
                 and not np.iscomplexobj(omega) and np.imag(fam.lambda_eps(eps)) == 0)
-    return (True, np.real(mu), np.real(omega), np.real(eps)) if real else \
-        (False, mu, omega, eps)
-
-
-def _defect_rows(fam, X: np.ndarray, Xshift: np.ndarray, mu, eps) -> np.ndarray:
-    """E = f_{mu,eps}(X) - X o T_omega, written over the rows of X o T_omega;
-    of real samples f's real part is taken, so a family may return complex
-    values with zero imaginary parts there."""
-    F = fam.apply(X, mu, eps)
-    return np.subtract(F if np.iscomplexobj(Xshift) else np.real(F), Xshift, out=Xshift)
 
 
 def _evaluate(fam, K: TorusEmbedding, mu, omega, eps, *, real=None) -> _Defect:
-    """(K, mu) on the grid: K sampled as the order-0 jet of `sample_jet`, whose
-    buffer then holds E in the place of K o T_omega; float64 samples, of the
-    real parts of mu, omega and eps, when `real` (the `_real_problem`
-    decision of a solve, made here for (K, mu) when None), else complex128."""
+    """(K, mu) on the grid: K sampled as the order-0 jet of `sample_jet`, and
+    E = f_{mu,eps}(X) - X o T_omega written over the rows of X o T_omega.
+    The samples are float64, of the real parts of mu, omega and eps, when
+    `real` (the `_real_problem` decision of a solve, made here for (K, mu)
+    when None), and f's real part is taken, so a family may return complex
+    values with zero imaginary parts there; else they are complex128."""
     if real is None:
-        real = _real_problem(fam, K, mu, omega, eps)[0]
+        real = _real_problem(fam, K, mu, omega, eps)
     if real:
         mu, omega, eps = np.real(mu), np.real(omega), np.real(eps)
     X, Xshift, DK, DKshift = sample_jet(K.periodic.coeffs[None], omega,
                                         _grid_size(K.kmax), real=real)
-    E = _defect_rows(fam, X[0], Xshift[0], mu, eps)
+    F = fam.apply(X[0], mu, eps)
+    E = np.subtract(np.real(F) if real else F, Xshift[0], out=Xshift[0])
     return _Defect(X[0], DK[0], DKshift[0], E, K.dim, K.kmax)
 
 
 def invariance_residual(fam, K: TorusEmbedding, mu, omega, eps) -> FourierSeries:
-    """E = f_{mu,eps} o K - K o T_omega as a (2d,)-valued series.
-
-    Computed on an oversampled grid with continuous angle lifts (K and
-    K o T_omega, no DK; real samples for a real problem, as `_evaluate`),
-    then truncated to the embedding's cutoff.
-    """
-    real, mu, omega, eps = _real_problem(fam, K, mu, omega, eps)
-    X, Xshift = sample_jet(K.periodic.coeffs[None], omega, _grid_size(K.kmax),
-                           dk=False, real=real)
-    return from_grid(_defect_rows(fam, X[0], Xshift[0], mu, eps), K.dim, K.kmax)
+    """E = f_{mu,eps} o K - K o T_omega as a (2d,)-valued series: the E of
+    `_evaluate` (real samples for a real problem), truncated to the
+    embedding's cutoff."""
+    return from_grid(_evaluate(fam, K, mu, omega, eps).E, K.dim, K.kmax)
 
 
 # -- the reduced system ---------------------------------------------------------
@@ -205,33 +194,25 @@ def _gate(stack: np.ndarray, what: str) -> None:
         raise FrameSingular(f"{what} at {bad} of {stack.shape[-1]} grid points")
 
 
-def _gram(dk: np.ndarray) -> np.ndarray:
-    """The jet of the Gram matrix DK^T DK."""
-    return jets.matmul(np.swapaxes(dk, -3, -2), dk)
+def _frame_matrix(dks: np.ndarray):
+    """Jets of N = (DK^T DK)^-1 and of the frame M = [DK, J^-1 DK N] for a
+    stack (order+1, copies, 2d, d, points) of DK jets, every copy in one pass:
+    DK, and DK o T_omega when there are two.
 
-
-def _normalized(dk: np.ndarray, gram: np.ndarray, what: str):
-    """Jets of N = gram^-1 and of M = [DK, J^-1 DK N] from the jets of DK and
-    its Gram; raises FrameSingular naming `what` where order 0 of N is not
-    finite (the higher orders are solved with that inverse)."""
-    N = jets.inv_matrix(gram)
-    _gate(N[0], what)
-    return N, np.concatenate([dk, jets.matmul(jinv_mul(dk), N)], axis=-2)
-
-
-def _frame_matrix(dk: np.ndarray):
-    """Jets of N = (DK^T DK)^-1 and of the frame M = [DK, J^-1 DK N].
-
-    Raises FrameSingular when the order-0 Gram matrix is ill-conditioned or
-    its inverse is not finite at a grid point.
+    Raises FrameSingular when DK's order-0 Gram matrix is ill-conditioned, or
+    where order 0 of N is not finite at a grid point, naming DK^T DK before
+    N o T_omega (the higher orders are solved with that inverse).
     """
-    gram = _gram(dk)
-    cond = float(np.max(_gram_cond(gram[0])))
+    gram = jets.matmul(np.swapaxes(dks, -3, -2), dks)
+    cond = float(np.max(_gram_cond(gram[0, 0])))
     if not np.isfinite(cond) or cond > _FRAME_COND_LIMIT:
         raise FrameSingular(
             f"DK^T DK condition number {cond:.3e} exceeds {_FRAME_COND_LIMIT:.1e}")
     # a subnormal 1 x 1 Gram is well conditioned (|g|/|g| = 1), but 1/g overflows
-    return _normalized(dk, gram, "DK^T DK is singular or not finite")
+    N = jets.inv_matrix(gram)
+    for N0, what in zip(N[0], ("DK^T DK is singular or not finite", "N o T_omega is not finite")):
+        _gate(N0, what)
+    return N, np.concatenate([dks, jets.matmul(jinv_mul(dks), N)], axis=-2)
 
 
 @dataclass(frozen=True)
@@ -264,24 +245,23 @@ def build_frame(lam, dk, dkshift, Df, Dmu, omega, kmax: int) -> Frame:
     not finite.
     """
     d, points = dk.shape[-2:]
-    N, M = _frame_matrix(dk)
-    Nshift, Mshift = _normalized(dkshift, _gram(dkshift), "N o T_omega is not finite")
+    N, M = _frame_matrix(np.stack([dk, dkshift], axis=1))
+    Nshift, Mshift = N[:, 1], M[:, 1]
     gshift = jets.matmul(mul_jinv(np.swapaxes(dkshift, -3, -2)), dkshift)
     _gate(gshift[0], "gamma o T_omega is not finite")
     beta = jets.inv_matrix(Mshift)
     _gate(beta[0], "M o T_omega is singular or not finite")
 
-    P = jets.matmul(dk, N)
-    # M o T = [DK o T, J^-1 (P o T)] and J = -J^-1 is a signed permutation,
-    # so J (M o T)[..., d:] is P o T exactly
-    Pshift = -jinv_mul(Mshift[..., d:, :])
+    # M = [DK, J^-1 P] with P = DK N, and J = -J^-1 is a signed permutation,
+    # so J M[..., d:] is P exactly, at K and at K o T_omega alike
+    P = -jinv_mul(M[..., d:, :])
     # S = (P^T o T) Df J^-1 P - lam (N^T o T)(gamma o T)(N o T), associated
     # from the left throughout
     lam_bc = lam.reshape(lam.shape + (1,) * (Nshift.ndim - 1))
-    S = jets.matmul(mul_jinv(jets.matmul(np.swapaxes(Pshift, -3, -2), Df)), P) \
+    S = jets.matmul(mul_jinv(jets.matmul(np.swapaxes(P[:, 1], -3, -2), Df)), P[:, 0]) \
         - jets.matmul(jets.matmul(jets.cauchy(lam_bc, np.swapaxes(Nshift, -3, -2)), gshift), Nshift)
-    return Frame(d=d, kmax=kmax, n=round(points ** (1 / d)), omega=omega, lam=lam, Df=Df, M=M,
-                 Mshift=Mshift, beta=beta, S=S, A=jets.matmul(beta, Dmu))
+    return Frame(d=d, kmax=kmax, n=round(points ** (1 / d)), omega=omega, lam=lam, Df=Df,
+                 M=M[:, 0], Mshift=Mshift, beta=beta, S=S, A=jets.matmul(beta, Dmu))
 
 
 def newton_frame(fam, ev: _Defect, mu, omega, eps) -> Frame:
@@ -328,8 +308,7 @@ def checked_block(frame: Frame, divisor_floor=DEFAULT_DIVISOR_FLOOR) -> ReducedC
     """
     d, lam = frame.d, frame.lam[0]
     S, A1, A2 = frame.S[0], frame.A[0, :d], frame.A[0, d:]
-    Bb_grid, Bb_gain = solve_twisted_grid(A2, d, frame.kmax, lam, frame.omega,
-                                          divisor_floor, negate=True)
+    Bb_grid, Bb_gain = solve_twisted_grid(-A2, d, frame.kmax, lam, frame.omega, divisor_floor)
     block = np.zeros((2 * d, 2 * d), dtype=S.dtype)
     block[:d, :d] = _mean(S)
     block[:d, d:] = _mean(jets.mm(S, Bb_grid)) + _mean(A1)
@@ -509,7 +488,7 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20,
         if not witness.member:
             raise DivisorTooSmall(witness.nu.k, witness.nu.divisor, witness.floor)
 
-    real = _real_problem(fam, K0, mu, omega, eps)[0]
+    real = _real_problem(fam, K0, mu, omega, eps)
     K = K0
     trace = []
     report = None
@@ -559,8 +538,7 @@ def normalize_embedding(K: TorusEmbedding, K_ref: TorusEmbedding,
     n = _grid_size(kmax)
 
     ref_lift, dk = sample_jet(K_ref.periodic.coeffs[None], None, n)
-    _, M = _frame_matrix(dk)
-    Minv = jets.inv_stack(M[0])
+    Minv = jets.inv_stack(_frame_matrix(dk[:, None])[1][0, 0])
 
     def g(sigma):
         # the condition and its Jacobian; the condition is holomorphic in

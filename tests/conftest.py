@@ -36,17 +36,13 @@ def per_mode_solve(eta, lam, omega, divisor_floor=1e-12):
     mode and with no table: (phi, the largest divisor gain off k = 0), where
     phi_k = eta_k / (lam - e^{2 pi i k.omega}) and, at lam = 1, phi_0 = 0.
     A divisor below the floor raises the DivisorTooSmall of the smallest;
-    a per-mode floor over a larger centred box is cut to eta's.  The grid
-    solve is held to it byte for byte (test_cohomology)."""
+    a per-mode floor spans eta's mode box.  The grid solve is held to it
+    byte for byte (test_cohomology)."""
     lam, dim, kmax = complex(lam), eta.dim, eta.kmax
     center = (kmax,) * dim
     div = divisor_grid(dim, kmax, lam, omega)
     absdiv = np.abs(div)
-    floor = np.asarray(divisor_floor, dtype=float)
-    if floor.ndim:
-        m = (floor.shape[0] - 1) // 2
-        floor = floor[(slice(m - kmax, m + kmax + 1),) * dim]
-    floor = np.broadcast_to(floor, absdiv.shape)
+    floor = np.broadcast_to(np.asarray(divisor_floor, dtype=float), absdiv.shape)
     bad = absdiv < floor
     bad[center] = False
     if np.any(bad):

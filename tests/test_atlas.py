@@ -381,14 +381,6 @@ def test_coupled_floor_over_a_smaller_box_raises_a_named_error(fam, omega):
         run_newton(fam, K0, mu0, omega, 0.2, divisor_floor=floor)
 
 
-def test_coupled_floor_over_the_doubled_box_converges(fam, omega):
-    gs = GoodSetParams(A=0.5, N=2, tau=1.0, r0=0.3)
-    K0, mu0 = fam.unperturbed_torus(omega, 8)
-    floor = coupled_divisor_floor(16, 1, fam.lambda_eps(0.2), gs)
-    sol = run_newton(fam, K0, mu0, omega, 0.2, divisor_floor=floor)
-    assert sol.K.kmax == 16 and sol.residual_norm <= 1e-12
-
-
 def test_sweep_solves_with_run_newtons_defaults(fam, omega):
     K0, mu0 = fam.unperturbed_torus(omega, 32)
     res = sweep_continuation(fam, omega, [0.01], K0, mu0)

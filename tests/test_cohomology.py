@@ -90,11 +90,10 @@ def test_untwisted_zero_average_and_inversion(rng, omega):
 
 def test_untwisted_requires_zero_average(omega):
     # the grid solve drops a finite mean; a non-finite one fails, as it makes
-    # every mode of the samples nan (the transform of an inf flags inf - inf)
+    # every mode of the samples nan
     v = to_grid(FourierSeries.from_modes(1, 4, {1: 0.5}), 9)
     for mean in (np.nan, np.inf):
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(ValueError, match="finite zero average"):
+        with pytest.raises(ValueError, match="finite zero average"):
             solve_twisted_grid(v + mean, 1, 4, 1.0, omega)
     phi, _ = solve_twisted_grid(v + 1.0, 1, 4, 1.0, omega)
     assert phi.tobytes() == _series_solve(v + 1.0, 1, 4, 1.0, omega, 1e-12)[0].tobytes()
@@ -145,20 +144,10 @@ def test_per_mode_floor_array(omega):
     with pytest.raises(DivisorTooSmall) as err:
         _grid_solve(eta, 0.9, omega, divisor_floor=floor)
     assert err.value.k == (3,)
-
-
-def test_per_mode_floor_over_a_larger_box_is_cut_to_the_solve(omega):
-    eta = random_eta(np.random.default_rng(0), kmax=8)
-    want, _ = _grid_solve(eta, 0.9, omega, divisor_floor=np.full(17, 1e-12))
-    floor = np.full(25, 1e-12)        # over the kmax 12 mode box
-    got, _ = _grid_solve(eta, 0.9, omega, divisor_floor=floor)
-    assert got.coeffs.tobytes() == want.coeffs.tobytes()
-    floor[12 + 3] = 10.0     # impossible floor at k = +3
-    with pytest.raises(DivisorTooSmall) as err:
-        _grid_solve(eta, 0.9, omega, divisor_floor=floor)
-    assert err.value.k == (3,)
-    with pytest.raises(ValueError, match="floor for kmax 4 .* at kmax 8"):
-        _grid_solve(eta, 0.9, omega, divisor_floor=np.full(9, 1e-12))
+    # a per-mode floor spans the solve's box exactly, neither a larger nor a smaller one
+    for m in (12, 4):
+        with pytest.raises(ValueError, match=f"floor for kmax {m} .* at kmax 8"):
+            _grid_solve(eta, 0.9, omega, divisor_floor=np.full(2 * m + 1, 1e-12))
 
 
 def test_matrix_valued_eta(rng, omega):
@@ -175,11 +164,11 @@ def test_matrix_valued_eta(rng, omega):
 OMEGAS = np.array([GOLDEN_MEAN, np.sqrt(2.0) - 1.0, np.sqrt(3.0) - 1.0])
 
 
-def _series_solve(v, d, band, lam, omega, floor, negate=False):
+def _series_solve(v, d, band, lam, omega, floor):
     """The composition the grid solve replaces, through the per-mode
     reference solve, and its divisor gain."""
     eta = from_grid(v, d, band).remove_average()
-    phi, gain = per_mode_solve(-eta if negate else eta, lam, omega, floor)
+    phi, gain = per_mode_solve(eta, lam, omega, floor)
     n = round(v.shape[-1] ** (1 / d))
     return to_grid(phi, n, real=v.dtype == np.float64), gain
 
@@ -200,19 +189,17 @@ def _samples(rng, d, real, rows, kmax, kind):
 def test_grid_solve_is_the_series_solve_bit_for_bit(rng, d, real, lam):
     # from_grid -> remove_average -> per_mode_solve -> to_grid, byte for byte:
     # 1 and 2 rows and a 2x2 matrix, the full cutoff and a band below it, a
-    # scalar floor and a per-mode one over the kmax box, and the negated
-    # right-hand side, whose mean is zeroed before it is negated (constant
-    # samples at lam 1.05 + 0.01j tell the signed zeros apart); at d = 3 the
-    # real transform's plane k_d = 0 has two mirror pairs
+    # scalar floor and a per-mode one over the band's box, random and constant
+    # samples (every mode but the mean an exact zero); at d = 3 the real
+    # transform's plane k_d = 0 has two mirror pairs
     kmax = {1: 20, 2: 6, 3: 4}[d]
     omega = OMEGAS[:d]
-    mode_floor = np.full((2 * kmax + 1,) * d, 1e-12)
-    for rows, band, floor, kind, negate in product(
-            [(1,), (2,), (2, 2)], [kmax, kmax // 2], [1e-12, mode_floor],
-            ["random", "constant"], [False, True]):
+    for rows, band, per_mode, kind in product(
+            [(1,), (2,), (2, 2)], [kmax, kmax // 2], [False, True], ["random", "constant"]):
+        floor = np.full((2 * band + 1,) * d, 1e-12) if per_mode else 1e-12
         v = _samples(rng, d, real, rows, kmax, kind)
-        want, want_gain = _series_solve(v, d, band, lam, omega, floor, negate)
-        got, gain = solve_twisted_grid(v, d, band, lam, omega, floor, negate=negate)
+        want, want_gain = _series_solve(v, d, band, lam, omega, floor)
+        got, gain = solve_twisted_grid(v, d, band, lam, omega, floor)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         assert gain == want_gain
@@ -243,6 +230,21 @@ def test_untwisted_grid_solve_refuses_a_nan_row_like_the_series_solve(rng, omega
     # lam != 1 solves it: a nan phi, as the series solve gives
     phi, _ = solve_twisted_grid(v, 1, 16, 0.9, omega)
     assert phi.tobytes() == _series_solve(v, 1, 16, 0.9, omega, 1e-12)[0].tobytes()
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_untwisted_grid_solve_refuses_an_inf_sample_with_its_value_error(rng, omega, real, bad):
+    # an inf sample is refused before the transform, whose inf - inf would
+    # warn first (an error under warnings-as-errors); lam != 1 solves it
+    v = _samples(rng, 1, real, (2,), 16, "random")
+    v[0, 3] = bad
+    with pytest.raises(ValueError) as got:
+        solve_twisted_grid(v, 1, 16, 1.0, omega)
+    assert str(got.value) == UNTWISTED_REFUSAL
+    with np.errstate(invalid="ignore"):
+        phi, _ = solve_twisted_grid(v, 1, 16, 0.9, omega)
+    assert not np.isfinite(phi[0]).any() and np.isfinite(phi[1]).all()
 
 
 # -- divisor table ---------------------------------------------------------------
@@ -312,7 +314,7 @@ def test_divisor_table_is_bounded():
     # Worst case held: every entry a complex128 inverse plus a float64
     # per-mode floor in its key, 24 bytes per mode.
     size = _divisor_table.cache_info().maxsize
-    for dim, kmax, worst in ((1, 1024, 393_408), (2, 64, 3_195_072)):
+    for dim, kmax, worst in ((1, 1024, 1_573_632), (2, 64, 12_780_288)):
         omega = OMEGAS[:dim]
         floor = np.full((2 * kmax + 1,) * dim, 1e-12)
         _divisor_table.cache_clear()

@@ -212,10 +212,10 @@ def test_each_caller_samples_only_what_it_reads(fam, omega, base_torus, monkeypa
     # a Newton evaluation: X, X o T_omega, DK and DK o T_omega
     newton._evaluate(fam, K, sol.mu, omega, 0.05)
     assert points == [8 * n]
-    # the invariance residual: X and X o T_omega
+    # the invariance residual: the Newton evaluation's E, so all four blocks
     points.clear()
     newton.invariance_residual(fam, K, sol.mu, omega, 0.05)
-    assert points == [4 * n]
+    assert points == [8 * n]
     # the normalization: X and DK of K_ref, then of each shifted K
     points.clear()
     newton.normalize_embedding(K.shifted(0.01), K)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from kamtori import embedding, jets, lindstedt, newton
+from kamtori.cohomology import _divisor_table
 from kamtori.embedding import TorusEmbedding, sample_jet
-from kamtori.errors import DivisorTooSmall, FrameSingular, InexactJet, JetOverflow
+from kamtori.errors import FrameSingular, InexactJet, JetOverflow
 from kamtori.fourier import FourierSeries, fast_grid_size, from_grid
 from kamtori.lindstedt import (EpsilonJet, dump_jet, lindstedt_double,
                                lindstedt_expand, load_jet, residual_jet,
@@ -486,21 +487,21 @@ def test_newton_base_jets_run_on_the_kmax_grid(fam, omega, base_torus, monkeypat
     assert seen == {_grid_size(8)}
 
 
-def test_per_mode_floor_is_cut_to_the_band(fam, omega, base_torus):
-    # a floor over the kmax mode box applies to the same modes at cutoff B
-    K0, mu0 = base_torus
-    floor = np.full(2 * K0.kmax + 1, 1e-12)
-    want = lindstedt_expand(fam, K0, mu0, omega, 0.0, 4, divisor_floor=1e-12)
-    got = lindstedt_expand(fam, K0, mu0, omega, 0.0, 4, divisor_floor=floor)
-    for a, b in zip(got.K_coeffs, want.K_coeffs):
+def test_a_second_doubling_round_misses_no_divisor_table_entry(fam, omega, base_torus):
+    # three doublings 1 -> 3 -> 7 -> 15 from the flat torus solve on the bands
+    # 2..15, a table key each; the table holds them all, so a second round
+    # builds no entry and gives the same jet
+    jet = lindstedt_expand(fam, *base_torus, omega, 0.0, 1)
+    rounds = []
+    for _ in range(2):
+        doubled = jet
+        for _ in range(3):
+            doubled = lindstedt_double(fam, doubled, omega)
+        rounds.append((doubled, _divisor_table.cache_info()))
+    (first, before), (second, after) = rounds
+    assert after.misses == before.misses and after.hits > before.hits
+    for a, b in zip(first.K_coeffs, second.K_coeffs):
         assert a.coeffs.tobytes() == b.coeffs.tobytes()
-    floor[K0.kmax + 3] = 10.0
-    with pytest.raises(DivisorTooSmall) as err:
-        lindstedt_expand(fam, K0, mu0, omega, 0.0, 4, divisor_floor=floor)
-    assert tuple(err.value.k) == (3,)
-    with pytest.raises(DivisorTooSmall) as err:
-        lindstedt_double(fam, want.truncated(1), omega, divisor_floor=floor)
-    assert tuple(err.value.k) == (3,)
 
 
 def test_jets_are_normalized(fam, omega, jet4):

@@ -5,14 +5,14 @@ import re
 import numpy as np
 import pytest
 
-from kamtori import embedding, fourier, jets, newton
+from kamtori import embedding, fourier, jets, lindstedt, newton
 from kamtori.atlas import coupled_divisor_floor
 from kamtori.embedding import TorusEmbedding, sample_jet
 from kamtori.errors import (Diverged, DivisorTooSmall, FrameSingular, NoConvergence,
                             NonDegeneracyFailure, NormalizationDiverged)
 from kamtori.fourier import FourierSeries, fast_grid_size, from_grid, to_grid
 from kamtori.lindstedt import lindstedt_expand
-from kamtori.maps import DissipativeStandardMap, symplectic_matrix
+from kamtori.maps import DissipativeStandardMap, jinv_mul, mul_jinv, symplectic_matrix
 from kamtori.newton import (_evaluate, _gram_cond, dump_solution,
                             invariance_residual, lagrangian_defect, load_solution,
                             newton_step, normalize_embedding, reducibility_frame,
@@ -224,9 +224,96 @@ def test_shifted_frame_is_the_frame_of_the_shifted_dk(fam, omega, base_torus, mo
             monkeypatch.setattr(module, name, no_transform)
     monkeypatch.setattr(FourierSeries, "shift", no_transform)
     fr = newton.newton_frame(fam, ev, base_torus[1], omega, 0.01)
-    _, Mshift = newton._frame_matrix(dks[None])
-    assert fr.Mshift[0].tobytes() == Mshift[0].tobytes()
-    assert fr.beta[0].tobytes() == jets.inv_stack(Mshift[0]).tobytes()
+    _, Mshift = newton._frame_matrix(dks[None, None])
+    assert fr.Mshift[0].tobytes() == Mshift[0, 0].tobytes()
+    assert fr.beta[0].tobytes() == jets.inv_stack(Mshift[0, 0]).tobytes()
+
+
+@pytest.mark.parametrize("dk, shift_dk, message", [
+    # DK's Gram is 0 at one point: the conditioning gate names it
+    ([1.0, 0.0, 1.0, 1.0], [1.0] * 4, "DK^T DK condition number inf exceeds 1.0e+12"),
+    # both singular: DK is named first
+    ([1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 1.0],
+     "DK^T DK condition number inf exceeds 1.0e+12"),
+    # N = 1/g overflows at a subnormal g of DK, and DK o T_omega is singular:
+    # one stack of N, gated DK first
+    pytest.param([1.0, 1.0, 1e-160, 1.0], [0.0, 1.0, 1.0, 1.0],
+                 "DK^T DK is singular or not finite at 1 of 4 grid points",
+                 marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
+], ids=["dk", "both", "dk-overflow-and-shifted"])
+def test_singular_gram_is_named_dk_before_its_shift(dk, shift_dk, message):
+    with pytest.raises(FrameSingular) as err:
+        _frame_of(_angle_dk(dk), _angle_dk(shift_dk))
+    assert str(err.value) == message
+
+
+def _two_pass_frame(lam, dk, dkshift, Df, Dmu, omega, kmax):
+    """The frame built one DK at a time, with P = DK N formed by its own
+    product: the reference the one-pass build_frame is held to byte for byte."""
+    d, points = dk.shape[-2:]
+
+    def normalized(g):
+        N = jets.inv_matrix(jets.matmul(np.swapaxes(g, -3, -2), g))
+        return N, np.concatenate([g, jets.matmul(jinv_mul(g), N)], axis=-2)
+
+    N, M = normalized(dk)
+    Nshift, Mshift = normalized(dkshift)
+    gshift = jets.matmul(mul_jinv(np.swapaxes(dkshift, -3, -2)), dkshift)
+    beta = jets.inv_matrix(Mshift)
+    P, Pshift = jets.matmul(dk, N), -jinv_mul(Mshift[..., d:, :])
+    lam_bc = lam.reshape(lam.shape + (1,) * (Nshift.ndim - 1))
+    S = jets.matmul(mul_jinv(jets.matmul(np.swapaxes(Pshift, -3, -2), Df)), P) \
+        - jets.matmul(jets.matmul(jets.cauchy(lam_bc, np.swapaxes(Nshift, -3, -2)), gshift), Nshift)
+    return newton.Frame(d=d, kmax=kmax, n=round(points ** (1 / d)), omega=omega, lam=lam,
+                        Df=Df, M=M, Mshift=Mshift, beta=beta, S=S, A=jets.matmul(beta, Dmu))
+
+
+def _assert_two_pass_frame(fr, args):
+    """`fr`, built by build_frame from `args`, is `_two_pass_frame(*args)` byte for byte."""
+    want = _two_pass_frame(*args)
+    assert (fr.d, fr.kmax, fr.n) == (want.d, want.kmax, want.n)
+    for name in ("M", "Mshift", "beta", "S", "A"):
+        got, ref = getattr(fr, name), getattr(want, name)
+        assert got.dtype == ref.dtype and got.shape == ref.shape, name
+        assert got.tobytes() == ref.tobytes(), name
+
+
+def _frames_held_to_two_passes(monkeypatch, module):
+    """Make `module.build_frame` check each frame it builds against
+    `_two_pass_frame` on the same arguments; returns the frames built."""
+    built, build = [], newton.build_frame
+
+    def checked(*args):
+        fr = build(*args)
+        _assert_two_pass_frame(fr, args)
+        built.append(fr)
+        return fr
+
+    monkeypatch.setattr(module, "build_frame", checked)
+    return built
+
+
+@pytest.mark.parametrize("eps, dtype", [(0.05, np.float64), (0.05 + 0.01j, np.complex128)])
+def test_newton_frame_is_the_two_pass_frame(fam, omega, base_torus, monkeypatch, eps, dtype):
+    # a real Newton evaluation (float64 frame) and a complex one
+    sol = run_newton(fam, *base_torus, omega, 0.05)
+    built = _frames_held_to_two_passes(monkeypatch, newton)
+    newton.newton_step(fam, sol.K, sol.mu, omega, eps)
+    assert len(built) == 1 and built[0].M.dtype == dtype
+
+
+@pytest.mark.parametrize("eps0", [0.0, 0.05])
+def test_doubling_frame_jets_are_the_two_pass_frame(fam, omega, base_torus, monkeypatch, eps0):
+    # the order-3 frame jets of a 3 -> 7 doubling, from the flat torus and
+    # from a Newton base
+    K, mu = base_torus
+    if eps0:
+        sol = run_newton(fam, K, mu, omega, eps0)
+        K, mu = sol.K, sol.mu
+    jet = lindstedt_expand(fam, K, mu, omega, eps0, 3)
+    built = _frames_held_to_two_passes(monkeypatch, lindstedt)
+    assert lindstedt.lindstedt_double(fam, jet, omega).order == 7
+    assert len(built) == 1 and built[0].M.shape[0] == 4
 
 
 def test_two_dimensional_frame_matches_a_pointwise_linalg_reference():
@@ -245,10 +332,12 @@ def test_two_dimensional_frame_matches_a_pointwise_linalg_reference():
     Dmu = rng.standard_normal((2 * d, d))
     lam = 0.9 + 0j
     points = n ** d
-    fr = newton.build_frame(np.array([lam]), dk, dkshift,
-                            np.broadcast_to(Df[None, ..., None], (1, 2 * d, 2 * d, points)),
-                            np.broadcast_to(Dmu[None, ..., None], (1, 2 * d, d, points)),
-                            omega, kmax)
+    args = (np.array([lam]), dk, dkshift,
+            np.broadcast_to(Df[None, ..., None], (1, 2 * d, 2 * d, points)),
+            np.broadcast_to(Dmu[None, ..., None], (1, 2 * d, d, points)), omega, kmax)
+    fr = newton.build_frame(*args)
+    # the 2 x 2 Grams of DK and DK o T_omega in one stack: the two-pass frame's bytes
+    _assert_two_pass_frame(fr, args)
 
     Jinv = np.linalg.inv(symplectic_matrix(d))
 
@@ -792,7 +881,7 @@ def test_the_real_path_agrees_with_the_complex_one(fam, omega, base_torus, monke
     for force_complex in (False, True):
         if force_complex:
             monkeypatch.setattr(newton, "_real_problem",
-                                lambda fam, K, mu, omega, eps: (False, mu, omega, eps))
+                                lambda fam, K, mu, omega, eps: False)
         K, mu = base_torus
         sols = []
         for eps in (0.05, 0.1, 0.2):
@@ -833,7 +922,7 @@ def test_a_complex_problem_keeps_its_complex_grids_and_bytes(omega, base_torus,
     K0, mu0 = (_anti_hermitian_start(base_torus) if case == "anti-Hermitian K0"
                else base_torus)
     eps = 0.05 + 0.01j if case == "complex eps" else 0.05
-    assert newton._real_problem(fam, K0, mu0, omega, eps)[0] is False
+    assert newton._real_problem(fam, K0, mu0, omega, eps) is False
     assert _evaluate(fam, K0, mu0, omega, eps).X.dtype == np.complex128
     flags = _sampled_real_flags(monkeypatch)
     sol = run_newton(fam, K0, mu0, omega, eps, tol=1e-12)
