@@ -471,8 +471,11 @@ def from_grid(values: np.ndarray, dim: int, kmax: int) -> FourierSeries:
             for target, source in _plane_mirror(dim, kmax, kmax):
                 box_last[target] = np.conj(box_last[source])
             coeffs[(kmax,) * dim + (...,)].imag = 0
-        neg = (slice(None),) * (dim - 1) + (slice(None, kmax),)
-        np.conjugate(coeffs[(slice(None, None, -1),) * dim][neg], out=coeffs[neg])
+        # the modes k_d < 0, copied one value row at a time (order="C" on the
+        # values-first view), so each copy runs along the modes
+        neg = (...,) + (slice(None),) * (dim - 1) + (slice(None, kmax),)
+        np.conjugate(box_last[(...,) + (slice(None, None, -1),) * dim][neg],
+                     out=box_last[neg], order="C")
     else:
         for box, fft in _box_blocks(dim, kmax, n):
             box_last[box] = chat[fft]

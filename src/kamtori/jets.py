@@ -142,9 +142,11 @@ def inv_stack(a):
                 with suppress(np.linalg.LinAlgError):
                     out[idx] = np.linalg.inv(lead[idx])
             return np.moveaxis(out, -3, -1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if m == 1:
+    if m == 1:
+        # the reciprocal of a subnormal entry overflows to inf, as that of a zero does
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return 1.0 / a
+    with np.errstate(divide="ignore", invalid="ignore"):
         a00, a01, a10, a11 = a[..., 0, 0, :], a[..., 0, 1, :], a[..., 1, 0, :], a[..., 1, 1, :]
         det = a00 * a11 - a01 * a10
         out = np.empty(a.shape, dtype=det.dtype)

@@ -203,7 +203,8 @@ def lindstedt_expand(fam, K_base: TorusEmbedding, mu_base, omega, eps0, N: int,
         raise ValueError(
             f"base residual {base_res:.3e} exceeds {BASE_TOL:.1e}; "
             "the expansion needs an exact solution at eps0")
-    core = checked_block(fr, divisor_floor)
+    Bb_grid, _ = fr.solve_twisted(-fr.A[0, d:], fr.kmax, divisor_floor)
+    core = checked_block(fr, Bb_grid, divisor_floor)
 
     K_coeffs = [K_base.periodic]
     x_jet = jets.pad(ev.X[None], N)
@@ -216,7 +217,8 @@ def lindstedt_expand(fam, K_base: TorusEmbedding, mu_base, omega, eps0, N: int,
             G = fam.jet_apply(x_jet[: j + 1], mu_jet[: j + 1], eps0, work=work)[0]
             Et = jets.mm(fr.beta[0], (-G)[:, None])[:, 0]
             _check_order(j, "right-hand side", Et)
-            W1, W2, mu_j, _ = solve_reduced(core, Et[:d], Et[d:], B)
+            Ba_grid, _ = fr.solve_twisted(Et[d:], B, divisor_floor)
+            W1, W2, mu_j, _ = solve_reduced(core, Et[:d], Et[d:], Ba_grid, B)
             Kj = from_grid(jets.mm(fr.M[0], np.concatenate([W1, W2])[:, None])[:, 0],
                            d, B).truncate(bands[j])
             _check_order(j, "solution", Kj.coeffs)
@@ -297,7 +299,8 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
     fr = build_frame(lam[:N + 1], dk[:N + 1], dkshift[:N + 1],
                      fam.jet_jacobian(x0, mu0, eps0), fam.jet_d_mu(x0, mu0, eps0), omega, B)
     # the averaged block of the (exact) order-0 torus serves every order
-    core = checked_block(fr, divisor_floor)
+    Bb_grid, _ = fr.solve_twisted(-fr.A[0, d:], fr.kmax, divisor_floor)
+    core = checked_block(fr, Bb_grid, divisor_floor)
     for j in range(N + 1):
         sup = float(np.max(np.abs(E[j])))
         if not sup <= BASE_TOL:
@@ -323,7 +326,8 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
                 rhs1 = rhs1 - jets.mm(S[m], W2m[:, None])[:, 0] - jets.mm(A1[m], sig)[:, 0]
                 corr = corr + jets.mm(fr.M[m], W[nn - m][:, None])[:, 0]
             _check_order(nn, "right-hand side", rhs1, rhs2)
-            W1, W2, mu_new[nn], _ = solve_reduced(core, rhs1, rhs2, bands[nn])
+            Ba_grid, _ = fr.solve_twisted(rhs2, bands[nn], divisor_floor)
+            W1, W2, mu_new[nn], _ = solve_reduced(core, rhs1, rhs2, Ba_grid, bands[nn])
             # normalization in the base frame: zero average angle displacement
             W1 = W1 - _mean(jets.mm(Minv0, corr[:, None])[:, 0])[:d, None]
             W[nn] = np.concatenate([W1, W2])

@@ -13,10 +13,12 @@ Newton frame, and both Lindstedt engines use it: `build_frame` turns the jets
 of DK, DK o T_omega, Df and D_mu f (evaluated by the caller) into the frame, a
 function of the torus alone (each solver forms its right-hand side beta E),
 `checked_block` gates the averaged 2d x 2d block of the order-0 torus, and
-`solve_reduced` solves one triangular system for (W1, W2, sigma).  N, M and
-gamma = DK^T J^-1 DK are pointwise functions of DK, so the frame builds
-N o T_omega, M o T_omega and gamma o T_omega by the same formulas on the
-sample of DK o T_omega, with no grid transform.  N and M of DK and of
+`solve_reduced` solves one triangular system for (W1, W2, sigma); each
+caller makes their lam-twisted solves Bb and Ba (`Frame.solve_twisted`), the
+Newton step as one stack of rows.  N, M and gamma = DK^T J^-1 DK are
+pointwise functions of DK, so the frame builds N o T_omega, M o T_omega and
+gamma o T_omega by the same formulas on the sample of DK o T_omega, with no
+grid transform.  N and M of DK and of
 DK o T_omega are one stack (order axis first, then the two copies): one Gram
 product, one `jets.inv_matrix` and one product for M (`_frame_matrix`, which
 `normalize_embedding` calls on its one DK); P = DK N and P o T_omega are read
@@ -38,14 +40,16 @@ DK o T_omega from one spectrum), forms E = f o K - K o T_omega, and reads the
 residual of that evaluation (`_Defect.residual`, the l1 norm at rho = 0 of
 E's series, computed once) into the trace; it hands the same evaluation to
 `newton_step`, whose frame and step report reuse it.  So an iteration that
-steps makes these transforms: the one inverse transform of `sample_jet` (its
-shifted and differentiated blocks are products on the spectrum), the forward
-one of E for the residual, one forward and one inverse transform for each of
-the three cohomology solves (Bb in `checked_block`, Ba and W1 in
-`solve_reduced`, each `cohomology.solve_twisted_grid` from grid to grid),
-and the forward one of the correction M W; the frame builds its shifts from
-DK o T_omega with none.  The Lagrangian defect of a solution is computed
-from its torus when first read.  A `StepReport` keeps the step's W on the
+steps makes 7 transforms: the one inverse transform of `sample_jet` (its
+shifted and differentiated blocks are products on the spectrum; skipped at a
+continuation point's first evaluation when it starts from the last accepted
+torus, whose sample `_torus_sample` keeps), the forward one of E for the
+residual, one forward and one inverse transform for the lam-twisted solve of
+Bb's and Ba's stacked rows, one pair for the untwisted solve of W1 (each
+`cohomology.solve_twisted_grid` from grid to grid), and the forward one of
+the correction M W; the frame builds its shifts from DK o T_omega with none.
+The Lagrangian defect of a solution is computed from its torus when first
+read.  A `StepReport` keeps the step's W on the
 grid and its averaged block; their norm and the twist are computed when
 first read, and `run_newton` inverts a block only for the twist of its last
 step (or of the converged frame when there was no step or that twist is not
@@ -129,22 +133,43 @@ def _real_problem(fam, K: TorusEmbedding, mu, omega, eps) -> bool:
                 and not np.iscomplexobj(omega) and np.imag(fam.lambda_eps(eps)) == 0)
 
 
+# The last sample of `_torus_sample`, keyed by the identity of K's read-only
+# coefficient array (the entry holds it, so its id is not reused), omega's
+# dtype and bytes and the real flag.
+_last_sample: dict = {}
+
+
+def _torus_sample(K: TorusEmbedding, omega, real: bool) -> tuple:
+    """X, X o T_omega, DK and DK o T_omega of K on its grid, read-only: the
+    order-0 jet of `sample_jet`, or the last sample when it was of the same
+    K, omega and flag, as at a continuation point's first evaluation."""
+    coeffs, omega_arr = K.periodic.coeffs, np.asarray(omega)
+    key = (id(coeffs), omega_arr.dtype.str, omega_arr.tobytes(), real)
+    if key not in _last_sample:
+        blocks = tuple(block[0] for block in sample_jet(coeffs[None], omega,
+                                                        _grid_size(K.kmax), real=real))
+        for block in blocks:
+            block.setflags(write=False)
+        _last_sample.clear()
+        _last_sample[key] = (coeffs, blocks)
+    return _last_sample[key][1]
+
+
 def _evaluate(fam, K: TorusEmbedding, mu, omega, eps, *, real=None) -> _Defect:
-    """(K, mu) on the grid: K sampled as the order-0 jet of `sample_jet`, and
-    E = f_{mu,eps}(X) - X o T_omega written over the rows of X o T_omega.
-    The samples are float64, of the real parts of mu, omega and eps, when
-    `real` (the `_real_problem` decision of a solve, made here for (K, mu)
-    when None), and f's real part is taken, so a family may return complex
-    values with zero imaginary parts there; else they are complex128."""
+    """(K, mu) on the grid: K sampled by `_torus_sample`, and E =
+    f_{mu,eps}(X) - X o T_omega in an array of its own.  The samples are
+    float64, of the real parts of mu, omega and eps, when `real` (the
+    `_real_problem` decision of a solve, made here for (K, mu) when None),
+    and f's real part is taken, so a family may return complex values with
+    zero imaginary parts there; else they are complex128."""
     if real is None:
         real = _real_problem(fam, K, mu, omega, eps)
     if real:
         mu, omega, eps = np.real(mu), np.real(omega), np.real(eps)
-    X, Xshift, DK, DKshift = sample_jet(K.periodic.coeffs[None], omega,
-                                        _grid_size(K.kmax), real=real)
-    F = fam.apply(X[0], mu, eps)
-    E = np.subtract(np.real(F) if real else F, Xshift[0], out=Xshift[0])
-    return _Defect(X[0], DK[0], DKshift[0], E, K.dim, K.kmax)
+    X, Xshift, DK, DKshift = _torus_sample(K, omega, real)
+    F = fam.apply(X, mu, eps)
+    E = (np.real(F) if real else F) - Xshift
+    return _Defect(X, DK, DKshift, E, K.dim, K.kmax)
 
 
 def invariance_residual(fam, K: TorusEmbedding, mu, omega, eps) -> FourierSeries:
@@ -231,6 +256,11 @@ class Frame:
     S: np.ndarray         # (d, d) torsion
     A: np.ndarray         # (2d, d) frame-projected drift response
 
+    def solve_twisted(self, eta: np.ndarray, band: int, divisor_floor) -> tuple:
+        """(phi, largest divisor gain): the lam-twisted `solve_twisted_grid`
+        of grid rows eta at the cutoff `band`, with order 0 of lam."""
+        return solve_twisted_grid(eta, self.d, band, self.lam[0], self.omega, divisor_floor)
+
 
 def build_frame(lam, dk, dkshift, Df, Dmu, omega, kmax: int) -> Frame:
     """The adapted frame from the jets of the conformal factor lam, DK,
@@ -282,14 +312,12 @@ def newton_frame(fam, ev: _Defect, mu, omega, eps) -> Frame:
 
 @dataclass(frozen=True)
 class ReducedCore:
-    """A frame with its checked averaged block and drift response Bb on the
-    grid, with the largest divisor gain of Bb's solve."""
+    """A frame with its checked averaged block and drift response Bb on the grid."""
 
     frame: Frame
     block: np.ndarray          # (2d, 2d) averaged system
     det: complex
     Bb_grid: np.ndarray
-    Bb_gain: float
     divisor_floor: float | np.ndarray   # scalar or per-mode floor of the lam-twisted solves
 
 
@@ -298,17 +326,18 @@ def _twist(block: np.ndarray) -> float:
     return float(np.linalg.norm(np.linalg.inv(block), 2))
 
 
-def checked_block(frame: Frame, divisor_floor=DEFAULT_DIVISOR_FLOOR) -> ReducedCore:
+def checked_block(frame: Frame, Bb_grid: np.ndarray,
+                  divisor_floor=DEFAULT_DIVISOR_FLOOR) -> ReducedCore:
     """Assemble the 2d x 2d averaged block of the order-0 torus.
 
-    Solves the twisted drift response Bb first (which may raise
-    DivisorTooSmall) and raises NonDegeneracyFailure when
-    |det| <= DET_RTOL * scale^(2d), scale being the largest absolute row sum.
-    A real frame gives a real Bb on the grid and a real block.
+    `Bb_grid` is the twisted drift response, (d, d, points): the caller's
+    `frame.solve_twisted` of -A2 (order 0 of A's last d rows) at the frame's
+    kmax with `divisor_floor`, which the core keeps.  Raises
+    NonDegeneracyFailure when |det| <= DET_RTOL * scale^(2d), scale being
+    the largest absolute row sum.  A real frame and Bb give a real block.
     """
     d, lam = frame.d, frame.lam[0]
     S, A1, A2 = frame.S[0], frame.A[0, :d], frame.A[0, d:]
-    Bb_grid, Bb_gain = solve_twisted_grid(-A2, d, frame.kmax, lam, frame.omega, divisor_floor)
     block = np.zeros((2 * d, 2 * d), dtype=S.dtype)
     block[:d, :d] = _mean(S)
     block[:d, d:] = _mean(jets.mm(S, Bb_grid)) + _mean(A1)
@@ -318,27 +347,29 @@ def checked_block(frame: Frame, divisor_floor=DEFAULT_DIVISOR_FLOOR) -> ReducedC
     det = np.linalg.det(block)
     if not np.isfinite(scale) or abs(det) <= DET_RTOL * scale ** (2 * d):
         raise NonDegeneracyFailure(det, scale)
-    return ReducedCore(frame, block, complex(det), Bb_grid, Bb_gain, divisor_floor)
+    return ReducedCore(frame, block, complex(det), Bb_grid, divisor_floor)
 
 
-def solve_reduced(core: ReducedCore, rhs1: np.ndarray, rhs2: np.ndarray, band: int):
+def solve_reduced(core: ReducedCore, rhs1: np.ndarray, rhs2: np.ndarray,
+                  Ba_grid: np.ndarray, band: int):
     """Solve the triangular system of the order-0 frame,
 
         (W1 - W1 o T) + S W2 + A1 sigma = rhs1,
         (lam W2 - W2 o T) + A2 sigma = rhs2,
 
     for grid corrections W1 (zero average) and W2, (d, points) like rhs1 and
-    rhs2, and the drift sigma: a lam-twisted solve, the averaged block for
-    (avg W2, sigma), then an untwisted solve, both at the cutoff `band` <= the
-    frame's kmax (each right-hand side is read from the grid at it, so the
-    cut costs no transform).  Each solve returns the dtype of its right-hand
-    side, whatever the frame: float64 ones are solved on real grids, complex
-    ones on complex grids.  Returns (W1, W2, sigma, largest divisor gain).
+    rhs2, and the drift sigma, at the cutoff `band` <= the frame's kmax:
+    `Ba_grid`, the caller's lam-twisted solve of rhs2 at `band` with the
+    core's floor, the averaged block for (avg W2, sigma), then an untwisted
+    solve at `band` (each right-hand side is read from the grid at the band,
+    so the cut costs no transform).  Each solve returns the dtype of its
+    right-hand side, whatever the frame: float64 ones are solved on real
+    grids, complex ones on complex grids.  Returns (W1, W2, sigma, the
+    largest divisor gain of the untwisted solve).
     """
     fr = core.frame
     d, lam = fr.d, fr.lam[0]
     S, A1 = fr.S[0], fr.A[0, :d]
-    Ba_grid, Ba_gain = solve_twisted_grid(rhs2, d, band, lam, fr.omega, core.divisor_floor)
     rhs_avg = np.concatenate([_mean(rhs1) - _mean(jets.mm(S, Ba_grid[:, None])[:, 0]),
                               _mean(rhs2)])
     sol = np.linalg.solve(core.block, rhs_avg)
@@ -350,7 +381,7 @@ def solve_reduced(core: ReducedCore, rhs1: np.ndarray, rhs2: np.ndarray, band: i
     # untwisted solve keeps a scalar one
     floor = core.divisor_floor if np.ndim(core.divisor_floor) == 0 else DEFAULT_DIVISOR_FLOOR
     W1, W1_gain = solve_twisted_grid(r1, d, band, 1.0, fr.omega, floor)
-    return W1, W2, sigma, max(Ba_gain, W1_gain)
+    return W1, W2, sigma, W1_gain
 
 
 @dataclass(frozen=True)
@@ -412,10 +443,15 @@ def newton_step(fam, K, mu, omega, eps, divisor_floor=DEFAULT_DIVISOR_FLOOR,
     """
     ev = _evaluate(fam, K, mu, omega, eps) if _defect is None else _defect
     fr = newton_frame(fam, ev, mu, omega, eps)
-    core = checked_block(fr, divisor_floor)
     d, kmax = fr.d, fr.kmax
-    Et = jets.mm(fr.beta[0], ev.E[:, None])[:, 0]
-    W1, W2, sigma, gain = solve_reduced(core, -Et[:d], -Et[d:], kmax)
+    rhs = -jets.mm(fr.beta[0], ev.E[:, None])[:, 0]
+    # Bb (of -A2) and Ba (of the last d rows of -beta E) share lam, omega and
+    # the cutoff: one solve of their stacked rows
+    A2 = fr.A[0, d:]
+    rows, gain = fr.solve_twisted(np.concatenate([-A2.reshape(d * d, -1), rhs[d:]]),
+                                  kmax, divisor_floor)
+    core = checked_block(fr, rows[:d * d].reshape(A2.shape), divisor_floor)
+    W1, W2, sigma, W1_gain = solve_reduced(core, rhs[:d], rhs[d:], rows[d * d:], kmax)
 
     W = np.concatenate([W1, W2])
     K2 = K.with_correction(from_grid(jets.mm(fr.M[0], W[:, None])[:, 0], d, kmax))
@@ -425,7 +461,7 @@ def newton_step(fam, K, mu, omega, eps, divisor_floor=DEFAULT_DIVISOR_FLOOR,
         sigma=sigma,
         residual_before=ev.residual,
         det=core.det,
-        divisor_gain=max(gain, core.Bb_gain),
+        divisor_gain=max(gain, W1_gain),
         grid=fr.n,
         W=W,
         block=core.block,
@@ -502,8 +538,9 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20,
             # the twist of the last step's block, else of the converged frame
             twist = float("nan") if report is None else report.twist
             if not np.isfinite(twist):
-                twist = _twist(checked_block(newton_frame(fam, ev, mu, omega, eps),
-                                             divisor_floor).block)
+                fr = newton_frame(fam, ev, mu, omega, eps)
+                Bb_grid, _ = fr.solve_twisted(-fr.A[0, fr.d:], fr.kmax, divisor_floor)
+                twist = _twist(checked_block(fr, Bb_grid, divisor_floor).block)
             return KamSolution(
                 K=K, mu=mu, residual_norm=res, twist_constant=twist,
                 trace=tuple(trace), eps=complex(eps),

@@ -2,13 +2,20 @@ import hypothesis
 import numpy as np
 import pytest
 
-from kamtori import GOLDEN_MEAN, DissipativeStandardMap
+from kamtori import GOLDEN_MEAN, DissipativeStandardMap, newton
 from kamtori.cohomology import divisor_grid
 from kamtori.errors import DivisorTooSmall
 from kamtori.fourier import FourierSeries
 
 hypothesis.settings.register_profile("default", max_examples=25, deadline=None)
 hypothesis.settings.load_profile("default")
+
+
+@pytest.fixture(autouse=True)
+def _no_last_sample():
+    """Every test starts with no torus sample kept by `newton._evaluate`, so
+    the transforms a test counts do not depend on the tests before it."""
+    newton._last_sample.clear()
 
 
 @pytest.fixture(scope="session")

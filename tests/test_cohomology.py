@@ -205,6 +205,23 @@ def test_grid_solve_is_the_series_solve_bit_for_bit(rng, d, real, lam):
         assert gain == want_gain
 
 
+@pytest.mark.parametrize("per_mode", [False, True])
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("d", [1, 2])
+def test_stacked_rows_solve_as_each_row_alone(rng, d, real, per_mode):
+    # a Newton step solves the d x d rows of Bb and the d rows of Ba in one
+    # call: each row of the stack is that row solved alone, byte for byte
+    kmax = {1: 20, 2: 6}[d]
+    omega = OMEGAS[:d]
+    floor = np.full((2 * kmax + 1,) * d, 1e-12) if per_mode else 1e-12
+    v = _samples(rng, d, real, (d * d + d,), kmax, "random")
+    got, gain = solve_twisted_grid(v, d, kmax, 0.93, omega, floor)
+    for row, got_row in zip(v, got):
+        want, want_gain = solve_twisted_grid(row[None], d, kmax, 0.93, omega, floor)
+        assert got_row.dtype == want.dtype and got_row.tobytes() == want[0].tobytes()
+        assert gain == want_gain
+
+
 def test_grid_solve_raises_the_series_solve_witness(rng, omega):
     v = _samples(rng, 1, True, (2,), 16, "random")
     floor = np.full(33, 1e-12)

@@ -212,9 +212,14 @@ def test_each_caller_samples_only_what_it_reads(fam, omega, base_torus, monkeypa
     # a Newton evaluation: X, X o T_omega, DK and DK o T_omega
     newton._evaluate(fam, K, sol.mu, omega, 0.05)
     assert points == [8 * n]
-    # the invariance residual: the Newton evaluation's E, so all four blocks
+    # a repeat evaluation of the same K: the last sample serves it
     points.clear()
-    newton.invariance_residual(fam, K, sol.mu, omega, 0.05)
+    newton._evaluate(fam, K, sol.mu, omega, 0.05)
+    assert points == []
+    # the invariance residual: the Newton evaluation's E, so all four blocks
+    # (of a copy of K, which the last sample does not serve)
+    fresh = TorusEmbedding(FourierSeries(K.dim, K.kmax, K.periodic.coeffs.copy()))
+    newton.invariance_residual(fam, fresh, sol.mu, omega, 0.05)
     assert points == [8 * n]
     # the normalization: X and DK of K_ref, then of each shifted K
     points.clear()

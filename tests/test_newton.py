@@ -61,6 +61,55 @@ def test_packed_evaluation_matches_separate_lifts(dim):
     assert ev.DKshift.tobytes() == DKshift[0].tobytes()
 
 
+def test_a_cached_sample_is_read_only(fam, omega, base_torus):
+    # the last sample is served as it was made, so none of its blocks can be
+    # written; E is an array of its own, not the cached X o T_omega
+    K0, mu0 = base_torus
+    blocks = newton._torus_sample(K0, omega, True)
+    assert all(a is b for a, b in zip(blocks, newton._torus_sample(K0, omega, True)))
+    for block in blocks:
+        with pytest.raises(ValueError, match="read-only"):
+            block[...] = 0.0
+    ev = _evaluate(fam, K0, mu0, omega, 0.05)
+    assert ev.X is blocks[0] and ev.DK is blocks[2] and ev.DKshift is blocks[3]
+    want = ev.E.tobytes()
+    ev.E[...] = 0.0
+    assert _evaluate(fam, K0, mu0, omega, 0.05).E.tobytes() == want
+
+
+def test_a_continuation_point_starts_from_the_last_sample(fam, omega, base_torus,
+                                                          monkeypatch):
+    # two consecutive solves: the first evaluation of the second is the first's
+    # converged sample (no transform), and the second's K, mu and trace are
+    # those of the same solve with no sample kept
+    K0, mu0 = base_torus
+    first = run_newton(fam, K0, mu0, omega, 0.05, tol=1e-12)
+    transforms, per_evaluation = [], []
+    sample, evaluate = embedding._sample, newton._evaluate
+
+    def counted(*args):
+        transforms.append(args)
+        return sample(*args)
+
+    def spy(*args, **kw):
+        before = len(transforms)
+        ev = evaluate(*args, **kw)
+        per_evaluation.append(len(transforms) - before)
+        return ev
+
+    monkeypatch.setattr(embedding, "_sample", counted)
+    monkeypatch.setattr(newton, "_evaluate", spy)
+    warm = run_newton(fam, first.K, first.mu, omega, 0.1, tol=1e-12)
+    assert per_evaluation == [0] + [1] * (len(warm.trace) - 1) and len(warm.trace) >= 3
+    newton._last_sample.clear()
+    per_evaluation.clear()
+    cold = run_newton(fam, first.K, first.mu, omega, 0.1, tol=1e-12)
+    assert per_evaluation == [1] * len(cold.trace)
+    for a, b in ((warm.K.periodic.coeffs, cold.K.periodic.coeffs), (warm.mu, cold.mu),
+                 (np.array(warm.trace), np.array(cold.trace))):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_exact_solution_zero_residual(fam, omega, base_torus):
     K0, mu0 = base_torus
     E = invariance_residual(fam, K0, mu0, omega, 0.0)
@@ -178,8 +227,6 @@ def test_singular_shifted_frame_raises_frame_singular(shift_dk):
     assert str(err.value) == "N o T_omega is not finite at 1 of 4 grid points"
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_frame_whose_normalization_overflows_its_shift_is_singular():
     # a subnormal Gram g of DK o T_omega at one point: N o T_omega = 1/g
     # overflows there
@@ -188,8 +235,6 @@ def test_frame_whose_normalization_overflows_its_shift_is_singular():
     assert str(err.value) == "N o T_omega is not finite at 1 of 4 grid points"
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_frame_names_a_subnormal_gram_of_dk_as_dk():
     # a subnormal Gram g of DK passes the conditioning gate (|g|/|g| = 1),
     # but N = 1/g overflows; the frame names DK's Gram, not the shifted one
@@ -237,9 +282,8 @@ def test_shifted_frame_is_the_frame_of_the_shifted_dk(fam, omega, base_torus, mo
      "DK^T DK condition number inf exceeds 1.0e+12"),
     # N = 1/g overflows at a subnormal g of DK, and DK o T_omega is singular:
     # one stack of N, gated DK first
-    pytest.param([1.0, 1.0, 1e-160, 1.0], [0.0, 1.0, 1.0, 1.0],
-                 "DK^T DK is singular or not finite at 1 of 4 grid points",
-                 marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
+    ([1.0, 1.0, 1e-160, 1.0], [0.0, 1.0, 1.0, 1.0],
+     "DK^T DK is singular or not finite at 1 of 4 grid points"),
 ], ids=["dk", "both", "dk-overflow-and-shifted"])
 def test_singular_gram_is_named_dk_before_its_shift(dk, shift_dk, message):
     with pytest.raises(FrameSingular) as err:
@@ -825,7 +869,8 @@ def test_a_real_problem_runs_on_real_grids(fam, omega, base_torus, monkeypatch):
     assert flags and all(flags)
     ev = _evaluate(fam, K, mu, omega, 0.1)
     fr = newton.newton_frame(fam, ev, mu, omega, 0.1)
-    core = newton.checked_block(fr)
+    Bb_grid, _ = fr.solve_twisted(-fr.A[0, 1:], fr.kmax, newton.DEFAULT_DIVISOR_FLOOR)
+    core = newton.checked_block(fr, Bb_grid)
     _, _, rep = newton_step(fam, K, mu, omega, 0.1, _defect=ev)
     for grid in (ev.X, ev.DK, ev.DKshift, ev.E, fr.lam, fr.Df, fr.M, fr.Mshift,
                  fr.beta, fr.S, fr.A, core.block, core.Bb_grid, rep.W, rep.sigma):
