@@ -1,8 +1,7 @@
 """Geometry of the good parameter sets: excluded resonance balls, grid
-classification of the lambda- and epsilon-planes by `diophantine`'s one
-good-set scan, the exact excluded area (the union of the balls clipped to an
-annulus) and its scaling across annuli, tangential-accessibility cones, and
-continuation sweeps, which meet the good set through `run_newton`'s gate.
+classification of the lambda- and epsilon-planes, the excluded area and its
+scaling across annuli, tangential-accessibility cones, and continuation
+sweeps.
 
 The bad set near lam = 1 is covered by balls B_k centered at the resonances
 e^{2 pi i k.omega}; within the annulus rho < |lam - 1| < 2 rho the covering
@@ -23,6 +22,8 @@ from .newton import run_newton
 
 @dataclass(frozen=True)
 class ExclusionBall:
+    """The open ball of resonance k in the lambda- or epsilon-plane."""
+
     k: tuple
     center: complex
     radius: float
@@ -36,13 +37,10 @@ class ExclusionBall:
 def excluded_balls(params: GoodSetParams, omega, k_max: int, rho_band: float,
                    radius_scale: float = 1.0,
                    fam=None, plane: str = "lambda") -> list[ExclusionBall]:
-    """Balls covering the bad set inside the annulus rho < |lam-1| < 2 rho.
-
-    A ball is kept when it intersects the annulus.  For plane="epsilon" the
-    centers are mapped through all `a` branches of the leading root of
-    lam(eps) = root (polished by a Newton iteration on the family's lam) and
-    the radii rescaled by |lam'| at the center.  Any other plane, and the
-    epsilon-plane without `fam`, raise ValueError.
+    """The balls that meet the annulus rho < |lam-1| < 2 rho, sorted by |k|_1.
+    For plane="epsilon" each center is mapped through all `a` branches of
+    the root of lam(eps) = center and its radius divided by |lam'| there.
+    Any other plane, and the epsilon-plane without `fam`, raise ValueError.
     """
     if plane not in ("lambda", "epsilon"):
         raise ValueError(f"unknown plane {plane!r}")
@@ -101,6 +99,8 @@ INSIDE, EXCLUDED, OUTSIDE_R0 = 0, 1, 2
 
 @dataclass(frozen=True)
 class AtlasGrid:
+    """The status and witness mode of each cell of a classified plane."""
+
     plane: str
     bounds: tuple             # (re_min, re_max, im_min, im_max)
     resolution: tuple         # (nx, ny)
@@ -130,12 +130,10 @@ def _cell_centers(bounds, resolution):
 
 def classify_grid(plane: str, bounds, resolution, params: GoodSetParams,
                   omega, fam=None, k_scan: int = 2048) -> AtlasGrid:
-    """Per-cell membership of the good set, deterministic for fixed scan.
-
-    plane="lambda" tests the cell center directly; plane="epsilon" maps it
-    through the family's lam(eps) and adds the |eps| <= r0 gate.  Each cell
-    gets the status and witness of `lambda_in_good_set`, from its one scan.
-    Bounds without re0 < re1 and im0 < im1 raise ValueError.
+    """Good-set membership of each cell center, as `lambda_in_good_set`
+    decides it: of lam itself, or with plane="epsilon" of lam(eps) and
+    OUTSIDE_R0 where |eps| > r0.  Bounds without re0 < re1 and im0 < im1,
+    or another plane, raise ValueError.
     """
     if plane not in ("lambda", "epsilon"):
         raise ValueError(f"unknown plane {plane!r}")
@@ -158,6 +156,8 @@ def classify_grid(plane: str, bounds, resolution, params: GoodSetParams,
 
 @dataclass(frozen=True)
 class MeasureFit:
+    """Excluded areas per annulus and their fitted scaling exponent."""
+
     rhos: np.ndarray
     areas: np.ndarray
     counts: np.ndarray
@@ -167,11 +167,9 @@ class MeasureFit:
 
 def excluded_measure(rho: float, params: GoodSetParams, omega, k_max: int,
                      levels: int = 3) -> MeasureFit:
-    """Excluded area in the annuli rho/2^i < |lam-1| < rho/2^(i-1) and the
-    log-log scaling exponent fitted across them.
-
-    Requires 2 tau > d so the ball areas are summable.  Each area is the
-    exact area of the union of the balls clipped to its annulus.
+    """The exact area of the union of the balls in each annulus r < |lam-1| <
+    2r, r = rho / 2^i, i < levels, and the log-log exponent fitted across
+    them.  ValueError unless 2 tau > d; KamtoriError for an empty annulus.
     """
     omega_v = np.atleast_1d(np.asarray(omega, dtype=float))
     if 2 * params.tau <= omega_v.size:
@@ -193,17 +191,8 @@ def excluded_measure(rho: float, params: GoodSetParams, omega, k_max: int,
 
 
 def _union_area(balls, rho) -> float:
-    """Exact area of (union of the balls) & {rho < |z-1| < 2 rho}.
-
-    Green's theorem over the boundary of that region: the arcs of each ball's
-    circle outside every other ball and inside the annulus, and the arcs of
-    the outer (counter-clockwise) and inner (clockwise) annulus circle inside
-    some ball.  Each circle is cut at its crossings with all the others and a
-    sub-arc is kept when its midpoint is; a circle that crosses none is the
-    arc [0, 2 pi].  Angles are absolute, so an arc of radius R about c has a
-    rounding error of a few eps R (R + |c - 1|): about eps rho^2 on an
-    annulus circle, however small the ball that it cuts.
-    """
+    """Exact area of (union of the balls) & {rho < |z-1| < 2 rho}, by Green's
+    theorem over the arcs that bound it, to a few eps rho^2."""
     n = len(balls)
     centers = np.array([b.center - 1.0 for b in balls] + [0.0, 0.0], dtype=complex)
     radii = np.array([b.radius for b in balls] + [2.0 * rho, rho])
@@ -292,6 +281,8 @@ def circle_accessibility_fraction(omega, sigma: float, A: float, m: int,
 
 @dataclass(frozen=True)
 class SweepStep:
+    """One point of a sweep: its solution's residual and mu, or its error."""
+
     eps: complex
     status: str                # "ok" or the halting error's status
     residual: float
@@ -302,6 +293,8 @@ class SweepStep:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """The rows and accepted solutions of a sweep, and what halted it."""
+
     steps: tuple
     reached_end: bool
     path_length: float
@@ -323,16 +316,13 @@ def coupled_divisor_floor(kmax: int, dim: int, lam: complex,
 
 
 def sweep_continuation(fam, omega, path, K0, mu0, **newton) -> SweepResult:
-    """Walk the epsilon path, solving at each point seeded by the previous
+    """Walk the epsilon path, solving at each point from the previous
     solution; `newton` holds the `run_newton` keywords of every solve.
 
-    With `good_set`, run_newton's gate raises DivisorTooSmall
-    exactly where `lambda_in_good_set` says lam(eps) leaves the set, at any
-    cutoff.  The first KamtoriError halts the sweep (detours are the caller's
-    business via `detour_path`): its last row carries the error's `status`,
-    with the witness mode, divisor and floor for DivisorTooSmall and the last
-    residual of the trace for NoConvergence and Diverged (nan otherwise), and
-    the error stays on the result.
+    The first KamtoriError halts the sweep and stays on the result.  Its
+    row carries the error's `status`, with the witness mode, divisor and
+    floor for DivisorTooSmall and the last residual of the trace for
+    NoConvergence and Diverged (nan otherwise).
     """
     K, mu = K0, mu0
     steps = []
@@ -360,13 +350,10 @@ def sweep_continuation(fam, omega, path, K0, mu0, **newton) -> SweepResult:
 
 
 def detour_path(eps1: complex, eps2: complex, balls):
-    """Path from eps1 to eps2 avoiding the balls: the straight segment when
-    clear, else the flattest circular arc that clears them, its center at
-    most 8 chords from the chord's midpoint.
-
-    Returns (points, length), with 257 points.  For arcs the length stays below
-    (pi/2) |eps1 - eps2| until the bulge exceeds a half turn, which keeps the
-    compensation ratio below pi with margin.
+    """(points, length), 257 points, of a path from eps1 to eps2 that avoids
+    the balls: the straight segment when clear, else the flattest circular
+    arc that clears them, its center at most 8 chords from the chord's
+    midpoint.  KamtoriError when no such arc exists.
     """
     eps1, eps2 = complex(eps1), complex(eps2)
     chord = eps2 - eps1
@@ -421,6 +408,7 @@ def grid_table(grid: AtlasGrid, fp) -> None:
 
 
 def sweep_table(result: SweepResult, fp) -> None:
+    """One row per sweep point: eps, status, residual, mu and note."""
     fp.write("# sweep re(eps) im(eps) status residual re(mu) im(mu) note\n")
     for st in result.steps:
         mu_re = f"{st.mu[0].real:.17g}" if st.mu is not None else "nan"

@@ -92,6 +92,7 @@ def _solver_start(cfg):
 
 
 def cmd_solve(run: _Run):
+    """Solve at [solve].eps: solution.txt and newton_trace.txt."""
     cfg = run.cfg
     eps = cfg.sections["solve"]["eps"]
     if eps is None:
@@ -133,6 +134,7 @@ def _emit_jet(run: _Run, jet):
 
 
 def cmd_lindstedt(run: _Run):
+    """Expand to [lindstedt].order at eps0: jet.txt and residual_orders.txt."""
     sec = run.cfg.sections["lindstedt"]
     order, eps0 = sec["order"], sec["eps0"]
     norms = _emit_jet(run, _expand_from_config(run, order, eps0))
@@ -142,6 +144,7 @@ def cmd_lindstedt(run: _Run):
 
 
 def cmd_double(run: _Run):
+    """Expand to [double].order at 0 and double `rounds` times, as `lindstedt`."""
     cfg = run.cfg
     sec = cfg.sections["double"]
     order, rounds = sec["order"], sec["rounds"]
@@ -156,6 +159,7 @@ def cmd_double(run: _Run):
 
 
 def cmd_atlas(run: _Run):
+    """Classify the [atlas] plane: cells.txt, balls.txt, atlas.svg, nu_trace.txt."""
     cfg = run.cfg
     if cfg.good_set is None:
         raise ConfigError("atlas needs a [goodset] section", f"{run.config}[goodset]")
@@ -191,6 +195,7 @@ def cmd_atlas(run: _Run):
 
 
 def cmd_sweep(run: _Run):
+    """Continue along the [sweep] path: sweep.txt; a halt exits with its code."""
     cfg = run.cfg
     sec = cfg.sections["sweep"]
     start, end, steps = sec["start"], sec["end"], sec["steps"]
@@ -277,6 +282,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command; return its exit code (see the module docstring)."""
     parser = argparse.ArgumentParser(
         prog="kamtori",
         description="invariant tori, dissipation-series jets and analyticity atlases "

@@ -2,25 +2,12 @@
 
     lam * phi(theta) - phi(theta + omega) = eta(theta),
 
-solved per mode by  phi_k = eta_k / (lam - e^{2 pi i k.omega}),  together with
-the tame norm bound the solution obeys on a slightly smaller strip.
-
-One entry point solves it: `solve_twisted_grid` takes grid samples and
-returns the zero-average solution of their zero-average part on the same
-grid, through one forward and one inverse transform of the spectrum
-(`fourier.multiply_modes`) with no series; the Newton step and both
-Lindstedt engines solve through it.
-
-It reads one divisor table: the inverse divisors over the mode box (with
-the solve's k = 0 entry), the largest gain and the DivisorTooSmall witness,
-at most 32 entries keyed by the bytes of (d, kmax, lam, omega, floor), so
-only bit-equal inputs share an entry and a hit is one multiply by the
-entry's read-only inverse; the least recently used entry is dropped first.
-That holds the 29 keys of a 13-point continuation at kmax 64 with an
-order-16 expansion and three doublings 1 -> 3 -> 7 -> 15 (one band each).
-A solve raises the entry's witness as DivisorTooSmall and, at lam = 1,
-refuses a right-hand side with a sample or a mode that is not finite
-(ValueError).
+solved per mode by  phi_k = eta_k / (lam - e^{2 pi i k.omega}),  and the
+tame norm bound its solution obeys on a slightly smaller strip.
+`solve_twisted_grid` is the one solve, from grid samples to grid samples.
+Its divisors come from a bounded table keyed by the bytes of (d, kmax, lam,
+omega, floor), so only bit-equal inputs share an entry, and a solve from
+the table equals a cold one byte for byte.
 """
 
 from __future__ import annotations
@@ -57,10 +44,10 @@ _DIVISOR_TABLE_SIZE = 32
 @lru_cache(maxsize=_DIVISOR_TABLE_SIZE)
 def _divisor_table(dim: int, kmax: int, lam_bytes: bytes, omega_bytes: bytes,
                    floor_shape: tuple, floor_bytes: bytes) -> tuple:
-    """One entry (inv, gain, witness) of the divisor table: the read-only
-    1/(lam - e^{2 pi i k.omega}) over the mode box with the solve's k = 0
-    entry, and the largest gain off k = 0; or, when a divisor is below the
-    floor, (None, None, the (k, |divisor|, floor) of the smallest one)."""
+    """(inv, gain, None): the read-only 1/(lam - e^{2 pi i k.omega}) over the
+    mode box with the solve's k = 0 entry, and the largest gain off k = 0;
+    or (None, None, (k, |divisor|, floor)) of the smallest divisor below
+    the floor."""
     lam = complex(np.frombuffer(lam_bytes, dtype=np.complex128)[0])
     div = divisor_grid(dim, kmax, lam, np.frombuffer(omega_bytes))
     center = (kmax,) * dim
@@ -105,17 +92,13 @@ def solve_twisted_grid(eta: np.ndarray, dim: int, band: int, lam: complex, omega
     solution of lam*phi - phi o T_omega = eta - avg(eta) at the cutoff `band`.
 
     Its modes are phi_k = eta_k / (lam - e^{2 pi i k.omega}) for 0 <
-    |k|_inf <= band, with eta_k those of `fourier.from_grid(eta, dim, band)`,
-    and it is sampled as `fourier.to_grid` samples a box (real=True for real
-    samples); the table's inverse divisors multiply the spectrum where it
-    lies (`fourier.multiply_modes`).  `divisor_floor` may be a scalar or an
-    array over the band's centred mode box (e.g. a |k|-dependent threshold),
-    else ValueError; a divisor below it raises DivisorTooSmall, flagging the
-    parameter as outside the good set at this cutoff.  For lam = 1 (within
-    1e-12) eta's samples and modes must be finite, else ValueError, raised
-    before any transform for a sample that is not finite (finite modes pass
-    even where their l1 norm overflows); the modes are checked only when phi
-    is not finite.
+    |k|_inf <= band, eta_k those of `fourier.from_grid(eta, dim, band)`,
+    sampled as `fourier.to_grid` samples them (real=True for real samples).
+    Rows solved together equal the same rows solved one at a time.
+    `divisor_floor` is a scalar or an array over the band's centred mode
+    box, else ValueError; a divisor below it raises DivisorTooSmall.  For
+    lam = 1 (within 1e-12) a sample or mode of eta that is not finite
+    raises ValueError.
     """
     lam = complex(lam)
     inv, gain, witness = _divisors(dim, band, lam, omega, divisor_floor)
@@ -166,13 +149,10 @@ def tame_constant(tau: float, dim: int) -> float:
 
 def tame_bound(eta_norm_rho: float, delta: float, tau: float, dim: int,
                nu_lambda_val: float) -> float:
-    """Upper bound  C(tau,d) * nu * delta^-(tau+d) * |eta|_rho  for the
-    majorant of the solution on the strip shrunk by delta.
-
-    C(tau,d) is evaluated numerically (sup of the weighted shell sum over a
-    delta grid, refined at the queried delta) so the bound provably dominates
-    the per-mode construction whenever nu covers the series' mode box.
-    """
+    """Upper bound C(tau,d) * nu * delta^-(tau+d) * |eta|_rho for the majorant
+    of the solution on the strip shrunk by delta, C(tau,d) evaluated
+    numerically; it dominates the per-mode solution whenever nu covers the
+    series' mode box.  ValueError for delta <= 0."""
     if delta <= 0:
         raise ValueError("delta must satisfy 0 < delta < rho")
     s = tau + dim

@@ -23,10 +23,6 @@ ConfigError naming `<file>[<section>].<key>`.  Every number must be finite:
 [family] must be present; an absent [goodset] means no good set (its keys
 are required only when it is present); any other absent section takes its
 defaults.  Named means are expanded to full double precision.
-
-The [solver] keys other than kmax are `run_newton` keywords: with the good
-set (or None) and its kscan they make `RunConfig.newton`, the one mapping
-every solve of a run passes on.
 """
 
 from __future__ import annotations
@@ -158,6 +154,9 @@ _KEYS = {
 
 @dataclass
 class RunConfig:
+    """A checked configuration; `newton` holds the `run_newton` keywords of
+    every solve: [solver] but kmax, the good set (or None) and its kscan."""
+
     family: DissipativeStandardMap
     omega: np.ndarray
     tau: float
@@ -169,6 +168,7 @@ class RunConfig:
 
 
 def load_config(path) -> RunConfig:
+    """Parse and check the file at `path`; ConfigError as the module states."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path) as fp:

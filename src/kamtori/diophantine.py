@@ -1,22 +1,17 @@
 """Small-divisor constants and membership tests for the good parameter sets.
 
-The quantities estimated here are running suprema over a finite mode scan,
+The constants are running suprema over a finite scan of modes,
 
     nu(omega; tau)        = max_{0<|k|<=k_scan} |e^{2 pi i k.omega} - 1|^{-1} |k|^{-tau}
     nu(lam; omega, tau)   = max_{0<|k|<=k_scan} |e^{2 pi i k.omega} - lam|^{-1} |k|^{-tau}
 
-with |k| the l1 norm.  The scan bound is reported with every estimate: for
-the truncated cohomology solves it is the finite-scan value (with k_scan
-covering the mode box) that actually controls the solution, so that is the
-operationally relevant quantity.  An estimate whose witness divisor is below
-1e-300 is treated as an exact zero and flagged infinite.
+with |k| the l1 norm, and each estimate reports its scan bound.  A witness
+divisor below 1e-300 counts as an exact zero, flagged infinite.
 
-The good set is G = {lam : nu(lam; omega, tau) |lam - 1|^{N+1} <= A}, and
-one scan decides it: `nu_scan` finds the largest term of each lam in an
-array, `good_set_attained` multiplies in |lam - 1|^{N+1}.  `nu_lambda`,
-`lambda_in_good_set`, the atlas's `classify_grid` (over its cells) and the
-good-set gate of `newton.run_newton` (which continuation sweeps go through)
-all run it, so they test the same inequality bit for bit.
+The good set is G = {lam : nu(lam; omega, tau) |lam - 1|^{N+1} <= A}.
+`nu_lambda`, `lambda_in_good_set`, `atlas.classify_grid` and the good-set
+gate of `newton.run_newton` all decide it by the one scan `nu_scan`, so
+they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -32,12 +27,8 @@ _CHUNK_BYTES = 4 << 20     # complex lam x modes distances per scan chunk
 
 
 def mode_ball(dim: int, k_scan: int) -> np.ndarray:
-    """All k in Z^d with 0 < |k|_1 <= k_scan, as an (m, d) int array.
-
-    For d = 1 this is +-1..+-k_scan; higher dimensions enumerate the l1 ball
-    in lexicographic order, one coordinate at a time: each prefix is followed
-    by every next coordinate c with |c| within the l1 budget it leaves.
-    """
+    """All k in Z^d with 0 < |k|_1 <= k_scan, as an (m, d) int array: for
+    d = 1 the order 1..k_scan, -1..-k_scan, else lexicographic."""
     if dim == 1:
         k = np.arange(1, k_scan + 1)
         return np.concatenate([k, -k]).reshape(-1, 1)
@@ -74,12 +65,10 @@ class NuEstimate:
 
 
 def nu_scan(lam, omega, tau: float, k_scan: int):
-    """The scan behind every good-set test.  For each lam (an array of any
-    shape) over the resonance table: the largest term
-    |k|^-tau / |e^{2 pi i k.omega} - lam|, its mode k (shape lam.shape + (d,))
-    and its divisor.  An exact resonance gives an infinite term; ties keep
-    the first mode of the table.  The lam x modes distances are formed in
-    chunks of at most _CHUNK_BYTES."""
+    """For each lam of an array, over the resonance table: the largest term
+    |k|^-tau / |e^{2 pi i k.omega} - lam|, its mode k (shape lam.shape +
+    (d,)) and its divisor.  An exact resonance gives an infinite term; ties
+    keep the first mode of the table.  ValueError for k_scan < 1."""
     if k_scan < 1:
         raise ValueError("k_scan must be >= 1")
     lam = np.asarray(lam, dtype=complex)
@@ -107,11 +96,7 @@ def good_set_attained(lam, term, N: int):
 
 
 def nu_lambda(lam: complex, omega, tau: float, k_scan: int) -> NuEstimate:
-    """Scan estimate of nu(lam; omega, tau).
-
-    For |lam| != 1 every scanned term is bounded by |1 - |lam||^{-1}, so the
-    estimate inherits that analytic bound automatically.
-    """
+    """Scan estimate of nu(lam; omega, tau)."""
     term, k, divisor = nu_scan(complex(lam), omega, tau, k_scan)
     k = tuple(int(c) for c in k)
     if divisor < _ZERO_DIVISOR:
@@ -157,6 +142,8 @@ class GoodSetParams:
 
 @dataclass(frozen=True)
 class GoodSetWitness:
+    """The outcome of the good-set test at one lam, with its witness."""
+
     member: bool
     nu: NuEstimate
     factor: float          # |lam - 1|^{N+1}

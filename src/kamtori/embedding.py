@@ -5,17 +5,8 @@ block a periodic function v; both are carried as one (2d,)-valued Fourier
 series.  All evaluations work on the universal cover (continuous lifts), so
 differences of embeddings are genuinely periodic and free of mod-1 jumps.
 
-`sample_jet` is the one place where tori and torus jets meet the grid: the
-Newton solver and both Lindstedt engines evaluate the invariance equation on
-the lifts it samples and build their frames from its DK and DK o T_omega.
-Each caller chooses the blocks it reads (the lifts, DK, and whether each
-comes with its shift by omega): a Newton step takes all four, the invariance
-residual and `lindstedt.residual_jet` the lifts and their shifts,
-`newton.normalize_embedding` the unshifted lift and DK, and
-`newton.lagrangian_defect` DK alone.  K's modes are copied once into one
-FFT-order spectrum, the shifted and differentiated blocks of all orders are
-products of them there, and one inverse transform samples all the chosen
-blocks into one buffer, each a row-slice view of it (no copy).
+`sample_jet` samples tori and torus jets on the grid for the Newton solver,
+the invariance residual and both Lindstedt engines.
 """
 
 from __future__ import annotations
@@ -30,6 +21,8 @@ from .fourier import (FourierSeries, _sample, angle_axis, derivative_factors,
 
 @dataclass(frozen=True)
 class TorusEmbedding:
+    """K(theta) = (theta + u, v) from its (2d,)-valued periodic part (u, v)."""
+
     periodic: FourierSeries
 
     def __post_init__(self):
@@ -97,17 +90,11 @@ def sample_jet(coeffs: np.ndarray, omega, n: int, *, lifts: bool = True,
     `coeffs` stacks the periodic parts K_j, shape (orders,) + (2 kmax + 1,)*d
     + (2d,); a single torus K is the order-0 jet `K.periodic.coeffs[None]`.
     The results are grid jets (orders, 2d, n^d) and (orders, 2d, d, n^d),
-    each a view of a block of rows of one buffer, with a contiguous point
-    axis, all sampled by one inverse transform of one spectrum
-    (`fourier.zero_spectrum`): K's bins in FFT order, their shift by omega
-    (times `shift_phases`, one axis after another) and the d columns of DK
-    and of DK o T_omega (the unshifted and shifted bins times
-    `derivative_factors`), bit for bit the modes `FourierSeries.shift` and
-    `differentiate` give.  The lifts theta and theta + omega, and DK's
-    identity block (added to the mean bin before the transform), enter
-    order 0 only.  The samples are complex128, or with `real` (a jet of
-    Hermitian series and a real omega; the Newton solver decides that once
-    per solve) float64, transformed as by `to_grid(..., real=True)`.
+    bit for bit the samples of the series that `FourierSeries.shift` and
+    `differentiate` give.  One inverse transform samples them into one
+    buffer, of which each is a view with a contiguous point axis.  The
+    samples are complex128, or with `real` (Hermitian series and a real
+    omega) float64, as by `to_grid(..., real=True)`.
     """
     orders, d = coeffs.shape[0], coeffs.shape[-1] // 2
     kmax, copies = (coeffs.shape[1] - 1) // 2, 1 if omega is None else 2

@@ -12,12 +12,8 @@ class KamtoriError(Exception):
 
 
 class DivisorTooSmall(KamtoriError):
-    """A cohomology divisor fell below the configured floor.
-
-    Signals that the conformal factor is too close to a resonance
-    exp(2*pi*i*k.omega) for the requested mode box, i.e. the parameter sits
-    inside (or too near) an excluded ball.
-    """
+    """A cohomology divisor |lam - exp(2 pi i k.omega)| fell below its floor:
+    lam is too near a resonance for the mode box."""
 
     label, exit_code, status = "small divisor", 3, "divisor"
 
@@ -77,9 +73,8 @@ class Diverged(KamtoriError):
 
 
 class JetOverflow(KamtoriError):
-    """A Lindstedt engine met an order that is not finite: the right-hand
-    side or the solution of that order overflowed (or is nan), so it and
-    every later order are lost.  `order` names the first such order."""
+    """A Lindstedt engine met an order whose right-hand side or solution is
+    not finite; `order` names the first such order."""
 
     label, exit_code, status = "jet overflow", 6, "jet-overflow"
 
@@ -90,10 +85,9 @@ class JetOverflow(KamtoriError):
 
 
 class InexactJet(KamtoriError):
-    """The doubling was given a jet that is not exact through its order: the
-    residual of an input order on the grid exceeds the tolerance `tol`.  The
-    doubling returns those orders as given, so it refuses the jet; `order`
-    names the first such order and `residual` its largest value."""
+    """The doubling was given a jet that is not exact through its order:
+    `order` names the first input order whose residual on the grid exceeds
+    `tol`, and `residual` is its largest value."""
 
     label, exit_code, status = "inexact jet", 7, "inexact-jet"
 

@@ -1,59 +1,21 @@
 """Truncated Fourier series on complex strips of the d-torus.
 
-Coefficients are stored densely over the centered mode box |k_i| <= kmax and
-may be scalar, vector or matrix valued.  The analytic norm is the weighted-l1
-majorant  sum_k |c_k| e^{2 pi rho |k|_1},  an upper bound for the supremum of
-the function on the strip |Im theta_j| <= rho; all norm-based bounds in the
-package are stated for this majorant.
+Coefficients are stored densely over the centered mode box |k_i| <= kmax,
+with scalar, vector or matrix values.  The analytic norm is the weighted-l1
+majorant sum_k |c_k| e^{2 pi rho |k|_1}, an upper bound for the supremum on
+the strip |Im theta_j| <= rho; every norm-based bound of the package is
+stated for it.  Whether a series is real or has zero average is read off
+its coefficients (`reality_defect`, `average`), never declared.
 
-Grid values are stored value axes first: a series with value shape V is
-sampled on the n^d grid theta = j/n as V + (n^d,), the points in row-major
-order of (j_1, .., j_d) (the flattened `theta_grid`).  The transforms view
-that axis as (n,)*d, a free reshape, and call `np.fft.ifft` / `np.fft.fft`
-once per angle axis, last axis first, as `np.fft.ifftn` / `np.fft.fftn` do,
-so the samples are those of the n-dimensional transform bit for bit.  Each
-call transforms every line along its axis on its own, so rows sampled side
-by side transform exactly as they would one at a time.  Coefficients keep
-their (modes.., values..) layout: the centered mode box moves to and from FFT
-order (mode k at index k mod n on each axis) by 2^d slice copies, one per
-sign pattern of k, which also transpose between the two layouts.  A sample
-makes one allocation, the zero-filled spectrum of `zero_spectrum`, which is
-transformed and scaled by n^d in place: `to_grid` copies one series' box
-into it, `embedding.sample_jet` a torus jet's box with its shifted and
-differentiated modes side by side, each a block of rows.
-
-Samples are complex128 by default.  Hermitian series (c_-k = conj(c_k))
-may be sampled as float64 (`to_grid(..., real=True)`), through the n//2 + 1
-bins of a real transform at about half the cost, as `np.fft.irfftn` does;
-`from_grid` of float64 samples follows `np.fft.rfftn` and mirrors the modes
-it lacks, so the box is Hermitian bit for bit.  The Newton solver samples a
-real problem as float64 (see `newton`); every other caller is complex.
-
-`multiply_modes` is the spectral primitive of the grid-to-grid cohomology
-solve: grid samples to grid samples through one forward and one inverse
-transform, the in-band modes scaled, mean-free and multiplied by a table
-over the mode box in FFT order, bit for bit what `from_grid`, the product
-on the coefficient box and `to_grid` give, without the box.
-
-One rule mirrors a real transform's plane k_d = 0, where rfftn holds both
-k and -k: `_plane_mirror` indexes the modes whose last nonzero k_i is
-negative and their negations.  `from_grid` applies it to its box and
-`multiply_modes` to its FFT-order spectrum, both after the scaling by n^-d:
-conj(x)/n^d can differ from conj(x/n^d) in the sign of a zero part (of
-exactly even samples, say), so the two mirror at the same step.
-
-The tables that depend only on a cutoff, a grid size or a shift are computed
-once and kept read-only in bounded LRU caches: the 5-smooth grid size of a
-minimum (`fast_grid_size`, 256 entries), the box blocks per (d, kmax, n) and
-sample dtype (64), the plane mirror per (d, band) and layout (64), the
-shift phases e^{2 pi i k omega_j} per (kmax, omega_j) (64), the derivative
-factors 2 pi i k per kmax (32), the angle axis j/n per n (32) and the
-tail-band mask of `tail_mass` per (d, kmax) (16).  No grid of angles is
-cached (at d = 2 and large n one is tens of MB): samplers broadcast the 1-D
-axis, and `theta_grid` builds its meshgrid anew.
-
-A series is its coefficients: whether it is real valued or has zero average
-is read off them (`reality_defect`, `average`), never declared.
+Grid samples put the values first: a series of value shape V sampled on the
+n^d grid theta = j/n is V + (n^d,), the points in row-major order of
+(j_1, .., j_d) (the flattened `theta_grid`).  `to_grid` and `from_grid` give
+the samples of `np.fft.ifftn` and the modes of `np.fft.fftn` bit for bit,
+and rows transformed together equal the same rows transformed one at a
+time.  Samples are complex128; a Hermitian series may be sampled as float64
+(`to_grid(..., real=True)`, as `np.fft.irfftn` does), and `from_grid` of
+float64 samples gives a box that is Hermitian bit for bit.  Cached tables
+are read-only.
 
 Text form.  Series, solution and jet files open with ``# <key> <tokens>``
 header lines, read by key in any order (unknown keys are skipped), then hold
@@ -77,10 +39,7 @@ TWO_PI = 2.0 * np.pi
 
 @lru_cache(maxsize=256)
 def fast_grid_size(m: int) -> int:
-    """Smallest 5-smooth integer >= m (keeps fftn fast at odd-ish sizes).
-
-    Raises ValueError for m < 1, where no such size exists.
-    """
+    """Smallest 5-smooth integer >= m; ValueError for m < 1."""
     n = int(m)
     if n < 1:
         raise ValueError(f"grid size needs m >= 1, got {m}")
@@ -236,11 +195,8 @@ class FourierSeries:
     # -- operations --------------------------------------------------------
 
     def eval(self, theta) -> np.ndarray:
-        """Evaluate by direct summation at one point theta (complex allowed).
-
-        Exact for stored modes; intended for |Im theta_j| within the strip the
-        series is used on.
-        """
+        """Evaluate by direct summation at one point theta of shape (dim,),
+        complex allowed; ValueError for any other shape."""
         theta = np.atleast_1d(np.asarray(theta))
         if theta.shape != (self.dim,):
             raise ValueError(f"theta must have shape ({self.dim},), got {theta.shape}")
@@ -280,13 +236,10 @@ class FourierSeries:
         return float(np.sum(mags * np.exp(TWO_PI * rho * self.k_norm_grid())))
 
     def coeff_magnitudes(self) -> np.ndarray:
-        """Frobenius magnitude of each coefficient, over the mode box:
-        sqrt(sum |c|^2) over its values.  Where that sum overflows on finite
-        values (|c| above about 1.3e154) the magnitude is taken scaled by the
-        mode's largest |c| (`_scaled_magnitudes`), so it is finite whenever
-        it is representable; every other magnitude is the plain sum's.
-        Fewer than 8 squares are added one after another, left to right,
-        which is what np.sum does with them, without its per-call cost."""
+        """Frobenius magnitude sqrt(sum |c|^2) of each coefficient over the mode
+        box, bit for bit np.sum's; where the squares overflow on finite
+        values it is scaled by the mode's largest |c|, so it is finite
+        whenever it is representable."""
         mags = np.abs(self.coeffs)
         extra = tuple(range(self.dim, self.coeffs.ndim))
         if not extra:
@@ -339,9 +292,8 @@ _SQUARE_SAFE = 1e150
 
 
 def _scaled_magnitudes(mags: np.ndarray, extra: tuple) -> np.ndarray:
-    """sqrt(sum mags^2) over the `extra` axes, and for each mode where that
-    sum overflows on finite values, top * sqrt(sum (mags/top)^2) with top
-    the mode's largest magnitude."""
+    """sqrt(sum mags^2) over the `extra` axes, or top * sqrt(sum (mags/top)^2),
+    top the mode's largest magnitude, where that sum overflows."""
     with np.errstate(over="ignore"):
         out = np.sqrt(np.sum(mags ** 2, axis=extra))
         over = np.isinf(out) & np.isfinite(mags).all(axis=extra)
@@ -369,11 +321,9 @@ def theta_grid(dim: int, n: int) -> list[np.ndarray]:
 
 @lru_cache(maxsize=64)
 def _box_blocks(dim: int, kmax: int, n: int, half: bool = False) -> tuple:
-    """The 2^dim blocks of the centered mode box |k_i| <= kmax in an n^dim FFT
-    array, as (box, fft) index pairs of the last dim axes: on each axis the
-    modes k >= 0 sit at [:kmax+1] and k < 0 at [n-kmax:], one slice copy each.
-    With `half` the last axis is the n//2 + 1 bins of a real transform, which
-    hold its modes k >= 0 only: 2^(dim-1) blocks."""
+    """(box, fft) index pairs of the last dim axes: the 2^dim blocks of the
+    centered mode box |k_i| <= kmax in an n^dim FFT-order array, or with
+    `half` the 2^(dim-1) blocks of modes k_d >= 0 in a real transform's bins."""
     halves = ((slice(kmax, None), slice(None, kmax + 1)),
               (slice(None, kmax), slice(n - kmax, None)))
     axes = (halves,) * (dim - 1) + (halves[:1] if half else halves,)
@@ -393,18 +343,10 @@ def zero_spectrum(lead: tuple, dim: int, kmax: int, n: int, real: bool = False) 
 
 
 def to_grid(series: FourierSeries, n: int, *, real: bool = False) -> np.ndarray:
-    """Sample on the regular n^d grid theta_j = j/n, with shape
-    value_shape + (n^d,).
-
-    The centered box is copied straight into FFT order (`zero_spectrum`),
-    and the spectrum is inverse-transformed and scaled by n^d in place: the
-    samples are complex128.  With `real` the series is taken as Hermitian and
-    the samples are float64: the spectrum holds only the modes k_d >= 0 of
-    the last axis, the n//2 + 1 bins of `np.fft.irfft`, which transforms it
-    after the other axes' `np.fft.ifft`, all unscaled (norm="forward"), as
-    `np.fft.irfftn` does; of a series that is not Hermitian it samples the
-    Hermitian series with the same modes k_d > 0.
-    """
+    """Samples value_shape + (n^d,) on the grid theta_j = j/n, complex128.
+    With `real` they are float64, as `np.fft.irfftn` gives them: those of the
+    Hermitian series with the same modes k_d > 0.  ValueError when
+    n < 2 kmax + 1."""
     d = series.dim
     spec, blocks = zero_spectrum(series.value_shape, d, series.kmax, n, real)
     box_last = series.coeffs.transpose(_values_first(d, series.coeffs.ndim))
@@ -415,9 +357,8 @@ def to_grid(series: FourierSeries, n: int, *, real: bool = False) -> np.ndarray:
 
 def _sample(spec: np.ndarray, dim: int, n: int, real: bool) -> np.ndarray:
     """The samples values + (n^dim,) of an FFT-order spectrum values + (n,)*dim
-    (the last axis n//2 + 1 bins with `real`), transformed in place as
-    `to_grid` states: float64 samples through `np.fft.irfft` with `real`,
-    else complex128 ones scaled by n^dim in place."""
+    (n//2 + 1 bins on the last axis with `real`), which it overwrites:
+    float64 in a new array with `real`, else a complex128 view of `spec`."""
     lead = spec.shape[:-dim]
     if real:
         for axis in range(-dim, -1):
@@ -443,24 +384,11 @@ def _cells(grid: np.ndarray, dim: int, n: int) -> np.ndarray:
 
 
 def from_grid(values: np.ndarray, dim: int, kmax: int) -> FourierSeries:
-    """Recover the centered coefficient box from grid samples value_shape + (n^dim,).
-
-    Exact for series whose modes all satisfy |k_i| <= kmax; otherwise the
-    out-of-band content aliases (callers oversample accordingly).  The
-    2*kmax+1 kept modes per axis are copied from FFT order (index k mod n,
-    `_box_blocks`) and only they are scaled by n^-d.  The first transform
-    writes one new buffer and the others run in it in place.
-
-    Complex samples are transformed by `np.fft.fft` on every axis, last axis
-    first, as `np.fft.fftn` does; contiguous complex128 samples enter without
-    a copy.  Real samples (float64, or promoted to it) are transformed as
-    `np.fft.rfftn` does, `np.fft.rfft` on the last axis, and only the modes
-    k_d >= 0 are copied, scaled as they are copied.  Those of the plane k_d = 0
-    whose last nonzero k_i is negative are then rewritten as the conjugates
-    of their mirrors (`_plane_mirror`, the rule `multiply_modes` applies), c_0
-    is made real, and the modes k_d < 0 are written as the conjugates of
-    theirs, so the box is Hermitian bit for bit.
-    """
+    """The centered coefficient box at kmax of grid samples value_shape +
+    (n^dim,), exact for series with no mode beyond |k_i| <= kmax (others
+    alias).  Complex samples give the modes of `np.fft.fftn`; real ones
+    those of `np.fft.rfftn`, completed to a box that is Hermitian bit for
+    bit.  ValueError when n < 2 kmax + 1."""
     chat, n, real = _spectrum(values, dim, kmax)
     coeffs = np.empty((2 * kmax + 1,) * dim + chat.shape[:-dim], dtype=chat.dtype)
     box_last = coeffs.transpose(_values_first(dim, coeffs.ndim))
@@ -485,9 +413,8 @@ def from_grid(values: np.ndarray, dim: int, kmax: int) -> FourierSeries:
 
 def _spectrum(values, dim: int, kmax: int) -> tuple:
     """(spectrum, n, real): the unscaled forward transform of samples
-    value_shape + (n^dim,), as `from_grid` states, in FFT order with shape
-    value_shape + (n,)*dim (the last axis n//2 + 1 bins for real samples).
-    Raises ValueError when n is below the Nyquist bound of kmax."""
+    value_shape + (n^dim,) in FFT order, value_shape + (n,)*dim (n//2 + 1
+    bins on the last axis for real samples).  ValueError when n < 2 kmax + 1."""
     values = np.asarray(values)
     real = values.dtype.kind != "c"
     values = values.astype(np.float64 if real else np.complex128, copy=False)
@@ -501,21 +428,10 @@ def _spectrum(values, dim: int, kmax: int) -> tuple:
 
 
 def multiply_modes(values: np.ndarray, dim: int, band: int, factors: np.ndarray) -> np.ndarray:
-    """Multiply the modes of grid samples by `factors`: the samples, on the
-    grid of `values` and with its dtype, of the box c = `from_grid(values,
-    dim, band)` with its mean set to 0 and each mode k times factors[k], an
-    array over the centred box of `band`.
-
-    Bit for bit `to_grid` of that series (real=True for real samples), by
-    the same operations in the same order on an FFT-order spectrum instead
-    of a coefficient box: one forward transform (`_spectrum`), the in-band
-    bins (`_box_blocks`) divided by n^dim into a zeroed spectrum, the mean
-    bin zeroed, each block multiplied by the same block of `factors`, and
-    the inverse transform of `to_grid` (`_sample`).  Of real samples the
-    spectrum holds the modes k_d >= 0, all that `to_grid(real=True)` reads,
-    and at dim > 1 those of the plane k_d = 0 are mirrored after the scaling
-    by the one rule `from_grid` applies to its box (`_plane_mirror`).
-    """
+    """The samples, on the grid of `values` and with its dtype, of the box
+    `from_grid(values, dim, band)` with its mean set to 0 and each mode k
+    times factors[k], `factors` an array over the centred box of `band`: bit
+    for bit `to_grid` of that series (real=True for real samples)."""
     chat, n, real = _spectrum(values, dim, band)
     spec = np.zeros_like(chat)
     blocks = _box_blocks(dim, band, n, real)
@@ -532,12 +448,10 @@ def multiply_modes(values: np.ndarray, dim: int, band: int, factors: np.ndarray)
 
 @lru_cache(maxsize=64)
 def _plane_mirror(dim: int, band: int, center: int) -> tuple:
-    """The Hermitian mirror of a real transform's plane k_d = 0: (target,
-    source) indices, one pair per axis i < dim - 1, of the modes k_i < 0 and
-    k_(i+1..d) = 0, over the band's modes on the axes before i, and of their
-    negations, whose conjugates the targets take.  Mode k sits at index
-    k + center on each axis: center 0 indexes an FFT-order spectrum (a mode
-    k < 0 from the end of its axis), center = band the centred box."""
+    """(target, source) index pairs of a real transform's plane k_d = 0: the
+    modes whose last nonzero k_i is negative, and their negations, whose
+    conjugates the targets take.  Mode k sits at index k + center on each
+    axis: center 0 for an FFT-order spectrum, center = band for a box."""
     ks = np.arange(-band, band + 1)
     pairs = []
     for axis in range(dim - 1):
@@ -582,8 +496,8 @@ def dump_series(series: FourierSeries, fp) -> None:
 
 
 def load_series(fp) -> FourierSeries:
-    """Read one series table.  Other header tokens, such as the
-    ``real=``/``zeroavg=`` flags older files carry, are ignored."""
+    """Read one series table; other header tokens, such as the
+    ``real=``/``zeroavg=`` flags of older files, are ignored."""
     header = fp.readline().split()
     if header[:2] != ["#", "fourier"]:
         raise ValueError("not a fourier series table")

@@ -1,17 +1,12 @@
-"""Truncated power-series (jet) kernels used by the map families and the
+"""Truncated power-series (jet) kernels for the map families and the
 Lindstedt engines.
 
 A jet is an ndarray whose leading axis indexes the power order; entries are
-grid samples or plain values of a common shape.  All operations are
-coefficient-exact truncated power-series algebra.
-
-Real jets stay real: a kernel's result is float64 when its operands are
-real, complex128 when one of them is complex.
-
-Matrix-valued jets and grid stacks are (..., p, q, points), the grid points
-on one trailing axis: `mm` multiplies them, for any inner dimension, and
-`inv_stack` inverts them, over the matrix axes (-3, -2).  The frames of the
-Newton method and the Lindstedt engines are 1 x 1 to 2 x 2 at d = 1.
+grid samples or plain values of a common shape, and every operation is
+coefficient-exact truncated power-series algebra.  A kernel's result is
+float64 when its operands are real, complex128 when one is complex.
+Matrix-valued jets and grid stacks are (..., p, q, points), the matrix axes
+(-3, -2) and the grid points on one trailing axis.
 """
 
 from __future__ import annotations
@@ -41,12 +36,9 @@ def pad(a, order):
 
 
 def _order_sum(terms):
-    """terms[0] + terms[1] + ..., added in that order as a running sum from
-    zero is.  np.add.reduce over the leading axis runs in that order whenever
-    a term holds more than one value (the leading 0 + keeps the running sum's
-    +0 where every term is -0, whatever value the reduction starts from); a
-    single value per term would be summed pairwise, so those few terms are
-    added one by one."""
+    """terms[0] + terms[1] + ..., bit for bit the running sum from zero, in
+    that order (np.add.reduce sums single values pairwise, so those are
+    added one by one)."""
     if terms[0].size == 1:
         acc = 0
         for t in terms:
@@ -58,12 +50,8 @@ def _order_sum(terms):
 def mm(a, b):
     """The matrix product of two stacks (..., p, m, points) and (..., m, q,
     points), broadcast as np.matmul is; a constant matrix has one point.
-
-    It is the broadcast sum of the m outer products a[..., :, j, :]
-    b[..., j, :, :], added in order of j: m passes along the contiguous point
-    axis, where np.matmul runs one BLAS call per matrix; each entry is rounded
-    the same wherever it lies in the stack.
-    """
+    Each entry is summed in order of the inner index, so it is rounded the
+    same wherever it lies in the stack."""
     a = np.asarray(a)
     b = np.asarray(b)
     out = a[..., :, :1, :] * b[..., :1, :, :]
@@ -74,11 +62,9 @@ def mm(a, b):
 
 def cauchy(a, b, order=None, prod=np.multiply, start=0):
     """Orders start..order of the truncated Cauchy product c_n = sum_m
-    prod(a_m, b_{n-m}); each order is one batched product over its terms.
-
-    Zero orders of a factor add only signed zeros, and `_order_sum` makes a
-    zero sum +0 either way, so a polynomial factor passed as its orders through
-    its degree gives the same bits for finite factors, from fewer terms."""
+    prod(a_m, b_{n-m}), each bit for bit the running sum over m.  A
+    polynomial factor passed through its degree gives the same bits as
+    zero-padded, for finite factors."""
     a = np.asarray(a)
     b = np.asarray(b)
     n = (min(a.shape[0], b.shape[0]) - 1) if order is None else order
@@ -96,16 +82,14 @@ def cauchy(a, b, order=None, prod=np.multiply, start=0):
 
 
 def matmul(a, b, order=None):
+    """The Cauchy product of two matrix-valued jets, with `mm`."""
     return cauchy(a, b, order=order, prod=mm)
 
 
 def sincos(x, sc=None):
-    """Jets of sin(2 pi x) and cos(2 pi x) along a jet x, via the standard
-    first-order recurrence (exact truncated coefficients).
-
-    `sc`, the (s, c) of an earlier call through order m, is continued: its
-    orders below m are kept, so x must not have changed there, and orders
-    m..n are computed (m again: x_m may have changed)."""
+    """Jets of sin(2 pi x) and cos(2 pi x) along a jet x.  `sc`, the (s, c)
+    of an earlier call through order m on the same x below order m, is
+    continued from order m, bit for bit the whole recurrence."""
     x = np.asarray(x)
     n = x.shape[0] - 1
     m = 0 if sc is None else sc[0].shape[0] - 1
@@ -121,15 +105,9 @@ def sincos(x, sc=None):
 
 
 def inv_stack(a):
-    """The inverse of every matrix of a stack (..., m, m, points).
-
-    A 1 x 1 matrix is inverted by its reciprocal and a 2 x 2 one by its
-    adjugate over its determinant, a few passes over the stack where
-    np.linalg.inv runs LAPACK once per matrix; where a determinant is zero or
-    not finite these inverses hold inf or nan.  Larger matrices keep
-    np.linalg.inv; when it finds one exactly singular, the stack is inverted
-    matrix by matrix and only the singular ones are nan.
-    """
+    """The inverse of every matrix of a stack (..., m, m, points); that of a
+    singular or non-finite matrix is not finite.  1 x 1 and 2 x 2 matrices
+    are inverted in closed form, larger ones by np.linalg.inv."""
     a = np.asarray(a)
     m = a.shape[-2]
     if m > 2:

@@ -1,52 +1,26 @@
-"""Power-series solutions of the invariance equation in the dissipation
-parameter, around any base point eps0 where an exact torus is known.
+"""Lindstedt series of the invariance equation in the dissipation
+parameter: power series (K(eps), mu(eps)) about a base point eps0 where an
+exact torus is known.
 
-Two engines are provided:
-
-* `lindstedt_expand` builds the coefficients order by order: at order j a
-  lam(eps0)-twisted and an untwisted difference equation are solved in the
-  frame of the base torus, with the averaged 2d x 2d system fixing the drift
-  coefficient (the (lam-1) entry is kept symbolic, so eps0 = 0, where the
-  block is triangular, and eps0 != 0 share one code path).  The map's jet is
-  carried from order to order (`jet_apply`'s `work`): order j costs a fixed
-  number of kernel calls of O(j) terms each, O(N^2) work through order N.
-
-* `lindstedt_double` performs one Newton step on the whole jet: frames,
-  torsion and conformal factor are themselves jets, and a single step takes a
-  jet whose residual vanishes through order N to one vanishing through
-  2N + 1.  It solves only the new orders N+1..2N+1, each on its band; they
-  read the frame jets through order N only, so those are all it builds.
-  Orders <= N are returned as given, and an input not exact there (residual
-  above BASE_TOL) is refused with InexactJet naming the order.
-
-Both engines use the reduced-system core of `newton`: the frame built from
-jets (the pointwise Newton frame for `lindstedt_expand`, the frame jets for
-`lindstedt_double`), the checked averaged block of the base torus, and
-`solve_reduced` once per order on the right-hand side of that order.  Jets
-are sampled by `embedding.sample_jet`, all orders in one transform;
-`lindstedt_double` and `residual_jet` take their grid jets back to series with
-`_project`, one packed transform with each order cut to its band.
-
-Coefficients are normalized so that in the base frame the angle component of
-every order has zero average; normalized jets are unique, which is what makes
-the two engines agree coefficientwise.
+`lindstedt_expand` solves order by order.  `lindstedt_double` takes a jet
+whose residual vanishes through order N to one vanishing through 2N + 1, by
+one Newton step on the whole jet, and returns orders <= N as given.  Both
+solve each order with `newton`'s reduced system on the base torus's frame.
+The series is normalized: in the base frame the angle component of every
+order has zero average.  Normalized jets are unique, so the two engines
+agree coefficientwise.
 
 Band rule.  From the flat torus (order 0 constant in the angles) order j of
 the series is a trigonometric polynomial of degree j * deg, deg being the
-family's `degree`: each order adds at most one kick's worth of modes.  A jet
-is *band-limited* when its order 0 is constant and no order j >= 1 has a
-nonzero coefficient beyond |k|_inf <= j * deg; this is read from the
-coefficients, never assumed.  For a band-limited input, `lindstedt_expand`,
-`lindstedt_double` and `residual_jet` run at the cutoff B = min(kmax, M * deg),
-M the highest order the call produces, on the one grid `_grid_size(B)`, and
-project each output order j onto min(kmax, j * deg) before padding it back to
-kmax.  The modes beyond the band then are exactly 0 instead of roundoff
-amplified by the small divisors, and the result does not depend on kmax.
-Bands are finite only from a flat base: for a base with u0 != 0,
-sin 2 pi (theta + u0) and (DK^T DK)^-1 carry every mode, so a base of band
-b0 > 0 saturates at kmax at once, not at b0 + j * deg.  Any input that is not
-band-limited (every eps0 != 0 expansion, every Newton base, any jet with
-out-of-band content) runs at B = kmax with no projection.
+family's `degree`.  A jet is band-limited when its order 0 is constant and
+no order j >= 1 has a nonzero coefficient beyond |k|_inf <= j * deg; this
+is read from the coefficients, never assumed.  For a band-limited input,
+`lindstedt_expand`, `lindstedt_double` and `residual_jet` compute at the
+cutoff B = min(kmax, M * deg), M the highest order the call produces, on
+the grid `_grid_size(B)`, and output order j is exactly 0 beyond
+min(kmax, j * deg), so the result does not depend on kmax.  Any other input
+(every eps0 != 0 expansion, every Newton base) runs at B = kmax with no
+projection.
 """
 
 from __future__ import annotations
@@ -72,12 +46,8 @@ BASE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class EpsilonJet:
-    """Truncated power series (K(eps), mu(eps)) around eps0.
-
-    K_coeffs[0] is the periodic part of the base embedding; higher orders are
-    periodic correction series.  The actual embedding at eps is
-    (theta + ..., ...) via `embedding_at`.
-    """
+    """Truncated power series (K(eps), mu(eps)) about eps0: K_coeffs[j] is the
+    periodic part of order j, and `embedding_at` gives the torus at eps."""
 
     eps0: complex
     K_coeffs: tuple            # of (2d,)-valued FourierSeries
@@ -119,9 +89,8 @@ def _within(series: FourierSeries, band: int) -> bool:
 
 
 def _bands(fam, K_coeffs, order: int) -> list:
-    """The mode band of each output order 0..order of a call on K_coeffs; the
-    last one is the cutoff B the call computes at (the band rule of the
-    module docstring)."""
+    """The band of each output order 0..order of a call on K_coeffs by the
+    band rule; the last one is the cutoff B the call computes at."""
     kmax = K_coeffs[0].kmax
     bands = [min(kmax, j * fam.degree) for j in range(order + 1)]
     if all(_within(K, b) for K, b in zip(K_coeffs, bands)):
@@ -130,11 +99,10 @@ def _bands(fam, K_coeffs, order: int) -> list:
 
 
 def _evaluate_jet(fam, jet: EpsilonJet, omega, order: int, dk: bool = True):
-    """The jet on the grid of a call producing orders 0..order: the bands of
-    its output (the last is its cutoff B) and, on `_grid_size(B)`, the grid
-    jets x = K, mu and E = f_{mu,eps} o K - K o T_omega, zero beyond the
-    jet's own order, and with `dk` the pair (DK, DK o T_omega) through the
-    jet's order (else an empty tuple)."""
+    """(bands, x, mu, E, dks) for a call producing orders 0..order: `_bands`,
+    and on `_grid_size(B)` the grid jets x = K, mu and E = f_{mu,eps} o K -
+    K o T_omega through `order`, and with `dk` (DK, DK o T_omega) through
+    the jet's order (else ())."""
     bands = _bands(fam, jet.K_coeffs, order)
     B = bands[-1]
     coeffs = np.stack([K.truncate(B).coeffs for K in jet.K_coeffs])
@@ -163,9 +131,8 @@ def _check_order(j: int, what: str, *arrays) -> None:
 
 
 def _project(grids: np.ndarray, d: int, B: int, bands, kmax: int) -> list:
-    """The series of a grid jet (order on the leading axis, sampled at
-    cutoff B): one from_grid over all orders, then order j cut to
-    bands[j] and padded to kmax."""
+    """The series of a grid jet sampled at cutoff B, order j cut to bands[j]
+    and padded to kmax."""
     coeffs = np.moveaxis(from_grid(grids, d, B).coeffs, d, 0)
     out = np.zeros((len(bands),) + (2 * kmax + 1,) * d + coeffs.shape[d + 1:],
                    dtype=complex)
@@ -179,12 +146,12 @@ def _project(grids: np.ndarray, d: int, B: int, bands, kmax: int) -> list:
 
 def lindstedt_expand(fam, K_base: TorusEmbedding, mu_base, omega, eps0, N: int,
                      divisor_floor=DEFAULT_DIVISOR_FLOOR) -> EpsilonJet:
-    """Coefficients (K_j, mu_j), j <= N, of the normalized series at eps0.
+    """The normalized series through order N at eps0, from an exact base.
 
-    Requires an exact base solution (residual below BASE_TOL) and the
-    invertibility of the averaged block; for eps0 != 0 the twisted solves use
-    the lam(eps0) divisors and may raise DivisorTooSmall.  JetOverflow names
-    the first order whose right-hand side or solution is not finite.
+    ValueError when N exceeds MAX_ORDER_DOUBLE or the base residual exceeds
+    BASE_TOL; NonDegeneracyFailure and DivisorTooSmall as in a Newton step.
+    JetOverflow names the first order whose right-hand side or solution is
+    not finite.
     """
     if N > MAX_ORDER_DOUBLE:
         raise ValueError(
@@ -232,30 +199,23 @@ def lindstedt_expand(fam, K_base: TorusEmbedding, mu_base, omega, eps0, N: int,
 # -- residual jet -------------------------------------------------------------
 
 def residual_jet(fam, jet: EpsilonJet, omega, through: int | None = None):
-    """Taylor coefficients of f_{mu(eps),eps} o K(eps) - K(eps) o T_omega
-    around eps0, through order 2N+2 by default.
-
-    Orders <= N must be at roundoff level for a valid jet; the leading tail
-    order carries the asymptotic constant of the truncation error.
-    """
+    """Taylor coefficients, as series, of f_{mu(eps),eps} o K(eps) -
+    K(eps) o T_omega about eps0, through order `through` (default 2N+2)."""
     M = 2 * jet.order + 2 if through is None else through
     bands, _, _, E, _ = _evaluate_jet(fam, jet.truncated(M), omega, M, dk=False)
     return _project(E, jet.dim, bands[-1], bands, jet.kmax)
 
 
 def residual_jet_norms(fam, jet: EpsilonJet, omega, through: int | None = None):
+    """The l1 norm at rho = 0 of each order of `residual_jet`."""
     return np.array([r.analytic_norm(0.0)
                      for r in residual_jet(fam, jet, omega, through)])
 
 
 def residual_tail_norm(fam, jet: EpsilonJet, omega, eps_values,
                        through: int | None = None):
-    """Norm of the truncation defect sum_{j>N} r_j (eps-eps0)^j at each eps.
-
-    Evaluating the Taylor tail instead of subtracting two O(1) lifts avoids
-    the double-precision cancellation floor, so the scaling law stays visible
-    down to defects of 1e-30 and below.
-    """
+    """Norm of the truncation defect sum_{j>N} r_j (eps-eps0)^j at each eps,
+    summed from the Taylor tail, so it has no cancellation floor."""
     rs = residual_jet(fam, jet, omega, through)
     tail = np.stack([r.coeffs for r in rs[jet.order + 1:]])
     out = []
@@ -271,17 +231,13 @@ def residual_tail_norm(fam, jet: EpsilonJet, omega, eps_values,
 
 def lindstedt_double(fam, jet: EpsilonJet, omega,
                      divisor_floor=DEFAULT_DIVISOR_FLOOR) -> EpsilonJet:
-    """One Newton step on the jet: order N in, order 2N+1 out.
+    """One Newton step on the jet: order N in, order 2N+1 out, orders <= N
+    returned as given.
 
-    All frame objects (DK, the normalization and torsion, the inverse frame
-    and the conformal factor) are computed as jets through order N, all that
-    the new orders read; each new order N+1..2N+1 solves a twisted and an
-    untwisted difference equation on its own band, with the same averaged
-    block as the base torus, and is normalized in the base frame.  Orders
-    <= N are returned as given, so the input must be exact there: InexactJet
-    names the first order whose residual exceeds BASE_TOL on the grid.
-    JetOverflow names the first order whose residual, right-hand side or
-    solution is not finite.
+    ValueError when 2N+1 exceeds MAX_ORDER_DOUBLE.  InexactJet names the
+    first input order whose residual on the grid exceeds BASE_TOL, and
+    JetOverflow the first order whose residual, right-hand side or solution
+    is not finite.
     """
     N, M_ord = jet.order, 2 * jet.order + 1
     if M_ord > MAX_ORDER_DOUBLE:
@@ -353,6 +309,7 @@ def dump_jet(jet: EpsilonJet, fp) -> None:
 
 
 def load_jet(fp) -> EpsilonJet:
+    """Read a jet written by `dump_jet`."""
     head = _read_header(fp)
     order = int(dict(tok.split("=") for tok in head["kamtori-jet"])["order"])
     orders = range(order + 1)

@@ -4,39 +4,31 @@ A family transports the symplectic form to lam(eps) times itself,
 Df^T J Df = lam(eps) J pointwise, with lam(eps) = 1 + alpha*eps^a + ...
 and lam(0) = 1.  The dissipative standard map is the one family built in.
 
-A family is duck-typed: the solver layers read only these names.  Every
-method takes phase points with their 2d components on the leading axis (after
-a jet's order axis), vectorized over the trailing axes, with lift semantics
-for the angle part: a point is (2d,), a grid stack (2d, points), a grid jet
-(orders, 2d, points); Df is (2d, 2d, ...) and df/dmu (2d, d, ...).
+A family is duck-typed: the solver reads only the names below.  Phase
+points have their 2d components on the leading axis (after a jet's order
+axis) and are vectorized over the trailing axes, with lift semantics for
+the angles: a point is (2d,), a grid stack (2d, points), a grid jet
+(orders, 2d, points); Df is (2d, 2d, ...) and df/dmu (2d, d, ...).  Values
+may be complex128, or float64 at real points.  For a real problem the
+Newton solver passes real points, mu and eps and takes the real part of f,
+Df and df/dmu.  `lambda_eps` and `lambda_jet` return complex values.
 
-Values may be complex128 or, for a real problem, float64.  The Newton
-solver passes real points, mu and eps when the problem is real (see
-`newton`) and takes the real part of f, Df and df/dmu then, so a family may
-return complex values with zero imaginary parts at real points.  The built-in
-family returns float64 at real points when eps, mu and lam(eps) are real,
-which spares the complex arithmetic; `lambda_eps` and `lambda_jet` are
-always complex.
-
-    dim, J            d and the 2d x 2d structure matrix (`verify_conformal`;
-                      callers of `newton.lagrangian_defect` pass J)
-    alpha, a          lam(eps) = 1 + alpha eps^a + ... (`atlas`'s epsilon-plane balls)
+    dim, J            d and the 2d x 2d structure matrix
+    alpha, a          lam(eps) = 1 + alpha eps^a + ...
     degree            trigonometric degree in the angles: from the flat torus,
                       order j of a Lindstedt series has no mode beyond
-                      |k|_inf <= j * degree (`lindstedt`)
-    lambda_eps(eps)   lam (`newton`, `atlas`, `verify_conformal`)
+                      |k|_inf <= j * degree
+    lambda_eps(eps)   lam
     apply, jacobian, d_mu (x, mu, eps)
-                      f, Df and df/dmu at phase points (`newton`;
-                      `verify_conformal` reads jacobian)
+                      f, Df and df/dmu at phase points
     lambda_jet(eps0, order)
-                      the jet of lam in eps about eps0, whose order-1
-                      coefficient is lam' (`lindstedt`, `atlas`)
+                      the jet of lam in eps about eps0
     jet_apply, jet_jacobian, jet_d_mu (x_jet, mu_jet, eps0)
-                      f, Df and df/dmu as jets in eps about eps0 (`lindstedt`);
-                      jet_apply(..., work=w) evaluates incrementally: called with
-                      one dict w on jets that grow by one order per call and
-                      change between calls only at the last call's last order,
-                      it computes and returns its last order alone (a one-order jet)
+                      f, Df and df/dmu as jets in eps about eps0;
+                      jet_apply(..., work=w), called with one dict w on jets
+                      that grow by one order per call and change between
+                      calls only at the last call's last order, returns its
+                      last order alone (a one-order jet)
 """
 
 from __future__ import annotations
@@ -52,11 +44,8 @@ from .embedding import TorusEmbedding
 
 
 def symplectic_matrix(d: int) -> np.ndarray:
-    """Constant structure matrix with blocks [[0, I], [-I, 0]].
-
-    With phase points ordered (angles, actions) this sign choice makes the
-    torsion of the unperturbed twist family equal +1.
-    """
+    """Constant structure matrix [[0, I], [-I, 0]]; with phase points ordered
+    (angles, actions) the unperturbed twist family has torsion +1."""
     J = np.zeros((2 * d, 2 * d))
     J[:d, d:] = np.eye(d)
     J[d:, :d] = -np.eye(d)
@@ -96,10 +85,9 @@ class DissipativeStandardMap:
         y' = lam(eps) * y + mu + eps * kappa * sin(2 pi x) / (2 pi)
         x' = x + y'
 
-    with lam(eps) = 1 + alpha * eps^a.  The action Jacobian carries the
-    factor lam, so Df^T J Df = lam J holds exactly in exact arithmetic.
-    At eps = 0 the family is the integrable symplectic twist map and
-    K(theta) = (theta, omega), mu = 0 solves the invariance equation.
+    with lam(eps) = 1 + alpha * eps^a, so Df^T J Df = lam J.  At eps = 0,
+    K(theta) = (theta, omega) and mu = 0 solve the invariance equation.  At
+    real points it returns float64 when eps, mu and lam(eps) are real.
     """
 
     kappa: float = 0.5

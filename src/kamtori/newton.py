@@ -2,72 +2,26 @@
 
     f_{mu,eps} o K = K o T_omega
 
-on an adapted frame in which the linearized map is block triangular
-[[I, S], [0, lam*I]] up to an error controlled by the invariance defect
-(automatic reducibility).  One step solves a lam-twisted and an untwisted
-difference equation plus a 2d x 2d averaged system for the drift correction,
-and converges quadratically from any sufficiently accurate initial pair.
+of a conformally symplectic map, with automatic reducibility: in the
+adapted frame M = [DK, J^-1 DK N], N = (DK^T DK)^-1, the linearized map is
+[[I, S], [0, lam I]] up to an error bounded by the invariance defect.  A
+step solves a lam-twisted and an untwisted difference equation and a
+2d x 2d averaged system for the drift correction sigma, and converges
+quadratically from any sufficiently accurate initial pair.
 
-The reduced system is written once, over jets in eps whose order 0 is the
-Newton frame, and both Lindstedt engines use it: `build_frame` turns the jets
-of DK, DK o T_omega, Df and D_mu f (evaluated by the caller) into the frame, a
-function of the torus alone (each solver forms its right-hand side beta E),
-`checked_block` gates the averaged 2d x 2d block of the order-0 torus, and
-`solve_reduced` solves one triangular system for (W1, W2, sigma); each
-caller makes their lam-twisted solves Bb and Ba (`Frame.solve_twisted`), the
-Newton step as one stack of rows.  N, M and gamma = DK^T J^-1 DK are
-pointwise functions of DK, so the frame builds N o T_omega, M o T_omega and
-gamma o T_omega by the same formulas on the sample of DK o T_omega, with no
-grid transform.  N and M of DK and of
-DK o T_omega are one stack (order axis first, then the two copies): one Gram
-product, one `jets.inv_matrix` and one product for M (`_frame_matrix`, which
-`normalize_embedding` calls on its one DK); P = DK N and P o T_omega are read
-off M's second block column by the signed block swap J = -J^-1.
+The reduced (triangular) system is written once, over jets in eps whose
+order 0 is the Newton frame, and serves the Newton step and both Lindstedt
+engines: `build_frame` makes the frame, `checked_block` the averaged block
+of the order-0 torus, and `solve_reduced` solves one right-hand side.
 
-Real problems run on real grids.  `_real_problem` reads off the inputs of a
-solve, once, with no option, whether (K, mu) at eps is real: K's
-coefficients Hermitian bit for bit, eps, mu and lam(eps) with zero imaginary
-parts and omega not complex.  Then the samples, the family's values (their
-real parts), the frame, the averaged block, the cohomology solves and the
-correction M W are float64 grids; `from_grid` of the real correction is
-Hermitian bit for bit and sigma float64, so every iterate stays real and
-each evaluation of the solve reuses the decision.  Coefficients and mu stay
-complex128.  Any other problem keeps the complex grids and their bytes.
+Real problems stay real.  A solve is real when K's coefficients are
+Hermitian bit for bit, eps, mu and lam(eps) have zero imaginary parts and
+omega is not complex (`_real_problem`, decided once per solve).  Its grids
+are then float64, and every iterate is Hermitian bit for bit with a float64
+sigma; coefficients and mu stay complex128.  Any other problem runs on
+complex128 grids.
 
-Each Newton iteration evaluates the map once: `run_newton` samples K as the
-order-0 jet of `embedding.sample_jet` (X = K(theta), K o T_omega, DK and
-DK o T_omega from one spectrum), forms E = f o K - K o T_omega, and reads the
-residual of that evaluation (`_Defect.residual`, the l1 norm at rho = 0 of
-E's series, computed once) into the trace; it hands the same evaluation to
-`newton_step`, whose frame and step report reuse it.  So an iteration that
-steps makes 7 transforms: the one inverse transform of `sample_jet` (its
-shifted and differentiated blocks are products on the spectrum; skipped at a
-continuation point's first evaluation when it starts from the last accepted
-torus, whose sample `_torus_sample` keeps), the forward one of E for the
-residual, one forward and one inverse transform for the lam-twisted solve of
-Bb's and Ba's stacked rows, one pair for the untwisted solve of W1 (each
-`cohomology.solve_twisted_grid` from grid to grid), and the forward one of
-the correction M W; the frame builds its shifts from DK o T_omega with none.
-The Lagrangian defect of a solution is computed from its torus when first
-read.  A `StepReport` keeps the step's W on the
-grid and its averaged block; their norm and the twist are computed when
-first read, and `run_newton` inverts a block only for the twist of its last
-step (or of the converged frame when there was no step or that twist is not
-finite).
-The frame conditioning gate on DK^T DK uses the closed form |g|/|g| for the
-1 x 1 Gram of d = 1 and `np.linalg.cond` for d > 1; both follow
-`np.linalg.cond`'s rules (0 and inf give inf, nan stays nan), and every
-non-finite or too large value raises FrameSingular.
-The pointwise inverses N = (DK^T DK)^-1 and beta = (M o T_omega)^-1 come from
-`jets.inv_stack`, in closed form for 1 x 1 and 2 x 2 matrices (the reciprocal,
-the adjugate over the determinant: the Gram for d <= 2 and the frame for
-d = 1) and from `np.linalg.inv` for larger ones.  A non-finite N, N o T_omega,
-gamma o T_omega or beta at a grid point raises FrameSingular.
-J^-1 = [[0, -I], [I, 0]] enters only as a signed block swap of rows
-(`maps.jinv_mul`) or columns (`maps.mul_jinv`), never as a matrix product.
-Grid stacks are (values.., points): every other product is a `jets.mm`
-multiply-add along the contiguous point axis, and the d > 1 branches of
-`_gram_cond` and `inv_stack` move that axis for `np.linalg`.
+Grid stacks are (values.., points), the points on one trailing axis.
 """
 
 from __future__ import annotations
@@ -106,10 +60,9 @@ def _mean(grid: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Defect:
-    """One evaluation of (K, mu) on the grid: the lift X = K(theta), DK,
-    DK o T_omega and E = f_{mu,eps} o K - K o T_omega, with its residual:
-    the l1 norm at rho = 0 of E's series at K's cutoff, computed on first
-    read, so the trace and the step report share one transform and norm."""
+    """One evaluation of (K, mu) on the grid: X = K(theta), DK, DK o T_omega
+    and E = f_{mu,eps} o K - K o T_omega; `residual` is the l1 norm at
+    rho = 0 of E's series at K's cutoff."""
 
     X: np.ndarray
     DK: np.ndarray
@@ -124,9 +77,7 @@ class _Defect:
 
 
 def _real_problem(fam, K: TorusEmbedding, mu, omega, eps) -> bool:
-    """Whether (K, mu) at eps is a real problem: K's coefficients are
-    Hermitian bit for bit, c_-k == conj(c_k), eps, mu and lam(eps) have zero
-    imaginary parts and omega is not complex."""
+    """Whether (K, mu) at eps is a real problem, as the module states."""
     c = K.periodic.coeffs
     return bool((c[(slice(None, None, -1),) * K.dim] == c.conj()).all()
                 and np.imag(eps) == 0 and not np.imag(mu).any()
@@ -140,9 +91,9 @@ _last_sample: dict = {}
 
 
 def _torus_sample(K: TorusEmbedding, omega, real: bool) -> tuple:
-    """X, X o T_omega, DK and DK o T_omega of K on its grid, read-only: the
-    order-0 jet of `sample_jet`, or the last sample when it was of the same
-    K, omega and flag, as at a continuation point's first evaluation."""
+    """X, X o T_omega, DK and DK o T_omega of K on its grid, read-only; the
+    last sample, with no transform, when it was of the same coefficient
+    array, omega and flag."""
     coeffs, omega_arr = K.periodic.coeffs, np.asarray(omega)
     key = (id(coeffs), omega_arr.dtype.str, omega_arr.tobytes(), real)
     if key not in _last_sample:
@@ -156,12 +107,10 @@ def _torus_sample(K: TorusEmbedding, omega, real: bool) -> tuple:
 
 
 def _evaluate(fam, K: TorusEmbedding, mu, omega, eps, *, real=None) -> _Defect:
-    """(K, mu) on the grid: K sampled by `_torus_sample`, and E =
-    f_{mu,eps}(X) - X o T_omega in an array of its own.  The samples are
-    float64, of the real parts of mu, omega and eps, when `real` (the
-    `_real_problem` decision of a solve, made here for (K, mu) when None),
-    and f's real part is taken, so a family may return complex values with
-    zero imaginary parts there; else they are complex128."""
+    """(K, mu) on the grid, sampled by `_torus_sample`, with E in an array of
+    its own.  With `real` (the solve's `_real_problem`, decided here when
+    None) the samples are float64 and f's real part is taken; else they are
+    complex128."""
     if real is None:
         real = _real_problem(fam, K, mu, omega, eps)
     if real:
@@ -173,9 +122,7 @@ def _evaluate(fam, K: TorusEmbedding, mu, omega, eps, *, real=None) -> _Defect:
 
 
 def invariance_residual(fam, K: TorusEmbedding, mu, omega, eps) -> FourierSeries:
-    """E = f_{mu,eps} o K - K o T_omega as a (2d,)-valued series: the E of
-    `_evaluate` (real samples for a real problem), truncated to the
-    embedding's cutoff."""
+    """E = f_{mu,eps} o K - K o T_omega as a (2d,)-valued series at K's cutoff."""
     return from_grid(_evaluate(fam, K, mu, omega, eps).E, K.dim, K.kmax)
 
 
@@ -183,12 +130,7 @@ def invariance_residual(fam, K: TorusEmbedding, mu, omega, eps) -> FourierSeries
 
 def _gram_cond(gram: np.ndarray) -> np.ndarray:
     """2-norm condition numbers of a stack of Gram matrices, by the rules of
-    np.linalg.cond (0 and inf give inf, nan stays nan).
-
-    A 1 x 1 Gram g has the closed form |g|/|g| (exactly 1.0 when g is finite
-    and nonzero), which spares the batched SVD for d = 1; a nan entry gives
-    nan there, where the SVD of np.linalg.cond may fail to converge instead.
-    """
+    np.linalg.cond (0 and inf give inf, nan stays nan)."""
     if gram.shape[-2] > 1:
         return np.linalg.cond(np.moveaxis(gram, -1, -3))
     g = gram[..., 0, 0, :]
@@ -200,12 +142,7 @@ def _gram_cond(gram: np.ndarray) -> np.ndarray:
 
 
 def _not_finite_points(stack: np.ndarray) -> int:
-    """The number of matrices of a stack (..., m, m, points) with a non-finite entry.
-
-    A finite sum of the stack proves there is none at the cost of one pass;
-    only a sum that is not finite (a non-finite entry, or finite entries whose
-    sum overflows) pays for the exact count.
-    """
+    """The number of matrices of a stack (..., m, m, points) with a non-finite entry."""
     with np.errstate(over="ignore", invalid="ignore"):
         if np.isfinite(np.add.reduce(stack, axis=None)):
             return 0
@@ -220,14 +157,10 @@ def _gate(stack: np.ndarray, what: str) -> None:
 
 
 def _frame_matrix(dks: np.ndarray):
-    """Jets of N = (DK^T DK)^-1 and of the frame M = [DK, J^-1 DK N] for a
-    stack (order+1, copies, 2d, d, points) of DK jets, every copy in one pass:
-    DK, and DK o T_omega when there are two.
-
-    Raises FrameSingular when DK's order-0 Gram matrix is ill-conditioned, or
-    where order 0 of N is not finite at a grid point, naming DK^T DK before
-    N o T_omega (the higher orders are solved with that inverse).
-    """
+    """Jets of N = (DK^T DK)^-1 and of M = [DK, J^-1 DK N] for a stack
+    (order+1, copies, 2d, d, points) of DK jets.  Raises FrameSingular when
+    an order-0 Gram has condition number above 1e12 or is not finite, or
+    where order 0 of N is not finite, naming DK^T DK before N o T_omega."""
     gram = jets.matmul(np.swapaxes(dks, -3, -2), dks)
     cond = float(np.max(_gram_cond(gram[0, 0])))
     if not np.isfinite(cond) or cond > _FRAME_COND_LIMIT:
@@ -263,17 +196,10 @@ class Frame:
 
 
 def build_frame(lam, dk, dkshift, Df, Dmu, omega, kmax: int) -> Frame:
-    """The adapted frame from the jets of the conformal factor lam, DK,
-    DK o T_omega and the map derivatives Df, D_mu f, all sampled on one grid.
-
-    N, M and gamma = DK^T J^-1 DK are pointwise functions of DK, so their
-    compositions with T_omega are the same formulas on DK o T_omega.  Raises
-    FrameSingular when DK^T DK is ill-conditioned (see _frame_matrix), when
-    N o T_omega or gamma o T_omega is not finite at a grid point (the Gram of
-    DK o T_omega is singular or overflows there), or when (M o T_omega)^-1 is
-    not finite at a grid point: a determinant of M o T_omega there is zero or
-    not finite.
-    """
+    """The adapted frame from the jets of lam, DK, DK o T_omega, Df and
+    D_mu f, all sampled on one grid.  Raises FrameSingular as `_frame_matrix`
+    does, and where gamma o T_omega = (DK^T J^-1 DK) o T_omega or
+    (M o T_omega)^-1 is not finite at a grid point."""
     d, points = dk.shape[-2:]
     N, M = _frame_matrix(np.stack([dk, dkshift], axis=1))
     Nshift, Mshift = N[:, 1], M[:, 1]
@@ -295,10 +221,8 @@ def build_frame(lam, dk, dkshift, Df, Dmu, omega, kmax: int) -> Frame:
 
 
 def newton_frame(fam, ev: _Defect, mu, omega, eps) -> Frame:
-    """The frame of the torus of `ev`, an evaluation of (K, mu) at eps on the
-    grid: the pointwise map derivatives at its lift enter as order-0 jets.
-    Of a real evaluation (float64 samples) the frame is real: the family gets
-    the real parts of mu and eps, and lam, Df and D_mu f are taken real."""
+    """The order-0 frame of `ev`, an evaluation of (K, mu) at eps; real when
+    `ev`'s samples are float64."""
     real = not np.iscomplexobj(ev.X)
     if real:
         mu, eps = np.real(mu), np.real(eps)
@@ -328,14 +252,11 @@ def _twist(block: np.ndarray) -> float:
 
 def checked_block(frame: Frame, Bb_grid: np.ndarray,
                   divisor_floor=DEFAULT_DIVISOR_FLOOR) -> ReducedCore:
-    """Assemble the 2d x 2d averaged block of the order-0 torus.
-
-    `Bb_grid` is the twisted drift response, (d, d, points): the caller's
-    `frame.solve_twisted` of -A2 (order 0 of A's last d rows) at the frame's
-    kmax with `divisor_floor`, which the core keeps.  Raises
-    NonDegeneracyFailure when |det| <= DET_RTOL * scale^(2d), scale being
-    the largest absolute row sum.  A real frame and Bb give a real block.
-    """
+    """The 2d x 2d averaged block of the order-0 torus, checked.  `Bb_grid`,
+    (d, d, points), is `frame.solve_twisted` of -A2 (order 0 of A's last d
+    rows) at the frame's kmax with `divisor_floor`.  Raises
+    NonDegeneracyFailure when |det| <= DET_RTOL * scale^(2d), scale the
+    largest absolute row sum.  A real frame and Bb give a real block."""
     d, lam = frame.d, frame.lam[0]
     S, A1, A2 = frame.S[0], frame.A[0, :d], frame.A[0, d:]
     block = np.zeros((2 * d, 2 * d), dtype=S.dtype)
@@ -357,15 +278,10 @@ def solve_reduced(core: ReducedCore, rhs1: np.ndarray, rhs2: np.ndarray,
         (W1 - W1 o T) + S W2 + A1 sigma = rhs1,
         (lam W2 - W2 o T) + A2 sigma = rhs2,
 
-    for grid corrections W1 (zero average) and W2, (d, points) like rhs1 and
-    rhs2, and the drift sigma, at the cutoff `band` <= the frame's kmax:
-    `Ba_grid`, the caller's lam-twisted solve of rhs2 at `band` with the
-    core's floor, the averaged block for (avg W2, sigma), then an untwisted
-    solve at `band` (each right-hand side is read from the grid at the band,
-    so the cut costs no transform).  Each solve returns the dtype of its
-    right-hand side, whatever the frame: float64 ones are solved on real
-    grids, complex ones on complex grids.  Returns (W1, W2, sigma, the
-    largest divisor gain of the untwisted solve).
+    for W1 (zero average) and W2, (d, points) and of the dtype of rhs1 and
+    rhs2, and sigma, at the cutoff `band` <= the frame's kmax.  `Ba_grid` is
+    `frame.solve_twisted` of rhs2 at `band` with the core's floor.  Returns
+    (W1, W2, sigma, the largest divisor gain of the untwisted solve).
     """
     fr = core.frame
     d, lam = fr.d, fr.lam[0]
@@ -410,10 +326,9 @@ def reducibility_frame(fam, K, mu, omega, eps) -> ReducibilityFrame:
 
 @dataclass(frozen=True)
 class StepReport:
-    """One Newton step.  The report keeps the correction W of the frame
-    coordinates on the grid and the averaged block, not the frame; its norm
-    w_norm and the twist (inverse and SVD of the block) are computed when
-    first read, which run_newton does only for the twist at convergence."""
+    """One Newton step, with the correction W in frame coordinates on the
+    grid and the averaged block; `w_norm` and `twist` are computed when
+    first read."""
 
     sigma: np.ndarray
     residual_before: float
@@ -435,12 +350,8 @@ class StepReport:
 
 def newton_step(fam, K, mu, omega, eps, divisor_floor=DEFAULT_DIVISOR_FLOOR,
                 *, _defect: _Defect | None = None):
-    """One quadratic correction (K, mu) -> (K + M W, mu + sigma).
-
-    `_defect` is run_newton's evaluation of (K, mu), reused for the frame and
-    the report's residual instead of evaluating the map again; without it the
-    step evaluates (K, mu) itself.
-    """
+    """One quadratic correction (K, mu) -> (K + M W, mu + sigma), returned with
+    its StepReport.  `_defect` is an evaluation of (K, mu) to reuse."""
     ev = _evaluate(fam, K, mu, omega, eps) if _defect is None else _defect
     fr = newton_frame(fam, ev, mu, omega, eps)
     d, kmax = fr.d, fr.kmax
@@ -472,6 +383,8 @@ def newton_step(fam, K, mu, omega, eps, divisor_floor=DEFAULT_DIVISOR_FLOOR,
 
 @dataclass(frozen=True)
 class KamSolution:
+    """An invariant torus K with its drift mu at eps."""
+
     K: TorusEmbedding
     mu: np.ndarray
     residual_norm: float
@@ -491,17 +404,17 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20,
                divisor_floor=DEFAULT_DIVISOR_FLOOR,
                good_set: GoodSetParams | None = None,
                good_set_scan: int = 4096) -> KamSolution:
-    """Iterate newton_step until the l1 residual majorant at rho = 0 is below
-    tol; `trace` holds that residual at every evaluation.
+    """Iterate `newton_step` from (K0, mu0) until the l1 residual at rho = 0
+    is at most tol; `trace` holds the residual of each evaluation.  While K's
+    tail band carries relative mass above DEFAULT_TAIL_THRESHOLD its cutoff
+    is doubled, up to KMAX_CAP.
 
-    Raises Diverged with the trace when a residual is not finite or two
-    consecutive residuals exceed the first one, and NoConvergence when
-    max_iter steps end above tol.  When the tail band of K carries relative
-    mass above DEFAULT_TAIL_THRESHOLD the cutoff is doubled (up to KMAX_CAP).
-    A non-finite eps, mu0, omega or K0 coefficient, a tol outside [0, inf) or
-    a max_iter that is not an integer >= 0 raises ValueError.  With `good_set`
-    lam(eps) must pass `lambda_in_good_set` over `good_set_scan` modes, or
-    DivisorTooSmall carries its witness.
+    Raises Diverged when a residual is not finite or two consecutive
+    residuals exceed the first, and NoConvergence after max_iter steps.  A
+    non-finite eps, mu0, omega or K0 coefficient, a tol outside [0, inf) or
+    a max_iter that is not an integer >= 0 raises ValueError.  With
+    `good_set`, lam(eps) must pass `lambda_in_good_set` over `good_set_scan`
+    modes, else DivisorTooSmall carries its witness.
     """
     if not np.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps}")
@@ -558,16 +471,11 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20,
 
 def normalize_embedding(K: TorusEmbedding, K_ref: TorusEmbedding,
                         max_shift: float = 0.25):
-    """Find sigma so that, in the frame of K_ref, the angle component of the
-    mean displacement of K o T_sigma from K_ref vanishes.
-
-    Solved by Newton's method with the exact Jacobian mean(M^-1 DK o T_sigma)
-    [:d], read from the sample of K o T_sigma that gives the condition, to
-    1e-13 within 60 steps; |sigma| is of the order of the embedding distance.
-    Raises NormalizationDiverged if the iteration leaves [-max_shift,
-    max_shift] or does not reach 1e-13, and FrameSingular if the frame of
-    K_ref cannot be built.
-    """
+    """(K o T_sigma, sigma) for the sigma at which, in K_ref's frame, the mean
+    displacement of K o T_sigma from K_ref has no angle component, to 1e-13.
+    Raises NormalizationDiverged if Newton's method leaves |sigma| <=
+    max_shift or takes more than 60 steps, and FrameSingular if K_ref's
+    frame cannot be built."""
     d = K.dim
     kmax = max(K.kmax, K_ref.kmax)
     K = K.pad_to(kmax)
@@ -604,8 +512,7 @@ def normalize_embedding(K: TorusEmbedding, K_ref: TorusEmbedding,
 
 
 def lagrangian_defect(K: TorusEmbedding, J=None) -> float:
-    """l1 norm of the d x d series DK^T (J o K) DK (zero on Lagrangian tori),
-    from DK alone sampled on the grid `_grid_size(K.kmax)`."""
+    """l1 norm of the d x d series DK^T (J o K) DK, zero on Lagrangian tori."""
     J = symplectic_matrix(K.dim) if J is None else J
     (dk,) = sample_jet(K.periodic.coeffs[None], None, _grid_size(K.kmax), lifts=False)
     L = jets.mm(jets.mm(np.swapaxes(dk[0], -3, -2), J[..., None]), dk[0])
@@ -629,6 +536,7 @@ def dump_solution(sol: KamSolution, fp) -> None:
 
 
 def load_solution(fp) -> KamSolution:
+    """Read a solution written by `dump_solution`; its trace is (residual,)."""
     head = _read_header(fp)
     u, v = load_series(fp), load_series(fp)
     K = TorusEmbedding(FourierSeries(u.dim, u.kmax, np.concatenate([u.coeffs, v.coeffs], -1)))
