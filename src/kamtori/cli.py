@@ -26,7 +26,7 @@ from . import __version__
 from .atlas import (classify_grid, excluded_balls, grid_table, render_svg,
                     sweep_continuation, sweep_table)
 from .cohomology import solve_twisted_grid
-from .config import load_config
+from .config import load_config, sweep_path
 from .diophantine import lambda_in_good_set, nu_omega, scan_trace
 from .errors import ConfigError, KamtoriError
 from .fourier import FourierSeries, from_grid, to_grid
@@ -198,11 +198,8 @@ def cmd_sweep(run: _Run):
     """Continue along the [sweep] path: sweep.txt; a halt exits with its code."""
     cfg = run.cfg
     sec = cfg.sections["sweep"]
-    start, end, steps = sec["start"], sec["end"], sec["steps"]
-    if sec["direction"] is not None:
-        u = sec["direction"] / abs(sec["direction"])
-        end = start + u * abs(end - start)
-    path = start + (end - start) * np.linspace(0.0, 1.0, steps)
+    start, steps = sec["start"], sec["steps"]
+    end, path = sweep_path(sec)
     K0, mu0 = _solver_start(cfg)
     result = sweep_continuation(cfg.family, cfg.omega, path, K0, mu0, **run.newton)
     buf = io.StringIO()

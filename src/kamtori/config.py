@@ -14,7 +14,8 @@ ConfigError naming `<file>[<section>].<key>`.  Every number must be finite:
     [solve]      eps complex (one number, or real and imaginary parts)
     [lindstedt]  order 0..16; eps0 complex
     [double]     order 0..16; rounds >= 0, within the order cap
-    [sweep]      start, end complex; steps >= 1; direction complex != 0
+    [sweep]      start, end complex; steps >= 1; direction complex != 0;
+                 every point of the path (`sweep_path`) finite
     [atlas]      plane lambda | epsilon; bounds re0 < re1, im0 < im1 (4 numbers)
                  with a finite image height 640 (im1 - im0) / (re1 - re0);
                  resolution 2 integers >= 1; ball_kmax >= 1; rho_band, radius_scale > 0,
@@ -167,6 +168,16 @@ class RunConfig:
     sections: dict               # section -> key -> typed value
 
 
+def sweep_path(sweep: dict) -> tuple:
+    """(end, path) of a [sweep] section: the point the sweep runs to, `end` or
+    with a `direction` the point at distance |end - start| from `start`
+    along it, and the `steps` equally spaced points from `start` to it."""
+    start, end, direction = sweep["start"], sweep["end"], sweep["direction"]
+    if direction is not None:
+        end = start + direction / abs(direction) * abs(end - start)
+    return end, start + (end - start) * np.linspace(0.0, 1.0, sweep["steps"])
+
+
 def load_config(path) -> RunConfig:
     """Parse and check the file at `path`; ConfigError as the module states."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -222,6 +233,16 @@ def load_config(path) -> RunConfig:
     if not np.isfinite(radius):
         raise ConfigError("the largest ball radius radius_scale * rho_band^(N+1) / A "
                           "is not finite", f"{path}[atlas].rho_band")
+    sweep = values["sweep"]
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(sweep_path(sweep)[1]).all()
+    except OverflowError:   # |direction| overflows
+        finite = False
+    if not finite:
+        moved = sweep["direction"] is not None and np.isfinite(sweep["end"] - sweep["start"])
+        raise ConfigError("the sweep path is not finite",
+                          f"{path}[sweep].{'direction' if moved else 'end'}")
     good_set = None if good is None else GoodSetParams(
         A=good["A"], N=good["N"], tau=freq["tau"], r0=good["r0"])
     k_scan = None if good is None else good["kscan"]

@@ -27,11 +27,16 @@ class DivisorTooSmall(KamtoriError):
 
 
 class FrameSingular(KamtoriError):
-    """DK^T DK is numerically singular; the adapted frame cannot be built."""
+    """The adapted frame cannot be built: DK^T DK is ill-conditioned, or a
+    frame matrix is not finite at a grid point."""
+
+    label, exit_code, status = "frame singular", 8, "frame-singular"
 
 
 class NonDegeneracyFailure(KamtoriError):
-    """The averaged 2d x 2d twist system is numerically singular."""
+    """The averaged 2d x 2d twist system is numerically singular: `det` is
+    the determinant of the block divided by `scale`, its largest absolute
+    row sum (nan when scale is 0 or not finite)."""
 
     label, exit_code, status = "non-degeneracy failure", 2, "non-degenerate"
 

@@ -149,9 +149,9 @@ def lindstedt_expand(fam, K_base: TorusEmbedding, mu_base, omega, eps0, N: int,
     """The normalized series through order N at eps0, from an exact base.
 
     ValueError when N exceeds MAX_ORDER_DOUBLE or the base residual exceeds
-    BASE_TOL; NonDegeneracyFailure and DivisorTooSmall as in a Newton step.
-    JetOverflow names the first order whose right-hand side or solution is
-    not finite.
+    BASE_TOL; FrameSingular, NonDegeneracyFailure and DivisorTooSmall as a
+    Newton step raises them.  JetOverflow names the first order whose
+    right-hand side or solution is not finite.
     """
     if N > MAX_ORDER_DOUBLE:
         raise ValueError(

@@ -254,9 +254,10 @@ def checked_block(frame: Frame, Bb_grid: np.ndarray,
                   divisor_floor=DEFAULT_DIVISOR_FLOOR) -> ReducedCore:
     """The 2d x 2d averaged block of the order-0 torus, checked.  `Bb_grid`,
     (d, d, points), is `frame.solve_twisted` of -A2 (order 0 of A's last d
-    rows) at the frame's kmax with `divisor_floor`.  Raises
-    NonDegeneracyFailure when |det| <= DET_RTOL * scale^(2d), scale the
-    largest absolute row sum.  A real frame and Bb give a real block."""
+    rows) at the frame's kmax with `divisor_floor`.  `det` is the
+    determinant of block / scale, scale the largest absolute row sum.
+    Raises NonDegeneracyFailure unless 0 < scale < inf and |det| > DET_RTOL.
+    A real frame and Bb give a real block."""
     d, lam = frame.d, frame.lam[0]
     S, A1, A2 = frame.S[0], frame.A[0, :d], frame.A[0, d:]
     block = np.zeros((2 * d, 2 * d), dtype=S.dtype)
@@ -265,8 +266,10 @@ def checked_block(frame: Frame, Bb_grid: np.ndarray,
     block[d:, :d] = (lam - 1.0) * np.eye(d)
     block[d:, d:] = _mean(A2)
     scale = float(np.max(np.sum(np.abs(block), axis=1)))
-    det = np.linalg.det(block)
-    if not np.isfinite(scale) or abs(det) <= DET_RTOL * scale ** (2 * d):
+    if not 0 < scale < np.inf:
+        raise NonDegeneracyFailure(np.nan, scale)
+    det = np.linalg.det(block / scale)
+    if abs(det) <= DET_RTOL:
         raise NonDegeneracyFailure(det, scale)
     return ReducedCore(frame, block, complex(det), Bb_grid, divisor_floor)
 
@@ -327,8 +330,8 @@ def reducibility_frame(fam, K, mu, omega, eps) -> ReducibilityFrame:
 @dataclass(frozen=True)
 class StepReport:
     """One Newton step, with the correction W in frame coordinates on the
-    grid and the averaged block; `w_norm` and `twist` are computed when
-    first read."""
+    grid, the averaged block and the determinant of the scaled block
+    (`checked_block`); `w_norm` and `twist` are computed when first read."""
 
     sigma: np.ndarray
     residual_before: float

@@ -185,6 +185,35 @@ def test_criterion_6_asymptoticity_of_true_solution(base, jets):
     _report("criterion-6 asymptoticity", ok, "; ".join(details))
 
 
+def test_criterion_6_asymptoticity_on_complex_rays_and_at_a_3(base, jets):
+    # the series is the asymptotic expansion of the true torus off the real
+    # axis, and for lam = 1 + eps^3 as for lam = 1 + eps: along rays
+    # eps = r e^{i phi} the normalized error of the order-N jet falls as r^{N+1}
+    K0, mu0 = base
+    fam3 = kt.DissipativeStandardMap(kappa=0.5, alpha=1.0, a=3)
+    jet3 = lindstedt_expand(fam3, K0, mu0, OMEGA, 0.0, 8)
+    rays = [(FAM, jets[8], phi) for phi in (0.25, 0.5, 1.0, 2.0)] \
+        + [(fam3, jet3, phi) for phi in (0.0, 0.25, 0.5, 1.0, np.pi / 3)]
+    radii = np.geomspace(6e-3, 4e-2, 6)
+    ok = True
+    details = []
+    for fam, jet, phi in rays:
+        K, mu = K0, mu0
+        sols = []
+        for eps in radii * cmath.exp(1j * phi):
+            sol = run_newton(fam, K, mu, OMEGA, eps, tol=1e-13)
+            K, mu = sol.K, sol.mu
+            sols.append((eps, normalize_embedding(sol.K, K0)[0], sol.mu))
+        for N in (2, 4):
+            jetN = jet.truncated(N)
+            diffs = [jetN.embedding_at(e).distance(Kn) + abs(jetN.mu_at(e)[0] - m[0])
+                     for e, Kn, m in sols]
+            slope = float(np.polyfit(np.log(radii), np.log(diffs), 1)[0])
+            ok &= slope >= N + 1 - 0.3
+            details.append(f"a={fam.a} phi={phi:.3f} N={N}: slope {slope:.3f}")
+    _report("criterion-6 complex rays and a = 3", ok, "; ".join(details))
+
+
 def test_criterion_7_uniqueness_normalization(base):
     K0, mu0 = base
     eps = 0.04

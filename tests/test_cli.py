@@ -8,11 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from kamtori import cli
+from kamtori import atlas, cli
 from kamtori.atlas import SweepResult, SweepStep, sweep_table
 from kamtori.cli import main
 from kamtori.config import load_config
-from kamtori.errors import KamtoriError, NoConvergence
+from kamtori.errors import FrameSingular, KamtoriError, NoConvergence
 from kamtori.lindstedt import dump_jet, load_jet
 from kamtori.newton import dump_solution, load_solution, run_newton
 
@@ -259,6 +259,25 @@ def test_out_of_range_command_value_is_config_error(tmp_path, capsys, command, o
     assert f"[{command}].{key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edits, key", [
+    # end - start is -inf, so every point but the start is nan
+    ({"start = 0.01": "start = 1e308", "end = 0.1": "end = -1e308"}, "end"),
+    # |direction| overflows
+    ({"steps = 5": "steps = 5\ndirection = 1.5e308 1.5e308"}, "direction"),
+    # the end moved along the direction overflows
+    ({"start = 0.01": "start = 1e308", "end = 0.1": "end = 0",
+      "steps = 5": "steps = 5\ndirection = 1"}, "direction"),
+], ids=["span-overflows", "direction-overflows", "moved-end-overflows"])
+def test_a_sweep_path_that_is_not_finite_is_config_error(tmp_path, capsys, edits, key):
+    text = GOLDEN
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    p = tmp_path / "bad.cfg"
+    p.write_text(text)
+    assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "o")]) == 64
+    assert f"[sweep].{key}: the sweep path is not finite" in capsys.readouterr().err
+
+
 def test_outputs_honor_umask(golden_cfg, tmp_path):
     out = tmp_path / "out"
     old = os.umask(0o022)
@@ -471,6 +490,27 @@ def test_lindstedt_at_eps0_refuses_a_tol_above_the_base_tolerance(tmp_path, caps
     assert err.startswith(f"config error: {tmp_path / 'golden.cfg'}[solver].tol: ")
     assert "exact base" in err
     assert _golden(tmp_path, "lindstedt", {**edits, "tol = 1e-12": "tol = 1e-10"}) == 0
+
+
+def test_lindstedt_at_a_huge_eps0_reports_a_degenerate_block(tmp_path, capsys):
+    # at eps0 = 1e300 the averaged block holds entries near 1e300: its check
+    # names the failure instead of overflowing
+    assert _golden(tmp_path, "lindstedt", {"eps0 = 0": "eps0 = 1e300"}, "--force") == 2
+    assert capsys.readouterr().err.startswith("non-degeneracy failure: ")
+
+
+@pytest.mark.parametrize("command, target", [("solve", cli), ("sweep", atlas)])
+def test_a_singular_frame_has_its_own_exit_code(tmp_path, capsys, monkeypatch,
+                                                command, target):
+    def singular(*args, **kwargs):
+        raise FrameSingular("DK^T DK is singular or not finite at 1 of 200 grid points")
+
+    monkeypatch.setattr(target, "run_newton", singular)
+    assert _golden(tmp_path, command, {}) == 8
+    if command == "solve":
+        assert capsys.readouterr().err.startswith("frame singular: DK^T DK is singular")
+    else:
+        assert _last_sweep_row(tmp_path)[2] == "frame-singular"
 
 
 def _error_classes(cls=KamtoriError):

@@ -498,6 +498,29 @@ def test_nondegeneracy_failure_detected(omega, base_torus, solve):
         solve(fam, K0, mu0, omega)
 
 
+@pytest.mark.parametrize("rows, det", [
+    ([[1e200, 0.0], [1e200, 1e200]], 0.25),
+    ([[1e200, 1e200], [1e200, 1e200]], None),
+], ids=["regular", "singular"])
+def test_a_huge_averaged_block_gives_a_typed_result(rows, det):
+    # block entries near 1e200: no OverflowError from scale^(2d) and no
+    # overflow warning from the determinant; det is that of block / scale
+    points = 8
+    S = np.full((1, 1, 1, points), rows[0][0])
+    A = np.array(rows)[None, :, 1:, None] * np.ones(points)
+    fr = newton.Frame(d=1, kmax=2, n=points, omega=np.array([0.5]),
+                      lam=np.array([1.0 + rows[1][0]]), Df=None, M=None, Mshift=None,
+                      beta=None, S=S, A=A)
+    Bb_grid = np.zeros((1, 1, points))
+    if det is None:
+        with pytest.raises(NonDegeneracyFailure) as err:
+            newton.checked_block(fr, Bb_grid)
+        assert err.value.det == 0 and err.value.scale == 2e200
+    else:
+        core = newton.checked_block(fr, Bb_grid)
+        assert core.block.tolist() == rows and core.det == det
+
+
 # -- full runs ---------------------------------------------------------------------
 
 def test_run_converges_immediately_at_eps0(fam, omega, base_torus):
