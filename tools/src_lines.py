@@ -53,6 +53,11 @@ def count_lines(source: str) -> dict[str, int]:
     return counts
 
 
+def _row(name: str, counts: dict) -> str:
+    return f"{name:<16}" + "".join(f"{counts[k]:>11}" for k in KINDS) \
+        + f"{sum(counts.values()):>8}"
+
+
 def main(argv: list[str]) -> int:
     src = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src" / "kamtori"
     total = dict.fromkeys(KINDS, 0)
@@ -61,10 +66,8 @@ def main(argv: list[str]) -> int:
         counts = count_lines(path.read_text())
         for kind in KINDS:
             total[kind] += counts[kind]
-        print(f"{path.name:<16}" + "".join(f"{counts[k]:>11}" for k in KINDS)
-              + f"{sum(counts.values()):>8}")
-    print(f"{'total':<16}" + "".join(f"{total[k]:>11}" for k in KINDS)
-          + f"{sum(total.values()):>8}")
+        print(_row(path.name, counts))
+    print(_row("total", total))
     return 0
 
 
