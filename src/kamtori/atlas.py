@@ -42,12 +42,9 @@ def excluded_balls(params: GoodSetParams, omega, k_max: int, rho_band: float,
     the root of lam(eps) = center and its radius divided by |lam'| there.
     Any other plane, and the epsilon-plane without `fam`, raise ValueError.
     """
-    if plane not in ("lambda", "epsilon"):
-        raise ValueError(f"unknown plane {plane!r}")
-    if plane == "epsilon" and fam is None:
-        raise ValueError("epsilon-plane balls need the map family")
+    _check_plane(plane, fam)
     ks, roots, knorm = resonances(omega, k_max)
-    radius = radius_scale * rho_band ** (params.N + 1) * knorm ** (-params.tau) / params.A
+    radius = params.floor(radius_scale * params.factor(rho_band), knorm)
     dist = np.abs(roots - 1.0)
     keep = (dist > rho_band - radius) & (dist < 2.0 * rho_band + radius)
     balls = []
@@ -60,6 +57,14 @@ def excluded_balls(params: GoodSetParams, omega, k_max: int, rho_band: float,
             balls.extend(_to_eps_plane(lam_ball, fam))
     balls.sort(key=lambda b: (sum(abs(c) for c in b.k), b.k, b.branch))
     return balls
+
+
+def _check_plane(plane: str, fam) -> None:
+    """ValueError unless the plane is "lambda", or "epsilon" with a family."""
+    if plane not in ("lambda", "epsilon"):
+        raise ValueError(f"unknown plane {plane!r}")
+    if plane == "epsilon" and fam is None:
+        raise ValueError("epsilon-plane balls and cells need the map family")
 
 
 def _to_eps_plane(ball: ExclusionBall, fam) -> list[ExclusionBall]:
@@ -135,16 +140,13 @@ def classify_grid(plane: str, bounds, resolution, params: GoodSetParams,
     OUTSIDE_R0 where |eps| > r0.  Bounds without re0 < re1 and im0 < im1,
     or another plane, raise ValueError.
     """
-    if plane not in ("lambda", "epsilon"):
-        raise ValueError(f"unknown plane {plane!r}")
+    _check_plane(plane, fam)
     _check_bounds(bounds)
-    if plane == "epsilon" and fam is None:
-        raise ValueError("epsilon-plane classification needs the map family")
     xs, ys = _cell_centers(bounds, resolution)
     zz = xs[:, None] + 1j * ys[None, :]
     lam = zz if plane == "lambda" else np.asarray(fam.lambda_eps(zz))
     term, witness, _ = nu_scan(lam, omega, params.tau, k_scan)
-    attained, _ = good_set_attained(lam, term, params.N)
+    attained, _ = good_set_attained(lam, term, params)
     status = np.where(attained <= params.A, INSIDE, EXCLUDED).astype(np.int8)
     if plane == "epsilon":
         status[np.abs(zz) > params.r0] = OUTSIDE_R0
@@ -242,19 +244,12 @@ def tangential_cone_check(point: complex, u: complex, m: int, gamma: float,
     u = complex(u) / abs(complex(u))
     near = [b for b in balls
             if abs(b.center - point) < 2.0 * delta + b.radius]
-    if not near:
-        return True
-    if any(b.contains(point) for b in near):
-        return False
     t = np.linspace(-delta, delta, t_samples)
     floor_s = np.minimum(gamma * np.abs(t) ** m, delta)
     frac = np.linspace(0.0, 1.0, s_samples) ** 2
     s = floor_s[:, None] + (delta - floor_s[:, None]) * frac[None, :]
     zs = (point + t[:, None] * u + s * np.conj(u)).ravel()
-    for b in near:
-        if np.any(np.abs(zs - b.center) < b.radius):
-            return False
-    return True
+    return not _path_blocked(np.append(zs, point), near)
 
 
 def circle_accessibility_fraction(omega, sigma: float, A: float, m: int,
@@ -304,15 +299,15 @@ class SweepResult:
 
 def coupled_divisor_floor(kmax: int, dim: int, lam: complex,
                           params: GoodSetParams) -> np.ndarray:
-    """Per-mode divisor floor |lam-1|^{N+1} |k|^{-tau} / A over the mode box:
-    a divisor below it is exactly a violation of the good-set inequality at
-    that mode."""
+    """Per-mode divisor floor `params.floor` over the mode box, at least
+    DEFAULT_DIVISOR_FLOOR: a divisor below it is exactly a violation of the
+    good-set inequality at that mode.  Where it is above DEFAULT_DIVISOR_FLOOR
+    it equals the witness floor of `lambda_in_good_set` bit for bit."""
     from .fourier import FourierSeries
     knorm = FourierSeries.zeros(dim, kmax).k_norm_grid()
     knorm[(kmax,) * dim] = 1.0
-    factor = abs(complex(lam) - 1.0) ** (params.N + 1)
-    return np.maximum(factor * knorm ** (-params.tau) / params.A,
-                      DEFAULT_DIVISOR_FLOOR)
+    factor = params.factor(np.array([complex(lam)]) - 1.0)   # as the gate takes it
+    return np.maximum(params.floor(factor, knorm), DEFAULT_DIVISOR_FLOOR)
 
 
 def sweep_continuation(fam, omega, path, K0, mu0, **newton) -> SweepResult:

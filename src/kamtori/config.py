@@ -225,11 +225,11 @@ def load_config(path) -> RunConfig:
 
     fam, freq = values["family"], values["frequency"]
     good, atlas = values.get("goodset"), values["atlas"]
-    try:   # the largest radius of an atlas ball, at the modes |k| = 1
-        radius = 0.0 if good is None else \
-            atlas["radius_scale"] * atlas["rho_band"] ** (good["N"] + 1) / good["A"]
-    except OverflowError:
-        radius = np.inf
+    good_set = None if good is None else GoodSetParams(
+        A=good["A"], N=good["N"], tau=freq["tau"], r0=good["r0"])
+    with np.errstate(over="ignore"):   # the largest radius of an atlas ball, at |k| = 1
+        radius = 0.0 if good_set is None else good_set.floor(
+            atlas["radius_scale"] * good_set.factor(atlas["rho_band"]), 1.0)
     if not np.isfinite(radius):
         raise ConfigError("the largest ball radius radius_scale * rho_band^(N+1) / A "
                           "is not finite", f"{path}[atlas].rho_band")
@@ -243,8 +243,6 @@ def load_config(path) -> RunConfig:
         moved = sweep["direction"] is not None and np.isfinite(sweep["end"] - sweep["start"])
         raise ConfigError("the sweep path is not finite",
                           f"{path}[sweep].{'direction' if moved else 'end'}")
-    good_set = None if good is None else GoodSetParams(
-        A=good["A"], N=good["N"], tau=freq["tau"], r0=good["r0"])
     k_scan = None if good is None else good["kscan"]
     newton = dict(values["solver"])
     return RunConfig(

@@ -11,7 +11,10 @@ divisor below 1e-300 counts as an exact zero, flagged infinite.
 The good set is G = {lam : nu(lam; omega, tau) |lam - 1|^{N+1} <= A}.
 `nu_lambda`, `lambda_in_good_set`, `atlas.classify_grid` and the good-set
 gate of `newton.run_newton` all decide it by the one scan `nu_scan`, so
-they agree bit for bit.
+they agree bit for bit.  The inequality's factor |lam - 1|^{N+1} and its
+divisor floor factor |k|^{-tau} / A are computed by `GoodSetParams.factor`
+and `GoodSetParams.floor` only, for the gate, the per-mode floor, the
+excluded balls and the config check alike.
 """
 
 from __future__ import annotations
@@ -87,11 +90,12 @@ def nu_scan(lam, omega, tau: float, k_scan: int):
             divisor.reshape(lam.shape))
 
 
-def good_set_attained(lam, term, N: int):
+def good_set_attained(lam, term, params: GoodSetParams):
     """(nu |lam - 1|^{N+1}, |lam - 1|^{N+1}) for the `nu_scan` terms of the
-    lam array, the first 0 at lam = 1 (the Diophantine factor switched off)."""
-    factor = np.abs(lam - 1.0) ** (N + 1)
-    with np.errstate(invalid="ignore"):
+    lam array, the first 0 at lam = 1 (the Diophantine factor switched off)
+    and inf where it overflows."""
+    factor = params.factor(lam - 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
         return np.where(factor == 0.0, 0.0, term * factor), factor
 
 
@@ -139,6 +143,18 @@ class GoodSetParams:
         if self.N < 0:
             raise ValueError("N must be >= 0")
 
+    def factor(self, dist):
+        """|dist|^{N+1} elementwise, as float64; inf where it overflows."""
+        with np.errstate(over="ignore"):
+            return np.abs(dist) ** (self.N + 1)
+
+    def floor(self, factor, knorm):
+        """The divisor floor factor |k|^{-tau} / A at the l1 norms `knorm`: a
+        divisor of mode k below it breaks the inequality; inf where it
+        overflows."""
+        with np.errstate(over="ignore"):
+            return factor * np.asarray(knorm, dtype=float) ** (-self.tau) / self.A
+
 
 @dataclass(frozen=True)
 class GoodSetWitness:
@@ -155,7 +171,7 @@ class GoodSetWitness:
 def lambda_in_good_set(lam: complex, params: GoodSetParams, omega, k_scan: int) -> GoodSetWitness:
     """The good-set test at one lam, by the scan `classify_grid` runs per cell."""
     nu = nu_lambda(lam, omega, params.tau, k_scan)
-    attained, factor = good_set_attained(np.array([complex(lam)]), nu.value, params.N)
-    floor = float(factor[0]) * sum(abs(c) for c in nu.k) ** (-params.tau) / params.A
+    attained, factor = good_set_attained(np.array([complex(lam)]), nu.value, params)
+    floor = params.floor(factor, np.abs(nu.k).sum())
     return GoodSetWitness(bool(attained[0] <= params.A), nu, float(factor[0]),
-                          float(attained[0]), complex(lam), floor)
+                          float(attained[0]), complex(lam), float(floor[0]))

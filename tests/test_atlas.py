@@ -410,6 +410,34 @@ def test_coupled_floor_shape(params):
     assert floor[8 + 1] >= floor[8 + 5] >= floor[8 + 8]
 
 
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_coupled_floor_is_the_witness_floor_bit_for_bit(omega, kind):
+    # the per-mode floor and the gate's witness floor come from one formula;
+    # two copies of it differed in the last bits at lam = 0.97 + 0.03j
+    # (1.5273506473629443e-4 against 1.527350647362945e-4)
+    gs = GoodSetParams(A=0.5, N=2, tau=1.0, r0=0.3)
+    rng = np.random.default_rng(11)
+    if kind == "complex":
+        lams = np.append(1 + 0.3 * (rng.random(200) - 0.5 + 1j * (rng.random(200) - 0.5)),
+                         0.97 + 0.03j)
+    else:
+        lams = 1 + 0.3 * rng.random(200)
+    for lam in lams:
+        w = lambda_in_good_set(lam, gs, omega, 64)
+        floor = coupled_divisor_floor(64, 1, lam, gs)
+        assert w.floor > 1e-12
+        assert floor[64 + w.nu.k[0]] == w.floor, lam
+
+
+def test_coupled_floor_is_the_witness_floor_in_two_dimensions():
+    gs = GoodSetParams(A=0.5, N=1, tau=2.5, r0=0.3)
+    omega2 = np.array([0.6180339887498949, 0.4142135623730951])
+    for lam in (0.97 + 0.03j, 1.04, 1.1 - 0.02j):
+        w = lambda_in_good_set(lam, gs, omega2, 16)
+        floor = coupled_divisor_floor(16, 2, lam, gs)
+        assert floor[tuple(16 + c for c in w.nu.k)] == w.floor
+
+
 # -- exports --------------------------------------------------------------------------
 
 def test_grid_table_and_svg(params, omega, tmp_path):

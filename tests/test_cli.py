@@ -499,6 +499,14 @@ def test_lindstedt_at_a_huge_eps0_reports_a_degenerate_block(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("non-degeneracy failure: ")
 
 
+def test_solve_at_a_huge_eps_is_refused_by_the_gate_without_a_warning(tmp_path, capsys):
+    # |lam(1e300) - 1|^3 overflows to inf, so the witness floor is inf; the
+    # suite turns warnings into errors, so an overflow warning fails here
+    assert _golden(tmp_path, "solve", {"eps = 0.0": "eps = 1e300"}) == 3
+    assert re.fullmatch(r"small divisor: divisor 1\.000e\+300 at mode k=\(1,\) "
+                        r"below floor inf\n", capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("command, target", [("solve", cli), ("sweep", atlas)])
 def test_a_singular_frame_has_its_own_exit_code(tmp_path, capsys, monkeypatch,
                                                 command, target):
