@@ -11,11 +11,12 @@ ConfigError naming `<file>[<section>].<key>`.  Every number must be finite:
     [solver]     tol, divisor_floor > 0; max_iter integer >= 0; kmax
                  integer >= 1
     [goodset]    A*, r0* > 0; N* integer >= 0; kscan integer >= 1
-    [solve]      eps complex (one number, or real and imaginary parts)
-    [lindstedt]  order 0..16; eps0 complex
-    [double]     order 0..16; rounds >= 0, within the order cap
+    [solve]      eps complex (one number, or real and imaginary parts),
+                 with a finite lam(eps)
+    [lindstedt]  order 0..32; eps0 complex, with a finite lam(eps0)
+    [double]     order 0..32; rounds >= 0, within the order cap
     [sweep]      start, end complex; steps >= 1; direction complex != 0;
-                 every point of the path (`sweep_path`) finite
+                 every point of the path (`sweep_path`) and its lam finite
     [atlas]      plane lambda | epsilon; bounds re0 < re1, im0 < im1 (4 numbers)
                  with a finite image height 640 (im1 - im0) / (re1 - re0);
                  resolution 2 integers >= 1; ball_kmax >= 1; rho_band, radius_scale > 0,
@@ -243,11 +244,24 @@ def load_config(path) -> RunConfig:
         moved = sweep["direction"] is not None and np.isfinite(sweep["end"] - sweep["start"])
         raise ConfigError("the sweep path is not finite",
                           f"{path}[sweep].{'direction' if moved else 'end'}")
+    family = DissipativeStandardMap(kappa=fam["kappa"], alpha=complex(fam["alpha"]),
+                                    a=fam["a"])
+
+    def lam_finite(eps) -> bool:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return bool(np.isfinite(family.lambda_eps(eps)).all())
+
+    sweep_key = "end" if lam_finite(sweep["start"]) else "start"
+    for sec, key, eps in (("solve", "eps", values["solve"]["eps"]),
+                          ("lindstedt", "eps0", values["lindstedt"]["eps0"]),
+                          ("sweep", sweep_key, sweep_path(sweep)[1])):
+        if eps is not None and not lam_finite(eps):
+            raise ConfigError("lam(eps) = 1 + alpha eps^a is not finite",
+                              f"{path}[{sec}].{key}")
     k_scan = None if good is None else good["kscan"]
     newton = dict(values["solver"])
     return RunConfig(
-        family=DissipativeStandardMap(kappa=fam["kappa"], alpha=complex(fam["alpha"]),
-                                      a=fam["a"]),
+        family=family,
         omega=np.array(freq["omega"]), tau=freq["tau"], kmax=newton.pop("kmax"),
         good_set=good_set, k_scan=k_scan,
         newton=dict(newton, good_set=good_set, good_set_scan=k_scan), sections=values)

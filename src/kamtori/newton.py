@@ -414,13 +414,17 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20,
 
     Raises Diverged when a residual is not finite or two consecutive
     residuals exceed the first, and NoConvergence after max_iter steps.  A
-    non-finite eps, mu0, omega or K0 coefficient, a tol outside [0, inf) or
-    a max_iter that is not an integer >= 0 raises ValueError.  With
-    `good_set`, lam(eps) must pass `lambda_in_good_set` over `good_set_scan`
-    modes, else DivisorTooSmall carries its witness.
+    non-finite eps, lam(eps), mu0, omega or K0 coefficient, a tol outside
+    [0, inf) or a max_iter that is not an integer >= 0 raises ValueError.
+    With `good_set`, lam(eps) must pass `lambda_in_good_set` over
+    `good_set_scan` modes, else DivisorTooSmall carries its witness.
     """
     if not np.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = complex(fam.lambda_eps(eps))
+    if not np.isfinite(lam):
+        raise ValueError(f"lam(eps) must be finite, got {lam} at eps={eps}")
     mu = np.atleast_1d(np.asarray(mu0, dtype=complex))
     if not np.all(np.isfinite(mu)):
         raise ValueError(f"mu0 must be finite, got {mu0}")
@@ -436,7 +440,7 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20,
     if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
         raise ValueError(f"max_iter must be an integer >= 0, got {max_iter}")
     if good_set is not None:
-        witness = lambda_in_good_set(fam.lambda_eps(eps), good_set, omega, good_set_scan)
+        witness = lambda_in_good_set(lam, good_set, omega, good_set_scan)
         if not witness.member:
             raise DivisorTooSmall(witness.nu.k, witness.nu.divisor, witness.floor)
 
@@ -461,7 +465,7 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20,
                 K=K, mu=mu, residual_norm=res, twist_constant=twist,
                 trace=tuple(trace), eps=complex(eps),
                 omega=np.atleast_1d(np.asarray(omega, dtype=float)),
-                lam=complex(fam.lambda_eps(eps)),
+                lam=lam,
             )
         if it == max_iter:
             break

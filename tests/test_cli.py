@@ -507,6 +507,25 @@ def test_solve_at_a_huge_eps_is_refused_by_the_gate_without_a_warning(tmp_path, 
                         r"below floor inf\n", capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command, edits, key", [
+    ("solve", {"alpha = 1.0": "alpha = 1e308", "eps = 0.0": "eps = 10"}, "[solve].eps"),
+    ("solve", {"\na = 1\n": "\na = 1000000\n", "eps = 0.0": "eps = 2"}, "[solve].eps"),
+    ("lindstedt", {"alpha = 1.0": "alpha = 1e308", "eps0 = 0": "eps0 = 10"},
+     "[lindstedt].eps0"),
+    ("sweep", {"alpha = 1.0": "alpha = 1e308", "start = 0.01": "start = 10"},
+     "[sweep].start"),
+    ("sweep", {"alpha = 1.0": "alpha = 1e308", "end = 0.25": "end = 10"}, "[sweep].end"),
+    ("sweep", {"\na = 1\n": "\na = 1000000\n", "end = 0.25": "end = 2"}, "[sweep].end"),
+], ids=["solve-alpha", "solve-a", "lindstedt-alpha", "sweep-start", "sweep-end",
+        "sweep-end-a"])
+def test_a_lam_that_overflows_is_config_error(tmp_path, capsys, command, edits, key):
+    # lam(eps) = 1 + alpha eps^a is not finite at a finite eps: each command used
+    # to warn and report a divergence with residual nan, exit 5
+    assert _golden(tmp_path, command, edits, "--force") == 64
+    assert capsys.readouterr().err == (f"config error: {tmp_path / 'golden.cfg'}{key}: "
+                                       "lam(eps) = 1 + alpha eps^a is not finite\n")
+
+
 @pytest.mark.parametrize("command, target", [("solve", cli), ("sweep", atlas)])
 def test_a_singular_frame_has_its_own_exit_code(tmp_path, capsys, monkeypatch,
                                                 command, target):

@@ -574,6 +574,17 @@ def test_run_rejects_non_finite_input(fam, omega, base_torus, eps, mu0, bad, kw,
     assert str(err.value) == named
 
 
+@pytest.mark.parametrize("alpha, a, eps", [(1e308, 1, 10.0), (1.0, 1000000, 2.0)],
+                         ids=["alpha", "a"])
+def test_run_rejects_a_lam_that_overflows(omega, alpha, a, eps):
+    # a finite eps whose lam(eps) = 1 + alpha eps^a overflows used to warn and
+    # raise Diverged with residual nan
+    fam = DissipativeStandardMap(kappa=0.5, alpha=alpha, a=a)
+    K0, mu0 = fam.unperturbed_torus(omega, 8)
+    with pytest.raises(ValueError, match=r"^lam\(eps\) must be finite, got .* at eps="):
+        run_newton(fam, K0, mu0, omega, eps)
+
+
 def test_run_respects_good_set_gate(fam, omega, base_torus):
     K0, mu0 = base_torus
     gs = GoodSetParams(A=1e-12, N=1, tau=1.0, r0=1.0)
