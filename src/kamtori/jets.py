@@ -16,7 +16,7 @@ from contextlib import suppress
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-MAX_ORDER_DOUBLE = 16      # order cap of the complex128 jets
+MAX_ORDER_DOUBLE = 32      # order cap of the complex128 jets
 
 
 def zero_like(a):

@@ -221,9 +221,9 @@ def test_bad_command_value_is_config_error(tmp_path, capsys, command, old, new):
 
 
 @pytest.mark.parametrize("command, old, new, key", [
-    ("lindstedt", "order = 3", "order = 17", "order"),
+    ("lindstedt", "order = 3", "order = 33", "order"),
     ("lindstedt", "order = 3", "order = -1", "order"),
-    ("double", "rounds = 1", "rounds = 4", "rounds"),
+    ("double", "rounds = 1", "rounds = 5", "rounds"),
     ("sweep", "steps = 5", "steps = 5\ndirection = 0", "direction"),
     ("sweep", "steps = 5", "steps = 0", "steps"),
     ("atlas", "resolution = 24 24", "resolution = 0 0", "resolution"),
@@ -244,7 +244,7 @@ def test_bad_command_value_is_config_error(tmp_path, capsys, command, old, new):
     # the largest ball radius rho_band^(N+1) / A overflows
     ("atlas", "rho_band = 0.05", "rho_band = 1e200", "rho_band"),
     ("atlas", "rho_band = 0.05", "rho_band = 1e300", "rho_band"),
-], ids=["lindstedt-order-17", "lindstedt-order-negative", "double-rounds-4",
+], ids=["lindstedt-order-33", "lindstedt-order-negative", "double-rounds-5",
         "sweep-direction-0", "sweep-steps-0", "atlas-resolution-0-0",
         "atlas-resolution-24-0", "atlas-ball-kmax-negative", "atlas-ball-kmax-0",
         "atlas-rho-band-0", "atlas-rho-band-inf", "atlas-radius-scale-negative",

@@ -216,7 +216,7 @@ def test_incremental_expansion_names_the_same_overflowing_order(omega, kappa, or
 def test_order_cap_enforced(fam, omega, base_torus):
     K0, mu0 = base_torus
     with pytest.raises(ValueError):
-        lindstedt_expand(fam, K0, mu0, omega, 0.0, 17)
+        lindstedt_expand(fam, K0, mu0, omega, 0.0, 33)
 
 
 def test_base_must_be_exact(fam, omega, base_torus):
@@ -306,6 +306,46 @@ def test_three_doublings_match_order_by_order(flat_jets):
         for j in range(16):
             assert _rel_gap(jet.K_coeffs[j].coeffs, expanded.K_coeffs[j].coeffs) <= 1e-12
         assert _rel_gap(jet.mu_coeffs, expanded.mu_coeffs[:16]) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def jets_at_the_cap(fam, omega):
+    """The order-32 expansion and four doublings 1 -> 31 from the flat torus,
+    at kmax 32 and 64."""
+    out = {}
+    for kmax in (32, 64):
+        K0, mu0 = fam.unperturbed_torus(omega, kmax)
+        expanded = lindstedt_expand(fam, K0, mu0, omega, 0.0, jets.MAX_ORDER_DOUBLE)
+        doubled = expanded.truncated(1)
+        for _ in range(4):
+            doubled = lindstedt_double(fam, doubled, omega)
+        out[kmax] = expanded, doubled
+    return out
+
+
+def test_the_order_32_expansion_solves_every_order(fam, omega, jets_at_the_cap):
+    # measured at most 3.8e-15 of the order's norm
+    expanded = jets_at_the_cap[64][0]
+    assert expanded.order == 32
+    norms = residual_jet_norms(fam, expanded, omega, through=32)
+    for j in range(33):
+        assert norms[j] <= 1e-14 * expanded.K_coeffs[j].analytic_norm(0.0)
+
+
+def test_four_doublings_match_the_order_32_expansion(jets_at_the_cap):
+    # measured 2.1e-11 on K and 2.0e-12 on mu
+    expanded, doubled = jets_at_the_cap[64]
+    assert doubled.order == 31
+    for j in range(32):
+        assert _rel_gap(doubled.K_coeffs[j].coeffs, expanded.K_coeffs[j].coeffs) <= 1e-10
+    assert _rel_gap(doubled.mu_coeffs, expanded.mu_coeffs[:32]) <= 1e-10
+
+
+def test_jets_at_the_cap_do_not_depend_on_kmax(jets_at_the_cap):
+    for jet, ref in zip(jets_at_the_cap[64], jets_at_the_cap[32]):
+        assert jet.mu_coeffs.tobytes() == ref.mu_coeffs.tobytes()
+        for K, K_ref in zip(jet.K_coeffs, ref.K_coeffs):
+            assert K.truncate(32).coeffs.tobytes() == K_ref.coeffs.tobytes()
 
 
 def test_doubling_is_stable_under_input_noise(fam, omega, base_torus):
