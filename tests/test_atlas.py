@@ -11,6 +11,7 @@ from kamtori.atlas import (INSIDE, EXCLUDED, OUTSIDE_R0, ExclusionBall,
                            sweep_continuation, sweep_table,
                            tangential_cone_check)
 from kamtori.diophantine import GoodSetParams, lambda_in_good_set
+from kamtori.errors import KamtoriError
 from kamtori.maps import DissipativeStandardMap
 from kamtori.newton import normalize_embedding, run_newton
 
@@ -183,6 +184,17 @@ def test_measured_area_below_union_bound(params, omega):
     assert np.all(fit.areas <= fit.union_bound * (1 + 1e-12))
 
 
+def test_measure_needs_two_tau_above_the_dimension(omega):
+    with pytest.raises(ValueError, match=r"needs 2\*tau > d"):
+        excluded_measure(0.08, GoodSetParams(A=0.1, N=1, tau=0.5, r0=1.0), omega, 256)
+
+
+def test_measure_of_an_annulus_without_balls_is_an_error(params, omega):
+    # k_max 2 keeps no ball in the annulus 0.05 < |lam - 1| < 0.1
+    with pytest.raises(KamtoriError, match="an annulus carried no excluded balls"):
+        excluded_measure(0.05, params, omega, 2, levels=1)
+
+
 def _lens(r1, r2, d):
     """Area of the intersection of two crossing discs, as two segments."""
     a1 = np.arccos((d * d + r1 * r1 - r2 * r2) / (2 * d * r1))
@@ -314,6 +326,12 @@ def test_detour_length_bounded(rng):
         pts, length = detour_path(e1, e2, [ball])
         assert not any(ball.contains(p) for p in pts)
         assert length <= np.pi * abs(e2 - e1) * 1.05
+
+
+def test_detour_fails_when_no_arc_clears_the_balls():
+    ball = ExclusionBall((1,), 0.5 + 0j, 100.0, "lambda")
+    with pytest.raises(KamtoriError, match="no clearing arc found"):
+        detour_path(0.0 + 0j, 1.0 + 0j, [ball])
 
 
 # -- sweeps --------------------------------------------------------------------------

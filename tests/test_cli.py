@@ -278,6 +278,28 @@ def test_a_sweep_path_that_is_not_finite_is_config_error(tmp_path, capsys, edits
     assert f"[sweep].{key}: the sweep path is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    (None, r"config error: \[Errno 2\] No such file or directory: '.*missing\.cfg'"),
+    ("kappa = 0.5\n", r"config error: .*missing\.cfg: File contains no section headers\."),
+    ("[frequency]\nomega = golden\n", r"config error: .*missing\.cfg: missing section \[family\]"),
+], ids=["missing-file", "no-section-header", "no-family"])
+def test_a_config_file_that_cannot_be_read_is_config_error(tmp_path, capsys, text,
+                                                           message):
+    p = tmp_path / "missing.cfg"
+    if text is not None:
+        p.write_text(text)
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 64
+    assert re.match(message, capsys.readouterr().err)
+
+
+def test_an_eps_of_three_numbers_is_config_error(tmp_path, capsys):
+    p = tmp_path / "bad.cfg"
+    p.write_text(GOLDEN.replace("eps = 0.0", "eps = 1 2 3"))
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 64
+    assert capsys.readouterr().err == (f"config error: {p}[solve].eps: invalid value "
+                                       "'1 2 3' (expected 1 or 2 numbers, got 3)\n")
+
+
 def test_outputs_honor_umask(golden_cfg, tmp_path):
     out = tmp_path / "out"
     old = os.umask(0o022)

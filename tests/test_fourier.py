@@ -550,6 +550,31 @@ def test_dump_load_matrix_valued(rng):
     np.testing.assert_array_equal(load_series(buf).coeffs, s.coeffs)
 
 
+def _dumped_lines(rng):
+    s = random_series(rng, kmax=2)
+    buf = io.StringIO()
+    dump_series(s, buf)
+    return s, buf.getvalue().splitlines(keepends=True)
+
+
+def test_load_skips_comment_lines_inside_a_table(rng):
+    s, lines = _dumped_lines(rng)
+    lines.insert(3, "# a comment between rows\n")
+    assert load_series(io.StringIO("".join(lines))).coeffs.tobytes() == s.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[1:], "not a fourier series table"),
+    (lambda lines: lines[:-1], "truncated fourier series table"),
+    (lambda lines: lines[:3] + [" ".join(lines[3].split()[:-1]) + "\n"] + lines[4:],
+     "mode 0: expected 2 value columns"),
+], ids=["no-header", "truncated", "short-row"])
+def test_load_rejects_a_malformed_table(rng, edit, message):
+    _, lines = _dumped_lines(rng)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load_series(io.StringIO("".join(edit(lines))))
+
+
 @pytest.mark.parametrize("value_shape", [(2,), (2, 2)], ids=["vector", "matrix"])
 def test_dump_load_is_exact_for_signed_zeros_and_inf(rng, value_shape):
     # each re/im pair is read as the two floats of one complex128: -0.0 parts

@@ -219,6 +219,16 @@ def test_order_cap_enforced(fam, omega, base_torus):
         lindstedt_expand(fam, K0, mu0, omega, 0.0, 33)
 
 
+def test_doubling_order_cap_enforced(fam, omega, base_torus):
+    # a jet of order N doubles to 2N + 1, one past the cap for N = cap // 2
+    K0, mu0 = base_torus
+    N = jets.MAX_ORDER_DOUBLE // 2
+    jet = lindstedt_expand(fam, K0, mu0, omega, 0.0, N)
+    with pytest.raises(ValueError, match=f"^target order {2 * N + 1} beyond the "
+                                         f"double-precision cap {jets.MAX_ORDER_DOUBLE}$"):
+        lindstedt_double(fam, jet, omega)
+
+
 def test_base_must_be_exact(fam, omega, base_torus):
     K0, mu0 = base_torus
     with pytest.raises(ValueError):

@@ -521,6 +521,20 @@ def test_a_huge_averaged_block_gives_a_typed_result(rows, det):
         assert core.block.tolist() == rows and core.det == det
 
 
+@pytest.mark.parametrize("A2, scale", [(0.0, 0.0), (np.inf, np.inf)], ids=["zero", "inf"])
+def test_a_block_of_scale_zero_or_inf_is_a_nondegeneracy_failure(A2, scale):
+    # the block [[S, A1], [lam - 1, A2]] = [[0, 0], [0, A2]]: no determinant is
+    # taken, the failure carries det nan and the scale
+    points = 8
+    fr = newton.Frame(d=1, kmax=2, n=points, omega=np.array([0.5]), lam=np.array([1.0]),
+                      Df=None, M=None, Mshift=None, beta=None,
+                      S=np.zeros((1, 1, 1, points)),
+                      A=np.array([0.0, A2])[None, :, None, None] * np.ones(points))
+    with pytest.raises(NonDegeneracyFailure) as err:
+        newton.checked_block(fr, np.ones((1, 1, points)))
+    assert np.isnan(err.value.det) and err.value.scale == scale
+
+
 # -- full runs ---------------------------------------------------------------------
 
 def test_run_converges_immediately_at_eps0(fam, omega, base_torus):
