@@ -199,7 +199,7 @@ def cmd_sweep(run: _Run):
     cfg = run.cfg
     sec = cfg.sections["sweep"]
     start, steps = sec["start"], sec["steps"]
-    end, path = sweep_path(sec)
+    end, path = sec["end"], sweep_path(sec)
     K0, mu0 = _solver_start(cfg)
     result = sweep_continuation(cfg.family, cfg.omega, path, K0, mu0, **run.newton)
     buf = io.StringIO()

@@ -15,8 +15,8 @@ ConfigError naming `<file>[<section>].<key>`.  Every number must be finite:
                  with a finite lam(eps)
     [lindstedt]  order 0..32; eps0 complex, with a finite lam(eps0)
     [double]     order 0..32; rounds >= 0, within the order cap
-    [sweep]      start, end complex; steps >= 1; direction complex != 0;
-                 every point of the path (`sweep_path`) and its lam finite
+    [sweep]      start, end complex; steps >= 1; every point of the path
+                 (`sweep_path`) and its lam finite
     [atlas]      plane lambda | epsilon; bounds re0 < re1, im0 < im1 (4 numbers)
                  with a finite image height 640 (im1 - im0) / (re1 - re0);
                  resolution 2 integers >= 1; ball_kmax >= 1; rho_band, radius_scale > 0,
@@ -150,7 +150,7 @@ _KEYS = {
               "ball_kmax": (_int_in(1), 512), "rho_band": (_positive, 0.05),
               "radius_scale": (_positive, 1.0)},
     "sweep": {"start": (_complex, complex(0.01)), "end": (_complex, complex(0.1)),
-              "steps": (_int_in(1), 10), "direction": (_nonzero(_complex), None)},
+              "steps": (_int_in(1), 10)},
 }
 
 
@@ -169,14 +169,11 @@ class RunConfig:
     sections: dict               # section -> key -> typed value
 
 
-def sweep_path(sweep: dict) -> tuple:
-    """(end, path) of a [sweep] section: the point the sweep runs to, `end` or
-    with a `direction` the point at distance |end - start| from `start`
-    along it, and the `steps` equally spaced points from `start` to it."""
-    start, end, direction = sweep["start"], sweep["end"], sweep["direction"]
-    if direction is not None:
-        end = start + direction / abs(direction) * abs(end - start)
-    return end, start + (end - start) * np.linspace(0.0, 1.0, sweep["steps"])
+def sweep_path(sweep: dict) -> np.ndarray:
+    """The `steps` equally spaced points from `start` to `end` of a [sweep]
+    section."""
+    start, end = sweep["start"], sweep["end"]
+    return start + (end - start) * np.linspace(0.0, 1.0, sweep["steps"])
 
 
 def load_config(path) -> RunConfig:
@@ -228,36 +225,25 @@ def load_config(path) -> RunConfig:
     good, atlas = values.get("goodset"), values["atlas"]
     good_set = None if good is None else GoodSetParams(
         A=good["A"], N=good["N"], tau=freq["tau"], r0=good["r0"])
-    with np.errstate(over="ignore"):   # the largest radius of an atlas ball, at |k| = 1
-        radius = 0.0 if good_set is None else good_set.floor(
-            atlas["radius_scale"] * good_set.factor(atlas["rho_band"]), 1.0)
-    if not np.isfinite(radius):
-        raise ConfigError("the largest ball radius radius_scale * rho_band^(N+1) / A "
-                          "is not finite", f"{path}[atlas].rho_band")
-    sweep = values["sweep"]
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(sweep_path(sweep)[1]).all()
-    except OverflowError:   # |direction| overflows
-        finite = False
-    if not finite:
-        moved = sweep["direction"] is not None and np.isfinite(sweep["end"] - sweep["start"])
-        raise ConfigError("the sweep path is not finite",
-                          f"{path}[sweep].{'direction' if moved else 'end'}")
     family = DissipativeStandardMap(kappa=fam["kappa"], alpha=complex(fam["alpha"]),
                                     a=fam["a"])
-
-    def lam_finite(eps) -> bool:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return bool(np.isfinite(family.lambda_eps(eps)).all())
-
-    sweep_key = "end" if lam_finite(sweep["start"]) else "start"
-    for sec, key, eps in (("solve", "eps", values["solve"]["eps"]),
-                          ("lindstedt", "eps0", values["lindstedt"]["eps0"]),
-                          ("sweep", sweep_key, sweep_path(sweep)[1])):
-        if eps is not None and not lam_finite(eps):
-            raise ConfigError("lam(eps) = 1 + alpha eps^a is not finite",
-                              f"{path}[{sec}].{key}")
+    sweep, eps = values["sweep"], values["solve"]["eps"]
+    lam = "lam(eps) = 1 + alpha eps^a"
+    with np.errstate(over="ignore", invalid="ignore"):
+        path_eps = sweep_path(sweep)
+        derived = [   # (section, key, what, value), checked in this order
+            # the largest radius of an atlas ball, at |k| = 1
+            ("atlas", "rho_band", "the largest ball radius radius_scale * rho_band^(N+1) / A",
+             0.0 if good_set is None else good_set.floor(
+                 atlas["radius_scale"] * good_set.factor(atlas["rho_band"]), 1.0)),
+            ("sweep", "end", "the sweep path", path_eps),
+            *([] if eps is None else [("solve", "eps", lam, family.lambda_eps(eps))]),
+            ("lindstedt", "eps0", lam, family.lambda_eps(values["lindstedt"]["eps0"])),
+            ("sweep", "start", lam, family.lambda_eps(sweep["start"])),
+            ("sweep", "end", lam, family.lambda_eps(path_eps))]
+    for sec, key, what, value in derived:
+        if not np.isfinite(value).all():
+            raise ConfigError(f"{what} is not finite", f"{path}[{sec}].{key}")
     k_scan = None if good is None else good["kscan"]
     newton = dict(values["solver"])
     return RunConfig(
