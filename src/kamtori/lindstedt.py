@@ -38,8 +38,8 @@ from .embedding import TorusEmbedding, sample_jet
 from .errors import InexactJet, JetOverflow
 from .fourier import (FourierSeries, _format_pairs, _parse_pairs, _read_header,
                       dump_series, from_grid, load_series, to_grid)
-from .newton import (_evaluate, _grid_size, _mean, build_frame, checked_block,
-                     newton_frame, solve_reduced)
+from .newton import (_check_start, _evaluate, _grid_size, _mean, build_frame,
+                     checked_block, newton_frame, solve_reduced)
 
 BASE_TOL = 1e-10
 
@@ -148,8 +148,9 @@ def lindstedt_expand(fam, K_base: TorusEmbedding, mu_base, omega, eps0, N: int,
                      divisor_floor=DEFAULT_DIVISOR_FLOOR) -> EpsilonJet:
     """The normalized series through order N at eps0, from an exact base.
 
-    ValueError when N exceeds MAX_ORDER_DOUBLE or the base residual exceeds
-    BASE_TOL; FrameSingular, NonDegeneracyFailure and DivisorTooSmall as a
+    ValueError when N exceeds MAX_ORDER_DOUBLE, for a base that `run_newton`
+    refuses as a start (eps0, lam(eps0), mu_base, omega or K_base) or when the
+    base residual exceeds BASE_TOL; FrameSingular, NonDegeneracyFailure and DivisorTooSmall as a
     Newton step raises them.  JetOverflow names the first order whose
     right-hand side or solution is not finite.
     """
@@ -157,7 +158,7 @@ def lindstedt_expand(fam, K_base: TorusEmbedding, mu_base, omega, eps0, N: int,
         raise ValueError(
             f"order {N} beyond the double-precision cap {MAX_ORDER_DOUBLE}")
     d, kmax = K_base.dim, K_base.kmax
-    mu_base = np.atleast_1d(np.asarray(mu_base, dtype=complex))
+    mu_base = _check_start(fam, K_base, mu_base, omega, eps0)[1]
     bands = _bands(fam, (K_base.periodic,), N)
     B = bands[-1]
     K_cut = TorusEmbedding(K_base.periodic.truncate(B))
@@ -234,7 +235,8 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
     """One Newton step on the jet: order N in, order 2N+1 out, orders <= N
     returned as given.
 
-    ValueError when 2N+1 exceeds MAX_ORDER_DOUBLE.  InexactJet names the
+    ValueError when 2N+1 exceeds MAX_ORDER_DOUBLE, or for an eps0 or an order
+    0 (torus, mu) that `run_newton` refuses as a start.  InexactJet names the
     first input order whose residual on the grid exceeds BASE_TOL, and
     JetOverflow the first order whose residual, right-hand side or solution
     is not finite.
@@ -244,6 +246,7 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
         raise ValueError(
             f"target order {M_ord} beyond the double-precision cap {MAX_ORDER_DOUBLE}")
     d, kmax, eps0 = jet.dim, jet.kmax, jet.eps0
+    _check_start(fam, TorusEmbedding(jet.K_coeffs[0]), jet.mu_coeffs[0], omega, eps0)
     with _orders_checked():
         bands, x, mu, E, (dk, dkshift) = _evaluate_jet(fam, jet, omega, M_ord)
         if not np.isfinite(E).all():

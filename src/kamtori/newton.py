@@ -403,22 +403,10 @@ class KamSolution:
         return lagrangian_defect(self.K)
 
 
-def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20,
-               divisor_floor=DEFAULT_DIVISOR_FLOOR,
-               good_set: GoodSetParams | None = None,
-               good_set_scan: int = 4096) -> KamSolution:
-    """Iterate `newton_step` from (K0, mu0) until the l1 residual at rho = 0
-    is at most tol; `trace` holds the residual of each evaluation.  While K's
-    tail band carries relative mass above DEFAULT_TAIL_THRESHOLD its cutoff
-    is doubled, up to KMAX_CAP.
-
-    Raises Diverged when a residual is not finite or two consecutive
-    residuals exceed the first, and NoConvergence after max_iter steps.  A
-    non-finite eps, lam(eps), mu0, omega or K0 coefficient, a tol outside
-    [0, inf) or a max_iter that is not an integer >= 0 raises ValueError.
-    With `good_set`, lam(eps) must pass `lambda_in_good_set` over
-    `good_set_scan` modes, else DivisorTooSmall carries its witness.
-    """
+def _check_start(fam, K0, mu0, omega, eps):
+    """(lam(eps), mu0 as a 1-d complex array) of a solve's starting point.
+    ValueError for a non-finite eps, lam(eps), mu0, omega or K0 coefficient,
+    or an omega without K0.dim components."""
     if not np.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -435,6 +423,26 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20,
         k = tuple(int(i) - K0.kmax for i in bad[0][:K0.dim])
         raise ValueError(f"K0 must be finite, got {K0.periodic.coeffs[tuple(bad[0])]} "
                          f"at mode k={k}")
+    return lam, mu
+
+
+def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20,
+               divisor_floor=DEFAULT_DIVISOR_FLOOR,
+               good_set: GoodSetParams | None = None,
+               good_set_scan: int = 4096) -> KamSolution:
+    """Iterate `newton_step` from (K0, mu0) until the l1 residual at rho = 0
+    is at most tol; `trace` holds the residual of each evaluation.  While K's
+    tail band carries relative mass above DEFAULT_TAIL_THRESHOLD its cutoff
+    is doubled, up to KMAX_CAP.
+
+    Raises Diverged when a residual is not finite or two consecutive
+    residuals exceed the first, and NoConvergence after max_iter steps.  A
+    non-finite eps, lam(eps), mu0, omega or K0 coefficient, a tol outside
+    [0, inf) or a max_iter that is not an integer >= 0 raises ValueError.
+    With `good_set`, lam(eps) must pass `lambda_in_good_set` over
+    `good_set_scan` modes, else DivisorTooSmall carries its witness.
+    """
+    lam, mu = _check_start(fam, K0, mu0, omega, eps)
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must satisfy 0 <= tol < inf, got {tol}")
     if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:

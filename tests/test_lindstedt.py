@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import re
 
@@ -233,6 +234,50 @@ def test_base_must_be_exact(fam, omega, base_torus):
     K0, mu0 = base_torus
     with pytest.raises(ValueError):
         lindstedt_expand(fam, K0, np.array([0.05]), omega, 0.0, 2)
+
+
+def _start_error(fam, K, mu, omega, eps):
+    with pytest.raises(ValueError) as err:
+        run_newton(fam, K, mu, omega, eps)
+    return str(err.value)
+
+
+_BAD_STARTS = pytest.mark.parametrize("alpha, mu, omega_of, eps0", [
+    (1.0, [np.nan], lambda w: w, 0.0),
+    (1.0, [0.0], lambda w: np.nan, 0.0),
+    (1.0, [0.0], lambda w: [w, w], 0.0),
+    (1.0, [0.0], lambda w: w, np.nan),
+    (1.0, [0.0], lambda w: w, np.inf),
+    # lam(eps0) = 1 + alpha eps0 overflows
+    (1e308, [0.0], lambda w: w, 10.0),
+], ids=["mu-nan", "omega-nan", "omega-length", "eps0-nan", "eps0-inf", "lam-overflows"])
+
+
+@_BAD_STARTS
+def test_expansion_refuses_the_starts_that_newton_refuses(omega, alpha, mu, omega_of, eps0):
+    # these used to give a nan mu, FrameSingular, IndexError or a RuntimeWarning
+    fam = DissipativeStandardMap(kappa=0.5, alpha=alpha, a=1)
+    K0 = fam.unperturbed_torus(omega, 16)[0]
+    named = _start_error(fam, K0, mu, omega_of(omega), eps0)
+    with pytest.raises(ValueError) as err:
+        lindstedt_expand(fam, K0, mu, omega_of(omega), eps0, 3)
+    assert str(err.value) == named
+
+
+@_BAD_STARTS
+def test_doubling_refuses_the_starts_that_newton_refuses(omega, alpha, mu, omega_of, eps0):
+    # these used to give JetOverflow, IndexError or a RuntimeWarning
+    fam = DissipativeStandardMap(kappa=0.5, alpha=alpha, a=1)
+    jet = lindstedt_expand(DissipativeStandardMap(kappa=0.5, alpha=1.0, a=1),
+                           *fam.unperturbed_torus(omega, 16), omega, 0.0, 3)
+    mu_coeffs = np.array(jet.mu_coeffs)
+    mu_coeffs[0] = mu
+    jet = dataclasses.replace(jet, eps0=complex(eps0), mu_coeffs=mu_coeffs)
+    named = _start_error(fam, TorusEmbedding(jet.K_coeffs[0]), jet.mu_coeffs[0],
+                         omega_of(omega), jet.eps0)
+    with pytest.raises(ValueError) as err:
+        lindstedt_double(fam, jet, omega_of(omega))
+    assert str(err.value) == named
 
 
 # -- expansion around eps0 != 0 -----------------------------------------------------
