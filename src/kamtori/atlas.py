@@ -137,14 +137,16 @@ def classify_grid(plane: str, bounds, resolution, params: GoodSetParams,
                   omega, fam=None, k_scan: int = 2048) -> AtlasGrid:
     """Good-set membership of each cell center, as `lambda_in_good_set`
     decides it: of lam itself, or with plane="epsilon" of lam(eps) and
-    OUTSIDE_R0 where |eps| > r0.  Bounds without re0 < re1 and im0 < im1,
+    OUTSIDE_R0 where |eps| > r0; a cell whose lam(eps) is not finite is
+    EXCLUDED, with no warning.  Bounds without re0 < re1 and im0 < im1,
     or another plane, raise ValueError.
     """
     _check_plane(plane, fam)
     _check_bounds(bounds)
     xs, ys = _cell_centers(bounds, resolution)
     zz = xs[:, None] + 1j * ys[None, :]
-    lam = zz if plane == "lambda" else np.asarray(fam.lambda_eps(zz))
+    with np.errstate(over="ignore", invalid="ignore"):   # a lam that is not finite
+        lam = zz if plane == "lambda" else np.asarray(fam.lambda_eps(zz))
     term, witness, _ = nu_scan(lam, omega, params.tau, k_scan)
     attained, _ = good_set_attained(lam, term, params)
     status = np.where(attained <= params.A, INSIDE, EXCLUDED).astype(np.int8)

@@ -151,6 +151,20 @@ def test_classify_epsilon_r0_gate(params, omega, fam):
     assert np.all((np.abs(zz) > params.r0) == (grid.status == OUTSIDE_R0))
 
 
+def test_classify_epsilon_cell_whose_lam_is_not_finite_is_excluded(omega):
+    # lam(eps) = 1 + eps^3 overflows at |eps| ~ 1e200 < r0: the cells are
+    # EXCLUDED, as nu_scan and good_set_attained give them; computing lam
+    # used to warn
+    fam = DissipativeStandardMap(kappa=0.5, alpha=1.0, a=3)
+    params = GoodSetParams(A=0.1, N=1, tau=1.0, r0=1e300)
+    grid = classify_grid("epsilon", (1e200, 2e200, -1.0, 1.0), (2, 1), params,
+                         omega, fam=fam, k_scan=16)
+    xs, ys = grid.cell_centers()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(fam.lambda_eps(xs[:, None] + 1j * ys[None, :])).any()
+    assert grid.status.tolist() == [[EXCLUDED], [EXCLUDED]]
+
+
 def test_classify_monotone_in_A(omega):
     bounds = (0.95, 1.05, -0.05, 0.05)
     small = classify_grid("lambda", bounds, (30, 30),

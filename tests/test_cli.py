@@ -381,6 +381,21 @@ def test_committed_config_loads(path):
     assert cfg.omega.size == cfg.family.dim
 
 
+def test_an_epsilon_plane_atlas_whose_lam_overflows_runs(tmp_path, capsys):
+    # lam(eps) = 1 + eps^3 overflows on every cell of these bounds; computing it
+    # used to warn, a traceback under warnings-as-errors
+    text = (CONFIGS / "atlas_lambda.cfg").read_text()
+    for old, new in {"plane = lambda": "plane = epsilon",
+                     "bounds = 0.85 1.15 -0.15 0.15": "bounds = 0 1e120 0 1e120"}.items():
+        assert old in text
+        text = text.replace(old, new)
+    p = tmp_path / "atlas.cfg"
+    p.write_text(text)
+    assert main(["atlas", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "atlas epsilon: inside=0 excluded=0 outside-r0=25600, 78 balls"
+
+
 CONFIG_TEXTS = {**{p.name: p.read_text() for p in sorted(CONFIGS.glob("*.cfg"))},
                 "GOLDEN": GOLDEN, "ATLAS": ATLAS}
 
