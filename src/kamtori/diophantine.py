@@ -123,7 +123,7 @@ def scan_trace(omega, tau: float, k_scan: int, lam: complex | None = None):
     target = 1.0 + 0j if lam is None else complex(lam)
     divisors = np.abs(phases[order] - target)
     with np.errstate(divide="ignore"):
-        terms = np.where(divisors < _ZERO_DIVISOR, np.inf, 1.0 / (divisors * knorm ** tau))
+        terms = np.where(divisors < _ZERO_DIVISOR, np.inf, knorm ** (-tau) / divisors)
     running = np.maximum.accumulate(terms)
     return np.column_stack([knorm, divisors, running]), ks
 

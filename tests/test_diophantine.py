@@ -169,6 +169,15 @@ def test_scan_trace_running_sup():
     assert running[-1] == pytest.approx(nu_omega(GOLDEN_MEAN, 1.0, 200).value)
 
 
+def test_scan_trace_running_sup_is_nu_lambda_bit_for_bit():
+    # the trace's terms used to be 1 / (divisor |k|^tau), which differs from
+    # nu_scan's |k|^-tau / divisor in the last bits for 12 of these lam
+    x, y = np.random.default_rng(0).standard_normal((2, 50))
+    for lam in 1.0 + 0.05 * (x + 1j * y):
+        trace, _ = scan_trace(GOLDEN_MEAN, 1.0, 2048, lam=lam)
+        assert trace[-1, 2] == nu_lambda(lam, GOLDEN_MEAN, 1.0, 2048).value
+
+
 @pytest.mark.parametrize("omega", [GOLDEN_MEAN, [GOLDEN_MEAN, np.sqrt(2.0) - 1.0]],
                          ids=["d1", "d2"])
 def test_resonance_table_matches_direct_scan(omega):
