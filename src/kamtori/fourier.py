@@ -184,9 +184,6 @@ class FourierSeries:
         a, b = _aligned(self, other)
         return FourierSeries(a.dim, a.kmax, a.coeffs - b.coeffs)
 
-    def __neg__(self):
-        return FourierSeries(self.dim, self.kmax, -self.coeffs)
-
     def remove_average(self) -> "FourierSeries":
         out = self.coeffs.copy()
         out[(self.kmax,) * self.dim] = 0

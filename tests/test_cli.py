@@ -305,6 +305,21 @@ def test_outputs_honor_umask(golden_cfg, tmp_path):
         assert stat.S_IMODE(os.stat(out / name).st_mode) == 0o644
 
 
+@pytest.mark.parametrize("fails", ["write", "rename"])
+def test_a_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch, fails):
+    def refuse(*args):
+        raise OSError(f"{fails} refused")
+
+    text = "table\n"
+    if fails == "write":
+        text = 1   # not a str: the write raises TypeError
+    else:
+        monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises((TypeError, OSError)):
+        cli._atomic_write(str(tmp_path / "out.txt"), text)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, edits, where", [
     ("solve", {"A = 0.5": "A = -1"}, "[goodset].A"),
     ("solve", {"N = 2": "N = -1"}, "[goodset].N"),

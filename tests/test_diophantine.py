@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from kamtori.diophantine import (GOLDEN_MEAN, GoodSetParams,
                                  lambda_in_good_set, mode_ball,
-                                 nu_lambda, nu_omega, resonances, scan_trace)
+                                 nu_lambda, nu_omega, nu_scan, resonances,
+                                 scan_trace)
 
 # frozen by a 50-digit scan over |k| <= 1e5: the sup sits at k = 1
 NU_GOLDEN_TAU1 = 0.53646202345015873
@@ -160,6 +161,17 @@ def test_witness_records_maximizer():
                            GOLDEN_MEAN, 500)
     assert w.nu.k != ()
     assert w.attained == pytest.approx(w.nu.value * w.factor)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: nu_scan(1.1, GOLDEN_MEAN, 1.0, 0), "k_scan must be >= 1"),
+    (lambda: GoodSetParams(A=0.0, N=1, tau=1.0, r0=0.3), "A and r0 must be positive"),
+    (lambda: GoodSetParams(A=0.1, N=1, tau=1.0, r0=-1.0), "A and r0 must be positive"),
+    (lambda: GoodSetParams(A=0.1, N=-1, tau=1.0, r0=0.3), "N must be >= 0"),
+], ids=["k-scan-0", "A-0", "r0-negative", "N-negative"])
+def test_scan_and_good_set_refuse_values_out_of_range(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_scan_trace_running_sup():

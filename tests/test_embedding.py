@@ -58,6 +58,12 @@ def _random_jet(rng, dim: int, kmax: int, orders: int) -> tuple:
                  for _ in range(orders))
 
 
+@pytest.mark.parametrize("dim, value_shape", [(1, (3,)), (2, (2,)), (1, ())])
+def test_embedding_needs_a_2d_valued_periodic_part(dim, value_shape):
+    with pytest.raises(ValueError, match=r"^periodic part must be \(2d,\)-valued"):
+        TorusEmbedding(FourierSeries.zeros(dim, 2, value_shape))
+
+
 # -- the sampler ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("orders", [1, 4])

@@ -430,6 +430,8 @@ def test_pad_truncate_round_trip(rng):
     s = random_series(rng, kmax=6)
     assert np.array_equal(s.pad_to(10).truncate(6).coeffs, s.coeffs)
     assert s.pad_to(10).analytic_norm(0.1) == pytest.approx(s.analytic_norm(0.1))
+    # truncating to a larger box pads
+    assert np.array_equal(s.truncate(10).coeffs, s.pad_to(10).coeffs)
 
 
 def test_tail_mass(rng):
@@ -437,6 +439,26 @@ def test_tail_mass(rng):
     assert lo.tail_mass() == 0.0
     hi = FourierSeries.from_modes(1, 8, {7: 1.0, 1: 1.0})
     assert hi.tail_mass() == pytest.approx(0.5)
+    assert FourierSeries.zeros(1, 8).tail_mass() == 0.0
+
+
+_VECTOR = FourierSeries.zeros(1, 4, (2,))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FourierSeries(1, 4, np.zeros(8)),
+     r"coefficient array shape \(8,\) does not match dim=1, kmax=4"),
+    (lambda: FourierSeries(2, 1, np.zeros((3, 2))),
+     r"coefficient array shape \(3, 2\) does not match dim=2, kmax=1"),
+    (lambda: _VECTOR.eval([0.1, 0.2]), r"theta must have shape \(1,\), got \(2,\)"),
+    (lambda: _VECTOR.analytic_norm(-0.1), "rho must be >= 0"),
+    (lambda: _VECTOR.pad_to(3), "pad_to cannot shrink the mode box; use truncate"),
+    (lambda: _VECTOR + FourierSeries.zeros(1, 4, (3,)), "series shapes are incompatible"),
+    (lambda: _VECTOR - FourierSeries.zeros(1, 4), "series shapes are incompatible"),
+], ids=["shape", "shape-dim-2", "eval-theta", "norm-rho", "pad-shrinks", "add", "sub"])
+def test_series_refuses_a_mismatched_shape_or_range(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_fast_grid_size():
