@@ -2,9 +2,12 @@ import hashlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from kamtori import cli
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "cli_digests.py"
+CONFIGS = TOOL.parent.parent / "configs"
 _spec = importlib.util.spec_from_file_location("cli_digests", TOOL)
 cli_digests = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(cli_digests)
@@ -30,4 +33,18 @@ def test_listing_digests_every_file_then_the_exit_codes(tmp_path):
 
 
 def test_every_cli_command_is_run_once():
-    assert sorted(command for command, _ in cli_digests.COMMANDS) == sorted(cli._COMMANDS)
+    # atlas runs once in each plane
+    runs = cli_digests.RUNS
+    assert sorted(command for _, command, _, _ in runs) == sorted([*cli._COMMANDS, "atlas"])
+    assert len({name for name, _, _, _ in runs}) == len(runs)
+    planes = [cli_digests.run_config((CONFIGS / cfg).read_text(), values)
+              for _, command, cfg, values in runs if command == "atlas"]
+    assert ["plane = epsilon" in text for text in planes] == [False, True]
+
+
+def test_run_config_sets_one_line_per_key():
+    text = "[atlas]\nplane = lambda\nbounds = 0 1 0 1\n"
+    assert cli_digests.run_config(text, {"plane": "epsilon"}) == \
+        "[atlas]\nplane = epsilon\nbounds = 0 1 0 1\n"
+    with pytest.raises(ValueError, match="expected one 'steps' line, found 0"):
+        cli_digests.run_config(text, {"steps": "3"})

@@ -3,15 +3,16 @@
     python tools/cli_digests.py [REPO_DIR]
 
 Runs `solve`, `lindstedt`, `double`, `sweep` and `verify` on
-`configs/golden.cfg` and `atlas` on `configs/atlas_lambda.cfg` of REPO_DIR
-(default: the repository holding this script), each as
-`python -W error -m kamtori.cli` with REPO_DIR/src on PYTHONPATH, in a
-temporary directory that holds copies of the configs.  The output tree has
-one directory per command, holding `out/` (the command's files) and its
-`stdout`, `stderr` and `exit_code`.
+`configs/golden.cfg`, and `atlas` on `configs/atlas_lambda.cfg` in its
+lambda plane and, with `plane = epsilon` and `bounds = -0.4 0.4 -0.4 0.4`,
+in its epsilon plane, of REPO_DIR (default: the repository holding this
+script).  Each run is `python -W error -m kamtori.cli` with REPO_DIR/src on
+PYTHONPATH, in a temporary directory that holds the run's copy of its
+config.  The output tree has one directory per run (RUNS), holding `out/`
+(the command's files) and its `stdout`, `stderr` and `exit_code`.
 
-Prints one line `<sha256>  <command>/<file>` per file of the tree, sorted by
-name, then one line `exit <code>  <command>` per command.  Two checkouts
+Prints one line `<sha256>  <run>/<file>` per file of the tree, sorted by
+name, then one line `exit <code>  <run>` per run.  Two checkouts
 whose listings are equal wrote the same bytes, printed the same text and
 exited alike.
 
@@ -22,15 +23,18 @@ from __future__ import annotations
 
 import hashlib
 import os
-import shutil
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-COMMANDS = (("solve", "golden.cfg"), ("lindstedt", "golden.cfg"),
-            ("double", "golden.cfg"), ("sweep", "golden.cfg"),
-            ("verify", "golden.cfg"), ("atlas", "atlas_lambda.cfg"))
+# (tree name, command, config, {key: value} set in the run's copy of the config)
+RUNS = (*((command, command, "golden.cfg", {})
+          for command in ("solve", "lindstedt", "double", "sweep", "verify")),
+        ("atlas", "atlas", "atlas_lambda.cfg", {}),
+        ("atlas-epsilon", "atlas", "atlas_lambda.cfg",
+         {"plane": "epsilon", "bounds": "-0.4 0.4 -0.4 0.4"}))
 
 
 def listing(root: Path) -> list[str]:
@@ -48,18 +52,28 @@ def listing(root: Path) -> list[str]:
     return digests + exits
 
 
+def run_config(text: str, values: dict) -> str:
+    """The config `text` with each `key = ...` line of `values` set to its
+    value; ValueError unless the key has exactly one line."""
+    for key, value in values.items():
+        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        if count != 1:
+            raise ValueError(f"expected one {key!r} line, found {count}")
+    return text
+
+
 def run_commands(repo: Path, work: Path) -> Path:
-    """Run each command of COMMANDS in `work`, on copies of the configs there;
-    return the root of the output tree, `work`/tree."""
-    for cfg in {cfg for _, cfg in COMMANDS}:
-        shutil.copy(repo / "configs" / cfg, work / cfg)
+    """Make each run of RUNS in `work`, on its copy `<name>.cfg` of its config
+    there; return the root of the output tree, `work`/tree."""
     env = dict(os.environ, PYTHONPATH=str(repo / "src"))
-    for command, cfg in COMMANDS:
-        out = work / "tree" / command
+    for name, command, cfg, values in RUNS:
+        copy = work / f"{name}.cfg"
+        copy.write_text(run_config((repo / "configs" / cfg).read_text(), values))
+        out = work / "tree" / name
         out.mkdir(parents=True)
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "kamtori.cli", command,
-             "--config", cfg, "--out", f"tree/{command}/out"],
+             "--config", copy.name, "--out", f"tree/{name}/out"],
             cwd=work, env=env, capture_output=True)
         (out / "stdout").write_bytes(proc.stdout)
         (out / "stderr").write_bytes(proc.stderr)
