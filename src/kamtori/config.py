@@ -228,7 +228,7 @@ def load_config(path) -> RunConfig:
     family = DissipativeStandardMap(kappa=fam["kappa"], alpha=complex(fam["alpha"]),
                                     a=fam["a"])
     sweep, eps = values["sweep"], values["solve"]["eps"]
-    lam = "lam(eps) = 1 + alpha eps^a"
+    lam_eps = "lam(eps) = 1 + alpha eps^a"
     with np.errstate(over="ignore", invalid="ignore"):
         path_eps = sweep_path(sweep)
         derived = [   # (section, key, what, value), checked in this order
@@ -237,10 +237,10 @@ def load_config(path) -> RunConfig:
              0.0 if good_set is None else good_set.floor(
                  atlas["radius_scale"] * good_set.factor(atlas["rho_band"]), 1.0)),
             ("sweep", "end", "the sweep path", path_eps),
-            *([] if eps is None else [("solve", "eps", lam, family.lambda_eps(eps))]),
-            ("lindstedt", "eps0", lam, family.lambda_eps(values["lindstedt"]["eps0"])),
-            ("sweep", "start", lam, family.lambda_eps(sweep["start"])),
-            ("sweep", "end", lam, family.lambda_eps(path_eps))]
+            *([] if eps is None else [("solve", "eps", lam_eps, family.lambda_eps(eps))]),
+            ("lindstedt", "eps0", lam_eps, family.lambda_eps(values["lindstedt"]["eps0"])),
+            ("sweep", "start", lam_eps, family.lambda_eps(sweep["start"])),
+            ("sweep", "end", lam_eps, family.lambda_eps(path_eps))]
     for sec, key, what, value in derived:
         if not np.isfinite(value).all():
             raise ConfigError(f"{what} is not finite", f"{path}[{sec}].{key}")

@@ -149,9 +149,9 @@ def lindstedt_expand(fam, K_base: TorusEmbedding, mu_base, omega, eps0, N: int,
     """The normalized series through order N at eps0, from an exact base.
 
     ValueError when N exceeds MAX_ORDER_DOUBLE, for a base that `run_newton`
-    refuses as a start (eps0, lam(eps0), mu_base, omega or K_base) or when the
-    base residual exceeds BASE_TOL; FrameSingular, NonDegeneracyFailure and DivisorTooSmall as a
-    Newton step raises them.  JetOverflow names the first order whose
+    refuses as a start (eps0, lam(eps0), mu_base, omega or K_base) or when
+    the base residual exceeds BASE_TOL; FrameSingular, NonDegeneracyFailure
+    and DivisorTooSmall as a Newton step raises them.  JetOverflow names the first order whose
     right-hand side or solution is not finite.
     """
     if N > MAX_ORDER_DOUBLE:
