@@ -308,15 +308,13 @@ def test_outputs_honor_umask(golden_cfg, tmp_path):
 @pytest.mark.parametrize("fails", ["write", "rename"])
 def test_a_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch, fails):
     def refuse(*args):
-        raise OSError(f"{fails} refused")
+        raise OSError("rename refused")
 
-    text = "table\n"
-    if fails == "write":
-        text = 1   # not a str: the write raises TypeError
-    else:
+    if fails == "rename":
         monkeypatch.setattr(os, "replace", refuse)
-    with pytest.raises((TypeError, OSError)):
-        cli._atomic_write(str(tmp_path / "out.txt"), text)
+    # a text that is not a str makes the write raise TypeError
+    with pytest.raises(TypeError if fails == "write" else OSError):
+        cli._atomic_write(str(tmp_path / "out.txt"), 1 if fails == "write" else "table\n")
     assert list(tmp_path.iterdir()) == []
 
 
