@@ -10,6 +10,11 @@ The series is normalized: in the base frame the angle component of every
 order has zero average.  Normalized jets are unique, so the two engines
 agree coefficientwise.
 
+Both engines begin with one start (`_start`; the expansion's base is an
+order-0 jet) and check their input orders by one rule (`_check_exact`).
+They read the family's jets, `degree` and `lambda_eps`, never its
+pointwise f, Df or df/dmu.
+
 Band rule.  From the flat torus (order 0 constant in the angles) order j of
 the series is a trigonometric polynomial of degree j * deg, deg being the
 family's `degree`.  A jet is band-limited when its order 0 is constant and
@@ -38,8 +43,8 @@ from .embedding import TorusEmbedding, sample_jet
 from .errors import InexactJet, JetOverflow
 from .fourier import (FourierSeries, _format_pairs, _parse_pairs, _read_header,
                       dump_series, from_grid, load_series, to_grid)
-from .newton import (_check_start, _evaluate, _grid_size, _mean, build_frame,
-                     checked_block, newton_frame, solve_reduced)
+from .newton import (_check_start, _grid_size, _mean, build_frame, checked_block,
+                     solve_reduced)
 
 BASE_TOL = 1e-10
 
@@ -98,18 +103,15 @@ def _bands(fam, K_coeffs, order: int) -> list:
     return [kmax] * (order + 1)
 
 
-def _evaluate_jet(fam, jet: EpsilonJet, omega, order: int, dk: bool = True):
-    """(bands, x, mu, E, dks) for a call producing orders 0..order: `_bands`,
-    and on `_grid_size(B)` the grid jets x = K, mu and E = f_{mu,eps} o K -
-    K o T_omega through `order`, and with `dk` (DK, DK o T_omega) through
-    the jet's order (else ())."""
+def _sample(fam, jet: EpsilonJet, omega, order: int, dk: bool = True):
+    """(bands, x, x o T_omega, dks) for a call producing orders 0..order:
+    `_bands`, and on `_grid_size(B)` the grid jets x = K and x o T_omega
+    through `order`, and with `dk` (DK, DK o T_omega) through the jet's."""
     bands = _bands(fam, jet.K_coeffs, order)
     B = bands[-1]
     coeffs = np.stack([K.truncate(B).coeffs for K in jet.K_coeffs])
     x, xshift, *dks = sample_jet(coeffs, omega, _grid_size(B), dk=dk)
-    x, xshift = jets.pad(x, order), jets.pad(xshift, order)
-    mu = jets.pad(jet.mu_coeffs, order)
-    return bands, x, mu, fam.jet_apply(x, mu, jet.eps0) - xshift, tuple(dks)
+    return bands, jets.pad(x, order), jets.pad(xshift, order), tuple(dks)
 
 
 @contextmanager
@@ -130,6 +132,41 @@ def _check_order(j: int, what: str, *arrays) -> None:
             raise JetOverflow(j, what)
 
 
+def _check_exact(E: np.ndarray, N: int) -> None:
+    """JetOverflow naming the first order of the residual jet E (on the grid)
+    that is not finite, else InexactJet the first order <= N above BASE_TOL."""
+    if not np.isfinite(E).all():
+        for j, Ej in enumerate(E):
+            _check_order(j, "residual", Ej)
+    for j in range(N + 1):
+        sup = float(np.max(np.abs(E[j])))
+        if sup > BASE_TOL:
+            raise InexactJet(j, sup, BASE_TOL)
+
+
+def _start(fam, jet: EpsilonJet, omega, order: int, divisor_floor):
+    """(bands, x, x o T_omega, mu, lam, core) of an engine producing orders
+    0..order from `jet`: `_sample`, mu and lam(eps) through `order`, and the
+    checked block of the frame of the jet's orders.  In that order it raises
+    ValueError for an `order` above MAX_ORDER_DOUBLE or an order 0 (eps0 and
+    mu_coeffs[0] as given) that `run_newton` refuses as a start, then
+    FrameSingular and NonDegeneracyFailure."""
+    if order > MAX_ORDER_DOUBLE:
+        raise ValueError(
+            f"target order {order} beyond the double-precision cap {MAX_ORDER_DOUBLE}")
+    eps0, n = jet.eps0, jet.order + 1
+    mu0 = _check_start(fam, TorusEmbedding(jet.K_coeffs[0]), jet.mu_coeffs[0], omega, eps0)[1]
+    mu = jets.pad(np.vstack([mu0, *jet.mu_coeffs[1:]]), order)   # order 0 as checked
+    lam = fam.lambda_jet(eps0, order)
+    with _orders_checked():
+        bands, x, xshift, (dk, dkshift) = _sample(fam, jet, omega, order)
+        fr = build_frame(lam[:n], dk, dkshift, fam.jet_jacobian(x[:n], mu[:n], eps0),
+                         fam.jet_d_mu(x[:n], mu[:n], eps0), omega, bands[-1])
+    # the averaged block of the (exact) order-0 torus serves every order
+    Bb_grid, _ = fr.solve_twisted(-fr.A[0, fr.d:], fr.kmax, divisor_floor)
+    return bands, x, xshift, mu, lam, checked_block(fr, Bb_grid, divisor_floor)
+
+
 def _project(grids: np.ndarray, d: int, B: int, bands, kmax: int) -> list:
     """The series of a grid jet sampled at cutoff B, order j cut to bands[j]
     and padded to kmax."""
@@ -148,53 +185,32 @@ def lindstedt_expand(fam, K_base: TorusEmbedding, mu_base, omega, eps0, N: int,
                      divisor_floor=DEFAULT_DIVISOR_FLOOR) -> EpsilonJet:
     """The normalized series through order N at eps0, from an exact base.
 
-    ValueError when N exceeds MAX_ORDER_DOUBLE, for a base that `run_newton`
-    refuses as a start (eps0, lam(eps0), mu_base, omega or K_base) or when
-    the base residual exceeds BASE_TOL; FrameSingular, NonDegeneracyFailure
-    and DivisorTooSmall as a Newton step raises them.  JetOverflow names the first order whose
+    Raises as `_start` on the base as an order-0 jet, then as `_check_exact`
+    on its residual (JetOverflow or InexactJet, order 0).  DivisorTooSmall as
+    a Newton step raises it; JetOverflow names the first order whose
     right-hand side or solution is not finite.
     """
-    if N > MAX_ORDER_DOUBLE:
-        raise ValueError(
-            f"order {N} beyond the double-precision cap {MAX_ORDER_DOUBLE}")
-    d, kmax = K_base.dim, K_base.kmax
-    mu_base = _check_start(fam, K_base, mu_base, omega, eps0)[1]
-    bands = _bands(fam, (K_base.periodic,), N)
-    B = bands[-1]
-    K_cut = TorusEmbedding(K_base.periodic.truncate(B))
-    # complex like the orders: products of a real base frame with them would be
-    # mixed real-complex, which numpy runs slower than complex ones
-    ev = _evaluate(fam, K_cut, mu_base, omega, eps0, real=False)
-    fr = newton_frame(fam, ev, mu_base, omega, eps0)
-    base_res = ev.residual
-    if base_res > BASE_TOL:
-        raise ValueError(
-            f"base residual {base_res:.3e} exceeds {BASE_TOL:.1e}; "
-            "the expansion needs an exact solution at eps0")
-    Bb_grid, _ = fr.solve_twisted(-fr.A[0, d:], fr.kmax, divisor_floor)
-    core = checked_block(fr, Bb_grid, divisor_floor)
-
+    # eps0 and mu_base as given, so that the start check names them as run_newton does
+    base = EpsilonJet(eps0, (K_base.periodic,), [mu_base], None)
+    bands, x, xshift, mu, lam, core = _start(fam, base, omega, N, divisor_floor)
+    fr, d, B = core.frame, K_base.dim, bands[-1]
     K_coeffs = [K_base.periodic]
-    x_jet = jets.pad(ev.X[None], N)
-    mu_jet = np.zeros((N + 1, d), dtype=complex)
-    mu_jet[0] = mu_base
-
     work = {}   # the map's jet carried from order to order
     with _orders_checked():
+        _check_exact(fam.jet_apply(x[:1], mu[:1], eps0, work=work) - xshift[:1], 0)
         for j in range(1, N + 1):
-            G = fam.jet_apply(x_jet[: j + 1], mu_jet[: j + 1], eps0, work=work)[0]
+            G = fam.jet_apply(x[: j + 1], mu[: j + 1], eps0, work=work)[0]
             Et = jets.mm(fr.beta[0], (-G)[:, None])[:, 0]
             _check_order(j, "right-hand side", Et)
             Ba_grid, _ = fr.solve_twisted(Et[d:], B, divisor_floor)
-            W1, W2, mu_j, _ = solve_reduced(core, Et[:d], Et[d:], Ba_grid, B)
+            W1, W2, mu[j], _ = solve_reduced(core, Et[:d], Et[d:], Ba_grid, B)
             Kj = from_grid(jets.mm(fr.M[0], np.concatenate([W1, W2])[:, None])[:, 0],
                            d, B).truncate(bands[j])
             _check_order(j, "solution", Kj.coeffs)
-            K_coeffs.append(Kj.pad_to(kmax))
-            x_jet[j] = to_grid(Kj, fr.n)
-            mu_jet[j] = mu_j
+            K_coeffs.append(Kj.pad_to(K_base.kmax))
+            x[j] = to_grid(Kj, fr.n)
 
-    return EpsilonJet(complex(eps0), tuple(K_coeffs), mu_jet, fam.lambda_jet(eps0, N))
+    return EpsilonJet(complex(eps0), tuple(K_coeffs), mu, lam)
 
 
 # -- residual jet -------------------------------------------------------------
@@ -203,7 +219,9 @@ def residual_jet(fam, jet: EpsilonJet, omega, through: int | None = None):
     """Taylor coefficients, as series, of f_{mu(eps),eps} o K(eps) -
     K(eps) o T_omega about eps0, through order `through` (default 2N+2)."""
     M = 2 * jet.order + 2 if through is None else through
-    bands, _, _, E, _ = _evaluate_jet(fam, jet.truncated(M), omega, M, dk=False)
+    jet = jet.truncated(M)
+    bands, x, xshift, _ = _sample(fam, jet, omega, M, dk=False)
+    E = fam.jet_apply(x, jets.pad(jet.mu_coeffs, M), jet.eps0) - xshift
     return _project(E, jet.dim, bands[-1], bands, jet.kmax)
 
 
@@ -235,58 +253,38 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
     """One Newton step on the jet: order N in, order 2N+1 out, orders <= N
     returned as given.
 
-    ValueError when 2N+1 exceeds MAX_ORDER_DOUBLE, or for an eps0 or an order
-    0 (torus, mu) that `run_newton` refuses as a start.  InexactJet names the
-    first input order whose residual on the grid exceeds BASE_TOL, and
-    JetOverflow the first order whose residual, right-hand side or solution
-    is not finite.
+    Raises as `_start` on the jet with order 2N+1, then as `_check_exact`
+    on its residual through 2N+1.  JetOverflow names the first new order
+    whose right-hand side or solution is not finite.
     """
     N, M_ord = jet.order, 2 * jet.order + 1
-    if M_ord > MAX_ORDER_DOUBLE:
-        raise ValueError(
-            f"target order {M_ord} beyond the double-precision cap {MAX_ORDER_DOUBLE}")
     d, kmax, eps0 = jet.dim, jet.kmax, jet.eps0
-    _check_start(fam, TorusEmbedding(jet.K_coeffs[0]), jet.mu_coeffs[0], omega, eps0)
-    with _orders_checked():
-        bands, x, mu, E, (dk, dkshift) = _evaluate_jet(fam, jet, omega, M_ord)
-        if not np.isfinite(E).all():
-            for j, Ej in enumerate(E):
-                _check_order(j, "residual", Ej)
-    B = bands[-1]
-    lam = fam.lambda_jet(eps0, M_ord)
-    x0, mu0 = x[:N + 1], mu[:N + 1]
-    fr = build_frame(lam[:N + 1], dk[:N + 1], dkshift[:N + 1],
-                     fam.jet_jacobian(x0, mu0, eps0), fam.jet_d_mu(x0, mu0, eps0), omega, B)
-    # the averaged block of the (exact) order-0 torus serves every order
-    Bb_grid, _ = fr.solve_twisted(-fr.A[0, d:], fr.kmax, divisor_floor)
-    core = checked_block(fr, Bb_grid, divisor_floor)
-    for j in range(N + 1):
-        sup = float(np.max(np.abs(E[j])))
-        if not sup <= BASE_TOL:
-            raise InexactJet(j, sup, BASE_TOL)
+    bands, x, xshift, mu, lam, core = _start(fam, jet, omega, M_ord, divisor_floor)
+    fr, B = core.frame, bands[-1]
     Minv0 = jets.inv_stack(fr.M[0])
-    # beta E through 2N+1 drops only beta[m > N] E[<= N], bounded by the guard
-    Et = jets.matmul(fr.beta, E[:, :, None], order=M_ord)[:, :, 0]
     S, A1, A2 = fr.S, fr.A[:, :d], fr.A[:, d:]
 
     # W = (W1, W2) and the drift correction vanish at orders <= N, so order nn
     # sums only m < nn - N; its drift correction is the new mu[nn]
     W = np.zeros(x.shape, dtype=complex)
     K_grid = np.empty_like(x)
-    mu_new = np.array(mu)
 
     with _orders_checked():
+        E = fam.jet_apply(x, mu, eps0) - xshift
+        _check_exact(E, N)
+        # beta E through 2N+1 drops only beta[m > N] E[<= N], bounded by the guard
+        Et = jets.matmul(fr.beta, E[:, :, None], order=M_ord)[:, :, 0]
         for nn in range(N + 1, M_ord + 1):
             rhs1, rhs2 = -Et[nn][:d], -Et[nn][d:]
             corr = np.zeros(x.shape[1:], dtype=complex)
             for m in range(1, nn - N):
-                W2m, sig = W[nn - m][d:], mu_new[nn - m][:, None, None]
+                W2m, sig = W[nn - m][d:], mu[nn - m][:, None, None]
                 rhs2 = rhs2 - lam[m] * W2m - jets.mm(A2[m], sig)[:, 0]
                 rhs1 = rhs1 - jets.mm(S[m], W2m[:, None])[:, 0] - jets.mm(A1[m], sig)[:, 0]
                 corr = corr + jets.mm(fr.M[m], W[nn - m][:, None])[:, 0]
             _check_order(nn, "right-hand side", rhs1, rhs2)
             Ba_grid, _ = fr.solve_twisted(rhs2, bands[nn], divisor_floor)
-            W1, W2, mu_new[nn], _ = solve_reduced(core, rhs1, rhs2, Ba_grid, bands[nn])
+            W1, W2, mu[nn], _ = solve_reduced(core, rhs1, rhs2, Ba_grid, bands[nn])
             # normalization in the base frame: zero average angle displacement
             W1 = W1 - _mean(jets.mm(Minv0, corr[:, None])[:, 0])[:d, None]
             W[nn] = np.concatenate([W1, W2])
@@ -294,7 +292,7 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
             _check_order(nn, "solution", K_grid[nn])
 
     new = _project(K_grid[N + 1:], d, B, bands[N + 1:], kmax)
-    return EpsilonJet(complex(eps0), tuple(jet.K_coeffs) + tuple(new), mu_new, lam)
+    return EpsilonJet(complex(eps0), tuple(jet.K_coeffs) + tuple(new), mu, lam)
 
 
 # -- jet files ----------------------------------------------------------------

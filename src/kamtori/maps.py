@@ -4,14 +4,16 @@ A family transports the symplectic form to lam(eps) times itself,
 Df^T J Df = lam(eps) J pointwise, with lam(eps) = 1 + alpha*eps^a + ...
 and lam(0) = 1.  The dissipative standard map is the one family built in.
 
-A family is duck-typed: the solver reads only the names below.  Phase
-points have their 2d components on the leading axis (after a jet's order
-axis) and are vectorized over the trailing axes, with lift semantics for
-the angles: a point is (2d,), a grid stack (2d, points), a grid jet
-(orders, 2d, points); Df is (2d, 2d, ...) and df/dmu (2d, d, ...).  Values
-may be complex128, or float64 at real points.  For a real problem the
-Newton solver passes real points, mu and eps and takes the real part of f,
-Df and df/dmu.  `lambda_eps` and `lambda_jet` return complex values.
+A family is duck-typed: the solver reads only the names below.  Newton
+reads the pointwise f, Df and df/dmu, the Lindstedt engines only the jets
+and `lambda_jet` (and `lambda_eps` in the start check).  Phase points have
+their 2d components on the leading axis (after a jet's order axis) and are
+vectorized over the trailing axes, with lift semantics for the angles: a
+point is (2d,), a grid stack (2d, points), a grid jet (orders, 2d,
+points); Df is (2d, 2d, ...) and df/dmu (2d, d, ...).  Values may be
+complex128, or float64 at real points.  For a real problem the Newton
+solver passes real points, mu and eps and takes the real part of f, Df and
+df/dmu.  `lambda_eps` and `lambda_jet` return complex values.
 
     dim, J            d and the 2d x 2d structure matrix
     alpha, a          lam(eps) = 1 + alpha eps^a + ...

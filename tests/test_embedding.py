@@ -212,10 +212,16 @@ def test_each_caller_samples_only_what_it_reads(fam, omega, base_torus, monkeypa
     K0, mu0 = base_torus
     sol = newton.run_newton(fam, K0, mu0, omega, 0.05, tol=1e-12)
     K, n = sol.K, _grid_size(sol.K.kmax)
-    jet = lindstedt.lindstedt_expand(fam, K0, mu0, omega, 0.0, 4)
     points = _sampled_points(monkeypatch)
 
-    # a Newton evaluation: X, X o T_omega, DK and DK o T_omega
+    # the expansion: all four blocks of its one input order, on the grid of
+    # its band 4 from the flat torus
+    jet = lindstedt.lindstedt_expand(fam, K0, mu0, omega, 0.0, 4)
+    assert points == [8 * _grid_size(4 * fam.degree)]
+    # a Newton evaluation: X, X o T_omega, DK and DK o T_omega (run_newton's
+    # last sample of K is dropped first)
+    points.clear()
+    newton._last_sample.clear()
     newton._evaluate(fam, K, sol.mu, omega, 0.05)
     assert points == [8 * n]
     # a repeat evaluation of the same K: the last sample serves it

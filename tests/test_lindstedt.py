@@ -231,9 +231,35 @@ def test_doubling_order_cap_enforced(fam, omega, base_torus):
 
 
 def test_base_must_be_exact(fam, omega, base_torus):
+    # mu = 0.05 on the flat torus: the residual is 0.05 in both rows
     K0, mu0 = base_torus
-    with pytest.raises(ValueError):
+    with pytest.raises(InexactJet, match="input order 0 is not exact") as err:
         lindstedt_expand(fam, K0, np.array([0.05]), omega, 0.0, 2)
+    assert err.value.order == 0 and err.value.tol == lindstedt.BASE_TOL
+    assert err.value.residual == pytest.approx(0.05, rel=1e-12)
+
+
+class _JetsOnly(DissipativeStandardMap):
+    """The family with its pointwise f, Df and df/dmu refused."""
+
+    def apply(self, x, mu, eps):
+        raise AssertionError("apply called")
+
+    def jacobian(self, x, mu, eps):
+        raise AssertionError("jacobian called")
+
+    def d_mu(self, x, mu, eps):
+        raise AssertionError("d_mu called")
+
+
+def test_the_engines_read_only_the_familys_jets(fam, omega, base_torus):
+    spy = _JetsOnly(kappa=fam.kappa, alpha=fam.alpha, a=fam.a)
+    sol = run_newton(fam, *base_torus, omega, 0.05, tol=1e-14)
+    for run in (lambda f: lindstedt_expand(f, *base_torus, omega, 0.0, 5),
+                lambda f: lindstedt_expand(f, sol.K, sol.mu, omega, 0.05, 5),
+                lambda f: lindstedt_double(f, lindstedt_expand(fam, *base_torus, omega,
+                                                               0.0, 3), omega)):
+        assert _jet_bytes(run(spy)) == _jet_bytes(run(fam))
 
 
 def _start_error(fam, K, mu, omega, eps):

@@ -486,11 +486,17 @@ def test_step_linear_response(fam, omega, base_torus, rng):
 @pytest.mark.parametrize("solve", [
     lambda fam, K0, mu0, omega: newton_step(fam, K0, mu0, omega, 0.01),
     lambda fam, K0, mu0, omega: lindstedt_expand(fam, K0, mu0, omega, 0.0, 2),
-], ids=["newton_step", "lindstedt_expand"])
+    lambda fam, K0, mu0, omega: lindstedt.lindstedt_double(
+        fam, lindstedt_expand(DissipativeStandardMap(kappa=0.5), K0, mu0, omega, 0.0, 1), omega),
+], ids=["newton_step", "lindstedt_expand", "lindstedt_double"])
 def test_nondegeneracy_failure_detected(omega, base_torus, solve):
+    # Newton reads df/dmu pointwise, the Lindstedt engines as a jet
     class NoDrift(DissipativeStandardMap):
         def d_mu(self, x, mu, eps):
             return np.zeros((2, 1) + np.asarray(x).shape[1:], dtype=complex)
+
+        def jet_d_mu(self, x_jet, mu_jet, eps0):
+            return np.zeros(np.shape(x_jet)[:1] + (2, 1) + np.shape(x_jet)[2:], dtype=complex)
 
     fam = NoDrift(kappa=0.5)
     K0, mu0 = base_torus
