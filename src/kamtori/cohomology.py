@@ -98,19 +98,23 @@ def solve_twisted_grid(eta: np.ndarray, dim: int, band: int, lam: complex, omega
     `divisor_floor` is a scalar or an array over the band's centred mode
     box, else ValueError; a divisor below it raises DivisorTooSmall.  For
     lam = 1 (within 1e-12) a sample or mode of eta that is not finite
-    raises ValueError.
+    raises ValueError, with no warning before it.
     """
     lam = complex(lam)
     inv, gain, witness = _divisors(dim, band, lam, omega, divisor_floor)
     if witness is not None:
         raise DivisorTooSmall(*witness)
-    untwisted = abs(lam - 1.0) <= _AVG_TWIST_TOL
-    if untwisted and not np.isfinite(eta).all():
+    if abs(lam - 1.0) > _AVG_TWIST_TOL:
+        return multiply_modes(eta, dim, band, inv), gain
+    if not np.isfinite(eta).all():
         raise ValueError(_UNTWISTED_REFUSAL)
-    phi = multiply_modes(eta, dim, band, inv)
-    if (untwisted and not np.isfinite(phi).all()
-            and not np.isfinite(from_grid(eta, dim, band).remove_average().coeffs).all()):
-        raise ValueError(_UNTWISTED_REFUSAL)
+    # finite samples whose modes overflow are refused, not warned about; a
+    # solution that overflows shows as a non-finite phi
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = multiply_modes(eta, dim, band, inv)
+        if (not np.isfinite(phi).all()
+                and not np.isfinite(from_grid(eta, dim, band).remove_average().coeffs).all()):
+            raise ValueError(_UNTWISTED_REFUSAL)
     return phi, gain
 
 

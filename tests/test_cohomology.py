@@ -264,6 +264,18 @@ def test_untwisted_grid_solve_refuses_an_inf_sample_with_its_value_error(rng, om
     assert not np.isfinite(phi[0]).any() and np.isfinite(phi[1]).all()
 
 
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("n, band", [(8, 3), (9, 4)])
+def test_untwisted_grid_solve_refuses_finite_samples_whose_modes_overflow(omega, real, n,
+                                                                          band):
+    # +-1e308 alternating: every sample is finite, but the forward transform
+    # overflows; its warning used to come before the refusal
+    eta = 1e308 * (-1.0) ** np.arange(n)[None]
+    with pytest.raises(ValueError) as got:
+        solve_twisted_grid(eta if real else eta + 0j, 1, band, 1.0, omega)
+    assert str(got.value) == UNTWISTED_REFUSAL
+
+
 # -- divisor table ---------------------------------------------------------------
 
 @pytest.mark.parametrize("dim, lam", [(1, 0.93 + 0.02j), (1, 1.0), (2, 1.05)])
