@@ -5,8 +5,8 @@ The constants are running suprema over a finite scan of modes,
     nu(omega; tau)        = max_{0<|k|<=k_scan} |e^{2 pi i k.omega} - 1|^{-1} |k|^{-tau}
     nu(lam; omega, tau)   = max_{0<|k|<=k_scan} |e^{2 pi i k.omega} - lam|^{-1} |k|^{-tau}
 
-with |k| the l1 norm, and each estimate reports its scan bound.  A witness
-divisor below 1e-300 counts as an exact zero, flagged infinite.
+with |k| the l1 norm, and each estimate reports its scan bound.  An exact
+resonance, a zero divisor, gives the value inf.
 
 The good set is G = {lam : nu(lam; omega, tau) |lam - 1|^{N+1} <= A}.
 `nu_lambda`, `lambda_in_good_set`, `atlas.classify_grid` and the good-set
@@ -25,7 +25,6 @@ import numpy as np
 
 GOLDEN_MEAN = (np.sqrt(5.0) - 1.0) / 2.0
 
-_ZERO_DIVISOR = 1e-300
 _CHUNK_BYTES = 4 << 20     # complex lam x modes distances per scan chunk
 
 
@@ -64,7 +63,6 @@ class NuEstimate:
     k: tuple
     divisor: float
     k_scan: int
-    infinite: bool = False
 
 
 def nu_scan(lam, omega, tau: float, k_scan: int):
@@ -102,10 +100,7 @@ def good_set_attained(lam, term, params: GoodSetParams):
 def nu_lambda(lam: complex, omega, tau: float, k_scan: int) -> NuEstimate:
     """Scan estimate of nu(lam; omega, tau)."""
     term, k, divisor = nu_scan(complex(lam), omega, tau, k_scan)
-    k = tuple(int(c) for c in k)
-    if divisor < _ZERO_DIVISOR:
-        return NuEstimate(float("inf"), k, float(divisor), int(k_scan), infinite=True)
-    return NuEstimate(float(term), k, float(divisor), int(k_scan))
+    return NuEstimate(float(term), tuple(int(c) for c in k), float(divisor), int(k_scan))
 
 
 def nu_omega(omega, tau: float, k_scan: int) -> NuEstimate:
@@ -122,8 +117,8 @@ def scan_trace(omega, tau: float, k_scan: int, lam: complex | None = None):
     ks, knorm = ks[order], knorm[order]
     target = 1.0 + 0j if lam is None else complex(lam)
     divisors = np.abs(phases[order] - target)
-    with np.errstate(divide="ignore"):
-        terms = np.where(divisors < _ZERO_DIVISOR, np.inf, knorm ** (-tau) / divisors)
+    with np.errstate(divide="ignore", over="ignore"):
+        terms = knorm ** (-tau) / divisors
     running = np.maximum.accumulate(terms)
     return np.column_stack([knorm, divisors, running]), ks
 

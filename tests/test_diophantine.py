@@ -16,13 +16,12 @@ SQRT5_OVER_2PI = np.sqrt(5.0) / (2.0 * np.pi)
 
 def test_rational_frequency_flagged_infinite():
     est = nu_omega(0.5, 1.0, 10)
-    assert est.infinite and est.value == np.inf
+    assert est.value == np.inf
     assert abs(est.k[0]) == 2
 
 
 def test_golden_mean_pinned_value():
     est = nu_omega(GOLDEN_MEAN, 1.0, 100000)
-    assert not est.infinite
     assert est.value == pytest.approx(NU_GOLDEN_TAU1, rel=1e-12)
     assert est.k == (1,)
 
@@ -107,7 +106,7 @@ def test_nu_lambda_per_mode_bound():
 def test_nu_lambda_resonance_infinite():
     lam = np.exp(2j * np.pi * GOLDEN_MEAN)
     est = nu_lambda(lam, GOLDEN_MEAN, 1.0, 10)
-    assert est.infinite
+    assert est.value == np.inf and est.divisor == 0.0
     assert abs(est.k[0]) == 1
 
 
