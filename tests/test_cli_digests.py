@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -33,13 +34,20 @@ def test_listing_digests_every_file_then_the_exit_codes(tmp_path):
 
 
 def test_every_cli_command_is_run_once():
-    # atlas runs once in each plane
+    # atlas runs once in each plane, lindstedt from the flat torus and from a
+    # Newton base
     runs = cli_digests.RUNS
-    assert sorted(command for _, command, _, _ in runs) == sorted([*cli._COMMANDS, "atlas"])
+    assert sorted(command for _, command, _, _ in runs) == \
+        sorted([*cli._COMMANDS, "atlas", "lindstedt"])
     assert len({name for name, _, _, _ in runs}) == len(runs)
-    planes = [cli_digests.run_config((CONFIGS / cfg).read_text(), values)
-              for _, command, cfg, values in runs if command == "atlas"]
-    assert ["plane = epsilon" in text for text in planes] == [False, True]
+
+    def configs(command):
+        return [cli_digests.run_config((CONFIGS / cfg).read_text(), values)
+                for _, c, cfg, values in runs if c == command]
+
+    assert ["plane = epsilon" in text for text in configs("atlas")] == [False, True]
+    assert [re.search(r"^eps0 = (.*)$", text, re.M)[1] for text in configs("lindstedt")] == \
+        ["0", "0.05"]
 
 
 def test_run_config_sets_one_line_per_key():

@@ -3,13 +3,14 @@
     python tools/cli_digests.py [REPO_DIR]
 
 Runs `solve`, `lindstedt`, `double`, `sweep` and `verify` on
-`configs/golden.cfg`, and `atlas` on `configs/atlas_lambda.cfg` in its
-lambda plane and, with `plane = epsilon` and `bounds = -0.4 0.4 -0.4 0.4`,
-in its epsilon plane, of REPO_DIR (default: the repository holding this
-script).  Each run is `python -W error -m kamtori.cli` with REPO_DIR/src on
-PYTHONPATH, in a temporary directory that holds the run's copy of its
-config.  The output tree has one directory per run (RUNS), holding `out/`
-(the command's files) and its `stdout`, `stderr` and `exit_code`.
+`configs/golden.cfg`, `lindstedt` again with `eps0 = 0.05` (from a Newton
+base), and `atlas` on `configs/atlas_lambda.cfg` in its lambda plane and,
+with `plane = epsilon` and `bounds = -0.4 0.4 -0.4 0.4`, in its epsilon
+plane, of REPO_DIR (default: the repository holding this script).  Each
+run is `python -W error -m kamtori.cli` with REPO_DIR/src on PYTHONPATH,
+in a temporary directory that holds the run's copy of its config.  The
+output tree has one directory per run (RUNS), holding `out/` (the
+command's files) and its `stdout`, `stderr` and `exit_code`.
 
 Prints one line `<sha256>  <run>/<file>` per file of the tree, sorted by
 name, then one line `exit <code>  <run>` per run.  Two checkouts
@@ -32,6 +33,7 @@ from pathlib import Path
 # (tree name, command, config, {key: value} set in the run's copy of the config)
 RUNS = (*((command, command, "golden.cfg", {})
           for command in ("solve", "lindstedt", "double", "sweep", "verify")),
+        ("lindstedt-newton-base", "lindstedt", "golden.cfg", {"eps0": "0.05"}),
         ("atlas", "atlas", "atlas_lambda.cfg", {}),
         ("atlas-epsilon", "atlas", "atlas_lambda.cfg",
          {"plane": "epsilon", "bounds": "-0.4 0.4 -0.4 0.4"}))
