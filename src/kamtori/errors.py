@@ -90,9 +90,9 @@ class JetOverflow(KamtoriError):
 
 
 class InexactJet(KamtoriError):
-    """The doubling was given a jet that is not exact through its order:
-    `order` names the first input order whose residual on the grid exceeds
-    `tol`, and `residual` is its largest value."""
+    """A Lindstedt engine was given a jet (or base, order 0) that is not
+    exact: `order` names the first input order whose residual on the grid
+    exceeds `tol`, and `residual` is its largest value."""
 
     label, exit_code, status = "inexact jet", 7, "inexact-jet"
 
