@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DivisorTooSmall
-from .fourier import TWO_PI, from_grid, multiply_modes
+from .fourier import TWO_PI, all_finite, from_grid, multiply_modes
 
 DEFAULT_DIVISOR_FLOOR = 1e-12
 
@@ -81,7 +81,7 @@ def _divisors(dim: int, kmax: int, lam: complex, omega, divisor_floor) -> tuple:
                          f"{floor.shape}) cannot serve a solve at kmax {kmax}: it must "
                          "span the same centred box")
     return _divisor_table(dim, kmax, np.complex128(lam).tobytes(),
-                          np.atleast_1d(np.asarray(omega, dtype=float)).tobytes(),
+                          np.asarray(omega, dtype=float).reshape(-1).tobytes(),
                           floor.shape, floor.tobytes())
 
 
@@ -106,14 +106,14 @@ def solve_twisted_grid(eta: np.ndarray, dim: int, band: int, lam: complex, omega
         raise DivisorTooSmall(*witness)
     if abs(lam - 1.0) > _AVG_TWIST_TOL:
         return multiply_modes(eta, dim, band, inv), gain
-    if not np.isfinite(eta).all():
+    if not all_finite(eta):
         raise ValueError(_UNTWISTED_REFUSAL)
     # finite samples whose modes overflow are refused, not warned about; a
     # solution that overflows shows as a non-finite phi
     with np.errstate(over="ignore", invalid="ignore"):
         phi = multiply_modes(eta, dim, band, inv)
-        if (not np.isfinite(phi).all()
-                and not np.isfinite(from_grid(eta, dim, band).remove_average().coeffs).all()):
+        if (not all_finite(phi)
+                and not all_finite(from_grid(eta, dim, band).remove_average().coeffs)):
             raise ValueError(_UNTWISTED_REFUSAL)
     return phi, gain
 

@@ -33,6 +33,7 @@ from itertools import product
 from math import prod
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 TWO_PI = 2.0 * np.pi
 
@@ -51,6 +52,12 @@ def fast_grid_size(m: int) -> int:
         if r == 1:
             return n
         n += 1
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of `a` is finite (what np.isfinite(a).all() says, at less cost)."""
+    ok = np.isfinite(a)
+    return np.count_nonzero(ok) == ok.size
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -229,7 +236,7 @@ class FourierSeries:
             raise ValueError("rho must be >= 0")
         mags = self.coeff_magnitudes()
         if rho == 0.0:
-            return float(np.sum(mags))
+            return float(np.add.reduce(mags, axis=None))
         return float(np.sum(mags * np.exp(TWO_PI * rho * self.k_norm_grid())))
 
     def coeff_magnitudes(self) -> np.ndarray:
@@ -241,7 +248,7 @@ class FourierSeries:
         extra = tuple(range(self.dim, self.coeffs.ndim))
         if not extra:
             return mags
-        if not mags.max(initial=0.0) <= _SQUARE_SAFE:
+        if not np.maximum.reduce(mags, axis=None, initial=0.0) <= _SQUARE_SAFE:
             return _scaled_magnitudes(mags, extra)
         squares, values = mags ** 2, prod(self.value_shape)
         if values >= 8:
@@ -252,10 +259,10 @@ class FourierSeries:
     def tail_mass(self) -> float:
         """Relative coefficient mass in the band kmax/2 < |k|_inf <= kmax."""
         mags = self.coeff_magnitudes()
-        total = float(np.sum(mags))
+        total = float(np.add.reduce(mags, axis=None))
         if total == 0.0:
             return 0.0
-        return float(np.sum(mags[_tail_band(self.dim, self.kmax)])) / total
+        return float(np.add.reduce(mags[_tail_band(self.dim, self.kmax)])) / total
 
     def reality_defect(self) -> float:
         """max_k |c_{-k} - conj(c_k)| relative to the largest coefficient."""
@@ -359,12 +366,12 @@ def _sample(spec: np.ndarray, dim: int, n: int, real: bool) -> np.ndarray:
     lead = spec.shape[:-dim]
     if real:
         for axis in range(-dim, -1):
-            np.fft.ifft(spec, axis=axis, norm="forward", out=spec)
+            _fft(_pocketfft.ifft, spec, spec, axis=axis)
         buf = np.empty(lead + (n ** dim,))
-        np.fft.irfft(spec, n, axis=-1, norm="forward", out=_cells(buf, dim, n))
+        _fft(_pocketfft.irfft, spec, _cells(buf, dim, n))
         return buf
     for axis in range(-1, -dim - 1, -1):
-        np.fft.ifft(spec, axis=axis, out=spec)
+        _fft(_pocketfft.ifft, spec, spec, 1 / n, axis)
     spec *= n ** dim
     return spec.reshape(lead + (n ** dim,))
 
@@ -418,10 +425,22 @@ def _spectrum(values, dim: int, kmax: int) -> tuple:
     n = round(values.shape[-1] ** (1 / dim))
     if n < 2 * kmax + 1:
         raise ValueError(f"grid size {n} below Nyquist bound {2 * kmax + 1} for kmax={kmax}")
-    chat = (np.fft.rfft if real else np.fft.fft)(_cells(values, dim, n), axis=-1)
+    cells = _cells(values, dim, n)
+    if real:
+        chat = _fft(_pocketfft.rfft_n_odd if n % 2 else _pocketfft.rfft_n_even, cells,
+                    np.empty(cells.shape[:-1] + (n // 2 + 1,), dtype=complex))
+    else:
+        chat = _fft(_pocketfft.fft, cells, np.empty(cells.shape, dtype=complex))
     for axis in range(-2, -dim - 1, -1):
-        np.fft.fft(chat, axis=axis, out=chat)
+        _fft(_pocketfft.fft, chat, chat, axis=axis)
     return chat, n, real
+
+
+def _fft(kernel, a, out, fct=1.0, axis=-1):
+    """One of the pocketfft ufuncs behind np.fft along `axis` of `a` into
+    `out`, times fct: bit for bit the np.fft function that calls it, without
+    its per-call argument handling (which costs more than a 200-point FFT)."""
+    return kernel(a, fct, axes=[(axis,), (), (axis,)], out=out)
 
 
 def multiply_modes(values: np.ndarray, dim: int, band: int, factors: np.ndarray) -> np.ndarray:
@@ -430,7 +449,7 @@ def multiply_modes(values: np.ndarray, dim: int, band: int, factors: np.ndarray)
     times factors[k], `factors` an array over the centred box of `band`: bit
     for bit `to_grid` of that series (real=True for real samples)."""
     chat, n, real = _spectrum(values, dim, band)
-    spec = np.zeros_like(chat)
+    spec = np.zeros(chat.shape, dtype=chat.dtype)
     blocks = _box_blocks(dim, band, n, real)
     for _, fft in blocks:
         np.divide(chat[fft], n ** dim, out=spec[fft])

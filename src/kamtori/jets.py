@@ -52,8 +52,8 @@ def mm(a, b):
     points), broadcast as np.matmul is; a constant matrix has one point.
     Each entry is summed in order of the inner index, so it is rounded the
     same wherever it lies in the stack."""
-    a = np.asarray(a)
-    b = np.asarray(b)
+    if a.shape[-2] == 1:
+        return a * b
     out = a[..., :, :1, :] * b[..., :1, :, :]
     for j in range(1, a.shape[-2]):
         out += a[..., :, j:j + 1, :] * b[..., j:j + 1, :, :]
@@ -138,6 +138,8 @@ def inv_matrix(a):
     """Jet of the pointwise matrix inverse of a matrix-valued jet."""
     a = np.asarray(a)
     n = a.shape[0] - 1
+    if n == 0:
+        return inv_stack(a[0])[None]
     out = zero_like(a)
     out[0] = inv_stack(a[0])
     for i in range(1, n + 1):

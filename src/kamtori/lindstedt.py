@@ -42,7 +42,7 @@ from .cohomology import DEFAULT_DIVISOR_FLOOR
 from .embedding import TorusEmbedding, sample_jet
 from .errors import InexactJet, JetOverflow
 from .fourier import (FourierSeries, _format_pairs, _parse_pairs, _read_header,
-                      dump_series, from_grid, load_series, to_grid)
+                      all_finite, dump_series, from_grid, load_series, to_grid)
 from .newton import (_check_start, _grid_size, _mean, build_frame, checked_block,
                      solve_reduced)
 
@@ -128,14 +128,14 @@ def _orders_checked():
 def _check_order(j: int, what: str, *arrays) -> None:
     """Raise JetOverflow naming order j when one of `arrays` is not finite."""
     for a in arrays:
-        if not np.isfinite(a).all():
+        if not all_finite(a):
             raise JetOverflow(j, what)
 
 
 def _check_exact(E: np.ndarray, N: int) -> None:
     """JetOverflow naming the first order of the residual jet E (on the grid)
     that is not finite, else InexactJet the first order <= N above BASE_TOL."""
-    if not np.isfinite(E).all():
+    if not all_finite(E):
         for j, Ej in enumerate(E):
             _check_order(j, "residual", Ej)
     for j in range(N + 1):

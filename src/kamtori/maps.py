@@ -117,7 +117,7 @@ class DissipativeStandardMap:
     def _lam(self, x, eps):
         """lam(eps) as the points x take it: real at real points when it is real."""
         lam = self.lambda_eps(eps)
-        return lam.real if not np.iscomplexobj(x) and lam.imag == 0 else lam
+        return lam.real if x.dtype.kind != "c" and lam.imag == 0 else lam
 
     def _kick(self, x, eps):
         return eps * self.kappa * np.sin(2 * np.pi * x) / (2 * np.pi)
@@ -127,18 +127,16 @@ class DissipativeStandardMap:
         lam = self._lam(x, eps)
         mu = np.atleast_1d(mu)[0] if np.ndim(mu) else mu
         ynew = lam * x[1] + mu + self._kick(x[0], eps)
-        xnew = x[0] + ynew
-        return np.stack([xnew, ynew])
+        return np.array([x[0] + ynew, ynew])
 
     def jacobian(self, x, mu, eps):
         x = np.asarray(x)
         lam = self._lam(x, eps)
         c = eps * self.kappa * np.cos(2 * np.pi * x[0])
-        out = np.empty((2, 2) + x.shape[1:], dtype=np.result_type(x.dtype, c, lam))
+        out = np.empty((2, 2) + x.shape[1:], dtype=np.result_type(c, lam))
         out[0, 0] = 1.0 + c
-        out[0, 1] = lam
         out[1, 0] = c
-        out[1, 1] = lam
+        out[:, 1] = lam
         return out
 
     def d_mu(self, x, mu, eps):

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import jets
 from .cohomology import DEFAULT_DIVISOR_FLOOR, solve_twisted_grid
@@ -38,8 +39,8 @@ from .embedding import TorusEmbedding, sample_jet
 from .errors import (Diverged, DivisorTooSmall, FrameSingular, NoConvergence,
                      NonDegeneracyFailure, NormalizationDiverged)
 from .fourier import (FourierSeries, _format_pairs, _parse_pairs,
-                      _read_header, dump_series, fast_grid_size, from_grid,
-                      load_series)
+                      _read_header, all_finite, dump_series, fast_grid_size,
+                      from_grid, load_series)
 from .maps import jinv_mul, mul_jinv, symplectic_matrix
 
 DET_RTOL = 1e-10
@@ -117,7 +118,7 @@ def _evaluate(fam, K: TorusEmbedding, mu, omega, eps, *, real=None) -> _Defect:
         mu, omega, eps = np.real(mu), np.real(omega), np.real(eps)
     X, Xshift, DK, DKshift = _torus_sample(K, omega, real)
     F = fam.apply(X, mu, eps)
-    E = (np.real(F) if real else F) - Xshift
+    E = (F.real if real else F) - Xshift
     return _Defect(X, DK, DKshift, E, K.dim, K.kmax)
 
 
@@ -135,17 +136,16 @@ def _gram_cond(gram: np.ndarray) -> np.ndarray:
         return np.linalg.cond(np.moveaxis(gram, -1, -3))
     g = gram[..., 0, 0, :]
     mag = np.abs(g)
-    with np.errstate(invalid="ignore"):
-        cond = mag / mag
-    cond[np.isnan(cond) & ~np.isnan(g)] = np.inf
+    # |g|/|g|: 1, and inf where g is 0 or infinite
+    cond = np.where((0 < mag) & (mag < np.inf), 1.0, np.inf)
+    cond[np.isnan(g)] = np.nan
     return cond
 
 
 def _not_finite_points(stack: np.ndarray) -> int:
     """The number of matrices of a stack (..., m, m, points) with a non-finite entry."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.isfinite(np.add.reduce(stack, axis=None)):
-            return 0
+    if all_finite(stack):
+        return 0
     return int(np.count_nonzero(~np.all(np.isfinite(stack), axis=(-3, -2))))
 
 
@@ -161,15 +161,17 @@ def _frame_matrix(dks: np.ndarray):
     (order+1, copies, 2d, d, points) of DK jets.  Raises FrameSingular when
     an order-0 Gram has condition number above 1e12 or is not finite, or
     where order 0 of N is not finite, naming DK^T DK before N o T_omega."""
-    gram = jets.matmul(np.swapaxes(dks, -3, -2), dks)
-    cond = float(np.max(_gram_cond(gram[0, 0])))
-    if not np.isfinite(cond) or cond > _FRAME_COND_LIMIT:
+    gram = jets.matmul(dks.swapaxes(-3, -2), dks)
+    cond = float(np.maximum.reduce(_gram_cond(gram[0, 0]), axis=None))
+    if not cond <= _FRAME_COND_LIMIT:
         raise FrameSingular(
             f"DK^T DK condition number {cond:.3e} exceeds {_FRAME_COND_LIMIT:.1e}")
     # a subnormal 1 x 1 Gram is well conditioned (|g|/|g| = 1), but 1/g overflows
     N = jets.inv_matrix(gram)
-    for N0, what in zip(N[0], ("DK^T DK is singular or not finite", "N o T_omega is not finite")):
-        _gate(N0, what)
+    if _not_finite_points(N[0]):
+        for N0, what in zip(N[0], ("DK^T DK is singular or not finite",
+                                   "N o T_omega is not finite")):
+            _gate(N0, what)
     return N, np.concatenate([dks, jets.matmul(jinv_mul(dks), N)], axis=-2)
 
 
@@ -201,21 +203,21 @@ def build_frame(lam, dk, dkshift, Df, Dmu, omega, kmax: int) -> Frame:
     does, and where gamma o T_omega = (DK^T J^-1 DK) o T_omega or
     (M o T_omega)^-1 is not finite at a grid point."""
     d, points = dk.shape[-2:]
-    N, M = _frame_matrix(np.stack([dk, dkshift], axis=1))
+    N, M = _frame_matrix(np.array([dk, dkshift]).swapaxes(0, 1))
     Nshift, Mshift = N[:, 1], M[:, 1]
-    gshift = jets.matmul(mul_jinv(np.swapaxes(dkshift, -3, -2)), dkshift)
+    gshift = jets.matmul(mul_jinv(dkshift.swapaxes(-3, -2)), dkshift)
     _gate(gshift[0], "gamma o T_omega is not finite")
     beta = jets.inv_matrix(Mshift)
     _gate(beta[0], "M o T_omega is singular or not finite")
 
-    # M = [DK, J^-1 P] with P = DK N, and J = -J^-1 is a signed permutation,
-    # so J M[..., d:] is P exactly, at K and at K o T_omega alike
-    P = -jinv_mul(M[..., d:, :])
+    # M = [DK, J^-1 P] with P = DK N, and J = -J^-1 is a signed block swap,
+    # so J M[..., d:] = [M[d:, d:], -M[:d, d:]] is P exactly, at K and at K o T_omega
+    P = np.concatenate([M[..., d:, d:, :], -M[..., :d, d:, :]], axis=-3)
     # S = (P^T o T) Df J^-1 P - lam (N^T o T)(gamma o T)(N o T), associated
     # from the left throughout
     lam_bc = lam.reshape(lam.shape + (1,) * (Nshift.ndim - 1))
-    S = jets.matmul(mul_jinv(jets.matmul(np.swapaxes(P[:, 1], -3, -2), Df)), P[:, 0]) \
-        - jets.matmul(jets.matmul(jets.cauchy(lam_bc, np.swapaxes(Nshift, -3, -2)), gshift), Nshift)
+    S = jets.matmul(mul_jinv(jets.matmul(P[:, 1].swapaxes(-3, -2), Df)), P[:, 0]) \
+        - jets.matmul(jets.matmul(jets.cauchy(lam_bc, Nshift.swapaxes(-3, -2)), gshift), Nshift)
     return Frame(d=d, kmax=kmax, n=round(points ** (1 / d)), omega=omega, lam=lam, Df=Df,
                  M=M[:, 0], Mshift=Mshift, beta=beta, S=S, A=jets.matmul(beta, Dmu))
 
@@ -223,13 +225,13 @@ def build_frame(lam, dk, dkshift, Df, Dmu, omega, kmax: int) -> Frame:
 def newton_frame(fam, ev: _Defect, mu, omega, eps) -> Frame:
     """The order-0 frame of `ev`, an evaluation of (K, mu) at eps; real when
     `ev`'s samples are float64."""
-    real = not np.iscomplexobj(ev.X)
+    real = ev.X.dtype.kind != "c"
     if real:
         mu, eps = np.real(mu), np.real(eps)
     lam = np.array([complex(fam.lambda_eps(eps))])
     Df, Dmu = fam.jacobian(ev.X, mu, eps), fam.d_mu(ev.X, mu, eps)
     if real:
-        lam, Df, Dmu = lam.real, np.real(Df), np.real(Dmu)
+        lam, Df, Dmu = lam.real, Df.real, Dmu.real
     return build_frame(lam, ev.DK[None], ev.DKshift[None], Df[None], Dmu[None],
                        omega, ev.kmax)
 
@@ -258,17 +260,16 @@ def checked_block(frame: Frame, Bb_grid: np.ndarray,
     determinant of block / scale, scale the largest absolute row sum.
     Raises NonDegeneracyFailure unless 0 < scale < inf and |det| > DET_RTOL.
     A real frame and Bb give a real block."""
-    d, lam = frame.d, frame.lam[0]
-    S, A1, A2 = frame.S[0], frame.A[0, :d], frame.A[0, d:]
+    d, S, A_mean = frame.d, frame.S[0], _mean(frame.A[0])
     block = np.zeros((2 * d, 2 * d), dtype=S.dtype)
     block[:d, :d] = _mean(S)
-    block[:d, d:] = _mean(jets.mm(S, Bb_grid)) + _mean(A1)
-    block[d:, :d] = (lam - 1.0) * np.eye(d)
-    block[d:, d:] = _mean(A2)
-    scale = float(np.max(np.sum(np.abs(block), axis=1)))
+    block[:d, d:] = _mean(jets.mm(S, Bb_grid)) + A_mean[:d]
+    block[d:, :d] = (frame.lam[0] - 1.0) * np.eye(d)
+    block[d:, d:] = A_mean[d:]
+    scale = float(np.maximum.reduce(np.add.reduce(np.abs(block), axis=1)))
     if not 0 < scale < np.inf:
         raise NonDegeneracyFailure(np.nan, scale)
-    det = np.linalg.det(block / scale)
+    det = _umath_linalg.det(block / scale, signature=block.dtype.char + "->" + block.dtype.char)
     if abs(det) <= DET_RTOL:
         raise NonDegeneracyFailure(det, scale)
     return ReducedCore(frame, block, complex(det), Bb_grid, divisor_floor)
@@ -287,11 +288,12 @@ def solve_reduced(core: ReducedCore, rhs1: np.ndarray, rhs2: np.ndarray,
     (W1, W2, sigma, the largest divisor gain of the untwisted solve).
     """
     fr = core.frame
-    d, lam = fr.d, fr.lam[0]
-    S, A1 = fr.S[0], fr.A[0, :d]
+    d, S, A1 = fr.d, fr.S[0], fr.A[0, :fr.d]
     rhs_avg = np.concatenate([_mean(rhs1) - _mean(jets.mm(S, Ba_grid[:, None])[:, 0]),
                               _mean(rhs2)])
-    sol = np.linalg.solve(core.block, rhs_avg)
+    t = np.result_type(core.block, rhs_avg).char
+    with np.errstate(over="ignore", divide="ignore", under="ignore"):
+        sol = _umath_linalg.solve1(core.block, rhs_avg, signature=f"{t}{t}->{t}")
     W2bar, sigma = sol[:d], sol[d:]
     W2 = Ba_grid + jets.mm(core.Bb_grid, sigma[:, None, None])[:, 0] + W2bar[:, None]
 
@@ -369,7 +371,7 @@ def newton_step(fam, K, mu, omega, eps, divisor_floor=DEFAULT_DIVISOR_FLOOR,
 
     W = np.concatenate([W1, W2])
     K2 = K.with_correction(from_grid(jets.mm(fr.M[0], W[:, None])[:, 0], d, kmax))
-    mu2 = np.atleast_1d(np.asarray(mu, dtype=complex)) + sigma
+    mu2 = np.asarray(mu, dtype=complex).reshape(-1) + sigma
 
     report = StepReport(
         sigma=sigma,
