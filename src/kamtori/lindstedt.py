@@ -155,7 +155,8 @@ def _start(fam, jet: EpsilonJet, omega, order: int, divisor_floor):
         raise ValueError(
             f"target order {order} beyond the double-precision cap {MAX_ORDER_DOUBLE}")
     eps0, n = jet.eps0, jet.order + 1
-    mu0 = _check_start(fam, TorusEmbedding(jet.K_coeffs[0]), jet.mu_coeffs[0], omega, eps0)[1]
+    K0 = TorusEmbedding(jet.K_coeffs[0])
+    _, mu0, omega = _check_start(fam, K0, jet.mu_coeffs[0], omega, eps0)
     mu = jets.pad(np.vstack([mu0, *jet.mu_coeffs[1:]]), order)   # order 0 as checked
     lam = fam.lambda_jet(eps0, order)
     with _orders_checked():

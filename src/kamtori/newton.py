@@ -14,9 +14,10 @@ order 0 is the Newton frame, and serves the Newton step and both Lindstedt
 engines: `build_frame` makes the frame, `checked_block` the averaged block
 of the order-0 torus, and `solve_reduced` solves one right-hand side.
 
-Real problems stay real.  A solve is real when K's coefficients are
-Hermitian bit for bit, eps, mu and lam(eps) have zero imaginary parts and
-omega is not complex (`_real_problem`, decided once per solve).  Its grids
+Real problems stay real.  A solve's omega is real (`_check_start` refuses
+any other), and the solve is real when K's coefficients are Hermitian bit
+for bit and eps, mu and lam(eps) have zero imaginary parts
+(`_real_problem`, decided once per solve).  Its grids
 are then float64, and every iterate is Hermitian bit for bit with a float64
 sigma; coefficients and mu stay complex128.  Any other problem runs on
 complex128 grids.
@@ -82,7 +83,7 @@ def _real_problem(fam, K: TorusEmbedding, mu, omega, eps) -> bool:
     c = K.periodic.coeffs
     return bool((c[(slice(None, None, -1),) * K.dim] == c.conj()).all()
                 and np.imag(eps) == 0 and not np.imag(mu).any()
-                and not np.iscomplexobj(omega) and np.imag(fam.lambda_eps(eps)) == 0)
+                and np.imag(fam.lambda_eps(eps)) == 0)
 
 
 # The last sample of `_torus_sample`, keyed by the identity of K's read-only
@@ -406,9 +407,10 @@ class KamSolution:
 
 
 def _check_start(fam, K0, mu0, omega, eps):
-    """(lam(eps), mu0 as a 1-d complex array) of a solve's starting point.
-    ValueError for a non-finite eps, lam(eps), mu0, omega or K0 coefficient,
-    or an omega without K0.dim components."""
+    """(lam(eps), mu0 as a 1-d complex array, omega as float64) of a solve's
+    starting point.  ValueError for a non-finite eps, lam(eps), mu0, omega or
+    K0 coefficient, an omega without K0.dim components or one with a nonzero
+    imaginary part."""
     if not np.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -420,12 +422,14 @@ def _check_start(fam, K0, mu0, omega, eps):
         raise ValueError(f"mu0 must be finite, got {mu0}")
     if np.atleast_1d(omega).shape != (K0.dim,) or not np.all(np.isfinite(omega)):
         raise ValueError(f"omega must have {K0.dim} finite components, got {omega}")
+    if np.any(np.imag(omega)):
+        raise ValueError(f"omega must be real, got {omega}")
     bad = np.argwhere(~np.isfinite(K0.periodic.coeffs))
     if bad.size:
         k = tuple(int(i) - K0.kmax for i in bad[0][:K0.dim])
         raise ValueError(f"K0 must be finite, got {K0.periodic.coeffs[tuple(bad[0])]} "
                          f"at mode k={k}")
-    return lam, mu
+    return lam, mu, np.asarray(np.real(omega), dtype=float)
 
 
 def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20,
@@ -439,12 +443,13 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20,
 
     Raises Diverged when a residual is not finite or two consecutive
     residuals exceed the first, and NoConvergence after max_iter steps.  A
-    non-finite eps, lam(eps), mu0, omega or K0 coefficient, a tol outside
-    [0, inf) or a max_iter that is not an integer >= 0 raises ValueError.
+    non-finite eps, lam(eps), mu0, omega or K0 coefficient, an omega that is
+    not real, a tol outside [0, inf) or a max_iter that is not an integer >= 0
+    raises ValueError.
     With `good_set`, lam(eps) must pass `lambda_in_good_set` over
     `good_set_scan` modes, else DivisorTooSmall carries its witness.
     """
-    lam, mu = _check_start(fam, K0, mu0, omega, eps)
+    lam, mu, omega = _check_start(fam, K0, mu0, omega, eps)
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must satisfy 0 <= tol < inf, got {tol}")
     if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
@@ -474,7 +479,7 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20,
             return KamSolution(
                 K=K, mu=mu, residual_norm=res, twist_constant=twist,
                 trace=tuple(trace), eps=complex(eps),
-                omega=np.atleast_1d(np.asarray(omega, dtype=float)),
+                omega=np.atleast_1d(omega),
                 lam=lam,
             )
         if it == max_iter:

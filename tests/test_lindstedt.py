@@ -276,7 +276,9 @@ _BAD_STARTS = pytest.mark.parametrize("alpha, mu, omega_of, eps0", [
     (1.0, [0.0], lambda w: w, np.inf),
     # lam(eps0) = 1 + alpha eps0 overflows
     (1e308, [0.0], lambda w: w, 10.0),
-], ids=["mu-nan", "omega-nan", "omega-length", "eps0-nan", "eps0-inf", "lam-overflows"])
+    (1.0, [0.0], lambda w: np.complex128(w + 1e-3j), 0.0),
+], ids=["mu-nan", "omega-nan", "omega-length", "eps0-nan", "eps0-inf", "lam-overflows",
+        "omega-complex"])
 
 
 @_BAD_STARTS

@@ -360,27 +360,39 @@ def test_doubling_frame_jets_are_the_two_pass_frame(fam, omega, base_torus, monk
     assert len(built) == 1 and built[0].M.shape[0] == 4
 
 
-def test_two_dimensional_frame_matches_a_pointwise_linalg_reference():
-    # d = 2: the Gram is 2 x 2 (conditioned by np.linalg.cond's SVD) and the
-    # frame 4 x 4 (inverted by np.linalg.inv); every matrix of the frame is
-    # the np.linalg formula at its grid point
-    rng = np.random.default_rng(22)
-    kmax, d = 3, 2
-    omega = np.array([(np.sqrt(5.0) - 1.0) / 2.0, np.sqrt(2.0) - 1.0])
+def _synthetic_frame_args(d, real=False, seed=22):
+    """build_frame's arguments for an order-0 frame of a random torus near the
+    flat one at kmax 3, its own Df and D_mu f and lam = 0.9: complex, or
+    real (Hermitian K sampled as float64, real Df, D_mu f and lam)."""
+    rng = np.random.default_rng(seed)
+    kmax = 3
+    omega = np.array([(np.sqrt(5.0) - 1.0) / 2.0, np.sqrt(2.0) - 1.0])[:d]
     shape = (2 * kmax + 1,) * d + (2 * d,)
-    K = TorusEmbedding(FourierSeries(d, kmax, 0.02 * (rng.standard_normal(shape)
-                                                      + 1j * rng.standard_normal(shape))))
+    c = 0.02 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    if real:
+        c = (c + np.conj(c[(slice(None, None, -1),) * d])) / 2
+    K = TorusEmbedding(FourierSeries(d, kmax, c))
     n = newton._grid_size(kmax)
-    _, _, dk, dkshift = sample_jet(K.periodic.coeffs[None], omega, n)
+    _, _, dk, dkshift = sample_jet(K.periodic.coeffs[None], omega, n, real=real)
     Df = np.eye(2 * d) + 0.2 * rng.standard_normal((2 * d, 2 * d))
     Dmu = rng.standard_normal((2 * d, d))
-    lam = 0.9 + 0j
     points = n ** d
-    args = (np.array([lam]), dk, dkshift,
+    return (np.array([0.9] if real else [0.9 + 0j]), dk, dkshift,
             np.broadcast_to(Df[None, ..., None], (1, 2 * d, 2 * d, points)),
             np.broadcast_to(Dmu[None, ..., None], (1, 2 * d, d, points)), omega, kmax)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_frame_matches_a_pointwise_linalg_reference(d):
+    # every matrix of the frame is the np.linalg formula at its grid point:
+    # at d = 1 the closed-form 1 x 1 and 2 x 2 inverses and the 1 x 1
+    # condition branch, at d = 2 the 2 x 2 Gram (conditioned by
+    # np.linalg.cond's SVD) and the 4 x 4 frame (inverted by np.linalg.inv)
+    args = _synthetic_frame_args(d)
+    (lam,), dk, dkshift = args[:3]
+    Df, Dmu = args[3][0, ..., 0], args[4][0, ..., 0]
     fr = newton.build_frame(*args)
-    # the 2 x 2 Grams of DK and DK o T_omega in one stack: the two-pass frame's bytes
+    # the Grams of DK and DK o T_omega in one stack: the two-pass frame's bytes
     _assert_two_pass_frame(fr, args)
 
     Jinv = np.linalg.inv(symplectic_matrix(d))
@@ -396,11 +408,60 @@ def test_two_dimensional_frame_matches_a_pointwise_linalg_reference():
     P, Ps = g @ N, gs @ Ns
     S = np.swapaxes(Ps, -1, -2) @ Df @ Jinv @ P \
         - lam * np.swapaxes(Ns, -1, -2) @ (np.swapaxes(gs, -1, -2) @ Jinv @ gs) @ Ns
-    assert fr.n == n
+    points = dk.shape[-1]
+    assert fr.n ** d == points
     for got, want in ((fr.M, M), (fr.Mshift, Ms), (fr.beta, beta), (fr.S, S),
                       (fr.A, beta @ Dmu)):
         assert got.shape == (1,) + want.shape[1:] + (points,)
         assert np.max(np.abs(np.moveaxis(got[0], -1, 0) - want)) <= 1e-13
+
+
+def _assert_solves_the_reduced_system(fr, rhs1, rhs2):
+    """solve_reduced's (W1, W2, sigma) on the order-0 frame `fr`, at its kmax
+    and the default floor, satisfy the two difference equations of its
+    docstring mode by mode at the cutoff, to 1e-12 relative."""
+    d, band, lam = fr.d, fr.kmax, fr.lam[0]
+    S, A1, A2 = fr.S[0], fr.A[0, :d], fr.A[0, d:]
+    Bb, _ = fr.solve_twisted(-A2.reshape(d * d, -1), band, newton.DEFAULT_DIVISOR_FLOOR)
+    core = newton.checked_block(fr, Bb.reshape(A2.shape))
+    Ba, _ = fr.solve_twisted(rhs2, band, newton.DEFAULT_DIVISOR_FLOOR)
+    W1, W2, sigma, _ = newton.solve_reduced(core, rhs1, rhs2, Ba, band)
+    assert W1.dtype == W2.dtype == rhs1.dtype and W1.shape == W2.shape == rhs1.shape
+
+    def shifted(W):             # W o T_omega of a grid function with no mode beyond the band
+        return to_grid(from_grid(W, d, band).shift(fr.omega), fr.n, real=W.dtype.kind != "c")
+
+    sig = sigma[:, None, None]
+    for lhs, rhs in ((W1 - shifted(W1) + jets.mm(S, W2[:, None])[:, 0]
+                      + jets.mm(A1, sig)[:, 0], rhs1),
+                     (lam * W2 - shifted(W2) + jets.mm(A2, sig)[:, 0], rhs2)):
+        scale = np.max(np.abs(from_grid(rhs, d, band).coeffs))
+        assert np.max(np.abs(from_grid(lhs - rhs, d, band).coeffs)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_the_reduced_solve_of_a_two_dimensional_frame_solves_its_equations(real):
+    # the d x d branches of checked_block and solve_reduced, on the synthetic
+    # frame of the linalg reference test
+    fr = newton.build_frame(*_synthetic_frame_args(2, real))
+    assert (fr.S.dtype.kind == "c") is not real
+    rng = np.random.default_rng(5)
+    rhs = [to_grid(FourierSeries(2, fr.kmax, rng.standard_normal((7, 7, 2))
+                                 + 1j * rng.standard_normal((7, 7, 2))), fr.n)
+           for _ in range(2)]
+    _assert_solves_the_reduced_system(fr, *[r.real if real else r for r in rhs])
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.05 + 0.01j], ids=["real", "complex"])
+def test_the_reduced_solve_of_a_newton_frame_solves_its_equations(fam, omega, base_torus,
+                                                                eps):
+    # the right-hand side of a Newton step, -beta E, on a perturbed torus
+    K, mu = perturbed(base_torus[0], np.random.default_rng(3), 5e-3), base_torus[1]
+    ev = _evaluate(fam, K, mu, omega, eps)
+    fr = newton.newton_frame(fam, ev, mu, omega, eps)
+    assert (fr.S.dtype.kind == "c") is (eps != 0.05)
+    rhs = -jets.mm(fr.beta[0], ev.E[:, None])[:, 0]
+    _assert_solves_the_reduced_system(fr, rhs[:1], rhs[1:])
 
 
 def test_a_singular_large_matrix_is_blamed_on_its_grid_point_alone():
@@ -592,6 +653,42 @@ def test_run_rejects_non_finite_input(fam, omega, base_torus, eps, mu0, bad, kw,
     with pytest.raises(ValueError) as err:
         run_newton(fam, K0, mu0, **{"omega": omega, "eps": eps, **kw})
     assert str(err.value) == named
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_complex_omega_is_refused_before_any_transform(fam, omega, base_torus, monkeypatch):
+    # it used to run: its shifts took the complex omega and its divisor
+    # tables the real part, with a ComplexWarning each (an error under
+    # warnings-as-errors), and the solution kept the real part as its omega
+    def no_transform(*args, **kwargs):
+        raise AssertionError("a grid transform ran")
+
+    monkeypatch.setattr(fourier, "_fft", no_transform)
+    w = np.complex128(omega + 1e-3j)
+    for solve in (lambda: run_newton(fam, *base_torus, w, 0.05),
+                  lambda: lindstedt_expand(fam, *base_torus, w, 0.0, 3)):
+        with pytest.raises(ValueError) as err:
+            solve()
+        assert str(err.value) == f"omega must be real, got {w}"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("as_complex", [np.complex128,
+                                        lambda w: np.array([w], dtype=complex)],
+                         ids=["scalar", "array"])
+def test_an_omega_of_complex_dtype_with_zero_imaginary_part_is_the_real_omega(
+        fam, omega, base_torus, as_complex):
+    def same(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    sols = [run_newton(fam, *base_torus, w, 0.05) for w in (omega, as_complex(omega))]
+    assert all(same(getattr(sols[0], name), getattr(sols[1], name))
+               for name in ("mu", "trace", "twist_constant", "omega"))
+    assert same(sols[0].K.periodic.coeffs, sols[1].K.periodic.coeffs)
+    jets_ = [lindstedt_expand(fam, *base_torus, w, 0.0, 3) for w in (omega, as_complex(omega))]
+    assert same(jets_[0].mu_coeffs, jets_[1].mu_coeffs)
+    assert all(same(a.coeffs, b.coeffs) for a, b in zip(jets_[0].K_coeffs, jets_[1].K_coeffs))
 
 
 @pytest.mark.parametrize("alpha, a, eps", [(1e308, 1, 10.0), (1.0, 1000000, 2.0)],
