@@ -33,6 +33,7 @@ from itertools import product
 from math import prod
 
 import numpy as np
+# the pocketfft ufuncs behind np.fft (`_fft` calls them)
 from numpy.fft import _pocketfft_umath as _pocketfft
 
 TWO_PI = 2.0 * np.pi

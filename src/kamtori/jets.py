@@ -52,11 +52,12 @@ def mm(a, b):
     points), broadcast as np.matmul is; a constant matrix has one point.
     Each entry is summed in order of the inner index, so it is rounded the
     same wherever it lies in the stack."""
-    if a.shape[-2] == 1:
+    m = a.shape[-2]
+    if m == 1:
         return a * b
-    out = a[..., :, :1, :] * b[..., :1, :, :]
-    for j in range(1, a.shape[-2]):
-        out += a[..., :, j:j + 1, :] * b[..., j:j + 1, :, :]
+    out = a[..., :1, :] * b[..., :1, :, :]
+    for j in range(1, m):
+        out += a[..., j:j + 1, :] * b[..., j:j + 1, :, :]
     return out
 
 

@@ -31,6 +31,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+# the LAPACK ufuncs behind np.linalg.det and np.linalg.solve: called directly,
+# a 2d x 2d block skips argument handling that costs more than its solve
 from numpy.linalg import _umath_linalg
 
 from . import jets
@@ -211,8 +213,8 @@ def build_frame(lam, dk, dkshift, Df, Dmu, omega, kmax: int) -> Frame:
     beta = jets.inv_matrix(Mshift)
     _gate(beta[0], "M o T_omega is singular or not finite")
 
-    # M = [DK, J^-1 P] with P = DK N, and J = -J^-1 is a signed block swap,
-    # so J M[..., d:] = [M[d:, d:], -M[:d, d:]] is P exactly, at K and at K o T_omega
+    # M = [DK, J^-1 P] with P = DK N, and J = -J^-1 swaps the row blocks with a
+    # sign, so P = J M[..., d:] = [M[d:, d:], -M[:d, d:]] exactly, at K and at K o T_omega
     P = np.concatenate([M[..., d:, d:, :], -M[..., :d, d:, :]], axis=-3)
     # S = (P^T o T) Df J^-1 P - lam (N^T o T)(gamma o T)(N o T), associated
     # from the left throughout
@@ -270,7 +272,8 @@ def checked_block(frame: Frame, Bb_grid: np.ndarray,
     scale = float(np.maximum.reduce(np.add.reduce(np.abs(block), axis=1)))
     if not 0 < scale < np.inf:
         raise NonDegeneracyFailure(np.nan, scale)
-    det = _umath_linalg.det(block / scale, signature=block.dtype.char + "->" + block.dtype.char)
+    t = block.dtype.char
+    det = _umath_linalg.det(block / scale, signature=f"{t}->{t}")
     if abs(det) <= DET_RTOL:
         raise NonDegeneracyFailure(det, scale)
     return ReducedCore(frame, block, complex(det), Bb_grid, divisor_floor)
@@ -292,6 +295,7 @@ def solve_reduced(core: ReducedCore, rhs1: np.ndarray, rhs2: np.ndarray,
     d, S, A1 = fr.d, fr.S[0], fr.A[0, :fr.d]
     rhs_avg = np.concatenate([_mean(rhs1) - _mean(jets.mm(S, Ba_grid[:, None])[:, 0]),
                               _mean(rhs2)])
+    # np.linalg.solve's floating-point handling; the checked block is not singular
     t = np.result_type(core.block, rhs_avg).char
     with np.errstate(over="ignore", divide="ignore", under="ignore"):
         sol = _umath_linalg.solve1(core.block, rhs_avg, signature=f"{t}{t}->{t}")

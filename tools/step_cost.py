@@ -78,7 +78,7 @@ def _fresh(K):
     return TorusEmbedding(FourierSeries(K.dim, K.kmax, np.array(K.periodic.coeffs)))
 
 
-def _best(call, repeats: int, setup=lambda: ()) -> float:
+def _best(call, repeats: int, setup) -> float:
     """The least time of `repeats` calls call(*setup()), setup untimed, in seconds."""
     best = np.inf
     for _ in range(repeats):
@@ -110,17 +110,16 @@ def time_pieces(case: dict, repeats: int) -> dict:
     rows, _ = fr.solve_twisted(stacked, kmax, floor)
     Bb_grid, Ba_grid = rows[:d * d].reshape(A2.shape), rows[d * d:]
     core = newton.checked_block(fr, Bb_grid, floor)
-    return {
-        "evaluate": _best(evaluate, repeats, lambda: (_fresh(K),)),
-        "newton_frame": _best(lambda: newton.newton_frame(fam, ev, mu, omega, eps), repeats),
-        "twisted_solve": _best(lambda: fr.solve_twisted(stacked, kmax, floor), repeats),
-        "checked_block": _best(lambda: newton.checked_block(fr, Bb_grid, floor), repeats),
-        "solve_reduced": _best(lambda: newton.solve_reduced(core, rhs[:d], rhs[d:],
-                                                            Ba_grid, kmax), repeats),
-        "newton_step": _best(lambda: newton.newton_step(fam, K, mu, omega, eps,
-                                                        divisor_floor=floor, _defect=ev),
-                             repeats),
-    }
+    calls = (
+        (evaluate, lambda: (_fresh(K),)),
+        (lambda: newton.newton_frame(fam, ev, mu, omega, eps), tuple),
+        (lambda: fr.solve_twisted(stacked, kmax, floor), tuple),
+        (lambda: newton.checked_block(fr, Bb_grid, floor), tuple),
+        (lambda: newton.solve_reduced(core, rhs[:d], rhs[d:], Ba_grid, kmax), tuple),
+        (lambda: newton.newton_step(fam, K, mu, omega, eps, divisor_floor=floor, _defect=ev),
+         tuple),
+    )
+    return {piece: _best(call, repeats, setup) for piece, (call, setup) in zip(PIECES, calls)}
 
 
 def main(argv=None) -> int:
