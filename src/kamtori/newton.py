@@ -14,10 +14,9 @@ order 0 is the Newton frame, and serves the Newton step and both Lindstedt
 engines: `build_frame` makes the frame, `checked_block` the averaged block
 of the order-0 torus, and `solve_reduced` solves one right-hand side.
 
-Real problems stay real.  A solve's omega is real (`_check_start` refuses
-any other), and the solve is real when K's coefficients are Hermitian bit
-for bit and eps, mu and lam(eps) have zero imaginary parts
-(`_real_problem`, decided once per solve).  Its grids
+Real problems stay real.  A solve is real when K's coefficients are
+Hermitian bit for bit, eps, mu and lam(eps) have zero imaginary parts and
+omega is not complex (`_real_problem`, decided once per solve).  Its grids
 are then float64, and every iterate is Hermitian bit for bit with a float64
 sigma; coefficients and mu stay complex128.  Any other problem runs on
 complex128 grids.
@@ -85,7 +84,7 @@ def _real_problem(fam, K: TorusEmbedding, mu, omega, eps) -> bool:
     c = K.periodic.coeffs
     return bool((c[(slice(None, None, -1),) * K.dim] == c.conj()).all()
                 and np.imag(eps) == 0 and not np.imag(mu).any()
-                and np.imag(fam.lambda_eps(eps)) == 0)
+                and not np.iscomplexobj(omega) and np.imag(fam.lambda_eps(eps)) == 0)
 
 
 # The last sample of `_torus_sample`, keyed by the identity of K's read-only
