@@ -11,9 +11,10 @@ Matrix-valued jets and grid stacks are (..., p, q, points), the matrix axes
 
 from __future__ import annotations
 
-from contextlib import suppress
-
 import numpy as np
+# the LAPACK ufunc behind np.linalg.inv: a singular matrix of a stack is
+# inverted to nan, where np.linalg.inv raises for the whole stack
+from numpy.linalg import _umath_linalg
 
 TWO_PI = 2.0 * np.pi
 MAX_ORDER_DOUBLE = 32      # order cap of the complex128 jets
@@ -108,19 +109,15 @@ def sincos(x, sc=None):
 def inv_stack(a):
     """The inverse of every matrix of a stack (..., m, m, points); that of a
     singular or non-finite matrix is not finite.  1 x 1 and 2 x 2 matrices
-    are inverted in closed form, larger ones by np.linalg.inv."""
+    are inverted in closed form, larger ones by the LAPACK ufunc behind
+    np.linalg.inv, with its bytes, a singular one to nan."""
     a = np.asarray(a)
     m = a.shape[-2]
     if m > 2:
-        lead = np.moveaxis(a, -1, -3)
-        try:
-            return np.moveaxis(np.linalg.inv(lead), -3, -1)
-        except np.linalg.LinAlgError:
-            out = np.full(lead.shape, np.nan, dtype=np.result_type(a.dtype, np.float64))
-            for idx in np.ndindex(lead.shape[:-2]):
-                with suppress(np.linalg.LinAlgError):
-                    out[idx] = np.linalg.inv(lead[idx])
-            return np.moveaxis(out, -3, -1)
+        t = "D" if a.dtype.kind == "c" else "d"
+        with np.errstate(over="ignore", divide="ignore", under="ignore", invalid="ignore"):
+            return np.moveaxis(_umath_linalg.inv(np.moveaxis(a, -1, -3),
+                                                 signature=f"{t}->{t}"), -3, -1)
     if m == 1:
         # the reciprocal of a subnormal entry overflows to inf, as that of a zero does
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

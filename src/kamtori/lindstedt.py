@@ -156,16 +156,16 @@ def _start(fam, jet: EpsilonJet, omega, order: int, divisor_floor):
             f"target order {order} beyond the double-precision cap {MAX_ORDER_DOUBLE}")
     eps0, n = jet.eps0, jet.order + 1
     K0 = TorusEmbedding(jet.K_coeffs[0])
-    _, mu0, omega = _check_start(fam, K0, jet.mu_coeffs[0], omega, eps0)
+    _, mu0, omega, _ = _check_start(fam, K0, jet.mu_coeffs[0], omega, eps0)
     mu = jets.pad(np.vstack([mu0, *jet.mu_coeffs[1:]]), order)   # order 0 as checked
     lam = fam.lambda_jet(eps0, order)
     with _orders_checked():
         bands, x, xshift, (dk, dkshift) = _sample(fam, jet, omega, order)
         fr = build_frame(lam[:n], dk, dkshift, fam.jet_jacobian(x[:n], mu[:n], eps0),
-                         fam.jet_d_mu(x[:n], mu[:n], eps0), omega, bands[-1])
+                         fam.jet_d_mu(x[:n], mu[:n], eps0), omega, bands[-1], divisor_floor)
     # the averaged block of the (exact) order-0 torus serves every order
-    Bb_grid, _ = fr.solve_twisted(-fr.A[0, fr.d:], fr.kmax, divisor_floor)
-    return bands, x, xshift, mu, lam, checked_block(fr, Bb_grid, divisor_floor)
+    Bb_grid, _ = fr.solve_twisted(-fr.A[0, fr.d:], fr.kmax)
+    return bands, x, xshift, mu, lam, checked_block(fr, Bb_grid)
 
 
 def _project(grids: np.ndarray, d: int, B: int, bands, kmax: int) -> list:
@@ -203,7 +203,7 @@ def lindstedt_expand(fam, K_base: TorusEmbedding, mu_base, omega, eps0, N: int,
             G = fam.jet_apply(x[: j + 1], mu[: j + 1], eps0, work=work)[0]
             Et = jets.mm(fr.beta[0], (-G)[:, None])[:, 0]
             _check_order(j, "right-hand side", Et)
-            Ba_grid, _ = fr.solve_twisted(Et[d:], B, divisor_floor)
+            Ba_grid, _ = fr.solve_twisted(Et[d:], B)
             W1, W2, mu[j], _ = solve_reduced(core, Et[:d], Et[d:], Ba_grid, B)
             Kj = from_grid(jets.mm(fr.M[0], np.concatenate([W1, W2])[:, None])[:, 0],
                            d, B).truncate(bands[j])
@@ -284,7 +284,7 @@ def lindstedt_double(fam, jet: EpsilonJet, omega,
                 rhs1 = rhs1 - jets.mm(S[m], W2m[:, None])[:, 0] - jets.mm(A1[m], sig)[:, 0]
                 corr = corr + jets.mm(fr.M[m], W[nn - m][:, None])[:, 0]
             _check_order(nn, "right-hand side", rhs1, rhs2)
-            Ba_grid, _ = fr.solve_twisted(rhs2, bands[nn], divisor_floor)
+            Ba_grid, _ = fr.solve_twisted(rhs2, bands[nn])
             W1, W2, mu[nn], _ = solve_reduced(core, rhs1, rhs2, Ba_grid, bands[nn])
             # normalization in the base frame: zero average angle displacement
             W1 = W1 - _mean(jets.mm(Minv0, corr[:, None])[:, 0])[:d, None]

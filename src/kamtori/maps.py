@@ -11,9 +11,11 @@ their 2d components on the leading axis (after a jet's order axis) and are
 vectorized over the trailing axes, with lift semantics for the angles: a
 point is (2d,), a grid stack (2d, points), a grid jet (orders, 2d,
 points); Df is (2d, 2d, ...) and df/dmu (2d, d, ...).  Values may be
-complex128, or float64 at real points.  For a real problem the Newton
-solver passes real points, mu and eps and takes the real part of f, Df and
-df/dmu.  `lambda_eps` and `lambda_jet` return complex values.
+complex128, or float64 at real points; the dtype of df/dmu follows the points
+and eps alone, so it is float64 at real points and a real eps even where
+lam(eps) is complex.  For a real problem the Newton solver passes real
+points, mu and eps and takes the real part of f, Df and df/dmu.
+`lambda_eps` and `lambda_jet` return complex values.
 
     dim, J            d and the 2d x 2d structure matrix
     alpha, a          lam(eps) = 1 + alpha eps^a + ...
@@ -141,8 +143,7 @@ class DissipativeStandardMap:
 
     def d_mu(self, x, mu, eps):
         x = np.asarray(x)
-        return np.ones((2, 1) + x.shape[1:],
-                       dtype=np.result_type(x.dtype, self._lam(x, eps), eps, np.float64))
+        return np.ones((2, 1) + x.shape[1:], dtype=np.result_type(x.dtype, eps, np.float64))
 
     # -- jets ---------------------------------------------------------------
 

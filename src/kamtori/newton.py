@@ -15,11 +15,11 @@ engines: `build_frame` makes the frame, `checked_block` the averaged block
 of the order-0 torus, and `solve_reduced` solves one right-hand side.
 
 Real problems stay real.  A solve is real when K's coefficients are
-Hermitian bit for bit, eps, mu and lam(eps) have zero imaginary parts and
-omega is not complex (`_real_problem`, decided once per solve).  Its grids
-are then float64, and every iterate is Hermitian bit for bit with a float64
-sigma; coefficients and mu stay complex128.  Any other problem runs on
-complex128 grids.
+Hermitian bit for bit and eps, mu and lam(eps) have zero imaginary parts;
+`_check_start`, the start check of every Newton-level call, decides it once
+per solve.  Its grids are then float64, and every iterate is Hermitian bit
+for bit with a float64 sigma; coefficients and mu stay complex128.  Any
+other problem runs on complex128 grids.
 
 Grid stacks are (values.., points), the points on one trailing axis.
 """
@@ -63,9 +63,10 @@ def _mean(grid: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Defect:
-    """One evaluation of (K, mu) on the grid: X = K(theta), DK, DK o T_omega
-    and E = f_{mu,eps} o K - K o T_omega; `residual` is the l1 norm at
-    rho = 0 of E's series at K's cutoff."""
+    """One evaluation of (K, mu) at eps on the grid: X = K(theta), DK,
+    DK o T_omega and E = f_{mu,eps} o K - K o T_omega, with the mu, omega and
+    eps f was applied at and the solve's realness; `residual` is the l1 norm
+    at rho = 0 of E's series at K's cutoff."""
 
     X: np.ndarray
     DK: np.ndarray
@@ -73,18 +74,14 @@ class _Defect:
     E: np.ndarray
     dim: int
     kmax: int
+    mu: np.ndarray
+    omega: np.ndarray
+    eps: complex
+    real: bool
 
     @cached_property
     def residual(self) -> float:
         return from_grid(self.E, self.dim, self.kmax).analytic_norm(0.0)
-
-
-def _real_problem(fam, K: TorusEmbedding, mu, omega, eps) -> bool:
-    """Whether (K, mu) at eps is a real problem, as the module states."""
-    c = K.periodic.coeffs
-    return bool((c[(slice(None, None, -1),) * K.dim] == c.conj()).all()
-                and np.imag(eps) == 0 and not np.imag(mu).any()
-                and not np.iscomplexobj(omega) and np.imag(fam.lambda_eps(eps)) == 0)
 
 
 # The last sample of `_torus_sample`, keyed by the identity of K's read-only
@@ -109,24 +106,24 @@ def _torus_sample(K: TorusEmbedding, omega, real: bool) -> tuple:
     return _last_sample[key][1]
 
 
-def _evaluate(fam, K: TorusEmbedding, mu, omega, eps, *, real=None) -> _Defect:
+def _evaluate(fam, K: TorusEmbedding, mu, omega, eps, *, real: bool) -> _Defect:
     """(K, mu) on the grid, sampled by `_torus_sample`, with E in an array of
-    its own.  With `real` (the solve's `_real_problem`, decided here when
-    None) the samples are float64 and f's real part is taken; else they are
-    complex128."""
-    if real is None:
-        real = _real_problem(fam, K, mu, omega, eps)
+    its own.  With `real` (the solve's, from `_check_start`) the samples are
+    float64, f is applied at real mu and eps and its real part taken; else
+    they are complex128."""
     if real:
         mu, omega, eps = np.real(mu), np.real(omega), np.real(eps)
     X, Xshift, DK, DKshift = _torus_sample(K, omega, real)
     F = fam.apply(X, mu, eps)
     E = (F.real if real else F) - Xshift
-    return _Defect(X, DK, DKshift, E, K.dim, K.kmax)
+    return _Defect(X, DK, DKshift, E, K.dim, K.kmax, mu, omega, eps, real)
 
 
 def invariance_residual(fam, K: TorusEmbedding, mu, omega, eps) -> FourierSeries:
-    """E = f_{mu,eps} o K - K o T_omega as a (2d,)-valued series at K's cutoff."""
-    return from_grid(_evaluate(fam, K, mu, omega, eps).E, K.dim, K.kmax)
+    """E = f_{mu,eps} o K - K o T_omega as a (2d,)-valued series at K's cutoff.
+    Raises ValueError as `run_newton` does for a start it refuses."""
+    _, mu, omega, real = _check_start(fam, K, mu, omega, eps)
+    return from_grid(_evaluate(fam, K, mu, omega, eps, real=real).E, K.dim, K.kmax)
 
 
 # -- the reduced system ---------------------------------------------------------
@@ -192,18 +189,21 @@ class Frame:
     beta: np.ndarray      # (M o T_omega)^-1
     S: np.ndarray         # (d, d) torsion
     A: np.ndarray         # (2d, d) frame-projected drift response
+    divisor_floor: float | np.ndarray   # scalar or per-mode floor of the lam-twisted solves
 
-    def solve_twisted(self, eta: np.ndarray, band: int, divisor_floor) -> tuple:
+    def solve_twisted(self, eta: np.ndarray, band: int) -> tuple:
         """(phi, largest divisor gain): the lam-twisted `solve_twisted_grid`
-        of grid rows eta at the cutoff `band`, with order 0 of lam."""
-        return solve_twisted_grid(eta, self.d, band, self.lam[0], self.omega, divisor_floor)
+        of grid rows eta at the cutoff `band`, with order 0 of lam and the
+        frame's floor."""
+        return solve_twisted_grid(eta, self.d, band, self.lam[0], self.omega, self.divisor_floor)
 
 
-def build_frame(lam, dk, dkshift, Df, Dmu, omega, kmax: int) -> Frame:
+def build_frame(lam, dk, dkshift, Df, Dmu, omega, kmax: int, divisor_floor) -> Frame:
     """The adapted frame from the jets of lam, DK, DK o T_omega, Df and
-    D_mu f, all sampled on one grid.  Raises FrameSingular as `_frame_matrix`
-    does, and where gamma o T_omega = (DK^T J^-1 DK) o T_omega or
-    (M o T_omega)^-1 is not finite at a grid point."""
+    D_mu f, all sampled on one grid, whose solves have `divisor_floor`.
+    Raises FrameSingular as `_frame_matrix` does, and where gamma o T_omega =
+    (DK^T J^-1 DK) o T_omega or (M o T_omega)^-1 is not finite at a grid
+    point."""
     d, points = dk.shape[-2:]
     N, M = _frame_matrix(np.array([dk, dkshift]).swapaxes(0, 1))
     Nshift, Mshift = N[:, 1], M[:, 1]
@@ -221,21 +221,19 @@ def build_frame(lam, dk, dkshift, Df, Dmu, omega, kmax: int) -> Frame:
     S = jets.matmul(mul_jinv(jets.matmul(P[:, 1].swapaxes(-3, -2), Df)), P[:, 0]) \
         - jets.matmul(jets.matmul(jets.cauchy(lam_bc, Nshift.swapaxes(-3, -2)), gshift), Nshift)
     return Frame(d=d, kmax=kmax, n=round(points ** (1 / d)), omega=omega, lam=lam, Df=Df,
-                 M=M[:, 0], Mshift=Mshift, beta=beta, S=S, A=jets.matmul(beta, Dmu))
+                 M=M[:, 0], Mshift=Mshift, beta=beta, S=S, A=jets.matmul(beta, Dmu),
+                 divisor_floor=divisor_floor)
 
 
-def newton_frame(fam, ev: _Defect, mu, omega, eps) -> Frame:
-    """The order-0 frame of `ev`, an evaluation of (K, mu) at eps; real when
-    `ev`'s samples are float64."""
-    real = ev.X.dtype.kind != "c"
-    if real:
-        mu, eps = np.real(mu), np.real(eps)
-    lam = np.array([complex(fam.lambda_eps(eps))])
-    Df, Dmu = fam.jacobian(ev.X, mu, eps), fam.d_mu(ev.X, mu, eps)
-    if real:
+def newton_frame(fam, ev: _Defect, divisor_floor) -> Frame:
+    """The order-0 frame of `ev` at its mu, omega and eps, for solves with
+    `divisor_floor`; real when `ev` is."""
+    lam = np.array([complex(fam.lambda_eps(ev.eps))])
+    Df, Dmu = fam.jacobian(ev.X, ev.mu, ev.eps), fam.d_mu(ev.X, ev.mu, ev.eps)
+    if ev.real:
         lam, Df, Dmu = lam.real, Df.real, Dmu.real
     return build_frame(lam, ev.DK[None], ev.DKshift[None], Df[None], Dmu[None],
-                       omega, ev.kmax)
+                       ev.omega, ev.kmax, divisor_floor)
 
 
 @dataclass(frozen=True)
@@ -246,22 +244,24 @@ class ReducedCore:
     block: np.ndarray          # (2d, 2d) averaged system
     det: complex
     Bb_grid: np.ndarray
-    divisor_floor: float | np.ndarray   # scalar or per-mode floor of the lam-twisted solves
 
 
 def _twist(block: np.ndarray) -> float:
-    """The twist constant: the 2-norm of the inverse averaged block."""
-    return float(np.linalg.norm(np.linalg.inv(block), 2))
+    """The twist constant: the 2-norm of the inverse averaged block, the
+    bytes of np.linalg.norm(np.linalg.inv(block), 2) for a checked block."""
+    t = block.dtype.char
+    with np.errstate(over="ignore", divide="ignore", under="ignore"):
+        inv = _umath_linalg.inv(block, signature=f"{t}->{t}")
+        return float(_umath_linalg.svd(inv, signature=f"{t}->d").max())
 
 
-def checked_block(frame: Frame, Bb_grid: np.ndarray,
-                  divisor_floor=DEFAULT_DIVISOR_FLOOR) -> ReducedCore:
+def checked_block(frame: Frame, Bb_grid: np.ndarray) -> ReducedCore:
     """The 2d x 2d averaged block of the order-0 torus, checked.  `Bb_grid`,
     (d, d, points), is `frame.solve_twisted` of -A2 (order 0 of A's last d
-    rows) at the frame's kmax with `divisor_floor`.  `det` is the
-    determinant of block / scale, scale the largest absolute row sum.
-    Raises NonDegeneracyFailure unless 0 < scale < inf and |det| > DET_RTOL.
-    A real frame and Bb give a real block."""
+    rows) at the frame's kmax.  `det` is the determinant of block / scale,
+    scale the largest absolute row sum.  Raises NonDegeneracyFailure unless
+    0 < scale < inf and |det| > DET_RTOL.  A real frame and Bb give a real
+    block."""
     d, S, A_mean = frame.d, frame.S[0], _mean(frame.A[0])
     block = np.zeros((2 * d, 2 * d), dtype=S.dtype)
     block[:d, :d] = _mean(S)
@@ -275,7 +275,7 @@ def checked_block(frame: Frame, Bb_grid: np.ndarray,
     det = _umath_linalg.det(block / scale, signature=f"{t}->{t}")
     if abs(det) <= DET_RTOL:
         raise NonDegeneracyFailure(det, scale)
-    return ReducedCore(frame, block, complex(det), Bb_grid, divisor_floor)
+    return ReducedCore(frame, block, complex(det), Bb_grid)
 
 
 def solve_reduced(core: ReducedCore, rhs1: np.ndarray, rhs2: np.ndarray,
@@ -287,8 +287,8 @@ def solve_reduced(core: ReducedCore, rhs1: np.ndarray, rhs2: np.ndarray,
 
     for W1 (zero average) and W2, (d, points) and of the dtype of rhs1 and
     rhs2, and sigma, at the cutoff `band` <= the frame's kmax.  `Ba_grid` is
-    `frame.solve_twisted` of rhs2 at `band` with the core's floor.  Returns
-    (W1, W2, sigma, the largest divisor gain of the untwisted solve).
+    `frame.solve_twisted` of rhs2 at `band`.  Returns (W1, W2, sigma, the
+    largest divisor gain of the untwisted solve).
     """
     fr = core.frame
     d, S, A1 = fr.d, fr.S[0], fr.A[0, :fr.d]
@@ -304,7 +304,7 @@ def solve_reduced(core: ReducedCore, rhs1: np.ndarray, rhs2: np.ndarray,
     r1 = rhs1 - jets.mm(S, W2[:, None])[:, 0] - jets.mm(A1, sigma[:, None, None])[:, 0]
     # a per-mode floor bounds the lam-twisted divisors of the good set; the
     # untwisted solve keeps a scalar one
-    floor = core.divisor_floor if np.ndim(core.divisor_floor) == 0 else DEFAULT_DIVISOR_FLOOR
+    floor = fr.divisor_floor if np.ndim(fr.divisor_floor) == 0 else DEFAULT_DIVISOR_FLOOR
     W1, W1_gain = solve_twisted_grid(r1, d, band, 1.0, fr.omega, floor)
     return W1, W2, sigma, W1_gain
 
@@ -322,9 +322,11 @@ class ReducibilityFrame:
 
 
 def reducibility_frame(fam, K, mu, omega, eps) -> ReducibilityFrame:
-    """The frame of (K, mu) at eps with the norms of R and E (ReducibilityFrame)."""
-    ev = _evaluate(fam, K, mu, omega, eps)
-    fr = newton_frame(fam, ev, mu, omega, eps)
+    """The frame of (K, mu) at eps with the norms of R and E (ReducibilityFrame).
+    Raises ValueError as `run_newton` does for a start it refuses."""
+    _, mu, omega, real = _check_start(fam, K, mu, omega, eps)
+    ev = _evaluate(fam, K, mu, omega, eps, real=real)
+    fr = newton_frame(fam, ev, DEFAULT_DIVISOR_FLOOR)
     Ms1, Ms2 = fr.Mshift[0][:, :fr.d], fr.Mshift[0][:, fr.d:]
     R = jets.mm(fr.Df[0], fr.M[0]) \
         - np.concatenate([Ms1, jets.mm(Ms1, fr.S[0]) + fr.lam[0] * Ms2], axis=1)
@@ -360,17 +362,20 @@ class StepReport:
 def newton_step(fam, K, mu, omega, eps, divisor_floor=DEFAULT_DIVISOR_FLOOR,
                 *, _defect: _Defect | None = None):
     """One quadratic correction (K, mu) -> (K + M W, mu + sigma), returned with
-    its StepReport.  `_defect` is an evaluation of (K, mu) to reuse."""
-    ev = _evaluate(fam, K, mu, omega, eps) if _defect is None else _defect
-    fr = newton_frame(fam, ev, mu, omega, eps)
+    its StepReport.  `_defect` is an evaluation of (K, mu) at omega and eps to
+    reuse; without it the start is checked as `run_newton` checks it."""
+    ev = _defect
+    if ev is None:
+        _, mu, omega, real = _check_start(fam, K, mu, omega, eps)
+        ev = _evaluate(fam, K, mu, omega, eps, real=real)
+    fr = newton_frame(fam, ev, divisor_floor)
     d, kmax = fr.d, fr.kmax
     rhs = -jets.mm(fr.beta[0], ev.E[:, None])[:, 0]
     # Bb (of -A2) and Ba (of the last d rows of -beta E) share lam, omega and
     # the cutoff: one solve of their stacked rows
     A2 = fr.A[0, d:]
-    rows, gain = fr.solve_twisted(np.concatenate([-A2.reshape(d * d, -1), rhs[d:]]),
-                                  kmax, divisor_floor)
-    core = checked_block(fr, rows[:d * d].reshape(A2.shape), divisor_floor)
+    rows, gain = fr.solve_twisted(np.concatenate([-A2.reshape(d * d, -1), rhs[d:]]), kmax)
+    core = checked_block(fr, rows[:d * d].reshape(A2.shape))
     W1, W2, sigma, W1_gain = solve_reduced(core, rhs[:d], rhs[d:], rows[d * d:], kmax)
 
     W = np.concatenate([W1, W2])
@@ -410,10 +415,10 @@ class KamSolution:
 
 
 def _check_start(fam, K0, mu0, omega, eps):
-    """(lam(eps), mu0 as a 1-d complex array, omega as float64) of a solve's
-    starting point.  ValueError for a non-finite eps, lam(eps), mu0, omega or
-    K0 coefficient, an omega without K0.dim components or one with a nonzero
-    imaginary part."""
+    """(lam(eps), mu0 as a 1-d complex array, omega as float64, whether the
+    problem is real) of a solve's starting point, real as the module states.
+    ValueError for a non-finite eps, lam(eps), mu0, omega or K0 coefficient,
+    an omega without K0.dim components or one with a nonzero imaginary part."""
     if not np.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -427,12 +432,14 @@ def _check_start(fam, K0, mu0, omega, eps):
         raise ValueError(f"omega must have {K0.dim} finite components, got {omega}")
     if np.any(np.imag(omega)):
         raise ValueError(f"omega must be real, got {omega}")
-    bad = np.argwhere(~np.isfinite(K0.periodic.coeffs))
+    c = K0.periodic.coeffs
+    bad = np.argwhere(~np.isfinite(c))
     if bad.size:
         k = tuple(int(i) - K0.kmax for i in bad[0][:K0.dim])
-        raise ValueError(f"K0 must be finite, got {K0.periodic.coeffs[tuple(bad[0])]} "
-                         f"at mode k={k}")
-    return lam, mu, np.asarray(np.real(omega), dtype=float)
+        raise ValueError(f"K0 must be finite, got {c[tuple(bad[0])]} at mode k={k}")
+    real = bool((c[(slice(None, None, -1),) * K0.dim] == c.conj()).all()
+                and np.imag(eps) == 0 and not mu.imag.any() and lam.imag == 0)
+    return lam, mu, np.asarray(np.real(omega), dtype=float), real
 
 
 def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20,
@@ -452,7 +459,7 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20,
     With `good_set`, lam(eps) must pass `lambda_in_good_set` over
     `good_set_scan` modes, else DivisorTooSmall carries its witness.
     """
-    lam, mu, omega = _check_start(fam, K0, mu0, omega, eps)
+    lam, mu, omega, real = _check_start(fam, K0, mu0, omega, eps)
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must satisfy 0 <= tol < inf, got {tol}")
     if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
@@ -462,7 +469,6 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20,
         if not witness.member:
             raise DivisorTooSmall(witness.nu.k, witness.nu.divisor, witness.floor)
 
-    real = _real_problem(fam, K0, mu, omega, eps)
     K = K0
     trace = []
     report = None
@@ -476,9 +482,9 @@ def run_newton(fam, K0, mu0, omega, eps, tol=1e-12, max_iter=20,
             # the twist of the last step's block, else of the converged frame
             twist = float("nan") if report is None else report.twist
             if not np.isfinite(twist):
-                fr = newton_frame(fam, ev, mu, omega, eps)
-                Bb_grid, _ = fr.solve_twisted(-fr.A[0, fr.d:], fr.kmax, divisor_floor)
-                twist = _twist(checked_block(fr, Bb_grid, divisor_floor).block)
+                fr = newton_frame(fam, ev, divisor_floor)
+                Bb_grid, _ = fr.solve_twisted(-fr.A[0, fr.d:], fr.kmax)
+                twist = _twist(checked_block(fr, Bb_grid).block)
             return KamSolution(
                 K=K, mu=mu, residual_norm=res, twist_constant=twist,
                 trace=tuple(trace), eps=complex(eps),

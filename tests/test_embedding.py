@@ -222,11 +222,11 @@ def test_each_caller_samples_only_what_it_reads(fam, omega, base_torus, monkeypa
     # last sample of K is dropped first)
     points.clear()
     newton._last_sample.clear()
-    newton._evaluate(fam, K, sol.mu, omega, 0.05)
+    newton._evaluate(fam, K, sol.mu, omega, 0.05, real=True)
     assert points == [8 * n]
     # a repeat evaluation of the same K: the last sample serves it
     points.clear()
-    newton._evaluate(fam, K, sol.mu, omega, 0.05)
+    newton._evaluate(fam, K, sol.mu, omega, 0.05, real=True)
     assert points == []
     # the invariance residual: the Newton evaluation's E, so all four blocks
     # (of a copy of K, which the last sample does not serve)

@@ -268,6 +268,22 @@ def test_larger_inverse_is_lapacks(rng):
     assert _same_bytes(inv[others], np.linalg.inv(a[others]))
 
 
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_a_four_by_four_stack_with_singular_and_nan_members_is_one_lapack_inverse(rng, real):
+    # a singular member (a zero column) is nan and a member with a nan entry
+    # is LAPACK's inverse of it, not finite; every other member keeps
+    # np.linalg.inv's bytes, and no warning is raised
+    a = _jet(rng, 0, (20, 4, 4))[0]
+    a = a.real.copy() if real else a
+    a[3, :, 1] = 0.0
+    a[11, 2, 2] = np.nan
+    inv = _point_major(jets.inv_stack(_stacked(a)))
+    assert inv.dtype == a.dtype and np.all(np.isnan(inv[3]))
+    assert not np.all(np.isfinite(inv[11])) and _same_bytes(inv[11], np.linalg.inv(a[11]))
+    others = ~np.isin(np.arange(20), [3, 11])
+    assert _same_bytes(inv[others], np.linalg.inv(a[others]))
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_closed_form_inverse_of_a_singular_or_nan_matrix_is_not_finite(m):
     a = np.stack([np.eye(m), np.zeros((m, m)), np.full((m, m), np.nan)]).astype(complex)

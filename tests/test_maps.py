@@ -70,13 +70,17 @@ def test_jacobian_structure_at_eps0(fam, rng):
 ])
 def test_values_are_real_at_real_points_of_a_real_map(rng, alpha, eps, x_dtype, want):
     # real points, eps and mu with a real lam(eps) give float64 values, equal
-    # to the real parts of the complex evaluation; otherwise complex128
+    # to the real parts of the complex evaluation; otherwise complex128.
+    # df/dmu does not read lam(eps): real points and eps give it float64
     fam = DissipativeStandardMap(kappa=0.5, alpha=alpha, a=1)
     x = np.stack([rng.random(7), rng.uniform(-1, 1, 7)]).astype(x_dtype)
-    for method in (fam.apply, fam.jacobian, fam.d_mu):
+    real_points = x_dtype is float and np.imag(eps) == 0
+    for name in ("apply", "jacobian", "d_mu"):
+        method = getattr(fam, name)
         got = method(x, 0.01, eps)
-        assert got.dtype == want
-        if want == np.float64:
+        dtype = np.float64 if name == "d_mu" and real_points else want
+        assert got.dtype == dtype
+        if dtype == np.float64:
             ref = method(x.astype(complex), 0.01, eps)
             assert got.tobytes() == np.ascontiguousarray(ref.real).tobytes()
 
@@ -84,6 +88,20 @@ def test_values_are_real_at_real_points_of_a_real_map(rng, alpha, eps, x_dtype, 
 def test_d_mu_column(fam):
     D = fam.d_mu(np.array([0.1, 0.2], dtype=complex), 0.0, 0.03)
     np.testing.assert_allclose(D[..., 0], [1.0, 1.0], atol=1e-16)
+
+
+def test_d_mu_does_not_evaluate_lam(rng, monkeypatch):
+    # its constant ones take their dtype from the points and eps alone
+    def no_lam(self, eps):
+        raise AssertionError("d_mu evaluated lam(eps)")
+
+    monkeypatch.setattr(DissipativeStandardMap, "lambda_eps", no_lam)
+    fam = DissipativeStandardMap(kappa=0.5, alpha=1.0 + 0.5j, a=1)
+    x = np.stack([rng.random(7), rng.uniform(-1, 1, 7)])
+    for points, eps, dtype in ((x, 0.05, np.float64), (x, 0.05 + 0.01j, np.complex128),
+                               (x.astype(complex), 0.05, np.complex128)):
+        D = fam.d_mu(points, 0.01, eps)
+        assert D.dtype == dtype and D.shape == (2, 1, 7) and np.all(D == 1.0)
 
 
 def test_jacobian_against_central_difference(fam, rng):

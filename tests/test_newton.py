@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from kamtori import embedding, fourier, jets, lindstedt, newton
+from kamtori import GOLDEN_MEAN, embedding, fourier, jets, lindstedt, newton
 from kamtori.atlas import coupled_divisor_floor
 from kamtori.embedding import TorusEmbedding, sample_jet
 from kamtori.errors import (Diverged, DivisorTooSmall, FrameSingular, NoConvergence,
@@ -33,6 +33,12 @@ def perturbed(K, rng, size=1e-3, kmax=None, seed_modes=3):
 
 # -- invariance residual -----------------------------------------------------------
 
+def _evaluated(fam, K, mu, omega, eps):
+    """`_evaluate` at the start `run_newton` checks: its mu, omega and realness."""
+    _, mu, omega, real = newton._check_start(fam, K, mu, omega, eps)
+    return _evaluate(fam, K, mu, omega, eps, real=real)
+
+
 class _ZeroMap:
     """apply is zero, so the defect is 0 - K o T_omega exactly."""
 
@@ -51,7 +57,7 @@ def test_packed_evaluation_matches_separate_lifts(dim):
     K = TorusEmbedding(FourierSeries(
         dim, kmax, 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))))
     omega = np.array([(np.sqrt(5.0) - 1.0) / 2.0, np.sqrt(2.0) - 1.0][:dim])
-    ev = _evaluate(_ZeroMap(), K, None, omega, 0.0)
+    ev = _evaluate(_ZeroMap(), K, None, omega, 0.0, real=False)
     n = newton._grid_size(kmax)
     assert ev.X.shape[-1] == n ** dim
     X, Xshift, DK, DKshift = sample_jet(K.periodic.coeffs[None], omega, n)
@@ -70,11 +76,11 @@ def test_a_cached_sample_is_read_only(fam, omega, base_torus):
     for block in blocks:
         with pytest.raises(ValueError, match="read-only"):
             block[...] = 0.0
-    ev = _evaluate(fam, K0, mu0, omega, 0.05)
+    ev = _evaluate(fam, K0, mu0, omega, 0.05, real=True)
     assert ev.X is blocks[0] and ev.DK is blocks[2] and ev.DKshift is blocks[3]
     want = ev.E.tobytes()
     ev.E[...] = 0.0
-    assert _evaluate(fam, K0, mu0, omega, 0.05).E.tobytes() == want
+    assert _evaluate(fam, K0, mu0, omega, 0.05, real=True).E.tobytes() == want
 
 
 def test_a_continuation_point_starts_from_the_last_sample(fam, omega, base_torus,
@@ -202,7 +208,8 @@ def _frame_of(dk, dkshift):
     with Df = I and D_mu f = 1."""
     Df = np.broadcast_to(np.eye(2, dtype=complex)[..., None], (1, 2, 2, 4))
     return newton.build_frame(np.array([1.0 + 0j]), dk, dkshift, Df,
-                              np.ones((1, 2, 1, 4), dtype=complex), np.array([0.25]), 1)
+                              np.ones((1, 2, 1, 4), dtype=complex), np.array([0.25]), 1,
+                              newton.DEFAULT_DIVISOR_FLOOR)
 
 
 def _angle_dk(values):
@@ -253,7 +260,7 @@ def test_shifted_frame_is_the_frame_of_the_shifted_dk(fam, omega, base_torus, mo
     c += 1e-2 * np.exp(-0.3 * k)[:, None] * (rng.standard_normal(c.shape)
                                              + 1j * rng.standard_normal(c.shape))
     K = TorusEmbedding(FourierSeries(1, kmax, c))
-    ev = _evaluate(fam, K, base_torus[1], omega, 0.01)
+    ev = _evaluated(fam, K, base_torus[1], omega, 0.01)
     # DK o T_omega: the derivative of K o T_omega, the identity in its mean
     dks = np.array(K.periodic.shift(omega).differentiate(0).coeffs)[..., None]
     dks[kmax, 0, 0] += 1.0
@@ -268,7 +275,7 @@ def test_shifted_frame_is_the_frame_of_the_shifted_dk(fam, omega, base_torus, mo
         for name in names:
             monkeypatch.setattr(module, name, no_transform)
     monkeypatch.setattr(FourierSeries, "shift", no_transform)
-    fr = newton.newton_frame(fam, ev, base_torus[1], omega, 0.01)
+    fr = newton.newton_frame(fam, ev, newton.DEFAULT_DIVISOR_FLOOR)
     _, Mshift = newton._frame_matrix(dks[None, None])
     assert fr.Mshift[0].tobytes() == Mshift[0, 0].tobytes()
     assert fr.beta[0].tobytes() == jets.inv_stack(Mshift[0, 0]).tobytes()
@@ -291,7 +298,7 @@ def test_singular_gram_is_named_dk_before_its_shift(dk, shift_dk, message):
     assert str(err.value) == message
 
 
-def _two_pass_frame(lam, dk, dkshift, Df, Dmu, omega, kmax):
+def _two_pass_frame(lam, dk, dkshift, Df, Dmu, omega, kmax, divisor_floor):
     """The frame built one DK at a time, with P = DK N formed by its own
     product: the reference the one-pass build_frame is held to byte for byte."""
     d, points = dk.shape[-2:]
@@ -309,13 +316,15 @@ def _two_pass_frame(lam, dk, dkshift, Df, Dmu, omega, kmax):
     S = jets.matmul(mul_jinv(jets.matmul(np.swapaxes(Pshift, -3, -2), Df)), P) \
         - jets.matmul(jets.matmul(jets.cauchy(lam_bc, np.swapaxes(Nshift, -3, -2)), gshift), Nshift)
     return newton.Frame(d=d, kmax=kmax, n=round(points ** (1 / d)), omega=omega, lam=lam,
-                        Df=Df, M=M, Mshift=Mshift, beta=beta, S=S, A=jets.matmul(beta, Dmu))
+                        Df=Df, M=M, Mshift=Mshift, beta=beta, S=S, A=jets.matmul(beta, Dmu),
+                        divisor_floor=divisor_floor)
 
 
 def _assert_two_pass_frame(fr, args):
     """`fr`, built by build_frame from `args`, is `_two_pass_frame(*args)` byte for byte."""
     want = _two_pass_frame(*args)
     assert (fr.d, fr.kmax, fr.n) == (want.d, want.kmax, want.n)
+    assert fr.divisor_floor is want.divisor_floor
     for name in ("M", "Mshift", "beta", "S", "A"):
         got, ref = getattr(fr, name), getattr(want, name)
         assert got.dtype == ref.dtype and got.shape == ref.shape, name
@@ -362,8 +371,9 @@ def test_doubling_frame_jets_are_the_two_pass_frame(fam, omega, base_torus, monk
 
 def _synthetic_frame_args(d, real=False, seed=22):
     """build_frame's arguments for an order-0 frame of a random torus near the
-    flat one at kmax 3, its own Df and D_mu f and lam = 0.9: complex, or
-    real (Hermitian K sampled as float64, real Df, D_mu f and lam)."""
+    flat one at kmax 3, its own Df and D_mu f, lam = 0.9 and the default
+    floor: complex, or real (Hermitian K sampled as float64, real Df, D_mu f
+    and lam)."""
     rng = np.random.default_rng(seed)
     kmax = 3
     omega = np.array([(np.sqrt(5.0) - 1.0) / 2.0, np.sqrt(2.0) - 1.0])[:d]
@@ -379,7 +389,8 @@ def _synthetic_frame_args(d, real=False, seed=22):
     points = n ** d
     return (np.array([0.9] if real else [0.9 + 0j]), dk, dkshift,
             np.broadcast_to(Df[None, ..., None], (1, 2 * d, 2 * d, points)),
-            np.broadcast_to(Dmu[None, ..., None], (1, 2 * d, d, points)), omega, kmax)
+            np.broadcast_to(Dmu[None, ..., None], (1, 2 * d, d, points)), omega, kmax,
+            newton.DEFAULT_DIVISOR_FLOOR)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -418,13 +429,13 @@ def test_frame_matches_a_pointwise_linalg_reference(d):
 
 def _assert_solves_the_reduced_system(fr, rhs1, rhs2):
     """solve_reduced's (W1, W2, sigma) on the order-0 frame `fr`, at its kmax
-    and the default floor, satisfy the two difference equations of its
+    and its floor, satisfy the two difference equations of its
     docstring mode by mode at the cutoff, to 1e-12 relative."""
     d, band, lam = fr.d, fr.kmax, fr.lam[0]
     S, A1, A2 = fr.S[0], fr.A[0, :d], fr.A[0, d:]
-    Bb, _ = fr.solve_twisted(-A2.reshape(d * d, -1), band, newton.DEFAULT_DIVISOR_FLOOR)
+    Bb, _ = fr.solve_twisted(-A2.reshape(d * d, -1), band)
     core = newton.checked_block(fr, Bb.reshape(A2.shape))
-    Ba, _ = fr.solve_twisted(rhs2, band, newton.DEFAULT_DIVISOR_FLOOR)
+    Ba, _ = fr.solve_twisted(rhs2, band)
     W1, W2, sigma, _ = newton.solve_reduced(core, rhs1, rhs2, Ba, band)
     assert W1.dtype == W2.dtype == rhs1.dtype and W1.shape == W2.shape == rhs1.shape
 
@@ -457,11 +468,45 @@ def test_the_reduced_solve_of_a_newton_frame_solves_its_equations(fam, omega, ba
                                                                 eps):
     # the right-hand side of a Newton step, -beta E, on a perturbed torus
     K, mu = perturbed(base_torus[0], np.random.default_rng(3), 5e-3), base_torus[1]
-    ev = _evaluate(fam, K, mu, omega, eps)
-    fr = newton.newton_frame(fam, ev, mu, omega, eps)
+    ev = _evaluated(fam, K, mu, omega, eps)
+    fr = newton.newton_frame(fam, ev, newton.DEFAULT_DIVISOR_FLOOR)
     assert (fr.S.dtype.kind == "c") is (eps != 0.05)
     rhs = -jets.mm(fr.beta[0], ev.E[:, None])[:, 0]
     _assert_solves_the_reduced_system(fr, rhs[:1], rhs[1:])
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_the_twist_is_the_linalg_norm_of_the_inverse_checked_block(d, real):
+    # a 2 x 2 and a 4 x 4 checked block of the synthetic frame
+    fr = newton.build_frame(*_synthetic_frame_args(d, real))
+    A2 = fr.A[0, d:]
+    Bb, _ = fr.solve_twisted(-A2.reshape(d * d, -1), fr.kmax)
+    block = newton.checked_block(fr, Bb.reshape(A2.shape)).block
+    assert block.dtype == (np.float64 if real else np.complex128)
+    want = np.linalg.norm(np.linalg.inv(block), 2)
+    assert np.float64(newton._twist(block)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("alpha, eps, dtype", [
+    (1.0, 0.05, np.float64), (1.0, 0.05 + 0.01j, np.complex128),
+    (1.0 + 0.5j, 0.05, np.complex128),
+], ids=["real", "complex-eps", "complex-alpha"])
+def test_a_newton_frame_takes_d_mu_in_its_paths_dtype(omega, base_torus, monkeypatch,
+                                                      alpha, eps, dtype):
+    # d_mu no longer reads lam(eps), yet a complex lam still runs on complex
+    # points, so the frame sees the dtypes it saw when d_mu did
+    fam = DissipativeStandardMap(kappa=0.5, alpha=alpha, a=1)
+    seen, d_mu = [], DissipativeStandardMap.d_mu
+
+    def spy(self, x, mu, eps):
+        out = d_mu(self, x, mu, eps)
+        seen.append((x.dtype, out.dtype))
+        return out
+
+    monkeypatch.setattr(DissipativeStandardMap, "d_mu", spy)
+    _, _, rep = newton_step(fam, *base_torus, omega, eps)
+    assert seen == [(dtype, dtype)] and rep.block.dtype == rep.W.dtype == dtype
 
 
 def test_a_singular_large_matrix_is_blamed_on_its_grid_point_alone():
@@ -577,7 +622,7 @@ def test_a_huge_averaged_block_gives_a_typed_result(rows, det):
     A = np.array(rows)[None, :, 1:, None] * np.ones(points)
     fr = newton.Frame(d=1, kmax=2, n=points, omega=np.array([0.5]),
                       lam=np.array([1.0 + rows[1][0]]), Df=None, M=None, Mshift=None,
-                      beta=None, S=S, A=A)
+                      beta=None, S=S, A=A, divisor_floor=newton.DEFAULT_DIVISOR_FLOOR)
     Bb_grid = np.zeros((1, 1, points))
     if det is None:
         with pytest.raises(NonDegeneracyFailure) as err:
@@ -596,7 +641,8 @@ def test_a_block_of_scale_zero_or_inf_is_a_nondegeneracy_failure(A2, scale):
     fr = newton.Frame(d=1, kmax=2, n=points, omega=np.array([0.5]), lam=np.array([1.0]),
                       Df=None, M=None, Mshift=None, beta=None,
                       S=np.zeros((1, 1, 1, points)),
-                      A=np.array([0.0, A2])[None, :, None, None] * np.ones(points))
+                      A=np.array([0.0, A2])[None, :, None, None] * np.ones(points),
+                      divisor_floor=newton.DEFAULT_DIVISOR_FLOOR)
     with pytest.raises(NonDegeneracyFailure) as err:
         newton.checked_block(fr, np.ones((1, 1, points)))
     assert np.isnan(err.value.det) and err.value.scale == scale
@@ -653,6 +699,34 @@ def test_run_rejects_non_finite_input(fam, omega, base_torus, eps, mu0, bad, kw,
     with pytest.raises(ValueError) as err:
         run_newton(fam, K0, mu0, **{"omega": omega, "eps": eps, **kw})
     assert str(err.value) == named
+
+
+_ENTRIES = {"run_newton": run_newton, "newton_step": newton_step,
+            "invariance_residual": invariance_residual,
+            "reducibility_frame": reducibility_frame}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+@pytest.mark.parametrize("eps, mu0, w, named", [
+    (np.nan, [0.0], None, "eps must be finite"),
+    (0.05, [np.nan], None, "mu0 must be finite"),
+    (0.05, [0.0], np.nan, "omega must have 1 finite components"),
+    (0.05, [0.0], [0.5, 0.25], "omega must have 1 finite components"),
+    (0.05, [0.0], np.complex128(GOLDEN_MEAN + 0.1j), "omega must be real"),
+], ids=["eps-nan", "mu0-nan", "omega-nan", "omega-length", "omega-complex"])
+def test_every_newton_entry_refuses_a_bad_start_as_run_newton_does(fam, omega, base_torus,
+                                                                   entry, eps, mu0, w, named):
+    # the exported entries used to run on without the start check: nan
+    # results, an IndexError, a ComplexWarning, FrameSingular or a ValueError
+    # about eta's modes, each hiding the bad input
+    K0 = base_torus[0]
+    w = omega if w is None else w
+    with pytest.raises(ValueError) as want:
+        run_newton(fam, K0, mu0, w, eps)
+    with pytest.raises(ValueError) as err:
+        _ENTRIES[entry](fam, K0, mu0, w, eps)
+    assert str(err.value) == str(want.value) and str(err.value).startswith(named)
 
 
 @pytest.mark.filterwarnings("error")
@@ -1018,9 +1092,9 @@ def test_a_real_problem_runs_on_real_grids(fam, omega, base_torus, monkeypatch):
         K, mu = sol.K, sol.mu
         assert _hermitian(K) and not np.any(mu.imag)
     assert flags and all(flags)
-    ev = _evaluate(fam, K, mu, omega, 0.1)
-    fr = newton.newton_frame(fam, ev, mu, omega, 0.1)
-    Bb_grid, _ = fr.solve_twisted(-fr.A[0, 1:], fr.kmax, newton.DEFAULT_DIVISOR_FLOOR)
+    ev = _evaluated(fam, K, mu, omega, 0.1)
+    fr = newton.newton_frame(fam, ev, newton.DEFAULT_DIVISOR_FLOOR)
+    Bb_grid, _ = fr.solve_twisted(-fr.A[0, 1:], fr.kmax)
     core = newton.checked_block(fr, Bb_grid)
     _, _, rep = newton_step(fam, K, mu, omega, 0.1, _defect=ev)
     for grid in (ev.X, ev.DK, ev.DKshift, ev.E, fr.lam, fr.Df, fr.M, fr.Mshift,
@@ -1029,10 +1103,11 @@ def test_a_real_problem_runs_on_real_grids(fam, omega, base_torus, monkeypatch):
 
 
 def _solve_spied(monkeypatch, fam, K, mu, omega, eps):
-    """run_newton with the number of its realness decisions and, for every
-    evaluation, the torus evaluated and the dtypes of its samples and E."""
+    """run_newton with its start checks, each of which decides realness, and,
+    for every evaluation, the torus evaluated and the dtypes of its samples
+    and E."""
     decisions, evaluations = [], []
-    decide, evaluate = newton._real_problem, newton._evaluate
+    decide, evaluate = newton._check_start, newton._evaluate
 
     def decide_spy(*args):
         decisions.append(args)
@@ -1043,7 +1118,7 @@ def _solve_spied(monkeypatch, fam, K, mu, omega, eps):
         evaluations.append((K, {a.dtype for a in (ev.X, ev.DK, ev.DKshift, ev.E)}))
         return ev
 
-    monkeypatch.setattr(newton, "_real_problem", decide_spy)
+    monkeypatch.setattr(newton, "_check_start", decide_spy)
     monkeypatch.setattr(newton, "_evaluate", evaluate_spy)
     sol = run_newton(fam, K, mu, omega, eps, tol=1e-12)
     return sol, decisions, evaluations
@@ -1073,11 +1148,11 @@ def test_a_complex_eps_solve_keeps_complex_grids_throughout(fam, omega, base_tor
 def test_the_real_path_agrees_with_the_complex_one(fam, omega, base_torus, monkeypatch):
     # the same continuation forced onto complex grids: the same cutoffs and
     # iteration counts, the tori equal to roundoff
-    runs = []
+    runs, check = [], newton._check_start
     for force_complex in (False, True):
         if force_complex:
-            monkeypatch.setattr(newton, "_real_problem",
-                                lambda fam, K, mu, omega, eps: False)
+            monkeypatch.setattr(newton, "_check_start",
+                                lambda *args: check(*args)[:3] + (False,))
         K, mu = base_torus
         sols = []
         for eps in (0.05, 0.1, 0.2):
@@ -1118,8 +1193,8 @@ def test_a_complex_problem_keeps_its_complex_grids_and_bytes(omega, base_torus,
     K0, mu0 = (_anti_hermitian_start(base_torus) if case == "anti-Hermitian K0"
                else base_torus)
     eps = 0.05 + 0.01j if case == "complex eps" else 0.05
-    assert newton._real_problem(fam, K0, mu0, omega, eps) is False
-    assert _evaluate(fam, K0, mu0, omega, eps).X.dtype == np.complex128
+    assert newton._check_start(fam, K0, mu0, omega, eps)[3] is False
+    assert _evaluated(fam, K0, mu0, omega, eps).X.dtype == np.complex128
     flags = _sampled_real_flags(monkeypatch)
     sol = run_newton(fam, K0, mu0, omega, eps, tol=1e-12)
     assert flags and not any(flags)
@@ -1149,6 +1224,6 @@ def test_a_family_with_complex_values_at_real_points_runs_the_real_path(omega, b
             _ComplexValuedFamily(kappa=0.5, alpha=1.0, a=1))
     K0, mu0 = base_torus
     sols = [run_newton(f, K0, mu0, omega, 0.1, tol=1e-12) for f in fams]
-    assert _evaluate(fams[1], K0, mu0, omega, 0.1).E.dtype == np.float64
+    assert _evaluated(fams[1], K0, mu0, omega, 0.1).E.dtype == np.float64
     assert sols[0].K.periodic.coeffs.tobytes() == sols[1].K.periodic.coeffs.tobytes()
     assert sols[0].mu.tobytes() == sols[1].mu.tobytes() and sols[0].trace == sols[1].trace

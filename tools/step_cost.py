@@ -94,7 +94,7 @@ def time_pieces(case: dict, repeats: int) -> dict:
     from kamtori import jets, newton
     fam, K, mu, eps, omega, floor = (case[k] for k in ("fam", "K", "mu", "eps", "omega",
                                                        "floor"))
-    real = newton._real_problem(fam, K, mu, omega, eps)
+    _, mu, omega, real = newton._check_start(fam, K, mu, omega, eps)
 
     def evaluate(K):
         ev = newton._evaluate(fam, K, mu, omega, eps, real=real)
@@ -102,19 +102,19 @@ def time_pieces(case: dict, repeats: int) -> dict:
         return ev
 
     ev = evaluate(_fresh(K))
-    fr = newton.newton_frame(fam, ev, mu, omega, eps)
+    fr = newton.newton_frame(fam, ev, floor)
     d, kmax = fr.d, fr.kmax
     rhs = -jets.mm(fr.beta[0], ev.E[:, None])[:, 0]
     A2 = fr.A[0, d:]
     stacked = np.concatenate([-A2.reshape(d * d, -1), rhs[d:]])
-    rows, _ = fr.solve_twisted(stacked, kmax, floor)
+    rows, _ = fr.solve_twisted(stacked, kmax)
     Bb_grid, Ba_grid = rows[:d * d].reshape(A2.shape), rows[d * d:]
-    core = newton.checked_block(fr, Bb_grid, floor)
+    core = newton.checked_block(fr, Bb_grid)
     calls = (
         (evaluate, lambda: (_fresh(K),)),
-        (lambda: newton.newton_frame(fam, ev, mu, omega, eps), tuple),
-        (lambda: fr.solve_twisted(stacked, kmax, floor), tuple),
-        (lambda: newton.checked_block(fr, Bb_grid, floor), tuple),
+        (lambda: newton.newton_frame(fam, ev, floor), tuple),
+        (lambda: fr.solve_twisted(stacked, kmax), tuple),
+        (lambda: newton.checked_block(fr, Bb_grid), tuple),
         (lambda: newton.solve_reduced(core, rhs[:d], rhs[d:], Ba_grid, kmax), tuple),
         (lambda: newton.newton_step(fam, K, mu, omega, eps, divisor_floor=floor, _defect=ev),
          tuple),
