@@ -108,22 +108,28 @@ def _torus_sample(K: TorusEmbedding, omega, real: bool) -> tuple:
 
 def _evaluate(fam, K: TorusEmbedding, mu, omega, eps, *, real: bool) -> _Defect:
     """(K, mu) on the grid, sampled by `_torus_sample`, with E in an array of
-    its own.  With `real` (the solve's, from `_check_start`) the samples are
-    float64, f is applied at real mu and eps and its real part taken; else
-    they are complex128."""
+    its own.  omega is real, and `real` is the solve's (both from
+    `_check_start`).  A real evaluation has float64 samples, applies f at
+    real mu and eps and takes its real part; any other is complex128."""
     if real:
-        mu, omega, eps = np.real(mu), np.real(omega), np.real(eps)
+        mu, eps = np.real(mu), np.real(eps)
     X, Xshift, DK, DKshift = _torus_sample(K, omega, real)
     F = fam.apply(X, mu, eps)
     E = (F.real if real else F) - Xshift
     return _Defect(X, DK, DKshift, E, K.dim, K.kmax, mu, omega, eps, real)
 
 
+def _checked_evaluation(fam, K: TorusEmbedding, mu, omega, eps) -> _Defect:
+    """`_evaluate` of (K, mu) at the start `_check_start` makes of it; raises
+    its ValueError for a start it refuses."""
+    _, mu, omega, real = _check_start(fam, K, mu, omega, eps)
+    return _evaluate(fam, K, mu, omega, eps, real=real)
+
+
 def invariance_residual(fam, K: TorusEmbedding, mu, omega, eps) -> FourierSeries:
     """E = f_{mu,eps} o K - K o T_omega as a (2d,)-valued series at K's cutoff.
     Raises ValueError as `run_newton` does for a start it refuses."""
-    _, mu, omega, real = _check_start(fam, K, mu, omega, eps)
-    return from_grid(_evaluate(fam, K, mu, omega, eps, real=real).E, K.dim, K.kmax)
+    return from_grid(_checked_evaluation(fam, K, mu, omega, eps).E, K.dim, K.kmax)
 
 
 # -- the reduced system ---------------------------------------------------------
@@ -324,8 +330,7 @@ class ReducibilityFrame:
 def reducibility_frame(fam, K, mu, omega, eps) -> ReducibilityFrame:
     """The frame of (K, mu) at eps with the norms of R and E (ReducibilityFrame).
     Raises ValueError as `run_newton` does for a start it refuses."""
-    _, mu, omega, real = _check_start(fam, K, mu, omega, eps)
-    ev = _evaluate(fam, K, mu, omega, eps, real=real)
+    ev = _checked_evaluation(fam, K, mu, omega, eps)
     fr = newton_frame(fam, ev, DEFAULT_DIVISOR_FLOOR)
     Ms1, Ms2 = fr.Mshift[0][:, :fr.d], fr.Mshift[0][:, fr.d:]
     R = jets.mm(fr.Df[0], fr.M[0]) \
@@ -364,10 +369,7 @@ def newton_step(fam, K, mu, omega, eps, divisor_floor=DEFAULT_DIVISOR_FLOOR,
     """One quadratic correction (K, mu) -> (K + M W, mu + sigma), returned with
     its StepReport.  `_defect` is an evaluation of (K, mu) at omega and eps to
     reuse; without it the start is checked as `run_newton` checks it."""
-    ev = _defect
-    if ev is None:
-        _, mu, omega, real = _check_start(fam, K, mu, omega, eps)
-        ev = _evaluate(fam, K, mu, omega, eps, real=real)
+    ev = _checked_evaluation(fam, K, mu, omega, eps) if _defect is None else _defect
     fr = newton_frame(fam, ev, divisor_floor)
     d, kmax = fr.d, fr.kmax
     rhs = -jets.mm(fr.beta[0], ev.E[:, None])[:, 0]

@@ -33,12 +33,6 @@ def perturbed(K, rng, size=1e-3, kmax=None, seed_modes=3):
 
 # -- invariance residual -----------------------------------------------------------
 
-def _evaluated(fam, K, mu, omega, eps):
-    """`_evaluate` at the start `run_newton` checks: its mu, omega and realness."""
-    _, mu, omega, real = newton._check_start(fam, K, mu, omega, eps)
-    return _evaluate(fam, K, mu, omega, eps, real=real)
-
-
 class _ZeroMap:
     """apply is zero, so the defect is 0 - K o T_omega exactly."""
 
@@ -260,7 +254,7 @@ def test_shifted_frame_is_the_frame_of_the_shifted_dk(fam, omega, base_torus, mo
     c += 1e-2 * np.exp(-0.3 * k)[:, None] * (rng.standard_normal(c.shape)
                                              + 1j * rng.standard_normal(c.shape))
     K = TorusEmbedding(FourierSeries(1, kmax, c))
-    ev = _evaluated(fam, K, base_torus[1], omega, 0.01)
+    ev = newton._checked_evaluation(fam, K, base_torus[1], omega, 0.01)
     # DK o T_omega: the derivative of K o T_omega, the identity in its mean
     dks = np.array(K.periodic.shift(omega).differentiate(0).coeffs)[..., None]
     dks[kmax, 0, 0] += 1.0
@@ -468,7 +462,7 @@ def test_the_reduced_solve_of_a_newton_frame_solves_its_equations(fam, omega, ba
                                                                 eps):
     # the right-hand side of a Newton step, -beta E, on a perturbed torus
     K, mu = perturbed(base_torus[0], np.random.default_rng(3), 5e-3), base_torus[1]
-    ev = _evaluated(fam, K, mu, omega, eps)
+    ev = newton._checked_evaluation(fam, K, mu, omega, eps)
     fr = newton.newton_frame(fam, ev, newton.DEFAULT_DIVISOR_FLOOR)
     assert (fr.S.dtype.kind == "c") is (eps != 0.05)
     rhs = -jets.mm(fr.beta[0], ev.E[:, None])[:, 0]
@@ -1092,7 +1086,7 @@ def test_a_real_problem_runs_on_real_grids(fam, omega, base_torus, monkeypatch):
         K, mu = sol.K, sol.mu
         assert _hermitian(K) and not np.any(mu.imag)
     assert flags and all(flags)
-    ev = _evaluated(fam, K, mu, omega, 0.1)
+    ev = newton._checked_evaluation(fam, K, mu, omega, 0.1)
     fr = newton.newton_frame(fam, ev, newton.DEFAULT_DIVISOR_FLOOR)
     Bb_grid, _ = fr.solve_twisted(-fr.A[0, 1:], fr.kmax)
     core = newton.checked_block(fr, Bb_grid)
@@ -1194,7 +1188,7 @@ def test_a_complex_problem_keeps_its_complex_grids_and_bytes(omega, base_torus,
                else base_torus)
     eps = 0.05 + 0.01j if case == "complex eps" else 0.05
     assert newton._check_start(fam, K0, mu0, omega, eps)[3] is False
-    assert _evaluated(fam, K0, mu0, omega, eps).X.dtype == np.complex128
+    assert newton._checked_evaluation(fam, K0, mu0, omega, eps).X.dtype == np.complex128
     flags = _sampled_real_flags(monkeypatch)
     sol = run_newton(fam, K0, mu0, omega, eps, tol=1e-12)
     assert flags and not any(flags)
@@ -1224,6 +1218,6 @@ def test_a_family_with_complex_values_at_real_points_runs_the_real_path(omega, b
             _ComplexValuedFamily(kappa=0.5, alpha=1.0, a=1))
     K0, mu0 = base_torus
     sols = [run_newton(f, K0, mu0, omega, 0.1, tol=1e-12) for f in fams]
-    assert _evaluated(fams[1], K0, mu0, omega, 0.1).E.dtype == np.float64
+    assert newton._checked_evaluation(fams[1], K0, mu0, omega, 0.1).E.dtype == np.float64
     assert sols[0].K.periodic.coeffs.tobytes() == sols[1].K.periodic.coeffs.tobytes()
     assert sols[0].mu.tobytes() == sols[1].mu.tobytes() and sols[0].trace == sols[1].trace
